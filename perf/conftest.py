@@ -1,0 +1,6 @@
+"""``pytest perf/`` — the benchmark's self-tests import ``repro`` from src/."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
