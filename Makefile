@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke all
+.PHONY: install test bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke perf-smoke perf all
 
 install:
 	pip install -e . || python setup.py develop
@@ -74,6 +74,22 @@ check-smoke:
 	python -m repro.check explore --sends 3,2 --recvs 4w,1 \
 		--json counterexample-explore-waitall.json
 	python -m repro.check fuzz --seeds 50 --json counterexample-fuzz.json
+
+# End-to-end + per-layer host-time benchmark (perf/README.md; the gate
+# every perf PR is judged by, declared in BENCHMARK.json).  The smoke
+# target runs the harness's own tests and one short untraced workload —
+# run.py exits non-zero on any correctness failure (fingerprint drift
+# between repetitions, truncation, accelerator status change) — and
+# leaves its result document behind for CI upload.  `make perf` is the
+# full run (4 workloads, untraced + traced, a few minutes); compare two
+# of its outputs with `python3 perf/compare.py A.json B.json`.
+perf-smoke:
+	PYTHONPATH=src python -m pytest perf/
+	python3 perf/run.py --workload echo_small --seconds 4 --trace 0 \
+		--out perf-smoke.json
+
+perf:
+	python3 perf/run.py --out perf-result.json
 
 figures:
 	python -m repro.bench

@@ -190,6 +190,7 @@ class ExsConnection:
             self.rx = SeqPacketReceiverHalf(self)
 
         self._ctrl_queue: Deque[ControlMsg] = deque()
+        self._credit_update_threshold = options.effective_credit_update_threshold()
         #: optional ProtocolTracer (see repro.trace); set on the host
         self.tracer = getattr(host, "tracer", None)
         self._last_tx_phase = 0
@@ -525,31 +526,37 @@ class ExsConnection:
         run progress rounds for many connections around one shared CQ.
         """
         progressed = False
-        # one copy at a time so completions interleave realistically
-        plan = self.rx.next_copy()
-        if plan is not None:
-            yield from self.rx.execute_copy(plan)
-            progressed = True
-        # re-advertise queued receives once the gate opens
-        for advert_msg in self.rx.flush_adverts():
-            self.queue_control(advert_msg)
-            progressed = True
-        # The idle guards below skip constructing sub-pump generators whose
-        # first action would be returning False: with nothing pending the
-        # pumps yield no events, so skipping them is execution-equivalent
-        # and keeps quiescent rounds cheap on many-connection shards.
+        rx = self.rx
+        # Each sub-pump sits behind a plain attribute test, so a quiescent
+        # round — the common case: the engine re-checks after every wake-up
+        # — makes no calls at all.  A skipped pump is one whose first
+        # action would have been to return "nothing to do".
+        if rx.copy_ready:
+            # one copy at a time so completions interleave realistically
+            plan = rx.next_copy()
+            if plan is not None:
+                yield from rx.execute_copy(plan)
+                progressed = True
+        if rx.adverts_due:
+            # re-advertise queued receives once the gate opens
+            for advert_msg in rx.flush_adverts():
+                self.queue_control(advert_msg)
+                progressed = True
         if self.tx.pending:
             sent = yield from self.tx.pump()
             progressed = bool(sent) or progressed
-        progressed = self._pump_close() or progressed
+        if self.closing:
+            progressed = self._pump_close() or progressed
+        credits = self.credits
         if self._ctrl_queue or (
-            self.credits is not None
-            and self.credits.ungranted()
-            >= self.options.effective_credit_update_threshold()
+            credits is not None
+            and credits.local_repost_cum - credits.granted_cum
+            >= self._credit_update_threshold
         ):
             ctrl = yield from self._pump_control()
             progressed = ctrl or progressed
-        progressed = self.rx.pump_eof() or progressed
+        if rx.eof_seq is not None:
+            progressed = rx.pump_eof() or progressed
         if self.tracer is not None:
             self._note_progress()
         return progressed
@@ -677,7 +684,7 @@ class ExsConnection:
         if (
             not self._ctrl_queue
             and self.credits is not None
-            and self.credits.ungranted() >= self.options.effective_credit_update_threshold()
+            and self.credits.ungranted() >= self._credit_update_threshold
             and self.credits.can_send_control()
         ):
             yield from self.charge(self.costs.send_control_ns)
@@ -715,28 +722,25 @@ class ExsConnection:
 
     # -- close handling -----------------------------------------------------
     def _pump_close(self) -> bool:
-        if not self.closing or self.tx.fin_sent:
-            self._maybe_post_close_event()
-            return False
-        if not self.tx.drained:
-            return False
-        self.queue_control(FinMsg(final_seq=self.tx.final_seq))
-        self.tx.fin_sent = True
-        return True
-
-    def _maybe_post_close_event(self) -> None:
-        if (
-            self.closing
-            and self.tx.fin_sent
-            and self.tx.fin_acked
-            and not self.close_event_posted
-            and self._close_eq is not None
-        ):
-            self.close_event_posted = True
-            self._close_eq.post(
-                ExsEvent(
-                    kind=ExsEventType.CLOSE,
-                    socket=self.socket,
-                    context=self._close_context,
+        """One step of a graceful close (the engine calls it while ``closing``)."""
+        tx = self.tx
+        if tx.fin_sent:
+            if (
+                tx.fin_acked
+                and not self.close_event_posted
+                and self._close_eq is not None
+            ):
+                self.close_event_posted = True
+                self._close_eq.post(
+                    ExsEvent(
+                        kind=ExsEventType.CLOSE,
+                        socket=self.socket,
+                        context=self._close_context,
+                    )
                 )
-            )
+            return False
+        if not tx.drained:
+            return False
+        self.queue_control(FinMsg(final_seq=tx.final_seq))
+        tx.fin_sent = True
+        return True

@@ -129,20 +129,21 @@ class ExsEventQueue:
                 )
             return
         self.delivered += 1
-        self._store.put(event)
+        store = self._store
+        if self.wakeup is not None and store.waiting:
+            # the application is asleep in dequeue(): it gets the event
+            # one OS wake-up later
+            store.put(event, delay=int(round(self.wakeup(self._rng))))
+        else:
+            store.put(event)
 
     def dequeue(self) -> Event:
         """``exs_qdequeue()``: event firing with the next :class:`ExsEvent`."""
         ev = self._store.get()
-        if ev.triggered or self.wakeup is None:
-            return ev
-        # The caller is about to sleep; charge the wake-up on delivery.
-        self.slept_wakeups += 1
-        outer = Event(self.sim)
-        ev.add_callback(
-            lambda e: outer.succeed(e._value, delay=int(round(self.wakeup(self._rng))))
-        )
-        return outer
+        if not ev.triggered and self.wakeup is not None:
+            # The caller is about to sleep; post() charges the wake-up.
+            self.slept_wakeups += 1
+        return ev
 
     def try_dequeue(self) -> Optional[ExsEvent]:
         """Non-blocking poll."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from ..core.invariants import require
 from ..hosts.memory import Chunk
@@ -300,8 +300,13 @@ class _RdvCopyPlan:
 class RdvReceiverHalf:
     """Inbound direction of one eager/rendezvous stream socket."""
 
+    #: engine guard: this transport never advertises
+    adverts_due = False
+
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
+        #: engine guard: False only when :meth:`next_copy` has nothing
+        self.copy_ready = False
         self.entries: Deque[_RdvEntry] = deque()
         self.staged: Deque[_StagedEager] = deque()
         #: bytes requested by the peer's RTS and not yet granted by a CTS
@@ -329,6 +334,7 @@ class RdvReceiverHalf:
             )
             return None
         self.entries.append(_RdvEntry(urecv=urecv))
+        self.copy_ready = bool(self.staged)
         self._pump_grants()
         return None
 
@@ -345,6 +351,7 @@ class RdvReceiverHalf:
         self.staged.append(
             _StagedEager(slot=slot, nbytes=msg.nbytes, stream_offset=msg.stream_offset)
         )
+        self.copy_ready = True
 
     def on_rendezvous_arrival(self, nbytes: int, stream_offset: int) -> None:
         """A granted rendezvous WRITE landed in user memory (zero copy)."""
@@ -380,6 +387,7 @@ class RdvReceiverHalf:
     # ------------------------------------------------------------------
     def next_copy(self) -> Optional[_RdvCopyPlan]:
         if not self.staged:
+            self.copy_ready = False
             return None
         staged = self.staged[0]
         for entry in self.entries:
@@ -392,6 +400,7 @@ class RdvReceiverHalf:
                     nbytes=min(staged.remaining, entry.urecv.nbytes - entry.filled),
                 )
             # fully filled entries ahead of the cursor are awaiting delivery
+        self.copy_ready = False
         return None
 
     def execute_copy(self, plan: _RdvCopyPlan):
@@ -476,9 +485,6 @@ class RdvReceiverHalf:
         if self.eof_seq is not None:
             return
         self.eof_seq = final_seq
-
-    def flush_adverts(self) -> List:
-        return []
 
     def fail_pending(self):
         """Connection died: drain every pending recv for ERROR delivery."""

@@ -178,6 +178,11 @@ class SeqPacketSenderHalf:
 class SeqPacketReceiverHalf:
     """Inbound direction: advert every receive, complete on arrival."""
 
+    #: engine guards: no intermediate buffer to copy out of, and every
+    #: receive is advertised at submit
+    copy_ready = False
+    adverts_due = False
+
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
         self.queue: Deque[_PendingRecv] = deque()
@@ -230,17 +235,6 @@ class SeqPacketReceiverHalf:
 
     def on_indirect_arrival(self, *_a: Any) -> None:  # pragma: no cover - defensive
         raise RuntimeError("indirect transfer on a SOCK_SEQPACKET connection")
-
-    # engine-compatibility no-ops ----------------------------------------
-    def next_copy(self):
-        return None
-
-    def execute_copy(self, plan):  # pragma: no cover - never called
-        raise RuntimeError("SOCK_SEQPACKET has no intermediate buffer")
-        yield  # unreachable; keeps this a generator
-
-    def flush_adverts(self):
-        return []
 
     def fail_pending(self):
         """Connection died: drain every pending recv for ERROR delivery."""

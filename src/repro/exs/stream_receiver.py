@@ -55,6 +55,11 @@ class StreamReceiverHalf:
             mode=conn.options.mode,
             stats=conn.rx_stats,
         )
+        #: engine guards (plain attributes, tested every progress round):
+        #: False only when :meth:`next_copy` / :meth:`flush_adverts` would
+        #: certainly come back empty
+        self.copy_ready = False
+        self.adverts_due = False
         #: cumulative copied-out count included in the last ring ACK
         self._last_acked_copied = 0
         #: end-of-stream sequence number from the peer's FIN, if received
@@ -83,8 +88,11 @@ class StreamReceiverHalf:
             advert_remote_addr=urecv.mr.addr + urecv.offset,
             advert_rkey=urecv.mr.rkey,
         )
+        self.copy_ready = self.algo.ring.stored > 0
         if advert is not None:
             return AdvertMsg(advert=advert)
+        # suppressed: flush_adverts sends it once the gate opens
+        self.adverts_due = self.algo.mode is not ProtocolMode.INDIRECT_ONLY
         return None
 
     # ------------------------------------------------------------------
@@ -108,12 +116,16 @@ class StreamReceiverHalf:
             self.first_arrival_ns = self.conn.sim.now
         seg = RingSegment(remote_addr - self.ring_mr.addr, nbytes)
         self.algo.on_indirect_arrival(stream_offset, seg)
+        self.copy_ready = True
 
     # ------------------------------------------------------------------
     # engine-facing: copy pump
     # ------------------------------------------------------------------
     def next_copy(self) -> Optional[CopyPlan]:
-        return self.algo.next_copy()
+        plan = self.algo.next_copy()
+        if plan is None:
+            self.copy_ready = False
+        return plan
 
     def execute_copy(self, plan: CopyPlan):
         """Perform one copy out of the ring (generator; charges CPU time)."""
@@ -155,6 +167,7 @@ class StreamReceiverHalf:
         pairs = self.algo.flush_adverts(
             lambda entry: (entry.context.mr.addr + entry.context.offset, entry.context.mr.rkey)
         )
+        self.adverts_due = self.algo.unadvertised_recvs > 0
         return [AdvertMsg(advert=advert) for _entry, advert in pairs]
 
     def on_fin(self, final_seq: int) -> None:

@@ -5,8 +5,8 @@ indirect mode the EXS library thread spends its time ``memcpy``-ing data out
 of the intermediate buffer, while in direct mode the HCA places data without
 CPU involvement and the thread only handles completion events.
 
-:class:`Cpu` models the *library/application core* of a host: a capacity-1
-FIFO resource.  Work items occupy the core for a duration given by the
+:class:`Cpu` models the *library/application core* of a host: one core
+served strictly FIFO.  Work items occupy the core for a duration given by the
 :class:`CpuCostModel` and the busy time is accumulated, from which
 utilisation over a measurement window is computed exactly (partial overlap
 of a work interval with the window is accounted for).
@@ -14,10 +14,11 @@ of a work interval with the window is accounted for).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Generator, List, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Generator, List, Tuple
 
-from ..simnet import Event, Resource, Simulator
+from ..simnet import Event, Simulator
 
 __all__ = ["Cpu", "CpuCostModel"]
 
@@ -57,8 +58,11 @@ class Cpu:
     def __init__(self, sim: Simulator, costs: CpuCostModel | None = None) -> None:
         self.sim = sim
         self.costs = costs or CpuCostModel()
-        self._core = Resource(sim, capacity=1)
-        #: closed work intervals [(start, end)], merged lazily
+        self._busy = False
+        #: turn events of the work items queued behind the running one
+        self._waiting: Deque[Event] = deque()
+        #: busy intervals [(start, end)] in time order; work() coalesces
+        #: intervals that touch
         self._intervals: List[Tuple[int, int]] = []
         self._busy_ns_total = 0
 
@@ -69,45 +73,48 @@ class Cpu:
         """Sub-process: occupy the core for *duration_ns* and account it.
 
         Usage: ``yield from cpu.work(ns)`` from inside a simulation process.
+
+        This runs a dozen times per message, so the free-core path is
+        straight-line: the core is claimed synchronously (no grant event)
+        and the clock is read from the slot behind ``sim.now``.
         """
         if duration_ns < 0:
             raise ValueError("negative CPU work")
-        core = self._core
-        if core.try_acquire():
-            # Free core: claim it synchronously.  A request() grant costs a
-            # same-instant kernel event before the holder resumes; on busy
-            # hosts that round-trip doubles the event count of every work
-            # item, so the uncontended path skips it.  Contended requests
-            # keep strict FIFO order through the event queue below.
-            start = self.sim.now
-            try:
-                if duration_ns:
-                    yield self.sim.timeout(duration_ns)
-            finally:
-                end = self.sim.now
-                self._record(start, end)
-                core.release_slot()
-            return
-        req = core.request()
-        yield req
-        start = self.sim.now
+        sim = self.sim
+        if self._busy:
+            # Contended: strict FIFO through the event queue.  The core is
+            # handed over still busy when this turn comes.
+            turn = Event(sim)
+            self._waiting.append(turn)
+            yield turn
+        else:
+            self._busy = True
+        start = sim._now
         try:
             if duration_ns:
-                yield self.sim.timeout(duration_ns)
+                yield sim.timeout(duration_ns)
         finally:
-            end = self.sim.now
-            self._record(start, end)
-            core.release(req)
-
-    def _record(self, start: int, end: int) -> None:
-        if end > start:
-            self._intervals.append((start, end))
-            self._busy_ns_total += end - start
+            end = sim._now
+            if end > start:
+                self._busy_ns_total += end - start
+                intervals = self._intervals
+                if intervals and intervals[-1][1] == start:
+                    # back-to-back work extends the open interval: a busy
+                    # core keeps one entry per burst, not one per work item
+                    intervals[-1] = (intervals[-1][0], end)
+                else:
+                    intervals.append((start, end))
+            if self._waiting:
+                self._waiting.popleft().succeed()
+            else:
+                self._busy = False
 
     def record_busy(self, start: int, end: int) -> None:
         """Account busy time that did not go through :meth:`work` (e.g. a
         thread spinning in a busy-poll loop)."""
-        self._record(start, end)
+        if end > start:
+            self._intervals.append((start, end))
+            self._busy_ns_total += end - start
 
     # ------------------------------------------------------------------
     # accounting
@@ -136,4 +143,4 @@ class Cpu:
 
     @property
     def queue_length(self) -> int:
-        return self._core.queue_length
+        return len(self._waiting)

@@ -151,6 +151,27 @@ def _fabric_section(art: RunArtifact, markdown: bool) -> List[str]:
     return out
 
 
+def _kernel_section(art: RunArtifact, markdown: bool) -> List[str]:
+    """Which event kernel ran, whether its C fast path was in effect, and
+    how many wake-ups completed in their deciding child's calendar slot
+    (those are not in ``events executed``)."""
+    snap = art.snapshot
+    if "kernel.events_executed" not in snap:
+        return []
+    rows = [[
+        art.meta.get("kernel", "?"),
+        art.meta.get("accelerator", "?"),
+        int(snap["kernel.events_executed"]),
+        int(snap.get("kernel.inline_conditions", 0)),
+        int(snap.get("kernel.batches", 0)),
+        int(snap.get("kernel.max_batch", 0)),
+    ]]
+    return ["## Event kernel" if markdown else "event kernel:",
+            _table(["calendar", "accelerator", "events executed",
+                    "in-slot conditions", "batches", "max batch"],
+                   rows, markdown)]
+
+
 _CELL_KEY = _re.compile(r"^kernel\.cell\.([^.]+)\.(.+)$")
 
 
@@ -348,6 +369,7 @@ def render_report(
         sections.append(["=== telemetry run report ===", "  " + " | ".join(header_bits)])
     sections.append(_summary_section(art, markdown))
     sections.append(_fabric_section(art, markdown))
+    sections.append(_kernel_section(art, markdown))
     sections.append(_cells_section(art, markdown))
     sections.append(_ratio_section(art, width, markdown))
     sections.append(_span_timeline(art.spans, width, markdown))

@@ -327,6 +327,12 @@ class Telemetry:
         if self._finished:
             return self.spans()
         self._finished = True
+        if hasattr(self.sim, "calendar_stats"):
+            # the non-numeric half of the kernel's self-description (the
+            # counters travel as kernel.* gauges)
+            stats = self.sim.calendar_stats()
+            self.meta.setdefault("kernel", stats["backend"])
+            self.meta.setdefault("accelerator", stats["accelerator"])
         self.sampler.finish()
         spans = self.spans()
         for stage in SPAN_STAGE_HISTOGRAMS:

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-__all__ = ["load"]
+__all__ = ["load", "why_not"]
 
 #: "unloaded" until the first load() call, then the module or None.
 _state: object = "unloaded"
@@ -105,6 +105,12 @@ def _configure(mod) -> None:
             "timeout_pool_max": TIMEOUT_POOL_MAX,
         }
     )
+
+
+def why_not() -> str:
+    """Why :func:`load` returned ``None``: ``"off"`` when the environment
+    opted out, ``"unavailable"`` when the build or load failed."""
+    return "off" if _disabled_by_env() else "unavailable"
 
 
 def load():

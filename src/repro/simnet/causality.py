@@ -265,6 +265,7 @@ def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
     # The C register drain bypasses Python dispatch entirely; captured
     # runs take the recording drains below instead.
     sim._creg = None
+    sim._accelerator = "off"
 
     backend = sim._backend
     if backend == "heap":

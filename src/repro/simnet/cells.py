@@ -71,6 +71,7 @@ from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from . import _accel
 from ._core import (
     CBE_POOL_MAX,
     INF,
@@ -104,7 +105,6 @@ def _accel_cells():
     if _CELLS_ACCEL is False:
         mod = None
         try:
-            from . import _accel
             from .events import Event
 
             m = _accel.load()
@@ -332,12 +332,16 @@ class CellSimulator(Simulator):
                     self.timeout = mod.bind_cells_timeout(self)
                     self.call_in_cell = mod.bind_cells_call_in_cell(self)
                     self._cdrain = mod.bind_cells_drain(self)
+                    self._accelerator = "live"
                 except Exception:  # pragma: no cover - best-effort
                     self.schedule = self._schedule_cells
                     self.call_in = self._call_in_cells
                     self.timeout = self._timeout_cells
                     self.call_in_cell = self._call_in_cell_py
                     self._cdrain = None
+                    self._accelerator = "unavailable"
+            else:
+                self._accelerator = _accel.why_not()
 
     # ------------------------------------------------------------------
     # cell addressing
@@ -779,6 +783,8 @@ class CellSimulator(Simulator):
             "timeout_pool": len(self._timeout_pool) + (1 if self._stash is not None else 0),
             "cbe_allocs": self._cbe_allocs,
             "cbe_reuses": self._cbe_reuses,
+            "accelerator": self._accelerator,
+            "inline_conditions": self._inline_conditions,
             "cells": per,
         }
 

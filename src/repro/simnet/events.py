@@ -139,6 +139,23 @@ class Event:
             else:
                 cbs.append(fn)
 
+    def _abandon(self, fn: Callable[["Event"], None]) -> None:
+        """Remove the pending callback *fn* (its owner stopped waiting)."""
+        if self._cb1 is fn:
+            cbs = self._cbs
+            if cbs:
+                # keep registration order: the oldest overflow waiter
+                # takes the vacated first slot
+                self._cb1 = cbs.pop(0)
+                if not cbs:
+                    self._cbs = None
+            else:
+                self._cb1 = None
+        elif self._cbs and fn in self._cbs:
+            self._cbs.remove(fn)
+            if not self._cbs:
+                self._cbs = None
+
     def _run(self) -> None:
         cb = self._cb1
         self._cb1 = _PROCESSED
@@ -179,37 +196,26 @@ class _Condition(Event):
     A child counts as *done* only once it has been **processed** (its
     callbacks ran) — a :class:`Timeout` holds its value from creation but
     has not *occurred* until the calendar reaches it.
+
+    A condition is its own child callback (``__call__``), like a
+    :class:`~repro.simnet.process.Process`: no bound method is allocated
+    per child and a pending registration is found again by identity.
     """
 
-    __slots__ = ("events", "_index")
+    __slots__ = ("events",)
 
     def __init__(self, sim: Simulator, events: Sequence[Event]) -> None:
         super().__init__(sim)
-        self.events = list(events)
-        # Identity-keyed child → position map (first occurrence wins when
-        # the same event object appears twice), so _check never pays an
-        # O(n) list scan per child notification.
-        self._index = {}
-        for i, ev in enumerate(self.events):
-            self._index.setdefault(id(ev), i)
-        for ev in self.events:
+        self.events = events = list(events)
+        for ev in events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
-        self._validate()
-        for ev in self.events:
+        for ev in events:
             # add_callback handles already-processed children by scheduling
             # an immediate relay, preserving calendar-driven ordering.
-            ev.add_callback(self._on_child)
-        self._check(initial=True)
+            ev.add_callback(self)
 
-    def _on_child(self, ev: Event) -> None:
-        if not self.triggered:
-            self._check(initial=False, child=ev)
-
-    def _validate(self) -> None:
-        pass
-
-    def _check(self, initial: bool, child: Optional[Event] = None) -> None:
+    def __call__(self, child: Event) -> None:
         raise NotImplementedError
 
 
@@ -221,32 +227,69 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _check(self, initial: bool, child: Optional[Event] = None) -> None:
-        if self.triggered:
+    def __init__(self, sim: Simulator, events: Sequence[Event]) -> None:
+        super().__init__(sim, events)
+        self._check()
+
+    def __call__(self, child: Event) -> None:
+        if self._value is not _PENDING:
             return
-        if child is not None and child.ok is False:
+        if child._ok is False:
             self.fail(child._value)
-            return
-        if all(e.processed and e.ok for e in self.events) or not self.events:
+        else:
+            self._check()
+
+    def _check(self) -> None:
+        if all(e.processed and e._ok for e in self.events):
             self.succeed([e._value for e in self.events])
 
 
 class AnyOf(_Condition):
-    """Triggers when *any* child event occurs; value is ``(index, value)``."""
+    """Triggers when *any* child event occurs; value is ``(index, value)``.
+
+    The condition never occupies a calendar slot of its own: it completes
+    **inside the deciding child's slot** — its waiters run as part of that
+    child's dispatch, after any callback registered on the child earlier.
+    On completion it detaches from the losing children (its callback is
+    removed; a :meth:`Signal.wait` event left without callbacks is
+    withdrawn from its signal), so a loop that re-waits on a long-lived
+    child every lap leaves nothing behind.  A failing child fails the
+    condition with the child's exception.
+    """
 
     __slots__ = ()
 
-    def _validate(self) -> None:
+    def __init__(self, sim: Simulator, events: Sequence[Event]) -> None:
+        super().__init__(sim, events)
         if not self.events:
             raise SimulationError("AnyOf of zero events would never trigger")
 
-    def _check(self, initial: bool, child: Optional[Event] = None) -> None:
-        if self.triggered or child is None:
+    def __call__(self, child: Event) -> None:
+        if self._value is not _PENDING:
             return
-        if child.ok is False:
-            self.fail(child._value)
+        events = self.events
+        if child._ok:
+            self._ok = True
+            self._value = (events.index(child), child._value)
         else:
-            self.succeed((self._index[id(child)], child._value))
+            self._ok = False
+            self._value = child._value
+        for ev in events:
+            if ev is not child:
+                ev._abandon(self)
+        self.sim._inline_conditions += 1
+        self._run()
+
+
+class _SignalWait(Event):
+    """The one-shot event :meth:`Signal.wait` hands out."""
+
+    __slots__ = ("signal",)
+
+    def _abandon(self, fn: Callable[["Event"], None]) -> None:
+        super()._abandon(fn)
+        if self._cb1 is None and self._value is _PENDING:
+            self.signal.withdraw(self)
 
 
 class Signal:
@@ -258,21 +301,29 @@ class Signal:
     waiters set a *latch* so that the next waiter returns immediately —
     this models the "kick the engine, it will notice work" pattern used by
     the EXS progress engines and avoids lost wake-ups.
+
+    A waiter that was woken by something else withdraws its event
+    (:meth:`withdraw`).  It is awake and re-checks its work before it waits
+    again, so the next ``fire`` tells it nothing: that one fire is absorbed
+    instead of latched (no spurious extra lap), and nothing stays queued.
     """
 
-    __slots__ = ("sim", "_waiters", "_latched", "_latching", "fired_count")
+    __slots__ = ("sim", "_waiters", "_latched", "_latching", "_absorb", "fired_count")
 
     def __init__(self, sim: Simulator, *, latching: bool = True) -> None:
         self.sim = sim
         self._waiters: List[Event] = []
         self._latched = False
         self._latching = latching
+        # a withdrawn waiter's claim on the next fire (see class docstring)
+        self._absorb = False
         #: total number of fire() calls, for tests/diagnostics
         self.fired_count = 0
 
     def wait(self) -> Event:
         """Return an event that fires at the next :meth:`fire` call."""
-        ev = Event(self.sim)
+        ev = _SignalWait(self.sim)
+        ev.signal = self
         if self._latched:
             self._latched = False
             ev.succeed()
@@ -280,16 +331,31 @@ class Signal:
             self._waiters.append(ev)
         return ev
 
+    def withdraw(self, event: Event) -> None:
+        """Take back a still-pending :meth:`wait` event; it will never fire.
+
+        No-op for an event this signal is not holding (already fired, or
+        handed out latched).
+        """
+        try:
+            self._waiters.remove(event)
+        except ValueError:
+            return
+        self._absorb = True
+
     def fire(self, value: Any = None) -> None:
         """Wake all waiters (or latch if there are none)."""
         self.fired_count += 1
-        if not self._waiters:
-            if self._latching:
-                self._latched = True
-            return
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            self._absorb = False
+            for ev in waiters:
+                ev.succeed(value)
+        elif self._absorb:
+            self._absorb = False
+        elif self._latching:
+            self._latched = True
 
     @property
     def waiter_count(self) -> int:

@@ -183,6 +183,10 @@ class Simulator:
         "_creg",
         "_creg_n",
         "_cbatch",
+        # "live" | "off" | "unavailable" (see calendar_stats)
+        "_accelerator",
+        # AnyOf completions dispatched inside their deciding child's slot
+        "_inline_conditions",
         # optional causality recorder (see causality.py); None when capture
         # is off, in which case no code path in this module reads it
         "_recorder",
@@ -235,6 +239,8 @@ class Simulator:
         self._creg = None
         self._creg_n = 0
         self._cbatch = None
+        self._accelerator = "off"
+        self._inline_conditions = 0
         self._recorder = None
 
         if calendar is None:
@@ -287,6 +293,9 @@ class Simulator:
                     self.timeout = accel.bind_timeout(self)
                     self._creg = accel.bind_reg_drain(self)
                     self._cbatch = accel.bind_batch_run(self)
+                    self._accelerator = "live"
+                else:
+                    self._accelerator = _accel.why_not()
         else:
             self.schedule = self._schedule_policy_wheel
             self.call_in = self._call_in_policy_wheel
@@ -813,7 +822,16 @@ class Simulator:
         ``next_time``, ``batches``, ``batched_events``, ``max_batch``,
         ``cascades``, ``l0_inserts``, ``l1_inserts``, ``overflow_inserts``,
         ``timeout_allocs``, ``timeout_reuses``, ``timeout_pool``,
-        ``cbe_allocs``, ``cbe_reuses``.
+        ``cbe_allocs``, ``cbe_reuses``, ``accelerator``,
+        ``inline_conditions``.
+
+        ``accelerator`` says whether the C fast path serves this simulator:
+        ``"live"``, ``"off"`` (not asked for: heap backend, schedule
+        policy, causal capture, a subclass, ``REPRO_KERNEL_C=0``) or
+        ``"unavailable"`` (asked for, but it could not be built or
+        loaded).  ``inline_conditions`` counts :class:`AnyOf` completions,
+        which run inside their deciding child's slot and so are *not*
+        part of ``events_executed``.
 
         ``events_executed`` is synced at batch boundaries while a wheel
         drain loop is running, so a mid-batch reading may lag by the
@@ -852,6 +870,8 @@ class Simulator:
             "timeout_pool": len(self._timeout_pool) + (1 if self._stash is not None else 0),
             "cbe_allocs": self._cbe_allocs,
             "cbe_reuses": self._cbe_reuses,
+            "accelerator": self._accelerator,
+            "inline_conditions": self._inline_conditions,
         }
 
     # ------------------------------------------------------------------

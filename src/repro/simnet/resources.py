@@ -58,29 +58,6 @@ class Resource:
             self._waiting.append(ev)
         return ev
 
-    def try_acquire(self) -> bool:
-        """Claim a free slot synchronously, without an event round-trip.
-
-        A granted ``request()`` still costs one same-instant kernel event
-        to resume the waiter; on the uncontended path that event is pure
-        overhead.  Callers holding a slot from ``try_acquire`` must pair
-        it with :meth:`release_slot`.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
-
-    def release_slot(self) -> None:
-        """Release one held slot (counterpart of :meth:`try_acquire`)."""
-        if self._in_use <= 0:  # pragma: no cover - defensive
-            raise SimulationError("release() with no slots in use")
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.succeed()  # slot transfers; _in_use unchanged
-        else:
-            self._in_use -= 1
-
     def release(self, request: Event) -> None:
         """Release a previously granted slot."""
         if not request.triggered:
@@ -90,7 +67,13 @@ class Resource:
             except ValueError:  # pragma: no cover - defensive
                 raise SimulationError("release() of unknown pending request")
             return
-        self.release_slot()
+        if self._in_use <= 0:  # pragma: no cover - defensive
+            raise SimulationError("release() with no slots in use")
+        if self._waiting:
+            nxt = self._waiting.popleft()
+            nxt.succeed()  # slot transfers; _in_use unchanged
+        else:
+            self._in_use -= 1
 
     def acquire(self, hold_ns: int) -> Generator[Event, Any, None]:
         """Convenience sub-process: acquire, hold for *hold_ns*, release."""
@@ -113,10 +96,19 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> None:
-        """Add an item, waking the oldest blocked getter if any."""
+    @property
+    def waiting(self) -> int:
+        """Number of getters blocked on an empty store."""
+        return len(self._getters)
+
+    def put(self, item: Any, delay: int = 0) -> None:
+        """Add an item, waking the oldest blocked getter if any.
+
+        *delay* postpones that getter's own event (a consumer that takes
+        time to wake up); an item nobody is waiting for is queued at once.
+        """
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.popleft().succeed(item, delay)
         else:
             self._items.append(item)
 

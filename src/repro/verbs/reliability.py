@@ -297,16 +297,23 @@ class ReliabilityEngine:
         One calendar timer per QP still covers the whole window; each frame
         carries its own last-transmission time, so a firing that finds no
         overdue un-SACKed frame simply re-arms at the earliest deadline.
+
+        A window whose frames are *all* SACKed is waiting only for the
+        cumulative ACK that releases them — and if that ACK was lost,
+        nothing is left to retransmit and nothing more will arrive.  The
+        oldest frame then stands in as a probe: past its deadline it is
+        resent like any overdue frame (its duplicate arrival makes the
+        responder repeat the cumulative ACK), and the attempt counts, so
+        ``retry_cnt`` bounds the wait.
         """
         sim = self.device.sim
         rto = self._current_rto(st)
-        overdue = [sm for sm in st.unacked.values()
-                   if not sm.sacked and sim.now - sm.last_tx_ns >= rto]
+        waiting = [sm for sm in st.unacked.values() if not sm.sacked]
+        if not waiting:
+            waiting = [next(iter(st.unacked.values()))]
+        overdue = [sm for sm in waiting if sim.now - sm.last_tx_ns >= rto]
         if not overdue:
-            next_deadline = min(
-                (sm.last_tx_ns + rto for sm in st.unacked.values()
-                 if not sm.sacked),
-                default=sim.now + rto)
+            next_deadline = min(sm.last_tx_ns + rto for sm in waiting)
             self._arm(qp, st, max(next_deadline - sim.now, 1))
             return
         st.attempts += 1

@@ -257,3 +257,36 @@ def test_total_loss_run_is_deterministic():
         return res, rel_totals(tb)
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# selective repeat: a lost final cumulative ACK must not hang the sender
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("messages", [143] if SMOKE else [143, 2000])
+def test_selective_repeat_lost_final_ack_terminates(messages):
+    """Recorded reproducer (found by perf/'s ``blast_lossy``: roce-lan,
+    HEAVY_LOSS, 256 KiB messages, 4 outstanding sends, selective repeat,
+    seed 14; 2000 messages as recorded, 143 is the shortest run of that
+    scenario that hits the same state).  Every frame left in the sender's
+    window was SACKed and the releasing cumulative ACK was dropped; the
+    retransmit timer then re-armed forever and the blast never returned."""
+    from repro import PROFILES, BlastConfig, FixedSizes, ScenarioConfig, run_blast
+    from repro.simnet import HEAVY_LOSS
+
+    profile = PROFILES["roce-lan"]
+    scenario = ScenarioConfig(
+        profile="roce-lan", seed=14, faults=HEAVY_LOSS, transport="wwi",
+        reliability=ReliabilityConfig.for_path(
+            profile.propagation_delay_ns + profile.emulator_delay_ns,
+            mode="selective_repeat"),
+    )
+    config = BlastConfig(total_messages=messages, sizes=FixedSizes(256 * 1024),
+                         outstanding_sends=4, outstanding_recvs=8, real_data=True)
+    tb = Testbed.from_scenario(scenario)
+    # run_blast itself raises unless delivered bytes == sent bytes
+    r = run_blast(config, scenario=scenario, testbed=tb, max_events=5_000_000)
+    assert r.total_bytes == messages * 256 * 1024
+    assert r.rx_stats.copied_bytes + r.tx_stats.direct_bytes == r.total_bytes
+    assert tb.impairment.acks_dropped_total > 0
+    assert rel_totals(tb)["qp_fatal"] == 0

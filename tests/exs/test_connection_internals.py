@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from helpers import run_procs
+from helpers import idle_wakeups, run_procs
 from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
@@ -113,3 +113,18 @@ def test_stats_are_per_direction():
     # the server only received: adverts/copies live on its rx side
     assert server_conn.rx_stats.adverts_sent + server_conn.rx_stats.adverts_suppressed > 0
     assert server_conn.tx_stats.total_transfers == 0
+
+
+def test_engine_sleep_leaves_nothing_behind_per_wakeup():
+    """Regression: every channel-side wake-up used to strand one kick
+    waiter in the Signal (fired later as a no-op event), and every
+    kick-side wake-up one more callback on the pending channel waiter —
+    both grew without bound over a connection's life."""
+    out = run_exchange(ExsSocketOptions(credits=16, ring_capacity=8 * 1024),
+                       nbytes=20_000)
+    conn = out["client_conn"]
+    sim = conn.sim
+    sim.run()  # quiesce: the engine is asleep on channel-or-kick
+    before = sim.calendar_stats()["inline_conditions"]
+    assert idle_wakeups(conn._kick, conn.channel, sim) == (1, 1)
+    assert sim.calendar_stats()["inline_conditions"] - before == 80

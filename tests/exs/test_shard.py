@@ -1,6 +1,6 @@
 """CQ sharding: shared completion vectors servicing many connections."""
 
-from helpers import run_procs
+from helpers import idle_wakeups, run_procs
 from repro.config import ScenarioConfig
 from repro.exs import BlockingSocket
 from repro.fabric import Fabric
@@ -118,3 +118,13 @@ def test_failing_connection_does_not_break_shard_siblings():
     assert out.get("good") == b"g" * 20_000
     # the starved stream never delivered its payload
     assert "dead" not in out
+
+
+def test_shard_sleep_leaves_nothing_behind_per_wakeup():
+    """Same leak regression as the per-connection engine's, for the shard
+    poller: kick waiters and channel-waiter callbacks stay bounded."""
+    fab = Fabric(topology=Topology.point_to_point(), seed=3, cq_shards=1)
+    run_procs(fab.sim, *_pingpong(fab, 6300, 4_000))
+    fab.sim.run()
+    shard = fab.stack("server").shards[0]
+    assert idle_wakeups(shard.kick, shard.channel, fab.sim) == (1, 1)

@@ -154,6 +154,11 @@ def test_report_renders_from_live_and_loaded(session):
         assert needle in live
     # the bogus conns.opened counter must not appear as a connection row
     assert "conns@opened" not in live
+    # the run says which kernel served it and whether the C path was live
+    stats = session.sim.calendar_stats()
+    assert session.meta["accelerator"] == stats["accelerator"]
+    assert "event kernel:" in live and "in-slot conditions" in live
+    assert f"accelerator={stats['accelerator']}" in live
 
 
 def test_report_markdown_flavour(session):

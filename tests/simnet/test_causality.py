@@ -14,12 +14,15 @@ The contract of :mod:`repro.simnet.causality` is twofold:
 import pytest
 
 from repro.simnet import (
+    AnyOf,
     CausalRecorder,
     Event,
     FifoPolicy,
     RandomTiebreakPolicy,
+    Signal,
     SimulationError,
     Simulator,
+    Store,
     enable_capture,
 )
 
@@ -36,7 +39,10 @@ DELAYS = (0, 1, 3, 7, 100, 1000, 4095, 4096, 4097, 70_000, 16_773_120, 50_000_00
 
 def _build_workload(sim, seed, log):
     """Deterministic event soup: timeout chains, same-instant bursts,
-    call_in deliveries, manually triggered events (as in test_timing_wheel)."""
+    call_in deliveries, manually triggered events (as in test_timing_wheel),
+    plus the progress engines' wake path: a loop sleeping on AnyOf(long-lived
+    channel event, Signal.wait()) — completed in the winning child's slot,
+    losers detached — that feeds a consumer through delayed Store puts."""
     rnd = _lcg(seed)
 
     def chain_worker(wid):
@@ -56,6 +62,38 @@ def _build_workload(sim, seed, log):
             log.append(("bw", wid, i, sim.now))
             yield sim.timeout(next(rnd) % 64)
 
+    kick = Signal(sim)
+    mailbox = Store(sim)
+    channel = [Event(sim)]
+
+    def notify(delay):
+        if not channel[0].triggered:
+            channel[0].succeed("cq", delay=delay)
+
+    def engine_worker():
+        for lap in range(30):
+            if channel[0].triggered:
+                channel[0] = Event(sim)
+            index, value = yield AnyOf(sim, [channel[0], kick.wait()])
+            log.append(("eng", lap, index, value, kick.waiter_count, sim.now))
+            mailbox.put(lap, delay=next(rnd) % 300)
+            if next(rnd) % 3 == 0:
+                yield sim.timeout(next(rnd) % 50)
+
+    def consumer_worker():
+        for _ in range(30):
+            item = yield mailbox.get()
+            log.append(("app", item, sim.now))
+            yield sim.timeout(next(rnd) % 200)
+
+    sim.process(engine_worker())
+    sim.process(consumer_worker())
+    for i in range(60):
+        d = (next(rnd) % 600) * 16
+        if next(rnd) % 2:
+            sim.call_in(d, lambda _arg: kick.fire("kick"), None)
+        else:
+            sim.call_in(d, notify, next(rnd) % 3)
     for wid in range(4):
         sim.process(chain_worker(wid))
     for wid in range(2):

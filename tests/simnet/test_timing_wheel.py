@@ -304,6 +304,28 @@ def test_repro_kernel_env_selects_backend(monkeypatch):
     assert Simulator(calendar="wheel").calendar_stats()["backend"] == "wheel"
 
 
+def test_calendar_stats_say_whether_the_accelerator_is_live(monkeypatch):
+    """"live" / "off" (not asked for) / "unavailable" (asked, not loadable)."""
+    from repro.simnet import CausalRecorder, FifoPolicy, _accel, enable_capture
+
+    def status(**kwargs):
+        return Simulator(**kwargs).calendar_stats()["accelerator"]
+
+    assert status(calendar="heap") == "off"
+    assert status(calendar="wheel", schedule_policy=FifoPolicy()) == "off"
+    loadable = _accel.load() is not None
+    assert status(calendar="wheel") == ("live" if loadable else _accel.why_not())
+    captured = Simulator(calendar="wheel")
+    enable_capture(captured, CausalRecorder())
+    assert captured.calendar_stats()["accelerator"] == "off"
+
+    monkeypatch.setattr(_accel, "_state", None)  # as after a failed build
+    monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
+    assert status(calendar="wheel") == "unavailable"
+    monkeypatch.setenv("REPRO_KERNEL_C", "0")
+    assert status(calendar="wheel") == "off"
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(SimulationError, match="calendar backend"):
         Simulator(calendar="btree")

@@ -245,6 +245,31 @@ def test_selective_repeat_resends_no_more_than_gobackn():
     assert _retransmits_for_mode("selective_repeat") <= _retransmits_for_mode("gobackn")
 
 
+def test_selective_repeat_fully_sacked_window_probes_and_is_bounded(sim):
+    """Every frame left in the window is SACKed and the cumulative ACK that
+    would release them never arrives (regression: the timer found nothing
+    overdue and re-armed every RTO forever).  The oldest frame is resent
+    as a probe at each deadline and ``retry_cnt`` bounds the wait."""
+    imp = ImpairmentModel(FaultProfile(), seed=3, down_windows=((0, 10**15),))
+    pair = RelPair(sim, impairment=imp, config=SR_CONFIG)
+    n = 3
+    _blast(pair, n)
+    sim.run(until=10_000)  # all on the (dead) wire, first RTO not yet due
+    st = pair.da.reliability._st(pair.qa)
+    assert len(st.unacked) == n
+    for sm in st.unacked.values():
+        sm.sacked = True
+
+    sim.run(max_events=10_000)
+
+    assert [w.status for w in pair.cq_a.poll()] == (
+        [WCStatus.RETRY_EXC_ERR] + [WCStatus.WR_FLUSH_ERR] * (n - 1))
+    stats = pair.da.reliability.stats
+    assert stats.timeouts == SR_CONFIG.retry_cnt + 1
+    assert stats.retransmits == SR_CONFIG.retry_cnt  # the oldest frame only
+    assert stats.qp_fatal == 1
+
+
 def test_selective_repeat_mode_rejects_unknown():
     with pytest.raises(ValueError):
         ReliabilityConfig(mode="stop-and-wait")
