@@ -268,7 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--audit", action="store_true",
                         help="record a protocol trace and re-verify invariants")
     parser.add_argument("--kernel", default=None,
-                        choices=("legacy", "cells", "cells-lockstep", "decoupled"),
+                        choices=("legacy", "cells", "cells-lockstep"),
                         help="event kernel (default: REPRO_KERNEL env, else legacy)")
     args = parser.parse_args(argv)
 

@@ -89,7 +89,8 @@ class ScenarioConfig:
     telemetry_dir: Optional[str] = None
     #: record the full causal DAG (kernel capture; enables critical-path
     #: attribution via :mod:`repro.obs.causal`).  Simulated results are
-    #: unchanged; the C kernel fast path is bypassed for the run.
+    #: unchanged; every calendar placement is wrapped, so the run takes the
+    #: drains' generic dispatch branch (C accelerator included).
     causal_capture: bool = False
     #: >0 keeps a bounded flight ring of that many fired events, dumped as
     #: JSON when a QP/connection fails (cheap always-on blackbox mode);
@@ -109,8 +110,8 @@ class ScenarioConfig:
     cq_shards: int = 0
     #: event-kernel selection: ``None`` (the ``REPRO_KERNEL`` environment
     #: variable, defaulting to the monolithic timing wheel), ``"wheel"``,
-    #: ``"heap"``, ``"cells"``/``"decoupled"`` (per-host calendars executed
-    #: in conservative lookahead windows; see :mod:`repro.simnet.cells`),
+    #: ``"heap"``, ``"cells"`` (per-host calendars executed in conservative
+    #: lookahead windows; see :mod:`repro.simnet.cells`),
     #: or ``"cells-lockstep"`` (the cells calendar in strict global order —
     #: the bit-identical reference the determinism suite compares against).
     #: Cells kernels need a switched topology and fall back to the
@@ -135,10 +136,10 @@ class ScenarioConfig:
             raise ValueError("srq_depth must be positive (or None)")
         if self.cq_shards < 0:
             raise ValueError("cq_shards must be >= 0")
-        if self.kernel not in (None, "wheel", "heap", "cells", "decoupled", "cells-lockstep"):
+        if self.kernel not in (None, "wheel", "heap", "cells", "cells-lockstep"):
             raise ValueError(
                 f"unknown kernel {self.kernel!r} (expected 'wheel', 'heap', "
-                "'cells'/'decoupled', or 'cells-lockstep')"
+                "'cells', or 'cells-lockstep')"
             )
         if self.schedule is not None:
             # normalize to a plain (kind, seed) tuple and validate eagerly

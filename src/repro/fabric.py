@@ -202,10 +202,12 @@ class Fabric:
 
         # ---- event-kernel selection (see repro.simnet.cells) ----------
         kernel = scenario.kernel if scenario is not None else None
+        # Only the scenario's own "wheel"/"heap" is an explicit calendar
+        # request; the environment default is left for Simulator to read,
+        # so REPRO_KERNEL=wheel plus a schedule policy still resolves.
+        calendar = kernel if kernel in ("wheel", "heap") else None
         if kernel is None:
             kernel = os.environ.get("REPRO_KERNEL") or None
-        if kernel == "decoupled":
-            kernel = "cells"
         #: the :class:`~repro.simnet.cells.CellMap` when this fabric runs
         #: on the cells kernel, else ``None``
         self.cellmap = None
@@ -218,8 +220,9 @@ class Fabric:
             # kernel needs a switched topology (every edge must cross a
             # host/switch cell boundary — direct host-to-host wires take
             # the legacy peer assembly), FIFO same-instant order (schedule
-            # policies re-key a single global calendar), no causal capture
-            # (the recorder wraps the monolithic drain), and jitter-free
+            # policies re-key a single global calendar: the legacy heap), no
+            # causal capture (enable_capture rebinds the monolithic
+            # Simulator's placement methods), and jitter-free
             # delay emulation (a jitter callable samples one shared RNG
             # whose draw order is the global wall order).
             switches = set(self.topology.switches)
@@ -246,8 +249,7 @@ class Fabric:
                 self.sim = Simulator(trace=trace, schedule_policy=schedule_policy)
         else:
             self.sim = Simulator(
-                trace=trace, schedule_policy=schedule_policy,
-                calendar=kernel if kernel in ("wheel", "heap") else None,
+                trace=trace, schedule_policy=schedule_policy, calendar=calendar,
             )
 
         #: the run's :class:`~repro.simnet.causality.CausalRecorder` when the

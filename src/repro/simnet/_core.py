@@ -3,10 +3,15 @@
 This module is the hot half of the simulation kernel: the wheel data
 structure, the cascade rule, batch assembly, and the specialized drain
 loops that :meth:`~repro.simnet.kernel.Simulator.run` selects *once* at
-entry.  Nothing in here consults the trace hook or the schedule policy
-per event — the policy decision, the stop-time decision and the
-max-events decision each pick a loop up front, so the per-event path is
-straight-line code.  Every function is module-level and monomorphic over
+entry.  Nothing in here consults the trace hook, a schedule policy or the
+causality recorder per event — the backend decision, the stop-time decision
+and the max-events decision each pick a loop up front, so the per-event path
+is straight-line code.  The wheel orders same-instant entries FIFO only; a
+schedule policy selects the flat-heap calendar instead (``drain_heap``
+below, kept bit-identical as the wheel's differential reference), and
+causal capture wraps calendar *entries* (see :mod:`repro.simnet.causality`)
+so every loop here records through its generic ``entry._run()`` branch
+without knowing it.  Every function is module-level and monomorphic over
 plain ints, lists and heaps, so a future mypyc/Cython build can compile
 this file behind the pure-Python-identical fallback in ``kernel.py``.
 
@@ -52,12 +57,11 @@ Invariants (discussed in docs/SIMULATION.md):
   cascade only triggers when no L0/overflow entry is below the bucket's
   lower bound, so every pending entry is ≥ the new base.
 
-FIFO mode assigns the tie-break sequence number lazily (at structure
+The wheel assigns the tie-break sequence number lazily (at structure
 insert); the register path skips it entirely, which is unobservable
-because a lone entry has nothing to tie with.  Policy mode assigns
-``seq`` on every schedule exactly like the flat-heap kernel did, because
-policy tie-break keys hash the sequence number — those values are part
-of the observable schedule and must match bit for bit.
+because a lone entry has nothing to tie with.  (The heap calendar assigns
+``seq`` on every placement: policy tie-break keys hash it, so under a
+policy those values are part of the observable schedule.)
 """
 
 from __future__ import annotations
@@ -124,8 +128,7 @@ class CallbackEntry:
     after dispatch.
     """
 
-    # _cid is written only under causality capture (see simnet.causality)
-    __slots__ = ("fn", "arg", "_seq", "_cid")
+    __slots__ = ("fn", "arg", "_seq")
 
     def __init__(self, fn: Callable[[Any], None], arg: Any) -> None:
         self.fn = fn
@@ -141,7 +144,7 @@ class CallbackEntry:
 def insert(sim, when, entry):
     """Place *entry* (``_seq`` already assigned) into the wheel or overflow.
 
-    FIFO mode only; slot lists hold bare entries ordered by ``_seq``.
+    Slot lists hold bare entries ordered by ``_seq``.
     """
     sim._reg_free = False
     d = when - sim._base
@@ -168,37 +171,6 @@ def insert(sim, when, entry):
         sim._l1_inserts += 1
     else:
         heappush(sim._hq, (when, entry._seq, entry))
-        sim._hq_inserts += 1
-    sim._nstruct += 1
-
-
-def insert_policy(sim, when, tb, seq, entry):
-    """Policy-mode insert; slot lists hold ``(tiebreak, seq, entry)`` tuples."""
-    sim._reg_free = False
-    d = when - sim._base
-    if d < S0_SIZE:
-        idx = when & S0_MASK
-        s0 = sim._slots0
-        cur = s0[idx]
-        if cur is None:
-            s0[idx] = [(tb, seq, entry)]
-            heappush(sim._t0, when)
-        else:
-            cur.append((tb, seq, entry))
-        sim._l0_inserts += 1
-    elif d < WHEEL_HORIZON:
-        b = when >> S0_BITS
-        idx = b & S1_MASK
-        s1 = sim._slots1
-        cur = s1[idx]
-        if cur is None:
-            s1[idx] = [(when, tb, seq, entry)]
-            heappush(sim._t1, b)
-        else:
-            cur.append((when, tb, seq, entry))
-        sim._l1_inserts += 1
-    else:
-        heappush(sim._hq, (when, tb, seq, entry))
         sim._hq_inserts += 1
     sim._nstruct += 1
 
@@ -230,27 +202,6 @@ def _cascade_fifo(sim, b):
         # Cascaded entries carry older seqs than direct inserts that may
         # already sit in the slot; mark it for a seq sort at assembly.
         dirty[i] = 1
-    sim._cascades += 1
-
-
-def _cascade_policy(sim, b):
-    heappop(sim._t1)
-    idx = b & S1_MASK
-    entries = sim._slots1[idx]
-    sim._slots1[idx] = None
-    lb = b << S0_BITS
-    if lb > sim._base:
-        sim._base = lb
-    slots0 = sim._slots0
-    t0 = sim._t0
-    for when, tb, seq, entry in entries:
-        i = when & S0_MASK
-        cur = slots0[i]
-        if cur is None:
-            slots0[i] = [(tb, seq, entry)]
-            heappush(t0, when)
-        else:
-            cur.append((tb, seq, entry))
     sim._cascades += 1
 
 
@@ -298,45 +249,6 @@ def next_batch_fifo(sim):
     return None
 
 
-def next_batch_policy(sim):
-    """Policy-mode assembly: returns ``(t, heap-of-(tb, seq, entry))``."""
-    t0h = sim._t0
-    t1h = sim._t1
-    hq = sim._hq
-    while t1h:
-        b = t1h[0]
-        lb = b << S0_BITS
-        if t0h and t0h[0] < lb:
-            break
-        if hq and hq[0][0] < lb:
-            break
-        _cascade_policy(sim, b)
-    if t0h:
-        t = t0h[0]
-        if not hq or t <= hq[0][0]:
-            heappop(t0h)
-            idx = t & S0_MASK
-            ls = sim._slots0[idx]
-            sim._slots0[idx] = None
-            if len(ls) > 1:
-                # Tie-break keys are hashes: slot order is arbitrary, so
-                # sort unconditionally.  A sorted list is a valid heap.
-                ls.sort()
-            while hq and hq[0][0] == t:
-                heappush(ls, heappop(hq)[1:])
-            sim._nstruct -= len(ls)
-            return t, ls
-    if hq:
-        t = hq[0][0]
-        ls = [heappop(hq)[1:]]
-        while hq and hq[0][0] == t:
-            # popped in (tb, seq) order, so the list is born sorted
-            ls.append(heappop(hq)[1:])
-        sim._nstruct -= len(ls)
-        return t, ls
-    return None
-
-
 # ----------------------------------------------------------------------
 # batch restore (stop-time hit, max_events trip, StopSimulation, errors)
 # ----------------------------------------------------------------------
@@ -344,7 +256,7 @@ def restore_fifo(sim, t, ls, i):
     """Re-insert the undispatched tail ``ls[i:]`` of an interrupted batch.
 
     Entries get fresh sequence numbers in list order — relative order is
-    preserved exactly, and in FIFO mode the values themselves are
+    preserved exactly, and on the wheel the values themselves are
     unobservable.  The target L0 slot is necessarily empty (window
     invariant: only time-``t`` entries can map there, and they were all
     in this batch), so appends land pre-sorted.
@@ -355,14 +267,6 @@ def restore_fifo(sim, t, ls, i):
             sim._seq += 1
             e._seq = sim._seq
             insert(sim, t, e)
-    sim._reg_free = not sim._nstruct
-
-
-def restore_policy(sim, t, ls):
-    """Re-insert an interrupted policy batch, keeping exact (tb, seq) keys."""
-    sim._pol_batch = None
-    for tb, seq, e in ls:
-        insert_policy(sim, t, tb, seq, e)
     sim._reg_free = not sim._nstruct
 
 
@@ -789,64 +693,9 @@ def drain_fifo_gated(sim, stop, max_events):
         sim.events_executed = n0 + n
 
 
-def drain_policy(sim, stop, max_events):
-    """Policy-mode drain: per-instant heaps replay the flat heap's order.
-
-    Each batch is a valid heap of ``(tiebreak, seq, entry)``; same-instant
-    arrivals are pushed into the live batch, so pops interleave exactly
-    as the old global four-tuple heap interleaved them.
-    """
-    TO = sim._timeout_cls
-    pool = sim._timeout_pool
-    grc = getrefcount
-    n = 0
-    n0 = sim.events_executed
-    try:
-        while True:
-            got = next_batch_policy(sim)
-            if got is None:
-                return
-            t, ls = got
-            if t > stop:
-                restore_policy(sim, t, ls)
-                sim._now = stop
-                return
-            sim._now = t
-            sim._base = t
-            sim.events_executed = n0 + n
-            sim._pol_batch = ls
-            sim._batch_time = t
-            k0 = n
-            try:
-                while ls:
-                    e = heappop(ls)[2]
-                    n += 1
-                    e._run()
-                    if type(e) is TO and grc(e) == 2:
-                        if sim._stash is None:
-                            sim._stash = e
-                        elif len(pool) < TIMEOUT_POOL_MAX:
-                            pool.append(e)
-                    elif type(e) is CallbackEntry and len(sim._cbe_pool) < CBE_POOL_MAX:
-                        e.fn = None
-                        e.arg = None
-                        sim._cbe_pool.append(e)
-                    if n >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-            except BaseException:
-                restore_policy(sim, t, ls)
-                raise
-            sim._pol_batch = None
-            sim._batches += 1
-            sim._batched_events += n - k0
-            if n - k0 > sim._max_batch:
-                sim._max_batch = n - k0
-    finally:
-        sim.events_executed = n0 + n
-
-
 def drain_heap(sim, stop, max_events):
-    """Flat-heap fallback drain (the pre-wheel kernel, bit for bit)."""
+    """Flat-heap drain (the pre-wheel kernel, bit for bit): FIFO as the
+    wheel's reference, ``(tiebreak, seq)`` order under a schedule policy."""
     queue = sim._queue
     step = sim.step
     n = 0

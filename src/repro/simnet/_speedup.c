@@ -6,7 +6,7 @@
  * which are semantically identical (property-tested in
  * tests/simnet/test_timing_wheel.py).
  *
- * Two entry points are bound per Simulator instance:
+ * Three entry points are bound per Simulator instance:
  *
  *   bind_timeout(sim)   -> C replacement for Simulator._timeout_wheel
  *                          (the stash + register-park fast path; every
@@ -20,10 +20,16 @@
  *                          runs, where concurrent hosts keep the register
  *                          from ever holding a lone event).  Takes an
  *                          optional event budget so the gated drain can
- *                          reuse it; the policy regime keeps its pure
- *                          loop (its batches are live heaps, not lists).
+ *                          reuse it.
  *
- * Both read the same `__slots__` the Python code reads, through member
+ * Only the wheel is accelerated: a schedule policy selects the flat-heap
+ * calendar, which stays pure Python.  Causal capture needs nothing here —
+ * it places wrapper entries (causality._CapturedEntry) that are neither
+ * Timeout nor CallbackEntry, so the register and batch dispatch run them
+ * through their generic `entry._run()` branch and a captured run keeps
+ * the accelerator.
+ *
+ * All three read the same `__slots__` the Python code reads, through member
  * offsets captured at configure() time, and perform every store the
  * Python fast paths perform, in the same order — bit-identical event
  * ordering is the contract, speed is just fewer interpreter dispatches.

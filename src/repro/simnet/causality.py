@@ -11,21 +11,23 @@ the stack hits a fatal error.
 Design constraints (see docs/SIMULATION.md and docs/OBSERVABILITY.md):
 
 * **Capture off must stay bit-identical.**  Enabling capture rebinds the
-  per-instance ``schedule``/``call_in``/``timeout``/``step`` methods and
-  routes ``run()`` through the recording drains in this module; a simulator
+  per-instance ``schedule``/``call_in``/``timeout`` methods; a simulator
   that never calls :func:`enable_capture` executes exactly the code it did
-  before this module existed (the only change is an extra ``None`` slot).
-* **Capture on must not perturb the schedule.**  The recording wrappers
-  delegate to the same pure-Python placement paths the kernel uses, with
-  identical sequence-number consumption per backend (lazy in FIFO mode —
-  unobservable — and one seq per placement in policy/heap mode, exactly as
-  before).  The recording drains mirror their :mod:`repro.simnet._core`
-  counterparts' batch assembly, stop-time, max-events and restore logic;
-  the only difference is uniform dispatch through ``entry._run()`` (of
-  which the specialized drain bodies are pure optimizations) plus the
-  recorder bookkeeping.  The C accelerator is disabled for captured runs
-  (``sim._creg = None``); object pools are bypassed so every placement
-  carries a fresh ``_cid``.
+  before this module existed (the only trace is a ``None`` slot the kernel
+  never reads).
+* **Capture on must not perturb the schedule.**  Capture is an *entry
+  wrapper*, not a drain: the rebound placement methods put a small slotted
+  stand-in (:class:`_CapturedEntry`) on the calendar through the same
+  pure-Python placement path the backend uses — identical sequence-number
+  consumption (lazy on the wheel, one per placement on the heap) — and its
+  ``_run()`` brackets the real entry's ``_run()`` with the recorder
+  bookkeeping.  Every drain the kernel has (FIFO, gated, heap, ``step()``,
+  the C register/batch dispatch) executes it through its generic
+  ``entry._run()`` branch, of which the specialized Timeout/Process/
+  CallbackEntry bodies are pure optimizations, so there is no recording
+  loop to keep in sync and the C accelerator stays live.  Object pools
+  idle under capture (nothing on the calendar is a bare Timeout or
+  CallbackEntry).
 
 The recorder itself is deliberately dumb and cheap: an integer id counter,
 a dict of nodes, and a bounded deque of fired nodes (the flight ring).
@@ -38,23 +40,14 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from heapq import heappop
 from typing import Any, Callable, Optional
 
-from ._core import (
-    CallbackEntry,
-    SimulationError,
-    next_batch_fifo,
-    next_batch_policy,
-    restore_fifo,
-    restore_policy,
-)
+from ._core import CallbackEntry, SimulationError
 
 __all__ = [
     "CausalNode",
     "CausalRecorder",
     "enable_capture",
-    "drain_record",
     "FLIGHT_SCHEMA",
 ]
 
@@ -248,13 +241,40 @@ def _slug(text: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# capture enablement: rebind the per-instance placement methods
+# capture enablement: every placement goes on the calendar wrapped
 # ----------------------------------------------------------------------
+class _CapturedEntry:
+    """Stand-in calendar entry: records the dispatch, then runs the real one.
+
+    Neither a Timeout nor a CallbackEntry, so every drain takes its generic
+    ``entry._run()`` branch (see the module docstring).  ``_seq`` is the
+    kernel's tie-break slot, as on any entry.
+    """
+
+    __slots__ = ("sim", "rec", "cid", "inner", "_seq")
+
+    def __init__(self, sim, rec: CausalRecorder, cid: int, inner) -> None:
+        self.sim = sim
+        self.rec = rec
+        self.cid = cid
+        self.inner = inner
+
+    def _run(self) -> None:
+        rec = self.rec
+        cid = self.cid
+        rec.on_fire(cid, self.sim._now)
+        rec.current = cid
+        try:
+            self.inner._run()
+        finally:
+            rec.current = -1
+
+
 def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
     """Route every placement on *sim* through *recorder*.
 
     Must be called before the simulation starts (an already-pending
-    calendar would hold untagged entries).  Idempotent per simulator is
+    calendar would hold unwrapped entries).  Idempotent per simulator is
     not supported — enable once, at testbed construction.
     """
     if sim._recorder is not None:
@@ -262,18 +282,8 @@ def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
     if sim.peek() is not None:
         raise SimulationError("enable_capture requires an empty calendar")
     sim._recorder = recorder
-    # The C register drain bypasses Python dispatch entirely; captured
-    # runs take the recording drains below instead.
-    sim._creg = None
-    sim._accelerator = "off"
 
-    backend = sim._backend
-    if backend == "heap":
-        base_schedule = sim._schedule_heap
-    elif sim._tiebreak is None:
-        base_schedule = sim._schedule_wheel
-    else:
-        base_schedule = sim._schedule_policy_wheel
+    base_schedule = sim._schedule_heap if sim._backend == "heap" else sim._schedule_wheel
     timeout_cls = sim._timeout_cls
     process_cls = sim._process_cls
     on_schedule = recorder.on_schedule
@@ -287,220 +297,21 @@ def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
             cat = "process"
         else:
             cat = "event"
-        event._cid = on_schedule(cat, sim._now)
-        base_schedule(event, delay)
+        base_schedule(
+            _CapturedEntry(sim, recorder, on_schedule(cat, sim._now), event), delay
+        )
 
     def call_in(delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        e = CallbackEntry(fn, arg)
-        e._cid = on_schedule(
-            call_cats.get(getattr(fn, "__name__", ""), "call"), sim._now
-        )
-        base_schedule(e, delay)
+        cid = on_schedule(call_cats.get(getattr(fn, "__name__", ""), "call"), sim._now)
+        base_schedule(_CapturedEntry(sim, recorder, cid, CallbackEntry(fn, arg)), delay)
 
     def timeout(delay: int, value: Any = None):
-        # Fresh object per placement (no freelist) so the _cid tag is unique;
-        # Timeout.__init__ calls sim.schedule, i.e. the wrapper above.
+        # Timeout.__init__ places itself through sim.schedule, i.e. the
+        # wrapper above.  (The freelists stay empty under capture: the
+        # drains only recycle entries that are themselves Timeouts.)
         return timeout_cls(sim, delay, value)
-
-    def step() -> None:
-        _step_record(sim, recorder)
 
     sim.schedule = schedule
     sim.call_in = call_in
     sim.timeout = timeout
-    sim.step = step
     return recorder
-
-
-# ----------------------------------------------------------------------
-# recording dispatch
-# ----------------------------------------------------------------------
-def _fire(rec: CausalRecorder, e, now: int) -> None:
-    """Dispatch one entry, bracketed by recorder bookkeeping.
-
-    Uniform ``e._run()`` dispatch: the specialized Timeout/Process/
-    CallbackEntry bodies in the production drains are pure optimizations
-    of ``_run`` (same callbacks in the same order), so recording runs
-    replay the identical schedule.
-    """
-    cid = getattr(e, "_cid", -1)
-    rec.on_fire(cid, now)
-    rec.current = cid
-    try:
-        e._run()
-    finally:
-        rec.current = -1
-
-
-def drain_record(sim, stop, max_events) -> None:
-    """Backend-dispatching drain for captured runs (selected by ``run()``)."""
-    rec = sim._recorder
-    if sim._backend == "heap":
-        _drain_record_heap(sim, stop, max_events, rec)
-    elif sim._tiebreak is not None:
-        _drain_record_policy(sim, stop, max_events, rec)
-    else:
-        _drain_record_fifo(sim, stop, max_events, rec)
-
-
-def _drain_record_fifo(sim, stop, max_events, rec) -> None:
-    """Recording twin of :func:`repro.simnet._core.drain_fifo_gated`."""
-    n = 0
-    n0 = sim.events_executed
-    try:
-        while True:
-            e = sim._single
-            if e is not None:
-                when = sim._single_when
-                if when > stop:
-                    sim._now = stop
-                    return
-                sim._single = None
-                sim._now = when
-                n += 1
-                _fire(rec, e, when)
-                if n >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                continue
-            got = next_batch_fifo(sim)
-            if got is None:
-                return
-            t, ls = got
-            if t > stop:
-                restore_fifo(sim, t, ls, 0)
-                sim._now = stop
-                return
-            sim._now = t
-            sim._base = t
-            sim.events_executed = n0 + n
-            sim._batch = ls
-            sim._batch_time = t
-            sim._reg_free = False
-            sim._bi = 0
-            i = 0
-            blen = len(ls)
-            try:
-                while True:
-                    e = ls[i]
-                    ls[i] = None
-                    i += 1
-                    sim._bi = i
-                    n += 1
-                    _fire(rec, e, t)
-                    if n >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    if i == blen:
-                        blen = len(ls)
-                        if i == blen:
-                            break
-            except BaseException:
-                restore_fifo(sim, t, ls, i)
-                raise
-            sim._batch = None
-            sim._reg_free = not sim._nstruct
-            sim._batches += 1
-            sim._batched_events += i
-            if i > sim._max_batch:
-                sim._max_batch = i
-    finally:
-        sim.events_executed = n0 + n
-
-
-def _drain_record_policy(sim, stop, max_events, rec) -> None:
-    """Recording twin of :func:`repro.simnet._core.drain_policy`."""
-    n = 0
-    n0 = sim.events_executed
-    try:
-        while True:
-            got = next_batch_policy(sim)
-            if got is None:
-                return
-            t, ls = got
-            if t > stop:
-                restore_policy(sim, t, ls)
-                sim._now = stop
-                return
-            sim._now = t
-            sim._base = t
-            sim.events_executed = n0 + n
-            sim._pol_batch = ls
-            sim._batch_time = t
-            k0 = n
-            try:
-                while ls:
-                    e = heappop(ls)[2]
-                    n += 1
-                    _fire(rec, e, t)
-                    if n >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-            except BaseException:
-                restore_policy(sim, t, ls)
-                raise
-            sim._pol_batch = None
-            sim._batches += 1
-            sim._batched_events += n - k0
-            if n - k0 > sim._max_batch:
-                sim._max_batch = n - k0
-    finally:
-        sim.events_executed = n0 + n
-
-
-def _drain_record_heap(sim, stop, max_events, rec) -> None:
-    """Recording twin of :func:`repro.simnet._core.drain_heap`."""
-    queue = sim._queue
-    n = 0
-    while queue:
-        when = queue[0][0]
-        if when > stop:
-            sim._now = stop
-            return
-        e = heappop(queue)[-1]
-        if when < sim._now:  # pragma: no cover - defensive, as _step_heap
-            raise SimulationError("event calendar corrupted: time went backwards")
-        sim._now = when
-        sim.events_executed += 1
-        _fire(rec, e, when)
-        n += 1
-        if n >= max_events:
-            raise SimulationError(f"exceeded max_events={max_events}")
-
-
-def _step_record(sim, rec) -> None:
-    """Single-step a captured simulator (any backend)."""
-    if sim._backend == "heap":
-        queue = sim._queue
-        item = heappop(queue)  # IndexError on empty, as before
-        when, e = item[0], item[-1]
-        sim._now = when
-        sim.events_executed += 1
-        _fire(rec, e, when)
-        return
-    e = sim._single
-    if e is not None:
-        sim._single = None
-        sim._now = sim._single_when
-        sim.events_executed += 1
-        _fire(rec, e, sim._now)
-        return
-    if sim._tiebreak is None:
-        got = next_batch_fifo(sim)
-        if got is None:
-            raise IndexError("step on an empty calendar")
-        t, ls = got
-        e = ls[0]
-        sim._base = t
-        restore_fifo(sim, t, ls, 1)
-        sim._now = t
-        sim.events_executed += 1
-        _fire(rec, e, t)
-        return
-    got = next_batch_policy(sim)
-    if got is None:
-        raise IndexError("step on an empty calendar")
-    t, ls = got
-    e = heappop(ls)[2]
-    sim._base = t
-    restore_policy(sim, t, ls)
-    sim._now = t
-    sim.events_executed += 1
-    _fire(rec, e, t)

@@ -49,9 +49,7 @@ class Event:
     the event enters the wheel structures.
     """
 
-    # _cid is written only under causality capture (see simnet.causality);
-    # in normal runs the slot exists but is never assigned or read.
-    __slots__ = ("sim", "_cb1", "_cbs", "_value", "_ok", "_seq", "_cid")
+    __slots__ = ("sim", "_cb1", "_cbs", "_value", "_ok", "_seq")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim

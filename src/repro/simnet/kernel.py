@@ -21,24 +21,29 @@ different timestamps are never reordered.
 
 Calendar backends
 -----------------
-The default calendar is a **hierarchical timing wheel** (see
-:mod:`repro.simnet._core` and docs/SIMULATION.md): a one-entry register for
-the empty-calendar fast path, 4096 × 1 ns level-0 slots, 4096 × 4096 ns
-level-1 buckets that cascade into level 0, and a small overflow heap beyond
-the ~16.8 ms horizon.  All entries that fire at the same instant are
-drained as one *batch* — one clock update, one loop, one heap op per
-distinct time.  The pre-wheel flat ``heapq`` calendar is kept as a
-fallback, selected with ``Simulator(calendar="heap")`` or the
-``REPRO_KERNEL=heap`` environment escape hatch; both backends produce
-identical event orderings (property-tested in
-tests/simnet/test_timing_wheel.py).
+Two calendars, one job each.  The default is a **hierarchical timing
+wheel** (see :mod:`repro.simnet._core` and docs/SIMULATION.md): a one-entry
+register for the empty-calendar fast path, 4096 × 1 ns level-0 slots,
+4096 × 4096 ns level-1 buckets that cascade into level 0, and a small
+overflow heap beyond the ~16.8 ms horizon.  All entries that fire at the
+same instant are drained as one *batch* — one clock update, one loop, one
+heap op per distinct time.  The wheel orders same-instant entries FIFO and
+nothing else.  The flat ``heapq`` calendar (``Simulator(calendar="heap")``
+or ``REPRO_KERNEL=heap``) keys ``(when[, tiebreak], seq)`` natively, so it
+is both the differential reference the wheel is tested against and the
+calendar every ``schedule_policy`` runs on: a simulator built with a policy
+takes the heap backend (asking for ``calendar="wheel"`` as well raises).
+In FIFO order both backends produce identical event orderings, and
+``FifoPolicy`` on the heap reproduces the plain wheel bit for bit
+(property-tested in tests/simnet/test_timing_wheel.py).
 
 Performance notes (this kernel is the host-side bottleneck of every
 experiment):
 
-* ``run()`` branches **once** on backend/policy/gating and selects a
-  specialized drain loop from :mod:`repro.simnet._core`; the per-event
-  path has no tracing or policy checks.
+* ``run()`` branches **once** on backend/gating and selects one of three
+  drain loops from :mod:`repro.simnet._core` (``drain_fifo``,
+  ``drain_fifo_gated``, ``drain_heap``); the per-event path has no
+  tracing, policy or capture checks.
 * ``schedule``/``call_in``/``timeout``/``step``/``peek`` are bound per
   instance at construction (one backend branch for the whole lifetime,
   and callers skip the descriptor protocol).
@@ -75,14 +80,10 @@ from ._core import (
     drain_fifo,
     drain_fifo_gated,
     drain_heap,
-    drain_policy,
     insert,
-    insert_policy,
     next_batch_fifo,
-    next_batch_policy,
     peek_structures,
     restore_fifo,
-    restore_policy,
     S0_SIZE,
     S1_SIZE,
 )
@@ -92,9 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import Process
 
 __all__ = ["Simulator", "SimulationError", "StopSimulation", "CallbackEntry"]
-
-#: kept for back-compat with code importing the constant from here
-_TIMEOUT_POOL_MAX = TIMEOUT_POOL_MAX
 
 
 class Simulator:
@@ -110,14 +108,16 @@ class Simulator:
     schedule_policy:
         Optional :class:`~repro.simnet.schedule.SchedulePolicy` re-keying
         same-timestamp ties.  ``None`` (the default) keeps the plain FIFO
-        order; a policy orders each same-instant batch by
-        ``(tiebreak, seq)``.  ``FifoPolicy`` reproduces the default order
-        bit for bit.
+        order; a policy orders same-instant entries by ``(tiebreak, seq)``
+        and selects the heap calendar, the one that keys ties natively.
+        ``FifoPolicy`` reproduces the default order bit for bit.
     calendar:
         Calendar backend: ``"wheel"`` (hierarchical timing wheel, the
-        default) or ``"heap"`` (the flat-heap fallback).  ``None`` reads
-        the ``REPRO_KERNEL`` environment variable, so a whole run — CI
-        included — can be flipped to the fallback without code changes.
+        default) or ``"heap"`` (the flat-heap reference and policy
+        calendar).  ``None`` reads the ``REPRO_KERNEL`` environment
+        variable, so a whole run — CI included — can be flipped to the
+        heap without code changes.  ``"wheel"`` together with a
+        ``schedule_policy`` raises :class:`SimulationError`.
 
     Note: ``schedule``, ``call_in``, ``timeout``, ``step`` and ``peek``
     are instance attributes bound at construction to the selected
@@ -176,7 +176,6 @@ class Simulator:
         "_batch",
         "_batch_time",
         "_bi",
-        "_pol_batch",
         # optional C accelerator (see _accel.py): register-regime drain
         # bound per instance, plus its partial-count handoff slot and the
         # same-instant batch dispatcher
@@ -187,8 +186,8 @@ class Simulator:
         "_accelerator",
         # AnyOf completions dispatched inside their deciding child's slot
         "_inline_conditions",
-        # optional causality recorder (see causality.py); None when capture
-        # is off, in which case no code path in this module reads it
+        # optional causality recorder (see causality.py): the annotation
+        # hook call sites read; no code path in this module consults it
         "_recorder",
     )
 
@@ -243,9 +242,10 @@ class Simulator:
         self._inline_conditions = 0
         self._recorder = None
 
-        if calendar is None:
+        explicit = calendar is not None
+        if not explicit:
             calendar = os.environ.get("REPRO_KERNEL") or "wheel"
-            if calendar in ("cells", "decoupled", "cells-lockstep"):
+            if calendar in ("cells", "cells-lockstep"):
                 # The cells kernel needs a topology to derive its lookahead
                 # table from, so only Fabric can construct a CellSimulator;
                 # a plain Simulator under REPRO_KERNEL=cells keeps the wheel.
@@ -254,6 +254,15 @@ class Simulator:
             raise SimulationError(
                 f"unknown calendar backend {calendar!r} (expected 'wheel' or 'heap')"
             )
+        if schedule_policy is not None and calendar == "wheel":
+            # The wheel orders same-instant entries FIFO only; the heap
+            # keys (when, tiebreak, seq) natively, so a policy runs there.
+            if explicit:
+                raise SimulationError(
+                    "a schedule_policy runs on the heap calendar; "
+                    "calendar='wheel' cannot honour it"
+                )
+            calendar = "heap"
         self._backend = calendar
         if calendar == "heap":
             self._queue: list[tuple] = []
@@ -278,28 +287,22 @@ class Simulator:
         self._batch = None
         self._batch_time = -1
         self._bi = 0
-        self._pol_batch = None
-        if self._tiebreak is None:
-            self.schedule = self._schedule_wheel
-            self.call_in = self._call_in_wheel
-            self.timeout = self._timeout_wheel
-            # Optional C accelerator for the FIFO wheel: a compiled
-            # `timeout` fast path and register-regime drain, bound per
-            # instance.  Exact Simulator only — a subclass overriding the
-            # slow paths must keep the pure bindings.
-            if type(self) is Simulator:
-                accel = _accel.load()
-                if accel is not None:
-                    self.timeout = accel.bind_timeout(self)
-                    self._creg = accel.bind_reg_drain(self)
-                    self._cbatch = accel.bind_batch_run(self)
-                    self._accelerator = "live"
-                else:
-                    self._accelerator = _accel.why_not()
-        else:
-            self.schedule = self._schedule_policy_wheel
-            self.call_in = self._call_in_policy_wheel
-            self.timeout = self._timeout_policy_wheel
+        self.schedule = self._schedule_wheel
+        self.call_in = self._call_in_wheel
+        self.timeout = self._timeout_wheel
+        # Optional C accelerator: a compiled `timeout` fast path,
+        # register-regime drain and batch dispatch, bound per instance.
+        # Exact Simulator only — a subclass overriding the slow paths must
+        # keep the pure bindings.
+        if type(self) is Simulator:
+            accel = _accel.load()
+            if accel is not None:
+                self.timeout = accel.bind_timeout(self)
+                self._creg = accel.bind_reg_drain(self)
+                self._cbatch = accel.bind_batch_run(self)
+                self._accelerator = "live"
+            else:
+                self._accelerator = _accel.why_not()
         self.step = self._step_wheel
         self.peek = self._peek_wheel
 
@@ -340,7 +343,7 @@ class Simulator:
         fn(arg)
 
     # ------------------------------------------------------------------
-    # scheduling — wheel backend, FIFO
+    # scheduling — wheel backend (FIFO ties only)
     # ------------------------------------------------------------------
     def _schedule_wheel(self, event: "Event", delay: int = 0) -> None:
         """Place *event* on the calendar ``delay`` nanoseconds from now.
@@ -531,76 +534,9 @@ class Simulator:
         return t
 
     # ------------------------------------------------------------------
-    # scheduling — wheel backend, policy mode
-    # ------------------------------------------------------------------
-    # Policy tie-break keys hash (time, seq), so seq advances on *every*
-    # placement — identical values to the flat-heap kernel — and there is
-    # no register fast path (entries go straight to the keyed structures).
-
-    def _schedule_policy_wheel(self, event: "Event", delay: int = 0) -> None:
-        if type(delay) is not int:
-            if isinstance(delay, bool) or not isinstance(delay, int):
-                raise SimulationError(
-                    f"delay must be an int number of ns, got {type(delay).__name__}"
-                )
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        seq = self._seq + 1
-        self._seq = seq
-        when = self._now + delay
-        tb = self._tiebreak(when, seq)
-        pb = self._pol_batch
-        if pb is not None and when == self._batch_time:
-            heapq.heappush(pb, (tb, seq, event))
-        else:
-            insert_policy(self, when, tb, seq, event)
-
-    def _call_in_policy_wheel(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        pool = self._cbe_pool
-        if pool:
-            e = pool.pop()
-            e.fn = fn
-            e.arg = arg
-            self._cbe_reuses += 1
-        else:
-            e = CallbackEntry(fn, arg)
-            self._cbe_allocs += 1
-        seq = self._seq + 1
-        self._seq = seq
-        when = self._now + delay
-        tb = self._tiebreak(when, seq)
-        pb = self._pol_batch
-        if pb is not None and when == self._batch_time:
-            heapq.heappush(pb, (tb, seq, e))
-        else:
-            insert_policy(self, when, tb, seq, e)
-
-    def _timeout_policy_wheel(self, delay: int, value: Any = None) -> "Event":
-        t = self._stash
-        if t is not None:
-            self._stash = None
-        else:
-            pool = self._timeout_pool
-            if not pool:
-                if delay < 0:
-                    raise SimulationError(f"negative timeout: {delay}")
-                self._timeout_allocs += 1
-                return self._timeout_cls(self, delay, value)
-            t = pool.pop()
-        if delay < 0:
-            self._timeout_pool.append(t)
-            raise SimulationError(f"negative timeout: {delay}")
-        self._timeout_reuses += 1
-        t.delay = delay
-        t._value = value
-        t._cb1 = None
-        self._schedule_policy_wheel(t, delay)
-        return t
-
-    # ------------------------------------------------------------------
-    # scheduling — flat-heap fallback (the pre-wheel kernel, verbatim)
+    # scheduling — flat heap: the differential reference, and the calendar
+    # schedule policies run on (tie-break keys hash (time, seq), so seq
+    # advances on every placement)
     # ------------------------------------------------------------------
     def _schedule_heap(self, event: "Event", delay: int = 0) -> None:
         if type(delay) is not int:
@@ -620,17 +556,7 @@ class Simulator:
             )
 
     def _call_in_heap(self, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        when = self._now + delay
-        if self._tiebreak is None:
-            heapq.heappush(self._queue, (when, self._seq, CallbackEntry(fn, arg)))
-        else:
-            heapq.heappush(
-                self._queue,
-                (when, self._tiebreak(when, self._seq), self._seq, CallbackEntry(fn, arg)),
-            )
+        self._schedule_heap(CallbackEntry(fn, arg), delay)
 
     def _timeout_heap(self, delay: int, value: Any = None) -> "Event":
         pool = self._timeout_pool
@@ -686,26 +612,13 @@ class Simulator:
             e._run()
             self._maybe_recycle(e)
             return
-        if self._tiebreak is None:
-            got = next_batch_fifo(self)
-            if got is None:
-                raise IndexError("step on an empty calendar")
-            t, ls = got
-            e = ls[0]
-            self._base = t
-            restore_fifo(self, t, ls, 1)
-            self._now = t
-            self.events_executed += 1
-            e._run()
-            self._maybe_recycle(e)
-            return
-        got = next_batch_policy(self)
+        got = next_batch_fifo(self)
         if got is None:
             raise IndexError("step on an empty calendar")
         t, ls = got
-        e = heapq.heappop(ls)[2]
+        e = ls[0]
         self._base = t
-        restore_policy(self, t, ls)
+        restore_fifo(self, t, ls, 1)
         self._now = t
         self.events_executed += 1
         e._run()
@@ -733,9 +646,6 @@ class Simulator:
             return self._single_when
         b = self._batch
         if b is not None and self._bi < len(b):
-            return self._now
-        pb = self._pol_batch
-        if pb:
             return self._now
         return peek_structures(self)
 
@@ -776,14 +686,8 @@ class Simulator:
         stop = INF if stop_time is None else stop_time
         maxe = INF if max_events is None else max_events
         try:
-            if self._recorder is not None:
-                from .causality import drain_record
-
-                drain_record(self, stop, maxe)
-            elif self._backend == "heap":
+            if self._backend == "heap":
                 drain_heap(self, stop, maxe)
-            elif self._tiebreak is not None:
-                drain_policy(self, stop, maxe)
             elif stop_time is None and max_events is None:
                 drain_fifo(self)
             else:
@@ -826,12 +730,13 @@ class Simulator:
         ``inline_conditions``.
 
         ``accelerator`` says whether the C fast path serves this simulator:
-        ``"live"``, ``"off"`` (not asked for: heap backend, schedule
-        policy, causal capture, a subclass, ``REPRO_KERNEL_C=0``) or
+        ``"live"``, ``"off"`` (not asked for: heap backend — which a
+        schedule policy implies — a subclass, ``REPRO_KERNEL_C=0``) or
         ``"unavailable"`` (asked for, but it could not be built or
-        loaded).  ``inline_conditions`` counts :class:`AnyOf` completions,
-        which run inside their deciding child's slot and so are *not*
-        part of ``events_executed``.
+        loaded).  Causal capture leaves it as it found it.
+        ``inline_conditions`` counts :class:`AnyOf` completions, which run
+        inside their deciding child's slot and so are *not* part of
+        ``events_executed``.
 
         ``events_executed`` is synced at batch boundaries while a wheel
         drain loop is running, so a mid-batch reading may lag by the
@@ -849,9 +754,6 @@ class Simulator:
             b = self._batch
             if b is not None:
                 pending += len(b) - self._bi
-            pb = self._pol_batch
-            if pb:
-                pending += len(pb)
         return {
             "backend": self._backend,
             "now": self._now,

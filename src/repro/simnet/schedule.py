@@ -15,10 +15,10 @@ schedule on every run, machine, and Python version.  Events at *different*
 timestamps are never reordered (simulated time stays causal); a policy can
 only permute genuinely concurrent events.
 
-Under the timing-wheel calendar a policy is applied per same-instant
-batch: every placement gets a seq, and each batch is dispatched as a
-``(tiebreak, seq, entry)`` heap — exactly the key the flat-heap kernel
-sorted globally, so both backends replay the same order bit for bit
+A policy runs on the flat-heap calendar, which orders
+``(when, tiebreak, seq, entry)`` natively: a ``Simulator`` built with a
+``schedule_policy`` selects that backend (the timing wheel orders ties FIFO
+only).  :class:`FifoPolicy` there reproduces the plain wheel bit for bit
 (property-tested in ``tests/simnet/test_timing_wheel.py``).
 """
 

@@ -365,14 +365,29 @@ class RdmaDevice:
                 return  # blocked (RNR or dead QP); keep the frame buffered
             rel.pop_buffered(qp, buffered.seq)
 
-    def _place_send(self, qp: QueuePair, msg: DataMessage) -> None:
-        if not qp.has_recv():
-            if qp.srq is not None:
-                qp.srq.empty_hits += 1
-            raise ReceiverNotReady(
-                f"SEND of {msg.payload_bytes}B on QP {qp.qpn} with empty receive queue "
+    def _receiver_not_ready(self, qp: QueuePair, what: str) -> ReceiverNotReady:
+        """The hard (no reliability layer to RNR-NAK) empty-receive-queue error."""
+        srq = qp.srq
+        if srq is None:
+            return ReceiverNotReady(
+                f"{what} on QP {qp.qpn} with empty receive queue "
                 "(EXS credit accounting bug?)"
             )
+        # A shared pool is sized for the expected concurrency, not for the
+        # sum of every connection's credits, so running dry is a capacity
+        # condition rather than an accounting bug.
+        srq.empty_hits += 1
+        attached = sum(1 for q in self._qps.values() if q.srq is srq)
+        return ReceiverNotReady(
+            f"{what} on QP {qp.qpn} with empty receive queue: the shared receive "
+            f"pool (srq_depth={srq.max_wr}, {attached} attached QPs) is exhausted; "
+            "raise srq_depth, or configure a ReliabilityConfig so RNR NAKs "
+            "back the senders off until buffers are reposted"
+        )
+
+    def _place_send(self, qp: QueuePair, msg: DataMessage) -> None:
+        if not qp.has_recv():
+            raise self._receiver_not_ready(qp, f"SEND of {msg.payload_bytes}B")
         wr = qp.take_recv()
         if msg.payload_bytes > wr.length:
             raise BadWorkRequest(
@@ -407,12 +422,7 @@ class RdmaDevice:
 
     def _consume_recv(self, qp: QueuePair, msg: DataMessage, with_imm: bool) -> None:
         if not qp.has_recv():
-            if qp.srq is not None:
-                qp.srq.empty_hits += 1
-            raise ReceiverNotReady(
-                f"WRITE_WITH_IMM on QP {qp.qpn} with empty receive queue "
-                "(EXS credit accounting bug?)"
-            )
+            raise self._receiver_not_ready(qp, "WRITE_WITH_IMM")
         wr = qp.take_recv()
         qp.recv_cq.push(
             WorkCompletion(

@@ -29,7 +29,9 @@ class ReceiverNotReady(VerbsError):
 
     Real RC hardware would NAK and retry; the simulation treats it as a hard
     error because the EXS credit protocol is supposed to make it impossible —
-    hitting this exception in a test means the credit accounting is wrong.
+    hitting this exception in a test means the credit accounting is wrong
+    (or, on an SRQ-attached QP, that the shared pool ran dry: a sizing
+    condition the message spells out, recoverable with a reliability layer).
     """
 
 

@@ -9,9 +9,7 @@ import pytest
 #: global placement order, so counters that depend on whether an arrival
 #: lands before or after a coincident dequeue can legitimately differ from
 #: the monolithic wheel (see docs/SIMULATION.md, "ordering contract")
-CELLS_ENV = os.environ.get("REPRO_KERNEL", "") in (
-    "cells", "decoupled", "cells-lockstep"
-)
+CELLS_ENV = os.environ.get("REPRO_KERNEL", "") in ("cells", "cells-lockstep")
 
 from repro.apps import IncastConfig, incast_topology, run_incast
 from repro.apps.incast import main as incast_main

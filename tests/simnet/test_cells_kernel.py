@@ -248,8 +248,9 @@ def test_fabric_selects_cells_kernel_on_switched_topology():
 
 def test_fabric_decoupled_alias_and_lockstep_mode():
     topo = Topology.star(["a", "b", "c"])
-    alias = Fabric.from_scenario(ScenarioConfig(topology=topo, kernel="decoupled"))
-    assert alias.kernel == "cells"
+    # "decoupled" was a second spelling of kernel="cells"; it is retired
+    with pytest.raises(ValueError, match="unknown kernel"):
+        ScenarioConfig(topology=topo, kernel="decoupled")
     lock = Fabric.from_scenario(
         ScenarioConfig(topology=topo, kernel="cells-lockstep"))
     assert lock.sim.calendar_stats()["mode"] == "lockstep"
@@ -285,8 +286,8 @@ def test_env_cells_on_plain_simulator_keeps_the_wheel(monkeypatch):
 
 
 def test_scenario_config_kernel_round_trip():
-    cfg = ScenarioConfig(kernel="decoupled")
-    assert ScenarioConfig.from_dict(cfg.to_dict()).kernel == "decoupled"
+    cfg = ScenarioConfig(kernel="cells-lockstep")
+    assert ScenarioConfig.from_dict(cfg.to_dict()).kernel == "cells-lockstep"
     assert ScenarioConfig.from_dict(ScenarioConfig().to_dict()).kernel is None
     with pytest.raises(ValueError, match="unknown kernel"):
         ScenarioConfig(kernel="warp")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import Event, Simulator, Timeout
+from repro.simnet import Event, FifoPolicy, Simulator, Timeout
 from repro.simnet.kernel import SimulationError
 
 
@@ -60,14 +60,40 @@ def test_run_until_untriggered_event_raises(sim):
         sim.run(until=ev)
 
 
-def test_negative_delay_rejected(sim):
-    with pytest.raises(SimulationError):
-        sim.schedule(Event(sim), delay=-1)
+def _bad_delay_cases(delays):
+    """(label, place, delay) for every placement surface on every calendar
+    a Simulator can be on: wheel, heap, and the heap under a policy (the
+    fuzzer's calendar)."""
+    for label, kwargs in (("wheel", {"calendar": "wheel"}),
+                          ("heap", {"calendar": "heap"}),
+                          ("heap+policy", {"schedule_policy": FifoPolicy()})):
+        sim = Simulator(**kwargs)
+        surfaces = (
+            ("schedule", lambda d, sim=sim: sim.schedule(Event(sim), delay=d)),
+            ("call_in", lambda d, sim=sim: sim.call_in(d, print, None)),
+            ("timeout", lambda d, sim=sim: sim.timeout(d)),
+        )
+        for name, place in surfaces:
+            for delay in delays:
+                yield f"{label}.{name}({delay!r})", sim, place, delay
 
 
-def test_non_integer_delay_rejected(sim):
-    with pytest.raises(SimulationError):
-        sim.schedule(Event(sim), delay=1.5)
+def test_negative_delay_rejected():
+    for case, sim, place, delay in _bad_delay_cases((-1,)):
+        with pytest.raises(SimulationError):
+            place(delay)
+            pytest.fail(f"{case} was accepted")
+        assert sim.peek() is None, case
+
+
+def test_non_integer_delay_rejected():
+    # a float delay would turn the int-ns clock into a float; a bool is
+    # always a bug, not a 1 ns delay
+    for case, sim, place, delay in _bad_delay_cases((1.5, True)):
+        with pytest.raises(SimulationError, match="must be an int number of ns"):
+            place(delay)
+            pytest.fail(f"{case} was accepted")
+        assert sim.peek() is None, case
 
 
 def test_max_events_guard(sim):

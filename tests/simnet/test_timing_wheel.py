@@ -1,10 +1,11 @@
 """Timing-wheel calendar: heap equivalence, rollover/cascade edges, public API.
 
 The wheel backend must be *observationally identical* to the flat-heap
-fallback: same callback order, same clock readings, same values — for the
-default FIFO order and for every :class:`SchedulePolicy`.  The property
-tests here run one deterministic event soup through both backends and
-compare complete trace fingerprints; the edge-case tests pin the wheel's
+reference: same callback order, same clock readings, same values — in the
+default FIFO order, and against :class:`FifoPolicy` on the heap (schedule
+policies run on the heap calendar only).  The property tests here run one
+deterministic event soup through both backends and compare complete trace
+fingerprints; the edge-case tests pin the wheel's
 boundary behaviour (slot rollover, L1 cascade, overflow horizon, batch
 interruption) where an off-by-one would hide from the soup.
 """
@@ -102,6 +103,7 @@ def _force_pure(sim):
     """
     sim.timeout = sim._timeout_wheel
     sim._creg = None
+    sim._cbatch = None
     return sim
 
 
@@ -116,23 +118,30 @@ def _fingerprint(backend, policy, seed, force_pure=False):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11, 29])
-@pytest.mark.parametrize("policy_kind", [None, "fifo", "random"])
+@pytest.mark.parametrize("policy_kind", [None, "fifo"])
 def test_wheel_matches_heap_fingerprint(seed, policy_kind):
-    def make_policy():
-        if policy_kind is None:
-            return None
-        if policy_kind == "fifo":
-            return FifoPolicy()
-        return RandomTiebreakPolicy(seed=seed * 7 + 5)
-
-    wheel = _fingerprint("wheel", make_policy(), seed)
-    heap = _fingerprint("heap", make_policy(), seed)
-    assert wheel == heap
+    """The plain wheel against the heap reference: bare, and under
+    FifoPolicy — the regression probe that the policy calendar's
+    (tiebreak, seq) keying reproduces the default order bit for bit."""
+    policy = FifoPolicy() if policy_kind == "fifo" else None
+    assert _fingerprint("wheel", None, seed) == _fingerprint("heap", policy, seed)
 
 
 def test_fifo_policy_matches_no_policy_on_wheel():
-    """FifoPolicy is the regression probe for the policy-mode wheel path."""
-    assert _fingerprint("wheel", FifoPolicy(), 5) == _fingerprint("wheel", None, 5)
+    """The same probe through the selection rule: a FifoPolicy simulator
+    (no calendar asked for) replays the plain wheel."""
+    assert _fingerprint(None, FifoPolicy(), 5) == _fingerprint("wheel", None, 5)
+
+
+def test_policy_selects_the_heap_calendar(monkeypatch):
+    """One rule: a schedule policy runs on the heap, whatever the default;
+    asking for the wheel as well is an error, not a silent switch."""
+    for env in ("", "wheel", "heap", "cells"):
+        monkeypatch.setenv("REPRO_KERNEL", env)
+        sim = Simulator(schedule_policy=RandomTiebreakPolicy(seed=3))
+        assert sim.calendar_stats()["backend"] == "heap"
+    with pytest.raises(SimulationError, match="heap calendar"):
+        Simulator(schedule_policy=FifoPolicy(), calendar="wheel")
 
 
 # ----------------------------------------------------------------------
@@ -312,12 +321,15 @@ def test_calendar_stats_say_whether_the_accelerator_is_live(monkeypatch):
         return Simulator(**kwargs).calendar_stats()["accelerator"]
 
     assert status(calendar="heap") == "off"
-    assert status(calendar="wheel", schedule_policy=FifoPolicy()) == "off"
+    under_policy = Simulator(schedule_policy=FifoPolicy()).calendar_stats()
+    assert (under_policy["accelerator"], under_policy["backend"]) == ("off", "heap")
     loadable = _accel.load() is not None
     assert status(calendar="wheel") == ("live" if loadable else _accel.why_not())
+    # capture wraps entries; it does not take the accelerator away
     captured = Simulator(calendar="wheel")
     enable_capture(captured, CausalRecorder())
-    assert captured.calendar_stats()["accelerator"] == "off"
+    assert captured.calendar_stats()["accelerator"] == status(calendar="wheel")
+    assert (captured._creg is not None) == loadable
 
     monkeypatch.setattr(_accel, "_state", None)  # as after a failed build
     monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
@@ -354,8 +366,8 @@ def test_accel_binds_compiled_paths():
     sim = Simulator(calendar="wheel")
     assert type(sim.timeout).__name__ == "builtin_function_or_method"
     assert sim._creg is not None
-    # policy mode and the heap fallback stay pure
-    assert Simulator(schedule_policy=FifoPolicy(), calendar="wheel")._creg is None
+    # the heap calendar (policies included) stays pure
+    assert Simulator(schedule_policy=FifoPolicy())._creg is None
     assert Simulator(calendar="heap")._creg is None
 
 

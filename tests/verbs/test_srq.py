@@ -154,5 +154,11 @@ def test_exhausted_pool_rnr_naks_and_recovers():
 
 
 def test_exhausted_pool_without_reliability_fails_loudly():
-    with pytest.raises(Exception, match="empty receive queue"):
+    with pytest.raises(Exception, match="empty receive queue") as err:
         _run_starved_incast(None)
+    # an exhausted shared pool is a sizing condition, not a credit bug: the
+    # message names the pool and both remedies
+    text = str(err.value)
+    assert "shared receive pool (srq_depth=2, 4 attached QPs) is exhausted" in text
+    assert "raise srq_depth" in text and "ReliabilityConfig" in text
+    assert "credit accounting" not in text
