@@ -20,6 +20,7 @@ from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsSocketOptions
 from repro.simnet import uniform_jitter
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def test_ext_burstiness_adaptation(benchmark, quality):
@@ -46,7 +47,7 @@ def test_ext_burstiness_adaptation(benchmark, quality):
             recv_buffer_bytes=1 * MIB,
             mode=mode,
         )
-        return run_blast(cfg, seed=seed, max_events=100_000_000)
+        return run_blast(cfg, ScenarioConfig(seed=seed), max_events=100_000_000)
 
     def run_all():
         dyn = [run(ProtocolMode.DYNAMIC, s) for s in (1, 2, 5)]
@@ -80,7 +81,7 @@ def test_ext_latency_study(benchmark, quality):
     """
 
     def measure(profile, mode, size, settle_ns, recv_delay_ns=0):
-        tb = Testbed(profile, seed=3)
+        tb = Testbed(ScenarioConfig(profile=profile, seed=3))
         options = ExsSocketOptions(mode=mode, ring_capacity=64 * MIB)
         recv_posted = tb.sim.event()
         out = {}
@@ -157,7 +158,7 @@ def test_ext_jitter_over_distance(benchmark, quality):
 
     def run(jitter_spread_us):
         jitter = uniform_jitter(jitter_spread_us * 1000) if jitter_spread_us else None
-        tb = Testbed(ROCE_10G_WAN, seed=6, jitter=jitter)
+        tb = Testbed(ScenarioConfig(profile=ROCE_10G_WAN, seed=6), jitter=jitter)
         cfg = BlastConfig(
             total_messages=max(50, quality.messages // 6),
             sizes=FixedSizes(1 * MIB),
@@ -167,7 +168,7 @@ def test_ext_jitter_over_distance(benchmark, quality):
             mode=ProtocolMode.DYNAMIC,
             options=ExsSocketOptions(ring_capacity=64 * MIB),
         )
-        return run_blast(cfg, testbed=tb, seed=6, max_events=100_000_000)
+        return run_blast(cfg, testbed=tb, max_events=100_000_000)
 
     results = run_once(benchmark, lambda: [(s, run(s)) for s in (0, 2_000, 10_000)])
     print("\njitter vs throughput at 48 ms RTT:")

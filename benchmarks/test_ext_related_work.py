@@ -21,6 +21,7 @@ from repro.apps.workloads import MIB
 from repro.bench.profiles import FDR_INFINIBAND, ROCE_10G_WAN
 from repro.core import ProtocolMode
 from repro.exs import ExsSocketOptions
+from repro.config import ScenarioConfig
 
 
 def test_bcopy_fast_send_response_vs_zero_copy(benchmark, quality):
@@ -33,7 +34,7 @@ def test_bcopy_fast_send_response_vs_zero_copy(benchmark, quality):
             outstanding_recvs=8,
             options=ExsSocketOptions(sender_copy=sender_copy, ring_capacity=ring),
         )
-        return run_blast(cfg, profile, seed=1, max_events=200_000_000)
+        return run_blast(cfg, ScenarioConfig(profile=profile, seed=1), max_events=200_000_000)
 
     def run_all():
         return {

@@ -18,6 +18,7 @@ from repro.apps import BlastConfig, EchoConfig, FixedSizes, run_blast, run_echo
 from repro.apps.workloads import KIB, MIB
 from repro.core import ProtocolMode
 from repro.exs import ExsSocketOptions
+from repro.config import ScenarioConfig
 
 
 def test_iwarp_emulation_overhead(benchmark, quality):
@@ -37,7 +38,7 @@ def test_iwarp_emulation_overhead(benchmark, quality):
             mode=ProtocolMode.DIRECT_ONLY,
             options=ExsSocketOptions(native_write_with_imm=native),
         )
-        return run_blast(cfg, seed=1, max_events=100_000_000)
+        return run_blast(cfg, ScenarioConfig(seed=1), max_events=100_000_000)
 
     def run():
         return {
@@ -73,7 +74,7 @@ def test_busy_polling_helps_small_message_latency(benchmark, quality):
             mode=ProtocolMode.DYNAMIC,
             options=ExsSocketOptions(busy_poll=busy_poll),
         )
-        return run_echo(cfg, seed=1).median_ns
+        return run_echo(cfg, ScenarioConfig(seed=1)).median_ns
 
     def run():
         return {

@@ -9,6 +9,7 @@ normally here.
 import pytest
 
 from repro.apps import BlastConfig, FixedSizes, run_blast
+from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.simnet import Simulator, Timeout
 
@@ -132,7 +133,7 @@ def test_blast_simulation_rate(benchmark):
             outstanding_recvs=8,
             mode=ProtocolMode.DYNAMIC,
         )
-        return run_blast(cfg, seed=1, max_events=50_000_000)
+        return run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert result.total_bytes == 400 * 64 * 1024
@@ -150,7 +151,7 @@ def test_indirect_copy_path_rate(benchmark):
             outstanding_recvs=4,
             mode=ProtocolMode.INDIRECT_ONLY,
         )
-        return run_blast(cfg, seed=1, max_events=50_000_000)
+        return run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert result.rx_stats.copied_bytes == result.total_bytes
@@ -172,7 +173,7 @@ def _real_bytes_blast(mode: ProtocolMode):
         mode=mode,
         real_data=True,
     )
-    return run_blast(cfg, seed=1, max_events=50_000_000)
+    return run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
 
 
 def test_real_bytes_direct_blast_rate(benchmark):
@@ -205,7 +206,6 @@ def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
     16 MiB rings.
     """
     from repro.apps.incast import IncastConfig, run_incast
-    from repro.config import ScenarioConfig
     from repro.exs import ExsSocketOptions
 
     cfg = IncastConfig(
@@ -403,7 +403,6 @@ def test_transport_crossover_grid(benchmark):
     from dataclasses import replace
 
     from repro.bench.profiles import PROFILES
-    from repro.config import ScenarioConfig
     from repro.simnet import FaultProfile
     from repro.verbs import ReliabilityConfig
 

@@ -17,6 +17,7 @@ Run:  python examples/latency_pingpong.py
 
 from repro import ExsSocketOptions, ProtocolMode
 from repro.apps import EchoConfig, run_echo
+from repro.config import ScenarioConfig
 
 SIZES = [64, 4 * 1024, 64 * 1024, 1024 * 1024]
 ITERATIONS = 60
@@ -29,7 +30,7 @@ def measure(size: int, mode: ProtocolMode, busy_poll: bool = False):
         mode=mode,
         options=ExsSocketOptions(busy_poll=busy_poll),
     )
-    return run_echo(cfg, seed=4)
+    return run_echo(cfg, ScenarioConfig(seed=4))
 
 
 def main() -> None:

@@ -18,6 +18,7 @@ Run:  python examples/parallel_gridftp.py
 from repro import ExsSocketOptions, ROCE_10G_WAN
 from repro.apps import MIB, FileTransferConfig, run_file_transfer
 from repro.sweep import processes_from_env, run_sweep
+from repro.config import ScenarioConfig
 
 FILE = 256 * MIB
 STREAMS = (1, 2, 4, 8)
@@ -25,7 +26,7 @@ STREAMS = (1, 2, 4, 8)
 
 def transfer(cfg: FileTransferConfig, seed: int):
     """Sweep worker: one simulated transfer (module-level so it pickles)."""
-    return run_file_transfer(cfg, ROCE_10G_WAN, seed=seed)
+    return run_file_transfer(cfg, ScenarioConfig(profile=ROCE_10G_WAN, seed=seed))
 
 
 def main() -> None:

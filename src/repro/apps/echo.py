@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..bench.profiles import FDR_INFINIBAND, HardwareProfile
 from ..config import ScenarioConfig
 from ..core import ProtocolMode
 from ..exs import ExsEventType, ExsSocketOptions, MsgFlags, SocketType
@@ -130,14 +129,14 @@ def _client_proc(tb: Testbed, cfg: EchoConfig, out: dict):
 
 def run_echo(
     config: EchoConfig,
-    profile: HardwareProfile = FDR_INFINIBAND,
+    scenario: Optional[ScenarioConfig] = None,
     *,
-    seed: int = 0,
     testbed: Optional[Testbed] = None,
     max_events: Optional[int] = 100_000_000,
 ) -> EchoResult:
-    """Run one ping-pong session and return its latency distribution."""
-    tb = testbed or Testbed.from_scenario(ScenarioConfig(profile=profile, seed=seed))
+    """Run one ping-pong session under *scenario* (or on a *testbed*
+    already built from it) and return its latency distribution."""
+    tb = testbed or Testbed.from_scenario(scenario or ScenarioConfig())
     out: dict = {}
     ps = tb.sim.process(_server_proc(tb, config), name="echo-server")
     pc = tb.sim.process(_client_proc(tb, config, out), name="echo-client")

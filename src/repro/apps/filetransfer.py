@@ -20,7 +20,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..bench.profiles import FDR_INFINIBAND, HardwareProfile
 from ..config import ScenarioConfig
 from ..core import ProtocolMode
 from ..exs import ExsEventType, ExsSocketOptions, MsgFlags, SocketType
@@ -183,16 +182,16 @@ def _receiver_stream(tb: Testbed, cfg: FileTransferConfig, stream: int,
 
 def run_file_transfer(
     config: FileTransferConfig,
-    profile: HardwareProfile = FDR_INFINIBAND,
+    scenario: Optional[ScenarioConfig] = None,
     *,
-    seed: int = 0,
     testbed: Optional[Testbed] = None,
     max_events: Optional[int] = 500_000_000,
 ) -> FileTransferResult:
-    """Run one parallel file transfer and return its measurements."""
+    """Run one parallel file transfer under *scenario* (or on a *testbed*
+    already built from it) and return its measurements."""
     if config.streams < 1 or config.file_bytes < config.streams:
         raise ValueError("need at least one stream and one byte per stream")
-    tb = testbed or Testbed.from_scenario(ScenarioConfig(profile=profile, seed=seed))
+    tb = testbed or Testbed.from_scenario(scenario or ScenarioConfig())
     out: dict = {}
 
     # one destination "file" shared by all streams, registered once

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..config import ScenarioConfig
+from ..config import KERNELS, ScenarioConfig
 from ..exs import ExsEventType, ExsSocketOptions, MsgFlags
 from ..fabric import Fabric
 from ..simnet import SwitchConfig, Topology
@@ -164,30 +164,34 @@ def run_incast(
     config: IncastConfig,
     scenario: Optional[ScenarioConfig] = None,
     *,
-    audit: bool = False,
+    testbed: Optional[Fabric] = None,
     max_events: Optional[int] = None,
+    audit: bool = False,
 ) -> IncastResult:
     """Run one incast and return its :class:`IncastResult`.
 
-    *scenario* carries seed/profile/SRQ/CQ-shard settings; its topology
-    must be unset (the incast shape is derived from *config*).  With
-    *audit* the run records a protocol trace and re-verifies the stream
-    invariants over it (:func:`repro.check.audit.audit_events`).
+    *scenario* carries seed/profile/SRQ/CQ-shard/kernel settings; its
+    topology must be unset (the incast shape is derived from *config*).
+    *testbed* is a :class:`~repro.fabric.Fabric` the caller already built
+    on :func:`incast_topology`.  With *audit* the run records a protocol
+    trace and re-verifies the stream invariants over it
+    (:func:`repro.check.audit.audit_events`).
     """
-    scenario = scenario or ScenarioConfig()
-    if scenario.topology is not None:
-        raise ValueError("run_incast derives its topology from IncastConfig")
-    if config.policy == "drop" and scenario.reliability is None:
-        # tail-dropping switch: data loss is expected, so the run needs the
-        # RC recovery machinery (same auto-derivation as a lossy wire)
-        from ..verbs import ReliabilityConfig
+    fabric = testbed
+    if fabric is None:
+        scenario = scenario or ScenarioConfig()
+        if scenario.topology is not None:
+            raise ValueError("run_incast derives its topology from IncastConfig")
+        if config.policy == "drop" and scenario.reliability is None:
+            # tail-dropping switch: data loss is expected, so the run needs
+            # the RC recovery machinery (as a lossy wire would)
+            from ..verbs import ReliabilityConfig
 
-        profile = scenario.resolve_profile()
-        scenario = scenario.with_(reliability=ReliabilityConfig.for_path(
-            2 * (profile.propagation_delay_ns + profile.emulator_delay_ns)
-        ))
-    scenario = scenario.with_(topology=incast_topology(config))
-    fabric = Fabric.from_scenario(scenario)
+            profile = scenario.resolve_profile()
+            scenario = scenario.with_(reliability=ReliabilityConfig.for_path(
+                2 * (profile.propagation_delay_ns + profile.emulator_delay_ns)
+            ))
+        fabric = Fabric.from_scenario(scenario.with_(topology=incast_topology(config)))
     tracer = ProtocolTracer.attach(fabric) if audit else None
 
     options = config.options or ExsSocketOptions()
@@ -267,9 +271,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cq-shards", type=int, default=0)
     parser.add_argument("--audit", action="store_true",
                         help="record a protocol trace and re-verify invariants")
-    parser.add_argument("--kernel", default=None,
-                        choices=("legacy", "cells", "cells-lockstep"),
-                        help="event kernel (default: REPRO_KERNEL env, else legacy)")
+    parser.add_argument("--kernel", default=None, choices=KERNELS,
+                        help="event kernel (default: REPRO_KERNEL env, else wheel)")
     args = parser.parse_args(argv)
 
     config = IncastConfig(

@@ -20,9 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..apps.blast import BlastConfig, BlastResult, run_blast
 from ..apps.metrics import MeanCI, mean_ci
-from ..config import ScenarioConfig, deprecated_signature
+from ..config import ScenarioConfig
 from ..sweep import run_sweep
-from .profiles import FDR_INFINIBAND, HardwareProfile
 
 __all__ = [
     "RunQuality",
@@ -118,13 +117,11 @@ def _aggregate(runs: List[BlastResult]) -> AggregateResult:
 
 def run_grid(
     configs: Sequence[BlastConfig],
-    profile: Optional[HardwareProfile] = None,
+    scenario: Optional[ScenarioConfig] = None,
     quality: RunQuality = QUICK,
     *,
     processes: int = 1,
     max_events: Optional[int] = 400_000_000,
-    telemetry_dir: Optional[str] = None,
-    scenario: Optional[ScenarioConfig] = None,
 ) -> List[AggregateResult]:
     """Run every config once per seed — optionally in parallel — and
     aggregate per config, preserving config order.
@@ -136,33 +133,15 @@ def run_grid(
     identical for any ``processes`` value (simulations are deterministic
     and self-contained).
 
-    *scenario* is the run-environment template: each unit gets a copy with
-    that repetition's seed folded in (``replace(scenario, seed=seed)``), and
-    the copy travels inside the pickled work unit, so sweep workers need no
+    *scenario* is the run-environment template (default
+    ``ScenarioConfig()``): each unit gets a copy with that repetition's
+    seed folded in (``replace(scenario, seed=seed)``), and the copy travels
+    inside the pickled work unit, so sweep workers need no
     environment-variable side channel.  ``scenario.telemetry_dir`` makes
     every unit write a per-run :mod:`repro.obs` JSONL artifact into that
     directory (created if missing).
-
-    The legacy spelling — ``profile=`` / ``telemetry_dir=`` keywords, plus
-    the ``REPRO_TELEMETRY_DIR`` environment variable — still works as a
-    deprecation shim that assembles the scenario template internally.
     """
-    if scenario is not None:
-        if profile is not None or telemetry_dir is not None:
-            raise ValueError(
-                "pass either scenario= or the profile/telemetry_dir knobs, not both"
-            )
-    else:
-        env_dir = os.environ.get("REPRO_TELEMETRY_DIR", "").strip() or None
-        if profile is not None or telemetry_dir is not None or env_dir:
-            deprecated_signature(
-                "run_grid(profile=, telemetry_dir=) / REPRO_TELEMETRY_DIR",
-                "pass run_grid(configs, scenario=ScenarioConfig(...)) instead",
-            )
-        scenario = ScenarioConfig(
-            profile=profile if profile is not None else FDR_INFINIBAND,
-            telemetry_dir=telemetry_dir if telemetry_dir is not None else env_dir,
-        )
+    scenario = scenario or ScenarioConfig()
     if scenario.telemetry_dir:
         os.makedirs(scenario.telemetry_dir, exist_ok=True)
     units = []
@@ -178,18 +157,15 @@ def run_grid(
 
 def run_repeated(
     config: BlastConfig,
-    profile: Optional[HardwareProfile] = None,
+    scenario: Optional[ScenarioConfig] = None,
     quality: RunQuality = QUICK,
     *,
     processes: int = 1,
     max_events: Optional[int] = 400_000_000,
-    telemetry_dir: Optional[str] = None,
-    scenario: Optional[ScenarioConfig] = None,
 ) -> AggregateResult:
     """Run *config* once per seed and aggregate the paper's metrics."""
-    return run_grid([config], profile, quality, processes=processes,
-                    max_events=max_events, telemetry_dir=telemetry_dir,
-                    scenario=scenario)[0]
+    return run_grid([config], scenario, quality, processes=processes,
+                    max_events=max_events)[0]
 
 
 def replace_seed(gen, seed: int):

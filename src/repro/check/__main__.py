@@ -73,28 +73,15 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    # Resolve variant forcing (flag, else environment) into the case and
-    # base scenario *explicitly*, so the counterexample JSON is
-    # self-contained: replaying it reproduces the run bit for bit even
-    # without the REPRO_* environment that produced it.
-    import os
-
-    from dataclasses import replace
-
     from ..config import ScenarioConfig
-    from ..verbs import ReliabilityConfig
 
-    transport = args.transport or os.environ.get("REPRO_TRANSPORT", "").strip() or None
-    mode = (args.reliability_mode
-            or os.environ.get("REPRO_RELIABILITY_MODE", "").strip() or None)
-    case = FuzzCase(messages=args.messages, transport=transport)
-    base = ScenarioConfig()
-    if mode:
-        profile = base.resolve_profile()
-        rel = ReliabilityConfig.for_path(
-            profile.propagation_delay_ns + profile.emulator_delay_ns
-        )
-        base = base.with_(reliability=replace(rel, mode=mode))
+    # The flags pin what the REPRO_* variables would otherwise default;
+    # run_fuzz resolves the rest, so the counterexample JSON names its
+    # variant and replays bit for bit wherever it is taken.
+    case = FuzzCase(messages=args.messages)
+    base = ScenarioConfig(transport=args.transport)
+    if args.reliability_mode:
+        base = base.with_(reliability=base.path_reliability(args.reliability_mode))
     seeds = range(args.first_seed, args.first_seed + args.seeds)
 
     def progress(seed, outcome):

@@ -41,8 +41,6 @@ class FuzzCase:
     recv_buffer_bytes: int = 1 << 20
     waitall: bool = False
     mode: str = "dynamic"
-    #: EXS data-plane transport (``None`` = socket default / environment)
-    transport: Optional[str] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -56,11 +54,7 @@ class FuzzCase:
         from ..apps.blast import BlastConfig
         from ..apps.workloads import ExponentialSizes
         from ..core import ProtocolMode
-        from ..exs import ExsSocketOptions
 
-        options = None
-        if self.transport is not None:
-            options = ExsSocketOptions(transport=self.transport)
         return BlastConfig(
             total_messages=self.messages,
             sizes=ExponentialSizes(mean=64 * 1024, maximum=1 << 20, seed=self.size_seed),
@@ -69,7 +63,6 @@ class FuzzCase:
             recv_buffer_bytes=self.recv_buffer_bytes,
             waitall=self.waitall,
             mode=ProtocolMode(self.mode),
-            options=options,
         )
 
 
@@ -160,12 +153,15 @@ def run_fuzz(
     Each seed fuzzes only the same-instant event ordering
     (``schedule=("random", seed)``); the testbed seed and workload stay
     fixed so any divergence is attributable to the schedule permutation.
+    Scenarios are resolved before they run, so a counterexample names the
+    transport / reliability / kernel variant it ran and replays without
+    the ``REPRO_*`` environment that selected it.
     """
     case = case or FuzzCase()
     base = base or ScenarioConfig()
     report = FuzzReport(case=case)
     for seed in seeds:
-        scenario = base.with_(schedule=("random", int(seed)))
+        scenario = base.with_(schedule=("random", int(seed))).resolved()
         outcome = run_case(case, scenario)
         report.outcomes.append(outcome)
         if not outcome.ok:

@@ -1,11 +1,9 @@
 """Unified, serializable scenario configuration.
 
 Everything that shapes *how a run is executed* — as opposed to what the
-application sends — historically lived in scattered knobs: ``Testbed(...)``
-keyword arguments, ``run_blast(telemetry=)``, ``run_grid(telemetry_dir=)``,
-and the ``REPRO_TELEMETRY_DIR`` environment variable.
-:class:`ScenarioConfig` gathers them into one frozen, picklable,
-JSON-round-trippable object:
+application sends — is one frozen, picklable, JSON-round-trippable
+:class:`ScenarioConfig`; ``Fabric``/``Testbed`` and the four ``run_*``
+apps take nothing else:
 
 * **profile** — which :class:`~repro.bench.profiles.HardwareProfile`
   (by name, so scenarios serialize)
@@ -15,44 +13,63 @@ JSON-round-trippable object:
 * **faults** — optional :class:`~repro.simnet.faults.FaultProfile`, or a
   per-edge ``{edge_name: FaultProfile}`` mapping on a topology
 * **reliability** — optional :class:`~repro.verbs.reliability.ReliabilityConfig`
+* **transport** / **kernel** — the EXS data plane and the event kernel
 * **schedule** — optional same-instant tie-break policy spec
   (``("fifo", 0)`` or ``("random", seed)``; see :mod:`repro.simnet.schedule`)
 * **telemetry** / **telemetry_dir** — :mod:`repro.obs` session and artifact
   placement
 * **max_events** — runaway-simulation guard
 
-Because a scenario serializes, every :mod:`repro.check` counterexample is a
-scenario: the fuzzer writes the exact ``ScenarioConfig`` that produced a
-violation, and ``python -m repro.check replay`` re-runs it bit for bit.
+The environment enters in exactly one place: :meth:`ScenarioConfig.resolved`
+folds ``REPRO_KERNEL`` / ``REPRO_TRANSPORT`` / ``REPRO_RELIABILITY_MODE``
+into the fields they default, ``Fabric`` calls it first and keeps the
+result as ``fabric.scenario`` — so the scenario a run reports replays that
+run bit for bit with the variables unset.
 
-The pre-existing spellings keep working as thin deprecation shims that
-assemble a ``ScenarioConfig`` internally and emit a ``DeprecationWarning``
-(see docs/API.md for the migration table).
+Because a scenario serializes, every :mod:`repro.check` counterexample is a
+scenario: the fuzzer writes the exact resolved ``ScenarioConfig`` that
+produced a violation, and ``python -m repro.check replay`` re-runs it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .bench.profiles import PROFILES, HardwareProfile
+from .exs.flags import TRANSPORT_WWI, TRANSPORTS
 from .simnet.fabric import Topology
-from .simnet.faults import FaultProfile
+from .simnet.faults import FaultProfile, ImpairmentModel
+from .simnet.kernel import env_kernel
 from .simnet.schedule import SchedulePolicy, policy_from_spec
-from .verbs.reliability import ReliabilityConfig
+from .verbs.reliability import (
+    MODE_GO_BACK_N,
+    MODE_SELECTIVE_REPEAT,
+    ReliabilityConfig,
+)
 
-__all__ = ["ScenarioConfig", "deprecated_signature"]
+__all__ = ["ScenarioConfig", "KERNELS"]
+
+#: every event kernel a scenario (or ``REPRO_KERNEL``, or a CLI) may name
+KERNELS = ("wheel", "heap", "cells", "cells-lockstep")
 
 
-def deprecated_signature(what: str, instead: str) -> None:
-    """Emit the standard shim warning pointing at :class:`ScenarioConfig`."""
-    warnings.warn(
-        f"{what} is deprecated; {instead} (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def _fault_dict(fault: Union[FaultProfile, ImpairmentModel]) -> dict:
+    if isinstance(fault, ImpairmentModel):
+        raise ValueError(
+            "a pre-built ImpairmentModel does not JSON-serialize; "
+            "serializable scenarios describe faults as FaultProfiles"
+        )
+    return dataclasses.asdict(fault)
+
+
+def _checked(var: str, value: Optional[str], allowed: Tuple[str, ...]) -> Optional[str]:
+    """An environment default: ``None`` when unset, loud when unknown."""
+    if value and value not in allowed:
+        raise ValueError(f"unknown {var} {value!r} (expected one of {', '.join(allowed)})")
+    return value or None
 
 
 @dataclass(frozen=True)
@@ -73,12 +90,18 @@ class ScenarioConfig:
     #: wire impairment: one :class:`FaultProfile` applied to every edge, or
     #: a ``{edge_name: FaultProfile}`` mapping addressing individual edges
     #: of the topology (e.g. ``{"client0-spine0": LIGHT_LOSS}``); unknown
-    #: edge names raise eagerly
-    faults: Optional[Union[FaultProfile, Dict[str, FaultProfile]]] = None
+    #: edge names raise eagerly.  A pre-built
+    #: :class:`~repro.simnet.faults.ImpairmentModel` (link-down windows,
+    #: asymmetry) may stand where a profile does; such scenarios pickle but
+    #: do not JSON-serialize.
+    faults: Optional[Union[FaultProfile, ImpairmentModel,
+                           Dict[str, Union[FaultProfile, ImpairmentModel]]]] = None
+    #: RC reliability layer; ``None`` = off, unless the wire is lossy or
+    #: ``REPRO_RELIABILITY_MODE`` is set (see :meth:`resolved`)
     reliability: Optional[ReliabilityConfig] = None
-    #: EXS data-plane transport forced on the run's sockets: ``"wwi"``,
-    #: ``"eager_rendezvous"``, or ``None`` (socket options / environment
-    #: decide; see :meth:`repro.exs.ExsSocketOptions.effective_transport`)
+    #: EXS data-plane transport of the run's stream sockets: ``"wwi"``,
+    #: ``"eager_rendezvous"``, or ``None`` (``REPRO_TRANSPORT``, else
+    #: ``"wwi"``).  A socket whose own options name a transport keeps it.
     transport: Optional[str] = None
     #: same-instant schedule policy spec: ``None`` (kernel FIFO),
     #: ``("fifo", 0)``, or ``("random", seed)``
@@ -123,7 +146,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown profile {self.profile!r} (known: {', '.join(sorted(PROFILES))})"
             )
-        if self.transport not in (None, "wwi", "eager_rendezvous"):
+        if self.transport not in (None, *TRANSPORTS):
             raise ValueError(f"unknown transport {self.transport!r}")
         if isinstance(self.faults, dict):
             if self.topology is None:
@@ -136,10 +159,9 @@ class ScenarioConfig:
             raise ValueError("srq_depth must be positive (or None)")
         if self.cq_shards < 0:
             raise ValueError("cq_shards must be >= 0")
-        if self.kernel not in (None, "wheel", "heap", "cells", "cells-lockstep"):
+        if self.kernel not in (None, *KERNELS):
             raise ValueError(
-                f"unknown kernel {self.kernel!r} (expected 'wheel', 'heap', "
-                "'cells', or 'cells-lockstep')"
+                f"unknown kernel {self.kernel!r} (expected one of {', '.join(KERNELS)})"
             )
         if self.schedule is not None:
             # normalize to a plain (kind, seed) tuple and validate eagerly
@@ -163,22 +185,73 @@ class ScenarioConfig:
         """A copy with *changes* applied (``dataclasses.replace`` spelling)."""
         return dataclasses.replace(self, **changes)
 
-    def build_testbed(self, *, jitter=None, trace=None):
-        """Assemble the two-node :class:`~repro.testbed.Testbed` this
-        scenario describes.  ``jitter``/``trace`` are callables (therefore
-        not part of the serializable scenario) and compose on top.
+    def resolved(self) -> "ScenarioConfig":
+        """This scenario with every default the environment or the wire
+        decides filled in: the one place ``REPRO_KERNEL``,
+        ``REPRO_TRANSPORT`` and ``REPRO_RELIABILITY_MODE`` are consulted.
+
+        * ``kernel`` — the scenario's, else ``REPRO_KERNEL``, else
+          ``"wheel"``; a *defaulted* wheel under a schedule policy becomes
+          ``"heap"``, the calendar policies run on (an explicit ``"wheel"``
+          is kept, and refused by the simulator).
+        * ``transport`` — the scenario's, else ``REPRO_TRANSPORT``, else
+          ``"wwi"``.
+        * ``reliability`` — a lossy wire without a config gets one scaled
+          to the worst host-to-host path (an impaired wire without
+          retransmission loses data by design);
+          ``REPRO_RELIABILITY_MODE`` derives the same config when there is
+          none and pins its ``mode`` — how the CI variant matrix forces a
+          discipline across an unmodified suite.
+
+        Pure apart from those reads, and idempotent: the result resolves to
+        itself under any environment, which is what makes
+        ``fabric.scenario`` an environment-free replay recipe.
         """
-        from .testbed import Testbed
+        env = os.environ.get
+        kernel = self.kernel
+        if kernel is None:
+            kernel = _checked("REPRO_KERNEL", env_kernel(), KERNELS) or "wheel"
+            if kernel == "wheel" and self.schedule is not None:
+                kernel = "heap"
+        transport = self.transport or _checked(
+            "REPRO_TRANSPORT", env("REPRO_TRANSPORT", "").strip(), TRANSPORTS
+        ) or TRANSPORT_WWI
+        mode = _checked(
+            "REPRO_RELIABILITY_MODE", env("REPRO_RELIABILITY_MODE", "").strip(),
+            (MODE_GO_BACK_N, MODE_SELECTIVE_REPEAT),
+        )
+        reliability = self.reliability
+        if reliability is None and (mode or self.faults):
+            reliability = self.path_reliability()
+        if mode and reliability.mode != mode:
+            reliability = dataclasses.replace(reliability, mode=mode)
+        return dataclasses.replace(
+            self, kernel=kernel, transport=transport, reliability=reliability
+        )
 
-        return Testbed.from_scenario(self, jitter=jitter, trace=trace)
+    def path_reliability(self, mode: str = MODE_GO_BACK_N) -> ReliabilityConfig:
+        """A reliability config with timers scaled to this scenario's
+        worst host-to-host path."""
+        return ReliabilityConfig.for_path(self._worst_path_one_way_ns(), mode=mode)
 
-    def build_fabric(self, *, jitter=None, trace=None):
-        """Assemble the N-host :class:`~repro.fabric.Fabric` this scenario
-        describes (its :attr:`topology`, or the two-host wire when unset).
-        """
-        from .fabric import Fabric
-
-        return Fabric.from_scenario(self, jitter=jitter, trace=trace)
+    def _worst_path_one_way_ns(self) -> int:
+        """Largest host-to-host one-way latency estimate (for reliability
+        timer scaling): per-link propagation + emulator delay, plus the
+        switch forwarding latency of every intermediate hop."""
+        profile = self.resolve_profile()
+        per_edge = profile.propagation_delay_ns + profile.emulator_delay_ns
+        worst = per_edge
+        topology = self.topology or Topology.point_to_point()
+        hosts = topology.hosts
+        for i, a in enumerate(hosts):
+            for b in hosts[i + 1:]:
+                path = topology.path(a, b)
+                n_edges = len(path) - 1
+                n_switches = max(0, len(path) - 2)
+                est = n_edges * per_edge + n_switches * topology.switch.forward_ns
+                if est > worst:
+                    worst = est
+        return worst
 
     # ------------------------------------------------------------------
     # serialization
@@ -195,10 +268,10 @@ class ScenarioConfig:
             profile = profile.name
         if isinstance(self.faults, dict):
             faults = {"per_edge": {
-                name: dataclasses.asdict(fp) for name, fp in self.faults.items()
+                name: _fault_dict(fp) for name, fp in self.faults.items()
             }}
         else:
-            faults = dataclasses.asdict(self.faults) if self.faults else None
+            faults = _fault_dict(self.faults) if self.faults else None
         return {
             "profile": profile,
             "seed": self.seed,
@@ -219,6 +292,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            # a typo in a replay JSON must not silently run the default
+            raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
         faults = data.get("faults")
         if faults and "per_edge" in faults:
             faults = {name: FaultProfile(**fp) for name, fp in faults["per_edge"].items()}

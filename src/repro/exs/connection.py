@@ -57,7 +57,7 @@ from .control import (
 )
 from .credits import CreditError, CreditManager
 from .eventqueue import ExsEvent, ExsEventType
-from .flags import ExsSocketOptions, SocketType, TRANSPORT_EAGER_RENDEZVOUS
+from .flags import ExsSocketOptions, SocketType, TRANSPORT_EAGER_RENDEZVOUS, TRANSPORT_WWI
 from .rendezvous import RdvReceiverHalf, RdvSenderHalf
 from .seqpacket import SeqPacketReceiverHalf, SeqPacketSenderHalf
 from .stream_receiver import StreamReceiverHalf
@@ -96,9 +96,10 @@ class ExsConnection:
         self.costs = host.cpu.costs
 
         self.socket_type = socket_type
+        # a socket that names a transport keeps it; the rest take the run's
         self.transport = (
-            options.effective_transport()
-            if socket_type is SocketType.SOCK_STREAM else "wwi"
+            (options.transport or socket.stack.transport)
+            if socket_type is SocketType.SOCK_STREAM else TRANSPORT_WWI
         )
         # Shared receive pool (ExsStack(srq_depth=...)): control-plane
         # transports draw receives from the stack-wide SRQ instead of

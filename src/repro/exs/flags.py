@@ -21,6 +21,7 @@ __all__ = [
     "ExsSocketOptions",
     "TRANSPORT_WWI",
     "TRANSPORT_EAGER_RENDEZVOUS",
+    "TRANSPORTS",
 ]
 
 #: paper protocol: direct/indirect RDMA WRITE WITH IMM with ADVERTs
@@ -28,6 +29,7 @@ TRANSPORT_WWI = "wwi"
 #: MPICH2-over-IB style SEND/RECV: eager copy below a threshold,
 #: RTS/CTS rendezvous into registered user memory above it
 TRANSPORT_EAGER_RENDEZVOUS = "eager_rendezvous"
+TRANSPORTS = (TRANSPORT_WWI, TRANSPORT_EAGER_RENDEZVOUS)
 
 
 class SocketType(enum.Enum):
@@ -62,10 +64,10 @@ class ExsSocketOptions:
     #: data-plane strategy for SOCK_STREAM: the paper's WWI protocol
     #: (``"wwi"``) or the eager/rendezvous SEND-RECV alternative
     #: (``"eager_rendezvous"``) used by the transport bake-off.  ``None``
-    #: (the default) resolves at connection time to the
-    #: ``REPRO_TRANSPORT`` environment variable, falling back to ``"wwi"``
-    #: — which is how the CI variant matrix forces a transport across an
-    #: unmodified test suite.
+    #: (the default) takes the run's transport from the socket's
+    #: :class:`~repro.exs.socket.ExsStack` — ``ScenarioConfig.transport``,
+    #: which defaults to ``REPRO_TRANSPORT``, else ``"wwi"``; that is how
+    #: the CI variant matrix forces a transport across an unmodified suite.
     transport: Optional[str] = None
     #: eager/rendezvous only: largest message sent eagerly (copied through
     #: the receiver's bounce slots); larger messages use RTS/CTS
@@ -105,33 +107,10 @@ class ExsSocketOptions:
     sender_copy: bool = False
 
     def __post_init__(self) -> None:
-        if self.transport not in (None, TRANSPORT_WWI, TRANSPORT_EAGER_RENDEZVOUS):
+        if self.transport not in (None, *TRANSPORTS):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.eager_threshold <= 0:
             raise ValueError("eager_threshold must be positive")
-
-    def effective_transport(self) -> str:
-        """Resolve the transport: explicit field, else env, else WWI.
-
-        The environment resolution is memoized per options instance:
-        ``os.environ`` lookups go through the slow ``Mapping.get`` path,
-        and one shared options object is consulted once per connection —
-        measurable at 10k-connection bring-up.  Fresh instances re-read
-        the environment, which is what the CI variant matrix relies on.
-        """
-        if self.transport is not None:
-            return self.transport
-        memo = self.__dict__.get("_transport_memo")
-        if memo is not None:
-            return memo
-        import os
-
-        env = os.environ.get("REPRO_TRANSPORT", "").strip()
-        if env and env not in (TRANSPORT_WWI, TRANSPORT_EAGER_RENDEZVOUS):
-            raise ValueError(f"unknown REPRO_TRANSPORT {env!r}")
-        resolved = env or TRANSPORT_WWI
-        object.__setattr__(self, "_transport_memo", resolved)
-        return resolved
 
     def effective_credit_update_threshold(self) -> int:
         return self.credit_update_threshold or max(1, self.credits // 2)

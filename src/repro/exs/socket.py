@@ -19,7 +19,7 @@ from ..simnet import Event, Simulator
 from ..verbs import ConnectionManager, MemoryRegion, RdmaDevice
 from .connection import ExsConnection
 from .eventqueue import ExsEvent, ExsEventQueue, ExsEventType
-from .flags import ExsSocketOptions, MsgFlags, SocketType
+from .flags import TRANSPORT_WWI, ExsSocketOptions, MsgFlags, SocketType
 from .stream_receiver import UserRecv
 
 __all__ = ["ExsStack", "ExsSocket", "ExsError"]
@@ -40,14 +40,18 @@ class ExsStack:
     (:class:`~repro.exs.shard.CqShard`), instead of one CQ + engine per
     connection.  Both default off, which keeps the historical
     per-connection resources and event sequences bit-identical.
+    *transport* is the data plane of every stream socket whose own options
+    leave it unset (the run's ``ScenarioConfig.transport``).
     """
 
     def __init__(self, sim: Simulator, host: Host, device: RdmaDevice,
                  cm: Optional[ConnectionManager] = None, *, seed: int = 0,
-                 srq_depth: Optional[int] = None, cq_shards: int = 0) -> None:
+                 srq_depth: Optional[int] = None, cq_shards: int = 0,
+                 transport: str = TRANSPORT_WWI) -> None:
         self.sim = sim
         self.host = host
         self.device = device
+        self.transport = transport
         self.cm = cm or ConnectionManager(device)
         self._seed = itertools.count(seed * 10_000 + 1)
         #: cost (ns) to pin+register memory, charged by :meth:`mregister`;

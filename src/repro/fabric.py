@@ -30,12 +30,10 @@ impairment seed ``seed+13+29*i`` (edge 0 = the legacy ``seed+7`` /
 from __future__ import annotations
 
 import itertools
-import os
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from .bench.profiles import FDR_INFINIBAND, HardwareProfile
 from .config import ScenarioConfig
 from .exs import ExsSocketOptions, ExsStack
 from .exs.eventqueue import ExsEventType
@@ -53,8 +51,7 @@ from .simnet import (
     Topology,
 )
 from .simnet.fabric import host_delivery
-from .simnet.schedule import SchedulePolicy
-from .verbs import ConnectionManager, RdmaDevice, ReliabilityConfig, VerbsError
+from .verbs import ConnectionManager, RdmaDevice, VerbsError
 from .verbs.comp_channel import uniform_wakeup
 
 __all__ = ["Fabric", "FabricConnection"]
@@ -168,99 +165,80 @@ class Fabric:
         topology: Optional[Topology] = None,
         jitter: Optional[Callable] = None,
         trace: Optional[Callable[[int, str, str], None]] = None,
-        profile: Optional[HardwareProfile] = None,
-        seed: int = 0,
-        faults=None,
-        reliability: Optional[ReliabilityConfig] = None,
-        schedule_policy: Optional[SchedulePolicy] = None,
-        srq_depth: Optional[int] = None,
-        cq_shards: int = 0,
     ) -> None:
-        if scenario is not None:
-            if (profile is not None or seed != 0 or faults is not None
-                    or reliability is not None or schedule_policy is not None
-                    or srq_depth is not None or cq_shards != 0):
-                raise ValueError(
-                    "pass either scenario= or the individual profile/seed/"
-                    "faults/reliability/schedule_policy knobs, not both"
-                )
-            if topology is not None and scenario.topology is not None:
+        """*scenario* describes the run (default: ``ScenarioConfig()``);
+        *topology* is shorthand for ``scenario.with_(topology=...)``.
+        ``jitter``/``trace`` are callables — not serializable, so not
+        scenario fields — and compose on top.
+        """
+        scenario = scenario or ScenarioConfig()
+        if topology is not None:
+            if scenario.topology is not None:
                 raise ValueError("topology given both directly and in the scenario")
-            topology = topology or scenario.topology
-            profile = scenario.resolve_profile()
-            seed = scenario.seed
-            faults = scenario.faults
-            reliability = scenario.reliability
-            schedule_policy = scenario.schedule_policy()
-            srq_depth = scenario.srq_depth
-            cq_shards = scenario.cq_shards
-        profile = profile or FDR_INFINIBAND
-        self.topology = topology or Topology.point_to_point()
-        self.scenario = scenario
-        self.profile = profile
-        self.seed = seed
+            scenario = scenario.with_(topology=topology)
+        #: the run as executed: *scenario* with its kernel / transport /
+        #: reliability defaults resolved (``REPRO_*`` variables included).
+        #: Nothing below consults anything else, so rebuilding from this
+        #: value replays the run anywhere (flight dumps embed it).
+        self.scenario = scenario = scenario.resolved()
+        self.topology = scenario.topology or Topology.point_to_point()
+        self.profile = profile = scenario.resolve_profile()
+        self.seed = seed = scenario.seed
+        schedule_policy = scenario.schedule_policy()
+        capture = bool(scenario.causal_capture or scenario.flight_recorder)
 
         # ---- event-kernel selection (see repro.simnet.cells) ----------
-        kernel = scenario.kernel if scenario is not None else None
-        # Only the scenario's own "wheel"/"heap" is an explicit calendar
-        # request; the environment default is left for Simulator to read,
-        # so REPRO_KERNEL=wheel plus a schedule policy still resolves.
-        calendar = kernel if kernel in ("wheel", "heap") else None
-        if kernel is None:
-            kernel = os.environ.get("REPRO_KERNEL") or None
+        kernel = scenario.kernel
         #: the :class:`~repro.simnet.cells.CellMap` when this fabric runs
         #: on the cells kernel, else ``None``
         self.cellmap = None
-        #: resolved kernel: ``"cells"``, ``"cells-lockstep"``, or
-        #: ``"legacy"`` (the monolithic Simulator, whichever calendar
-        #: backend it selects)
+        #: kernel in effect: ``"cells"``, ``"cells-lockstep"``, or
+        #: ``"legacy"`` (the monolithic Simulator, on whichever calendar)
         self.kernel = "legacy"
-        if kernel in ("cells", "cells-lockstep"):
-            # Fallback matrix (documented in docs/SIMULATION.md): the cells
-            # kernel needs a switched topology (every edge must cross a
-            # host/switch cell boundary — direct host-to-host wires take
-            # the legacy peer assembly), FIFO same-instant order (schedule
-            # policies re-key a single global calendar: the legacy heap), no
-            # causal capture (enable_capture rebinds the monolithic
-            # Simulator's placement methods), and jitter-free
-            # delay emulation (a jitter callable samples one shared RNG
-            # whose draw order is the global wall order).
-            switches = set(self.topology.switches)
-            compatible = (
-                bool(switches)
-                and all(a in switches or b in switches for a, b in self.topology.edges)
-                and schedule_policy is None
-                and jitter is None
-                and not (scenario is not None
-                         and (scenario.causal_capture or scenario.flight_recorder))
-            )
-            if compatible:
-                from .simnet.cells import CellMap, CellSimulator
+        # Fallback matrix (documented in docs/SIMULATION.md): the cells
+        # kernel needs a switched topology (every edge must cross a
+        # host/switch cell boundary — direct host-to-host wires take the
+        # legacy peer assembly), FIFO same-instant order (schedule policies
+        # re-key a single global calendar: the legacy heap), no causal
+        # capture (enable_capture rebinds the monolithic Simulator's
+        # placement methods), and jitter-free delay emulation (a jitter
+        # callable samples one shared RNG whose draw order is the global
+        # wall order).
+        switches = set(self.topology.switches)
+        if (
+            kernel in ("cells", "cells-lockstep")
+            and switches
+            and all(a in switches or b in switches for a, b in self.topology.edges)
+            and schedule_policy is None
+            and jitter is None
+            and not capture
+        ):
+            from .simnet.cells import CellMap, CellSimulator
 
-                # jitter-free per-edge propagation = link base + emulator
-                # base (matches Link.propagation_ns for every edge)
-                prop = profile.propagation_delay_ns + profile.emulator_delay_ns
-                self.cellmap = CellMap.from_topology(self.topology, prop)
-                self.sim = CellSimulator(
-                    self.cellmap, trace=trace, decouple=(kernel == "cells")
-                )
-                self.kernel = kernel
-            else:
-                self.sim = Simulator(trace=trace, schedule_policy=schedule_policy)
+            # jitter-free per-edge propagation = link base + emulator
+            # base (matches Link.propagation_ns for every edge)
+            prop = profile.propagation_delay_ns + profile.emulator_delay_ns
+            self.cellmap = CellMap.from_topology(self.topology, prop)
+            self.sim = CellSimulator(
+                self.cellmap, trace=trace, decouple=(kernel == "cells")
+            )
+            self.kernel = kernel
         else:
+            if kernel not in ("wheel", "heap"):  # cells falling back
+                kernel = "heap" if schedule_policy is not None else "wheel"
             self.sim = Simulator(
-                trace=trace, schedule_policy=schedule_policy, calendar=calendar,
+                trace=trace, schedule_policy=schedule_policy, calendar=kernel,
             )
 
         #: the run's :class:`~repro.simnet.causality.CausalRecorder` when the
         #: scenario asked for capture (``causal_capture``/``flight_recorder``)
         self.causal = None
-        if scenario is not None and (scenario.causal_capture or scenario.flight_recorder):
+        if capture:
             from .simnet.causality import CausalRecorder, enable_capture
 
             try:
                 scenario_dict = scenario.to_dict()
-            except ValueError:  # ad-hoc unregistered profile: dump without it
+            except ValueError:  # unregistered profile / pre-built model: dump without it
                 scenario_dict = None
             self.causal = enable_capture(self.sim, CausalRecorder(
                 capacity=None if scenario.causal_capture else scenario.flight_recorder,
@@ -287,8 +265,7 @@ class Fabric:
         self.impairments: Dict[str, ImpairmentModel] = {}
         #: per-edge links, keyed by canonical edge name (topology order)
         self.links: Dict[str, Link] = {}
-        edge_faults = self._resolve_faults(faults)
-        any_impaired = False
+        edge_faults = self._resolve_faults(scenario.faults)
         for i, (a, b) in enumerate(topo.edges):
             name = topo.edge_names[i]
             emulator = None
@@ -299,7 +276,6 @@ class Fabric:
             impairment = edge_faults.get(i)
             if impairment is not None:
                 self.impairments[name] = impairment
-                any_impaired = True
             self.links[name] = Link(
                 self.sim,
                 bandwidth_bps=profile.link_bandwidth_bps * topo.scale_for(i),
@@ -309,18 +285,7 @@ class Fabric:
                 impairment=impairment,
             )
 
-        if any_impaired and reliability is None:
-            reliability = ReliabilityConfig.for_path(self._worst_path_one_way_ns())
-        # The CI variant matrix forces a reliability discipline across an
-        # unmodified suite: derive a path-scaled config if none exists yet,
-        # then pin its mode.
-        mode_env = os.environ.get("REPRO_RELIABILITY_MODE", "").strip()
-        if mode_env:
-            if reliability is None:
-                reliability = ReliabilityConfig.for_path(self._worst_path_one_way_ns())
-            if reliability.mode != mode_env:
-                reliability = replace(reliability, mode=mode_env)
-        self.reliability = reliability
+        self.reliability = reliability = scenario.reliability
         device_config = profile.device
         if reliability is not None:
             device_config = replace(device_config, reliability=reliability)
@@ -378,8 +343,6 @@ class Fabric:
                 device.cell = idx(name)
 
         self._stacks: Dict[str, ExsStack] = {}
-        self.srq_depth = srq_depth
-        self.cq_shards = cq_shards
         for i, name in enumerate(topo.hosts):
             device = self._devices[name]
             # shard poller processes start on their host's calendar
@@ -387,7 +350,8 @@ class Fabric:
                 self._stacks[name] = ExsStack(
                     self.sim, self._hosts[name], device,
                     ConnectionManager(device), seed=seed * 2 + 1 + i,
-                    srq_depth=srq_depth, cq_shards=cq_shards,
+                    srq_depth=scenario.srq_depth, cq_shards=scenario.cq_shards,
+                    transport=scenario.transport,
                 )
 
         #: set by :meth:`attach_telemetry`
@@ -408,15 +372,12 @@ class Fabric:
         cls,
         scenario: ScenarioConfig,
         *,
-        topology: Optional[Topology] = None,
         jitter: Optional[Callable] = None,
         trace: Optional[Callable[[int, str, str], None]] = None,
-    ) -> "Fabric":
-        """Build the fabric a :class:`~repro.config.ScenarioConfig`
-        describes.  ``jitter``/``trace`` are callables — not serializable,
-        so not scenario fields — and compose on top.
-        """
-        return cls(scenario=scenario, topology=topology, jitter=jitter, trace=trace)
+    ):
+        """Build the fabric (or, on :class:`~repro.testbed.Testbed`, the
+        testbed) *scenario* describes — the constructor, spelled as a verb."""
+        return cls(scenario, jitter=jitter, trace=trace)
 
     def _resolve_faults(self, faults) -> Dict[int, ImpairmentModel]:
         """Normalize the faults spec into per-edge-index impairment models."""
@@ -456,24 +417,6 @@ class Fabric:
             f"faults must be a FaultProfile, ImpairmentModel, or per-edge "
             f"mapping, not {type(faults).__name__}"
         )
-
-    def _worst_path_one_way_ns(self) -> int:
-        """Largest host-to-host one-way latency estimate (for reliability
-        timer scaling): per-link propagation + emulator delay, plus the
-        switch forwarding latency of every intermediate hop."""
-        profile = self.profile
-        per_edge = profile.propagation_delay_ns + profile.emulator_delay_ns
-        worst = per_edge
-        hosts = self.topology.hosts
-        for i, a in enumerate(hosts):
-            for b in hosts[i + 1:]:
-                path = self.topology.path(a, b)
-                n_edges = len(path) - 1
-                n_switches = max(0, len(path) - 2)
-                est = n_edges * per_edge + n_switches * self.topology.switch.forward_ns
-                if est > worst:
-                    worst = est
-        return worst
 
     # ------------------------------------------------------------------
     # routing registry (used by devices and NIC ports)

@@ -92,7 +92,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import Event
     from .process import Process
 
-__all__ = ["Simulator", "SimulationError", "StopSimulation", "CallbackEntry"]
+__all__ = ["Simulator", "SimulationError", "StopSimulation", "CallbackEntry", "env_kernel"]
+
+
+def env_kernel() -> Optional[str]:
+    """The ``REPRO_KERNEL`` default, or ``None`` when unset — the variable's
+    only reader (a standalone :class:`Simulator` and
+    :meth:`repro.config.ScenarioConfig.resolved` both come here)."""
+    return os.environ.get("REPRO_KERNEL", "").strip() or None
 
 
 class Simulator:
@@ -244,7 +251,7 @@ class Simulator:
 
         explicit = calendar is not None
         if not explicit:
-            calendar = os.environ.get("REPRO_KERNEL") or "wheel"
+            calendar = env_kernel() or "wheel"
             if calendar in ("cells", "cells-lockstep"):
                 # The cells kernel needs a topology to derive its lookahead
                 # table from, so only Fabric can construct a CellSimulator;

@@ -7,6 +7,7 @@ from repro.analysis.advert_race import jitter_spread_ns, structural_lag_ns
 from repro.apps import BlastConfig, FixedSizes, run_blast
 from repro.bench.profiles import FDR_INFINIBAND
 from repro.core import ProtocolMode
+from repro.config import ScenarioConfig
 
 KIB = 1024
 MIB = 1 << 20
@@ -57,7 +58,8 @@ def test_validation_against_simulation():
                 outstanding_recvs=recvs,
                 mode=ProtocolMode.DYNAMIC,
             )
-            out.append(run_blast(cfg, seed=seed, max_events=100_000_000).direct_ratio)
+            r = run_blast(cfg, ScenarioConfig(seed=seed), max_events=100_000_000)
+            out.append(r.direct_ratio)
         return out
 
     cases = [

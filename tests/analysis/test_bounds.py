@@ -11,6 +11,7 @@ from repro.analysis import (
 from repro.apps import BlastConfig, FixedSizes, run_blast
 from repro.bench.profiles import FDR_INFINIBAND, QDR_INFINIBAND, ROCE_10G_WAN
 from repro.core import ProtocolMode
+from repro.config import ScenarioConfig
 
 
 def test_wire_rate_bound_approaches_link_rate_for_large_messages():
@@ -50,7 +51,7 @@ def test_simulation_respects_wire_bound():
     cfg = BlastConfig(total_messages=40, sizes=FixedSizes(1 << 20),
                       recv_buffer_bytes=1 << 20, outstanding_sends=8,
                       outstanding_recvs=16, mode=ProtocolMode.DIRECT_ONLY)
-    r = run_blast(cfg, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
     bound = wire_rate_bound_bps(FDR_INFINIBAND, 1 << 20)
     assert r.throughput_bps <= bound * 1.01
     assert r.throughput_bps >= bound * 0.8  # and saturates most of it
@@ -60,7 +61,7 @@ def test_simulation_respects_copy_bound():
     cfg = BlastConfig(total_messages=40, sizes=FixedSizes(1 << 20),
                       recv_buffer_bytes=1 << 20, outstanding_sends=8,
                       outstanding_recvs=8, mode=ProtocolMode.INDIRECT_ONLY)
-    r = run_blast(cfg, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
     bound = copy_rate_bound_bps(FDR_INFINIBAND, 1 << 20)
     assert r.throughput_bps <= bound * 1.05
 
@@ -72,7 +73,7 @@ def test_simulation_respects_window_bound_over_wan():
                       recv_buffer_bytes=1 << 20, outstanding_sends=4,
                       outstanding_recvs=4, mode=ProtocolMode.DIRECT_ONLY,
                       options=ExsSocketOptions(ring_capacity=64 << 20))
-    r = run_blast(cfg, ROCE_10G_WAN, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, ScenarioConfig(profile=ROCE_10G_WAN, seed=1), max_events=50_000_000)
     bound = window_bound_bps(4, 1 << 20, 48_000_000)
     assert r.throughput_bps <= bound * 1.02
     assert r.throughput_bps >= bound * 0.7

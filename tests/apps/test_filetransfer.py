@@ -7,6 +7,7 @@ from repro.apps.filetransfer import _pattern
 from repro.bench.profiles import ROCE_10G_WAN
 from repro.core import ProtocolMode
 from repro.exs import ExsSocketOptions
+from repro.config import ScenarioConfig
 
 
 def test_pattern_is_seekable():
@@ -20,7 +21,7 @@ def test_pattern_is_seekable():
 def test_single_stream_real_data_verified():
     cfg = FileTransferConfig(file_bytes=1_000_000, streams=1,
                              chunk_bytes=100_000, outstanding=4, real_data=True)
-    r = run_file_transfer(cfg, seed=1)
+    r = run_file_transfer(cfg, ScenarioConfig(seed=1))
     assert r.verified is True
     assert r.total_bytes == 1_000_000
 
@@ -28,7 +29,7 @@ def test_single_stream_real_data_verified():
 def test_multi_stream_real_data_verified():
     cfg = FileTransferConfig(file_bytes=3_000_001, streams=3,
                              chunk_bytes=250_000, outstanding=3, real_data=True)
-    r = run_file_transfer(cfg, seed=2)
+    r = run_file_transfer(cfg, ScenarioConfig(seed=2))
     assert r.verified is True
     assert r.total_bytes == 3_000_001
     assert len(r.streams) == 3
@@ -45,7 +46,7 @@ def test_extent_partitioning():
 
 def test_synthetic_mode_reports_no_verification():
     cfg = FileTransferConfig(file_bytes=8 << 20, streams=2, outstanding=4)
-    r = run_file_transfer(cfg, seed=1)
+    r = run_file_transfer(cfg, ScenarioConfig(seed=1))
     assert r.verified is None
     assert r.total_bytes == 8 << 20
     assert r.throughput_bps > 0
@@ -59,7 +60,7 @@ def test_more_streams_scale_over_wan():
             file_bytes=32 << 20, streams=streams, chunk_bytes=1 << 20,
             outstanding=4, options=ExsSocketOptions(ring_capacity=64 << 20),
         )
-        return run_file_transfer(cfg, ROCE_10G_WAN, seed=1)
+        return run_file_transfer(cfg, ScenarioConfig(profile=ROCE_10G_WAN, seed=1))
 
     one = run(1)
     four = run(4)
@@ -77,5 +78,5 @@ def test_direct_only_transfer_works():
     cfg = FileTransferConfig(file_bytes=2 << 20, streams=2, chunk_bytes=1 << 18,
                              outstanding=2, mode=ProtocolMode.DIRECT_ONLY,
                              real_data=True)
-    r = run_file_transfer(cfg, seed=3)
+    r = run_file_transfer(cfg, ScenarioConfig(seed=3))
     assert r.verified is True

@@ -13,7 +13,7 @@ CELLS_ENV = os.environ.get("REPRO_KERNEL", "") in ("cells", "cells-lockstep")
 
 from repro.apps import IncastConfig, incast_topology, run_incast
 from repro.apps.incast import main as incast_main
-from repro.config import ScenarioConfig
+from repro.config import KERNELS, ScenarioConfig
 
 
 def _small(**overrides):
@@ -125,3 +125,22 @@ def test_cli_runs_and_prints_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["connections"] == 4
     assert payload["audit_violations"] == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_cli_accepts_every_kernel_it_offers(kernel, capsys):
+    """``--kernel``'s choices are ScenarioConfig's own list (``legacy`` used
+    to be offered and then rejected by the scenario)."""
+    rc = incast_main([
+        "--senders", "3", "--bytes", "16384", "--message-bytes", "8192",
+        "--kernel", kernel, "--audit",
+    ])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["audit_violations"] == 0
+    assert ScenarioConfig(kernel=kernel).resolved().kernel == kernel
+
+
+def test_cli_rejects_an_unknown_kernel(capsys):
+    with pytest.raises(SystemExit):
+        incast_main(["--kernel", "legacy"])
+    assert "invalid choice" in capsys.readouterr().err

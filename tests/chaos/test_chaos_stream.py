@@ -16,6 +16,7 @@ import random
 import pytest
 
 from helpers import run_procs
+from repro.config import ScenarioConfig
 from repro.exs import BlockingSocket, ExsError
 from repro.simnet import DUP_AND_CORRUPT, FaultProfile, ImpairmentModel
 from repro.testbed import Testbed
@@ -84,10 +85,10 @@ def test_zero_impairment_is_bit_identical_to_baseline():
     """An all-zero fault profile (reliability machinery armed but idle) must
     reproduce the unimpaired simulation exactly: same bytes, same end times."""
     payload = payload_for(5)
-    baseline = Testbed(seed=5)
+    baseline = Testbed(ScenarioConfig(seed=5))
     ref = run_transfer(baseline, payload)
 
-    tb = Testbed(seed=5, faults=ImpairmentModel(FaultProfile(), seed=999))
+    tb = Testbed(ScenarioConfig(seed=5, faults=ImpairmentModel(FaultProfile(), seed=999)))
     out = run_transfer(tb, payload)
 
     assert ref["data"] == payload
@@ -106,7 +107,7 @@ def test_zero_impairment_is_bit_identical_to_baseline():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("drop", DROP_RATES)
 def test_drop_sweep_delivers_every_byte_in_order(drop, seed):
-    tb = Testbed(seed=seed, faults=FaultProfile(drop_prob=drop))
+    tb = Testbed(ScenarioConfig(seed=seed, faults=FaultProfile(drop_prob=drop)))
     payload = payload_for(seed)
     out = run_transfer(tb, payload)
     assert out["data"] == payload
@@ -121,7 +122,7 @@ def test_heavy_drop_actually_exercises_recovery():
     chunks the impairment model must fire and recovery must engage.  (The
     seed is pinned to a run where retries suffice; some seeds legitimately
     exhaust retry_cnt at this loss rate and surface an error instead.)"""
-    tb = Testbed(seed=2, faults=FaultProfile(drop_prob=0.2))
+    tb = Testbed(ScenarioConfig(seed=2, faults=FaultProfile(drop_prob=0.2)))
     out = run_transfer(tb, payload_for(2), chunk=4_000)
     assert out["data"] == payload_for(2)
     assert tb.impairment.dropped_total > 0
@@ -133,7 +134,7 @@ def test_heavy_drop_actually_exercises_recovery():
 def test_rechunking_under_loss_preserves_stream_order():
     """Stream semantics survive loss: odd recv sizes re-chunk the stream
     while the transport is dropping and recovering frames underneath."""
-    tb = Testbed(seed=2, faults=FaultProfile(drop_prob=0.03))
+    tb = Testbed(ScenarioConfig(seed=2, faults=FaultProfile(drop_prob=0.03)))
     payload = payload_for(2)
     out = run_transfer(tb, payload, chunk=7_777, recv=1_013)
     assert out["data"] == payload
@@ -145,8 +146,8 @@ def test_rechunking_under_loss_preserves_stream_order():
 
 def test_chaos_runs_are_bit_identical_per_seed():
     def run_once():
-        tb = Testbed(seed=4, faults=FaultProfile(drop_prob=0.05,
-                                                 duplicate_prob=0.02))
+        tb = Testbed(ScenarioConfig(
+            seed=4, faults=FaultProfile(drop_prob=0.05, duplicate_prob=0.02)))
         out = run_transfer(tb, payload_for(4))
         return out, rel_totals(tb), fault_totals(tb)
 
@@ -159,7 +160,7 @@ def test_chaos_runs_are_bit_identical_per_seed():
 # ---------------------------------------------------------------------------
 
 def test_duplication_and_corruption_do_not_corrupt_the_stream():
-    tb = Testbed(seed=3, faults=DUP_AND_CORRUPT)
+    tb = Testbed(ScenarioConfig(seed=3, faults=DUP_AND_CORRUPT))
     payload = payload_for(3)
     out = run_transfer(tb, payload)
     assert out["data"] == payload
@@ -175,7 +176,7 @@ def test_duplication_and_corruption_do_not_corrupt_the_stream():
 def test_link_flap_mid_transfer_recovers():
     faults = ImpairmentModel(FaultProfile(), seed=7,
                              down_windows=((30_000, 900_000),))
-    tb = Testbed(seed=2, faults=faults)
+    tb = Testbed(ScenarioConfig(seed=2, faults=faults))
     payload = payload_for(6)
     out = run_transfer(tb, payload)
     assert out["data"] == payload
@@ -194,11 +195,11 @@ def test_total_loss_surfaces_error_on_both_sides_without_hanging():
     """drop_prob=1.0 kills every data frame.  Retries must exhaust, both
     QPs must reach ERROR, and both blocked applications must observe an
     ExsError — the simulation terminates instead of deadlocking."""
-    tb = Testbed(
+    tb = Testbed(ScenarioConfig(
         seed=3,
         faults=FaultProfile(drop_prob=1.0),
         reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=3),
-    )
+    ))
 
     def server():
         try:
@@ -231,11 +232,11 @@ def test_total_loss_run_is_deterministic():
     surfacing time and counters."""
 
     def run_once():
-        tb = Testbed(
+        tb = Testbed(ScenarioConfig(
             seed=9,
             faults=FaultProfile(drop_prob=1.0),
             reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=2),
-        )
+        ))
 
         def client():
             try:

@@ -64,7 +64,8 @@ def test_qp_error_auto_dumps_flight_artifact(tmp_path):
         loaded = json.load(fh)
     assert loaded["schema"] == FLIGHT_SCHEMA
     assert loaded["reason"] == "qp_error"
-    assert ScenarioConfig.from_dict(loaded["scenario"]) == scenario
+    # ... as resolved, so the dump replays without the REPRO_* environment
+    assert ScenarioConfig.from_dict(loaded["scenario"]) == scenario.resolved() == tb.scenario
     assert loaded["context"]["status"] == "retry_exceeded"
 
 

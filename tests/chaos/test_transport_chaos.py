@@ -25,6 +25,7 @@ from repro.exs import TRANSPORT_EAGER_RENDEZVOUS, BlockingSocket, ExsSocketOptio
 from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
 SEEDS = (1,) if SMOKE else (1, 2, 3)
@@ -86,7 +87,7 @@ def test_eager_chaos_stream_is_bit_identical(seed, waitall):
     """Eager-only traffic under drops + duplicates: retransmitted SENDs
     replay bounce-slot placements, yet delivery order, copy counts, and
     pins all stay exact."""
-    tb = Testbed(seed=seed, faults=CHAOS)
+    tb = Testbed(ScenarioConfig(seed=seed, faults=CHAOS))
     rng = random.Random(seed * 7919 + 1)
     n = 6 if SMOKE else 12
     pieces = [rng.randbytes(rng.randrange(64, RDV.eager_threshold)) for _ in range(n)]
@@ -100,7 +101,7 @@ def test_mixed_transport_chaos_preserves_accounting(seed):
     """Interleaved eager and rendezvous messages under chaos: the RTS/CTS
     handshake and the data plane recover independently, and each byte is
     still copied exactly its class's count."""
-    tb = Testbed(seed=seed + 100, faults=CHAOS)
+    tb = Testbed(ScenarioConfig(seed=seed + 100, faults=CHAOS))
     rng = random.Random(seed * 104729 + 3)
     pieces = []
     for _ in range(4 if SMOKE else 8):
@@ -117,7 +118,7 @@ def test_mixed_transport_chaos_is_deterministic():
     """Same seed → same bytes and same copy accounting under chaos."""
 
     def run_once():
-        tb = Testbed(seed=9, faults=CHAOS)
+        tb = Testbed(ScenarioConfig(seed=9, faults=CHAOS))
         rng = random.Random(424243)
         pieces = [rng.randbytes(n) for n in (500, 30_000, 7_000, 55_000, 1_200)]
         out = run_transfer(tb, pieces, recv=10_000)

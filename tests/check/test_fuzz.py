@@ -52,9 +52,9 @@ def test_fuzz_case_round_trips():
 def test_each_transport_variant_is_bit_deterministic():
     """The fuzz fingerprint covers copy/transfer accounting, so this pins
     bit-determinism of every data plane, not just byte totals."""
+    case = FuzzCase(messages=10)
     for transport in (None, "wwi", "eager_rendezvous"):
-        case = FuzzCase(messages=10, transport=transport)
-        scenario = ScenarioConfig(schedule=("random", 13))
+        scenario = ScenarioConfig(schedule=("random", 13), transport=transport)
         a = run_case(case, scenario)
         b = run_case(case, scenario)
         assert a.ok and b.ok, f"transport={transport}"
@@ -76,16 +76,17 @@ def test_transport_variants_fingerprint_differently():
     """Sanity: the fingerprint actually distinguishes the planes (same
     schedule, same messages — different copy accounting)."""
     scenario = ScenarioConfig(schedule=("random", 13))
-    wwi = run_case(FuzzCase(messages=10, transport="wwi"), scenario)
-    rdv = run_case(FuzzCase(messages=10, transport="eager_rendezvous"), scenario)
+    case = FuzzCase(messages=10)
+    wwi = run_case(case, scenario.with_(transport="wwi"))
+    rdv = run_case(case, scenario.with_(transport="eager_rendezvous"))
     assert wwi.ok and rdv.ok
     assert wwi.fingerprint != rdv.fingerprint
 
 
 def test_transport_survives_counterexample_round_trip():
-    base = ScenarioConfig(max_events=10)
-    report = run_fuzz([5], FuzzCase(messages=12, transport="eager_rendezvous"), base)
+    base = ScenarioConfig(max_events=10, transport="eager_rendezvous")
+    report = run_fuzz([5], FuzzCase(messages=12), base)
     assert not report.ok
     ce = report.failures[0]
-    assert ce.fuzz_case["transport"] == "eager_rendezvous"
-    assert FuzzCase.from_dict(ce.fuzz_case).transport == "eager_rendezvous"
+    assert ce.scenario["transport"] == "eager_rendezvous"
+    assert ScenarioConfig.from_dict(ce.scenario).transport == "eager_rendezvous"

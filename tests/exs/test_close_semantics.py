@@ -7,11 +7,12 @@ import pytest
 from helpers import run_procs
 from repro.exs import BlockingSocket, ExsEventType, ExsSocketOptions
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def test_close_flushes_pending_sends_first():
     """exs_close is graceful: everything submitted before it arrives."""
-    tb = Testbed(seed=11)
+    tb = Testbed(ScenarioConfig(seed=11))
     payload = os.urandom(250_000)
     out = {}
 
@@ -51,7 +52,7 @@ def test_close_flushes_pending_sends_first():
 
 
 def test_simultaneous_close_both_directions():
-    tb = Testbed(seed=12)
+    tb = Testbed(ScenarioConfig(seed=12))
     out = {}
 
     def side(role, stack, port):
@@ -76,7 +77,7 @@ def test_simultaneous_close_both_directions():
 
 
 def test_send_after_close_rejected():
-    tb = Testbed(seed=13)
+    tb = Testbed(ScenarioConfig(seed=13))
 
     def client():
         conn = yield from BlockingSocket.connect(tb.client, 5102)
@@ -95,7 +96,7 @@ def test_send_after_close_rejected():
 
 def test_receiver_keeps_draining_after_peer_close():
     """Data queued behind the FIN is all delivered before EOF is seen."""
-    tb = Testbed(seed=14)
+    tb = Testbed(ScenarioConfig(seed=14))
     options = ExsSocketOptions(ring_capacity=8 * 1024)  # force buffering
     payload = os.urandom(60_000)
     out = {}
@@ -124,7 +125,7 @@ def test_receiver_keeps_draining_after_peer_close():
 
 def test_engine_failure_surfaces_loudly():
     """A corrupted protocol state must crash the run, not hang it."""
-    tb = Testbed(seed=15)
+    tb = Testbed(ScenarioConfig(seed=15))
 
     def server():
         conn = yield from BlockingSocket.accept_one(tb.server, 5104)
@@ -148,7 +149,7 @@ def test_fin_is_idempotent_but_conflicts_are_fatal():
     protocol bug and must trip the safety layer."""
     from repro.core import SafetyViolation
 
-    tb = Testbed(seed=31)
+    tb = Testbed(ScenarioConfig(seed=31))
     out = {}
 
     def server():

@@ -8,10 +8,11 @@ from helpers import idle_wakeups, run_procs
 from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def run_exchange(options, nbytes=100_000, seed=21):
-    tb = Testbed(seed=seed)
+    tb = Testbed(ScenarioConfig(seed=seed))
     out = {}
 
     def server():
@@ -55,7 +56,7 @@ def test_credit_conservation_end_to_end():
 
 
 def test_hello_carries_ring_and_credits():
-    tb = Testbed(seed=22)
+    tb = Testbed(ScenarioConfig(seed=22))
     opts = ExsSocketOptions(credits=48, ring_capacity=123_456)
     out = {}
 
@@ -83,7 +84,7 @@ def test_hello_carries_ring_and_credits():
 def test_seqpacket_ignores_sender_copy():
     """sender_copy is a stream-semantics option; SOCK_SEQPACKET keeps its
     one-message-one-transfer behaviour."""
-    tb = Testbed(seed=23)
+    tb = Testbed(ScenarioConfig(seed=23))
     opts = ExsSocketOptions(sender_copy=True)
     out = {}
 

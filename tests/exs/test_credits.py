@@ -7,6 +7,7 @@ import pytest
 from helpers import run_procs
 from repro.exs import BlockingSocket, CreditError, CreditManager, ExsSocketOptions
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 # -- unit ---------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_ungranted_tracks_interleaved_repost_and_grant():
 # -- integration: tiny credit pool must not deadlock -------------------------
 @pytest.mark.parametrize("credits", [8, 16])
 def test_stream_completes_with_tiny_credit_pool(credits):
-    tb = Testbed(seed=4)
+    tb = Testbed(ScenarioConfig(seed=4))
     payload = os.urandom(200_000)
     options = ExsSocketOptions(credits=credits, ring_capacity=32 * 1024)
     out = {}
@@ -137,7 +138,7 @@ def test_stream_completes_with_tiny_credit_pool(credits):
 def test_credit_starvation_recovers_via_explicit_update():
     """With a minimal pool and one-way traffic, the receiver must push
     explicit credit updates to keep the sender moving."""
-    tb = Testbed(seed=5)
+    tb = Testbed(ScenarioConfig(seed=5))
     options = ExsSocketOptions(credits=6, ring_capacity=16 * 1024,
                                control_credit_reserve=2)
     out = {}

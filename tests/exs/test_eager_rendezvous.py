@@ -16,6 +16,7 @@ import random
 import pytest
 
 from helpers import run_procs
+from repro.config import ScenarioConfig
 from repro.core import SafetyViolation
 from repro.exs import (
     TRANSPORT_EAGER_RENDEZVOUS,
@@ -58,7 +59,7 @@ def test_eager_path_copies_each_byte_exactly_twice():
     """All messages below the threshold: every byte goes slot → user, so
     the receiver meters exactly two copies per payload byte and the sender
     accounts the traffic as indirect (staged) transfers."""
-    tb = Testbed(seed=21)
+    tb = Testbed(ScenarioConfig(seed=21))
     pieces = [random.Random(21).randbytes(4_000) for _ in range(8)]
     total = sum(len(p) for p in pieces)
     out = transfer(tb, pieces)
@@ -74,7 +75,7 @@ def test_eager_path_copies_each_byte_exactly_twice():
 def test_rendezvous_path_places_each_byte_exactly_once():
     """All messages above the threshold: RTS/CTS then one WRITE into the
     granted user buffer — a single placement copy per byte, no copy-outs."""
-    tb = Testbed(seed=22)
+    tb = Testbed(ScenarioConfig(seed=22))
     pieces = [random.Random(22).randbytes(40_000) for _ in range(4)]
     total = sum(len(p) for p in pieces)
     out = transfer(tb, pieces, recv=40_000, waitall=True)
@@ -90,7 +91,7 @@ def test_rendezvous_path_places_each_byte_exactly_once():
 def test_mixed_sizes_preserve_stream_order_and_accounting():
     """Eager and rendezvous messages interleaved in one stream must still
     deliver in submission order, and the two copy classes must sum exactly."""
-    tb = Testbed(seed=23)
+    tb = Testbed(ScenarioConfig(seed=23))
     rng = random.Random(23)
     sizes = [300, 50_000, 4_096, 17_000, 64, 90_000, 8_000, 16 * 1024]
     pieces = [rng.randbytes(n) for n in sizes]
@@ -111,7 +112,7 @@ def test_waitall_spans_eager_and_rendezvous_boundaries():
     """MSG_WAITALL must fill across transport-class boundaries: a recv that
     needs bytes from both an eager tail and a rendezvous message completes
     only when full."""
-    tb = Testbed(seed=24)
+    tb = Testbed(ScenarioConfig(seed=24))
     pieces = [b"a" * 5_000, b"b" * 30_000, b"c" * 5_000]
     out = transfer(tb, pieces, recv=10_000, waitall=True)
     assert out["data"] == b"".join(pieces)
@@ -123,7 +124,7 @@ def test_transport_mismatch_is_rejected_at_handshake():
     connection is a configuration error, not silent corruption."""
     from repro.exs import ExsError
 
-    tb = Testbed(seed=25)
+    tb = Testbed(ScenarioConfig(seed=25))
     wwi = ExsSocketOptions(transport=TRANSPORT_WWI)
 
     def server():
@@ -140,11 +141,15 @@ def test_env_variable_selects_transport(monkeypatch):
     """``REPRO_TRANSPORT`` resolves only when no explicit choice was made —
     this is the hook the CI variant matrix uses."""
     monkeypatch.setenv("REPRO_TRANSPORT", TRANSPORT_EAGER_RENDEZVOUS)
-    assert ExsSocketOptions().effective_transport() == TRANSPORT_EAGER_RENDEZVOUS
-    explicit = ExsSocketOptions(transport=TRANSPORT_WWI)
-    assert explicit.effective_transport() == TRANSPORT_WWI
+    assert ScenarioConfig().resolved().transport == TRANSPORT_EAGER_RENDEZVOUS
+    assert Testbed(ScenarioConfig()).client.transport == TRANSPORT_EAGER_RENDEZVOUS
+    explicit = ScenarioConfig(transport=TRANSPORT_WWI)
+    assert explicit.resolved().transport == TRANSPORT_WWI
+    monkeypatch.setenv("REPRO_TRANSPORT", "carrier-pigeon")
+    with pytest.raises(ValueError, match="unknown REPRO_TRANSPORT"):
+        ScenarioConfig().resolved()
     monkeypatch.delenv("REPRO_TRANSPORT")
-    assert ExsSocketOptions().effective_transport() == TRANSPORT_WWI
+    assert ScenarioConfig().resolved().transport == TRANSPORT_WWI
 
 
 def test_scenario_config_forces_transport_through_blast():
@@ -152,8 +157,6 @@ def test_scenario_config_forces_transport_through_blast():
     so a committed benchmark scenario replays the same data plane anywhere."""
     from repro.apps.blast import BlastConfig, run_blast
     from repro.apps.workloads import FixedSizes
-    from repro.config import ScenarioConfig
-
     scenario = ScenarioConfig(seed=3, transport=TRANSPORT_EAGER_RENDEZVOUS)
     cfg = BlastConfig(total_messages=20, sizes=FixedSizes(2_048))
     result = run_blast(cfg, scenario=scenario)
@@ -164,7 +167,7 @@ def test_scenario_config_forces_transport_through_blast():
 
 
 def test_rdv_fin_is_idempotent_but_conflicts_are_fatal():
-    tb = Testbed(seed=26)
+    tb = Testbed(ScenarioConfig(seed=26))
     out = transfer(tb, [b"x" * 2_000])
     rx = out["rx_conn"].rx
     fin_seq = rx.eof_seq
@@ -176,7 +179,7 @@ def test_rdv_fin_is_idempotent_but_conflicts_are_fatal():
 
 
 def test_recv_after_eof_completes_immediately_empty():
-    tb = Testbed(seed=27)
+    tb = Testbed(ScenarioConfig(seed=27))
     out = {}
 
     def server():
@@ -199,7 +202,7 @@ def test_rdv_transfer_is_deterministic():
     """Same seed → identical bytes and identical copy accounting."""
 
     def run_once():
-        tb = Testbed(seed=28)
+        tb = Testbed(ScenarioConfig(seed=28))
         rng = random.Random(28)
         pieces = [rng.randbytes(n) for n in (700, 25_000, 3_000, 60_000)]
         out = transfer(tb, pieces, recv=9_000)

@@ -10,10 +10,11 @@ from repro.bench.profiles import ROCE_10G_WAN
 from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsSocketOptions
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def test_sender_copy_stream_integrity():
-    tb = Testbed(seed=3)
+    tb = Testbed(ScenarioConfig(seed=3))
     opts = ExsSocketOptions(sender_copy=True)
     payload = os.urandom(90_000)
     out = {}
@@ -39,7 +40,7 @@ def test_sender_copy_stream_integrity():
 def test_user_buffer_reusable_after_staged_completion():
     """The defining BCopy semantic: once the send completes, mutating the
     user buffer must not affect the data still in flight."""
-    tb = Testbed(seed=4)
+    tb = Testbed(ScenarioConfig(seed=4))
     opts = ExsSocketOptions(sender_copy=True)
     out = {}
 
@@ -83,7 +84,7 @@ def test_sender_copy_over_wan_gives_fast_send_response():
             outstanding_recvs=8,
             options=ExsSocketOptions(sender_copy=sender_copy, ring_capacity=64 << 20),
         )
-        return run_blast(cfg, ROCE_10G_WAN, seed=1, max_events=100_000_000)
+        return run_blast(cfg, ScenarioConfig(profile=ROCE_10G_WAN, seed=1), max_events=100_000_000)
 
     zero_copy = run(False)
     bcopy = run(True)
@@ -96,6 +97,6 @@ def test_sender_copy_over_wan_gives_fast_send_response():
 def test_send_latency_samples_populated():
     cfg = BlastConfig(total_messages=20, sizes=FixedSizes(1 << 16),
                       recv_buffer_bytes=1 << 16)
-    r = run_blast(cfg, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
     assert len(r.send_latencies_ns) == 20
     assert r.send_latency_percentile_ns(0) <= r.send_latency_percentile_ns(99)

@@ -23,7 +23,7 @@ def _pingpong(fab, port, nbytes, a="client", b="server", out=None, key=None):
 
 
 def test_connections_are_assigned_round_robin():
-    fab = Fabric(topology=Topology.point_to_point(), seed=2, cq_shards=2)
+    fab = Fabric(ScenarioConfig(seed=2, cq_shards=2))
     pairs = [fab.connect("client", "server") for _ in range(4)]
     fab.run()
     assert all(p.established.triggered for p in pairs)
@@ -39,7 +39,7 @@ def test_connections_are_assigned_round_robin():
 
 
 def test_sharded_transfers_deliver_correct_data():
-    fab = Fabric(topology=Topology.point_to_point(), seed=5, cq_shards=3)
+    fab = Fabric(ScenarioConfig(seed=5, cq_shards=3))
     out = {}
     procs = []
     for i in range(5):
@@ -53,8 +53,7 @@ def test_sharded_transfers_deliver_correct_data():
 
 
 def test_srq_and_shards_compose():
-    fab = Fabric(topology=Topology.point_to_point(), seed=5,
-                 srq_depth=64, cq_shards=2)
+    fab = Fabric(ScenarioConfig(seed=5, srq_depth=64, cq_shards=2))
     out = {}
     procs = []
     for i in range(4):
@@ -67,8 +66,7 @@ def test_srq_and_shards_compose():
 
 def test_sharded_runs_are_deterministic():
     def once():
-        fab = Fabric(topology=Topology.point_to_point(), seed=8,
-                     srq_depth=32, cq_shards=2)
+        fab = Fabric(ScenarioConfig(seed=8, srq_depth=32, cq_shards=2))
         procs = []
         for i in range(3):
             procs.extend(_pingpong(fab, 6200 + i, 8_000))
@@ -80,12 +78,12 @@ def test_sharded_runs_are_deterministic():
 
 def test_failing_connection_does_not_break_shard_siblings():
     """A dead wire kills its connection; the shard keeps serving others."""
-    fab = Fabric(
-        topology=Topology.star(["a", "b", "c"]), seed=3, cq_shards=1,
+    fab = Fabric(ScenarioConfig(
+        seed=3, topology=Topology.star(["a", "b", "c"]), cq_shards=1,
         faults={"a-switch0": FaultProfile(drop_prob=1.0)},
         reliability=ReliabilityConfig(
             retry_timeout_ns=50_000, retry_cnt=1, rnr_retry=1),
-    )
+    ))
     out = {}
 
     def recv_good():
@@ -123,7 +121,7 @@ def test_failing_connection_does_not_break_shard_siblings():
 def test_shard_sleep_leaves_nothing_behind_per_wakeup():
     """Same leak regression as the per-connection engine's, for the shard
     poller: kick waiters and channel-waiter callbacks stay bounded."""
-    fab = Fabric(topology=Topology.point_to_point(), seed=3, cq_shards=1)
+    fab = Fabric(ScenarioConfig(seed=3, cq_shards=1))
     run_procs(fab.sim, *_pingpong(fab, 6300, 4_000))
     fab.sim.run()
     shard = fab.stack("server").shards[0]

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from helpers import run_procs
 from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def stream_case(send_sizes, recv_size, ring_capacity, waitall, seed):
-    tb = Testbed(seed=seed)
+    tb = Testbed(ScenarioConfig(seed=seed))
     options = ExsSocketOptions(ring_capacity=ring_capacity)
     total = sum(send_sizes)
     # deterministic, position-dependent payload so any reorder/dup shows up
@@ -67,7 +68,7 @@ def test_stream_integrity_for_any_chunking(send_sizes, recv_size, ring_capacity,
     seed=st.integers(0, 100),
 )
 def test_stream_integrity_with_iwarp_emulation(send_sizes, seed):
-    tb = Testbed(seed=seed)
+    tb = Testbed(ScenarioConfig(seed=seed))
     options = ExsSocketOptions(ring_capacity=4096, native_write_with_imm=False)
     total = sum(send_sizes)
     payload = bytes((i * 29 + 3) % 256 for i in range(total))

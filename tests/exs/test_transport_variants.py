@@ -9,10 +9,11 @@ from repro.apps import BlastConfig, FixedSizes, run_blast
 from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def stream_roundtrip(options, *, payload_bytes=150_000, seed=2, socket_type=SocketType.SOCK_STREAM):
-    tb = Testbed(seed=seed)
+    tb = Testbed(ScenarioConfig(seed=seed))
     payload = os.urandom(payload_bytes)
     out = {}
 
@@ -51,7 +52,7 @@ def test_iwarp_emulation_doubles_wire_messages():
 
 
 def test_iwarp_emulation_seqpacket():
-    tb = Testbed(seed=4)
+    tb = Testbed(ScenarioConfig(seed=4))
     options = ExsSocketOptions(native_write_with_imm=False)
     messages = [b"alpha", b"beta" * 100, b"g"]
     out = {}
@@ -86,7 +87,7 @@ def test_iwarp_emulation_blast_direct_mode():
         real_data=True,
         options=ExsSocketOptions(native_write_with_imm=False),
     )
-    r = run_blast(cfg, seed=1, max_events=50_000_000)
+    r = run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
     assert r.total_bytes == 30 * (1 << 16)
     assert r.direct_ratio == 1.0
 
@@ -109,7 +110,7 @@ def test_busy_poll_burns_receiver_cpu_even_when_direct():
             mode=ProtocolMode.DIRECT_ONLY,
             options=ExsSocketOptions(busy_poll=busy_poll),
         )
-        return run_blast(cfg, seed=1, max_events=50_000_000)
+        return run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
 
     polled = run(True)
     event = run(False)

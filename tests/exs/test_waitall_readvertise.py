@@ -17,10 +17,11 @@ from repro.exs import (
     MsgFlags,
 )
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 def test_waitall_partial_fill_then_resync_direct():
-    tb = Testbed(seed=8)
+    tb = Testbed(ScenarioConfig(seed=8))
     # Tiny ring so the first (indirect) piece cannot carry the whole recv.
     options = ExsSocketOptions(ring_capacity=4096)
     payload = os.urandom(64 * 1024)

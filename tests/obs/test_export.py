@@ -12,14 +12,15 @@ from repro.obs import (SCHEMA_VERSION, load_jsonl, render_report,
                        write_prometheus)
 from repro.obs.__main__ import main as obs_main
 from repro.testbed import Testbed
+from repro.config import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
 def session():
-    tb = Testbed(seed=4)
+    tb = Testbed(ScenarioConfig(seed=4))
     tel = tb.attach_telemetry(sample_interval_ns=50_000)
     cfg = BlastConfig(total_messages=30, sizes=ExponentialSizes(seed=4))
-    run_blast(cfg, testbed=tb, seed=4, max_events=50_000_000)
+    run_blast(cfg, testbed=tb, max_events=50_000_000)
     tel.finish(scenario="export-test", seed=4)
     return tel
 

@@ -5,6 +5,7 @@ from repro.core import ProtocolMode
 from repro.obs import build_spans
 from repro.testbed import Testbed
 from repro.trace import TraceEvent
+from repro.config import ScenarioConfig
 
 
 def ev(t, conn, host, kind, **fields):
@@ -92,9 +93,9 @@ def test_connections_without_sends_produce_no_spans():
 
 
 def run_with_telemetry(cfg, seed=2):
-    tb = Testbed(seed=seed)
+    tb = Testbed(ScenarioConfig(seed=seed))
     tel = tb.attach_telemetry()
-    run_blast(cfg, testbed=tb, seed=seed, max_events=50_000_000)
+    run_blast(cfg, testbed=tb, max_events=50_000_000)
     tel.finish()
     return tel
 

@@ -9,6 +9,8 @@ from repro.fabric import Fabric
 from repro.simnet import FaultProfile, ImpairmentModel, SwitchConfig, Topology
 from repro.testbed import Testbed
 
+STAR = Topology.star(["a", "b", "c"])
+
 
 def _run_transfer(assembly, nbytes=20_000, options=None, port=4321):
     """One client→server stream on any two-host assembly; fingerprint tuple."""
@@ -38,17 +40,17 @@ def _run_transfer(assembly, nbytes=20_000, options=None, port=4321):
     {"faults": FaultProfile(drop_prob=0.05)},  # reliability auto-derived
 ], ids=["clean", "lossy"])
 def test_fabric_two_host_star_matches_testbed(seed, kwargs):
-    legacy = _run_transfer(Testbed(seed=seed, **kwargs))
-    star = _run_transfer(Fabric(
-        topology=Topology.star(["client", "server"]), seed=seed, **kwargs))
+    scenario = ScenarioConfig(seed=seed, **kwargs)
+    legacy = _run_transfer(Testbed(scenario))
+    star = _run_transfer(Fabric(scenario, topology=Topology.star(["client", "server"])))
     assert star == legacy
 
 
 @pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
 def test_fabric_bit_identity_across_transports(transport):
     options = ExsSocketOptions(transport=transport)
-    legacy = _run_transfer(Testbed(seed=7), options=options)
-    fabric = _run_transfer(Fabric(topology=Topology.point_to_point(), seed=7),
+    legacy = _run_transfer(Testbed(ScenarioConfig(seed=7)), options=options)
+    fabric = _run_transfer(Fabric(ScenarioConfig(seed=7), topology=Topology.point_to_point()),
                            options=options)
     assert fabric == legacy
 
@@ -57,30 +59,19 @@ def test_from_scenario_matches_direct_construction():
     sc = ScenarioConfig(seed=5)
     assert (_run_transfer(Testbed.from_scenario(sc))
             == _run_transfer(Fabric.from_scenario(sc))
-            == _run_transfer(Testbed(seed=5)))
+            == _run_transfer(Testbed(ScenarioConfig(seed=5))))
 
 
 # ----------------------------------------------------------------------
-# Testbed surface: shims and scenario validation
+# Testbed surface: scenario validation
 # ----------------------------------------------------------------------
-def test_client_host_attribute_shim_warns():
-    tb = Testbed(seed=0)
-    with pytest.warns(DeprecationWarning, match="client_host is deprecated"):
-        host = tb.client_host
-    assert host is tb.host("client")
-    with pytest.warns(DeprecationWarning, match="server_host is deprecated"):
-        assert tb.server_host is tb.host("server")
-
-
 def test_testbed_rejects_multi_host_topology():
     sc = ScenarioConfig(topology=Topology.star(["a", "b", "c"]))
     with pytest.raises(ValueError, match="two-host wire"):
         Testbed.from_scenario(sc)
 
 
-def test_fabric_rejects_scenario_plus_knobs():
-    with pytest.raises(ValueError, match="not both"):
-        Fabric(ScenarioConfig(seed=1), seed=2)
+def test_fabric_rejects_topology_given_twice():
     with pytest.raises(ValueError, match="both directly and in the scenario"):
         Fabric(ScenarioConfig(topology=Topology.star(["a", "b", "c"])),
                topology=Topology.point_to_point())
@@ -115,7 +106,7 @@ def test_legacy_link_property_only_on_direct_fabrics():
 
 
 def test_connect_establishes_across_a_switch():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=2)
+    fab = Fabric(ScenarioConfig(seed=2, topology=STAR))
     pair = fab.connect("a", "c")
     fab.run()
     assert pair.established.triggered
@@ -132,7 +123,7 @@ def test_connect_auto_ports_are_distinct():
 
 
 def test_three_host_transfer_over_switch():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=4)
+    fab = Fabric(ScenarioConfig(seed=4, topology=STAR))
     out = {}
 
     def server():
@@ -152,7 +143,7 @@ def test_three_host_transfer_over_switch():
 
 def test_switched_runs_are_deterministic():
     def once():
-        fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=9)
+        fab = Fabric(ScenarioConfig(seed=9, topology=STAR))
         pair = fab.connect("a", "c")
         fab.run()
         return fab.now, fab.sim.calendar_stats()["events_executed"]
@@ -164,40 +155,36 @@ def test_switched_runs_are_deterministic():
 # per-edge fault addressing
 # ----------------------------------------------------------------------
 def test_fault_profile_applies_to_every_edge():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]),
-                 faults=FaultProfile(drop_prob=0.1))
+    fab = Fabric(ScenarioConfig(topology=STAR, faults=FaultProfile(drop_prob=0.1)))
     assert set(fab.impairments) == {"a-switch0", "b-switch0", "c-switch0"}
     assert fab.reliability is not None  # auto-derived for the lossy fabric
 
 
 def test_per_edge_fault_dict_targets_one_edge():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]),
-                 faults={"c-switch0": FaultProfile(drop_prob=0.2)})
+    fab = Fabric(ScenarioConfig(topology=STAR, faults={"c-switch0": FaultProfile(drop_prob=0.2)}))
     assert set(fab.impairments) == {"c-switch0"}
     assert fab.impairments["c-switch0"]._dirs[0].profile.drop_prob == 0.2
 
 
 def test_per_edge_fault_unknown_edge_fails_eagerly():
     with pytest.raises(ValueError, match="unknown edge"):
-        Fabric(topology=Topology.star(["a", "b", "c"]),
-               faults={"a-b": FaultProfile(drop_prob=0.2)})
+        Fabric(ScenarioConfig(topology=STAR, faults={"a-b": FaultProfile(drop_prob=0.2)}))
 
 
 def test_per_edge_fault_wrong_value_type():
     with pytest.raises(TypeError, match="must be a FaultProfile"):
-        Fabric(topology=Topology.star(["a", "b", "c"]),
-               faults={"a-switch0": 0.5})
+        Fabric(ScenarioConfig(topology=STAR, faults={"a-switch0": 0.5}))
 
 
 def test_prebuilt_impairment_model_rejected_on_multi_host():
     model = ImpairmentModel(FaultProfile(drop_prob=0.1), seed=1)
     with pytest.raises(ValueError, match="two-host wire"):
-        Fabric(topology=Topology.star(["a", "b", "c"]), faults=model)
+        Fabric(ScenarioConfig(topology=STAR, faults=model))
 
 
 def test_lossy_switched_transfer_recovers():
-    fab = Fabric(topology=Topology.star(["a", "b", "c"]), seed=6,
-                 faults={"c-switch0": FaultProfile(drop_prob=0.05)})
+    fab = Fabric(ScenarioConfig(
+        seed=6, topology=STAR, faults={"c-switch0": FaultProfile(drop_prob=0.05)}))
     out = {}
 
     def server():
@@ -246,7 +233,7 @@ def test_scenario_validates_fabric_knobs():
 
 def test_build_fabric_builds_the_described_topology():
     sc = ScenarioConfig(seed=1, topology=Topology.star(["a", "b", "c"]))
-    fab = sc.build_fabric()
+    fab = Fabric.from_scenario(sc)
     assert isinstance(fab, Fabric)
     assert fab.host_names == ("a", "b", "c")
     assert "switch0" in fab.switches

@@ -30,6 +30,7 @@ MODULES = [
     "repro.check",
     "repro.fabric",
     "repro.simnet.fabric",
+    "repro.apps",
     "repro.apps.incast",
 ]
 SNAPSHOT = Path(__file__).parent / "api_snapshot.json"

@@ -1,4 +1,4 @@
-"""ScenarioConfig: round-trips, validation, and the deprecation shims."""
+"""ScenarioConfig: round-trips, validation, resolution, and the one run API."""
 
 from __future__ import annotations
 
@@ -35,6 +35,27 @@ def test_round_trip_through_json():
     )
     back = ScenarioConfig.from_dict(json.loads(json.dumps(scenario.to_dict())))
     assert back == scenario
+
+
+def test_from_dict_rejects_unknown_keys():
+    """A typo in a replay JSON must not silently run the default scenario."""
+    with pytest.raises(ValueError, match="unknown scenario keys: kernal, sed"):
+        ScenarioConfig.from_dict({"sed": 3, "kernal": "heap"})
+    assert ScenarioConfig.from_dict({"seed": 3, "kernel": "heap"}) == ScenarioConfig(
+        seed=3, kernel="heap")
+
+
+def test_prebuilt_impairment_model_pickles_but_does_not_serialize():
+    import pickle
+
+    from repro.simnet import ImpairmentModel
+
+    model = ImpairmentModel(FaultProfile(drop_prob=0.1), seed=7, down_windows=[(10, 20)])
+    scenario = ScenarioConfig(faults=model)
+    assert isinstance(pickle.loads(pickle.dumps(scenario)).faults, ImpairmentModel)
+    assert scenario.resolved().reliability is not None  # a lossy wire all the same
+    with pytest.raises(ValueError, match="ImpairmentModel does not JSON-serialize"):
+        scenario.to_dict()
 
 
 def test_unknown_profile_rejected():
@@ -74,11 +95,27 @@ def test_unregistered_adhoc_profile_does_not_serialize():
 
 
 # ---------------------------------------------------------------------------
-# the deprecation shims
+# one constructor, one app signature
 # ---------------------------------------------------------------------------
-def test_testbed_keyword_assembly_warns():
-    with pytest.warns(DeprecationWarning, match="ScenarioConfig"):
-        Testbed(seed=5)
+def test_removed_keyword_spellings_raise_type_error():
+    """The PR 4 / PR 9 keyword assembly is deleted, not deprecated."""
+    from repro.bench.profiles import FDR_INFINIBAND
+    from repro.fabric import Fabric
+
+    for call in (
+        lambda: Testbed(seed=5),
+        lambda: Testbed(ScenarioConfig(), faults=FaultProfile(drop_prob=0.1)),
+        lambda: Fabric(seed=5),
+        lambda: Fabric(ScenarioConfig(), cq_shards=2),
+        lambda: run_blast(CFG, seed=5),
+        lambda: run_blast(CFG, profile=FDR_INFINIBAND),
+        lambda: run_blast(CFG, telemetry=True),
+    ):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
+    tb = Testbed(ScenarioConfig())
+    assert not hasattr(tb, "client_host") and not hasattr(tb, "server_host")
+    assert not hasattr(ScenarioConfig, "build_testbed")
 
 
 def test_testbed_from_scenario_does_not_warn(recwarn):
@@ -86,25 +123,13 @@ def test_testbed_from_scenario_does_not_warn(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
 
-def test_testbed_rejects_scenario_plus_knobs():
-    with pytest.raises(ValueError, match="not both"):
-        Testbed(seed=5, scenario=ScenarioConfig())
-
-
-def test_legacy_testbed_matches_scenario_testbed():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_blast(CFG, testbed=Testbed(seed=5))
-    modern = run_blast(CFG, scenario=ScenarioConfig(seed=5))
-    assert legacy.total_bytes == modern.total_bytes
-    assert legacy.end_ns == modern.end_ns
-
-
-def test_run_blast_legacy_knobs_warn():
-    with pytest.warns(DeprecationWarning, match="run_blast"):
-        run_blast(CFG, seed=5)
+def test_prebuilt_testbed_matches_scenario_run():
+    scenario = ScenarioConfig(seed=5)
+    prebuilt = run_blast(CFG, testbed=Testbed(scenario))
+    direct = run_blast(CFG, scenario)
+    assert prebuilt.total_bytes == direct.total_bytes
+    assert prebuilt.end_ns == direct.end_ns
+    assert prebuilt.send_latencies_ns == direct.send_latencies_ns
 
 
 def test_run_blast_scenario_does_not_warn(recwarn):
@@ -112,19 +137,165 @@ def test_run_blast_scenario_does_not_warn(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
 
-def test_run_blast_rejects_scenario_plus_knobs():
-    with pytest.raises(ValueError):
-        run_blast(CFG, seed=5, scenario=ScenarioConfig())
-
-
-def test_env_var_telemetry_dir_warns_and_writes(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "artifacts"))
-    with pytest.warns(DeprecationWarning, match="REPRO_TELEMETRY_DIR"):
-        run_blast(CFG, seed=5)
-    assert list((tmp_path / "artifacts").glob("*.jsonl"))
-
-
 def test_scenario_telemetry_dir_writes_without_env(tmp_path):
     scenario = ScenarioConfig(seed=5, telemetry_dir=str(tmp_path / "artifacts"))
     run_blast(CFG, scenario=scenario)
     assert list((tmp_path / "artifacts").glob("*.jsonl"))
+
+
+# ---------------------------------------------------------------------------
+# one environment read: resolved() and environment-free replay
+# ---------------------------------------------------------------------------
+RUN_SHAPING = {
+    "REPRO_KERNEL": ("cells", "kernel"),
+    "REPRO_TRANSPORT": ("eager_rendezvous", "transport"),
+    "REPRO_RELIABILITY_MODE": ("selective_repeat", "reliability"),
+}
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for var in RUN_SHAPING:
+        monkeypatch.delenv(var, raising=False)
+    return monkeypatch
+
+
+def test_resolved_fills_defaults_without_an_environment(clean_env):
+    plain = ScenarioConfig().resolved()
+    assert (plain.kernel, plain.transport, plain.reliability) == ("wheel", "wwi", None)
+    # a defaulted wheel gives way to the policy calendar; an explicit one is kept
+    assert ScenarioConfig(schedule=("random", 1)).resolved().kernel == "heap"
+    assert ScenarioConfig(schedule=("random", 1), kernel="wheel").resolved().kernel == "wheel"
+    # a lossy wire gets path-scaled reliability, in the default discipline
+    lossy = ScenarioConfig(faults=FaultProfile(drop_prob=0.01)).resolved()
+    assert lossy.reliability == ScenarioConfig().path_reliability()
+    assert lossy.reliability.mode == "gobackn"
+    explicit = ReliabilityConfig(retry_timeout_ns=123_000)
+    assert ScenarioConfig(faults=FaultProfile(drop_prob=0.01),
+                          reliability=explicit).resolved().reliability is explicit
+
+
+def test_resolved_reads_each_variable_and_explicit_fields_win(clean_env):
+    clean_env.setenv("REPRO_KERNEL", "wheel")
+    assert ScenarioConfig(schedule=("fifo", 0)).resolved().kernel == "heap"
+    clean_env.setenv("REPRO_KERNEL", "heap")
+    clean_env.setenv("REPRO_TRANSPORT", "eager_rendezvous")
+    clean_env.setenv("REPRO_RELIABILITY_MODE", "selective_repeat")
+    got = ScenarioConfig().resolved()
+    assert (got.kernel, got.transport) == ("heap", "eager_rendezvous")
+    assert got.reliability == ScenarioConfig().path_reliability("selective_repeat")
+    pinned = ScenarioConfig(kernel="wheel", transport="wwi",
+                            reliability=ReliabilityConfig(retry_cnt=2)).resolved()
+    assert (pinned.kernel, pinned.transport) == ("wheel", "wwi")
+    # the CI matrix variable pins the mode of an existing config too
+    assert pinned.reliability == ReliabilityConfig(retry_cnt=2, mode="selective_repeat")
+    for var in RUN_SHAPING:
+        clean_env.setenv(var, "bogus")
+        with pytest.raises(ValueError, match=f"unknown {var} 'bogus'"):
+            ScenarioConfig().resolved()
+        clean_env.delenv(var)
+
+
+@pytest.mark.parametrize("var", sorted(RUN_SHAPING))
+def test_fabric_scenario_replays_without_the_environment(clean_env, var):
+    """The scenario a fabric reports rebuilds the same run anywhere."""
+    import dataclasses
+
+    from repro.apps.incast import IncastConfig, incast_topology, run_incast
+    from repro.fabric import Fabric
+
+    value, field = RUN_SHAPING[var]
+    config = IncastConfig(senders=3, bytes_per_sender=48 * 1024, message_bytes=16 * 1024)
+    scenario = ScenarioConfig(seed=3, topology=incast_topology(config))
+
+    def fingerprint(fabric):
+        result = run_incast(config, testbed=fabric, audit=True)
+        assert result.audit_violations == 0
+        return dataclasses.astuple(result), fabric.now, fabric.kernel
+
+    baseline = Fabric.from_scenario(scenario)
+    clean_env.setenv(var, value)
+    first = Fabric.from_scenario(scenario)
+    recorded = first.scenario
+    assert getattr(recorded, field) != getattr(baseline.scenario, field)
+    assert recorded == scenario.resolved() == recorded.resolved()
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(recorded.to_dict()))) == recorded
+    under_env = fingerprint(first)
+
+    clean_env.delenv(var)
+    assert recorded.resolved() == recorded
+    replay = Fabric.from_scenario(recorded)
+    assert replay.scenario == recorded
+    assert fingerprint(replay) == under_env
+    if var == "REPRO_KERNEL":
+        assert under_env[-1] == "cells"
+    else:  # the variable shaped the simulated result, not just the record
+        assert fingerprint(baseline) != under_env
+
+
+# ---------------------------------------------------------------------------
+# scenario.transport reaches every app's connections
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def connections(monkeypatch):
+    """Every ExsConnection constructed during the test."""
+    from repro.exs.connection import ExsConnection
+
+    seen = []
+    init = ExsConnection.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(self)
+
+    monkeypatch.setattr(ExsConnection, "__init__", recording)
+    return seen
+
+
+def _apps():
+    from repro.apps import (
+        EchoConfig,
+        FileTransferConfig,
+        IncastConfig,
+        run_echo,
+        run_file_transfer,
+        run_incast,
+    )
+
+    return {
+        "blast": (run_blast, CFG, 2),
+        "echo": (run_echo, EchoConfig(iterations=4, warmup=0), 2),
+        "file_transfer": (run_file_transfer,
+                          FileTransferConfig(file_bytes=64 * 1024, streams=2,
+                                             chunk_bytes=16 * 1024), 4),
+        "incast": (run_incast, IncastConfig(senders=2, bytes_per_sender=32 * 1024,
+                                            message_bytes=16 * 1024), 4),
+    }
+
+
+@pytest.mark.parametrize("app", ["blast", "echo", "file_transfer", "incast"])
+@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
+def test_scenario_transport_reaches_every_app(clean_env, connections, app, transport):
+    run, config, expected = _apps()[app]
+    # the environment asks for the other plane: the scenario wins
+    other = {"wwi": "eager_rendezvous", "eager_rendezvous": "wwi"}[transport]
+    clean_env.setenv("REPRO_TRANSPORT", other)
+    run(config, ScenarioConfig(seed=2, transport=transport))
+    assert len(connections) == expected
+    assert {c.transport for c in connections} == {transport}
+
+
+def test_socket_options_transport_beats_the_scenario(clean_env, connections):
+    """Precedence: a socket that names its transport keeps it; the rest of
+    the run follows scenario > REPRO_TRANSPORT > wwi."""
+    import dataclasses
+
+    from repro.exs import ExsSocketOptions
+
+    config = dataclasses.replace(CFG, options=ExsSocketOptions(transport="wwi"))
+    run_blast(config, ScenarioConfig(seed=2, transport="eager_rendezvous"))
+    assert {c.transport for c in connections} == {"wwi"}
+    del connections[:]
+    clean_env.setenv("REPRO_TRANSPORT", "eager_rendezvous")
+    run_blast(CFG, ScenarioConfig(seed=2))
+    assert {c.transport for c in connections} == {"eager_rendezvous"}

@@ -77,7 +77,7 @@ def test_qp_attached_to_srq_draws_from_the_pool():
 # SrqPool on the EXS stack
 # ----------------------------------------------------------------------
 def test_stack_pool_prefills_to_depth():
-    fab = Fabric(topology=Topology.point_to_point(), srq_depth=16)
+    fab = Fabric(ScenarioConfig(srq_depth=16))
     pool = fab.stack("client").srq_pool
     assert pool is not None
     assert pool.depth == 16 and pool.occupancy == 16 and pool.free == 0
@@ -85,7 +85,7 @@ def test_stack_pool_prefills_to_depth():
 
 
 def test_pool_is_shared_across_connections():
-    fab = Fabric(topology=Topology.point_to_point(), seed=2, srq_depth=32)
+    fab = Fabric(ScenarioConfig(seed=2, srq_depth=32))
     pairs = [fab.connect("client", "server") for _ in range(3)]
     fab.run()
     assert all(p.established.triggered for p in pairs)
@@ -97,7 +97,7 @@ def test_pool_is_shared_across_connections():
 
 
 def test_eager_transport_connections_are_not_pooled():
-    fab = Fabric(topology=Topology.point_to_point(), seed=2, srq_depth=32)
+    fab = Fabric(ScenarioConfig(seed=2, srq_depth=32))
     options = ExsSocketOptions(transport=TRANSPORT_EAGER_RENDEZVOUS)
     pair = fab.connect("client", "server", options=options)
     fab.run()
@@ -108,11 +108,10 @@ def test_eager_transport_connections_are_not_pooled():
 
 
 def test_srq_depth_validation():
-    # 0/None means "no pool"; negative depths fail loudly
-    assert Fabric(topology=Topology.point_to_point(),
-                  srq_depth=0).stack("client").srq_pool is None
+    # None means "no pool"; zero and negative depths fail loudly
+    assert Fabric(ScenarioConfig(srq_depth=None)).stack("client").srq_pool is None
     with pytest.raises(ValueError):
-        Fabric(topology=Topology.point_to_point(), srq_depth=-1)
+        ScenarioConfig(srq_depth=-1)
     with pytest.raises(ValueError):
         ScenarioConfig(srq_depth=0)
 
