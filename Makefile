@@ -1,12 +1,23 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke perf-smoke perf all
+.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke perf-smoke perf all
 
 install:
 	pip install -e . || python setup.py develop
 
 test:
 	pytest tests/
+
+# The default kernel must really be the compiled one (an unavailable
+# accelerator degrades to the pure kernels with a warning, which a test
+# suite does not notice), and _speedup.c must compile warning-free (its own
+# warnings: CPython deprecating an API it still ships is not one).
+accel-check:
+	python -c "from repro.simnet import Simulator; s = Simulator().calendar_stats(); \
+		assert s['accelerator'] == 'live', (s['accelerator'], s['accelerator_reason'])"
+	$${CC:-cc} -O2 -fPIC -Wall -Wextra -Werror -Wno-deprecated-declarations \
+		-I"$$(python -c 'import sysconfig; print(sysconfig.get_paths()["include"])')" \
+		-c src/repro/simnet/_speedup.c -o /dev/null
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -63,9 +63,9 @@ class ExsEvent:
         expected and actual kind (plus the library's error string, if any)
         when the completion is anything else.
         """
-        from .socket import ExsError  # circular at module load time
-
         if self.kind is not kind or self.error is not None:
+            from .socket import ExsError  # circular at module load time
+
             detail = f": {self.error}" if self.error else ""
             raise ExsError(
                 f"expected {kind.value} completion, got {self.kind.value}{detail}"

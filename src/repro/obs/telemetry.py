@@ -333,6 +333,9 @@ class Telemetry:
             stats = self.sim.calendar_stats()
             self.meta.setdefault("kernel", stats["backend"])
             self.meta.setdefault("accelerator", stats["accelerator"])
+            if stats.get("accelerator_reason"):
+                # only an unavailable accelerator has one (a fact of the run)
+                self.meta.setdefault("accelerator_reason", stats["accelerator_reason"])
         self.sampler.finish()
         spans = self.spans()
         for stage in SPAN_STAGE_HISTOGRAMS:

@@ -6,25 +6,34 @@ cached (keyed by interpreter version and source hash) under
 ``~/.cache/repro-simnet`` or ``$REPRO_ACCEL_CACHE``.  There is no build
 system and no install step: a plain ``cc -O2 -shared -fPIC`` either works
 or it doesn't, and *any* failure — no compiler, non-CPython runtime, a
-changed slot layout failing the ``configure()`` handshake — degrades
-silently to the pure-Python kernel, which is semantically identical
-(property-tested in tests/simnet/test_timing_wheel.py).
+changed slot layout failing the ``configure()`` handshake — degrades to
+the pure-Python kernels, which are semantically identical (property-tested
+in tests/simnet/test_timing_wheel.py) but some 20 % slower.  The degrade
+is not silent: the first line of the failure is kept
+(:func:`failure_reason`, ``calendar_stats()["accelerator_reason"]``, the
+``repro.obs`` run report) and one :class:`RuntimeWarning` per process
+says so.
 
-Set ``REPRO_KERNEL_C=0`` to force the pure-Python paths; note that
-``REPRO_KERNEL=heap`` never uses the accelerator (it binds the flat-heap
-methods before the accelerator is consulted).
+Set ``REPRO_KERNEL_C=0`` to force the pure-Python paths (no warning:
+that is a choice, not a failure); note that ``REPRO_KERNEL=heap`` never
+uses the accelerator (it binds the flat-heap methods before the
+accelerator is consulted).
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import warnings
 from pathlib import Path
+from typing import Optional
 
-__all__ = ["load", "why_not"]
+__all__ = ["load", "why_not", "failure_reason"]
 
 #: "unloaded" until the first load() call, then the module or None.
 _state: object = "unloaded"
+#: first line of the failure that made load() return None, if one did
+_reason: Optional[str] = None
 
 
 def _disabled_by_env() -> bool:
@@ -87,22 +96,38 @@ def _compile_and_import():
 def _configure(mod) -> None:
     # Runtime imports: this module must stay import-light because
     # kernel.py imports it at module load (before events/process exist).
-    from ._core import CBE_POOL_MAX, TIMEOUT_POOL_MAX, CallbackEntry, _PROCESSED
-    from .events import Timeout
+    from . import _core
+    from .cells import CellMap, CellSimulator, _Cell
+    from .events import Event, Timeout
     from .kernel import Simulator
     from .process import Process
 
     mod.configure(
         {
             "Simulator": Simulator,
+            "CellSimulator": CellSimulator,
+            "Cell": _Cell,
+            "CellMap": CellMap,
+            "Event": Event,
             "Timeout": Timeout,
             "Process": Process,
-            "CallbackEntry": CallbackEntry,
-            "processed": _PROCESSED,
-            "timeout_slow": Simulator._timeout_wheel_slow,
+            "CallbackEntry": _core.CallbackEntry,
+            "SimulationError": _core.SimulationError,
+            "processed": _core._PROCESSED,
+            "restore_fifo": _core.restore_fifo,
+            "seq_of": _core._seq_of,
             "wait_on": Process._wait_on,
-            "cbe_pool_max": CBE_POOL_MAX,
-            "timeout_pool_max": TIMEOUT_POOL_MAX,
+            "cbe_pool_max": _core.CBE_POOL_MAX,
+            "timeout_pool_max": _core.TIMEOUT_POOL_MAX,
+            # the pure placement methods: what the C entry points call for
+            # anything that must raise (non-int, bool, negative delays)
+            "schedule_py": Simulator._schedule_wheel,
+            "call_in_py": Simulator._call_in_wheel,
+            "timeout_py": Simulator._timeout_wheel,
+            "cells_schedule_py": CellSimulator._schedule_cells,
+            "cells_call_in_py": CellSimulator._call_in_cells,
+            "cells_timeout_py": CellSimulator._timeout_cells,
+            "cells_call_in_cell_py": CellSimulator._call_in_cell_py,
         }
     )
 
@@ -113,20 +138,33 @@ def why_not() -> str:
     return "off" if _disabled_by_env() else "unavailable"
 
 
+def failure_reason() -> Optional[str]:
+    """First line of why the accelerator is ``"unavailable"`` (``None``
+    when it loaded, was switched off, or has not been tried yet)."""
+    return _reason
+
+
 def load():
     """Return the configured extension module, or ``None`` (cached)."""
-    global _state
+    global _state, _reason
     if _state != "unloaded":
         return _state
     _state = None
+    if _disabled_by_env():
+        return None
     try:
-        if _disabled_by_env():
-            return None
         if sys.implementation.name != "cpython":
-            return None  # Py_REFCNT semantics are CPython-specific
+            # Py_REFCNT semantics are CPython-specific
+            raise RuntimeError(f"needs CPython, not {sys.implementation.name}")
         mod = _compile_and_import()
         _configure(mod)
         _state = mod
-    except Exception:
-        _state = None
+    except Exception as exc:
+        _reason = f"{type(exc).__name__}: {exc}".strip().splitlines()[0]
+        warnings.warn(
+            "repro.simnet: C kernel accelerator unavailable, running the "
+            f"pure-Python kernels ({_reason})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return _state

@@ -307,7 +307,10 @@ def peek_structures(sim):
 # ----------------------------------------------------------------------
 # NOTE: drain_fifo and drain_fifo_gated are intentionally near-duplicates.
 # The gated variant adds the stop-time and max_events checks; keep the
-# dispatch bodies in sync when editing either.
+# dispatch bodies in sync when editing either.  They are the pure platform
+# (REPRO_KERNEL_C=0, no compiler, Simulator subclasses) and the reference
+# `_speedup.c`'s wheel_drain — both loops as one, gates as `inf` — is
+# tested against: every store below happens there at the same point.
 
 def drain_fifo(sim):
     """FIFO drain with no stop time and no event cap (the hottest loop).
@@ -325,25 +328,11 @@ def drain_fifo(sim):
     cbpool = sim._cbe_pool
     PROC = _PROCESSED
     grc = getrefcount
-    creg = sim._creg
-    cbatch = sim._cbatch
     n = 0
     n0 = sim.events_executed
     try:
         while True:
-            if creg is not None:
-                # Compiled register-regime drain (see _accel.py): pops the
-                # register until empty — chain spin included — and returns
-                # its event count, after which control falls through to
-                # batch assembly.  On an escaping exception the partial
-                # count is handed over in sim._creg_n (the interrupted
-                # event included, matching the count-before-dispatch rule).
-                try:
-                    n += creg()
-                except BaseException:
-                    n += sim._creg_n
-                    raise
-            elif (e := sim._single) is not None:
+            if (e := sim._single) is not None:
                 sim._single = None
                 sim._now = sim._single_when
                 cls = e.__class__
@@ -379,12 +368,16 @@ def drain_fifo(sim):
                                     e._cbs = None
                                     for fn in cbs:
                                         fn(e)
-                                # In steady state `nxt` was rebound to the
-                                # new timeout by send(), so the dispatched
-                                # `e` is referenced only by this frame:
-                                # recycle it.  (Overwriting a non-empty
-                                # stash just drops one pooled object —
-                                # never incorrect.)
+                                # `nxt` was rebound to the new timeout by
+                                # send(), so the dispatched `e` is
+                                # referenced only by this frame: recycle
+                                # it.  (Overwriting a non-empty stash just
+                                # drops one pooled object — never
+                                # incorrect.)  Every loop here drops `nxt`
+                                # once it is wired: a stale local would
+                                # pin that timeout's refcount at dispatch
+                                # and make recycling depend on which
+                                # process was resumed last.
                                 if grc(e) == 2:
                                     sim._stash = e
                                 # Wired means nxt._cb1 is cb and nxt is a
@@ -395,10 +388,13 @@ def drain_fifo(sim):
                                     sim._single = None
                                     sim._now = sim._single_when
                                     e = nxt
+                                    nxt = None
                                     e._cb1 = PROC
                                     continue
+                                nxt = None
                                 break
                             cb._wait_on(nxt)
+                            nxt = None
                             if e._cbs is not None:
                                 cbs = e._cbs
                                 e._cbs = None
@@ -442,26 +438,6 @@ def drain_fifo(sim):
             sim._batch_time = t
             sim._reg_free = False
             sim._bi = 0
-            if cbatch is not None:
-                # Compiled batch dispatch (see _accel.py): same take-and-
-                # null loop as below, live-append recheck included; on an
-                # escaping exception the partial count is handed over in
-                # sim._creg_n (interrupted entry included).
-                try:
-                    i = cbatch()
-                except BaseException:
-                    i = sim._creg_n
-                    n += i
-                    restore_fifo(sim, t, ls, i)
-                    raise
-                n += i
-                sim._batch = None
-                sim._reg_free = not sim._nstruct
-                sim._batches += 1
-                sim._batched_events += i
-                if i > sim._max_batch:
-                    sim._max_batch = i
-                continue
             i = 0
             blen = len(ls)
             try:
@@ -485,6 +461,7 @@ def drain_fifo(sim):
                                     nxt._cb1 = cb
                                 else:
                                     cb._wait_on(nxt)
+                                nxt = None
                         elif cb is not None:
                             cb(e)
                         if e._cbs is not None:
@@ -540,7 +517,6 @@ def drain_fifo_gated(sim, stop, max_events):
     cbpool = sim._cbe_pool
     PROC = _PROCESSED
     grc = getrefcount
-    cbatch = sim._cbatch
     n = 0
     n0 = sim.events_executed
     try:
@@ -568,6 +544,7 @@ def drain_fifo_gated(sim, stop, max_events):
                                 nxt._cb1 = cb
                             else:
                                 cb._wait_on(nxt)
+                            nxt = None
                     elif cb is not None:
                         cb(e)
                     if e._cbs is not None:
@@ -605,30 +582,6 @@ def drain_fifo_gated(sim, stop, max_events):
             sim._batch_time = t
             sim._reg_free = False
             sim._bi = 0
-            if cbatch is not None:
-                # Compiled batch dispatch with an event budget: the C loop
-                # stops once the remaining max_events allowance is spent,
-                # and the raise below matches the pure loop's per-event
-                # check (which fires even when the budget runs out exactly
-                # at the end of a batch).
-                try:
-                    i = cbatch(-1 if max_events == INF else int(max_events - n))
-                except BaseException:
-                    i = sim._creg_n
-                    n += i
-                    restore_fifo(sim, t, ls, i)
-                    raise
-                n += i
-                if n >= max_events:
-                    restore_fifo(sim, t, ls, i)
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                sim._batch = None
-                sim._reg_free = not sim._nstruct
-                sim._batches += 1
-                sim._batched_events += i
-                if i > sim._max_batch:
-                    sim._max_batch = i
-                continue
             i = 0
             blen = len(ls)
             try:
@@ -652,6 +605,7 @@ def drain_fifo_gated(sim, stop, max_events):
                                     nxt._cb1 = cb
                                 else:
                                     cb._wait_on(nxt)
+                                nxt = None
                         elif cb is not None:
                             cb(e)
                         if e._cbs is not None:

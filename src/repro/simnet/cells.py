@@ -78,7 +78,6 @@ from ._core import (
     TIMEOUT_POOL_MAX,
     CallbackEntry,
     SimulationError,
-    StopSimulation,
     _PROCESSED,
     insert,
     next_batch_fifo,
@@ -87,44 +86,6 @@ from ._core import (
     S1_SIZE,
 )
 from .kernel import Simulator
-
-#: tri-state cache for the cells accelerator: ``False`` = not yet tried,
-#: ``None`` = unavailable (no compiler / disabled / configure failed),
-#: otherwise the configured _speedup module
-_CELLS_ACCEL: Any = False
-
-
-def _accel_cells():
-    """The C accelerator with the cells entry points configured, or None.
-
-    Piggybacks on :func:`repro.simnet._accel.load` (same compile cache,
-    same ``REPRO_KERNEL_C`` opt-out) and additionally captures the cells
-    types/slot offsets via ``configure_cells`` — once per process.
-    """
-    global _CELLS_ACCEL
-    if _CELLS_ACCEL is False:
-        mod = None
-        try:
-            from .events import Event
-
-            m = _accel.load()
-            if m is not None and hasattr(m, "configure_cells"):
-                m.configure_cells({
-                    "CellSimulator": CellSimulator,
-                    "Cell": _Cell,
-                    "CellMap": CellMap,
-                    "Event": Event,
-                    "SimulationError": SimulationError,
-                    "schedule_py": CellSimulator._schedule_cells,
-                    "call_in_py": CellSimulator._call_in_cells,
-                    "timeout_py": CellSimulator._timeout_cells,
-                    "call_in_cell_py": CellSimulator._call_in_cell_py,
-                })
-                mod = m
-        except Exception:  # pragma: no cover - accelerator is best-effort
-            mod = None
-        _CELLS_ACCEL = mod
-    return _CELLS_ACCEL
 
 __all__ = ["CellMap", "CellSimulator"]
 
@@ -286,9 +247,9 @@ class CellSimulator(Simulator):
         "_cellmap", "_cells", "_nexts", "_ctrl", "_cur", "_decouple",
         "_cnt", "_rt_cell", "_rt_time", "_rheap", "_W", "_maxe",
         "_grants",
-        # per-instance rebinds (C fast paths when the accelerator loads;
-        # the call_in_cell slot shadows the legacy Simulator shim method)
-        "call_in_cell", "_cdrain",
+        # per-instance rebind (the C fast path when the accelerator loads;
+        # the slot shadows the legacy Simulator shim method)
+        "call_in_cell",
     )
 
     def __init__(self, cellmap: CellMap, *, trace=None, decouple: bool = True) -> None:
@@ -318,28 +279,19 @@ class CellSimulator(Simulator):
         self.step = self._step_cells
         self.peek = self._peek_cells
         self.call_in_cell = self._call_in_cell_py
-        self._cdrain = None
         # C fast paths: placement + drain move to the accelerator while
         # every structure stays in these Python slots, so pure and C code
         # interleave freely (step()/peek() stay pure).  Subclasses keep
         # the pure paths — overridden hooks must stay live.
         if type(self) is CellSimulator:
-            mod = _accel_cells()
+            mod = _accel.load()
             if mod is not None:
-                try:
-                    self.schedule = mod.bind_cells_schedule(self)
-                    self.call_in = mod.bind_cells_call_in(self)
-                    self.timeout = mod.bind_cells_timeout(self)
-                    self.call_in_cell = mod.bind_cells_call_in_cell(self)
-                    self._cdrain = mod.bind_cells_drain(self)
-                    self._accelerator = "live"
-                except Exception:  # pragma: no cover - best-effort
-                    self.schedule = self._schedule_cells
-                    self.call_in = self._call_in_cells
-                    self.timeout = self._timeout_cells
-                    self.call_in_cell = self._call_in_cell_py
-                    self._cdrain = None
-                    self._accelerator = "unavailable"
+                self.schedule = mod.bind_cells_schedule(self)
+                self.call_in = mod.bind_cells_call_in(self)
+                self.timeout = mod.bind_cells_timeout(self)
+                self.call_in_cell = mod.bind_cells_call_in_cell(self)
+                self._cdrain = mod.bind_cells_drain(self)
+                self._accelerator = "live"
             else:
                 self._accelerator = _accel.why_not()
 
@@ -553,6 +505,7 @@ class CellSimulator(Simulator):
                                 nxt._cb1 = cb
                             else:
                                 cb._wait_on(nxt)
+                            nxt = None  # no stale local pinning its refcount
                     elif cb is not None:
                         cb(e)
                     if e._cbs is not None:
@@ -594,7 +547,7 @@ class CellSimulator(Simulator):
         t = self._cells[i].peek()
         self._nexts[i] = INF if t is None else t
 
-    def _drain_cells(self, stop, maxe) -> None:
+    def _drain(self, stop, maxe) -> None:
         cells = self._cells
         nexts = self._nexts
         look = self._cellmap.lookahead_in
@@ -654,37 +607,6 @@ class CellSimulator(Simulator):
         finally:
             self.events_executed = n0 + n
             self._cur = self._ctrl
-
-    def run(self, until=None, *, max_events: Optional[int] = None):
-        """Run the simulation (same contract as :meth:`Simulator.run`)."""
-        stop_time: Optional[int] = None
-        target = None
-        if isinstance(until, self._event_cls):
-            target = until
-            if target.triggered:
-                return target.result()
-            target.add_callback(self._stop_on_target)
-        elif isinstance(until, int):
-            stop_time = until
-        elif until is not None:
-            raise SimulationError(f"invalid 'until' argument: {until!r}")
-        stop = INF if stop_time is None else stop_time
-        maxe = INF if max_events is None else max_events
-        try:
-            cd = self._cdrain
-            if cd is not None:
-                cd(stop, maxe)
-            else:
-                self._drain_cells(stop, maxe)
-        except StopSimulation:
-            pass
-        if target is not None:
-            if not target.triggered:
-                raise SimulationError(
-                    "simulation ended before 'until' event triggered (deadlock?)"
-                )
-            return target.result()
-        return None
 
     def _step_cells(self) -> None:
         """Execute the next global instant (lockstep semantics).
@@ -784,6 +706,7 @@ class CellSimulator(Simulator):
             "cbe_allocs": self._cbe_allocs,
             "cbe_reuses": self._cbe_reuses,
             "accelerator": self._accelerator,
+            "accelerator_reason": self._accelerator_reason(),
             "inline_conditions": self._inline_conditions,
             "cells": per,
         }

@@ -40,13 +40,16 @@ In FIFO order both backends produce identical event orderings, and
 Performance notes (this kernel is the host-side bottleneck of every
 experiment):
 
-* ``run()`` branches **once** on backend/gating and selects one of three
-  drain loops from :mod:`repro.simnet._core` (``drain_fifo``,
-  ``drain_fifo_gated``, ``drain_heap``); the per-event path has no
-  tracing, policy or capture checks.
+* ``run()`` branches **once**: the compiled ``_cdrain`` when the C
+  accelerator is bound (see ``_accel.py``), else one of three drain loops
+  from :mod:`repro.simnet._core` (``drain_fifo``, ``drain_fifo_gated``,
+  ``drain_heap``); the per-event path has no tracing, policy or capture
+  checks.
 * ``schedule``/``call_in``/``timeout``/``step``/``peek`` are bound per
   instance at construction (one backend branch for the whole lifetime,
-  and callers skip the descriptor protocol).
+  and callers skip the descriptor protocol) — on an exact wheel
+  ``Simulator`` the first three to their C ports, which hand anything
+  that must raise back to the pure methods below.
 * :meth:`Simulator.call_in` places a slotted
   :class:`~repro.simnet._core.CallbackEntry` that invokes ``fn(arg)``
   directly, bypassing the full Event protocol — used by the hot delivery
@@ -183,12 +186,9 @@ class Simulator:
         "_batch",
         "_batch_time",
         "_bi",
-        # optional C accelerator (see _accel.py): register-regime drain
-        # bound per instance, plus its partial-count handoff slot and the
-        # same-instant batch dispatcher
-        "_creg",
-        "_creg_n",
-        "_cbatch",
+        # optional C accelerator (see _accel.py): the compiled run loop
+        # ``_cdrain(stop, max_events)``, or None on the pure platform
+        "_cdrain",
         # "live" | "off" | "unavailable" (see calendar_stats)
         "_accelerator",
         # AnyOf completions dispatched inside their deciding child's slot
@@ -242,9 +242,7 @@ class Simulator:
         self._timeout_reuses = 0
         self._cbe_allocs = 0
         self._cbe_reuses = 0
-        self._creg = None
-        self._creg_n = 0
-        self._cbatch = None
+        self._cdrain = None
         self._accelerator = "off"
         self._inline_conditions = 0
         self._recorder = None
@@ -297,16 +295,16 @@ class Simulator:
         self.schedule = self._schedule_wheel
         self.call_in = self._call_in_wheel
         self.timeout = self._timeout_wheel
-        # Optional C accelerator: a compiled `timeout` fast path,
-        # register-regime drain and batch dispatch, bound per instance.
-        # Exact Simulator only — a subclass overriding the slow paths must
-        # keep the pure bindings.
+        # Optional C accelerator: placement and the run loop, bound per
+        # instance.  Exact Simulator only — a subclass overriding the pure
+        # paths must keep them.
         if type(self) is Simulator:
             accel = _accel.load()
             if accel is not None:
-                self.timeout = accel.bind_timeout(self)
-                self._creg = accel.bind_reg_drain(self)
-                self._cbatch = accel.bind_batch_run(self)
+                self.schedule = accel.bind_wheel_schedule(self)
+                self.call_in = accel.bind_wheel_call_in(self)
+                self.timeout = accel.bind_wheel_timeout(self)
+                self._cdrain = accel.bind_wheel_drain(self)
                 self._accelerator = "live"
             else:
                 self._accelerator = _accel.why_not()
@@ -678,7 +676,7 @@ class Simulator:
             Optional hard cap on the number of events executed, as a guard
             against accidental infinite simulations.
         """
-        stop_time: Optional[int] = None
+        stop = INF
         target: Optional["Event"] = None
         if isinstance(until, self._event_cls):
             target = until
@@ -686,19 +684,15 @@ class Simulator:
                 return target.result()
             target.add_callback(self._stop_on_target)
         elif isinstance(until, int):
-            stop_time = until
+            stop = until
         elif until is not None:
             raise SimulationError(f"invalid 'until' argument: {until!r}")
-
-        stop = INF if stop_time is None else stop_time
         maxe = INF if max_events is None else max_events
         try:
-            if self._backend == "heap":
-                drain_heap(self, stop, maxe)
-            elif stop_time is None and max_events is None:
-                drain_fifo(self)
+            if self._cdrain is not None:
+                self._cdrain(stop, maxe)
             else:
-                drain_fifo_gated(self, stop, maxe)
+                self._drain(stop, maxe)
         except StopSimulation:
             pass
 
@@ -707,6 +701,15 @@ class Simulator:
                 raise SimulationError("simulation ended before 'until' event triggered (deadlock?)")
             return target.result()
         return None
+
+    def _drain(self, stop, maxe) -> None:
+        """The pure run loop (``inf`` = gate unset), picked once per run."""
+        if self._backend == "heap":
+            drain_heap(self, stop, maxe)
+        elif stop == INF and maxe == INF:
+            drain_fifo(self)
+        else:
+            drain_fifo_gated(self, stop, maxe)
 
     def _stop_on_target(self, _event: "Event") -> None:
         raise StopSimulation()
@@ -734,13 +737,15 @@ class Simulator:
         ``cascades``, ``l0_inserts``, ``l1_inserts``, ``overflow_inserts``,
         ``timeout_allocs``, ``timeout_reuses``, ``timeout_pool``,
         ``cbe_allocs``, ``cbe_reuses``, ``accelerator``,
-        ``inline_conditions``.
+        ``accelerator_reason``, ``inline_conditions``.
 
         ``accelerator`` says whether the C fast path serves this simulator:
         ``"live"``, ``"off"`` (not asked for: heap backend — which a
         schedule policy implies — a subclass, ``REPRO_KERNEL_C=0``) or
         ``"unavailable"`` (asked for, but it could not be built or
-        loaded).  Causal capture leaves it as it found it.
+        loaded — ``accelerator_reason`` is then the first line of the
+        failure, and ``None`` otherwise).  Causal capture leaves it as it
+        found it.
         ``inline_conditions`` counts :class:`AnyOf` completions, which run
         inside their deciding child's slot and so are *not* part of
         ``events_executed``.
@@ -780,8 +785,12 @@ class Simulator:
             "cbe_allocs": self._cbe_allocs,
             "cbe_reuses": self._cbe_reuses,
             "accelerator": self._accelerator,
+            "accelerator_reason": self._accelerator_reason(),
             "inline_conditions": self._inline_conditions,
         }
+
+    def _accelerator_reason(self) -> Optional[str]:
+        return _accel.failure_reason() if self._accelerator == "unavailable" else None
 
     # ------------------------------------------------------------------
     # conveniences

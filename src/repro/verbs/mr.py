@@ -66,7 +66,10 @@ class MemoryRegion:
             raise RemoteAccessError(
                 f"range [0x{addr:x}, +{nbytes}) outside region [0x{self.addr:x}, +{self.length})"
             )
-        if access & self.access != access:
+        # integer bits, not enum.Flag arithmetic: this runs three times per
+        # message and a Flag `&` costs more than the rest of the check
+        need = access._value_
+        if need & self.access._value_ != need:
             raise RemoteAccessError(f"region lacks access {access!r} (has {self.access!r})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

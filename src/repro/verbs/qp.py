@@ -6,9 +6,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from .cq import CompletionQueue, WorkCompletion
-from .enums import Opcode, QPState, SendFlags, WCOpcode, WCStatus
+from .enums import Opcode, QPState, WCOpcode, WCStatus
 from .errors import BadWorkRequest, QPStateError
-from .wr import RecvWR, SendWR
+from .wr import INLINE_BIT, RecvWR, SendWR
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import RdmaDevice
@@ -139,7 +139,7 @@ class QueuePair:
         if self.state is not QPState.READY:
             raise QPStateError(f"post_send on QP {self.qpn} in state {self.state}")
         wr.validate()
-        if SendFlags.INLINE in wr.flags and wr.length > self.max_inline:
+        if wr.flags._value_ & INLINE_BIT and wr.length > self.max_inline:
             raise BadWorkRequest(
                 f"inline send of {wr.length}B exceeds max_inline={self.max_inline}"
             )

@@ -11,6 +11,10 @@ from .errors import BadWorkRequest
 
 __all__ = ["SGE", "SendWR", "RecvWR"]
 
+#: ``SendFlags.INLINE`` as an integer bit — the per-WR checks test
+#: ``flags._value_ & INLINE_BIT`` instead of paying for ``enum.Flag.__contains__``
+INLINE_BIT = SendFlags.INLINE._value_
+
 
 @dataclass(frozen=True)
 class SGE:
@@ -56,7 +60,7 @@ class SendWR:
             raise BadWorkRequest("send WR requires an SGE")
         if self.payload is not None and self.payload.nbytes != self.sge.length:
             raise BadWorkRequest("payload length does not match SGE length")
-        if SendFlags.INLINE in self.flags and self.opcode is Opcode.RDMA_READ:
+        if self.flags._value_ & INLINE_BIT and self.opcode is Opcode.RDMA_READ:
             raise BadWorkRequest("RDMA_READ cannot be inline")
 
     @property

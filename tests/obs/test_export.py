@@ -162,6 +162,26 @@ def test_report_renders_from_live_and_loaded(session):
     assert f"accelerator={stats['accelerator']}" in live
 
 
+def test_report_says_why_the_accelerator_is_unavailable(session, monkeypatch):
+    """An unavailable C accelerator is a fact of the run: the report's meta
+    line carries the recorded reason next to ``accelerator=`` (and says
+    nothing when there is none)."""
+    from repro.simnet import _accel
+
+    assert "accelerator_reason" not in session.meta
+    monkeypatch.setattr(_accel, "_state", None)  # as after a failed build
+    monkeypatch.setattr(_accel, "_reason", "RuntimeError: no C compiler available")
+    monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
+    tb = Testbed(ScenarioConfig(seed=4, kernel="wheel"))
+    tel = tb.attach_telemetry(sample_interval_ns=50_000)
+    run_blast(BlastConfig(total_messages=3, sizes=ExponentialSizes(seed=4)),
+              testbed=tb, max_events=50_000_000)
+    tel.finish()
+    report = render_report(tel)
+    assert "accelerator=unavailable" in report
+    assert "accelerator_reason=RuntimeError: no C compiler available" in report
+
+
 def test_report_markdown_flavour(session):
     md = render_report(session, fmt="markdown")
     assert md.startswith("# Telemetry run report")

@@ -126,9 +126,10 @@ def _make_sim(default, policy_kind, seed, pure=False):
     sim = Simulator(schedule_policy=policy, calendar=None if policy else default)
     if pure:
         # the wheel's pure-Python paths, as on a host with no C compiler
+        sim.schedule = sim._schedule_wheel
+        sim.call_in = sim._call_in_wheel
         sim.timeout = sim._timeout_wheel
-        sim._creg = None
-        sim._cbatch = None
+        sim._cdrain = None
     return sim
 
 

@@ -96,10 +96,11 @@ def test_cells_tracks_legacy_aggregates():
 
 def test_c_and_pure_python_drains_are_bit_identical(monkeypatch):
     """The accelerated per-cell drain replays the pure engine exactly."""
-    from repro.simnet import cells as cells_mod
+    from repro.simnet import _accel
 
     accelerated = _incast_fingerprint("cells", seed=2)
-    monkeypatch.setattr(cells_mod, "_CELLS_ACCEL", None)
+    monkeypatch.setenv("REPRO_KERNEL_C", "0")
+    monkeypatch.setattr(_accel, "_state", "unloaded")
     pure = _incast_fingerprint("cells", seed=2)
     assert accelerated == pure
 

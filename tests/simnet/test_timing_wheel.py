@@ -51,13 +51,99 @@ DELAYS = (
 )
 
 
-def _build_workload(sim, seed, log):
+#: scene instants (see _structure_scenes)
+T_DIRTY = 8 * S0_SIZE + 123       # an L1 entry, joined late by a direct insert
+T_LATE = 8 * S0_SIZE - 100        # ... made from here, one bucket earlier
+T_FAR = 3 * WHEEL_HORIZON + 777   # an overflow entry, joined the same way
+TICK = 4099                       # the in-callback sampler's period
+
+
+def _stats(sim):
+    """calendar_stats() minus the keys that say *which* path ran."""
+    return {k: v for k, v in sim.calendar_stats().items()
+            if not k.startswith("accelerator")}
+
+
+def _structure_scenes(sim, log, probes):
+    """Deterministic scenes, one per structure-regime path of the wheel.
+
+    The random soup below only *probably* reaches these; here each is
+    constructed, and ``probes`` — (tag, now, peek(), calendar_stats())
+    taken around it, most from inside a dispatched callback — lets a test
+    prove it happened and compare what a callback can observe mid-drain.
+    Must run first, on an empty calendar.
+    """
+    def probe(tag):
+        probes.append((tag, sim.now, sim.peek(), _stats(sim)))
+
+    def note(tag):
+        log.append(("scene", tag, sim.now))
+
+    def on_fire(tag):
+        return lambda _e: note(tag)
+
+    def raw_event(tag):
+        ev = Event(sim)
+        ev.add_callback(on_fire(tag))
+        ev._ok, ev._value = True, tag
+        return ev
+
+    def zero_delay(tag):
+        # all three placement calls with delay 0, plus schedule's 1-arg form
+        sim.call_in(0, note, tag + "-call_in")
+        sim.timeout(0).add_callback(on_fire(tag + "-timeout"))
+        sim.schedule(raw_event(tag + "-schedule"), 0)
+        sim.schedule(raw_event(tag + "-schedule1"))
+
+    def first(_arg):
+        # runs inside the live two-entry batch at t=5: same-instant
+        # placements join it instead of entering the structures
+        note("reg")
+        probe("in-batch")
+        zero_delay("join")
+        probe("joined")
+
+    def late(_arg):
+        # bucket 8 has not cascaded (this entry, below its lower bound, was
+        # pending until now), so the insert lands in the L0 slot *first* and
+        # the cascade appends the older entry behind it: a dirty-slot sort
+        probe("pre-direct")
+        sim.timeout(T_DIRTY - T_LATE).add_callback(on_fire("dirty-new"))
+        probe("post-direct")
+
+    def near(_arg):
+        # a direct L0 insert at an instant the overflow heap also holds
+        probe("pre-merge")
+        sim.timeout(50).add_callback(on_fire("far-new"))
+        probe("post-merge")
+
+    def _tick(k):
+        probe("tick")
+        if k:
+            sim.call_in(TICK, _tick, k - 1)
+
+    probe("empty")
+    sim.call_in(5, first, None)          # parks in the register
+    probe("parked")
+    sim.call_in(5, note, "spill")        # spills it: two structure inserts
+    probe("spilled")
+    zero_delay("top")
+    Timeout(sim, T_DIRTY).add_callback(lambda _e: (note("dirty-old"), probe("cascaded")))
+    sim.call_in(T_LATE, late, None)
+    Timeout(sim, T_FAR).add_callback(on_fire("far-old"))
+    probe("overflowed")
+    sim.call_in(T_FAR - 50, near, None)
+    sim.call_in(1, _tick, 40)
+
+
+def _build_workload(sim, seed, log, probes=None):
     """Deterministic event soup touching every scheduling surface.
 
     The single shared LCG is drawn from *at resume time*, so any ordering
     divergence between backends immediately derails every later draw —
     a small trace difference amplifies into a totally different run.
     """
+    _structure_scenes(sim, log, [] if probes is None else probes)
     rnd = _lcg(seed)
 
     def chain_worker(wid):
@@ -101,16 +187,15 @@ def _force_pure(sim):
     swapping the bound methods back *before any scheduling* yields the
     reference pure-Python behaviour on the same interpreter.
     """
+    sim.schedule = sim._schedule_wheel
+    sim.call_in = sim._call_in_wheel
     sim.timeout = sim._timeout_wheel
-    sim._creg = None
-    sim._cbatch = None
+    sim._cdrain = None
     return sim
 
 
-def _fingerprint(backend, policy, seed, force_pure=False):
+def _fingerprint(backend, policy, seed):
     sim = Simulator(schedule_policy=policy, calendar=backend)
-    if force_pure:
-        _force_pure(sim)
     log = []
     _build_workload(sim, seed, log)
     sim.run()
@@ -329,13 +414,58 @@ def test_calendar_stats_say_whether_the_accelerator_is_live(monkeypatch):
     captured = Simulator(calendar="wheel")
     enable_capture(captured, CausalRecorder())
     assert captured.calendar_stats()["accelerator"] == status(calendar="wheel")
-    assert (captured._creg is not None) == loadable
+    assert (captured._cdrain is not None) == loadable
 
     monkeypatch.setattr(_accel, "_state", None)  # as after a failed build
     monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
     assert status(calendar="wheel") == "unavailable"
     monkeypatch.setenv("REPRO_KERNEL_C", "0")
     assert status(calendar="wheel") == "off"
+
+
+def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwarn):
+    """A failing compiler costs ~20 % of host speed, so it is not silent:
+    one RuntimeWarning per process, and the first line of the failure in
+    calendar_stats() on every backend and in the run report's meta line.
+    REPRO_KERNEL_C=0 is a choice, not a failure: "off", no warning."""
+    import subprocess
+    import warnings
+
+    from repro.simnet.cells import CellMap, CellSimulator
+
+    def failing_cc(cmd, **kwargs):
+        return subprocess.CompletedProcess(
+            cmd, 1, b"", b"_speedup.c:1:1: error: no Python.h here\ncompilation terminated.\n")
+
+    monkeypatch.setattr(subprocess, "run", failing_cc)
+    monkeypatch.setenv("REPRO_ACCEL_CACHE", str(tmp_path))  # nothing cached
+    monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
+    monkeypatch.setattr(_accel, "_state", "unloaded")
+    monkeypatch.setattr(_accel, "_reason", None)
+    warnings.simplefilter("always")
+    cellmap = CellMap(("h0", "control"), (10, 0))
+    sims = [Simulator(calendar="wheel"), Simulator(calendar="wheel"),
+            CellSimulator(cellmap), Simulator(calendar="heap")]
+    reason = "RuntimeError: accelerator compile failed: _speedup.c:1:1: error: no Python.h here"
+    assert _accel.failure_reason() == reason
+    for sim in sims[:3]:
+        stats = sim.calendar_stats()
+        assert (stats["accelerator"], stats["accelerator_reason"]) == ("unavailable", reason)
+        assert sim._cdrain is None and type(sim.timeout).__name__ == "method"
+    heap = sims[3].calendar_stats()  # never asked for it: off, and no reason
+    assert (heap["accelerator"], heap["accelerator_reason"]) == ("off", None)
+    assert [str(w.message) for w in recwarn.list if w.category is RuntimeWarning] == [
+        f"repro.simnet: C kernel accelerator unavailable, running the pure-Python kernels ({reason})"
+    ]
+
+    recwarn.clear()
+    monkeypatch.setenv("REPRO_KERNEL_C", "0")
+    monkeypatch.setattr(_accel, "_state", "unloaded")
+    monkeypatch.setattr(_accel, "_reason", None)
+    for sim in (Simulator(calendar="wheel"), CellSimulator(cellmap)):
+        stats = sim.calendar_stats()
+        assert (stats["accelerator"], stats["accelerator_reason"]) == ("off", None)
+    assert not recwarn.list and _accel.failure_reason() is None
 
 
 def test_unknown_backend_rejected():
@@ -351,24 +481,262 @@ accel = pytest.mark.skipif(
 )
 
 
+def _soup(seed, pure):
+    """A wheel simulator (C paths, or forced pure) loaded with the soup."""
+    sim = Simulator(calendar="wheel")
+    if pure:
+        _force_pure(sim)
+    log, probes = [], []
+    _build_workload(sim, seed, log, probes)
+    return sim, log, probes
+
+
+def _by_tag(probes):
+    return {tag: stats for tag, _now, _peek, stats in probes}
+
+
 @accel
 @pytest.mark.parametrize("seed", [3, 7, 29])
 def test_accel_matches_pure_python_fingerprint(seed):
-    """The compiled timeout/register-drain paths must be bit-identical to
-    the pure-Python wheel on the full event soup."""
-    assert _fingerprint("wheel", None, seed) == _fingerprint(
-        "wheel", None, seed, force_pure=True
-    )
+    """The compiled placement + run loop must be bit-identical to the
+    pure-Python wheel on the full event soup: dispatch order, everything a
+    callback can observe mid-drain (peek(), calendar_stats()), and every
+    calendar counter at the end — perf/'s fingerprints hash
+    events_executed, max_batch and overflow_inserts."""
+    runs = []
+    for pure in (False, True):
+        sim, log, probes = _soup(seed, pure)
+        sim.run()
+        runs.append((log, probes, _stats(sim)))
+    (c_log, c_probes, c_stats), (p_log, p_probes, p_stats) = runs
+    assert c_log == p_log
+    assert c_probes == p_probes
+    assert c_stats == p_stats
+    assert len([p for p in c_probes if p[0] == "tick"]) == 41
+
+
+def test_soup_exercises_the_structure_regime():
+    """The scenes do what they say (so the comparison above covers them):
+    register park and spill, live-batch joins, a cascade into a slot that
+    already holds a direct insert, an overflow entry merging into an
+    occupied instant — on whichever path this platform runs."""
+    sim, log, probes = _soup(3, pure=False)
+    sim.run()
+    at = _by_tag(probes)
+    assert (at["parked"]["pending"], at["parked"]["l0_inserts"]) == (1, 0)
+    assert (at["spilled"]["pending"], at["spilled"]["l0_inserts"]) == (2, 2)
+    # joining the live batch is not a structure insert
+    joined, before = at["joined"], at["in-batch"]
+    assert joined["pending"] == before["pending"] + 4
+    for key in ("l0_inserts", "l1_inserts", "overflow_inserts"):
+        assert joined[key] == before[key]
+    assert at["overflowed"]["overflow_inserts"] >= 1 and at["overflowed"]["l1_inserts"] >= 1
+    # direct L0 inserts, made before the older entry arrived in the slot
+    for pre, post in (("pre-direct", "post-direct"), ("pre-merge", "post-merge")):
+        assert at[post]["l0_inserts"] == at[pre]["l0_inserts"] + 1
+        assert at[post]["cascades"] == at[pre]["cascades"]
+    assert at["cascaded"]["cascades"] > at["post-direct"]["cascades"]
+    scenes = [(tag, now) for kind, tag, now in (e for e in log if e[0] == "scene")]
+    order = [tag for tag, _ in scenes]
+    assert order.index("dirty-old") + 1 == order.index("dirty-new")
+    assert order.index("far-old") + 1 == order.index("far-new")
+    assert ("dirty-old", T_DIRTY) in scenes and ("far-new", T_FAR) in scenes
+    # delay-0 placements: from the top level they fire at t=0 in call
+    # order; from inside the t=5 batch they run in it, after its entries
+    zero = ["-call_in", "-timeout", "-schedule", "-schedule1"]
+    assert order[:4] == ["top" + z for z in zero]
+    assert order[4:10] == ["reg", "spill"] + ["join" + z for z in zero]
+    assert all(now == 5 for _tag, now in scenes[4:10])
+
+
+def _boom(_arg):
+    raise RuntimeError("boom")
+
+
+def _interrupt(kind, sim, at=T_LATE):
+    """Cut a run short one of the ways a run can be cut short; *at* is an
+    instant the calendar holds entries for."""
+    if kind == "raise":
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+    elif kind == "until-event":
+        target = Event(sim)
+        target.succeed("stop", delay=at)  # mid-batch: peers stay pending
+        assert sim.run(until=target) == "stop"
+    elif kind == "until-between":
+        sim.run(until=at - 1)
+    elif kind == "until-on":
+        sim.run(until=at)
+    else:
+        with pytest.raises(SimulationError, match=rf"exceeded max_events={kind}\b"):
+            sim.run(max_events=kind)
+
+
+@accel
+@pytest.mark.parametrize("kind", ["raise", "until-event", "until-between",
+                                  "until-on", 8, 1, 300])
+def test_interrupted_runs_resume_identically(kind):
+    """A run cut short — a raising callback, run(until=event), run(until=t)
+    between and on instants, max_events tripping mid-batch and between
+    batches — leaves the same calendar under C and pure: the same counts,
+    the same pure step()s, and the same remaining order in a second run()."""
+    phases = []
+    for pure in (False, True):
+        sim, log, probes = _soup(11, pure)
+        for d in (0, T_LATE):
+            # the middle entry of three same-instant peers, so a tail is
+            # always left to restore
+            sim.call_in(d, lambda _a: None, None)
+            if kind == "raise":
+                sim.call_in(d, _boom, None)
+            sim.call_in(d, lambda _a: None, None)
+        seen = []
+        _interrupt(kind, sim)
+        seen.append((len(log), sim.now, sim.peek(), _stats(sim)))
+        for _ in range(7):
+            sim.step()
+            seen.append((len(log), sim.now, sim.peek(), _stats(sim)))
+        if kind == "raise":
+            _interrupt(kind, sim)  # the second _boom, later in the calendar
+            seen.append((len(log), sim.now, sim.peek(), _stats(sim)))
+        sim.run()
+        seen.append((log, probes, sim.now, _stats(sim)))
+        phases.append(seen)
+    assert phases[0] == phases[1]
+    if kind == "until-between":
+        assert phases[0][0][1] == T_LATE - 1 and phases[0][0][2] == T_LATE
+    if kind == "until-on":
+        assert phases[0][0][1] == T_LATE and phases[0][0][2] > T_LATE
+    if kind == 8:  # tripped inside the t=0 batch: its tail went back
+        assert phases[0][0][1] == phases[0][0][2] == 0
+
+
+@accel
+@pytest.mark.parametrize("kind", ["raise", "until-between", "until-on", 57, "until-self"])
+def test_register_regime_gates_match_pure(kind):
+    """The same, in the register regime — the soup never is: a placement
+    made from inside a batch goes to the structures, so only a lone chain
+    started on an empty calendar spins through the register.  The stop time
+    and the event cap are checked per event there, between chain links."""
+    phases = []
+    for pure in (False, True):
+        sim = Simulator(calendar="wheel")
+        if pure:
+            _force_pure(sim)
+        log = []
+
+        def chain():
+            for i in range(300):
+                t = sim.timeout(100, i)
+                if i == 150 and kind == "raise":
+                    t.add_callback(_boom)  # first waiter: runs instead of the resume
+                elif i % 50 == 7:
+                    # an earlier waiter makes the process an overflow (_cbs)
+                    # waiter: the plain-callback branch, then the resume
+                    t.add_callback(lambda e: log.append(("cb", e._value, sim.now)))
+                log.append((i, (yield t), sim.now))
+            return "done"
+
+        proc = sim.process(chain())
+        if kind == "until-self":
+            assert sim.run(until=proc) == "done"
+            seen = [(list(log), sim.now, sim.peek(), _stats(sim))]
+        else:
+            _interrupt(kind, sim, at=12_300)
+            seen = [(list(log), sim.now, sim.peek(), _stats(sim))]
+            assert sim.calendar_stats()["batches"] == 0  # never left the register
+            # (the raise took the chain's only resume with it: nothing left)
+            for _ in range(0 if kind == "raise" else 5):
+                sim.step()
+                seen.append((list(log), sim.now, sim.peek(), _stats(sim)))
+        sim.run()
+        seen.append((log, sim.now, sim.peek(), _stats(sim)))
+        phases.append(seen)
+    assert phases[0] == phases[1]
+    _log, now, peek, stats = phases[0][0]
+    if kind == "until-between":
+        assert (now, peek, stats["events_executed"]) == (12_299, 12_300, 123)
+    if kind == "until-on":
+        assert (now, peek, stats["events_executed"]) == (12_300, 12_400, 124)
+    if kind == 57:
+        assert (now, peek, stats["events_executed"]) == (5_600, 5_700, 57)
+
+
+BAD_DELAYS = [
+    (-1, "cannot schedule in the past (delay=-1)", "negative timeout: -1"),
+    (1.5, "delay must be an int number of ns, got float", None),
+    (True, "delay must be an int number of ns, got bool", None),
+]
+
+
+@accel
+@pytest.mark.parametrize("delay, text, timeout_text", BAD_DELAYS)
+def test_bad_delays_raise_the_same_error_on_both_paths(delay, text, timeout_text):
+    """-1 / 1.5 / True are refused by all three placement calls with the
+    pure methods' messages (the C entry points hand them over), from an
+    empty calendar, a live batch and a busy one, pools and stash intact."""
+    outcomes = []
+    for pure in (False, True):
+        sim = Simulator(calendar="wheel")
+        if pure:
+            _force_pure(sim)
+        seen = []
+
+        def attempt(_arg=None):
+            before = _stats(sim)
+            for call in (lambda: sim.schedule(Event(sim), delay),
+                         lambda: sim.call_in(delay, print, None),
+                         lambda: sim.timeout(delay),
+                         lambda: sim.timeout(delay, "v")):
+                with pytest.raises(SimulationError) as err:
+                    call()
+                seen.append(str(err.value))
+            after = _stats(sim)
+            # a fresh Timeout counts its allocation before __init__ refuses
+            # the delay; nothing else moves — stash, pools and calendar stay
+            assert after.pop("timeout_allocs") - before.pop("timeout_allocs") in (0, 2)
+            assert after == before
+            seen.append(after)
+
+        attempt()                          # empty calendar, empty pools
+        def chain():
+            for _ in range(4):
+                yield sim.timeout(3)
+        sim.process(chain())
+        for _ in range(3):
+            sim.call_in(20, lambda _a: None, None)
+        sim.call_in(20, attempt)           # inside a live batch, pools filled
+        sim.call_in(90, lambda _a: None, None)
+        sim.run(until=50)
+        assert sim.calendar_stats()["timeout_pool"] >= 1
+        attempt()                          # between runs, one entry pending
+        sim.run()
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]
+    messages = [m for m in outcomes[0] if isinstance(m, str)]
+    assert messages == [text, text, timeout_text or text, timeout_text or text] * 3
 
 
 @accel
 def test_accel_binds_compiled_paths():
+    """Placement and the run loop are builtins on an exact wheel Simulator;
+    heap / policy / subclass instances keep the pure methods."""
     sim = Simulator(calendar="wheel")
-    assert type(sim.timeout).__name__ == "builtin_function_or_method"
-    assert sim._creg is not None
-    # the heap calendar (policies included) stays pure
-    assert Simulator(schedule_policy=FifoPolicy())._creg is None
-    assert Simulator(calendar="heap")._creg is None
+    for bound in (sim.schedule, sim.call_in, sim.timeout, sim._cdrain):
+        assert type(bound).__name__ == "builtin_function_or_method"
+    assert type(sim.step).__name__ == type(sim.peek).__name__ == "method"
+
+    class Sub(Simulator):
+        __slots__ = ()
+
+    for pure in (Simulator(schedule_policy=FifoPolicy()),
+                 Simulator(calendar="heap"), Sub(calendar="wheel")):
+        assert pure._cdrain is None
+        for bound in (pure.schedule, pure.call_in, pure.timeout):
+            assert type(bound).__name__ == "method"
+    # the C entry points refuse a simulator whose wheel slots do not exist
+    with pytest.raises(TypeError, match="timing-wheel Simulator"):
+        _accel.load().bind_wheel_drain(Simulator(calendar="heap"))
 
 
 def test_accel_env_disable(monkeypatch):
@@ -376,7 +744,7 @@ def test_accel_env_disable(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_C", "0")
     monkeypatch.setattr(_accel, "_state", "unloaded")
     sim = Simulator(calendar="wheel")
-    assert sim._creg is None
+    assert sim._cdrain is None
     assert type(sim.timeout).__name__ == "method"
 
 

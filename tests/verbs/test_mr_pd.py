@@ -55,6 +55,14 @@ def test_require_checks_access(device):
     mr = device.register(buf, access=Access.local())
     with pytest.raises(RemoteAccessError, match="lacks access"):
         mr.require(mr.addr, 10, Access.REMOTE_WRITE)
+    # every requested right must be held: one missing bit of a combined
+    # request is refused, with both sides named as Access flags
+    with pytest.raises(RemoteAccessError,
+                       match=r"lacks access <Access\..*REMOTE_READ.*> \(has <Access\..*: 3>\)"):
+        mr.require(mr.addr, 10, Access.LOCAL_WRITE | Access.REMOTE_READ)
+    mr.require(mr.addr, 10, Access.LOCAL_READ | Access.LOCAL_WRITE)
+    everything = device.register(device.host.alloc(8), access=Access.remote())
+    everything.require(everything.addr, 8, Access.REMOTE_WRITE | Access.LOCAL_READ)
 
 
 def test_deregister_invalidates(device):

@@ -170,6 +170,23 @@ def test_inline_limit_enforced(sim, pair):
                 flags=SendFlags.SIGNALED | SendFlags.INLINE)
     with pytest.raises(BadWorkRequest, match="inline"):
         pair.qa.post_send(wr)
+    # the limit binds inline sends only, and only beyond max_inline
+    pair.qa.post_send(SendWR(opcode=Opcode.SEND, wr_id=2,
+                             sge=SGE(pair.mr_a.addr, 1024, pair.mr_a.lkey)))
+    pair.qa.post_send(SendWR(opcode=Opcode.SEND, wr_id=3,
+                             sge=SGE(pair.mr_a.addr, pair.qa.max_inline, pair.mr_a.lkey),
+                             flags=SendFlags.INLINE))
+
+
+def test_inline_rdma_read_rejected():
+    read = dict(opcode=Opcode.RDMA_READ, sge=SGE(0, 8, 1), remote_addr=64, rkey=7)
+    with pytest.raises(BadWorkRequest, match="RDMA_READ cannot be inline"):
+        SendWR(flags=SendFlags.SIGNALED | SendFlags.INLINE, **read).validate()
+    with pytest.raises(BadWorkRequest, match="RDMA_READ cannot be inline"):
+        SendWR(flags=SendFlags.INLINE, **read).validate()
+    SendWR(flags=SendFlags.SIGNALED, **read).validate()
+    SendWR(opcode=Opcode.RDMA_WRITE, sge=SGE(0, 8, 1), remote_addr=64, rkey=7,
+           flags=SendFlags.INLINE).validate()
 
 
 def test_post_on_unconnected_qp_rejected(sim, pair):
