@@ -88,7 +88,8 @@ check-smoke:
 
 # End-to-end + per-layer host-time benchmark (perf/README.md; the gate
 # every perf PR is judged by, declared in BENCHMARK.json).  The smoke
-# target runs the harness's own tests and one short untraced workload —
+# target runs the harness's own tests and two short untraced workloads
+# (echo_small, and blast_stream, the workload perf claims are made on) —
 # run.py exits non-zero on any correctness failure (fingerprint drift
 # between repetitions, truncation, accelerator status change) — and
 # leaves its result document behind for CI upload.  `make perf` is the
@@ -98,6 +99,8 @@ perf-smoke:
 	PYTHONPATH=src python -m pytest perf/
 	python3 perf/run.py --workload echo_small --seconds 4 --trace 0 \
 		--out perf-smoke.json
+	python3 perf/run.py --workload blast_stream --seconds 4 --trace 0 \
+		--out perf-smoke-blast.json
 
 perf:
 	python3 perf/run.py --out perf-result.json

@@ -8,14 +8,13 @@ ADVERT of a sequence) and **phase number**, and the ``MSG_WAITALL`` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..records import record
 from .phase import is_direct
 
 __all__ = ["Advert"]
 
 
-@dataclass(frozen=True)
+@record
 class Advert:
     """One receiver memory advertisement.
 

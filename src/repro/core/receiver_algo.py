@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, List, Optional
 
+from ..records import record
 from .advert import Advert
 from .invariants import require
 from .modes import ProtocolMode
@@ -50,7 +51,7 @@ class RecvEntry:
         return self.length - self.filled
 
 
-@dataclass(frozen=True)
+@record
 class CopyPlan:
     """Copy *nbytes* from the intermediate buffer into *entry*'s user buffer.
 

@@ -22,8 +22,9 @@ construction (though the RC transport never loses messages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
+
+from ..records import record
 
 __all__ = ["RingSegment", "SenderRingView", "ReceiverRing", "RingError"]
 
@@ -32,7 +33,7 @@ class RingError(RuntimeError):
     """Accounting violation in the intermediate-buffer bookkeeping."""
 
 
-@dataclass(frozen=True)
+@record
 class RingSegment:
     """A contiguous region reserved in the ring: [offset, offset+nbytes)."""
 

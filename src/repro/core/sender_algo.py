@@ -22,9 +22,9 @@ an ADVERT's fields carry P_A and S_A.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Union
 
+from ..records import record
 from .advert import Advert
 from .invariants import require
 from .modes import ProtocolMode
@@ -35,7 +35,7 @@ from .stats import ProtocolStats
 __all__ = ["DirectPlan", "IndirectPlan", "SenderAlgorithm", "TransferPlan"]
 
 
-@dataclass(frozen=True)
+@record
 class DirectPlan:
     """Send *nbytes* directly into *advert*'s user buffer."""
 
@@ -52,7 +52,7 @@ class DirectPlan:
     advert_done: bool
 
 
-@dataclass(frozen=True)
+@record
 class IndirectPlan:
     """Send *nbytes* into the remote intermediate buffer."""
 

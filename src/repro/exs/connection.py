@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Any, Deque, Optional
 
 from ..core import ProtocolStats
@@ -165,7 +164,10 @@ class ExsConnection:
             )
             self._free_slots = None
         self._recv_pool_buf = self.recv_pool_buf
-        self._recv_pool_mr = device.register(self.recv_pool_buf)
+        self._recv_pool_mr = mr = device.register(self.recv_pool_buf)
+        # every control SEND and control-pool repost names the same range
+        self._ctrl_sge = SGE(mr.addr, CTRL_WIRE_BYTES, mr.lkey)
+        self._recv_sge = SGE(mr.addr, RECV_BUF_BYTES, mr.lkey)
 
         if socket_type is SocketType.SOCK_STREAM:
             if self.transport == TRANSPORT_EAGER_RENDEZVOUS:
@@ -248,12 +250,7 @@ class ExsConnection:
 
     def _post_recv_wr(self) -> None:
         if self._slot_bytes is None:
-            self.qp.post_recv(
-                RecvWR(
-                    wr_id=self.next_wr_id(),
-                    sge=SGE(self._recv_pool_mr.addr, RECV_BUF_BYTES, self._recv_pool_mr.lkey),
-                )
-            )
+            self.qp.post_recv(RecvWR(wr_id=self.next_wr_id(), sge=self._recv_sge))
             return
         slot = self._free_slots.pop()
         self.qp.post_recv(
@@ -702,11 +699,11 @@ class ExsConnection:
                 self.trace("ring_ack", copied=msg.copied_cum)
             elif isinstance(msg, FinMsg):
                 self.trace("fin", seq=msg.final_seq)
-        grant = self.credits.grant_now()
-        if not isinstance(msg, CreditMsg):
-            msg = replace(msg, credit_cum=grant)
-        else:
-            msg = CreditMsg(credit_cum=grant)
+        # Stamp the credit grant: ``credit_cum`` is every control message's
+        # last field, so one constructor call passes the others through.
+        cls = type(msg)
+        msg = cls(*map(msg.__getattribute__, cls.__match_args__[:-1]),
+                  self.credits.grant_now())
         context = ("ctrl", msg)
         if isinstance(msg, FinMsg):
             context = ("fin", msg)
@@ -715,7 +712,7 @@ class ExsConnection:
             SendWR(
                 opcode=Opcode.SEND,
                 wr_id=self.next_wr_id(),
-                sge=SGE(self._recv_pool_mr.addr, CTRL_WIRE_BYTES, self._recv_pool_mr.lkey),
+                sge=self._ctrl_sge,
                 payload=Chunk(0, CTRL_WIRE_BYTES, None, obj=msg),
                 context=context,
             )

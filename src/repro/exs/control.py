@@ -13,10 +13,10 @@ counter, which is how send credits flow back (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..core.advert import Advert
+from ..records import record
 
 __all__ = [
     "CTRL_WIRE_BYTES",
@@ -70,7 +70,7 @@ def decode_imm(imm: int) -> tuple[int, int]:
 
 
 # --- control messages ------------------------------------------------------
-@dataclass(frozen=True)
+@record
 class AdvertMsg:
     """Receiver -> sender: one user-buffer advertisement (paper §II-C)."""
 
@@ -78,7 +78,7 @@ class AdvertMsg:
     credit_cum: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class RingAckMsg:
     """Receiver -> sender: cumulative bytes copied out of the ring."""
 
@@ -86,14 +86,14 @@ class RingAckMsg:
     credit_cum: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class CreditMsg:
     """Receiver -> sender: standalone credit grant (no other traffic)."""
 
     credit_cum: int
 
 
-@dataclass(frozen=True)
+@record
 class DataNotifyMsg:
     """Sender -> receiver: iWARP-emulation notification following an RDMA
     WRITE (paper §II-B: WWI "can be simulated on older iWARP hardware by
@@ -107,7 +107,7 @@ class DataNotifyMsg:
     credit_cum: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class FinMsg:
     """Sender -> receiver: graceful end of stream after *final_seq* bytes."""
 
@@ -116,7 +116,7 @@ class FinMsg:
 
 
 # --- eager/rendezvous transport (MPICH2-over-IB style, PAPERS.md) ----------
-@dataclass(frozen=True)
+@record
 class EagerDataMsg:
     """Sender -> receiver: a small message's payload riding a SEND.
 
@@ -131,7 +131,7 @@ class EagerDataMsg:
     credit_cum: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class RtsMsg:
     """Sender -> receiver: request-to-send for a large (rendezvous) message."""
 
@@ -140,7 +140,7 @@ class RtsMsg:
     credit_cum: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class CtsMsg:
     """Receiver -> sender: clear-to-send — a grant of registered user memory.
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..records import record
 from ..simnet import Event, Simulator, Store
 
 __all__ = ["ExsEventType", "ExsEvent", "ExsEventQueue"]
@@ -31,7 +31,7 @@ class ExsEventType(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@record
 class ExsEvent:
     """One completion delivered to the application."""
 

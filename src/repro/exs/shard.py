@@ -118,7 +118,8 @@ class CqShard:
 
     A failing connection (credit collapse, QP teardown) breaks only
     itself: the exception is translated into that connection's
-    ``fail_connection`` and the shard keeps servicing its siblings.
+    ``fail_connection`` and the shard keeps servicing its siblings.  Any
+    other exception kills the poller and fails the run, chained to it.
     """
 
     def __init__(self, stack: "ExsStack", index: int) -> None:
@@ -152,6 +153,14 @@ class CqShard:
         self._proc = stack.sim.process(
             self._engine_loop(), name=f"{stack.host.name}-cqshard{index}"
         )
+        # a poller death would hang every connection on the shard: surface it
+        self._proc.add_callback(self._on_exit)
+
+    def _on_exit(self, event) -> None:
+        if event.ok is False:
+            raise RuntimeError(
+                f"CQ shard {self.index} poller on host {self.host.name} died"
+            ) from event._value
 
     def register(self, conn: "ExsConnection") -> None:
         """Start servicing *conn* (called from ``on_peer_hello``)."""

@@ -292,8 +292,8 @@ class Fabric:
 
         self._devices: Dict[str, RdmaDevice] = {}
         for name in topo.hosts:
-            # the device's send-engine process must start on its host's
-            # calendar under the cells kernel
+            # the device's send pipeline must start on its host's calendar
+            # under the cells kernel
             with self._in_cell(name):
                 self._devices[name] = RdmaDevice(self.sim, self._hosts[name], device_config)
 

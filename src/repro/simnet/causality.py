@@ -59,13 +59,16 @@ DEFAULT_TAIL = 256
 
 #: ``call_in`` callback name → causal category.  Unlisted callables are
 #: generic "call" edges; the names below are the hot delivery paths whose
-#: identity the critical-path walker needs.
+#: identity the critical-path walker needs, and the HCA send pipeline's
+#: steps, labelled as a process engine's wake-up event and per-WR timeout.
 _CALL_CATEGORIES = {
     "_on_wire": "link",
     "_on_ack": "ack",
     "_on_timer": "rto_timer",
     "_on_rnr_timer": "rnr_timer",
     "_tick": "sampler",
+    "_tx_wake": "event",
+    "_tx_wire": "timeout",
 }
 
 

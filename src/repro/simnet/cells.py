@@ -308,8 +308,8 @@ class CellSimulator(Simulator):
     def cell(self, name: str):
         """Context manager: placements inside run in cell *name*.
 
-        Used during fabric assembly so each host's initial processes
-        (device send engine, shard pollers) start on that host's
+        Used during fabric assembly so each host's initial entries
+        (device send pipeline, shard pollers) start on that host's
         calendar.  Mid-run the current cell tracks execution and this is
         not needed.
         """

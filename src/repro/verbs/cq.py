@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, List, Optional
 
+from ..records import record
 from .enums import WCOpcode, WCStatus
 
 __all__ = ["WorkCompletion", "CompletionQueue"]
 
 
-@dataclass(frozen=True)
+@record
 class WorkCompletion:
     """One completion-queue entry (``ibv_wc``)."""
 

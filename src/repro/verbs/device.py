@@ -5,8 +5,9 @@ One :class:`RdmaDevice` is attached to a host and to one end of a
 
 * a protection domain (memory registration),
 * queue pairs and completion queues,
-* a **send engine** process that drains send queues (one WR at a time,
-  modelling the HCA's WQE-processing pipeline) onto the link, and
+* the **send pipeline** that drains send queues onto the link one WR at a
+  time, round-robin across QPs (the HCA's WQE-processing pipeline), as a
+  chain of calendar callbacks rather than a process, and
 * the **arrival handler** that executes incoming messages: placing payloads
   directly into registered memory (the zero-copy DMA path — note that no
   host CPU time is charged for it), consuming RECVs, raising completions,
@@ -26,7 +27,7 @@ from typing import Deque, Dict, Optional, Set
 
 from ..hosts.host import Host
 from ..hosts.memory import Chunk
-from ..simnet import Signal, Simulator
+from ..simnet import Simulator
 from ..simnet.faults import Corrupted
 from ..simnet.link import Link, LinkDirection
 from .comp_channel import CompletionChannel, WakeupSampler
@@ -97,11 +98,12 @@ class RdmaDevice:
         #: legacy single-calendar delivery for out-of-band ACKs)
         self.cell: Optional[int] = None
 
-        # send engine
+        # send pipeline (see _tx_wake): QPs with queued WRs in round-robin
+        # order; parked = idle until kicked, kicked = kicked while busy
         self._service: Deque[QueuePair] = deque()
         self._in_service: Set[int] = set()
-        self._engine_kick = Signal(sim)
-        self._engine = sim.process(self._send_engine(), name=f"hca{self.device_id}-send")
+        self._tx_parked = self._tx_kicked = False
+        sim.call_in(0, self._tx_wake)
 
         # connection management hook (set by repro.verbs.cm)
         self.cm_handler = None
@@ -179,31 +181,52 @@ class RdmaDevice:
     # send path
     # ------------------------------------------------------------------
     def kick_send(self, qp: QueuePair) -> None:
-        """Tell the send engine that *qp* has work (called by post_send)."""
+        """Tell the send pipeline that *qp* has work (called by post_send)."""
         if qp.qpn not in self._in_service:
             self._in_service.add(qp.qpn)
             self._service.append(qp)
-        self._engine_kick.fire()
+        if self._tx_parked:
+            self._tx_parked = False
+            self.sim.call_in(0, self._tx_wake)
+        else:
+            self._tx_kicked = True
 
-    def _send_engine(self):
-        """HCA send pipeline: one WR at a time, round-robin across QPs."""
-        cfg = self.config
-        while True:
-            if not self._service:
-                yield self._engine_kick.wait()
-                continue
-            qp = self._service.popleft()
+    # Wake-ups (at construction, on a kick while parked, once more on going
+    # idle if kicked while busy) and per-WR overhead waits are a process
+    # engine's start event, signal wake-ups and timeouts one for one, at the
+    # same program points with the same delays, so the calendar sees
+    # exactly the schedule such an engine would produce.
+    def _tx_wake(self, _arg=None) -> None:
+        """Start the next WR on the wire, or park until kicked."""
+        service = self._service
+        overhead = self.config.wr_overhead_ns
+        while service:
+            qp = service.popleft()
             self._in_service.discard(qp.qpn)
             if not qp.sq or qp.state is not QPState.READY:
                 continue
             wr = qp.sq.popleft()
-            if cfg.wr_overhead_ns:
-                yield self.sim.timeout(cfg.wr_overhead_ns)
+            if overhead:
+                self.sim.call_in(overhead, self._tx_wire, (qp, wr))
+                return
             self._transmit_wr(qp, wr)
-            if qp.sq:
-                if qp.qpn not in self._in_service:
-                    self._in_service.add(qp.qpn)
-                    self._service.append(qp)
+            if qp.sq and qp.qpn not in self._in_service:
+                self._in_service.add(qp.qpn)
+                service.append(qp)
+        if self._tx_kicked:
+            self._tx_kicked = False
+            self.sim.call_in(0, self._tx_wake)
+        else:
+            self._tx_parked = True
+
+    def _tx_wire(self, qp_wr) -> None:
+        """A WR's overhead elapsed: transmit it, then start the next one."""
+        qp, wr = qp_wr
+        self._transmit_wr(qp, wr)
+        if qp.sq and qp.qpn not in self._in_service:
+            self._in_service.add(qp.qpn)
+            self._service.append(qp)
+        self._tx_wake()
 
     def _large_msg_penalty_ns(self, nbytes: int) -> int:
         thr = self.config.large_msg_threshold
@@ -214,8 +237,6 @@ class RdmaDevice:
     def _transmit_wr(self, qp: QueuePair, wr) -> None:
         if self.tx is None:
             raise VerbsError("device not attached to a link")
-        if wr.length > self.config.max_msg_bytes:
-            raise BadWorkRequest(f"message of {wr.length}B exceeds max_msg_bytes")
         seq = qp.next_seq()
         payload = wr.payload
         if payload is None and wr.opcode is not Opcode.RDMA_READ:

@@ -30,15 +30,10 @@ class MemoryRegion:
         self.lkey = lkey
         self.rkey = rkey
         self.valid = True
-
-    @property
-    def addr(self) -> int:
-        """Starting virtual address of the registered range."""
-        return self.buffer.addr
-
-    @property
-    def length(self) -> int:
-        return self.buffer.nbytes
+        #: starting virtual address and length of the registered range (a
+        #: buffer's placement never changes, so they are copied once here)
+        self.addr = buffer.addr
+        self.length = buffer.nbytes
 
     def contains(self, addr: int, nbytes: int) -> bool:
         return self.addr <= addr and addr + nbytes <= self.addr + self.length

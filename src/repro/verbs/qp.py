@@ -143,6 +143,9 @@ class QueuePair:
             raise BadWorkRequest(
                 f"inline send of {wr.length}B exceeds max_inline={self.max_inline}"
             )
+        # at post time, so an oversize WR fails its poster, not the pipeline
+        if wr.sge.length > self.device.config.max_msg_bytes:
+            raise BadWorkRequest(f"message of {wr.sge.length}B exceeds max_msg_bytes")
         self.sq.append(wr)
         self.sends_posted += 1
         self.device.kick_send(self)
@@ -180,11 +183,15 @@ class QueuePair:
         return seq
 
     def ack_up_to(self, msn: int) -> list[SendWR]:
-        """Cumulative ack: pop and return all in-flight WRs with seq <= msn."""
+        """Cumulative ack: pop and return all in-flight WRs with seq <= msn
+        (a prefix of :attr:`inflight`, whose keys arrive in seq order)."""
         done = []
-        for seq in sorted(self.inflight):
-            if seq <= msn:
-                done.append(self.inflight.pop(seq))
+        inflight = self.inflight
+        while inflight:
+            seq = next(iter(inflight))
+            if seq > msn:
+                break
+            done.append(inflight.pop(seq))
         if msn > self._last_acked:
             self._last_acked = msn
         return done

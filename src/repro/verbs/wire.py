@@ -42,7 +42,7 @@ CM_WIRE_BYTES = 256
 CTRL_WIRE_BYTES_GUESS = 48
 
 
-@dataclass
+@dataclass(slots=True)
 class DataMessage:
     """One RC transport message.
 
@@ -76,7 +76,7 @@ class DataMessage:
         return HEADER_BYTES + self.payload_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class AckMessage:
     """Cumulative transport acknowledgement for a QP direction.
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..hosts.memory import Chunk
+from ..records import record
 from .enums import Opcode, SendFlags
 from .errors import BadWorkRequest
 
@@ -16,7 +17,7 @@ __all__ = ["SGE", "SendWR", "RecvWR"]
 INLINE_BIT = SendFlags.INLINE._value_
 
 
-@dataclass(frozen=True)
+@record
 class SGE:
     """Scatter/gather entry: (address, length, lkey)."""
 
@@ -29,7 +30,7 @@ class SGE:
             raise BadWorkRequest("negative SGE length")
 
 
-@dataclass
+@dataclass(slots=True)
 class SendWR:
     """A send-queue work request.
 

@@ -1,8 +1,14 @@
 """CQ sharding: shared completion vectors servicing many connections."""
 
+import itertools
+
+import pytest
+
 from helpers import idle_wakeups, run_procs
+from repro.apps.incast import IncastConfig, run_incast
 from repro.config import ScenarioConfig
 from repro.exs import BlockingSocket
+from repro.exs.connection import ExsConnection
 from repro.fabric import Fabric
 from repro.simnet import FaultProfile, Topology
 from repro.verbs import ReliabilityConfig
@@ -116,6 +122,29 @@ def test_failing_connection_does_not_break_shard_siblings():
     assert out.get("good") == b"g" * 20_000
     # the starved stream never delivered its payload
     assert "dead" not in out
+
+
+@pytest.mark.parametrize("cq_shards, died", [
+    (0, r"EXS engine for connection \d+ died"),
+    (2, r"CQ shard \d poller on host sink died"),
+])
+def test_engine_death_surfaces_from_run(monkeypatch, cq_shards, died):
+    """A completion handler failing with anything but a credit or QP-state
+    error kills the engine that ran it; per-connection or sharded, the run
+    says so, chained to the cause, instead of hanging the connections."""
+    handle = ExsConnection._handle_data_arrival
+    calls = itertools.count(1)
+
+    def fail_third(self, wc):
+        if next(calls) == 3:
+            raise KeyError("injected")
+        return (yield from handle(self, wc))
+
+    monkeypatch.setattr(ExsConnection, "_handle_data_arrival", fail_third)
+    with pytest.raises(RuntimeError, match=died) as info:
+        run_incast(IncastConfig(senders=4, bytes_per_sender=16384, message_bytes=4096),
+                   ScenarioConfig(seed=1, cq_shards=cq_shards))
+    assert isinstance(info.value.__cause__, KeyError)
 
 
 def test_shard_sleep_leaves_nothing_behind_per_wakeup():

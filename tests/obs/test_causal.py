@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps import BlastConfig, ExponentialSizes, run_blast
 from repro.config import ScenarioConfig
+from repro.obs.__main__ import main as obs_main
 from repro.obs.causal import (
     SEGMENTS,
     _relabel_credit,
@@ -53,6 +54,27 @@ def test_every_message_reconciles_exactly(lossy_run):
             f"send_id={path.span.send_id}: segments sum {path.total_ns} "
             f"!= e2e {path.span.e2e_ns}")
         assert path.depth > 0
+
+
+def test_trace_smoke_segment_totals_are_pinned(capsys):
+    """The ``python -m repro.obs trace --smoke`` attribution, to the ns.
+
+    Reconciliation alone cannot see a causal *relabel*: tagging, say, the
+    HCA's per-WR overhead wait as a generic call instead of a timeout moves
+    its time from ``cpu`` to ``queueing`` while every path still sums to
+    its e2e latency.  Re-pin only for a deliberate attribution change.
+    """
+    assert obs_main(["trace", "--smoke"]) == 0
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")]
+    assert dict(rows) == {
+        "cpu": "54582.952",
+        "link_serialization": "5736.353",
+        "propagation": "11.600",
+        "queueing": "5809.774",
+        "retransmit_backoff": "9063.513",
+        "total": "75204.192",
+    }
 
 
 def test_lossy_run_attributes_retransmit_backoff(lossy_run):
