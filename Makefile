@@ -88,9 +88,10 @@ check-smoke:
 
 # End-to-end + per-layer host-time benchmark (perf/README.md; the gate
 # every perf PR is judged by, declared in BENCHMARK.json).  The smoke
-# target runs the harness's own tests and two short untraced workloads
-# (echo_small, and blast_stream, the workload perf claims are made on) —
-# run.py exits non-zero on any correctness failure (fingerprint drift
+# target runs the harness's own tests and three short untraced workloads
+# (echo_small; blast_stream, the workload perf claims are made on; and
+# incast_fanin, the only one that runs the CQ-shard pollers) — run.py
+# exits non-zero on any correctness failure (fingerprint drift
 # between repetitions, truncation, accelerator status change) — and
 # leaves its result document behind for CI upload.  `make perf` is the
 # full run (4 workloads, untraced + traced, a few minutes); compare two
@@ -101,6 +102,8 @@ perf-smoke:
 		--out perf-smoke.json
 	python3 perf/run.py --workload blast_stream --seconds 4 --trace 0 \
 		--out perf-smoke-blast.json
+	python3 perf/run.py --workload incast_fanin --seconds 4 --trace 0 \
+		--out perf-smoke-incast.json
 
 perf:
 	python3 perf/run.py --out perf-result.json

@@ -5,13 +5,16 @@ verbs resources (QP, CQ, completion channel, pre-posted receive pool), the
 two protocol halves (:class:`~repro.exs.stream_sender.StreamSenderHalf`,
 :class:`~repro.exs.stream_receiver.StreamReceiverHalf` — or their
 SOCK_SEQPACKET counterparts), the credit manager, and the **progress
-engine**: a single simulation process standing in for the EXS library
-thread that services this socket.
+engine** standing in for the EXS library thread that services this socket.
 
 The engine models the event-notification discipline the paper's
 experiments use: drain the CQ and all derived work while awake; arm the CQ
 and block on the completion channel (paying the OS wake-up latency) only
-when nothing is runnable.
+when nothing is runnable.  It is no simulation process: its loop is a
+generator that yields the library-core nanoseconds each step charges, or
+:data:`~repro.exs.engine.SLEEP`, and :class:`~repro.exs.engine.Engine`
+drives it from calendar callbacks (on a sharded stack the shard's poller
+drives this connection's handlers instead).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from ..core import ProtocolStats
 from ..core.invariants import require
 from ..hosts.host import Host
 from ..hosts.memory import Chunk, CopyMeter
-from ..simnet import AnyOf, Signal, Simulator
+from ..simnet import Simulator
 from ..verbs import (
     SGE,
     CompletionChannel,
@@ -55,6 +58,7 @@ from .control import (
     decode_imm,
 )
 from .credits import CreditError, CreditManager
+from .engine import SLEEP, Engine
 from .eventqueue import ExsEvent, ExsEventType
 from .flags import ExsSocketOptions, SocketType, TRANSPORT_EAGER_RENDEZVOUS, TRANSPORT_WWI
 from .rendezvous import RdvReceiverHalf, RdvSenderHalf
@@ -204,8 +208,7 @@ class ExsConnection:
         self.peer_conn_id = 0
         # on a sharded stack, kicks wake the shard poller instead of a
         # per-connection engine
-        self._kick = shard.kick if shard is not None else Signal(sim)
-        self._engine = None
+        self._engine = shard.engine if shard is not None else Engine(sim, host.cpu, self.channel)
         self.established = False
         self.closing = False
         self.close_event_posted = False
@@ -311,16 +314,9 @@ class ExsConnection:
             # sharded stack: the shard's poller services this connection
             self._shard.register(self)
             return
-        self._engine = self.sim.process(self._engine_loop(), name=f"exs{self.conn_id}-engine")
-        # An engine death is an implementation bug; surface it immediately
-        # instead of letting the simulation quietly deadlock.
-        self._engine.add_callback(self._on_engine_exit)
-
-    def _on_engine_exit(self, event) -> None:
-        if event.ok is False:
-            raise RuntimeError(
-                f"EXS engine for connection {self.conn_id} died"
-            ) from event._value
+        # An engine death is an implementation bug: it raises, naming the
+        # connection, instead of letting the simulation quietly deadlock.
+        self._engine.start(self._engine_loop(), f"EXS engine for connection {self.conn_id}")
 
     # ------------------------------------------------------------------
     # small helpers
@@ -328,15 +324,11 @@ class ExsConnection:
     def next_wr_id(self) -> int:
         return next(self._wr_ids)
 
-    def charge(self, ns: int):
-        """Charge *ns* of library CPU time (generator)."""
-        return self.host.cpu.work(ns)
-
     def kick(self) -> None:
         """Wake the engine (user posted work / external state change)."""
         if self._shard is not None:
             self._shard.mark(self)
-        self._kick.fire()
+        self._engine.kick()
 
     def queue_control(self, msg: ControlMsg) -> None:
         self._ctrl_queue.append(msg)
@@ -509,7 +501,7 @@ class ExsConnection:
             if len(self.cq):
                 continue
             idle_start = self.sim.now
-            yield AnyOf(self.sim, [self.channel.wait(), self._kick.wait()])
+            yield SLEEP
             if self.options.busy_poll:
                 # the poll loop burned the library core the whole time
                 self.host.cpu.record_busy(idle_start, self.sim.now)
@@ -572,7 +564,7 @@ class ExsConnection:
             yield from self._handle_control_arrival(wc)
         elif wc.opcode is WCOpcode.RDMA_WRITE:
             # one of our WWIs was acknowledged by the transport
-            yield from self.charge(self.costs.completion_ns)
+            yield self.costs.completion_ns
             kind, usend, chunk = wc.context
             require(kind == "data", "wc dispatch", "unexpected send-completion context")
             if chunk.pin is not None:
@@ -585,7 +577,7 @@ class ExsConnection:
             self.tx.on_data_acked(usend, chunk.nbytes)
         elif wc.opcode is WCOpcode.SEND:
             # control (or eager-data) message send completion
-            yield from self.charge(self.costs.completion_ns)
+            yield self.costs.completion_ns
             if isinstance(wc.context, tuple) and wc.context:
                 if wc.context[0] == "fin":
                     self.tx.fin_acked = True
@@ -600,7 +592,7 @@ class ExsConnection:
             raise RuntimeError(f"unexpected completion opcode {wc.opcode}")
 
     def _handle_data_arrival(self, wc: WorkCompletion):
-        yield from self.charge(self.costs.completion_ns)
+        yield self.costs.completion_ns
         self._recycle_recv(wc)
         kind, advert_id = decode_imm(wc.imm_data)
         chunk: Chunk = wc.meta["chunk"]
@@ -621,7 +613,7 @@ class ExsConnection:
         # completion; other control messages are lighter.
         data_arrival = isinstance(msg, (DataNotifyMsg, EagerDataMsg))
         cost = self.costs.completion_ns if data_arrival else self.costs.control_ns
-        yield from self.charge(cost)
+        yield cost
         if isinstance(msg, EagerDataMsg):
             # The payload occupies the bounce slot until it is copied into
             # user memory; the slot (and its credit) recycles only then —
@@ -675,7 +667,7 @@ class ExsConnection:
         progressed = False
         while self._ctrl_queue and self.credits.can_send_control():
             msg = self._ctrl_queue.popleft()
-            yield from self.charge(self.costs.send_control_ns)
+            yield self.costs.send_control_ns
             self._post_control(msg)
             progressed = True
         # explicit credit return when there is no other outbound traffic
@@ -685,7 +677,7 @@ class ExsConnection:
             and self.credits.ungranted() >= self._credit_update_threshold
             and self.credits.can_send_control()
         ):
-            yield from self.charge(self.costs.send_control_ns)
+            yield self.costs.send_control_ns
             self._post_control(CreditMsg(credit_cum=0))
             progressed = True
         return progressed

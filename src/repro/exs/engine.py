@@ -1,0 +1,122 @@
+"""The library-thread driver shared by the EXS progress engines.
+
+An EXS library thread — a connection's progress engine, or a CQ shard's
+poller — drains its CQ and runs protocol work while awake, each step
+charging the host's library core, and sleeps on its completion channel
+*or* a kick from the application side, whichever comes first.
+
+:class:`Engine` runs such a thread as calendar callbacks, with no
+simulation process.  Its loop is a generator (the *body*) that yields
+either an ``int`` — nanoseconds of library core to charge, handed to
+:meth:`~repro.hosts.cpu.Cpu.run`, which resumes the body — or
+:data:`SLEEP`.  The wake protocol, with its absorb rule, is described in
+docs/SIMULATION.md, "Event kernel"; every calendar entry it places stands
+for one the generator-process engine placed, at the same point and delay.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hosts.cpu import Cpu
+    from ..simnet import Simulator
+    from ..verbs import CompletionChannel
+
+__all__ = ["Engine", "SLEEP"]
+
+#: what a body yields to sleep on channel-or-kick (a charge is an int)
+SLEEP = None
+
+
+def _engine_exit(_arg: Any) -> None:
+    """The entry a finished thread leaves, as a finished process did."""
+
+
+class Engine:
+    """One library thread: a generator body driven from the calendar."""
+
+    __slots__ = (
+        "sim", "cpu", "channel", "what", "_next", "_step", "_on_channel",
+        "_on_kick", "_sleep", "_naps", "_kick_armed", "_kick_latched",
+        "_kick_absorb",
+    )
+
+    def __init__(self, sim: "Simulator", cpu: "Cpu", channel: "CompletionChannel") -> None:
+        self.sim = sim
+        self.cpu = cpu
+        self.channel = channel
+        #: names the thread in the error raised when its body fails
+        self.what = ""
+        self._next: Optional[Callable[[], Any]] = None
+        # bound once: these go on the calendar at every charge and sleep
+        self._step = self._engine_step
+        self._on_channel = self._engine_chan_wake
+        self._on_kick = self._engine_kick_wake
+        #: token of the current sleep; None while awake
+        self._sleep: Optional[int] = None
+        self._naps = 0
+        self._kick_armed = False
+        self._kick_latched = False
+        self._kick_absorb = False
+
+    def start(self, body: Iterator[Any], what: str) -> None:
+        """Run *body* from a zero-delay entry (kicks before then latch)."""
+        self._next = body.__next__
+        self.what = what
+        self.sim.call_in(0, self._engine_start)
+
+    def kick(self) -> None:
+        """Wake the thread, or make sure it re-checks before it sleeps."""
+        if self._kick_armed:
+            self._kick_armed = False
+            self._kick_absorb = False
+            self.sim.call_in(0, self._on_kick, self._sleep)
+        elif self._kick_absorb:
+            self._kick_absorb = False
+        else:
+            self._kick_latched = True
+
+    # -- calendar callbacks (named in simnet.causality._CALL_CATEGORIES) --
+    def _engine_start(self, _arg: Any) -> None:
+        self._engine_step()
+
+    def _engine_chan_wake(self, token: int) -> None:
+        if token == self._sleep:
+            self._sleep = None
+            if self._kick_armed:
+                self._kick_armed = False
+                self._kick_absorb = True
+            self._engine_step()
+
+    def _engine_kick_wake(self, token: int) -> None:
+        if token == self._sleep:
+            self._sleep = None
+            self._engine_step()
+
+    # -- the driver ---------------------------------------------------------
+    def _engine_step(self, _arg: Any = None) -> None:
+        """Resume the body until it charges the core or sleeps."""
+        nxt = self._next
+        run = self.cpu.run
+        step = self._step
+        try:
+            while True:
+                ns = nxt()
+                if ns is SLEEP:
+                    break
+                if run(ns, step, None):
+                    return
+        except StopIteration:
+            self.sim.call_in(0, _engine_exit)
+            return
+        except Exception as exc:
+            raise RuntimeError(f"{self.what} died") from exc
+        self._naps = token = self._naps + 1
+        self._sleep = token
+        self.channel.wait(self._on_channel, token)
+        if self._kick_latched:
+            self._kick_latched = False
+            self.sim.call_in(0, self._on_kick, token)
+        else:
+            self._kick_armed = True

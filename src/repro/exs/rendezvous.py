@@ -109,8 +109,8 @@ class RdvSenderHalf:
     def pump(self):
         """Issue transfers for the head send, strictly in stream order.
 
-        Generator sub-process run by the connection engine; returns True
-        if any progress was made.
+        Engine-body generator (yields the library-core ns it charges);
+        returns True if any progress was made.
         """
         conn = self.conn
         progressed = False
@@ -166,7 +166,7 @@ class RdvSenderHalf:
         nbytes = usend.unplanned
         if conn.tracer is not None:
             conn.trace("eager", nbytes=nbytes, seq=self.seq)
-        yield from conn.charge(conn.costs.post_wr_ns)
+        yield conn.costs.post_wr_ns
         conn.tx_stats.indirect_transfers += 1  # eager = 2 copies/byte, like indirect
         conn.tx_stats.indirect_bytes += nbytes
         chunk = self._slice(usend, self.seq, nbytes)
@@ -191,7 +191,7 @@ class RdvSenderHalf:
         nbytes = grant.nbytes
         if conn.tracer is not None:
             conn.trace("rendezvous", nbytes=nbytes, seq=self.seq)
-        yield from conn.charge(conn.costs.post_wr_ns)
+        yield conn.costs.post_wr_ns
         conn.tx_stats.direct_transfers += 1  # rendezvous = 1 placement copy, like direct
         conn.tx_stats.direct_bytes += nbytes
         chunk = self._slice(usend, self.seq, nbytes)
@@ -404,11 +404,12 @@ class RdvReceiverHalf:
         return None
 
     def execute_copy(self, plan: _RdvCopyPlan):
-        """Copy one staged span out of its bounce slot (charges CPU time)."""
+        """Copy one staged span out of its bounce slot (engine-body generator:
+        yields the copy's library-core ns)."""
         conn = self.conn
         if conn.tracer is not None:
             conn.trace("copy", nbytes=plan.nbytes, seq=self.seq)
-        yield from conn.host.cpu.work(conn.host.copy_ns(plan.nbytes))
+        yield conn.host.copy_ns(plan.nbytes)
         conn.rx_stats.copies += 1
         conn.rx_stats.copied_bytes += plan.nbytes
         staged, entry = plan.staged, plan.entry

@@ -104,7 +104,7 @@ class SeqPacketSenderHalf:
                 self.first_post_ns = self.conn.sim.now
             chunk = Chunk(self.messages_sent, nbytes, view, pin=pin)
             imm = encode_direct_imm(advert.advert_id)
-            yield from self.conn.charge(self.conn.costs.post_wr_ns)
+            yield self.conn.costs.post_wr_ns
             if self.conn.options.native_write_with_imm:
                 self.conn.credits.consume(1)
                 self.conn.qp.post_send(SendWR(

@@ -2,10 +2,10 @@
 
 Historically every EXS connection owned a private stack of verbs
 resources: ``credits`` pre-posted receive buffers, one completion queue,
-one completion channel, and one progress-engine process.  That is faithful
+one completion channel, and one progress engine.  That is faithful
 to the two-host experiments of the paper but scales per-connection: a host
 terminating N connections posts O(N·credits) receive buffers and runs N
-engine processes each polling its own CQ.
+engines each polling its own CQ.
 
 Two opt-in resources change that to O(1) / O(shards) per host:
 
@@ -17,8 +17,8 @@ Two opt-in resources change that to O(1) / O(shards) per host:
   NAK exactly as an individual empty receive queue would (IBTA semantics:
   RNR is evaluated against the SRQ for SRQ-attached QPs), and the sender's
   reliability layer retries after the RNR backoff.
-* :class:`CqShard` — one completion channel + CQ + poller process shared
-  by many connections.  Completions are routed to their connection by
+* :class:`CqShard` — one completion channel + CQ + poller shared by many
+  connections.  Completions are routed to their connection by
   ``wc.qp_num`` in arrival order, then every registered connection gets a
   progress round.  A host polls O(shards) CQs regardless of connection
   count.
@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Dict
 
-from ..simnet import AnyOf, Signal
 from ..verbs import QPStateError, RecvWR, SGE
 from .credits import CreditError
+from .engine import SLEEP, Engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .connection import ExsConnection
@@ -109,7 +109,11 @@ class CqShard:
     """One completion vector: a shared channel + CQ and its poller.
 
     Connections on a sharded stack are assigned round-robin to shards; the
-    shard's single engine process replaces their per-connection engines.
+    shard's poller replaces their per-connection engines.  It is a
+    library thread like theirs: a generator loop driven by an
+    :class:`~repro.exs.engine.Engine` (charges through the host's library
+    core, sleeps on the shared channel or a kick from any of its
+    connections), not a simulation process.
     Each wake-up drains the shared CQ, dispatching completions to their
     owning connection **in arrival order** (routed by ``wc.qp_num``), then
     runs one progress round per registered connection until nothing moves,
@@ -119,7 +123,8 @@ class CqShard:
     A failing connection (credit collapse, QP teardown) breaks only
     itself: the exception is translated into that connection's
     ``fail_connection`` and the shard keeps servicing its siblings.  Any
-    other exception kills the poller and fails the run, chained to it.
+    other exception kills the poller and raises from the run, naming host
+    and shard, chained to it.
     """
 
     def __init__(self, stack: "ExsStack", index: int) -> None:
@@ -131,7 +136,8 @@ class CqShard:
             seed=stack.next_seed(),
         )
         self.cq = stack.device.create_cq(self.channel)
-        self.kick = Signal(stack.sim)
+        #: the poller; connections on this shard kick it
+        self.engine = Engine(stack.sim, stack.host.cpu, self.channel)
         self.conns: Dict[int, "ExsConnection"] = {}
         # Progress rounds only run for connections with a reason to move:
         # a routed completion, an application kick, or movement in their
@@ -150,17 +156,11 @@ class CqShard:
         #: completions routed through this shard (for telemetry)
         self.wcs_dispatched = 0
         self.rounds = 0
-        self._proc = stack.sim.process(
-            self._engine_loop(), name=f"{stack.host.name}-cqshard{index}"
+        # a poller death would hang every connection on the shard: it
+        # raises, naming host and shard
+        self.engine.start(
+            self._engine_loop(), f"CQ shard {index} poller on host {stack.host.name}"
         )
-        # a poller death would hang every connection on the shard: surface it
-        self._proc.add_callback(self._on_exit)
-
-    def _on_exit(self, event) -> None:
-        if event.ok is False:
-            raise RuntimeError(
-                f"CQ shard {self.index} poller on host {self.host.name} died"
-            ) from event._value
 
     def register(self, conn: "ExsConnection") -> None:
         """Start servicing *conn* (called from ``on_peer_hello``)."""
@@ -168,7 +168,7 @@ class CqShard:
         self.conns[qpn] = conn
         self._order[qpn] = next(self._reg_seq)
         self._dirty[qpn] = None
-        self.kick.fire()
+        self.engine.kick()
 
     def mark(self, conn: "ExsConnection") -> None:
         """Queue *conn* for a progress round on the next engine pass."""
@@ -233,4 +233,4 @@ class CqShard:
             self.cq.req_notify()
             if len(self.cq):
                 continue
-            yield AnyOf(self.sim, [self.channel.wait(), self.kick.wait()])
+            yield SLEEP

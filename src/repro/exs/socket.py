@@ -167,7 +167,7 @@ class ExsSocket:
         new_sock.conn = conn
         new_sock.peer_hello = request.private_data
         # Post the receive pool before answering so no message can beat it.
-        yield from conn.charge(conn.costs.post_wr_ns * options.credits)
+        yield from conn.host.cpu.work(conn.costs.post_wr_ns * options.credits)
         conn.post_initial_recvs()
         try:
             conn.on_peer_hello(request.private_data)
@@ -209,7 +209,7 @@ class ExsSocket:
     def _connect_proc(self, port: int, eq: ExsEventQueue, context: Any,
                       to: Optional[str] = None):
         conn = self.conn
-        yield from conn.charge(conn.costs.post_wr_ns * self.options.credits)
+        yield from conn.host.cpu.work(conn.costs.post_wr_ns * self.options.credits)
         conn.post_initial_recvs()
         done = self.stack.cm.connect(port, conn.qp, conn.hello(), to=to)
         try:

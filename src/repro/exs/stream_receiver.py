@@ -128,7 +128,8 @@ class StreamReceiverHalf:
         return plan
 
     def execute_copy(self, plan: CopyPlan):
-        """Perform one copy out of the ring (generator; charges CPU time)."""
+        """Perform one copy out of the ring (engine-body generator: yields
+        the copy's library-core ns)."""
         conn = self.conn
         # The memcpy occupies the library thread — this cost is the origin
         # of the indirect protocol's high receiver CPU usage (paper Fig. 10).
@@ -136,7 +137,7 @@ class StreamReceiverHalf:
             # algo.seq is the stream position of the ring head — the copied
             # range is [seq, seq + nbytes), which is what span stitching uses
             conn.trace("copy", nbytes=plan.nbytes, seq=self.algo.seq)
-        yield from conn.host.cpu.work(conn.host.copy_ns(plan.nbytes))
+        yield conn.host.copy_ns(plan.nbytes)
         urecv: UserRecv = plan.entry.context
         # Gather zero-copy ring views, scatter-write them into user memory:
         # the indirect path's one real memcpy (and its metered copy).

@@ -125,8 +125,8 @@ class StreamSenderHalf:
     def pump(self):
         """Issue as many transfers as ADVERTs / buffer space / credits allow.
 
-        Generator sub-process run by the connection engine; returns True if
-        any progress was made.
+        Engine-body generator (yields the library-core ns it charges);
+        returns True if any progress was made.
         """
         progressed = False
         if self.algo is None:
@@ -202,7 +202,7 @@ class StreamSenderHalf:
         iWARP emulation (RDMA WRITE followed by a small notification SEND).
         """
         conn = self.conn
-        yield from conn.charge(conn.costs.post_wr_ns)
+        yield conn.costs.post_wr_ns
         if conn.options.native_write_with_imm:
             conn.credits.consume(1)  # the WWI consumes a RECV at the peer
             conn.qp.post_send(SendWR(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Generator, List, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from ..simnet import Event, Simulator
 
@@ -59,12 +59,17 @@ class Cpu:
         self.sim = sim
         self.costs = costs or CpuCostModel()
         self._busy = False
-        #: turn events of the work items queued behind the running one
-        self._waiting: Deque[Event] = deque()
+        #: work items queued behind the running one: a work() turn event
+        #: or a run() request tuple
+        self._waiting: Deque[Any] = deque()
         #: busy intervals [(start, end)] in time order; work() coalesces
         #: intervals that touch
         self._intervals: List[Tuple[int, int]] = []
         self._busy_ns_total = 0
+        # the run() charge holding the core: its start and continuation
+        self._start = 0
+        self._then: Optional[Callable[[Any], None]] = None
+        self._then_arg: Any = None
 
     # ------------------------------------------------------------------
     # execution
@@ -73,10 +78,9 @@ class Cpu:
         """Sub-process: occupy the core for *duration_ns* and account it.
 
         Usage: ``yield from cpu.work(ns)`` from inside a simulation process.
-
-        This runs a dozen times per message, so the free-core path is
-        straight-line: the core is claimed synchronously (no grant event)
-        and the clock is read from the slot behind ``sim.now``.
+        The free-core path is straight-line: the core is claimed
+        synchronously (no grant event) and the clock is read from the slot
+        behind ``sim.now``.
         """
         if duration_ns < 0:
             raise ValueError("negative CPU work")
@@ -94,20 +98,68 @@ class Cpu:
             if duration_ns:
                 yield sim.timeout(duration_ns)
         finally:
-            end = sim._now
-            if end > start:
-                self._busy_ns_total += end - start
-                intervals = self._intervals
-                if intervals and intervals[-1][1] == start:
-                    # back-to-back work extends the open interval: a busy
-                    # core keeps one entry per burst, not one per work item
-                    intervals[-1] = (intervals[-1][0], end)
-                else:
-                    intervals.append((start, end))
-            if self._waiting:
-                self._waiting.popleft().succeed()
+            self._release(start)
+
+    def run(self, duration_ns: int, fn: Callable[[Any], None], arg: Any = None) -> bool:
+        """Callback form of :meth:`work` (same queue, accounting and
+        calendar entries): occupy the core for *duration_ns*, then call
+        ``fn(arg)`` from the calendar and return True — or return False,
+        calling nothing, when there is nothing to wait for (zero ns on a
+        free core), so a driver loop simply carries on."""
+        if duration_ns < 0:
+            raise ValueError("negative CPU work")
+        if self._busy:
+            self._waiting.append((duration_ns, fn, arg))
+            return True
+        if not duration_ns:
+            return False
+        self._busy = True
+        self._hold(duration_ns, fn, arg)
+        return True
+
+    def _hold(self, duration_ns: int, fn: Callable[[Any], None], arg: Any) -> None:
+        """Occupy the claimed core for a :meth:`run` request (one holds it
+        at a time, so its continuation waits on the Cpu itself)."""
+        if duration_ns:
+            self._start = self.sim._now
+            self._then = fn
+            self._then_arg = arg
+            self.sim.call_in(duration_ns, self._cpu_done)
+        else:
+            self._release(self.sim._now)
+            fn(arg)
+
+    def _cpu_turn(self, request: Tuple[int, Callable[[Any], None], Any]) -> None:
+        self._hold(*request)
+
+    def _cpu_done(self, _arg: Any) -> None:
+        fn = self._then
+        arg = self._then_arg
+        self._release(self._start)
+        fn(arg)
+
+    def _release(self, start: int) -> None:
+        """Account the work item that held the core since *start*, then
+        hand the core to the next queued item (still busy) or free it."""
+        end = self.sim._now
+        if end > start:
+            self._busy_ns_total += end - start
+            intervals = self._intervals
+            if intervals and intervals[-1][1] == start:
+                # back-to-back work extends the open interval: a busy
+                # core keeps one entry per burst, not one per work item
+                intervals[-1] = (intervals[-1][0], end)
             else:
-                self._busy = False
+                intervals.append((start, end))
+        waiting = self._waiting
+        if waiting:
+            nxt = waiting.popleft()
+            if nxt.__class__ is tuple:
+                self.sim.call_in(0, self._cpu_turn, nxt)
+            else:
+                nxt.succeed()
+        else:
+            self._busy = False
 
     def record_busy(self, start: int, end: int) -> None:
         """Account busy time that did not go through :meth:`work` (e.g. a

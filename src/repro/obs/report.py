@@ -152,9 +152,7 @@ def _fabric_section(art: RunArtifact, markdown: bool) -> List[str]:
 
 
 def _kernel_section(art: RunArtifact, markdown: bool) -> List[str]:
-    """Which event kernel ran, whether its C fast path was in effect, and
-    how many wake-ups completed in their deciding child's calendar slot
-    (those are not in ``events executed``)."""
+    """Which event kernel ran and whether its C fast path was in effect."""
     snap = art.snapshot
     if "kernel.events_executed" not in snap:
         return []
@@ -162,13 +160,12 @@ def _kernel_section(art: RunArtifact, markdown: bool) -> List[str]:
         art.meta.get("kernel", "?"),
         art.meta.get("accelerator", "?"),
         int(snap["kernel.events_executed"]),
-        int(snap.get("kernel.inline_conditions", 0)),
         int(snap.get("kernel.batches", 0)),
         int(snap.get("kernel.max_batch", 0)),
     ]]
     return ["## Event kernel" if markdown else "event kernel:",
             _table(["calendar", "accelerator", "events executed",
-                    "in-slot conditions", "batches", "max batch"],
+                    "batches", "max batch"],
                    rows, markdown)]
 
 

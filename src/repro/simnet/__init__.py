@@ -4,9 +4,8 @@ This subpackage is self-contained (no dependency on the RDMA layers above
 it) and provides:
 
 * :class:`~repro.simnet.kernel.Simulator` — the event calendar / clock.
-* :class:`~repro.simnet.events.Event`, :class:`~repro.simnet.events.Timeout`,
-  :class:`~repro.simnet.events.Signal`, :class:`~repro.simnet.events.AllOf`,
-  :class:`~repro.simnet.events.AnyOf` — synchronisation primitives.
+* :class:`~repro.simnet.events.Event`, :class:`~repro.simnet.events.Timeout`
+  — synchronisation primitives.
 * :class:`~repro.simnet.process.Process` — generator-based processes.
 * :class:`~repro.simnet.resources.Resource` / :class:`~repro.simnet.resources.Store`.
 * :class:`~repro.simnet.link.Link` — serialized full-duplex link model.
@@ -20,7 +19,7 @@ it) and provides:
 
 from .causality import FLIGHT_SCHEMA, CausalNode, CausalRecorder, enable_capture
 from .emulator import DelayEmulator, gaussian_jitter, uniform_jitter
-from .events import AllOf, AnyOf, Event, Signal, Timeout
+from .events import Event, Timeout
 from .fabric import FabricFrame, NicPort, Switch, SwitchConfig, SwitchPort, Topology
 from .faults import (
     DUP_AND_CORRUPT,
@@ -39,8 +38,6 @@ from .resources import Resource, Store
 from .schedule import FifoPolicy, RandomTiebreakPolicy, SchedulePolicy, policy_from_spec
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CausalNode",
     "CausalRecorder",
     "Corrupted",
@@ -65,7 +62,6 @@ __all__ = [
     "RandomTiebreakPolicy",
     "Resource",
     "SchedulePolicy",
-    "Signal",
     "SimulationError",
     "Simulator",
     "Store",

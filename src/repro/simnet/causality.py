@@ -59,8 +59,9 @@ DEFAULT_TAIL = 256
 
 #: ``call_in`` callback name → causal category.  Unlisted callables are
 #: generic "call" edges; the names below are the hot delivery paths whose
-#: identity the critical-path walker needs, and the HCA send pipeline's
-#: steps, labelled as a process engine's wake-up event and per-WR timeout.
+#: identity the critical-path walker needs, and the callback engines' steps
+#: (HCA send pipeline, EXS library threads, the core serving them), each
+#: labelled as the process-engine entry it stands for.
 _CALL_CATEGORIES = {
     "_on_wire": "link",
     "_on_ack": "ack",
@@ -69,6 +70,12 @@ _CALL_CATEGORIES = {
     "_tick": "sampler",
     "_tx_wake": "event",
     "_tx_wire": "timeout",
+    "_engine_start": "event",
+    "_engine_chan_wake": "event",
+    "_engine_kick_wake": "event",
+    "_cpu_turn": "event",
+    "_cpu_done": "timeout",
+    "_engine_exit": "process",
 }
 
 

@@ -707,7 +707,6 @@ class CellSimulator(Simulator):
             "cbe_reuses": self._cbe_reuses,
             "accelerator": self._accelerator,
             "accelerator_reason": self._accelerator_reason(),
-            "inline_conditions": self._inline_conditions,
             "cells": per,
         }
 

@@ -191,8 +191,6 @@ class Simulator:
         "_cdrain",
         # "live" | "off" | "unavailable" (see calendar_stats)
         "_accelerator",
-        # AnyOf completions dispatched inside their deciding child's slot
-        "_inline_conditions",
         # optional causality recorder (see causality.py): the annotation
         # hook call sites read; no code path in this module consults it
         "_recorder",
@@ -244,7 +242,6 @@ class Simulator:
         self._cbe_reuses = 0
         self._cdrain = None
         self._accelerator = "off"
-        self._inline_conditions = 0
         self._recorder = None
 
         explicit = calendar is not None
@@ -737,7 +734,7 @@ class Simulator:
         ``cascades``, ``l0_inserts``, ``l1_inserts``, ``overflow_inserts``,
         ``timeout_allocs``, ``timeout_reuses``, ``timeout_pool``,
         ``cbe_allocs``, ``cbe_reuses``, ``accelerator``,
-        ``accelerator_reason``, ``inline_conditions``.
+        ``accelerator_reason``.
 
         ``accelerator`` says whether the C fast path serves this simulator:
         ``"live"``, ``"off"`` (not asked for: heap backend — which a
@@ -746,9 +743,6 @@ class Simulator:
         loaded — ``accelerator_reason`` is then the first line of the
         failure, and ``None`` otherwise).  Causal capture leaves it as it
         found it.
-        ``inline_conditions`` counts :class:`AnyOf` completions, which run
-        inside their deciding child's slot and so are *not* part of
-        ``events_executed``.
 
         ``events_executed`` is synced at batch boundaries while a wheel
         drain loop is running, so a mid-batch reading may lag by the
@@ -786,7 +780,6 @@ class Simulator:
             "cbe_reuses": self._cbe_reuses,
             "accelerator": self._accelerator,
             "accelerator_reason": self._accelerator_reason(),
-            "inline_conditions": self._inline_conditions,
         }
 
     def _accelerator_reason(self) -> Optional[str]:

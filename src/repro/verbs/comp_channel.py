@@ -22,9 +22,9 @@ progress thread.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-from ..simnet import Event, Simulator
+from ..simnet import SimulationError, Simulator
 
 __all__ = ["CompletionChannel", "uniform_wakeup", "fixed_wakeup"]
 
@@ -61,40 +61,48 @@ class CompletionChannel:
         self.sim = sim
         self.wakeup = wakeup or fixed_wakeup(0)
         self._rng = random.Random(seed)
-        self._waiter: Optional[Event] = None
+        #: the registered sleeper's callback and its argument
+        self._fn: Optional[Callable[[Any], None]] = None
+        self._token: Any = None
         self._latched = 0
         #: diagnostics
         self.notifications = 0
         self.slept_wakeups = 0
 
-    def wait(self) -> Event:
-        """Return an event that fires when the channel is next notified.
+    def wait(self, fn: Callable[[Any], None], token: Any = None) -> None:
+        """Call ``fn(token)`` from the calendar when the channel is next
+        notified — at once if notifications were latched while the caller
+        was busy (the thread never actually slept).
 
-        If notifications were latched while the caller was busy, the event
-        fires immediately (the thread never actually slept).
-        Only one waiting thread is supported — one progress thread per
-        channel, as in the EXS design; calling ``wait`` again while a
-        previous wait is still pending returns the *same* event, so the
-        idiomatic "wait on channel OR work-queue kick" loop works.
+        One waiting thread per channel, as in the EXS design: waiting
+        again while registered (a "channel OR kick" loop woken by its kick)
+        keeps the callback, takes the new *token* and places nothing; a
+        *different* callback raises instead of silently replacing it.
         """
-        if self._waiter is not None and not self._waiter.triggered:
-            return self._waiter
-        ev = Event(self.sim)
+        pending = self._fn
+        if pending is not None:
+            if pending != fn:
+                raise SimulationError(
+                    f"completion channel already has a waiting thread ({pending!r}); "
+                    f"one thread per channel, {fn!r} would never wake"
+                )
+            self._token = token
+            return
         if self._latched:
             self._latched = 0
-            ev.succeed()
+            self.sim.call_in(0, fn, token)
         else:
-            self._waiter = ev
-        return ev
+            self._fn = fn
+            self._token = token
 
     def notify(self) -> None:
-        """Signal the channel (called by an armed CQ)."""
+        """Notify the channel (called by an armed CQ)."""
         self.notifications += 1
-        waiter = self._waiter
-        if waiter is not None and not waiter.triggered:
-            self._waiter = None
+        fn = self._fn
+        if fn is not None:
+            self._fn = None
             self.slept_wakeups += 1
             delay = int(round(self.wakeup(self._rng)))
-            waiter.succeed(delay=delay)
+            self.sim.call_in(delay, fn, self._token)
         else:
             self._latched += 1

@@ -41,8 +41,8 @@ class CompletionQueue:
     Mirrors the verbs usage pattern::
 
         cq.req_notify()           # arm
-        yield channel.wait()      # sleep until something completes
-        wcs = cq.poll()           # drain
+        channel.wait(on_wake)     # sleep until something completes
+        wcs = cq.poll()           # drain (in on_wake)
 
     ``req_notify`` arms a one-shot notification on the attached channel;
     pushing a CQE onto an armed CQ fires the channel (which models the OS

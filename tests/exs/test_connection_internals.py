@@ -118,14 +118,14 @@ def test_stats_are_per_direction():
 
 def test_engine_sleep_leaves_nothing_behind_per_wakeup():
     """Regression: every channel-side wake-up used to strand one kick
-    waiter in the Signal (fired later as a no-op event), and every
-    kick-side wake-up one more callback on the pending channel waiter —
-    both grew without bound over a connection's life."""
+    waiter (fired later as a no-op event), and every kick-side wake-up one
+    more callback on the pending channel waiter — both grew without bound
+    over a connection's life.  Now each wake-up of an idle engine is one
+    calendar event and leaves the engine exactly as it found it: asleep,
+    kick armed, channel registered, nothing latched or queued."""
     out = run_exchange(ExsSocketOptions(credits=16, ring_capacity=8 * 1024),
                        nbytes=20_000)
     conn = out["client_conn"]
     sim = conn.sim
     sim.run()  # quiesce: the engine is asleep on channel-or-kick
-    before = sim.calendar_stats()["inline_conditions"]
-    assert idle_wakeups(conn._kick, conn.channel, sim) == (1, 1)
-    assert sim.calendar_stats()["inline_conditions"] - before == 80
+    assert idle_wakeups(conn._engine, sim) == (80, {(True, True, False, 0, True, 0)})

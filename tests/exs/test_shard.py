@@ -149,9 +149,9 @@ def test_engine_death_surfaces_from_run(monkeypatch, cq_shards, died):
 
 def test_shard_sleep_leaves_nothing_behind_per_wakeup():
     """Same leak regression as the per-connection engine's, for the shard
-    poller: kick waiters and channel-waiter callbacks stay bounded."""
+    poller: one event per idle wake-up, nothing left behind."""
     fab = Fabric(ScenarioConfig(seed=3, cq_shards=1))
     run_procs(fab.sim, *_pingpong(fab, 6300, 4_000))
     fab.sim.run()
     shard = fab.stack("server").shards[0]
-    assert idle_wakeups(shard.kick, shard.channel, fab.sim) == (1, 1)
+    assert idle_wakeups(shard.engine, fab.sim) == (80, {(True, True, False, 0, True, 0)})

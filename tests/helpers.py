@@ -19,17 +19,20 @@ def run_procs(sim: Simulator, *generators, max_events: int = 5_000_000):
     return [p.result() for p in procs]
 
 
-def idle_wakeups(kick_signal, channel, sim, laps=40):
-    """Wake an idle engine *laps* times through the channel only, then
-    *laps* times through its kick only; returns the worst leftovers seen:
-    (queued kick waiters, callbacks on the pending channel waiter)."""
-    worst_kick = worst_cbs = 0
-    for _ in range(laps):
-        channel.notify()
+def idle_wakeups(engine, sim, laps=40):
+    """Wake an idle engine *laps* times through its completion channel
+    only, then *laps* times through its kick only, letting it fall asleep
+    after each.  Returns the calendar events the wake-ups cost and every
+    distinct footprint the engine showed between them: (asleep, kick
+    armed, kick latched, library-core queue length, channel registered,
+    channel latches).  A wake-up that strands anything shows as a second
+    footprint."""
+    channel = engine.channel
+    seen = set()
+    before = sim.events_executed
+    for wake in [channel.notify] * laps + [engine.kick] * laps:
+        wake()
         sim.run()
-        worst_kick = max(worst_kick, kick_signal.waiter_count)
-    for _ in range(laps):
-        kick_signal.fire()
-        sim.run()
-        worst_cbs = max(worst_cbs, len(channel._waiter.callbacks))
-    return worst_kick, worst_cbs
+        seen.add((engine._sleep is not None, engine._kick_armed, engine._kick_latched,
+                  len(engine.cpu._waiting), channel._fn is not None, channel._latched))
+    return sim.events_executed - before, seen

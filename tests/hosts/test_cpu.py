@@ -113,3 +113,46 @@ def test_host_has_independent_cores(sim):
     run_procs(sim, lib(), app())
     # both finished at t=100: the cores do not contend with each other
     assert done == [("lib", 100), ("app", 100)]
+
+
+# -- run(): the callback form engines use ------------------------------------
+def test_run_charges_then_calls_back(sim):
+    cpu = Cpu(sim)
+    done = []
+    assert cpu.run(500, done.append, "x") is True
+    sim.run()
+    assert done == ["x"] and sim.now == 500
+    assert cpu.busy_ns_total == 500
+
+
+def test_zero_run_on_a_free_core_is_inline(sim):
+    """Nothing to wait for: run() says so and places nothing."""
+    cpu = Cpu(sim)
+    done = []
+    assert cpu.run(0, done.append, "x") is False
+    assert sim.peek() is None and done == []
+
+
+def test_negative_run_rejected(sim):
+    with pytest.raises(ValueError, match="negative CPU work"):
+        Cpu(sim).run(-1, print)
+
+
+def test_run_and_work_share_one_fifo_queue(sim):
+    """work() processes and run() callbacks queue behind each other in
+    arrival order, one calendar turn each, with one busy interval."""
+    cpu = Cpu(sim)
+    done = []
+
+    def proc(tag, ns):
+        yield from cpu.work(ns)
+        done.append((tag, sim.now))
+
+    sim.process(proc("a", 100))
+    sim.call_in(0, lambda _: cpu.run(50, lambda tag: done.append((tag, sim.now)), "r"))
+    sim.process(proc("b", 30))
+    sim.call_in(0, lambda _: cpu.run(0, lambda tag: done.append((tag, sim.now)), "r0"))
+    sim.run()
+    assert done == [("a", 100), ("r", 150), ("b", 180), ("r0", 180)]
+    assert cpu.busy_ns_total == 180
+    assert cpu.busy_ns_between(0, 180) == 180 and cpu.queue_length == 0

@@ -158,7 +158,7 @@ def test_report_renders_from_live_and_loaded(session):
     # the run says which kernel served it and whether the C path was live
     stats = session.sim.calendar_stats()
     assert session.meta["accelerator"] == stats["accelerator"]
-    assert "event kernel:" in live and "in-slot conditions" in live
+    assert "event kernel:" in live and "max batch" in live
     assert f"accelerator={stats['accelerator']}" in live
 
 

@@ -14,18 +14,19 @@ The contract of :mod:`repro.simnet.causality` is twofold:
 
 import pytest
 
+from repro.exs.engine import SLEEP, Engine
+from repro.hosts import Cpu
 from repro.simnet import (
-    AnyOf,
     CausalRecorder,
     Event,
     FifoPolicy,
     RandomTiebreakPolicy,
-    Signal,
     SimulationError,
     Simulator,
     Store,
     enable_capture,
 )
+from repro.verbs import CompletionChannel
 
 
 def _lcg(seed):
@@ -41,9 +42,10 @@ DELAYS = (0, 1, 3, 7, 100, 1000, 4095, 4096, 4097, 70_000, 16_773_120, 50_000_00
 def _build_workload(sim, seed, log):
     """Deterministic event soup: timeout chains, same-instant bursts,
     call_in deliveries, manually triggered events (as in test_timing_wheel),
-    plus the progress engines' wake path: a loop sleeping on AnyOf(long-lived
-    channel event, Signal.wait()) — completed in the winning child's slot,
-    losers detached — that feeds a consumer through delayed Store puts."""
+    plus the progress engines' wake path — an :class:`Engine` sleeping on a
+    completion channel (sampled wake latency) or its kick, charging a
+    library core it shares with a ``Cpu.work`` process — that feeds a
+    consumer through delayed Store puts."""
     rnd = _lcg(seed)
 
     def chain_worker(wid):
@@ -63,23 +65,24 @@ def _build_workload(sim, seed, log):
             log.append(("bw", wid, i, sim.now))
             yield sim.timeout(next(rnd) % 64)
 
-    kick = Signal(sim)
+    cpu = Cpu(sim)
+    channel = CompletionChannel(sim, wakeup=lambda _rng: next(rnd) % 3)
+    engine = Engine(sim, cpu, channel)
     mailbox = Store(sim)
-    channel = [Event(sim)]
 
-    def notify(delay):
-        if not channel[0].triggered:
-            channel[0].succeed("cq", delay=delay)
-
-    def engine_worker():
+    def engine_body():
         for lap in range(30):
-            if channel[0].triggered:
-                channel[0] = Event(sim)
-            index, value = yield AnyOf(sim, [channel[0], kick.wait()])
-            log.append(("eng", lap, index, value, kick.waiter_count, sim.now))
+            yield SLEEP
+            log.append(("eng", lap, engine._kick_absorb, sim.now))
             mailbox.put(lap, delay=next(rnd) % 300)
             if next(rnd) % 3 == 0:
-                yield sim.timeout(next(rnd) % 50)
+                yield next(rnd) % 50  # a library-core charge
+
+    def core_worker():
+        for i in range(20):
+            yield from cpu.work(next(rnd) % 40)
+            log.append(("core", i, sim.now))
+            yield sim.timeout(next(rnd) % 400)
 
     def consumer_worker():
         for _ in range(30):
@@ -87,14 +90,15 @@ def _build_workload(sim, seed, log):
             log.append(("app", item, sim.now))
             yield sim.timeout(next(rnd) % 200)
 
-    sim.process(engine_worker())
+    engine.start(engine_body(), "test engine")
+    sim.process(core_worker())
     sim.process(consumer_worker())
     for i in range(60):
         d = (next(rnd) % 600) * 16
         if next(rnd) % 2:
-            sim.call_in(d, lambda _arg: kick.fire("kick"), None)
+            sim.call_in(d, lambda _arg: engine.kick(), None)
         else:
-            sim.call_in(d, notify, next(rnd) % 3)
+            sim.call_in(d, lambda _arg: channel.notify(), None)
     for wid in range(4):
         sim.process(chain_worker(wid))
     for wid in range(2):

@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import run_procs
-from repro.simnet import Event, Interrupt, Process, Signal
+from repro.simnet import Event, Interrupt, Process
 from repro.simnet.kernel import SimulationError
 
 
@@ -108,11 +108,11 @@ def test_interrupt_wakes_process(sim):
 
 
 def test_interrupt_escaping_generator_is_clean_termination(sim):
-    sig = Signal(sim)
+    never = Event(sim)
 
     def server():
         while True:
-            yield sig.wait()  # Interrupt escapes here
+            yield never  # Interrupt escapes here
 
     p = sim.process(server())
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import run_procs
+from repro.simnet import SimulationError
 from repro.verbs import CompletionQueue, WCOpcode, WCStatus, WorkCompletion, fixed_wakeup
 from repro.verbs.comp_channel import CompletionChannel, uniform_wakeup
 
@@ -49,38 +49,69 @@ def test_arming_with_pending_entries_does_not_fire(sim):
 def test_wakeup_latency_applied_when_sleeping(sim):
     ch = CompletionChannel(sim, wakeup=fixed_wakeup(5000))
     cq = CompletionQueue(ch)
-
-    def sleeper():
-        cq.req_notify()
-        yield ch.wait()
-        return sim.now
-
-    def producer():
-        yield sim.timeout(100)
-        cq.push(wc())
-
-    results = run_procs(sim, sleeper(), producer())
-    assert results[0] == 100 + 5000
+    woke = []
+    cq.req_notify()
+    ch.wait(lambda token: woke.append((token, sim.now)), "t")
+    sim.call_in(100, lambda _: cq.push(wc()))
+    sim.run()
+    assert woke == [("t", 100 + 5000)]
     assert ch.slept_wakeups == 1
 
 
 def test_latched_notify_costs_nothing(sim):
     ch = CompletionChannel(sim, wakeup=fixed_wakeup(5000))
     ch.notify()  # nobody waiting: latch
-
-    def consumer():
-        yield ch.wait()
-        return sim.now
-
-    assert run_procs(sim, consumer()) == [0]
+    woke = []
+    ch.wait(lambda token: woke.append((token, sim.now)), "t")
+    sim.run()
+    assert woke == [("t", 0)]
     assert ch.slept_wakeups == 0
+    ch.wait(woke.append, "again")  # the latch was consumed
+    sim.run()
+    assert len(woke) == 1
 
 
-def test_repeated_wait_returns_same_pending_event(sim):
+class _Sleeper:
+    def __init__(self):
+        self.woke = []
+
+    def on_wake(self, token):
+        self.woke.append(token)
+
+
+def test_rewait_while_pending_rebinds_and_places_nothing(sim):
+    """The channel-or-kick loop: a thread woken by its kick waits again on
+    the channel it is still registered with.  Its own callback (even as a
+    fresh bound method) takes the new token; nothing is placed."""
+    ch = CompletionChannel(sim, wakeup=fixed_wakeup(10))
+    thread = _Sleeper()
+    ch.wait(thread.on_wake, 1)
+    ch.wait(thread.on_wake, 2)
+    assert sim.peek() is None
+    ch.notify()
+    before = sim.events_executed
+    sim.run()
+    assert thread.woke == [2]
+    assert sim.events_executed - before == 1
+
+
+def test_second_waiting_thread_fails_loudly(sim):
+    """One waiting thread per channel: a different callback registering
+    while one is pending would silently replace it and its owner would
+    never wake, so it raises instead.  Once the first was notified, the
+    channel is free again."""
     ch = CompletionChannel(sim)
-    first = ch.wait()
-    second = ch.wait()
-    assert first is second
+    first, second = _Sleeper(), _Sleeper()
+    ch.wait(first.on_wake, "a")
+    with pytest.raises(SimulationError, match="already has a waiting thread"):
+        ch.wait(second.on_wake, "b")
+    ch.notify()
+    sim.run()
+    assert first.woke == ["a"] and second.woke == []
+    ch.wait(second.on_wake, "b")
+    ch.notify()
+    sim.run()
+    assert second.woke == ["b"]
 
 
 def test_uniform_wakeup_within_bounds(sim):
