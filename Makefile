@@ -49,8 +49,7 @@ bench-paper:
 # JSONL artifact behind for inspection / CI upload.
 # Multi-host fabric gate: a 16-sender incast through one switched sink
 # port, audited for stream-integrity violations, on the shared
-# (SRQ + CQ-shard) and per-connection resource paths and on the
-# temporally decoupled per-cell event kernel.
+# (SRQ + CQ-shard) and per-connection resource paths.
 fabric-smoke:
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
 		--message-bytes 16384 --audit
@@ -58,9 +57,6 @@ fabric-smoke:
 		--message-bytes 16384 --srq-depth 512 --cq-shards 4 --audit
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
 		--message-bytes 16384 --policy drop --port-queue-bytes 16384 --audit
-	python -m repro.apps.incast --senders 16 --bytes 65536 \
-		--message-bytes 16384 --srq-depth 512 --cq-shards 4 \
-		--kernel cells --audit
 
 obs-smoke:
 	python -m repro.obs smoke --out telemetry-smoke.jsonl

@@ -196,8 +196,7 @@ def test_real_bytes_indirect_blast_rate(benchmark):
 
 def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
                   bytes_per_sender: int = 32 * 1024,
-                  message_bytes: int = 16 * 1024,
-                  kernel=None, audit: bool = False):
+                  message_bytes: int = 16 * 1024, audit: bool = False):
     """16-sender switched fan-in at scale, synthetic payloads.
 
     Synthetic mode (like the calendar benchmarks, unlike the real-bytes
@@ -216,7 +215,7 @@ def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
         options=ExsSocketOptions(real_data=False),
     )
     return run_incast(cfg, ScenarioConfig(
-        seed=1, srq_depth=srq_depth, cq_shards=cq_shards, kernel=kernel),
+        seed=1, srq_depth=srq_depth, cq_shards=cq_shards),
         audit=audit)
 
 
@@ -269,40 +268,18 @@ def test_incast_1k_connection_scale(benchmark):
     benchmark.extra_info["srq_min_free"] = result.srq_min_free
 
 
-def test_incast_1k_decoupled_kernel(benchmark):
-    """The same 1024-connection incast on the temporally decoupled kernel.
-
-    Per-host cells run their own calendars inside conservative lookahead
-    windows instead of interleaving through one global wheel.  The paired
-    row above (``test_incast_1k_connection_scale``) is the monolithic
-    baseline; this row must not regress relative to it.
-    """
-    result = benchmark.pedantic(
-        lambda: _scale_incast(64, srq_depth=8192, cq_shards=16,
-                              bytes_per_sender=16 * 1024, kernel="cells"),
-        rounds=2, iterations=1, warmup_rounds=0)
-    assert result.connections == 1024
-    assert result.switch_drops == 0
-    benchmark.extra_info["end_ns"] = result.end_ns
-    benchmark.extra_info["srq_min_free"] = result.srq_min_free
-    benchmark.extra_info["kernel"] = "cells"
-
-
-def test_incast_10k_decoupled_kernel(benchmark):
-    """10240-connection audited incast: the decoupled kernel's headline.
+def test_incast_10k_connection_scale(benchmark):
+    """10240-connection audited incast on the default kernel.
 
     16 senders × 640 connections of 4 KiB each through one switch, with
     the stream-semantics auditor on — every byte ordering and completion
     invariant is checked across all ten thousand connections.  This scale
-    is only tractable on the shared-resource path plus the per-cell
-    calendars; the monolithic wheel runs it ~15% slower (see
-    ``docs/SIMULATION.md``).
+    is tractable only on the shared-resource path (SRQ pool + CQ shards).
     """
     result = benchmark.pedantic(
         lambda: _scale_incast(640, srq_depth=65536, cq_shards=32,
                               bytes_per_sender=4 * 1024,
-                              message_bytes=4 * 1024,
-                              kernel="cells", audit=True),
+                              message_bytes=4 * 1024, audit=True),
         rounds=1, iterations=1, warmup_rounds=0)
     assert result.connections == 10240
     assert result.switch_drops == 0
@@ -310,7 +287,6 @@ def test_incast_10k_decoupled_kernel(benchmark):
     benchmark.extra_info["end_ns"] = result.end_ns
     benchmark.extra_info["srq_min_free"] = result.srq_min_free
     benchmark.extra_info["audit_violations"] = result.audit_violations
-    benchmark.extra_info["kernel"] = "cells"
 
 
 # ----------------------------------------------------------------------

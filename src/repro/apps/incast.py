@@ -127,10 +127,7 @@ def incast_topology(config: IncastConfig) -> Topology:
 
 
 def _sender_proc(handle, config: IncastConfig):
-    # Per-side wait: under the cells kernel this resumes the sender on its
-    # own host's calendar (handle.wait() fires wherever the second side of
-    # the handshake completes); on legacy kernels it IS handle.wait().
-    yield handle.wait_side("a")
+    yield handle.established
     stack = handle.fabric.stack(handle.a)
     sock, eq = handle.a_socket, handle.a_eq
     buf = stack.alloc(config.message_bytes, label=f"incast:{handle.a}:snd")
@@ -145,7 +142,7 @@ def _sender_proc(handle, config: IncastConfig):
 
 
 def _receiver_proc(handle, config: IncastConfig, finish: Dict[int, int], index: int):
-    yield handle.wait_side("b")
+    yield handle.established
     stack = handle.fabric.stack(handle.b)
     sock, eq = handle.b_socket, handle.b_eq
     buf = stack.alloc(config.message_bytes, label=f"incast:{handle.a}:rcv")

@@ -53,7 +53,7 @@ from .verbs.reliability import (
 __all__ = ["ScenarioConfig", "KERNELS"]
 
 #: every event kernel a scenario (or ``REPRO_KERNEL``, or a CLI) may name
-KERNELS = ("wheel", "heap", "cells", "cells-lockstep")
+KERNELS = ("wheel", "heap")
 
 
 def _fault_dict(fault: Union[FaultProfile, ImpairmentModel]) -> dict:
@@ -132,13 +132,8 @@ class ScenarioConfig:
     #: historical per-connection engine loop (bit-identical)
     cq_shards: int = 0
     #: event-kernel selection: ``None`` (the ``REPRO_KERNEL`` environment
-    #: variable, defaulting to the monolithic timing wheel), ``"wheel"``,
-    #: ``"heap"``, ``"cells"`` (per-host calendars executed in conservative
-    #: lookahead windows; see :mod:`repro.simnet.cells`),
-    #: or ``"cells-lockstep"`` (the cells calendar in strict global order —
-    #: the bit-identical reference the determinism suite compares against).
-    #: Cells kernels need a switched topology and fall back to the
-    #: monolithic wheel otherwise (see docs/SIMULATION.md for the matrix).
+    #: variable, defaulting to the timing wheel), ``"wheel"`` or ``"heap"``
+    #: (the flat-heap calendar schedule policies run on).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:

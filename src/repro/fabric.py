@@ -30,7 +30,6 @@ impairment seed ``seed+13+29*i`` (edge 0 = the legacy ``seed+7`` /
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
@@ -79,74 +78,23 @@ class FabricConnection:
         self.established: Event = Event(fabric.sim)
         self.error: Optional[str] = None
         self._pending_sides = 2
-        # per-side connected events, created on demand by ready() so that
-        # legacy runs which never ask for them schedule nothing extra
-        self._ready: Dict[str, Optional[Event]] = {"a": None, "b": None}
 
     def wait(self) -> Event:
         """The event to ``yield`` on until both sides are connected."""
         return self.established
 
-    def ready(self, side: str) -> Event:
-        """Event succeeding (with this handle) when *side* is connected.
-
-        Unlike :attr:`established` — which fires wherever the *second*
-        side happens to complete — the per-side event fires in that
-        endpoint's own execution context, so under the cells kernel a
-        process waiting on it resumes on its host's calendar instead of
-        migrating to the peer host's.  Fails if that side's handshake
-        errors.
-        """
-        if side not in ("a", "b"):
-            raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        ev = self._ready[side]
-        if ev is None:
-            ev = self._ready[side] = Event(self.fabric.sim)
-        return ev
-
-    def wait_side(self, side: str) -> Event:
-        """Cells-safe wait for one endpoint: :meth:`ready` under the cells
-        kernel, the shared :attr:`established` event on legacy kernels
-        (whose single-calendar resume order is the historical one, bit for
-        bit)."""
-        if self.fabric.sim.is_cells:
-            return self.ready(side)
-        return self.established
-
     def _side_done(self, side: str, event) -> None:
-        # Runs in the finishing endpoint's execution context (the watcher
-        # process resumes wherever the EQ event was posted — that host's
-        # cell under the cells kernel).  Per-side results resolve here;
-        # the *shared* established event resolves via defer_control: the
-        # control cell on the cells kernel (a deterministic rendezvous
-        # ordered after every cell finishes the instant, however the two
-        # sides' completions interleave), a direct call on legacy kernels
-        # (the exact historical sequence).
         if event.kind is ExsEventType.ERROR:
-            err = event.error or "handshake failed"
-            ev = self._ready[side]
-            if ev is not None and not ev.triggered:
-                ev.fail(RuntimeError(f"fabric connect {self.a}->{self.b}: {err}"))
-            self.fabric.sim.defer_control(self._finish_side, (side, err))
-            return
-        if side == "a":
-            self.a_socket = event.socket
-        else:
-            self.b_socket = event.socket
-        ev = self._ready[side]
-        if ev is not None:
-            ev.succeed(self)
-        self.fabric.sim.defer_control(self._finish_side, (side, None))
-
-    def _finish_side(self, args) -> None:
-        side, err = args
-        if err is not None:
-            self.error = err
+            self.error = event.error or "handshake failed"
             if not self.established.triggered:
                 self.established.fail(RuntimeError(
                     f"fabric connect {self.a}->{self.b}: {self.error}"
                 ))
             return
+        if side == "a":
+            self.a_socket = event.socket
+        else:
+            self.b_socket = event.socket
         self._pending_sides -= 1
         if self._pending_sides == 0 and not self.established.triggered:
             self.established.succeed(self)
@@ -187,48 +135,12 @@ class Fabric:
         schedule_policy = scenario.schedule_policy()
         capture = bool(scenario.causal_capture or scenario.flight_recorder)
 
-        # ---- event-kernel selection (see repro.simnet.cells) ----------
-        kernel = scenario.kernel
-        #: the :class:`~repro.simnet.cells.CellMap` when this fabric runs
-        #: on the cells kernel, else ``None``
-        self.cellmap = None
-        #: kernel in effect: ``"cells"``, ``"cells-lockstep"``, or
-        #: ``"legacy"`` (the monolithic Simulator, on whichever calendar)
-        self.kernel = "legacy"
-        # Fallback matrix (documented in docs/SIMULATION.md): the cells
-        # kernel needs a switched topology (every edge must cross a
-        # host/switch cell boundary — direct host-to-host wires take the
-        # legacy peer assembly), FIFO same-instant order (schedule policies
-        # re-key a single global calendar: the legacy heap), no causal
-        # capture (enable_capture rebinds the monolithic Simulator's
-        # placement methods), and jitter-free delay emulation (a jitter
-        # callable samples one shared RNG whose draw order is the global
-        # wall order).
-        switches = set(self.topology.switches)
-        if (
-            kernel in ("cells", "cells-lockstep")
-            and switches
-            and all(a in switches or b in switches for a, b in self.topology.edges)
-            and schedule_policy is None
-            and jitter is None
-            and not capture
-        ):
-            from .simnet.cells import CellMap, CellSimulator
-
-            # jitter-free per-edge propagation = link base + emulator
-            # base (matches Link.propagation_ns for every edge)
-            prop = profile.propagation_delay_ns + profile.emulator_delay_ns
-            self.cellmap = CellMap.from_topology(self.topology, prop)
-            self.sim = CellSimulator(
-                self.cellmap, trace=trace, decouple=(kernel == "cells")
-            )
-            self.kernel = kernel
-        else:
-            if kernel not in ("wheel", "heap"):  # cells falling back
-                kernel = "heap" if schedule_policy is not None else "wheel"
-            self.sim = Simulator(
-                trace=trace, schedule_policy=schedule_policy, calendar=kernel,
-            )
+        #: the calendar that runs this fabric: ``"wheel"`` or ``"heap"``
+        #: (the resolved scenario's kernel; a schedule policy implies the heap)
+        self.kernel = scenario.kernel
+        self.sim = Simulator(
+            trace=trace, schedule_policy=schedule_policy, calendar=self.kernel,
+        )
 
         #: the run's :class:`~repro.simnet.causality.CausalRecorder` when the
         #: scenario asked for capture (``causal_capture``/``flight_recorder``)
@@ -249,12 +161,11 @@ class Fabric:
         topo = self.topology
         self._hosts: Dict[str, Host] = {}
         for name in topo.hosts:
-            with self._in_cell(name):
-                self._hosts[name] = Host(
-                    self.sim, name,
-                    copy_bandwidth_bps=profile.copy_bandwidth_bps,
-                    cpu_costs=profile.cpu_costs,
-                )
+            self._hosts[name] = Host(
+                self.sim, name,
+                copy_bandwidth_bps=profile.copy_bandwidth_bps,
+                cpu_costs=profile.cpu_costs,
+            )
         # Completion-channel wake-up latency distribution (per host; the
         # per-channel RNG seed comes from the stack so runs are reproducible).
         sampler = uniform_wakeup(profile.wakeup_lo_ns, profile.wakeup_hi_ns)
@@ -292,18 +203,14 @@ class Fabric:
 
         self._devices: Dict[str, RdmaDevice] = {}
         for name in topo.hosts:
-            # the device's send pipeline must start on its host's calendar
-            # under the cells kernel
-            with self._in_cell(name):
-                self._devices[name] = RdmaDevice(self.sim, self._hosts[name], device_config)
+            self._devices[name] = RdmaDevice(self.sim, self._hosts[name], device_config)
 
         #: QPN → owning device, for fabric-wide routing
         self._qpn_home: Dict[int, RdmaDevice] = {}
         #: per-switch runtime instances, keyed by switch name
         self.switches: Dict[str, Switch] = {}
         for name in topo.switches:
-            with self._in_cell(name):
-                self.switches[name] = Switch(self.sim, name, topo.switch)
+            self.switches[name] = Switch(self.sim, name, topo.switch)
 
         for i, (a, b) in enumerate(topo.edges):
             link = self.links[topo.edge_names[i]]
@@ -329,30 +236,15 @@ class Fabric:
         for name, switch in self.switches.items():
             switch.build_routes(topo.next_hops(name))
 
-        if self.sim.is_cells:
-            # Cross-cell routing indices: each link direction delivers to
-            # the node at its opposite endpoint (edge (a, b) ⇒ direction 0
-            # sends from a toward b), and each device's out-of-band ACKs
-            # land on its own host's calendar.
-            idx = self.sim.cell_index
-            for i, (a, b) in enumerate(topo.edges):
-                link = self.links[topo.edge_names[i]]
-                link.directions[0].dst_cell = idx(b)
-                link.directions[1].dst_cell = idx(a)
-            for name, device in self._devices.items():
-                device.cell = idx(name)
-
         self._stacks: Dict[str, ExsStack] = {}
         for i, name in enumerate(topo.hosts):
             device = self._devices[name]
-            # shard poller processes start on their host's calendar
-            with self._in_cell(name):
-                self._stacks[name] = ExsStack(
-                    self.sim, self._hosts[name], device,
-                    ConnectionManager(device), seed=seed * 2 + 1 + i,
-                    srq_depth=scenario.srq_depth, cq_shards=scenario.cq_shards,
-                    transport=scenario.transport,
-                )
+            self._stacks[name] = ExsStack(
+                self.sim, self._hosts[name], device,
+                ConnectionManager(device), seed=seed * 2 + 1 + i,
+                srq_depth=scenario.srq_depth, cq_shards=scenario.cq_shards,
+                transport=scenario.transport,
+            )
 
         #: set by :meth:`attach_telemetry`
         self.telemetry = None
@@ -362,11 +254,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _in_cell(self, name: str):
-        """Construction context: placements land in cell *name* under the
-        cells kernel; a no-op on legacy kernels."""
-        return self.sim.cell(name) if self.sim.is_cells else nullcontext()
-
     @classmethod
     def from_scenario(
         cls,

@@ -169,38 +169,6 @@ def _kernel_section(art: RunArtifact, markdown: bool) -> List[str]:
                    rows, markdown)]
 
 
-_CELL_KEY = _re.compile(r"^kernel\.cell\.([^.]+)\.(.+)$")
-
-
-def _cells_section(art: RunArtifact, markdown: bool) -> List[str]:
-    """Per-cell calendar table (decoupled-kernel runs only)."""
-    cells: Dict[str, Dict[str, float]] = {}
-    for name, value in art.snapshot.items():
-        m = _CELL_KEY.match(name)
-        if m is not None:
-            cell, metric = m.groups()
-            cells.setdefault(cell, {})[metric] = value
-    if not cells:
-        return []
-    rows = []
-    for cell, m in sorted(cells.items()):
-        window = m.get("safe_window_ns", -1)
-        rows.append([
-            cell,
-            _fmt_ns(m.get("horizon_ns", 0)),
-            int(m.get("queued", 0)),
-            int(m.get("instants", 0)),
-            int(m.get("events", 0)),
-            _fmt_ns(window) if window >= 0 else "unbounded",
-            int(m.get("inbox_merges", 0)),
-            _fmt_ns(m.get("lookahead_ns", 0)),
-        ])
-    return ["## Kernel cells" if markdown else "kernel cells:",
-            _table(["cell", "horizon", "queued", "instants", "events",
-                    "last_window", "inbox_merges", "lookahead"],
-                   rows, markdown)]
-
-
 def _ratio_strip(direct: TimeSeries, indirect: TimeSeries, width: int) -> str:
     """Per-window direct fraction rendered as a glyph strip."""
     dd = direct.deltas()
@@ -367,7 +335,6 @@ def render_report(
     sections.append(_summary_section(art, markdown))
     sections.append(_fabric_section(art, markdown))
     sections.append(_kernel_section(art, markdown))
-    sections.append(_cells_section(art, markdown))
     sections.append(_ratio_section(art, width, markdown))
     sections.append(_span_timeline(art.spans, width, markdown))
     sections.append(_slowest_section(art.spans, top_k, markdown))

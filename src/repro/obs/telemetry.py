@@ -300,12 +300,6 @@ class Telemetry:
         for key, value in stats.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 out[f"kernel.{key}"] = value
-        # decoupled kernel: per-cell calendars surface their own horizon,
-        # queue depth, grant window and cross-cell merge counters
-        for cell, fields in (stats.get("cells") or {}).items():
-            for key, value in fields.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    out[f"kernel.cell.{cell}.{key}"] = value
         batches = stats.get("batches", 0)
         if batches:
             out["kernel.events_per_batch"] = stats["batched_events"] / batches

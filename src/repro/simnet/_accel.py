@@ -97,7 +97,6 @@ def _configure(mod) -> None:
     # Runtime imports: this module must stay import-light because
     # kernel.py imports it at module load (before events/process exist).
     from . import _core
-    from .cells import CellMap, CellSimulator, _Cell
     from .events import Event, Timeout
     from .kernel import Simulator
     from .process import Process
@@ -105,9 +104,6 @@ def _configure(mod) -> None:
     mod.configure(
         {
             "Simulator": Simulator,
-            "CellSimulator": CellSimulator,
-            "Cell": _Cell,
-            "CellMap": CellMap,
             "Event": Event,
             "Timeout": Timeout,
             "Process": Process,
@@ -124,10 +120,6 @@ def _configure(mod) -> None:
             "schedule_py": Simulator._schedule_wheel,
             "call_in_py": Simulator._call_in_wheel,
             "timeout_py": Simulator._timeout_wheel,
-            "cells_schedule_py": CellSimulator._schedule_cells,
-            "cells_call_in_py": CellSimulator._call_in_cells,
-            "cells_timeout_py": CellSimulator._timeout_cells,
-            "cells_call_in_cell_py": CellSimulator._call_in_cell_py,
         }
     )
 

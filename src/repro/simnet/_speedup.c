@@ -1,20 +1,18 @@
-/* _speedup.c — optional CPython accelerator for the timing-wheel kernels.
+/* _speedup.c — optional CPython accelerator for the timing-wheel kernel.
  *
  * Compiled on demand by `_accel.py` (plain `cc -O2 -shared -fPIC`, no
  * build-system dependency).  When the compile or the `configure()`
- * handshake fails the kernels keep their pure-Python paths, which are
+ * handshake fails the kernel keeps its pure-Python paths, which are
  * semantically identical (tests/simnet/test_timing_wheel.py compares
  * dispatch order and every calendar counter), and `_accel` records why.
  *
- * What is compiled, for both drivers over the `_core` wheel:
+ * What is compiled, over the `_core` wheel:
  *
- *   wheel primitives   wheel_insert / wheel_cascade / wheel_peek /
- *                      wheel_next_batch — line-for-line ports of _core's
- *                      insert / _cascade_fifo / peek_structures /
- *                      next_batch_fifo.  One copy, parameterised by a slot
- *                      offset table (`Wheel`): `WS` is filled from
- *                      Simulator, `WC` from cells._Cell, which share the
- *                      `_core` attribute contract by design.
+ *   wheel primitives   wheel_insert / wheel_cascade / wheel_next_batch —
+ *                      line-for-line ports of _core's insert /
+ *                      _cascade_fifo / next_batch_fifo, on the Simulator
+ *                      slots whose offsets `WS` holds (the `_core`
+ *                      attribute contract).
  *   dispatch_entry     the one dispatch body: Timeout / plain Event (with
  *                      the process resume and the timeout chain spin),
  *                      CallbackEntry, and `entry._run()` for anything else
@@ -23,8 +21,6 @@
  *                      live-batch append, register park and spill, lazy
  *                      seq, stash/pool reuse with the pure counters) and
  *                      `_cdrain(stop, max_events)`, the whole run loop.
- *   CellSimulator      schedule / call_in / timeout / call_in_cell and its
- *                      `_cdrain` (the conservative-window grant loop).
  *
  * What stays pure, and why: anything that must raise (non-int, negative
  * or keyword-spelled arguments go to the pure method, so messages and
@@ -75,13 +71,12 @@ static const char *const WHEEL_SLOTS[] = {
     "_dirty", "_base", "_nstruct", "_reg_free", "_l0_inserts", "_l1_inserts",
     "_hq_inserts", "_cascades"};
 static Wheel WS; /* Simulator */
-static Wheel WC; /* cells._Cell */
 
 static struct {
     int configured;
-    PyTypeObject *sim_type, *cellsim_type, *event_type, *timeout_type,
-        *process_type, *cbe_type;
-    /* Simulator slots (CellSimulator inherits them at the same offsets) */
+    PyTypeObject *sim_type, *event_type, *timeout_type, *process_type,
+        *cbe_type;
+    /* Simulator slots */
     Py_ssize_t o_now, o_seq, o_stash, o_finish, o_cbe_pool, o_timeout_pool,
         o_to_cls, o_batch, o_batch_time, o_bi, o_events_exec, o_batches,
         o_batched, o_maxbatch, o_to_allocs, o_to_reuses, o_cbe_allocs,
@@ -99,26 +94,9 @@ static struct {
     PyObject *sim_error;    /* SimulationError */
     /* pure placement methods (plain functions, called with sim prepended) */
     PyObject *py_schedule, *py_call_in, *py_timeout;
-    PyObject *inf, *zero; /* float('inf') — the pure code's INF sentinel; int 0 */
+    PyObject *zero; /* int 0 */
     PyObject *str_run, *str_seq, *str_sort, *kw_key;
 } S;
-
-/* cells-only state */
-static struct {
-    PyObject *py_schedule, *py_call_in, *py_timeout, *py_call_in_cell;
-    /* CellSimulator slots */
-    Py_ssize_t o_cellmap, o_cells, o_nexts, o_ctrl, o_cur, o_decouple,
-        o_cnt, o_rtcell, o_rttime, o_rheap, o_W, o_maxe, o_grants;
-    /* _Cell slots beyond the wheel contract */
-    Py_ssize_t c_i, c_name, c_now, c_instants, c_events, c_inbox, c_lastwin;
-    /* CellMap slots */
-    Py_ssize_t m_names, m_look;
-    /* live next-instant mirror: while a C drain runs, cells_place keeps
-     * this native copy of `_nexts` in sync so the grant loop's argmin
-     * scans never unbox Python ints.  NULL outside a drain. */
-    long long *nx_arr;
-    Py_ssize_t nx_n;
-} C;
 
 #define SLOT(ob, off) (*(PyObject **)((char *)(ob) + (off)))
 
@@ -206,10 +184,10 @@ bump_slot(PyObject *ob, Py_ssize_t off, long long d)
 /* (items are int/tuple keys — identical ordering to heapq's)          */
 /* ------------------------------------------------------------------ */
 /* Every heap here holds *unique* keys (occupied slot times, bucket
- * numbers, (when, seq, entry) with unique seqs, the cells (target, source,
- * cnt) placement key), so pop order equals sorted order regardless of
- * internal layout — this heap need not replicate heapq's array layout,
- * and pure heapq calls interleave with it on the same list. */
+ * numbers, (when, seq, entry) with unique seqs), so pop order equals
+ * sorted order regardless of internal layout — this heap need not
+ * replicate heapq's array layout, and pure heapq calls interleave with it
+ * on the same list. */
 static int
 heap_push(PyObject *h, PyObject *item)
 {
@@ -303,8 +281,7 @@ heap_head(PyObject *h, int hq)
 }
 
 /* ------------------------------------------------------------------ */
-/* entry._seq access (an int on the FIFO wheel, the (target, source,   */
-/* cnt) key tuple under cells)                                         */
+/* entry._seq access                                                   */
 /* ------------------------------------------------------------------ */
 static PyObject * /* new reference */
 get_seq(PyObject *e)
@@ -338,24 +315,23 @@ set_seq(PyObject *e, PyObject *key)
 }
 
 /* ------------------------------------------------------------------ */
-/* wheel primitives (ports of _core insert/cascade/peek/next_batch),   */
-/* shared by Simulator (&WS) and _Cell (&WC)                           */
+/* wheel primitives (ports of _core insert/cascade/next_batch)         */
 /* ------------------------------------------------------------------ */
 
-/* _core.insert(ob, when, entry): FIFO wheel insert.  `when_obj` must
+/* _core.insert(sim, when, entry): FIFO wheel insert.  `when_obj` must
  * be a borrowed int object equal to `when`. */
 static int
-wheel_insert(PyObject *ob, const Wheel *w, long long when, PyObject *when_obj,
+wheel_insert(PyObject *sim, long long when, PyObject *when_obj,
              PyObject *entry)
 {
-    store_slot(ob, w->reg_free, Py_NewRef(Py_False));
-    long long base = obj_ll(SLOT(ob, w->base));
+    store_slot(sim, WS.reg_free, Py_NewRef(Py_False));
+    long long base = obj_ll(SLOT(sim, WS.base));
     if (LL_ERR(base))
         return -1;
     long long d = when - base;
     if (d < CS0_SIZE) {
         Py_ssize_t idx = (Py_ssize_t)(when & CS0_MASK);
-        PyObject *s0 = SLOT(ob, w->slots0);
+        PyObject *s0 = SLOT(sim, WS.slots0);
         PyObject *cur = PyList_GET_ITEM(s0, idx);
         if (cur == Py_None) {
             PyObject *nl = PyList_New(1);
@@ -364,12 +340,12 @@ wheel_insert(PyObject *ob, const Wheel *w, long long when, PyObject *when_obj,
             PyList_SET_ITEM(nl, 0, Py_NewRef(entry));
             if (PyList_SetItem(s0, idx, nl) < 0)
                 return -1;
-            if (heap_push(SLOT(ob, w->t0), when_obj) < 0)
+            if (heap_push(SLOT(sim, WS.t0), when_obj) < 0)
                 return -1;
         }
         else if (PyList_Append(cur, entry) < 0)
             return -1;
-        if (bump_slot(ob, w->l0, 1) < 0)
+        if (bump_slot(sim, WS.l0, 1) < 0)
             return -1;
     }
     else if (d < CWHEEL_HORIZON) {
@@ -378,7 +354,7 @@ wheel_insert(PyObject *ob, const Wheel *w, long long when, PyObject *when_obj,
         PyObject *item = PyTuple_Pack(2, when_obj, entry);
         if (item == NULL)
             return -1;
-        PyObject *s1 = SLOT(ob, w->slots1);
+        PyObject *s1 = SLOT(sim, WS.slots1);
         PyObject *cur = PyList_GET_ITEM(s1, idx);
         if (cur == Py_None) {
             PyObject *nl = PyList_New(1);
@@ -392,7 +368,7 @@ wheel_insert(PyObject *ob, const Wheel *w, long long when, PyObject *when_obj,
             PyObject *bo = PyLong_FromLongLong(b);
             if (bo == NULL)
                 return -1;
-            int rc = heap_push(SLOT(ob, w->t1), bo);
+            int rc = heap_push(SLOT(sim, WS.t1), bo);
             Py_DECREF(bo);
             if (rc < 0)
                 return -1;
@@ -403,7 +379,7 @@ wheel_insert(PyObject *ob, const Wheel *w, long long when, PyObject *when_obj,
             if (rc < 0)
                 return -1;
         }
-        if (bump_slot(ob, w->l1, 1) < 0)
+        if (bump_slot(sim, WS.l1, 1) < 0)
             return -1;
     }
     else {
@@ -414,26 +390,26 @@ wheel_insert(PyObject *ob, const Wheel *w, long long when, PyObject *when_obj,
         Py_DECREF(seq);
         if (trip == NULL)
             return -1;
-        int rc = heap_push(SLOT(ob, w->hq), trip);
+        int rc = heap_push(SLOT(sim, WS.hq), trip);
         Py_DECREF(trip);
         if (rc < 0)
             return -1;
-        if (bump_slot(ob, w->hqi, 1) < 0)
+        if (bump_slot(sim, WS.hqi, 1) < 0)
             return -1;
     }
-    return bump_slot(ob, w->nstruct, 1);
+    return bump_slot(sim, WS.nstruct, 1);
 }
 
-/* _core._cascade_fifo(ob, b) */
+/* _core._cascade_fifo(sim, b) */
 static int
-wheel_cascade(PyObject *ob, const Wheel *w, long long b)
+wheel_cascade(PyObject *sim, long long b)
 {
-    PyObject *popped = heap_pop(SLOT(ob, w->t1));
+    PyObject *popped = heap_pop(SLOT(sim, WS.t1));
     if (popped == NULL)
         return -1;
     Py_DECREF(popped);
     Py_ssize_t idx = (Py_ssize_t)(b & CS1_MASK);
-    PyObject *s1 = SLOT(ob, w->slots1);
+    PyObject *s1 = SLOT(sim, WS.slots1);
     PyObject *entries = PyList_GET_ITEM(s1, idx);
     Py_INCREF(entries);
     if (PyList_SetItem(s1, idx, Py_NewRef(Py_None)) < 0) {
@@ -441,19 +417,19 @@ wheel_cascade(PyObject *ob, const Wheel *w, long long b)
         return -1;
     }
     long long lb = b << CS0_BITS;
-    long long base = obj_ll(SLOT(ob, w->base));
+    long long base = obj_ll(SLOT(sim, WS.base));
     if (LL_ERR(base))
         goto fail;
     if (lb > base) {
         PyObject *nb = PyLong_FromLongLong(lb);
         if (nb == NULL)
             goto fail;
-        store_slot(ob, w->base, nb);
+        store_slot(sim, WS.base, nb);
     }
     {
-        PyObject *s0 = SLOT(ob, w->slots0);
-        PyObject *t0 = SLOT(ob, w->t0);
-        char *db = PyByteArray_AsString(SLOT(ob, w->dirty));
+        PyObject *s0 = SLOT(sim, WS.slots0);
+        PyObject *t0 = SLOT(sim, WS.t0);
+        char *db = PyByteArray_AsString(SLOT(sim, WS.dirty));
         if (db == NULL)
             goto fail;
         Py_ssize_t n = PyList_GET_SIZE(entries);
@@ -484,66 +460,23 @@ wheel_cascade(PyObject *ob, const Wheel *w, long long b)
         }
     }
     Py_DECREF(entries);
-    return bump_slot(ob, w->casc, 1);
+    return bump_slot(sim, WS.casc, 1);
 fail:
     Py_DECREF(entries);
     return -1;
 }
 
-/* Register time, else _core.peek_structures(ob): CLL_INF when idle, -1
- * with an exception on failure. */
-static long long
-wheel_peek(PyObject *ob, const Wheel *w)
-{
-    if (SLOT(ob, w->single) != Py_None)
-        return obj_ll(SLOT(ob, w->single_when));
-    long long ns = obj_ll(SLOT(ob, w->nstruct));
-    if (LL_ERR(ns))
-        return -1;
-    if (ns == 0)
-        return CLL_INF;
-    long long t = heap_head(SLOT(ob, w->t0), 0);
-    long long th = heap_head(SLOT(ob, w->hq), 1);
-    if (LL_ERR(t) || LL_ERR(th))
-        return -1;
-    if (th < t)
-        t = th;
-    PyObject *t1 = SLOT(ob, w->t1);
-    if (PyList_GET_SIZE(t1)) {
-        long long b = obj_ll(PyList_GET_ITEM(t1, 0));
-        if (LL_ERR(b))
-            return -1;
-        if ((b << CS0_BITS) < t) {
-            PyObject *bucket = PyList_GET_ITEM(SLOT(ob, w->slots1),
-                                               (Py_ssize_t)(b & CS1_MASK));
-            Py_ssize_t n = PyList_GET_SIZE(bucket);
-            for (Py_ssize_t k = 0; k < n; k++) {
-                long long bw = obj_ll(
-                    PyTuple_GET_ITEM(PyList_GET_ITEM(bucket, k), 0));
-                if (LL_ERR(bw))
-                    return -1;
-                if (bw < t)
-                    t = bw;
-            }
-        }
-    }
-    return t;
-}
-
-/* _core.next_batch_fifo(ob): remove the minimum pending instant from the
+/* _core.next_batch_fifo(sim): remove the minimum pending instant from the
  * structures.  Returns its entry list (new reference) with *t_out and
  * *t_obj (new reference) set; NULL with *t_out == CLL_INF and no exception
- * when the structures are empty, NULL with an exception on error.
- * `fifo` requests dispatch (seq) order — the dirty-slot sort and the
- * overflow-merge sort; the cells kernel re-keys the batch into a heap
- * and skips them. */
+ * when the structures are empty, NULL with an exception on error.  The
+ * list is in dispatch (seq) order. */
 static PyObject *
-wheel_next_batch(PyObject *ob, const Wheel *w, long long *t_out,
-                 PyObject **t_obj, int fifo)
+wheel_next_batch(PyObject *sim, long long *t_out, PyObject **t_obj)
 {
-    PyObject *t0h = SLOT(ob, w->t0);
-    PyObject *t1h = SLOT(ob, w->t1);
-    PyObject *hq = SLOT(ob, w->hq);
+    PyObject *t0h = SLOT(sim, WS.t0);
+    PyObject *t1h = SLOT(sim, WS.t1);
+    PyObject *hq = SLOT(sim, WS.hq);
     *t_out = CLL_INF;
     *t_obj = NULL;
     while (PyList_GET_SIZE(t1h)) {
@@ -554,7 +487,7 @@ wheel_next_batch(PyObject *ob, const Wheel *w, long long *t_out,
         long long lb = b << CS0_BITS;
         if (f0 < lb || fh < lb)
             break;
-        if (wheel_cascade(ob, w, b) < 0)
+        if (wheel_cascade(sim, b) < 0)
             return NULL;
     }
     long long t = heap_head(t0h, 0), th = heap_head(hq, 1);
@@ -566,12 +499,12 @@ wheel_next_batch(PyObject *ob, const Wheel *w, long long *t_out,
         if (*t_obj == NULL)
             return NULL;
         Py_ssize_t idx = (Py_ssize_t)(t & CS0_MASK);
-        PyObject *s0 = SLOT(ob, w->slots0);
+        PyObject *s0 = SLOT(sim, WS.slots0);
         ls = PyList_GET_ITEM(s0, idx);
         Py_INCREF(ls);
         if (PyList_SetItem(s0, idx, Py_NewRef(Py_None)) < 0)
             goto fail;
-        char *db = PyByteArray_AsString(SLOT(ob, w->dirty));
+        char *db = PyByteArray_AsString(SLOT(sim, WS.dirty));
         if (db == NULL)
             goto fail;
         /* one sort serves both pure sorts: seqs are unique, so sorting
@@ -589,7 +522,7 @@ wheel_next_batch(PyObject *ob, const Wheel *w, long long *t_out,
                 goto fail;
             sort = 1;
         }
-        if (sort && fifo) {
+        if (sort) {
             PyObject *sargs[2] = {ls, S.seq_of};
             PyObject *r =
                 PyObject_VectorcallMethod(S.str_sort, sargs, 1, S.kw_key);
@@ -617,7 +550,7 @@ wheel_next_batch(PyObject *ob, const Wheel *w, long long *t_out,
     }
     else
         return NULL; /* empty: *t_out stays CLL_INF, no exception */
-    if (bump_slot(ob, w->nstruct, -PyList_GET_SIZE(ls)) < 0)
+    if (bump_slot(sim, WS.nstruct, -PyList_GET_SIZE(ls)) < 0)
         goto fail;
     *t_out = t;
     return ls;
@@ -728,7 +661,7 @@ finish_process(PyObject *sim, PyObject *cb, PyObject *e)
     return ok;
 }
 
-/* Gates of a monolithic drain; a non-NULL pointer also marks the register
+/* Gates of a drain; a non-NULL pointer also marks the register
  * regime for dispatch_entry. */
 typedef struct {
     long long n;    /* events taken off the calendar (count-before-dispatch) */
@@ -869,7 +802,7 @@ dispatch_entry(PyObject *sim, PyObject *e, Gates *reg)
 }
 
 /* ------------------------------------------------------------------ */
-/* placement helpers shared by both drivers                            */
+/* placement helpers                                                   */
 /* ------------------------------------------------------------------ */
 
 /* Hand the call to the pure method: odd signatures and everything that
@@ -976,7 +909,7 @@ timeout_acquire(PyObject *sim, PyObject *delay, PyObject *value, int *placed)
 }
 
 /* ================================================================== */
-/* Simulator — the monolithic timing wheel (kernel.py + _core.py)      */
+/* Simulator — the timing wheel (kernel.py + _core.py)                 */
 /* ================================================================== */
 
 #define REG_OPEN(sim) \
@@ -1034,13 +967,13 @@ wheel_place(PyObject *sim, PyObject *entry, long long when)
         PyObject *swo = SLOT(sim, WS.single_when);
         long long sw = obj_ll(swo);
         int bad = LL_ERR(sw) || assign_seq(sim, s) < 0 ||
-                  wheel_insert(sim, &WS, sw, swo, s) < 0;
+                  wheel_insert(sim, sw, swo, s) < 0;
         Py_DECREF(s);
         if (bad)
             goto done;
     }
     if (assign_seq(sim, entry) == 0)
-        rc = wheel_insert(sim, &WS, when, when_obj, entry);
+        rc = wheel_insert(sim, when, when_obj, entry);
 done:
     Py_DECREF(when_obj);
     return rc;
@@ -1173,7 +1106,7 @@ wheel_drain(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
             continue;
         }
         long long t;
-        ls = wheel_next_batch(sim, &WS, &t, &t_obj, 1);
+        ls = wheel_next_batch(sim, &t, &t_obj);
         if (ls == NULL) {
             rc = PyErr_Occurred() ? -1 : 0;
             break;
@@ -1259,651 +1192,6 @@ out:
     Py_RETURN_NONE;
 }
 
-/* ================================================================== */
-/* CellSimulator — C port of repro.simnet.cells                        */
-/* ================================================================== */
-/* Mirrors CellSimulator._place/_take_instant/_run_instant/_drain
- * over the shared wheel primitives (on _Cell objects, &WC) and the shared
- * dispatch_entry.  The two drivers differ in their grant loop and in the
- * per-instant order (keyed heap here, FIFO list above), not in wheel or
- * dispatch code. */
-
-/* CellSimulator._take_instant: pop the minimum instant as a heapified
- * list of (key, entry) tuples.  Returns NULL with *t_out == CLL_INF and
- * no exception when the cell is empty; NULL with an exception on error.
- * (Keys are unique, so building the keyed heap subsumes the FIFO wheel's
- * seq sorts — wheel_next_batch skips them.) */
-static PyObject *
-cell_take(PyObject *cell, long long *t_out)
-{
-    PyObject *ls, *s = SLOT(cell, WC.single);
-    if (s != Py_None) {
-        *t_out = obj_ll(SLOT(cell, WC.single_when));
-        ls = LL_ERR(*t_out) ? NULL : PyList_New(1);
-        if (ls == NULL)
-            return NULL;
-        PyList_SET_ITEM(ls, 0, Py_NewRef(s));
-        store_slot(cell, WC.single, Py_NewRef(Py_None));
-    }
-    else {
-        PyObject *to;
-        ls = wheel_next_batch(cell, &WC, t_out, &to, 0);
-        if (ls == NULL)
-            return NULL;
-        store_slot(cell, WC.base, to); /* cell._base = t (steals) */
-    }
-    PyObject *h = PyList_New(0);
-    Py_ssize_t blen = PyList_GET_SIZE(ls);
-    for (Py_ssize_t k = 0; h != NULL && k < blen; k++) {
-        PyObject *e = PyList_GET_ITEM(ls, k);
-        PyObject *key = get_seq(e);
-        PyObject *tup = key == NULL ? NULL : PyTuple_Pack(2, key, e);
-        Py_XDECREF(key);
-        if (tup == NULL || heap_push(h, tup) < 0)
-            Py_CLEAR(h);
-        Py_XDECREF(tup);
-    }
-    Py_DECREF(ls);
-    return h;
-}
-
-/* cells._restore_cell: re-insert an interrupted instant's remaining
- * (key, entry) heap, spilling a parked register first. */
-static int
-cell_restore(PyObject *cell, long long t, PyObject *heap)
-{
-    PyObject *s = SLOT(cell, WC.single);
-    if (s != Py_None) {
-        Py_INCREF(s);
-        store_slot(cell, WC.single, Py_NewRef(Py_None));
-        PyObject *wo = SLOT(cell, WC.single_when);
-        long long w = obj_ll(wo);
-        if (LL_ERR(w)) {
-            Py_DECREF(s);
-            return -1;
-        }
-        int rc = wheel_insert(cell, &WC, w, wo, s);
-        Py_DECREF(s);
-        if (rc < 0)
-            return -1;
-    }
-    PyObject *to = PyLong_FromLongLong(t);
-    if (to == NULL)
-        return -1;
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *e = PyTuple_GET_ITEM(PyList_GET_ITEM(heap, k), 1);
-        if (wheel_insert(cell, &WC, t, to, e) < 0) {
-            Py_DECREF(to);
-            return -1;
-        }
-    }
-    Py_DECREF(to);
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* placement (CellSimulator._place)                                    */
-/* ------------------------------------------------------------------ */
-static int
-cells_place(PyObject *sim, long long target, PyObject *entry, long long when)
-{
-    long long src = obj_ll(SLOT(sim, C.o_cur));
-    if (LL_ERR(src))
-        return -1;
-    PyObject *row = PyList_GET_ITEM(SLOT(sim, C.o_cnt), (Py_ssize_t)target);
-    PyObject *cobj = PyList_GET_ITEM(row, (Py_ssize_t)src);
-    Py_INCREF(cobj);
-    long long cv = PyLong_AsLongLong(cobj);
-    if (LL_ERR(cv)) {
-        Py_DECREF(cobj);
-        return -1;
-    }
-    PyObject *nv = PyLong_FromLongLong(cv + 1);
-    if (nv == NULL || PyList_SetItem(row, (Py_ssize_t)src, nv) < 0) {
-        Py_DECREF(cobj);
-        return -1;
-    }
-    PyObject *key = PyTuple_New(3);
-    if (key == NULL) {
-        Py_DECREF(cobj);
-        return -1;
-    }
-    PyObject *tgt_o = PyLong_FromLongLong(target);
-    PyObject *src_o = PyLong_FromLongLong(src);
-    if (tgt_o == NULL || src_o == NULL) {
-        Py_XDECREF(tgt_o);
-        Py_XDECREF(src_o);
-        Py_DECREF(cobj);
-        Py_DECREF(key);
-        return -1;
-    }
-    PyTuple_SET_ITEM(key, 0, tgt_o);
-    PyTuple_SET_ITEM(key, 1, src_o);
-    PyTuple_SET_ITEM(key, 2, cobj); /* steals our reference */
-    if (set_seq(entry, key) < 0)
-        goto fail;
-    {
-        long long rtc = obj_ll(SLOT(sim, C.o_rtcell));
-        if (LL_ERR(rtc))
-            goto fail;
-        if (rtc == target) {
-            long long rtt = obj_ll(SLOT(sim, C.o_rttime));
-            if (LL_ERR(rtt))
-                goto fail;
-            if (when == rtt) {
-                PyObject *tup = PyTuple_Pack(2, key, entry);
-                if (tup == NULL)
-                    goto fail;
-                int rc = heap_push(SLOT(sim, C.o_rheap), tup);
-                Py_DECREF(tup);
-                if (rc < 0)
-                    goto fail;
-                Py_DECREF(key);
-                return 0;
-            }
-        }
-    }
-    {
-        PyObject *cell =
-            PyList_GET_ITEM(SLOT(sim, C.o_cells), (Py_ssize_t)target);
-        long long cnow = obj_ll(SLOT(cell, C.c_now));
-        if (LL_ERR(cnow))
-            goto fail;
-        if (when < cnow) {
-            PyObject *names = SLOT(SLOT(sim, C.o_cellmap), C.m_names);
-            PyObject *sname = PySequence_GetItem(names, (Py_ssize_t)src);
-            if (sname == NULL)
-                goto fail;
-            PyErr_Format(
-                S.sim_error,
-                "causality violation: cell %R posted into %R at %lld ns, "
-                "but that cell's clock is already %lld ns (lookahead table "
-                "overstates the minimum cross-cell latency?)",
-                sname, SLOT(cell, C.c_name), when, cnow);
-            Py_DECREF(sname);
-            goto fail;
-        }
-        PyObject *when_obj = PyLong_FromLongLong(when);
-        if (when_obj == NULL)
-            goto fail;
-        PyObject *s = SLOT(cell, WC.single);
-        if (s == Py_None) {
-            long long ns = obj_ll(SLOT(cell, WC.nstruct));
-            if (LL_ERR(ns)) {
-                Py_DECREF(when_obj);
-                goto fail;
-            }
-            if (ns == 0) {
-                /* park in the register */
-                store_slot(cell, WC.single, Py_NewRef(entry));
-                store_slot(cell, WC.single_when, Py_NewRef(when_obj));
-                goto update_next;
-            }
-        }
-        else {
-            /* spill the parked register entry into the wheel first */
-            Py_INCREF(s);
-            store_slot(cell, WC.single, Py_NewRef(Py_None));
-            store_slot(cell, WC.base, Py_NewRef(SLOT(cell, C.c_now)));
-            PyObject *swo = SLOT(cell, WC.single_when);
-            long long sw = obj_ll(swo);
-            if (LL_ERR(sw)) {
-                Py_DECREF(s);
-                Py_DECREF(when_obj);
-                goto fail;
-            }
-            int rc = wheel_insert(cell, &WC, sw, swo, s);
-            Py_DECREF(s);
-            if (rc < 0) {
-                Py_DECREF(when_obj);
-                goto fail;
-            }
-        }
-        if (wheel_insert(cell, &WC, when, when_obj, entry) < 0) {
-            Py_DECREF(when_obj);
-            goto fail;
-        }
-    update_next:;
-        PyObject *nexts = SLOT(sim, C.o_nexts);
-        long long cur_next =
-            obj_ll(PyList_GET_ITEM(nexts, (Py_ssize_t)target));
-        if (LL_ERR(cur_next)) {
-            Py_DECREF(when_obj);
-            goto fail;
-        }
-        if (when < cur_next) {
-            if (PyList_SetItem(nexts, (Py_ssize_t)target,
-                               Py_NewRef(when_obj)) < 0) {
-                Py_DECREF(when_obj);
-                goto fail;
-            }
-        }
-        if (C.nx_arr != NULL && (Py_ssize_t)target < C.nx_n &&
-            when < C.nx_arr[target])
-            C.nx_arr[target] = when;
-        Py_DECREF(when_obj);
-    }
-    Py_DECREF(key);
-    return 0;
-fail:
-    Py_DECREF(key);
-    return -1;
-}
-
-/* ------------------------------------------------------------------ */
-/* bound entry points: schedule / call_in / timeout / call_in_cell     */
-/* ------------------------------------------------------------------ */
-static PyObject *
-cells_schedule(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
-               PyObject *kwnames)
-{
-    long long when, cur;
-    if (kwnames != NULL || nargs < 1 || nargs > 2 ||
-        !when_after(sim, nargs == 2 ? args[1] : S.zero, &when))
-        return call_pure(C.py_schedule, sim, args, nargs, kwnames);
-    cur = obj_ll(SLOT(sim, C.o_cur));
-    if (LL_ERR(cur) || cells_place(sim, cur, args[0], when) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* call_in (`cell_arg` = 0) and call_in_cell (`cell_arg` = 1: the target
- * cell index leads the arguments) */
-static PyObject *
-cells_call(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
-           PyObject *kwnames, int cell_arg)
-{
-    PyObject *pure = cell_arg ? C.py_call_in_cell : C.py_call_in;
-    long long when, cur, target = -1;
-    if (kwnames != NULL || nargs < cell_arg + 2 || nargs > cell_arg + 3 ||
-        (cell_arg && !PyLong_CheckExact(args[0])) ||
-        !when_after(sim, args[cell_arg], &when))
-        return call_pure(pure, sim, args, nargs, kwnames);
-    cur = obj_ll(SLOT(sim, C.o_cur));
-    if (LL_ERR(cur))
-        return NULL;
-    if (cell_arg) {
-        target = PyLong_AsLongLong(args[0]);
-        if (LL_ERR(target))
-            return NULL;
-        if (target < 0 || target >= PyList_GET_SIZE(SLOT(sim, C.o_cells)))
-            return call_pure(pure, sim, args, nargs, kwnames);
-    }
-    PyObject *e =
-        cbe_acquire(sim, args[cell_arg + 1],
-                    nargs == cell_arg + 3 ? args[cell_arg + 2] : Py_None, 1);
-    if (e == NULL)
-        return NULL;
-    if (!cell_arg)
-        target = cur;
-    else if (target != cur) {
-        /* a cross-cell post lowers the bursting cell's window to the
-         * arrival time: the target cannot react back any sooner */
-        PyObject *cell =
-            PyList_GET_ITEM(SLOT(sim, C.o_cells), (Py_ssize_t)target);
-        long long W = obj_ll(SLOT(sim, C.o_W));
-        if (bump_slot(cell, C.c_inbox, 1) < 0 || LL_ERR(W))
-            goto fail;
-        if (when < W) {
-            PyObject *nw = PyLong_FromLongLong(when);
-            if (nw == NULL)
-                goto fail;
-            store_slot(sim, C.o_W, nw);
-        }
-    }
-    if (cells_place(sim, target, e, when) < 0)
-        goto fail;
-    Py_DECREF(e);
-    Py_RETURN_NONE;
-fail:
-    Py_DECREF(e);
-    return NULL;
-}
-
-static PyObject *
-cells_call_in(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
-              PyObject *kwnames)
-{
-    return cells_call(sim, args, nargs, kwnames, 0);
-}
-
-static PyObject *
-cells_call_in_cell(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
-                   PyObject *kwnames)
-{
-    return cells_call(sim, args, nargs, kwnames, 1);
-}
-
-static PyObject *
-cells_timeout(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
-              PyObject *kwnames)
-{
-    long long when, cur;
-    if (kwnames != NULL || nargs < 1 || nargs > 2 ||
-        !when_after(sim, args[0], &when))
-        return call_pure(C.py_timeout, sim, args, nargs, kwnames);
-    int placed;
-    PyObject *t = timeout_acquire(sim, args[0],
-                                  nargs == 2 ? args[1] : Py_None, &placed);
-    if (t == NULL || placed)
-        return t;
-    cur = obj_ll(SLOT(sim, C.o_cur));
-    if (LL_ERR(cur) || cells_place(sim, cur, t, when) < 0)
-        Py_CLEAR(t);
-    return t;
-}
-
-/* ------------------------------------------------------------------ */
-/* instant execution (CellSimulator._run_instant)                      */
-/* ------------------------------------------------------------------ */
-static int
-cells_run_instant(PyObject *sim, PyObject *cell, long long t, PyObject *h,
-                  long long budget, long long *ran)
-{
-    /* Per-instant/per-batch counters (cell.instants/events, batches,
-     * batched, max_batch) and the _cur/_rt_cell stores live in the drain:
-     * they are hoisted to the burst level and flushed once per grant /
-     * per drain, which is unobservable mid-instant (nothing dispatches
-     * between instants of a burst) but saves five boxing round-trips on
-     * every instant. */
-    *ran = 0;
-    PyObject *t_obj = PyLong_FromLongLong(t);
-    if (t_obj == NULL)
-        return -1;
-    store_slot(sim, S.o_now, Py_NewRef(t_obj));
-    store_slot(cell, C.c_now, Py_NewRef(t_obj));
-    store_slot(sim, C.o_rttime, t_obj); /* steals */
-    store_slot(sim, C.o_rheap, Py_NewRef(h));
-    long long n = 0;
-    int rc = 0;
-    while (PyList_GET_SIZE(h) > 0) {
-        PyObject *item = heap_pop(h);
-        if (item == NULL) {
-            rc = -1;
-            break;
-        }
-        PyObject *e = PyTuple_GET_ITEM(item, 1);
-        Py_INCREF(e);
-        Py_DECREF(item);
-        n++;
-        if (dispatch_entry(sim, e, NULL) < 0) {
-            rc = -1;
-            break;
-        }
-        if (n >= budget) {
-            PyErr_Format(S.sim_error, "exceeded max_events=%S",
-                         SLOT(sim, C.o_maxe));
-            rc = -1;
-            break;
-        }
-    }
-    if (rc < 0) {
-        /* mirror the pure `except`: restore the remaining heap with its
-         * keys, then let the original exception propagate */
-        PyObject *et, *ev, *tb;
-        PyErr_Fetch(&et, &ev, &tb);
-        if (cell_restore(cell, t, h) < 0)
-            PyErr_Clear(); /* a failed restore never masks the original */
-        PyErr_Restore(et, ev, tb);
-    }
-    *ran = n;
-    return rc;
-}
-
-/* ------------------------------------------------------------------ */
-/* the drain (CellSimulator._drain)                                    */
-/* ------------------------------------------------------------------ */
-static PyObject *
-cells_drain(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "_cdrain() takes (stop, max_events)");
-        return NULL;
-    }
-    long long stop = gate_ll(args[0]), maxe = gate_ll(args[1]);
-    store_slot(sim, C.o_maxe, Py_NewRef(args[1]));
-    PyObject *cells = SLOT(sim, C.o_cells);
-    PyObject *nexts = SLOT(sim, C.o_nexts);
-    PyObject *lookT = SLOT(SLOT(sim, C.o_cellmap), C.m_look);
-    long long ctrl = obj_ll(SLOT(sim, C.o_ctrl));
-    if (LL_ERR(ctrl))
-        return NULL;
-    int decouple = SLOT(sim, C.o_decouple) == Py_True;
-    Py_ssize_t ncells = PyList_GET_SIZE(cells);
-    long long n = 0;
-    long long n0 = obj_ll(SLOT(sim, S.o_events_exec));
-    if (LL_ERR(n0))
-        return NULL;
-    long long mb0 = obj_ll(SLOT(sim, S.o_maxbatch));
-    if (LL_ERR(mb0))
-        return NULL;
-    /* One native block: the (immutable) lookahead row, plus the live
-     * next-instant mirror the argmin scans read instead of unboxing the
-     * `_nexts` list on every grant. */
-    long long *lk_arr = PyMem_Malloc(sizeof(long long) * (size_t)ncells * 2);
-    if (lk_arr == NULL)
-        return PyErr_NoMemory();
-    long long *nx = lk_arr + ncells;
-    for (Py_ssize_t i = 0; i < ncells; i++) {
-        PyObject *lo = PySequence_GetItem(lookT, i);
-        if (lo == NULL) {
-            PyMem_Free(lk_arr);
-            return NULL;
-        }
-        lk_arr[i] = PyLong_AsLongLong(lo);
-        Py_DECREF(lo);
-        if (LL_ERR(lk_arr[i])) {
-            PyMem_Free(lk_arr);
-            return NULL;
-        }
-    }
-    /* recompute the next-instant table from scratch (see the pure drain) */
-    for (Py_ssize_t i = 0; i < ncells; i++) {
-        long long t = wheel_peek(PyList_GET_ITEM(cells, i), &WC);
-        if ((t < 0 && PyErr_Occurred())) {
-            PyMem_Free(lk_arr);
-            return NULL;
-        }
-        nx[i] = t;
-        PyObject *v =
-            t == CLL_INF ? Py_NewRef(S.inf) : PyLong_FromLongLong(t);
-        if (v == NULL || PyList_SetItem(nexts, i, v) < 0) {
-            PyMem_Free(lk_arr);
-            return NULL;
-        }
-    }
-    C.nx_arr = nx;
-    C.nx_n = ncells;
-    /* batch bookkeeping, flushed once per drain (and per burst for the
-     * per-cell counters) instead of once per instant */
-    long long d_batches = 0, d_batched = 0, d_maxb = mb0;
-    PyObject *bcell = NULL; /* burst cell with unflushed counters */
-    long long b_count = 0, b_events = 0;
-    int rc = 0;
-    for (;;) {
-        long long bt = CLL_INF;
-        Py_ssize_t bi = -1;
-        for (Py_ssize_t i = 0; i < ncells; i++) {
-            if (nx[i] < bt) {
-                bt = nx[i];
-                bi = i;
-            }
-        }
-        if (bt == CLL_INF)
-            break;
-        if (bt > stop) {
-            store_slot(sim, S.o_now, Py_NewRef(args[0]));
-            break;
-        }
-        PyObject *cell = PyList_GET_ITEM(cells, bi);
-        nx[bi] = CLL_INF;
-        if (PyList_SetItem(nexts, bi, Py_NewRef(S.inf)) < 0) {
-            rc = -1;
-            goto out;
-        }
-        long long m2 = CLL_INF;
-        for (Py_ssize_t i = 0; i < ncells; i++) {
-            if (nx[i] < m2)
-                m2 = nx[i];
-        }
-        long long W = m2;
-        if (m2 != CLL_INF)
-            W = m2 + lk_arr[bi];
-        if (bi != ctrl && nx[ctrl] < W)
-            W = nx[ctrl];
-        if (stop < W)
-            W = stop == CLL_INF ? CLL_INF : stop + 1;
-        {
-            PyObject *wo =
-                W == CLL_INF ? Py_NewRef(S.inf) : PyLong_FromLongLong(W);
-            if (wo == NULL) {
-                rc = -1;
-                goto out;
-            }
-            store_slot(sim, C.o_W, wo);
-            PyObject *lw =
-                PyLong_FromLongLong(W == CLL_INF ? -1 : W - bt);
-            if (lw == NULL) {
-                rc = -1;
-                goto out;
-            }
-            store_slot(cell, C.c_lastwin, lw);
-        }
-        if (bump_slot(sim, C.o_grants, 1) < 0) {
-            rc = -1;
-            goto out;
-        }
-        /* _cur and _rt_cell hold for the whole burst: nothing dispatches
-         * between the instants of a grant, so per-instant stores would be
-         * unobservable churn */
-        {
-            PyObject *ci = SLOT(cell, C.c_i);
-            store_slot(sim, C.o_cur, Py_NewRef(ci));
-            store_slot(sim, C.o_rtcell, Py_NewRef(ci));
-        }
-        bcell = cell;
-        b_count = 0;
-        b_events = 0;
-        {
-            int first = 1;
-            for (;;) {
-                /* peek before taking: an instant beyond the window (or the
-                 * stop time) is left in place — no take + restore cycle at
-                 * the window boundary (matches the pure burst loop) */
-                long long t = wheel_peek(cell, &WC);
-                if (t < 0 && PyErr_Occurred()) {
-                    rc = -1;
-                    goto out;
-                }
-                if (t == CLL_INF)
-                    break; /* cell went empty: burst over */
-                long long Wnow = obj_ll(SLOT(sim, C.o_W));
-                if (LL_ERR(Wnow)) {
-                    rc = -1;
-                    goto out;
-                }
-                if ((!first && (t >= Wnow || !decouple)) || t > stop)
-                    break;
-                PyObject *h = cell_take(cell, &t);
-                if (h == NULL) {
-                    rc = -1;
-                    goto out;
-                }
-                first = 0;
-                {
-                    PyObject *ee = PyLong_FromLongLong(n0 + n);
-                    if (ee == NULL) {
-                        Py_DECREF(h);
-                        rc = -1;
-                        goto out;
-                    }
-                    store_slot(sim, S.o_events_exec, ee);
-                }
-                long long budget = maxe == CLL_INF ? CLL_INF : maxe - n;
-                long long ran = 0;
-                int r = cells_run_instant(sim, cell, t, h, budget, &ran);
-                n += ran;
-                b_count++;
-                b_events += ran;
-                d_batches++;
-                d_batched += ran;
-                if (ran > d_maxb)
-                    d_maxb = ran;
-                Py_DECREF(h);
-                if (r < 0) {
-                    rc = -1;
-                    goto out;
-                }
-            }
-        }
-        if (b_count &&
-            (bump_slot(cell, C.c_instants, b_count) < 0 ||
-             bump_slot(cell, C.c_events, b_events) < 0)) {
-            rc = -1;
-            goto out;
-        }
-        bcell = NULL;
-        {
-            long long t = wheel_peek(cell, &WC);
-            if (t < 0 && PyErr_Occurred()) {
-                rc = -1;
-                goto out;
-            }
-            nx[bi] = t;
-            PyObject *v =
-                t == CLL_INF ? Py_NewRef(S.inf) : PyLong_FromLongLong(t);
-            if (v == NULL || PyList_SetItem(nexts, bi, v) < 0) {
-                rc = -1;
-                goto out;
-            }
-        }
-    }
-out:;
-    C.nx_arr = NULL;
-    C.nx_n = 0;
-    PyMem_Free(lk_arr);
-    /* mirror the pure `finally` */
-    {
-        PyObject *et, *ev, *tb;
-        PyErr_Fetch(&et, &ev, &tb);
-        if (bcell != NULL && b_count &&
-            (bump_slot(bcell, C.c_instants, b_count) < 0 ||
-             bump_slot(bcell, C.c_events, b_events) < 0))
-            PyErr_Clear(); /* an interrupted burst still flushes */
-        PyObject *ee = PyLong_FromLongLong(n0 + n);
-        if (ee != NULL)
-            store_slot(sim, S.o_events_exec, ee);
-        else
-            PyErr_Clear();
-        if (bump_slot(sim, S.o_batches, d_batches) < 0 ||
-            bump_slot(sim, S.o_batched, d_batched) < 0)
-            PyErr_Clear();
-        if (d_maxb > mb0) {
-            PyObject *nb = PyLong_FromLongLong(d_maxb);
-            if (nb != NULL)
-                store_slot(sim, S.o_maxbatch, nb);
-            else
-                PyErr_Clear();
-        }
-        PyObject *m1 = PyLong_FromLong(-1);
-        if (m1 != NULL)
-            store_slot(sim, C.o_rtcell, m1);
-        else
-            PyErr_Clear();
-        PyObject *fresh = PyList_New(0);
-        if (fresh != NULL)
-            store_slot(sim, C.o_rheap, fresh);
-        else
-            PyErr_Clear();
-        store_slot(sim, C.o_cur, Py_NewRef(SLOT(sim, C.o_ctrl)));
-        PyErr_Restore(et, ev, tb);
-    }
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 /* ------------------------------------------------------------------ */
 /* configure: capture types, slot offsets and helpers, once            */
 /* ------------------------------------------------------------------ */
@@ -1930,7 +1218,6 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
         int is_type;
     } objs[] = {
         {"Simulator", (PyObject **)&S.sim_type, 1},
-        {"CellSimulator", (PyObject **)&S.cellsim_type, 1},
         {"Event", (PyObject **)&S.event_type, 1},
         {"Timeout", (PyObject **)&S.timeout_type, 1},
         {"Process", (PyObject **)&S.process_type, 1},
@@ -1943,10 +1230,6 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
         {"schedule_py", &S.py_schedule, 0},
         {"call_in_py", &S.py_call_in, 0},
         {"timeout_py", &S.py_timeout, 0},
-        {"cells_schedule_py", &C.py_schedule, 0},
-        {"cells_call_in_py", &C.py_call_in, 0},
-        {"cells_timeout_py", &C.py_timeout, 0},
-        {"cells_call_in_cell_py", &C.py_call_in_cell, 0},
     };
     for (size_t k = 0; k < sizeof(objs) / sizeof(*objs); k++) {
         PyObject *v = PyDict_GetItemString(ns, objs[k].key);
@@ -1991,28 +1274,6 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
         {"CallbackEntry", "fn", &S.o_cbe_fn},
         {"CallbackEntry", "arg", &S.o_cbe_arg},
         {"CallbackEntry", "_seq", &S.o_cbe_seq},
-        {"CellSimulator", "_cellmap", &C.o_cellmap},
-        {"CellSimulator", "_cells", &C.o_cells},
-        {"CellSimulator", "_nexts", &C.o_nexts},
-        {"CellSimulator", "_ctrl", &C.o_ctrl},
-        {"CellSimulator", "_cur", &C.o_cur},
-        {"CellSimulator", "_decouple", &C.o_decouple},
-        {"CellSimulator", "_cnt", &C.o_cnt},
-        {"CellSimulator", "_rt_cell", &C.o_rtcell},
-        {"CellSimulator", "_rt_time", &C.o_rttime},
-        {"CellSimulator", "_rheap", &C.o_rheap},
-        {"CellSimulator", "_W", &C.o_W},
-        {"CellSimulator", "_maxe", &C.o_maxe},
-        {"CellSimulator", "_grants", &C.o_grants},
-        {"Cell", "_i", &C.c_i},
-        {"Cell", "_name", &C.c_name},
-        {"Cell", "_now", &C.c_now},
-        {"Cell", "_instants", &C.c_instants},
-        {"Cell", "_events", &C.c_events},
-        {"Cell", "_inbox_merges", &C.c_inbox},
-        {"Cell", "_last_window", &C.c_lastwin},
-        {"CellMap", "names", &C.m_names},
-        {"CellMap", "lookahead_in", &C.m_look},
     };
     for (size_t k = 0; k < sizeof(slots) / sizeof(*slots); k++) {
         PyObject *type = PyDict_GetItemString(ns, slots[k].type);
@@ -2023,8 +1284,7 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
         if (member_offset(type, slots[k].name, slots[k].out) < 0)
             return NULL;
     }
-    if (wheel_offsets((PyObject *)S.sim_type, &WS) < 0 ||
-        wheel_offsets(PyDict_GetItemString(ns, "Cell"), &WC) < 0)
+    if (wheel_offsets((PyObject *)S.sim_type, &WS) < 0)
         return NULL;
     PyObject *v;
     if ((v = PyDict_GetItemString(ns, "cbe_pool_max")) == NULL ||
@@ -2035,14 +1295,13 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
             PyErr_SetString(PyExc_KeyError, "pool bounds");
         return NULL;
     }
-    S.inf = PyFloat_FromDouble(Py_HUGE_VAL);
     S.zero = PyLong_FromLong(0);
     S.str_run = PyUnicode_InternFromString("_run");
     S.str_seq = PyUnicode_InternFromString("_seq");
     S.str_sort = PyUnicode_InternFromString("sort");
     S.kw_key = Py_BuildValue("(s)", "key");
-    if (S.inf == NULL || S.zero == NULL || S.str_run == NULL ||
-        S.str_seq == NULL || S.str_sort == NULL || S.kw_key == NULL)
+    if (S.zero == NULL || S.str_run == NULL || S.str_seq == NULL ||
+        S.str_sort == NULL || S.kw_key == NULL)
         return NULL;
     S.configured = 1;
     Py_RETURN_NONE;
@@ -2051,68 +1310,52 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
 /* ------------------------------------------------------------------ */
 /* per-instance binding                                                */
 /* ------------------------------------------------------------------ */
-/* Wheel entry points bind to an exact wheel-backend Simulator only (a
- * subclass overriding the slow paths must keep the pure bindings, and the
- * heap backend never initialises the wheel slots); cells entry points to
- * a CellSimulator. */
+/* Entry points bind to an exact wheel-backend Simulator only (a subclass
+ * overriding the slow paths must keep the pure bindings, and the heap
+ * backend never initialises the wheel slots). */
 static PyObject *
-bind_checked(PyObject *sim, PyMethodDef *md, int cells)
+bind_checked(PyObject *sim, PyMethodDef *md)
 {
     if (!S.configured) {
         PyErr_SetString(PyExc_RuntimeError, "configure() has not run");
         return NULL;
     }
-    if (cells ? !PyObject_TypeCheck(sim, S.cellsim_type)
-              : (!Py_IS_TYPE(sim, S.sim_type) ||
-                 SLOT(sim, WS.slots0) == NULL)) {
-        PyErr_SetString(PyExc_TypeError,
-                        cells ? "expected a CellSimulator"
-                              : "expected a timing-wheel Simulator");
+    if (!Py_IS_TYPE(sim, S.sim_type) || SLOT(sim, WS.slots0) == NULL) {
+        PyErr_SetString(PyExc_TypeError, "expected a timing-wheel Simulator");
         return NULL;
     }
     return PyCFunction_New(md, sim);
 }
 
 #define KW (METH_FASTCALL | METH_KEYWORDS)
-#define BINDING(name, pyname, fn, flags, cells, doc)                        \
+#define BINDING(name, pyname, flags, doc)                                   \
     static PyMethodDef name##_md = {                                        \
-        pyname, (PyCFunction)(void (*)(void))fn, flags, doc};               \
+        pyname, (PyCFunction)(void (*)(void))name, flags, doc};             \
     static PyObject *bind_##name(PyObject *Py_UNUSED(mod), PyObject *sim)   \
     {                                                                       \
-        return bind_checked(sim, &name##_md, cells);                        \
+        return bind_checked(sim, &name##_md);                               \
     }
-BINDING(wheel_schedule, "schedule", wheel_schedule, KW, 0,
+BINDING(wheel_schedule, "schedule", KW,
         "C Simulator.schedule (timing-wheel backend).")
-BINDING(wheel_call_in, "call_in", wheel_call_in, KW, 0,
+BINDING(wheel_call_in, "call_in", KW,
         "C Simulator.call_in (timing-wheel backend).")
-BINDING(wheel_timeout, "timeout", wheel_timeout, KW, 0,
+BINDING(wheel_timeout, "timeout", KW,
         "C Simulator.timeout (timing-wheel backend).")
-BINDING(wheel_drain, "_cdrain", wheel_drain, METH_FASTCALL, 0,
+BINDING(wheel_drain, "_cdrain", METH_FASTCALL,
         "C run loop of the timing wheel: _cdrain(stop, max_events).")
-BINDING(cells_schedule, "schedule", cells_schedule, KW, 1,
-        "C CellSimulator.schedule.")
-BINDING(cells_call_in, "call_in", cells_call_in, KW, 1,
-        "C CellSimulator.call_in.")
-BINDING(cells_timeout, "timeout", cells_timeout, KW, 1,
-        "C CellSimulator.timeout.")
-BINDING(cells_call_in_cell, "call_in_cell", cells_call_in_cell, KW, 1,
-        "C CellSimulator.call_in_cell.")
-BINDING(cells_drain, "_cdrain", cells_drain, METH_FASTCALL, 1,
-        "C drain of the cells calendar (CellSimulator._drain).")
 
 #define BINDER(name) \
     {"bind_" #name, bind_##name, METH_O, "Bind " #name " to one simulator."}
 static PyMethodDef module_methods[] = {
     {"configure", configure, METH_O,
-     "Capture types, slot offsets and helpers from the pure kernels."},
+     "Capture types, slot offsets and helpers from the pure kernel."},
     BINDER(wheel_schedule), BINDER(wheel_call_in), BINDER(wheel_timeout),
-    BINDER(wheel_drain), BINDER(cells_schedule), BINDER(cells_call_in),
-    BINDER(cells_timeout), BINDER(cells_call_in_cell), BINDER(cells_drain),
+    BINDER(wheel_drain),
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef speedup_module = {
     PyModuleDef_HEAD_INIT, "_speedup",
-    "On-demand-compiled accelerator for the timing-wheel kernels.", -1,
+    "On-demand-compiled accelerator for the timing-wheel kernel.", -1,
     module_methods, NULL, NULL, NULL, NULL};
 
 PyMODINIT_FUNC

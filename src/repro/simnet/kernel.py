@@ -247,11 +247,6 @@ class Simulator:
         explicit = calendar is not None
         if not explicit:
             calendar = env_kernel() or "wheel"
-            if calendar in ("cells", "cells-lockstep"):
-                # The cells kernel needs a topology to derive its lookahead
-                # table from, so only Fabric can construct a CellSimulator;
-                # a plain Simulator under REPRO_KERNEL=cells keeps the wheel.
-                calendar = "wheel"
         if calendar not in ("wheel", "heap"):
             raise SimulationError(
                 f"unknown calendar backend {calendar!r} (expected 'wheel' or 'heap')"
@@ -308,11 +303,6 @@ class Simulator:
         self.step = self._step_wheel
         self.peek = self._peek_wheel
 
-    #: True on :class:`~repro.simnet.cells.CellSimulator`; lets call sites
-    #: (connection handshakes, apps) pick cells-safe waiting without
-    #: importing the cells module.
-    is_cells = False
-
     # ------------------------------------------------------------------
     # clock
     # ------------------------------------------------------------------
@@ -320,29 +310,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    # ------------------------------------------------------------------
-    # cells-kernel compatibility surface (see repro.simnet.cells)
-    # ------------------------------------------------------------------
-    def call_in_cell(self, cell: int, delay: int, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Schedule ``fn(arg)`` in a specific cell.
-
-        On the monolithic kernel there is only one calendar, so the cell
-        index is ignored; cross-cell call sites (link deliveries, device
-        ACKs) can route unconditionally.
-        """
-        self.call_in(delay, fn, arg)
-
-    def defer_control(self, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Run ``fn(arg)`` now.
-
-        The cells kernel defers the call to the control cell at the
-        current instant (a deterministic rendezvous after every cell has
-        finished it); the monolithic kernel is that rendezvous already,
-        so this is a direct call — bit-identical to call sites simply
-        invoking ``fn(arg)`` themselves.
-        """
-        fn(arg)
 
     # ------------------------------------------------------------------
     # scheduling — wheel backend (FIFO ties only)

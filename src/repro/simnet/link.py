@@ -57,7 +57,7 @@ class LinkDirection:
     dataclass instance.
     """
 
-    __slots__ = ("link", "index", "handler", "tracer", "dst_cell", "_busy_until",
+    __slots__ = ("link", "index", "handler", "tracer", "_busy_until",
                  "_last_arrival", "_messages", "_wire_bytes", "_busy_ns")
 
     def __init__(self, link: "Link", index: int) -> None:
@@ -67,12 +67,6 @@ class LinkDirection:
         #: optional ProtocolTracer-style sink for impairment outcomes
         #: (``emit(time_ns, conn, host, kind, **fields)``); set by telemetry
         self.tracer = None
-        #: cells-kernel routing: index of the cell owning the receiving
-        #: endpoint (set by Fabric assembly under the cells kernel; None
-        #: keeps the legacy single-calendar delivery, bit for bit).  The
-        #: arrival delay always includes this link's propagation, which is
-        #: >= the destination cell's inbound lookahead by construction.
-        self.dst_cell: Optional[int] = None
         self._busy_until = 0
         self._last_arrival = 0
         self._messages = 0
@@ -129,27 +123,16 @@ class LinkDirection:
         # regardless of fate — a lost frame still burns wire time; only the
         # delivery changes.
         ncalls = 0
-        dst = self.dst_cell
         if fate is Fate.DELIVER:
-            if dst is None:
-                # Deliver via a lightweight calendar entry (no Event, no closure).
-                sim.call_in(arrival - now, handler, payload)
-            else:
-                sim.call_in_cell(dst, arrival - now, handler, payload)
+            # Deliver via a lightweight calendar entry (no Event, no closure).
+            sim.call_in(arrival - now, handler, payload)
             ncalls = 1
         elif fate is Fate.DUPLICATE:
-            if dst is None:
-                sim.call_in(arrival - now, handler, payload)
-                sim.call_in(arrival - now, handler, payload)
-            else:
-                sim.call_in_cell(dst, arrival - now, handler, payload)
-                sim.call_in_cell(dst, arrival - now, handler, payload)
+            sim.call_in(arrival - now, handler, payload)
+            sim.call_in(arrival - now, handler, payload)
             ncalls = 2
         elif fate is Fate.CORRUPT:
-            if dst is None:
-                sim.call_in(arrival - now, handler, Corrupted(payload))
-            else:
-                sim.call_in_cell(dst, arrival - now, handler, Corrupted(payload))
+            sim.call_in(arrival - now, handler, Corrupted(payload))
             ncalls = 1
         else:
             # DROP / DOWN: nothing is delivered; record the loss for chaos

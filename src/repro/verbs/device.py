@@ -93,10 +93,6 @@ class RdmaDevice:
         #: the multi-host fabric this device is attached to, if any
         #: (see :meth:`attach_fabric`; ``None`` on the classic p2p wire)
         self.fabric = None
-        #: cells-kernel routing: index of the cell owning this device's
-        #: host (set by Fabric assembly under the cells kernel; None keeps
-        #: legacy single-calendar delivery for out-of-band ACKs)
-        self.cell: Optional[int] = None
 
         # send pipeline (see _tx_wake): QPs with queued WRs in round-robin
         # order; parked = idle until kicked, kicked = kicked while busy
@@ -551,13 +547,7 @@ class RdmaDevice:
         else:
             prop = self.fabric.ack_path_ns(self, peer)
         delay = self.config.ack_turnaround_ns + prop
-        if peer.cell is None:
-            self.sim.call_in(delay, peer._on_ack, ack)
-        else:
-            # cells kernel: the ACK lands on the peer host's calendar; the
-            # delay includes the routed path's propagation, which is >= the
-            # peer cell's inbound lookahead by construction.
-            self.sim.call_in_cell(peer.cell, delay, peer._on_ack, ack)
+        self.sim.call_in(delay, peer._on_ack, ack)
         if self.sim._recorder is not None:
             self.sim._recorder.annotate_last(
                 1,

@@ -1,19 +1,16 @@
 """Incast scenario suite: fan-in through the shared sink uplink."""
 
 import json
-import os
 
 import pytest
-
-#: the cells kernels tie-break same-instant events by cell key instead of
-#: global placement order, so counters that depend on whether an arrival
-#: lands before or after a coincident dequeue can legitimately differ from
-#: the monolithic wheel (see docs/SIMULATION.md, "ordering contract")
-CELLS_ENV = os.environ.get("REPRO_KERNEL", "") in ("cells", "cells-lockstep")
 
 from repro.apps import IncastConfig, incast_topology, run_incast
 from repro.apps.incast import main as incast_main
 from repro.config import KERNELS, ScenarioConfig
+from repro.exs import ExsSocketOptions
+from repro.fabric import Fabric
+from repro.simnet import FaultProfile, _accel
+from repro.verbs import ReliabilityConfig
 
 
 def _small(**overrides):
@@ -52,11 +49,6 @@ def test_backpressure_incast_is_lossless():
     assert result.throughput_gbps > 0
 
 
-@pytest.mark.skipif(
-    CELLS_ENV,
-    reason="backpressure count is same-instant order sensitive (arrival vs "
-           "coincident dequeue); cells kernels order by cell key",
-)
 def test_congested_uplink_backpressures():
     # tiny queue + big burst: the sink port must hold frames at ingress
     result = run_incast(
@@ -144,3 +136,72 @@ def test_cli_rejects_an_unknown_kernel(capsys):
     with pytest.raises(SystemExit):
         incast_main(["--kernel", "legacy"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# calendar and drain neutrality on a switched, lossy fabric
+# ---------------------------------------------------------------------------
+def _audited_fingerprint(kernel, *, seed, policy="backpressure",
+                         transport=None, rel_mode=None, faults=None):
+    """Run a small audited incast; return its full result fingerprint and
+    the calendar statistics of the fabric it ran on."""
+    config = IncastConfig(
+        senders=4, connections_per_sender=2,
+        message_bytes=4096, bytes_per_sender=2 * 4096,
+        policy=policy,
+        options=ExsSocketOptions(real_data=False, transport=transport),
+    )
+    scenario = ScenarioConfig(seed=seed, srq_depth=256, cq_shards=2,
+                              kernel=kernel, faults=faults,
+                              topology=incast_topology(config))
+    if rel_mode is not None:
+        profile = scenario.resolve_profile()
+        scenario = scenario.with_(reliability=ReliabilityConfig.for_path(
+            2 * (profile.propagation_delay_ns + profile.emulator_delay_ns),
+            mode=rel_mode))
+    fabric = Fabric.from_scenario(scenario)
+    result = run_incast(config, testbed=fabric, audit=True)
+    assert result.audit_violations == 0
+    fp = result.to_dict()
+    fp["finish_ns"] = list(result.finish_ns)
+    return fp, fabric.sim.calendar_stats()
+
+
+MATRIX = [
+    # transport, reliability mode, switch policy, seed, faults
+    ("wwi", None, "backpressure", 1, None),
+    ("wwi", "selective_repeat", "drop", 2, None),
+    ("eager_rendezvous", "gobackn", "drop", 1, None),
+    ("eager_rendezvous", "selective_repeat", "backpressure", 2, None),
+    ("wwi", "gobackn", "backpressure", 3, FaultProfile(drop_prob=0.02)),
+    ("eager_rendezvous", "gobackn", "backpressure", 1,
+     FaultProfile(drop_prob=0.01, corrupt_prob=0.01)),
+]
+
+
+@pytest.mark.parametrize(
+    "transport,rel_mode,policy,seed,faults", MATRIX,
+    ids=[f"{t}-{m or 'default'}-{p}-s{s}{'-faults' if f else ''}"
+         for t, m, p, s, f in MATRIX])
+def test_heap_matches_wheel_bit_identical(transport, rel_mode, policy, seed, faults):
+    """The calendar is host-side machinery: across transports, recovery
+    modes, switch policies and fault profiles, both give the same run."""
+    kwargs = dict(seed=seed, policy=policy, transport=transport,
+                  rel_mode=rel_mode, faults=faults)
+    wheel, wheel_stats = _audited_fingerprint("wheel", **kwargs)
+    heap, heap_stats = _audited_fingerprint("heap", **kwargs)
+    assert (wheel_stats["backend"], heap_stats["backend"]) == ("wheel", "heap")
+    assert wheel == heap
+
+
+@pytest.mark.skipif(_accel.load() is None,
+                    reason="C accelerator unavailable on this host")
+def test_c_and_pure_python_drains_are_bit_identical(monkeypatch):
+    """The compiled wheel drain replays the pure-Python one exactly."""
+    kwargs = dict(seed=2, rel_mode="gobackn", faults=FaultProfile(drop_prob=0.02))
+    accelerated, c_stats = _audited_fingerprint("wheel", **kwargs)
+    monkeypatch.setenv("REPRO_KERNEL_C", "0")
+    monkeypatch.setattr(_accel, "_state", "unloaded")
+    pure, pure_stats = _audited_fingerprint("wheel", **kwargs)
+    assert (c_stats["accelerator"], pure_stats["accelerator"]) == ("live", "off")
+    assert accelerated == pure

@@ -221,7 +221,7 @@ def test_fifo_policy_matches_no_policy_on_wheel():
 def test_policy_selects_the_heap_calendar(monkeypatch):
     """One rule: a schedule policy runs on the heap, whatever the default;
     asking for the wheel as well is an error, not a silent switch."""
-    for env in ("", "wheel", "heap", "cells"):
+    for env in ("", "wheel", "heap"):
         monkeypatch.setenv("REPRO_KERNEL", env)
         sim = Simulator(schedule_policy=RandomTiebreakPolicy(seed=3))
         assert sim.calendar_stats()["backend"] == "heap"
@@ -431,8 +431,6 @@ def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwa
     import subprocess
     import warnings
 
-    from repro.simnet.cells import CellMap, CellSimulator
-
     def failing_cc(cmd, **kwargs):
         return subprocess.CompletedProcess(
             cmd, 1, b"", b"_speedup.c:1:1: error: no Python.h here\ncompilation terminated.\n")
@@ -443,16 +441,15 @@ def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwa
     monkeypatch.setattr(_accel, "_state", "unloaded")
     monkeypatch.setattr(_accel, "_reason", None)
     warnings.simplefilter("always")
-    cellmap = CellMap(("h0", "control"), (10, 0))
     sims = [Simulator(calendar="wheel"), Simulator(calendar="wheel"),
-            CellSimulator(cellmap), Simulator(calendar="heap")]
+            Simulator(calendar="heap")]
     reason = "RuntimeError: accelerator compile failed: _speedup.c:1:1: error: no Python.h here"
     assert _accel.failure_reason() == reason
-    for sim in sims[:3]:
+    for sim in sims[:2]:
         stats = sim.calendar_stats()
         assert (stats["accelerator"], stats["accelerator_reason"]) == ("unavailable", reason)
         assert sim._cdrain is None and type(sim.timeout).__name__ == "method"
-    heap = sims[3].calendar_stats()  # never asked for it: off, and no reason
+    heap = sims[2].calendar_stats()  # never asked for it: off, and no reason
     assert (heap["accelerator"], heap["accelerator_reason"]) == ("off", None)
     assert [str(w.message) for w in recwarn.list if w.category is RuntimeWarning] == [
         f"repro.simnet: C kernel accelerator unavailable, running the pure-Python kernels ({reason})"
@@ -462,15 +459,22 @@ def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwa
     monkeypatch.setenv("REPRO_KERNEL_C", "0")
     monkeypatch.setattr(_accel, "_state", "unloaded")
     monkeypatch.setattr(_accel, "_reason", None)
-    for sim in (Simulator(calendar="wheel"), CellSimulator(cellmap)):
-        stats = sim.calendar_stats()
-        assert (stats["accelerator"], stats["accelerator_reason"]) == ("off", None)
+    stats = Simulator(calendar="wheel").calendar_stats()
+    assert (stats["accelerator"], stats["accelerator_reason"]) == ("off", None)
     assert not recwarn.list and _accel.failure_reason() is None
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(SimulationError, match="calendar backend"):
         Simulator(calendar="btree")
+
+
+def test_removed_kernel_in_the_environment_is_refused(monkeypatch):
+    """A plain Simulator reads REPRO_KERNEL itself; a removed kernel name
+    there is an error naming the valid calendars, never a quiet wheel."""
+    monkeypatch.setenv("REPRO_KERNEL", "cells")
+    with pytest.raises(SimulationError, match="'wheel' or 'heap'"):
+        Simulator()
 
 
 # ----------------------------------------------------------------------

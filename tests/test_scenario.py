@@ -9,8 +9,8 @@ import pytest
 from repro.apps.blast import BlastConfig, run_blast
 from repro.apps.workloads import FixedSizes
 from repro.bench.profiles import PROFILES
-from repro.config import ScenarioConfig
-from repro.simnet import FaultProfile
+from repro.config import KERNELS, ScenarioConfig
+from repro.simnet import FaultProfile, Topology
 from repro.simnet.schedule import FifoPolicy, RandomTiebreakPolicy
 from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
@@ -147,7 +147,7 @@ def test_scenario_telemetry_dir_writes_without_env(tmp_path):
 # one environment read: resolved() and environment-free replay
 # ---------------------------------------------------------------------------
 RUN_SHAPING = {
-    "REPRO_KERNEL": ("cells", "kernel"),
+    "REPRO_KERNEL": ("heap", "kernel"),
     "REPRO_TRANSPORT": ("eager_rendezvous", "transport"),
     "REPRO_RELIABILITY_MODE": ("selective_repeat", "reliability"),
 }
@@ -196,6 +196,30 @@ def test_resolved_reads_each_variable_and_explicit_fields_win(clean_env):
         clean_env.delenv(var)
 
 
+def test_env_kernel_selection_via_fabric(clean_env):
+    """REPRO_KERNEL picks the calendar a fabric runs on; an explicit
+    scenario kernel wins over the environment."""
+    from repro.fabric import Fabric
+
+    topo = Topology.star(["a", "b", "c"])
+    clean_env.setenv("REPRO_KERNEL", "heap")
+    assert Fabric.from_scenario(ScenarioConfig(topology=topo)).kernel == "heap"
+    assert Fabric.from_scenario(ScenarioConfig(topology=topo, kernel="wheel")).kernel == "wheel"
+
+
+def test_removed_kernels_fail_loudly(clean_env):
+    """A kernel that no longer exists is refused with the valid names, on
+    the field and through the environment alike; the valid ones round-trip."""
+    assert KERNELS == ("wheel", "heap")
+    with pytest.raises(ValueError, match="expected one of wheel, heap"):
+        ScenarioConfig(kernel="cells")
+    clean_env.setenv("REPRO_KERNEL", "cells")
+    with pytest.raises(ValueError, match="expected one of wheel, heap"):
+        ScenarioConfig().resolved()
+    for kernel in KERNELS:
+        assert ScenarioConfig.from_dict(ScenarioConfig(kernel=kernel).to_dict()).kernel == kernel
+
+
 @pytest.mark.parametrize("var", sorted(RUN_SHAPING))
 def test_fabric_scenario_replays_without_the_environment(clean_env, var):
     """The scenario a fabric reports rebuilds the same run anywhere."""
@@ -228,7 +252,7 @@ def test_fabric_scenario_replays_without_the_environment(clean_env, var):
     assert replay.scenario == recorded
     assert fingerprint(replay) == under_env
     if var == "REPRO_KERNEL":
-        assert under_env[-1] == "cells"
+        assert under_env[-1] == "heap"
     else:  # the variable shaped the simulated result, not just the record
         assert fingerprint(baseline) != under_env
 

@@ -17,8 +17,10 @@ intentional *model* change, re-capture and say why in CHANGES.md::
     PYTHONPATH=src python tests/test_sim_neutrality.py --capture
 
 The matrix: seeds x {wwi, eager_rendezvous} x {lossless, go-back-N,
-selective repeat} x {point-to-point, star} x {legacy wheel, cells} over
-blast, echo and incast-shaped runs, per-connection engines and CQ shards.
+selective repeat} x {point-to-point, star} over blast, echo and
+incast-shaped runs, per-connection engines and CQ shards, captured on the
+timing wheel (the ``legacy`` in the star case names is historical) and
+replayed on both calendars, the wheel and the heap.
 """
 
 from __future__ import annotations
@@ -109,10 +111,10 @@ def _scenario(seed, transport, faults, rel_mode, *, profile="fdr", hops=1, **kw)
 # ---------------------------------------------------------------------------
 # the three run shapes
 # ---------------------------------------------------------------------------
-def _blast(seed, transport, faults, rel_mode):
+def _blast(seed, transport, faults, rel_mode, kernel="wheel"):
     lossy = faults is not None
     scenario = _scenario(seed, transport, faults, rel_mode,
-                         profile="roce-lan" if lossy else "fdr", kernel="wheel")
+                         profile="roce-lan" if lossy else "fdr", kernel=kernel)
     config = BlastConfig(
         total_messages=60 if lossy else 150,
         sizes=FixedSizes(64 * KIB) if lossy else ExponentialSizes(seed=seed),
@@ -120,6 +122,7 @@ def _blast(seed, transport, faults, rel_mode):
         outstanding_recvs=8,
     )
     tb = Testbed.from_scenario(scenario)
+    assert tb.kernel == kernel == tb.sim.calendar_stats()["backend"]
     r = run_blast(config, scenario=scenario, testbed=tb, max_events=5_000_000)
     return {
         "total_bytes": r.total_bytes, "start_ns": r.start_ns, "end_ns": r.end_ns,
@@ -130,17 +133,19 @@ def _blast(seed, transport, faults, rel_mode):
     }
 
 
-def _echo(seed, transport):
-    scenario = _scenario(seed, transport, None, None, kernel="wheel")
+def _echo(seed, transport, kernel="wheel"):
+    scenario = _scenario(seed, transport, None, None, kernel=kernel)
     tb = Testbed.from_scenario(scenario)
+    assert tb.kernel == kernel == tb.sim.calendar_stats()["backend"]
     r = run_echo(EchoConfig(iterations=150, message_bytes=64, warmup=0),
                  testbed=tb, max_events=5_000_000)
     return {"rtts_ns": _samples(r.rtts_ns), "fabric": _fabric_counters(tb)}
 
 
-def _star(seed, transport, policy, rel_mode, kernel, shards):
+def _star(seed, transport, policy, rel_mode, shards, schedule=None, kernel="wheel"):
     """Incast-shaped run driven on the Fabric itself, so that every
-    connection's protocol counters are in reach."""
+    connection's protocol counters are in reach.  A *schedule* policy
+    leaves the kernel to the scenario, which then runs on the heap."""
     senders, per_sender, messages, nbytes = 4, 2, 4, 4 * KIB
     names = tuple(f"s{i}" for i in range(senders))
     topology = Topology.star(
@@ -149,14 +154,16 @@ def _star(seed, transport, policy, rel_mode, kernel, shards):
     )
     sharing = {"srq_depth": 256, "cq_shards": 2} if shards else {}
     scenario = _scenario(seed, None, None, rel_mode, hops=2, topology=topology,
-                         kernel=kernel, **sharing)
+                         kernel=None if schedule else kernel, schedule=schedule,
+                         **sharing)
     fabric = Fabric.from_scenario(scenario)
-    assert fabric.kernel == ("cells" if kernel == "cells" else "legacy")
+    assert fabric.kernel == ("heap" if schedule else kernel)
+    assert fabric.kernel == fabric.sim.calendar_stats()["backend"]
     options = ExsSocketOptions(real_data=False, transport=transport)
     latencies, finish, handles = [], {}, []
 
     def sender(handle):
-        yield handle.wait_side("a")
+        yield handle.established
         stack = fabric.stack(handle.a)
         buf = stack.alloc(nbytes, label="golden:snd")
         mr = yield from stack.mregister(buf)
@@ -167,7 +174,7 @@ def _star(seed, transport, policy, rel_mode, kernel, shards):
             latencies.append(stack.sim.now - posted)
 
     def receiver(handle, index):
-        yield handle.wait_side("b")
+        yield handle.established
         stack = fabric.stack(handle.b)
         buf = stack.alloc(nbytes, label="golden:rcv")
         mr = yield from stack.mregister(buf)
@@ -187,8 +194,6 @@ def _star(seed, transport, policy, rel_mode, kernel, shards):
     assert len(finish) == len(handles)
     return {
         "finish_ns": [finish[i] for i in range(len(handles))],
-        # per-sender order is deterministic; cross-host append order under
-        # the cells kernel is the kernel's own (deterministic) interleaving
         "send_latencies_ns": _samples(latencies),
         "tx": [_ints(h.a_socket.conn.tx_stats) for h in handles],
         "rx": [_ints(h.b_socket.conn.rx_stats) for h in handles],
@@ -201,20 +206,21 @@ def _cases():
         for transport in TRANSPORTS:
             for label, faults, rel_mode in RECOVERY:
                 yield (f"blast/p2p/{transport}/{label}/s{seed}",
-                       lambda a=(seed, transport, faults, rel_mode): _blast(*a))
+                       lambda kernel="wheel", a=(seed, transport, faults, rel_mode):
+                       _blast(*a, kernel=kernel))
             yield (f"echo/p2p/{transport}/s{seed}",
-                   lambda a=(seed, transport): _echo(*a))
-            for kernel in ("wheel", "cells"):
-                for policy, rel_mode in (("backpressure", None),
-                                         ("drop", "gobackn"),
-                                         ("drop", "selective_repeat")):
-                    yield (f"incast/star/{transport}/{rel_mode or 'lossless'}/"
-                           f"{'legacy' if kernel == 'wheel' else kernel}/shards/s{seed}",
-                           lambda a=(seed, transport, policy, rel_mode, kernel, True):
-                           _star(*a))
+                   lambda kernel="wheel", a=(seed, transport): _echo(*a, kernel=kernel))
+            for policy, rel_mode in (("backpressure", None),
+                                     ("drop", "gobackn"),
+                                     ("drop", "selective_repeat")):
+                yield (f"incast/star/{transport}/{rel_mode or 'lossless'}/"
+                       f"legacy/shards/s{seed}",
+                       lambda kernel="wheel", a=(seed, transport, policy, rel_mode, True):
+                       _star(*a, kernel=kernel))
         # per-connection engines (no SRQ pool, no CQ shards)
         yield (f"incast/star/wwi/lossless/legacy/per-conn/s{seed}",
-               lambda a=(seed, "wwi", "backpressure", None, "wheel", False): _star(*a))
+               lambda kernel="wheel", a=(seed, "wwi", "backpressure", None, False):
+               _star(*a, kernel=kernel))
 
 
 CASES = dict(_cases())
@@ -237,6 +243,20 @@ def test_simulation_is_bit_identical_to_golden(case, golden):
     assert got == want, "\n".join(
         f"{case}: {key}: golden {want.get(key)!r} != now {got.get(key)!r}"
         for key in sorted(set(want) | set(got)) if want.get(key) != got.get(key))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_heap_calendar_is_bit_identical_to_golden(case, golden):
+    # the golden rows are captured on the wheel; the heap calendar must
+    # replay every one of them
+    assert json.loads(json.dumps(CASES[case]("heap"))) == golden[case]
+
+
+def test_schedule_policy_runs_on_the_heap_bit_identically(golden):
+    # FIFO on the heap calendar keys ties exactly as the wheel orders them
+    got = json.loads(json.dumps(_star(1, "wwi", "drop", "gobackn", True,
+                                      schedule=("fifo", 0))))
+    assert got == golden["incast/star/wwi/gobackn/legacy/shards/s1"]
 
 
 if __name__ == "__main__":
