@@ -8,8 +8,8 @@ install:
 test:
 	pytest tests/
 
-# The default kernel must really be the compiled one (an unavailable
-# accelerator degrades to the pure kernels with a warning, which a test
+# The default kernel must really be the compiled wheel (an unavailable
+# accelerator falls back to the heap calendar with a warning, which a test
 # suite does not notice), and _speedup.c must compile warning-free (its own
 # warnings: CPython deprecating an API it still ships is not one).
 accel-check:

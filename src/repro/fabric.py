@@ -135,12 +135,13 @@ class Fabric:
         schedule_policy = scenario.schedule_policy()
         capture = bool(scenario.causal_capture or scenario.flight_recorder)
 
-        #: the calendar that runs this fabric: ``"wheel"`` or ``"heap"``
-        #: (the resolved scenario's kernel; a schedule policy implies the heap)
-        self.kernel = scenario.kernel
         self.sim = Simulator(
-            trace=trace, schedule_policy=schedule_policy, calendar=self.kernel,
+            trace=trace, schedule_policy=schedule_policy, calendar=scenario.kernel,
         )
+        #: the calendar that runs this fabric: ``"wheel"`` or ``"heap"`` —
+        #: the resolved scenario's kernel, except that the heap runs when
+        #: the wheel's C accelerator could not be built or loaded
+        self.kernel = self.sim.calendar_stats()["backend"]
 
         #: the run's :class:`~repro.simnet.causality.CausalRecorder` when the
         #: scenario asked for capture (``causal_capture``/``flight_recorder``)

@@ -1,23 +1,19 @@
-"""On-demand build and loading of the optional C kernel accelerator.
+"""On-demand build and loading of the C timing wheel.
 
 ``_speedup.c`` is compiled with the system C compiler the first time a
 timing-wheel :class:`~repro.simnet.kernel.Simulator` is constructed, and
 cached (keyed by interpreter version and source hash) under
 ``~/.cache/repro-simnet`` or ``$REPRO_ACCEL_CACHE``.  There is no build
 system and no install step: a plain ``cc -O2 -shared -fPIC`` either works
-or it doesn't, and *any* failure — no compiler, non-CPython runtime, a
-changed slot layout failing the ``configure()`` handshake — degrades to
-the pure-Python kernels, which are semantically identical (property-tested
-in tests/simnet/test_timing_wheel.py) but some 20 % slower.  The degrade
-is not silent: the first line of the failure is kept
-(:func:`failure_reason`, ``calendar_stats()["accelerator_reason"]``, the
-``repro.obs`` run report) and one :class:`RuntimeWarning` per process
-says so.
-
-Set ``REPRO_KERNEL_C=0`` to force the pure-Python paths (no warning:
-that is a choice, not a failure); note that ``REPRO_KERNEL=heap`` never
-uses the accelerator (it binds the flat-heap methods before the
-accelerator is consulted).
+or it doesn't.  The wheel exists only in C, so *any* failure — no
+compiler, non-CPython runtime, a changed slot layout failing the
+``configure()`` handshake — makes a simulator that asked for the wheel run
+the flat-heap calendar, which is bit-identical in simulated results
+(tests/simnet/test_timing_wheel.py) but slower.  The fallback is not
+silent: the first line of the failure is kept (:func:`failure_reason`,
+``calendar_stats()["accelerator_reason"]``, the ``repro.obs`` run report)
+and one :class:`RuntimeWarning` per process says so.  ``REPRO_KERNEL=heap``
+never consults this module.
 """
 
 from __future__ import annotations
@@ -28,21 +24,12 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["load", "why_not", "failure_reason"]
+__all__ = ["load", "failure_reason"]
 
 #: "unloaded" until the first load() call, then the module or None.
 _state: object = "unloaded"
 #: first line of the failure that made load() return None, if one did
 _reason: Optional[str] = None
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get("REPRO_KERNEL_C", "").strip().lower() in (
-        "0",
-        "off",
-        "no",
-        "false",
-    )
 
 
 def _compile_and_import():
@@ -110,29 +97,22 @@ def _configure(mod) -> None:
             "CallbackEntry": _core.CallbackEntry,
             "SimulationError": _core.SimulationError,
             "processed": _core._PROCESSED,
-            "restore_fifo": _core.restore_fifo,
             "seq_of": _core._seq_of,
             "wait_on": Process._wait_on,
+            # what the placement entry points bind odd calls with, so the
+            # heap and the wheel refuse a bad delay with one set of messages
+            "bind_schedule": _core.schedule,
+            "bind_call_in": _core.call_in,
+            "bind_timeout": _core.timeout,
             "cbe_pool_max": _core.CBE_POOL_MAX,
             "timeout_pool_max": _core.TIMEOUT_POOL_MAX,
-            # the pure placement methods: what the C entry points call for
-            # anything that must raise (non-int, bool, negative delays)
-            "schedule_py": Simulator._schedule_wheel,
-            "call_in_py": Simulator._call_in_wheel,
-            "timeout_py": Simulator._timeout_wheel,
         }
     )
 
 
-def why_not() -> str:
-    """Why :func:`load` returned ``None``: ``"off"`` when the environment
-    opted out, ``"unavailable"`` when the build or load failed."""
-    return "off" if _disabled_by_env() else "unavailable"
-
-
 def failure_reason() -> Optional[str]:
     """First line of why the accelerator is ``"unavailable"`` (``None``
-    when it loaded, was switched off, or has not been tried yet)."""
+    when it loaded or has not been tried yet)."""
     return _reason
 
 
@@ -142,8 +122,6 @@ def load():
     if _state != "unloaded":
         return _state
     _state = None
-    if _disabled_by_env():
-        return None
     try:
         if sys.implementation.name != "cpython":
             # Py_REFCNT semantics are CPython-specific
@@ -155,7 +133,7 @@ def load():
         _reason = f"{type(exc).__name__}: {exc}".strip().splitlines()[0]
         warnings.warn(
             "repro.simnet: C kernel accelerator unavailable, running the "
-            f"pure-Python kernels ({_reason})",
+            f"heap calendar ({_reason})",
             RuntimeWarning,
             stacklevel=2,
         )

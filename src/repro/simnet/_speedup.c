@@ -1,49 +1,44 @@
-/* _speedup.c — optional CPython accelerator for the timing-wheel kernel.
+/* _speedup.c — the timing-wheel event calendar, for CPython.
  *
  * Compiled on demand by `_accel.py` (plain `cc -O2 -shared -fPIC`, no
- * build-system dependency).  When the compile or the `configure()`
- * handshake fails the kernel keeps its pure-Python paths, which are
- * semantically identical (tests/simnet/test_timing_wheel.py compares
- * dispatch order and every calendar counter), and `_accel` records why.
+ * build-system dependency).  The wheel exists only here: when the compile
+ * or the `configure()` handshake fails, a simulator that asked for the
+ * wheel runs the flat-heap calendar instead (bit-identical in simulated
+ * results; tests/simnet/test_timing_wheel.py compares the two on dispatch
+ * order, clock, `peek()` and `pending`), and `_accel` records why.
  *
- * What is compiled, over the `_core` wheel:
+ * What is here, over the wheel slots `_core` documents:
  *
- *   wheel primitives   wheel_insert / wheel_cascade / wheel_next_batch —
- *                      line-for-line ports of _core's insert /
- *                      _cascade_fifo / next_batch_fifo, on the Simulator
- *                      slots whose offsets `WS` holds (the `_core`
- *                      attribute contract).
+ *   wheel primitives   wheel_insert / wheel_cascade / wheel_next_batch /
+ *                      wheel_restore, on the Simulator slots whose offsets
+ *                      `WS` holds (the `_core` attribute contract).
  *   dispatch_entry     the one dispatch body: Timeout / plain Event (with
  *                      the process resume and the timeout chain spin),
  *                      CallbackEntry, and `entry._run()` for anything else
  *                      (causality._CapturedEntry, Process completions, …).
- *   Simulator          schedule / call_in / timeout (fast *and* slow paths:
- *                      live-batch append, register park and spill, lazy
- *                      seq, stash/pool reuse with the pure counters) and
- *                      `_cdrain(stop, max_events)`, the whole run loop.
+ *   Simulator          schedule / call_in / timeout (register park and
+ *                      spill, live-batch append, lazy seq, stash/pool
+ *                      reuse), step / peek, and `_cdrain(stop,
+ *                      max_events)`, the whole run loop — bound per
+ *                      instance by `bind_wheel`.
  *
- * What stays pure, and why: anything that must raise (non-int, negative
- * or keyword-spelled arguments go to the pure method, so messages and
- * exception types have one source), `step()` / `peek()` /
- * `calendar_stats()`, batch restore (`_core.restore_fifo`, called from
- * here), the flat-heap calendar (schedule policies), and capture's
- * placement wrappers.
+ * Odd placement calls (keyword spellings, non-int, bool or negative
+ * delays) bind their arguments through small `_core` functions that hand
+ * the delay to `_core.check_delay`, the check the heap calendar uses too,
+ * so messages and exception types have one source.
  *
- * All state lives in the same `__slots__` the Python code reads, through
- * member offsets captured at configure() time, and every store the pure
- * loops make happens here at the same point: `_now`, `_base`, `_batch`,
- * `_batch_time`, `_bi`, `_reg_free`, every counter, and
- * `events_executed` at batch start and at exit (count-before-dispatch).
- * So C and pure code interleave freely — `peek()`, `step()`, the
- * telemetry sampler and `calendar_stats()` called from inside a callback
- * read what they read on the pure kernel, and a mid-run exception leaves a
- * calendar the pure code resumes.  Bit-identical event ordering is the
- * contract; speed is just fewer interpreter dispatches.
+ * All state lives in the `__slots__` the Python code reads, through
+ * member offsets captured at configure() time: `_now`, `_base`, `_batch`,
+ * `_batch_time`, `_bi`, `_reg_free`, every counter, and `events_executed`
+ * at batch start and at exit (count-before-dispatch).  So
+ * `calendar_stats()` and the telemetry sampler, called from inside a
+ * callback, read a consistent calendar, and a run cut short (a raising
+ * callback, a stop time, a tripped event cap) leaves one that `step()` or
+ * the next `run()` resumes.
  *
- * The refcount-based Timeout recycling translates directly: the Python
- * loops' `getrefcount(e) == 2` (frame local + getrefcount argument)
- * becomes `Py_REFCNT(e) == 1` here, because this code owns exactly one
- * strong reference to the dispatched event at the check site.
+ * Timeout recycling is refcount-based: a dispatched Timeout is pooled when
+ * `Py_REFCNT(e) == 1`, i.e. this code owns the only strong reference to
+ * it, so the reuse is invisible to anything that kept one.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -87,14 +82,13 @@ static struct {
     /* Process / CallbackEntry slots */
     Py_ssize_t o_pr_send, o_pr_throw, o_cbe_fn, o_cbe_arg, o_cbe_seq;
     long cbe_pool_max, timeout_pool_max;
-    PyObject *processed;    /* _core._PROCESSED sentinel */
-    PyObject *wait_on;      /* Process._wait_on (plain function) */
-    PyObject *restore_fifo; /* _core.restore_fifo */
-    PyObject *seq_of;       /* _core._seq_of (the batch sort key) */
-    PyObject *sim_error;    /* SimulationError */
-    /* pure placement methods (plain functions, called with sim prepended) */
-    PyObject *py_schedule, *py_call_in, *py_timeout;
-    PyObject *zero; /* int 0 */
+    PyObject *processed;   /* _core._PROCESSED sentinel */
+    PyObject *wait_on;     /* Process._wait_on (plain function) */
+    PyObject *seq_of;      /* _core._seq_of (the batch sort key) */
+    PyObject *sim_error;   /* SimulationError */
+    /* _core's binders for odd placement calls (see bind_odd) */
+    PyObject *bind_schedule, *bind_call_in, *bind_timeout;
+    PyObject *zero;        /* int 0 */
     PyObject *str_run, *str_seq, *str_sort, *kw_key;
 } S;
 
@@ -185,9 +179,7 @@ bump_slot(PyObject *ob, Py_ssize_t off, long long d)
 /* ------------------------------------------------------------------ */
 /* Every heap here holds *unique* keys (occupied slot times, bucket
  * numbers, (when, seq, entry) with unique seqs), so pop order equals
- * sorted order regardless of internal layout — this heap need not
- * replicate heapq's array layout, and pure heapq calls interleave with it
- * on the same list. */
+ * sorted order regardless of internal layout. */
 static int
 heap_push(PyObject *h, PyObject *item)
 {
@@ -315,11 +307,12 @@ set_seq(PyObject *e, PyObject *key)
 }
 
 /* ------------------------------------------------------------------ */
-/* wheel primitives (ports of _core insert/cascade/next_batch)         */
+/* wheel primitives                                                    */
 /* ------------------------------------------------------------------ */
 
-/* _core.insert(sim, when, entry): FIFO wheel insert.  `when_obj` must
- * be a borrowed int object equal to `when`. */
+/* Place `entry` (`_seq` already assigned) into L0, L1 or the overflow
+ * heap; slot lists hold bare entries, L1 buckets (when, entry) pairs.
+ * `when_obj` must be a borrowed int object equal to `when`. */
 static int
 wheel_insert(PyObject *sim, long long when, PyObject *when_obj,
              PyObject *entry)
@@ -400,7 +393,9 @@ wheel_insert(PyObject *sim, long long when, PyObject *when_obj,
     return bump_slot(sim, WS.nstruct, 1);
 }
 
-/* _core._cascade_fifo(sim, b) */
+/* Distribute L1 bucket `b` into L0 slots, re-anchoring `base` (safe:
+ * a cascade only runs when no pending entry is below the bucket's lower
+ * bound). */
 static int
 wheel_cascade(PyObject *sim, long long b)
 {
@@ -466,11 +461,11 @@ fail:
     return -1;
 }
 
-/* _core.next_batch_fifo(sim): remove the minimum pending instant from the
- * structures.  Returns its entry list (new reference) with *t_out and
- * *t_obj (new reference) set; NULL with *t_out == CLL_INF and no exception
- * when the structures are empty, NULL with an exception on error.  The
- * list is in dispatch (seq) order. */
+/* Remove the minimum pending instant from the structures.  Returns its
+ * entry list (new reference) with *t_out and *t_obj (new reference) set;
+ * NULL with *t_out == CLL_INF and no exception when the structures are
+ * empty, NULL with an exception on error.  The list is in dispatch (seq)
+ * order. */
 static PyObject *
 wheel_next_batch(PyObject *sim, long long *t_out, PyObject **t_obj)
 {
@@ -507,8 +502,8 @@ wheel_next_batch(PyObject *sim, long long *t_out, PyObject **t_obj)
         char *db = PyByteArray_AsString(SLOT(sim, WS.dirty));
         if (db == NULL)
             goto fail;
-        /* one sort serves both pure sorts: seqs are unique, so sorting
-         * once after the merge yields the same order */
+        /* one sort serves a dirty slot and an overflow merge: seqs are
+         * unique, so sorting once after the merge yields seq order */
         int sort = db[idx] && PyList_GET_SIZE(ls) > 1;
         db[idx] = 0;
         while (th == t) {
@@ -770,7 +765,7 @@ dispatch_entry(PyObject *sim, PyObject *e, Gates *reg)
         Py_DECREF(cb);
         if (is_to)
             return recycle_timeout(sim, e, reg != NULL);
-        Py_DECREF(e); /* plain events are GC'd like in pure */
+        Py_DECREF(e); /* plain events are never pooled */
         return 0;
     err:
         Py_DECREF(cb);
@@ -805,27 +800,8 @@ dispatch_entry(PyObject *sim, PyObject *e, Gates *reg)
 /* placement helpers                                                   */
 /* ------------------------------------------------------------------ */
 
-/* Hand the call to the pure method: odd signatures and everything that
- * must raise (non-int, bool, negative delays). */
-static PyObject *
-call_pure(PyObject *fn, PyObject *sim, PyObject *const *args,
-          Py_ssize_t nargs, PyObject *kwnames)
-{
-    PyObject *stack[8];
-    Py_ssize_t total =
-        nargs + (kwnames != NULL ? PyTuple_GET_SIZE(kwnames) : 0);
-    if (total + 1 > 8) {
-        PyErr_SetString(PyExc_TypeError, "too many arguments");
-        return NULL;
-    }
-    stack[0] = sim;
-    for (Py_ssize_t i = 0; i < total; i++)
-        stack[i + 1] = args[i];
-    return PyObject_Vectorcall(fn, stack, nargs + 1, kwnames);
-}
-
 /* *when = `sim._now + delay` for an exact non-negative int delay; 0 (no
- * exception set) when the call belongs to the pure method instead. */
+ * exception set) when the call must take the odd path instead. */
 static int
 when_after(PyObject *sim, PyObject *delay, long long *when)
 {
@@ -869,7 +845,7 @@ cbe_acquire(PyObject *sim, PyObject *fn, PyObject *arg, int count_reuse)
     return e;
 }
 
-/* The pure timeout slow paths' acquisition: stash, then pool (both count a
+/* A timeout off the structure path: the stash, then the pool (both count a
  * reuse and get delay/value/_cb1 reset — *placed = 0, the caller places
  * the result), else a fresh Timeout, whose __init__ places itself through
  * sim.schedule (*placed = 1).  Returns a new reference. */
@@ -908,8 +884,28 @@ timeout_acquire(PyObject *sim, PyObject *delay, PyObject *value, int *placed)
     return t;
 }
 
+/* An odd placement call — keyword spellings, a delay that is not an exact
+ * non-negative int: `binder` (a `_core` function with the entry point's
+ * signature) binds the arguments as Python would, refuses a bad delay
+ * through `_core.check_delay`, and returns the entry point's positional
+ * arguments with an exact-int delay at index `di`.  Returns that tuple (new
+ * reference; the caller reads its arguments from it) with *when set. */
+static PyObject *
+bind_odd(PyObject *sim, PyObject *binder, Py_ssize_t di,
+         PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
+         long long *when)
+{
+    PyObject *bound = PyObject_Vectorcall(binder, args, nargs, kwnames);
+    if (bound != NULL && !when_after(sim, PyTuple_GET_ITEM(bound, di), when)) {
+        PyErr_Format(S.sim_error, "delay out of range: %S",
+                     PyTuple_GET_ITEM(bound, di));
+        Py_CLEAR(bound);
+    }
+    return bound;
+}
+
 /* ================================================================== */
-/* Simulator — the timing wheel (kernel.py + _core.py)                 */
+/* Simulator — the timing wheel                                        */
 /* ================================================================== */
 
 #define REG_OPEN(sim) \
@@ -924,14 +920,50 @@ assign_seq(PyObject *sim, PyObject *entry)
     return set_seq(entry, SLOT(sim, S.o_seq));
 }
 
-/* Placement, as Simulator._{schedule,call_in,timeout}_wheel do it.  The
- * register fast path first (`_reg_free`: no live batch, empty structures),
- * then the tail the three `_slow` methods share: join the live batch,
- * park in the register, or spill the register and insert. */
+/* Re-insert the undispatched tail ls[i:] of an interrupted batch at its
+ * time t.  Entries get fresh sequence numbers in list order — relative
+ * order is preserved exactly, and on the wheel the values themselves are
+ * unobservable.  The target L0 slot is necessarily empty (window
+ * invariant: only time-t entries map there, and they were all in this
+ * batch), so the appends land pre-sorted.  A pending exception survives
+ * it, and a failed restore never masks that original. */
+static int
+wheel_restore(PyObject *sim, PyObject *t_obj, PyObject *ls, Py_ssize_t i)
+{
+    PyObject *et, *ev, *tb;
+    PyErr_Fetch(&et, &ev, &tb);
+    store_slot(sim, S.o_batch, Py_NewRef(Py_None));
+    long long t = obj_ll(t_obj);
+    int rc = LL_ERR(t) ? -1 : 0;
+    for (; rc == 0 && i < PyList_GET_SIZE(ls); i++) {
+        PyObject *e = Py_NewRef(PyList_GET_ITEM(ls, i));
+        if (e != Py_None &&
+            (assign_seq(sim, e) < 0 || wheel_insert(sim, t, t_obj, e) < 0))
+            rc = -1;
+        Py_DECREF(e);
+    }
+    if (rc == 0) {
+        long long ns = obj_ll(SLOT(sim, WS.nstruct));
+        if (LL_ERR(ns))
+            rc = -1;
+        else
+            store_slot(sim, WS.reg_free, Py_NewRef(ns ? Py_False : Py_True));
+    }
+    if (et != NULL) {
+        PyErr_Clear();
+        PyErr_Restore(et, ev, tb);
+        return -1;
+    }
+    return rc;
+}
+
+/* Placement: the register fast path first (`_reg_free`: no live batch,
+ * empty structures), then join the live batch, park in the register, or
+ * spill the register and insert. */
 static int
 wheel_place(PyObject *sim, PyObject *entry, long long when)
 {
-    int open = REG_OPEN(sim); /* the pure fast paths' one test */
+    int open = REG_OPEN(sim); /* the fast path's one test */
     PyObject *b = SLOT(sim, S.o_batch);
     if (!open && b != Py_None) {
         long long bt = obj_ll(SLOT(sim, S.o_batch_time));
@@ -979,15 +1011,26 @@ done:
     return rc;
 }
 
+/* The three entry points test for the common call inline and take
+ * bind_odd for anything else. */
+#define ODD_ARGS(bound) ((PyObject *const *)((PyTupleObject *)(bound))->ob_item)
+
 static PyObject *
 wheel_schedule(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
                PyObject *kwnames)
 {
     long long when;
+    PyObject *bound = NULL;
     if (kwnames != NULL || nargs < 1 || nargs > 2 ||
-        !when_after(sim, nargs == 2 ? args[1] : S.zero, &when))
-        return call_pure(S.py_schedule, sim, args, nargs, kwnames);
-    if (wheel_place(sim, args[0], when) < 0)
+        !when_after(sim, nargs == 2 ? args[1] : S.zero, &when)) {
+        bound = bind_odd(sim, S.bind_schedule, 1, args, nargs, kwnames, &when);
+        if (bound == NULL)
+            return NULL;
+        args = ODD_ARGS(bound);
+    }
+    int rc = wheel_place(sim, args[0], when);
+    Py_XDECREF(bound);
+    if (rc < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -997,33 +1040,48 @@ wheel_call_in(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
               PyObject *kwnames)
 {
     long long when;
+    PyObject *bound = NULL;
     if (kwnames != NULL || nargs < 2 || nargs > 3 ||
-        !when_after(sim, args[0], &when))
-        return call_pure(S.py_call_in, sim, args, nargs, kwnames);
-    /* the pure register fast path pops the pool without counting a reuse */
+        !when_after(sim, args[0], &when)) {
+        bound = bind_odd(sim, S.bind_call_in, 0, args, nargs, kwnames, &when);
+        if (bound == NULL)
+            return NULL;
+        args = ODD_ARGS(bound);
+        nargs = 3;
+    }
+    /* a register park pops the pool without counting a reuse */
     PyObject *e = cbe_acquire(sim, args[1], nargs == 3 ? args[2] : Py_None,
                               !REG_OPEN(sim));
     int rc = e == NULL ? -1 : wheel_place(sim, e, when);
     Py_XDECREF(e);
+    Py_XDECREF(bound);
     if (rc < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
+/* A stash hit onto an empty calendar (the register regime of a timeout
+ * chain) is not counted as a reuse, so `timeout_reuses` undercounts in
+ * single-chain microbenchmarks; under real workloads the calendar is
+ * non-empty and the counter is exact. */
 static PyObject *
 wheel_timeout(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
               PyObject *kwnames)
 {
     long long when;
+    PyObject *bound = NULL;
     if (kwnames != NULL || nargs < 1 || nargs > 2 ||
-        !when_after(sim, args[0], &when))
-        return call_pure(S.py_timeout, sim, args, nargs, kwnames);
+        !when_after(sim, args[0], &when)) {
+        bound = bind_odd(sim, S.bind_timeout, 0, args, nargs, kwnames, &when);
+        if (bound == NULL)
+            return NULL;
+        args = ODD_ARGS(bound);
+        nargs = 2;
+    }
     PyObject *value = nargs == 2 ? args[1] : Py_None;
     PyObject *t = SLOT(sim, S.o_stash);
     int placed = 0;
     if (t != Py_None && REG_OPEN(sim)) {
-        /* the pure fast path: stash hit onto an empty calendar, not
-         * counted as a reuse (see Simulator._timeout_wheel) */
         Py_INCREF(t);
         store_slot(sim, S.o_stash, Py_NewRef(Py_None));
         store_slot(t, S.o_to_delay, Py_NewRef(args[0]));
@@ -1034,38 +1092,107 @@ wheel_timeout(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
         t = timeout_acquire(sim, args[0], value, &placed);
     if (t != NULL && !placed && wheel_place(sim, t, when) < 0)
         Py_CLEAR(t);
+    Py_XDECREF(bound);
     return t;
 }
 
-/* _core.restore_fifo(sim, t, ls, i) — stays pure (it runs once per
- * interrupted run()); a pending exception survives it, and a failed
- * restore never masks that original. */
-static int
-wheel_restore(PyObject *sim, PyObject *t_obj, PyObject *ls, Py_ssize_t i)
+/* Simulator.step(): dispatch the next entry alone.  Same-instant peers
+ * beyond the first go back with their order preserved (wheel_restore), so
+ * step() interleaves with run(); IndexError on an empty calendar. */
+static PyObject *
+wheel_step(PyObject *sim, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *et, *ev, *tb;
-    PyErr_Fetch(&et, &ev, &tb);
-    PyObject *io = PyLong_FromSsize_t(i);
-    PyObject *r = io == NULL ? NULL
-                             : PyObject_CallFunctionObjArgs(
-                                   S.restore_fifo, sim, t_obj, ls, io, NULL);
-    int ok = r != NULL;
-    Py_XDECREF(io);
-    Py_XDECREF(r);
-    if (et != NULL) {
-        PyErr_Clear();
-        PyErr_Restore(et, ev, tb);
-        return -1;
+    PyObject *e = SLOT(sim, WS.single);
+    if (e != Py_None) {
+        /* pop the register (the slot's reference becomes ours) */
+        SLOT(sim, WS.single) = Py_NewRef(Py_None);
+        store_slot(sim, S.o_now, Py_NewRef(SLOT(sim, WS.single_when)));
     }
-    return ok ? 0 : -1;
+    else {
+        long long t;
+        PyObject *t_obj;
+        PyObject *ls = wheel_next_batch(sim, &t, &t_obj);
+        if (ls == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_IndexError, "step on an empty calendar");
+            return NULL;
+        }
+        e = Py_NewRef(PyList_GET_ITEM(ls, 0));
+        store_slot(sim, WS.base, Py_NewRef(t_obj));
+        int rc = wheel_restore(sim, t_obj, ls, 1);
+        Py_DECREF(ls);
+        if (rc < 0) {
+            Py_DECREF(t_obj);
+            Py_DECREF(e);
+            return NULL;
+        }
+        store_slot(sim, S.o_now, t_obj); /* steals */
+    }
+    if (bump_slot(sim, S.o_events_exec, 1) < 0) {
+        Py_DECREF(e);
+        return NULL;
+    }
+    if (dispatch_entry(sim, e, NULL) < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
-/* Simulator._cdrain(stop, max_events) — _core.drain_fifo and
- * drain_fifo_gated as one loop (`inf` = gate unset): the register regime,
- * then batch assembly, then the take-and-null batch loop with its
- * live-append re-check.  Events are counted when they leave the calendar,
- * *before* their callbacks run, so an exception escaping a callback
- * leaves the same `events_executed` the pure loops leave. */
+/* Simulator.peek(): the exact minimum pending time, or None, without
+ * mutating.  It may be called from inside a dispatched callback (the
+ * telemetry sampler does), so it must not cascade: a cascade re-anchors
+ * `base` and could strand a later same-instant insert outside the window.
+ * A live batch with entries left reports the current instant; scanning
+ * the top L1 bucket is exact because bucket ranges partition time. */
+static PyObject *
+wheel_peek(PyObject *sim, PyObject *Py_UNUSED(ignored))
+{
+    if (SLOT(sim, WS.single) != Py_None)
+        return Py_NewRef(SLOT(sim, WS.single_when));
+    PyObject *b = SLOT(sim, S.o_batch);
+    if (b != Py_None) {
+        long long bi = obj_ll(SLOT(sim, S.o_bi));
+        if (LL_ERR(bi))
+            return NULL;
+        if (bi < PyList_GET_SIZE(b))
+            return Py_NewRef(SLOT(sim, S.o_now));
+    }
+    long long t = heap_head(SLOT(sim, WS.t0), 0);
+    long long th = heap_head(SLOT(sim, WS.hq), 1);
+    if (LL_ERR(t) || LL_ERR(th))
+        return NULL;
+    if (th < t)
+        t = th;
+    PyObject *t1 = SLOT(sim, WS.t1);
+    if (PyList_GET_SIZE(t1)) {
+        long long bk = obj_ll(PyList_GET_ITEM(t1, 0));
+        if (LL_ERR(bk))
+            return NULL;
+        if ((bk << CS0_BITS) < t) {
+            PyObject *bucket = PyList_GET_ITEM(SLOT(sim, WS.slots1),
+                                               (Py_ssize_t)(bk & CS1_MASK));
+            for (Py_ssize_t k = 0; k < PyList_GET_SIZE(bucket); k++) {
+                long long bw =
+                    obj_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(bucket, k), 0));
+                if (LL_ERR(bw))
+                    return NULL;
+                if (bw < t)
+                    t = bw;
+            }
+        }
+    }
+    if (t == CLL_INF)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(t);
+}
+
+/* Simulator._cdrain(stop, max_events) — the run loop, one loop for every
+ * gate (`inf` = gate unset): the register regime, then batch assembly,
+ * then the take-and-null batch loop with its live-append re-check.  Events
+ * are counted when they leave the calendar, *before* their callbacks run,
+ * so an exception escaping a callback leaves the `events_executed` the
+ * heap's step() leaves.  Batches are atomic with respect to `stop` (every
+ * entry in a batch shares one timestamp), which matches the heap's
+ * per-event check exactly. */
 static PyObject *
 wheel_drain(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1171,13 +1298,13 @@ out:
     if (ls != NULL) {
         /* a live batch was interrupted — a raising callback, StopSimulation
          * or a tripped cap: its undispatched tail goes back, order preserved
-         * (restore_fifo semantics) */
+         * (wheel_restore) */
         wheel_restore(sim, t_obj, ls, i);
         Py_DECREF(ls);
     }
     Py_XDECREF(t_obj);
     {
-        /* the pure loops' `finally` */
+        /* sync the count on every exit */
         PyObject *et, *ev, *tb;
         PyErr_Fetch(&et, &ev, &tb);
         PyObject *ee = PyLong_FromLongLong(n0 + g.n);
@@ -1224,12 +1351,11 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
         {"CallbackEntry", (PyObject **)&S.cbe_type, 1},
         {"processed", &S.processed, 0},
         {"wait_on", &S.wait_on, 0},
-        {"restore_fifo", &S.restore_fifo, 0},
         {"seq_of", &S.seq_of, 0},
         {"SimulationError", &S.sim_error, 0},
-        {"schedule_py", &S.py_schedule, 0},
-        {"call_in_py", &S.py_call_in, 0},
-        {"timeout_py", &S.py_timeout, 0},
+        {"bind_schedule", &S.bind_schedule, 0},
+        {"bind_call_in", &S.bind_call_in, 0},
+        {"bind_timeout", &S.bind_timeout, 0},
     };
     for (size_t k = 0; k < sizeof(objs) / sizeof(*objs); k++) {
         PyObject *v = PyDict_GetItemString(ns, objs[k].key);
@@ -1310,52 +1436,56 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
 /* ------------------------------------------------------------------ */
 /* per-instance binding                                                */
 /* ------------------------------------------------------------------ */
-/* Entry points bind to an exact wheel-backend Simulator only (a subclass
- * overriding the slow paths must keep the pure bindings, and the heap
- * backend never initialises the wheel slots). */
+#define KW (METH_FASTCALL | METH_KEYWORDS)
+#define FN(f) ((PyCFunction)(void (*)(void))(f))
+/* in bind_wheel's result order */
+static PyMethodDef wheel_methods[] = {
+    {"schedule", FN(wheel_schedule), KW, "Simulator.schedule (C wheel)."},
+    {"call_in", FN(wheel_call_in), KW, "Simulator.call_in (C wheel)."},
+    {"timeout", FN(wheel_timeout), KW, "Simulator.timeout (C wheel)."},
+    {"step", wheel_step, METH_NOARGS, "Simulator.step (C wheel)."},
+    {"peek", wheel_peek, METH_NOARGS, "Simulator.peek (C wheel)."},
+    {"_cdrain", FN(wheel_drain), METH_FASTCALL,
+     "The C wheel's run loop: _cdrain(stop, max_events)."},
+};
+#define N_WHEEL_METHODS \
+    ((Py_ssize_t)(sizeof(wheel_methods) / sizeof(*wheel_methods)))
+
+/* bind_wheel(sim) -> (schedule, call_in, timeout, step, peek, _cdrain),
+ * bound to one Simulator (subclasses included) whose wheel slots exist —
+ * a heap-backend simulator never initialises them. */
 static PyObject *
-bind_checked(PyObject *sim, PyMethodDef *md)
+bind_wheel(PyObject *Py_UNUSED(mod), PyObject *sim)
 {
     if (!S.configured) {
         PyErr_SetString(PyExc_RuntimeError, "configure() has not run");
         return NULL;
     }
-    if (!Py_IS_TYPE(sim, S.sim_type) || SLOT(sim, WS.slots0) == NULL) {
+    if (!PyObject_TypeCheck(sim, S.sim_type) || SLOT(sim, WS.slots0) == NULL) {
         PyErr_SetString(PyExc_TypeError, "expected a timing-wheel Simulator");
         return NULL;
     }
-    return PyCFunction_New(md, sim);
+    PyObject *out = PyTuple_New(N_WHEEL_METHODS);
+    for (Py_ssize_t k = 0; out != NULL && k < N_WHEEL_METHODS; k++) {
+        PyObject *f = PyCFunction_New(&wheel_methods[k], sim);
+        if (f == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, f);
+    }
+    return out;
 }
 
-#define KW (METH_FASTCALL | METH_KEYWORDS)
-#define BINDING(name, pyname, flags, doc)                                   \
-    static PyMethodDef name##_md = {                                        \
-        pyname, (PyCFunction)(void (*)(void))name, flags, doc};             \
-    static PyObject *bind_##name(PyObject *Py_UNUSED(mod), PyObject *sim)   \
-    {                                                                       \
-        return bind_checked(sim, &name##_md);                               \
-    }
-BINDING(wheel_schedule, "schedule", KW,
-        "C Simulator.schedule (timing-wheel backend).")
-BINDING(wheel_call_in, "call_in", KW,
-        "C Simulator.call_in (timing-wheel backend).")
-BINDING(wheel_timeout, "timeout", KW,
-        "C Simulator.timeout (timing-wheel backend).")
-BINDING(wheel_drain, "_cdrain", METH_FASTCALL,
-        "C run loop of the timing wheel: _cdrain(stop, max_events).")
-
-#define BINDER(name) \
-    {"bind_" #name, bind_##name, METH_O, "Bind " #name " to one simulator."}
 static PyMethodDef module_methods[] = {
     {"configure", configure, METH_O,
-     "Capture types, slot offsets and helpers from the pure kernel."},
-    BINDER(wheel_schedule), BINDER(wheel_call_in), BINDER(wheel_timeout),
-    BINDER(wheel_drain),
+     "Capture types, slot offsets and helpers from the Python kernel."},
+    {"bind_wheel", bind_wheel, METH_O,
+     "Bind the wheel's six entry points to one simulator."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef speedup_module = {
     PyModuleDef_HEAD_INIT, "_speedup",
-    "On-demand-compiled accelerator for the timing-wheel kernel.", -1,
+    "The timing-wheel event calendar, compiled on demand.", -1,
     module_methods, NULL, NULL, NULL, NULL};
 
 PyMODINIT_FUNC

@@ -17,16 +17,16 @@ Design constraints (see docs/SIMULATION.md and docs/OBSERVABILITY.md):
   never reads).
 * **Capture on must not perturb the schedule.**  Capture is an *entry
   wrapper*, not a drain: the rebound placement methods put a small slotted
-  stand-in (:class:`_CapturedEntry`) on the calendar through the same
-  pure-Python placement path the backend uses — identical sequence-number
-  consumption (lazy on the wheel, one per placement on the heap) — and its
-  ``_run()`` brackets the real entry's ``_run()`` with the recorder
-  bookkeeping.  Every drain the kernel has (FIFO, gated, heap, ``step()``,
-  the C register/batch dispatch) executes it through its generic
+  stand-in (:class:`_CapturedEntry`) on the calendar through the
+  backend's own ``schedule`` — identical sequence-number consumption
+  (lazy on the wheel, one per placement on the heap) — and its ``_run()``
+  brackets the real entry's ``_run()`` with the recorder bookkeeping.
+  Every run loop the kernel has (the C wheel's register/batch dispatch
+  and ``step()``, the heap's drain) executes it through its generic
   ``entry._run()`` branch, of which the specialized Timeout/Process/
   CallbackEntry bodies are pure optimizations, so there is no recording
-  loop to keep in sync and the C accelerator stays live.  Object pools
-  idle under capture (nothing on the calendar is a bare Timeout or
+  loop to keep in sync and the C wheel stays live.  Object pools idle
+  under capture (nothing on the calendar is a bare Timeout or
   CallbackEntry).
 
 The recorder itself is deliberately dumb and cheap: an integer id counter,
@@ -293,7 +293,7 @@ def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
         raise SimulationError("enable_capture requires an empty calendar")
     sim._recorder = recorder
 
-    base_schedule = sim._schedule_heap if sim._backend == "heap" else sim._schedule_wheel
+    base_schedule = sim.schedule
     timeout_cls = sim._timeout_cls
     process_cls = sim._process_cls
     on_schedule = recorder.on_schedule

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from ._core import _PROCESSED
+from ._core import _PROCESSED, check_delay
 from .kernel import SimulationError, Simulator
 
 __all__ = ["Event", "Timeout"]
@@ -146,8 +146,8 @@ class Timeout(Event):
         self._cb1 = None
         self._cbs = None
         self._ok = True
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if delay < 0:  # the type is sim.schedule's to check
+            check_delay(delay, timeout=True)
         self.delay = delay
         self._value = value
         sim.schedule(self, delay)

@@ -168,10 +168,10 @@ def test_report_says_why_the_accelerator_is_unavailable(session, monkeypatch):
     nothing when there is none)."""
     from repro.simnet import _accel
 
-    assert "accelerator_reason" not in session.meta
+    # a reason only when there is one (a host that could not build the wheel)
+    assert ("accelerator_reason" in session.meta) == (session.meta["accelerator"] == "unavailable")
     monkeypatch.setattr(_accel, "_state", None)  # as after a failed build
     monkeypatch.setattr(_accel, "_reason", "RuntimeError: no C compiler available")
-    monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
     tb = Testbed(ScenarioConfig(seed=4, kernel="wheel"))
     tel = tb.attach_telemetry(sample_interval_ns=50_000)
     run_blast(BlastConfig(total_messages=3, sizes=ExponentialSizes(seed=4)),
@@ -180,6 +180,7 @@ def test_report_says_why_the_accelerator_is_unavailable(session, monkeypatch):
     report = render_report(tel)
     assert "accelerator=unavailable" in report
     assert "accelerator_reason=RuntimeError: no C compiler available" in report
+    assert tel.meta["kernel"] == "heap"  # the calendar that ran
 
 
 def test_report_markdown_flavour(session):

@@ -3,8 +3,7 @@
 The contract of :mod:`repro.simnet.causality` is twofold:
 
 * **Equivalence** — a captured run executes the exact same schedule as an
-  uncaptured one, on every calendar (wheel, heap, heap + policy) and on
-  both of the wheel's execution paths (C accelerator, pure Python).  The
+  uncaptured one, on every calendar (wheel, heap, heap + policy).  The
   fingerprint workload from the timing-wheel suite is reused: any ordering
   divergence derails a shared PRNG and amplifies.
 * **Causal structure** — every placement records its parent (the entry
@@ -120,25 +119,18 @@ def _policy(kind, seed):
     return None
 
 
-def _make_sim(default, policy_kind, seed, pure=False):
+def _make_sim(default, policy_kind, seed):
     """A simulator as a run configures one: *default* is the calendar the
     run names (``REPRO_KERNEL`` / ``calendar=``), honoured when there is no
     schedule policy.  A policy resolves to the heap whatever the default —
     and may not be combined with an explicit wheel — so those rows leave
     the choice to the kernel's rule."""
     policy = _policy(policy_kind, seed)
-    sim = Simulator(schedule_policy=policy, calendar=None if policy else default)
-    if pure:
-        # the wheel's pure-Python paths, as on a host with no C compiler
-        sim.schedule = sim._schedule_wheel
-        sim.call_in = sim._call_in_wheel
-        sim.timeout = sim._timeout_wheel
-        sim._cdrain = None
-    return sim
+    return Simulator(schedule_policy=policy, calendar=None if policy else default)
 
 
-def _fingerprint(backend, policy_kind, seed, capture, pure=False):
-    sim = _make_sim(backend, policy_kind, seed, pure)
+def _fingerprint(backend, policy_kind, seed, capture):
+    sim = _make_sim(backend, policy_kind, seed)
     rec = enable_capture(sim, CausalRecorder()) if capture else None
     log = []
     _build_workload(sim, seed, log)
@@ -146,43 +138,40 @@ def _fingerprint(backend, policy_kind, seed, capture, pure=False):
     return (tuple(log), sim.now, sim.events_executed), sim, rec
 
 
-#: (default calendar, policy, pure) — resolving to the four calendars a run
-#: can be on: wheel, heap, heap + FifoPolicy, heap + random policy; the
-#: wheel twice, because only it has a C and a pure execution path
-CALENDARS = [
-    ("wheel", None, False), ("wheel", None, True), ("heap", None, False),
-    ("wheel", "fifo", False), ("wheel", "random", False),
-]
+#: (default calendar, policy) — resolving to the four calendars a run can
+#: be on: the C wheel, heap, heap + FifoPolicy, heap + random policy
+CALENDARS = [("wheel", None), ("heap", None), ("wheel", "fifo"), ("wheel", "random")]
 
 
 def _calendar_params(with_policy_none):
-    for default, policy_kind, pure in CALENDARS:
+    for default, policy_kind in CALENDARS:
         label = default
         if policy_kind is not None or with_policy_none:
             label += f"-{policy_kind}"
-        yield pytest.param(default, policy_kind, pure,
-                           id=label + ("-pure" if pure else ""))
+        yield pytest.param(default, policy_kind, id=label)
 
 
 # ----------------------------------------------------------------------
 # equivalence: capture replays the identical schedule, every calendar
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [1, 2, 17])
-@pytest.mark.parametrize("backend,policy_kind,pure", _calendar_params(True))
-def test_capture_is_schedule_identical(backend, policy_kind, pure, seed):
-    plain, _, _ = _fingerprint(backend, policy_kind, seed, capture=False, pure=pure)
-    captured, sim, rec = _fingerprint(backend, policy_kind, seed, capture=True, pure=pure)
+@pytest.mark.parametrize("backend,policy_kind", _calendar_params(True))
+def test_capture_is_schedule_identical(backend, policy_kind, seed):
+    plain, _, _ = _fingerprint(backend, policy_kind, seed, capture=False)
+    captured, sim, rec = _fingerprint(backend, policy_kind, seed, capture=True)
     assert plain == captured
     assert len(rec.nodes) > 0
-    assert sim.calendar_stats()["backend"] == ("heap" if policy_kind else backend)
+    stats = sim.calendar_stats()
+    heap = policy_kind or stats["accelerator"] == "unavailable"
+    assert stats["backend"] == ("heap" if heap else backend)
 
 
 def test_captured_run_matches_heap_reference():
     """Cross-calendar AND cross-capture: every FIFO-ordered combination
     (FifoPolicy included) agrees, captured or not."""
     results = {
-        (b, p, pure, c): _fingerprint(b, p, 23, capture=c, pure=pure)[0]
-        for b, p, pure in CALENDARS if p != "random"
+        (b, p, c): _fingerprint(b, p, 23, capture=c)[0]
+        for b, p in CALENDARS if p != "random"
         for c in (False, True)
     }
     assert len(set(results.values())) == 1
@@ -314,9 +303,9 @@ def test_enable_capture_rejects_double_enable():
         enable_capture(sim, CausalRecorder())
 
 
-@pytest.mark.parametrize("backend,policy_kind,pure", _calendar_params(False))
-def test_step_records(backend, policy_kind, pure):
-    sim = _make_sim(backend, policy_kind, 1, pure)
+@pytest.mark.parametrize("backend,policy_kind", _calendar_params(False))
+def test_step_records(backend, policy_kind):
+    sim = _make_sim(backend, policy_kind, 1)
     rec = enable_capture(sim, CausalRecorder())
     log = []
     sim.call_in(5, log.append, "a")

@@ -96,6 +96,28 @@ def test_non_integer_delay_rejected():
         assert sim.peek() is None, case
 
 
+def test_only_the_wheel_recycles_timeouts():
+    """The heap keeps no Timeout freelist: a 1,000-timeout chain allocates
+    1,000 and pools none.  The wheel serves the same chain from its stash
+    after two allocations (the first timeout, and the one yielded while
+    the first is still being dispatched)."""
+    counts = {}
+    for calendar in ("wheel", "heap"):
+        sim = Simulator(calendar=calendar)
+
+        def chain():
+            for _ in range(1000):
+                yield sim.timeout(1)
+
+        sim.process(chain())
+        sim.run()
+        stats = sim.calendar_stats()
+        counts[stats["backend"]] = (stats["timeout_allocs"], stats["timeout_pool"], sim.now)
+    assert counts["heap"] == (1000, 0, 1000)
+    if "wheel" in counts:  # (a host that cannot build the C wheel runs the heap)
+        assert counts["wheel"][0] == 2 and counts["wheel"][2] == 1000
+
+
 def test_max_events_guard(sim):
     def ticker():
         while True:

@@ -1,13 +1,16 @@
 """Timing-wheel calendar: heap equivalence, rollover/cascade edges, public API.
 
-The wheel backend must be *observationally identical* to the flat-heap
-reference: same callback order, same clock readings, same values — in the
-default FIFO order, and against :class:`FifoPolicy` on the heap (schedule
-policies run on the heap calendar only).  The property tests here run one
-deterministic event soup through both backends and compare complete trace
-fingerprints; the edge-case tests pin the wheel's
+The wheel (which exists only in C) must be *observationally identical* to
+the flat-heap reference: same callback order, same clock readings, same
+``peek()`` and ``pending`` — in the default FIFO order, and against
+:class:`FifoPolicy` on the heap (schedule policies run on the heap
+calendar only).  The property tests here run one deterministic event soup
+through both calendars and compare complete trace fingerprints, also
+across runs cut short and resumed; the edge-case tests pin the wheel's
 boundary behaviour (slot rollover, L1 cascade, overflow horizon, batch
-interruption) where an off-by-one would hide from the soup.
+interruption) where an off-by-one would hide from the soup, and its
+structure counters — which the heap does not have — are pinned at values
+worked out by hand.
 """
 
 import pytest
@@ -18,6 +21,12 @@ from repro.simnet._core import S0_SIZE, WHEEL_HORIZON
 from repro.simnet.kernel import SimulationError
 from repro.simnet.schedule import FifoPolicy, RandomTiebreakPolicy
 
+#: the wheel is C: on a host that cannot build it, a wheel request runs the
+#: heap, so tests that pin wheel behaviour skip there
+accel = pytest.mark.skipif(
+    _accel.load() is None, reason="C accelerator unavailable on this host"
+)
+
 BACKENDS = ("wheel", "heap")
 
 
@@ -26,6 +35,8 @@ def sim():
     """Override the conftest fixture: these tests pin *wheel* behaviour,
     so they must not silently flip when REPRO_KERNEL=heap is exported
     (the fallback CI job runs the whole suite that way)."""
+    if _accel.load() is None:
+        pytest.skip("C accelerator unavailable on this host")
     return Simulator(calendar="wheel")
 
 
@@ -58,10 +69,15 @@ T_FAR = 3 * WHEEL_HORIZON + 777   # an overflow entry, joined the same way
 TICK = 4099                       # the in-callback sampler's period
 
 
-def _stats(sim):
-    """calendar_stats() minus the keys that say *which* path ran."""
-    return {k: v for k, v in sim.calendar_stats().items()
-            if not k.startswith("accelerator")}
+def _observed(sim):
+    """What both calendars define at a run() boundary."""
+    return sim.now, sim.peek(), sim.calendar_stats()["pending"], sim.events_executed
+
+
+def _probed(probes):
+    """The probes as both calendars define them: ``events_executed`` lags
+    inside a wheel batch, and the structure counters are the wheel's own."""
+    return [(tag, now, peek, stats["pending"]) for tag, now, peek, stats in probes]
 
 
 def _structure_scenes(sim, log, probes):
@@ -74,7 +90,7 @@ def _structure_scenes(sim, log, probes):
     Must run first, on an empty calendar.
     """
     def probe(tag):
-        probes.append((tag, sim.now, sim.peek(), _stats(sim)))
+        probes.append((tag, sim.now, sim.peek(), sim.calendar_stats()))
 
     def note(tag):
         log.append(("scene", tag, sim.now))
@@ -178,20 +194,6 @@ def _build_workload(sim, seed, log, probes=None):
         ev = Event(sim)
         ev.add_callback(lambda e, i=i: log.append(("ev", i, e._value, sim.now)))
         ev.succeed(value=i, delay=next(rnd) % 3)
-
-
-def _force_pure(sim):
-    """Rebind a wheel simulator to its pure-Python paths.
-
-    The C accelerator (see _accel.py) is a per-instance binding, so
-    swapping the bound methods back *before any scheduling* yields the
-    reference pure-Python behaviour on the same interpreter.
-    """
-    sim.schedule = sim._schedule_wheel
-    sim.call_in = sim._call_in_wheel
-    sim.timeout = sim._timeout_wheel
-    sim._cdrain = None
-    return sim
 
 
 def _fingerprint(backend, policy, seed):
@@ -358,7 +360,7 @@ def test_step_interleaves_with_run(sim):
 # ----------------------------------------------------------------------
 # public introspection API + backend selection
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", [pytest.param("wheel", marks=accel), "heap"])
 def test_calendar_stats_surface(backend):
     sim = Simulator(calendar=backend)
     stats = sim.calendar_stats()
@@ -386,6 +388,7 @@ def test_calendar_stats_surface(backend):
         assert stats["timeout_pool"] >= 1
 
 
+@accel
 def test_repro_kernel_env_selects_backend(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "heap")
     assert Simulator().calendar_stats()["backend"] == "heap"
@@ -399,35 +402,37 @@ def test_repro_kernel_env_selects_backend(monkeypatch):
 
 
 def test_calendar_stats_say_whether_the_accelerator_is_live(monkeypatch):
-    """"live" / "off" (not asked for) / "unavailable" (asked, not loadable)."""
+    """"live" (the C wheel) / "off" (the heap, asked for) / "unavailable"
+    (the wheel asked for, not loadable: the heap runs)."""
     from repro.simnet import CausalRecorder, FifoPolicy, _accel, enable_capture
 
     def status(**kwargs):
-        return Simulator(**kwargs).calendar_stats()["accelerator"]
+        stats = Simulator(**kwargs).calendar_stats()
+        return stats["backend"], stats["accelerator"]
 
-    assert status(calendar="heap") == "off"
-    under_policy = Simulator(schedule_policy=FifoPolicy()).calendar_stats()
-    assert (under_policy["accelerator"], under_policy["backend"]) == ("off", "heap")
+    assert status(calendar="heap") == ("heap", "off")
+    assert status(schedule_policy=FifoPolicy()) == ("heap", "off")
     loadable = _accel.load() is not None
-    assert status(calendar="wheel") == ("live" if loadable else _accel.why_not())
+    wheel = ("wheel", "live") if loadable else ("heap", "unavailable")
+    assert status(calendar="wheel") == wheel
     # capture wraps entries; it does not take the accelerator away
     captured = Simulator(calendar="wheel")
     enable_capture(captured, CausalRecorder())
-    assert captured.calendar_stats()["accelerator"] == status(calendar="wheel")
+    captured_stats = captured.calendar_stats()
+    assert (captured_stats["backend"], captured_stats["accelerator"]) == wheel
     assert (captured._cdrain is not None) == loadable
 
     monkeypatch.setattr(_accel, "_state", None)  # as after a failed build
-    monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
-    assert status(calendar="wheel") == "unavailable"
-    monkeypatch.setenv("REPRO_KERNEL_C", "0")
-    assert status(calendar="wheel") == "off"
+    assert status(calendar="wheel") == ("heap", "unavailable")
+    assert status(calendar="heap") == ("heap", "off")
 
 
 def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwarn):
-    """A failing compiler costs ~20 % of host speed, so it is not silent:
-    one RuntimeWarning per process, and the first line of the failure in
-    calendar_stats() on every backend and in the run report's meta line.
-    REPRO_KERNEL_C=0 is a choice, not a failure: "off", no warning."""
+    """A failing compiler turns every wheel into the heap, which costs host
+    speed, so it is not silent: one RuntimeWarning per process naming the
+    heap, and the first line of the failure in calendar_stats() and in the
+    run report's meta line."""
+    import shutil
     import subprocess
     import warnings
 
@@ -435,9 +440,9 @@ def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwa
         return subprocess.CompletedProcess(
             cmd, 1, b"", b"_speedup.c:1:1: error: no Python.h here\ncompilation terminated.\n")
 
-    monkeypatch.setattr(subprocess, "run", failing_cc)
+    monkeypatch.setattr(shutil, "which", lambda name: f"/usr/bin/{name}")  # a compiler...
+    monkeypatch.setattr(subprocess, "run", failing_cc)  # ...that fails
     monkeypatch.setenv("REPRO_ACCEL_CACHE", str(tmp_path))  # nothing cached
-    monkeypatch.delenv("REPRO_KERNEL_C", raising=False)
     monkeypatch.setattr(_accel, "_state", "unloaded")
     monkeypatch.setattr(_accel, "_reason", None)
     warnings.simplefilter("always")
@@ -447,21 +452,14 @@ def test_unavailable_accelerator_is_a_recorded_fact(monkeypatch, tmp_path, recwa
     assert _accel.failure_reason() == reason
     for sim in sims[:2]:
         stats = sim.calendar_stats()
-        assert (stats["accelerator"], stats["accelerator_reason"]) == ("unavailable", reason)
+        assert (stats["backend"], stats["accelerator"], stats["accelerator_reason"]) == (
+            "heap", "unavailable", reason)
         assert sim._cdrain is None and type(sim.timeout).__name__ == "method"
-    heap = sims[2].calendar_stats()  # never asked for it: off, and no reason
+    heap = sims[2].calendar_stats()  # never asked for the wheel: off, and no reason
     assert (heap["accelerator"], heap["accelerator_reason"]) == ("off", None)
     assert [str(w.message) for w in recwarn.list if w.category is RuntimeWarning] == [
-        f"repro.simnet: C kernel accelerator unavailable, running the pure-Python kernels ({reason})"
+        f"repro.simnet: C kernel accelerator unavailable, running the heap calendar ({reason})"
     ]
-
-    recwarn.clear()
-    monkeypatch.setenv("REPRO_KERNEL_C", "0")
-    monkeypatch.setattr(_accel, "_state", "unloaded")
-    monkeypatch.setattr(_accel, "_reason", None)
-    stats = Simulator(calendar="wheel").calendar_stats()
-    assert (stats["accelerator"], stats["accelerator_reason"]) == ("off", None)
-    assert not recwarn.list and _accel.failure_reason() is None
 
 
 def test_unknown_backend_rejected():
@@ -478,18 +476,11 @@ def test_removed_kernel_in_the_environment_is_refused(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# C accelerator (skipped wholesale when the compile/handshake failed)
+# the C wheel against the heap reference (skipped when it cannot build)
 # ----------------------------------------------------------------------
-accel = pytest.mark.skipif(
-    _accel.load() is None, reason="C accelerator unavailable on this host"
-)
-
-
-def _soup(seed, pure):
-    """A wheel simulator (C paths, or forced pure) loaded with the soup."""
-    sim = Simulator(calendar="wheel")
-    if pure:
-        _force_pure(sim)
+def _soup(seed, calendar):
+    """A simulator on *calendar* loaded with the soup."""
+    sim = Simulator(calendar=calendar)
     log, probes = [], []
     _build_workload(sim, seed, log, probes)
     return sim, log, probes
@@ -501,30 +492,83 @@ def _by_tag(probes):
 
 @accel
 @pytest.mark.parametrize("seed", [3, 7, 29])
-def test_accel_matches_pure_python_fingerprint(seed):
-    """The compiled placement + run loop must be bit-identical to the
-    pure-Python wheel on the full event soup: dispatch order, everything a
-    callback can observe mid-drain (peek(), calendar_stats()), and every
-    calendar counter at the end — perf/'s fingerprints hash
-    events_executed, max_batch and overflow_inserts."""
+def test_accel_matches_heap_fingerprint(seed):
+    """The C wheel must be bit-identical to the heap on the full event soup:
+    dispatch order, what a callback can observe mid-drain (now, peek(),
+    pending), and the clock, peek(), pending and events_executed at the
+    end."""
     runs = []
-    for pure in (False, True):
-        sim, log, probes = _soup(seed, pure)
+    for calendar in BACKENDS:
+        sim, log, probes = _soup(seed, calendar)
         sim.run()
-        runs.append((log, probes, _stats(sim)))
-    (c_log, c_probes, c_stats), (p_log, p_probes, p_stats) = runs
-    assert c_log == p_log
-    assert c_probes == p_probes
-    assert c_stats == p_stats
+        assert sim.calendar_stats()["backend"] == calendar
+        runs.append((log, _probed(probes), _observed(sim)))
+    (c_log, c_probes, c_end), (h_log, h_probes, h_end) = runs
+    assert c_log == h_log
+    assert c_probes == h_probes
+    assert c_end == h_end
     assert len([p for p in c_probes if p[0] == "tick"]) == 41
 
 
+#: the scenes alone on an empty wheel — per probe: (pending, l0_inserts,
+#: l1_inserts, overflow_inserts, cascades, batches, max_batch), derived by
+#: walking the scene through the wheel's rules.  The sampler ticks at
+#: t = 1 + 4099k (k = 0..40), so tick k sits in L1 bucket k at slot 1 + 3k,
+#: and every re-arm (d = 4099 from a base re-anchored to the tick) is an L1
+#: insert; T_LATE shares bucket 7 with tick 7 and T_DIRTY bucket 8 with
+#: tick 8, so buckets 1..40 cascade once each.
+SCENE_COUNTERS = {
+    "empty": (0, 0, 0, 0, 0, 0, 0),
+    "parked": (1, 0, 0, 0, 0, 0, 0),      # call_in(5) parks in the register
+    "spilled": (2, 2, 0, 0, 0, 0, 0),     # the second spills it: 2 L0 inserts
+    # four delay-0 placements into L0, T_DIRTY and T_LATE into L1, T_FAR overflows
+    "overflowed": (9, 6, 2, 1, 0, 0, 0),
+    # inside the t=5 batch (2 entries, one taken): T_FAR-50 overflowed, the
+    # tick at t=1 was placed (L0) and re-armed (L1); batches t=0 (4) and t=1
+    "in-batch": (6, 7, 3, 2, 0, 2, 4),
+    "joined": (10, 7, 3, 2, 0, 2, 4),     # four joins of the live batch
+    # T_LATE's batch: buckets 1..7 cascaded, ticks 0..7 re-armed
+    "pre-direct": (4, 7, 10, 2, 7, 10, 6),
+    "post-direct": (5, 8, 10, 2, 7, 10, 6),
+    # T_DIRTY's batch (old + new, one taken): bucket 8 cascaded, tick 8 re-armed
+    "cascaded": (4, 8, 11, 2, 8, 12, 6),
+    # T_FAR-50: every tick ran (41 batches) and re-armed but the last
+    "pre-merge": (1, 8, 42, 2, 40, 45, 6),
+    "post-merge": (2, 9, 42, 2, 40, 45, 6),
+}
+COUNTER_KEYS = ("pending", "l0_inserts", "l1_inserts", "overflow_inserts",
+                "cascades", "batches", "max_batch")
+
+
+@accel
+def test_structure_scenes_pin_the_wheel_counters():
+    """The wheel-only counters, from the constructed scenes: register park
+    and spill, live-batch joins, L1 cascades into a slot that already holds
+    a direct insert, an overflow entry merging into an occupied instant."""
+    sim = Simulator(calendar="wheel")
+    log, probes = [], []
+    _structure_scenes(sim, log, probes)
+    sim.run()
+    at = _by_tag(probes)
+    for tag, want in SCENE_COUNTERS.items():
+        assert tuple(at[tag][k] for k in COUNTER_KEYS) == want, tag
+    # 57 entries in 47 batches: t=0 (4), t=5 (6 with the joins), T_LATE,
+    # T_DIRTY (2), 41 ticks, T_FAR-50 and T_FAR (old + new)
+    final = sim.calendar_stats()
+    assert tuple(final[k] for k in COUNTER_KEYS) == (0, 9, 42, 2, 40, 47, 6)
+    assert (final["events_executed"], final["batched_events"], final["now"]) == (57, 57, T_FAR)
+    # one Timeout allocated (the top-level delay-0 one); the joins', T_LATE's
+    # and T_FAR-50's came from the stash.  Six call_in allocations; every
+    # sampler re-arm and the join reused a pooled entry.
+    assert (final["timeout_allocs"], final["timeout_reuses"], final["timeout_pool"]) == (1, 3, 3)
+    assert (final["cbe_allocs"], final["cbe_reuses"]) == (6, 41)
+
+
+@accel
 def test_soup_exercises_the_structure_regime():
-    """The scenes do what they say (so the comparison above covers them):
-    register park and spill, live-batch joins, a cascade into a slot that
-    already holds a direct insert, an overflow entry merging into an
-    occupied instant — on whichever path this platform runs."""
-    sim, log, probes = _soup(3, pure=False)
+    """The scenes still do what they say inside the soup (so the heap
+    comparison above covers them)."""
+    sim, log, probes = _soup(3, "wheel")
     sim.run()
     at = _by_tag(probes)
     assert (at["parked"]["pending"], at["parked"]["l0_inserts"]) == (1, 0)
@@ -582,11 +626,12 @@ def _interrupt(kind, sim, at=T_LATE):
 def test_interrupted_runs_resume_identically(kind):
     """A run cut short — a raising callback, run(until=event), run(until=t)
     between and on instants, max_events tripping mid-batch and between
-    batches — leaves the same calendar under C and pure: the same counts,
-    the same pure step()s, and the same remaining order in a second run()."""
+    batches — leaves the same calendar on the C wheel and the heap: the
+    same clock, peek(), pending and count, the same step()s, and the same
+    remaining order in a second run()."""
     phases = []
-    for pure in (False, True):
-        sim, log, probes = _soup(11, pure)
+    for calendar in BACKENDS:
+        sim, log, probes = _soup(11, calendar)
         for d in (0, T_LATE):
             # the middle entry of three same-instant peers, so a tail is
             # always left to restore
@@ -596,37 +641,37 @@ def test_interrupted_runs_resume_identically(kind):
             sim.call_in(d, lambda _a: None, None)
         seen = []
         _interrupt(kind, sim)
-        seen.append((len(log), sim.now, sim.peek(), _stats(sim)))
+        seen.append((len(log),) + _observed(sim))
         for _ in range(7):
             sim.step()
-            seen.append((len(log), sim.now, sim.peek(), _stats(sim)))
+            seen.append((len(log),) + _observed(sim))
         if kind == "raise":
             _interrupt(kind, sim)  # the second _boom, later in the calendar
-            seen.append((len(log), sim.now, sim.peek(), _stats(sim)))
+            seen.append((len(log),) + _observed(sim))
         sim.run()
-        seen.append((log, probes, sim.now, _stats(sim)))
+        seen.append((log, _probed(probes)) + _observed(sim))
         phases.append(seen)
     assert phases[0] == phases[1]
+    _n, now, peek, _pending, _count = phases[0][0]
     if kind == "until-between":
-        assert phases[0][0][1] == T_LATE - 1 and phases[0][0][2] == T_LATE
+        assert (now, peek) == (T_LATE - 1, T_LATE)
     if kind == "until-on":
-        assert phases[0][0][1] == T_LATE and phases[0][0][2] > T_LATE
+        assert now == T_LATE and peek > T_LATE
     if kind == 8:  # tripped inside the t=0 batch: its tail went back
-        assert phases[0][0][1] == phases[0][0][2] == 0
+        assert now == peek == 0
 
 
 @accel
 @pytest.mark.parametrize("kind", ["raise", "until-between", "until-on", 57, "until-self"])
-def test_register_regime_gates_match_pure(kind):
-    """The same, in the register regime — the soup never is: a placement
-    made from inside a batch goes to the structures, so only a lone chain
-    started on an empty calendar spins through the register.  The stop time
-    and the event cap are checked per event there, between chain links."""
+def test_register_regime_gates_match_heap(kind):
+    """The same, in the wheel's register regime — the soup never is: a
+    placement made from inside a batch goes to the structures, so only a
+    lone chain started on an empty calendar spins through the register.
+    The stop time and the event cap are checked per event there, between
+    chain links."""
     phases = []
-    for pure in (False, True):
-        sim = Simulator(calendar="wheel")
-        if pure:
-            _force_pure(sim)
+    for calendar in BACKENDS:
+        sim = Simulator(calendar=calendar)
         log = []
 
         def chain():
@@ -644,30 +689,32 @@ def test_register_regime_gates_match_pure(kind):
         proc = sim.process(chain())
         if kind == "until-self":
             assert sim.run(until=proc) == "done"
-            seen = [(list(log), sim.now, sim.peek(), _stats(sim))]
+            seen = [(list(log),) + _observed(sim)]
         else:
             _interrupt(kind, sim, at=12_300)
-            seen = [(list(log), sim.now, sim.peek(), _stats(sim))]
-            assert sim.calendar_stats()["batches"] == 0  # never left the register
+            seen = [(list(log),) + _observed(sim)]
+            if calendar == "wheel":
+                assert sim.calendar_stats()["batches"] == 0  # never left the register
             # (the raise took the chain's only resume with it: nothing left)
             for _ in range(0 if kind == "raise" else 5):
                 sim.step()
-                seen.append((list(log), sim.now, sim.peek(), _stats(sim)))
+                seen.append((list(log),) + _observed(sim))
         sim.run()
-        seen.append((log, sim.now, sim.peek(), _stats(sim)))
+        seen.append((log,) + _observed(sim))
         phases.append(seen)
     assert phases[0] == phases[1]
-    _log, now, peek, stats = phases[0][0]
+    _log, now, peek, _pending, count = phases[0][0]
     if kind == "until-between":
-        assert (now, peek, stats["events_executed"]) == (12_299, 12_300, 123)
+        assert (now, peek, count) == (12_299, 12_300, 123)
     if kind == "until-on":
-        assert (now, peek, stats["events_executed"]) == (12_300, 12_400, 124)
+        assert (now, peek, count) == (12_300, 12_400, 124)
     if kind == 57:
-        assert (now, peek, stats["events_executed"]) == (5_600, 5_700, 57)
+        assert (now, peek, count) == (5_600, 5_700, 57)
 
 
 BAD_DELAYS = [
     (-1, "cannot schedule in the past (delay=-1)", "negative timeout: -1"),
+    (-1.5, "delay must be an int number of ns, got float", "negative timeout: -1.5"),
     (1.5, "delay must be an int number of ns, got float", None),
     (True, "delay must be an int number of ns, got bool", None),
 ]
@@ -675,32 +722,33 @@ BAD_DELAYS = [
 
 @accel
 @pytest.mark.parametrize("delay, text, timeout_text", BAD_DELAYS)
-def test_bad_delays_raise_the_same_error_on_both_paths(delay, text, timeout_text):
-    """-1 / 1.5 / True are refused by all three placement calls with the
-    pure methods' messages (the C entry points hand them over), from an
-    empty calendar, a live batch and a busy one, pools and stash intact."""
+def test_bad_delays_raise_the_same_error_on_both_calendars(delay, text, timeout_text):
+    """-1 / -1.5 / 1.5 / True are refused by all three placement calls, positional
+    and keyword-spelled, with one set of messages (the C wheel's odd calls
+    and the heap share one check), from an empty calendar, a live batch
+    and a busy one — pools, stash and calendar intact."""
     outcomes = []
-    for pure in (False, True):
-        sim = Simulator(calendar="wheel")
-        if pure:
-            _force_pure(sim)
+    for calendar in BACKENDS:
+        sim = Simulator(calendar=calendar)
         seen = []
 
         def attempt(_arg=None):
-            before = _stats(sim)
+            before = sim.calendar_stats()
             for call in (lambda: sim.schedule(Event(sim), delay),
+                         lambda: sim.schedule(Event(sim), delay=delay),
                          lambda: sim.call_in(delay, print, None),
+                         lambda: sim.call_in(delay=delay, fn=print),
                          lambda: sim.timeout(delay),
-                         lambda: sim.timeout(delay, "v")):
+                         lambda: sim.timeout(delay, value="v")):
                 with pytest.raises(SimulationError) as err:
                     call()
                 seen.append(str(err.value))
-            after = _stats(sim)
-            # a fresh Timeout counts its allocation before __init__ refuses
-            # the delay; nothing else moves — stash, pools and calendar stay
+            after = sim.calendar_stats()
+            # the heap counts a Timeout's allocation before __init__ refuses
+            # the delay; nothing else moves
             assert after.pop("timeout_allocs") - before.pop("timeout_allocs") in (0, 2)
             assert after == before
-            seen.append(after)
+            seen.append((sim.now, sim.peek(), after["pending"]))
 
         attempt()                          # empty calendar, empty pools
         def chain():
@@ -712,44 +760,58 @@ def test_bad_delays_raise_the_same_error_on_both_paths(delay, text, timeout_text
         sim.call_in(20, attempt)           # inside a live batch, pools filled
         sim.call_in(90, lambda _a: None, None)
         sim.run(until=50)
-        assert sim.calendar_stats()["timeout_pool"] >= 1
+        if calendar == "wheel":  # (the heap keeps no Timeout freelist)
+            assert sim.calendar_stats()["timeout_pool"] >= 1
         attempt()                          # between runs, one entry pending
         sim.run()
         outcomes.append(seen)
     assert outcomes[0] == outcomes[1]
     messages = [m for m in outcomes[0] if isinstance(m, str)]
-    assert messages == [text, text, timeout_text or text, timeout_text or text] * 3
+    assert messages == [text] * 4 + [timeout_text or text] * 2 + [text] * 4 + \
+        [timeout_text or text] * 2 + [text] * 4 + [timeout_text or text] * 2
+
+
+@accel
+@pytest.mark.parametrize("calendar", BACKENDS)
+def test_keyword_spellings_place_like_positional_ones(calendar):
+    """The C entry points bind keywords as the heap's Python signatures do."""
+    sim = Simulator(calendar=calendar)
+    order = []
+    sim.timeout(delay=5, value="kw").add_callback(lambda e: order.append((e.result(), sim.now)))
+    sim.call_in(fn=lambda a: order.append((a, sim.now)), arg="call", delay=3)
+    ev = Event(sim)
+    ev._ok, ev._value = True, "sched"
+    ev.add_callback(lambda e: order.append((e._value, sim.now)))
+    sim.schedule(delay=4, event=ev)
+    sim.run()
+    assert order == [("call", 3), ("sched", 4), ("kw", 5)]
+    with pytest.raises(TypeError, match="unexpected keyword argument 'when'"):
+        sim.call_in(print, when=3)
+    with pytest.raises(TypeError, match="multiple values for argument 'delay'"):
+        sim.timeout(1, delay=2)
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'fn'"):
+        sim.call_in(1)
 
 
 @accel
 def test_accel_binds_compiled_paths():
-    """Placement and the run loop are builtins on an exact wheel Simulator;
-    heap / policy / subclass instances keep the pure methods."""
-    sim = Simulator(calendar="wheel")
-    for bound in (sim.schedule, sim.call_in, sim.timeout, sim._cdrain):
-        assert type(bound).__name__ == "builtin_function_or_method"
-    assert type(sim.step).__name__ == type(sim.peek).__name__ == "method"
+    """Placement, step(), peek() and the run loop are builtins on every
+    wheel Simulator, subclasses included; heap / policy instances keep the
+    Python methods."""
 
     class Sub(Simulator):
         __slots__ = ()
 
-    for pure in (Simulator(schedule_policy=FifoPolicy()),
-                 Simulator(calendar="heap"), Sub(calendar="wheel")):
-        assert pure._cdrain is None
-        for bound in (pure.schedule, pure.call_in, pure.timeout):
+    for sim in (Simulator(calendar="wheel"), Sub(calendar="wheel")):
+        for bound in (sim.schedule, sim.call_in, sim.timeout, sim.step, sim.peek, sim._cdrain):
+            assert type(bound).__name__ == "builtin_function_or_method"
+    for heap in (Simulator(schedule_policy=FifoPolicy()), Simulator(calendar="heap")):
+        assert heap._cdrain is None
+        for bound in (heap.schedule, heap.call_in, heap.timeout, heap.step, heap.peek):
             assert type(bound).__name__ == "method"
     # the C entry points refuse a simulator whose wheel slots do not exist
     with pytest.raises(TypeError, match="timing-wheel Simulator"):
-        _accel.load().bind_wheel_drain(Simulator(calendar="heap"))
-
-
-def test_accel_env_disable(monkeypatch):
-    """REPRO_KERNEL_C=0 forces the pure-Python kernel paths."""
-    monkeypatch.setenv("REPRO_KERNEL_C", "0")
-    monkeypatch.setattr(_accel, "_state", "unloaded")
-    sim = Simulator(calendar="wheel")
-    assert sim._cdrain is None
-    assert type(sim.timeout).__name__ == "method"
+        _accel.load().bind_wheel(Simulator(calendar="heap"))
 
 
 @accel

@@ -97,6 +97,14 @@ def _fabric_counters(fabric) -> dict:
     return out
 
 
+def _ran(fabric, kernel):
+    """*fabric* names the calendar that ran: the *kernel* asked for, except
+    the heap when the wheel's C accelerator could not be loaded."""
+    stats = fabric.sim.calendar_stats()
+    want = "heap" if stats["accelerator"] == "unavailable" else kernel
+    assert fabric.kernel == stats["backend"] == want
+
+
 def _scenario(seed, transport, faults, rel_mode, *, profile="fdr", hops=1, **kw):
     scenario = ScenarioConfig(profile=profile, seed=seed, transport=transport,
                               faults=faults, **kw)
@@ -122,7 +130,7 @@ def _blast(seed, transport, faults, rel_mode, kernel="wheel"):
         outstanding_recvs=8,
     )
     tb = Testbed.from_scenario(scenario)
-    assert tb.kernel == kernel == tb.sim.calendar_stats()["backend"]
+    _ran(tb, kernel)
     r = run_blast(config, scenario=scenario, testbed=tb, max_events=5_000_000)
     return {
         "total_bytes": r.total_bytes, "start_ns": r.start_ns, "end_ns": r.end_ns,
@@ -136,16 +144,21 @@ def _blast(seed, transport, faults, rel_mode, kernel="wheel"):
 def _echo(seed, transport, kernel="wheel"):
     scenario = _scenario(seed, transport, None, None, kernel=kernel)
     tb = Testbed.from_scenario(scenario)
-    assert tb.kernel == kernel == tb.sim.calendar_stats()["backend"]
+    _ran(tb, kernel)
     r = run_echo(EchoConfig(iterations=150, message_bytes=64, warmup=0),
                  testbed=tb, max_events=5_000_000)
     return {"rtts_ns": _samples(r.rtts_ns), "fabric": _fabric_counters(tb)}
 
 
-def _star(seed, transport, policy, rel_mode, shards, schedule=None, kernel="wheel"):
+def _star(*args, **kwargs):
+    return _run_star(*args, **kwargs)[0]
+
+
+def _run_star(seed, transport, policy, rel_mode, shards, schedule=None, kernel="wheel"):
     """Incast-shaped run driven on the Fabric itself, so that every
-    connection's protocol counters are in reach.  A *schedule* policy
-    leaves the kernel to the scenario, which then runs on the heap."""
+    connection's protocol counters are in reach; returns the record and
+    the fabric.  A *schedule* policy leaves the kernel to the scenario,
+    which then runs on the heap."""
     senders, per_sender, messages, nbytes = 4, 2, 4, 4 * KIB
     names = tuple(f"s{i}" for i in range(senders))
     topology = Topology.star(
@@ -157,8 +170,7 @@ def _star(seed, transport, policy, rel_mode, shards, schedule=None, kernel="whee
                          kernel=None if schedule else kernel, schedule=schedule,
                          **sharing)
     fabric = Fabric.from_scenario(scenario)
-    assert fabric.kernel == ("heap" if schedule else kernel)
-    assert fabric.kernel == fabric.sim.calendar_stats()["backend"]
+    _ran(fabric, "heap" if schedule else kernel)
     options = ExsSocketOptions(real_data=False, transport=transport)
     latencies, finish, handles = [], {}, []
 
@@ -198,7 +210,7 @@ def _star(seed, transport, policy, rel_mode, shards, schedule=None, kernel="whee
         "tx": [_ints(h.a_socket.conn.tx_stats) for h in handles],
         "rx": [_ints(h.b_socket.conn.rx_stats) for h in handles],
         "fabric": _fabric_counters(fabric),
-    }
+    }, fabric
 
 
 def _cases():
@@ -257,6 +269,37 @@ def test_schedule_policy_runs_on_the_heap_bit_identically(golden):
     got = json.loads(json.dumps(_star(1, "wwi", "drop", "gobackn", True,
                                       schedule=("fifo", 0))))
     assert got == golden["incast/star/wwi/gobackn/legacy/shards/s1"]
+
+
+def test_a_host_without_a_compiler_runs_the_heap_bit_identically(
+        golden, monkeypatch, tmp_path, recwarn):
+    """The wheel exists only in C: when it cannot be built, a run that asks
+    for the wheel gets the heap — the same golden row, a fabric that names
+    the heap, the failure recorded, and one warning that says so."""
+    import shutil
+    import subprocess
+    import warnings
+
+    from repro.simnet import _accel
+
+    def failing_cc(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, b"", b"cc: command not found\n")
+
+    monkeypatch.setattr(shutil, "which", lambda name: f"/usr/bin/{name}")  # a compiler...
+    monkeypatch.setattr(subprocess, "run", failing_cc)  # ...that fails
+    monkeypatch.setenv("REPRO_ACCEL_CACHE", str(tmp_path))  # nothing cached
+    monkeypatch.setattr(_accel, "_state", "unloaded")
+    monkeypatch.setattr(_accel, "_reason", None)
+    warnings.simplefilter("always")
+    record, fabric = _run_star(1, "wwi", "drop", "gobackn", True, kernel="wheel")
+    assert json.loads(json.dumps(record)) == golden["incast/star/wwi/gobackn/legacy/shards/s1"]
+    stats = fabric.sim.calendar_stats()
+    assert (fabric.scenario.kernel, fabric.kernel) == ("wheel", "heap")
+    assert (stats["accelerator"], stats["accelerator_reason"]) == (
+        "unavailable", "RuntimeError: accelerator compile failed: cc: command not found")
+    warned = [str(w.message) for w in recwarn.list if w.category is RuntimeWarning]
+    assert len(warned) == 1, warned
+    assert "running the heap calendar" in warned[0] and "pure-Python" not in warned[0]
 
 
 if __name__ == "__main__":
