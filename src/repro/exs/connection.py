@@ -245,11 +245,22 @@ class ExsConnection:
         credits advertised to the peer still gate its sends, but pool
         exhaustion across connections is now possible and resolves through
         RNR NAK + retry.
+
+        The control pool is one run of identical RECVs, posted as one lazy
+        chain: it takes the next ``credits`` wr_ids from the connection's
+        counter, as posting them one by one would.  Eager bounce slots
+        each have their own SGE and context, so they are posted one by one.
         """
         if self.srq_pool is not None:
             return
-        for _ in range(self.options.credits):
-            self._post_recv_wr()
+        credits = self.options.credits
+        if self._slot_bytes is not None:
+            for _ in range(credits):
+                self._post_recv_wr()
+            return
+        first = self.next_wr_id()
+        self._wr_ids = itertools.count(first + credits)
+        self.qp.prefill_recv(credits, self._recv_sge, wr_id_start=first)
 
     def _post_recv_wr(self) -> None:
         if self._slot_bytes is None:

@@ -14,6 +14,7 @@ of a work interval with the window is accounted for).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
@@ -62,8 +63,8 @@ class Cpu:
         #: work items queued behind the running one: a work() turn event
         #: or a run() request tuple
         self._waiting: Deque[Any] = deque()
-        #: busy intervals [(start, end)] in time order; work() coalesces
-        #: intervals that touch
+        #: busy intervals [(start, end)], time-ordered and disjoint;
+        #: work() coalesces intervals that touch
         self._intervals: List[Tuple[int, int]] = []
         self._busy_ns_total = 0
         # the run() charge holding the core: its start and continuation
@@ -143,14 +144,18 @@ class Cpu:
         hand the core to the next queued item (still busy) or free it."""
         end = self.sim._now
         if end > start:
-            self._busy_ns_total += end - start
             intervals = self._intervals
-            if intervals and intervals[-1][1] == start:
-                # back-to-back work extends the open interval: a busy
-                # core keeps one entry per burst, not one per work item
-                intervals[-1] = (intervals[-1][0], end)
+            if intervals and intervals[-1][1] > start:
+                # a busy-poll span recorded meanwhile reaches past *start*
+                self._merge(start, end)
             else:
-                intervals.append((start, end))
+                self._busy_ns_total += end - start
+                if intervals and intervals[-1][1] == start:
+                    # back-to-back work extends the open interval: a busy
+                    # core keeps one entry per burst, not one per work item
+                    intervals[-1] = (intervals[-1][0], end)
+                else:
+                    intervals.append((start, end))
         waiting = self._waiting
         if waiting:
             nxt = waiting.popleft()
@@ -163,10 +168,32 @@ class Cpu:
 
     def record_busy(self, start: int, end: int) -> None:
         """Account busy time that did not go through :meth:`work` (e.g. a
-        thread spinning in a busy-poll loop)."""
+        thread spinning in a busy-poll loop).
+
+        Several busy-polling engines share the one core, so their spans
+        overlap each other and the work done meanwhile: the core is busy
+        over the *union* of them, counted once.
+        """
         if end > start:
-            self._intervals.append((start, end))
-            self._busy_ns_total += end - start
+            self._merge(start, end)
+
+    def _merge(self, start: int, end: int) -> None:
+        """Add ``[start, end)`` to the busy intervals as a union, keeping
+        them time-ordered and disjoint."""
+        intervals = self._intervals
+        i = bisect_left(intervals, (start, start))
+        if i and intervals[i - 1][1] >= start:
+            i -= 1
+        j = i
+        lo, hi, covered = start, end, 0
+        while j < len(intervals) and intervals[j][0] <= end:
+            s, e = intervals[j]
+            covered += e - s
+            lo = min(lo, s)
+            hi = max(hi, e)
+            j += 1
+        intervals[i:j] = [(lo, hi)]
+        self._busy_ns_total += hi - lo - covered
 
     # ------------------------------------------------------------------
     # accounting

@@ -23,6 +23,7 @@ from .errors import (
 from .mr import MemoryRegion, ProtectionDomain
 from .qp import QueuePair
 from .reliability import ReliabilityConfig, ReliabilityEngine, ReliabilityStats
+from .rq import ReceiveQueue
 from .srq import SharedReceiveQueue
 from .wire import HEADER_BYTES, AckMessage, CmMessage, DataMessage, TermMessage
 from .wr import SGE, RecvWR, SendWR
@@ -47,6 +48,7 @@ __all__ = [
     "QPStateError",
     "QueuePair",
     "RdmaDevice",
+    "ReceiveQueue",
     "ReceiverNotReady",
     "RecvWR",
     "ReliabilityConfig",

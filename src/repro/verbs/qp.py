@@ -8,7 +8,8 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional
 from .cq import CompletionQueue, WorkCompletion
 from .enums import Opcode, QPState, WCOpcode, WCStatus
 from .errors import BadWorkRequest, QPStateError
-from .wr import INLINE_BIT, RecvWR, SendWR
+from .rq import ReceiveQueue
+from .wr import INLINE_BIT, SGE, RecvWR, SendWR
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import RdmaDevice
@@ -46,7 +47,10 @@ class QueuePair:
         self.remote_qpn: Optional[int] = None
 
         self.sq: Deque[SendWR] = deque()
-        self.rq: Deque[RecvWR] = deque()
+        self.rq = ReceiveQueue()
+        # where an arriving message takes its receive: the shared pool when
+        # SRQ-attached (``rq`` then stays empty), else ``rq``
+        self._recv_source: ReceiveQueue = srq if srq is not None else self.rq
         #: sends transmitted but not yet acked, keyed by message seq
         self.inflight: Dict[int, SendWR] = {}
         self._next_seq = 0
@@ -118,8 +122,9 @@ class QueuePair:
             )
             status = WCStatus.WR_FLUSH_ERR
             flushed += 1
-        while self.rq:
-            rwr = self.rq.popleft()
+        rq = self.rq
+        while rq:  # a lazy run materialises in order, wr_ids and all
+            rwr = rq.take()
             self.recv_cq.push(
                 WorkCompletion(
                     wr_id=rwr.wr_id,
@@ -152,27 +157,34 @@ class QueuePair:
 
     def post_recv(self, wr: RecvWR) -> None:
         """Queue a receive work request (returns immediately)."""
+        self._check_recv_post()
+        self.rq.append(wr)
+        self.recvs_posted += 1
+
+    def prefill_recv(self, count: int, sge: Optional[SGE], wr_id_start: int) -> None:
+        """Post ``RecvWR(wr_id_start + i, sge)`` for each ``i < count`` as one
+        chain, in O(1) (see :meth:`ReceiveQueue.prefill`): the receive pool
+        a connection pre-posts at bring-up."""
+        self._check_recv_post()
+        self.rq.prefill(count, sge, wr_id_start)
+        self.recvs_posted += count
+
+    def _check_recv_post(self) -> None:
         if self.state is QPState.ERROR:
             raise QPStateError(f"post_recv on QP {self.qpn} in ERROR state")
         if self.srq is not None:
             raise BadWorkRequest(
                 f"QP {self.qpn} is SRQ-attached; post receives to the SRQ"
             )
-        self.rq.append(wr)
-        self.recvs_posted += 1
 
     # -- receive-source indirection (per-QP RQ or shared SRQ) ----------
     def has_recv(self) -> bool:
         """True when a receive WR is available for an arriving message."""
-        if self.srq is not None:
-            return len(self.srq) > 0
-        return bool(self.rq)
+        return len(self._recv_source) > 0
 
     def take_recv(self) -> RecvWR:
         """Consume the next receive WR (RQ head, or the SRQ pool's)."""
-        if self.srq is not None:
-            return self.srq.take()
-        return self.rq.popleft()
+        return self._recv_source.take()
 
     # ------------------------------------------------------------------
     # used by the transport engine

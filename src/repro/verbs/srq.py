@@ -16,11 +16,11 @@ condition is evaluated against the SRQ when the QP is SRQ-attached).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque
+from typing import TYPE_CHECKING, Optional
 
 from .errors import VerbsError
-from .wr import RecvWR
+from .rq import ReceiveQueue
+from .wr import SGE, RecvWR
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import RdmaDevice
@@ -28,21 +28,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SharedReceiveQueue"]
 
 
-class SharedReceiveQueue:
-    """A device-level pool of receive WRs shared by SRQ-attached QPs."""
+class SharedReceiveQueue(ReceiveQueue):
+    """A device-level pool of receive WRs shared by SRQ-attached QPs.
+
+    The FIFO itself, lazy :meth:`prefill` run included, is the
+    :class:`~repro.verbs.rq.ReceiveQueue` every QP has; the pool adds its
+    capacity (``max_wr``) and occupancy accounting.
+    """
+
+    __slots__ = ("device", "max_wr", "posted_total", "consumed_total",
+                 "empty_hits", "min_free")
 
     def __init__(self, device: "RdmaDevice", max_wr: int) -> None:
         if max_wr <= 0:
             raise VerbsError("SRQ max_wr must be positive")
+        super().__init__()
         self.device = device
         self.max_wr = max_wr
-        self._wrs: Deque[RecvWR] = deque()
-        # lazily materialised prefill slots (see :meth:`prefill`): these
-        # count as posted-and-unconsumed but only become RecvWR objects
-        # when taken, in FIFO position ahead of every later post_recv().
-        self._lazy = 0
-        self._lazy_next_id = 0
-        self._lazy_sge = None
         # occupancy accounting (telemetry reads these as pull gauges)
         self.posted_total = 0
         self.consumed_total = 0
@@ -54,62 +56,47 @@ class SharedReceiveQueue:
     # ------------------------------------------------------------------
     def post_recv(self, wr: RecvWR) -> None:
         """Add one receive WR to the shared pool."""
-        if self._lazy + len(self._wrs) >= self.max_wr:
+        if len(self) >= self.max_wr:
             raise VerbsError(
                 f"SRQ overflow: {self.max_wr} WRs already posted"
             )
-        self._wrs.append(wr)
+        self.append(wr)
         self.posted_total += 1
 
-    def prefill(self, count: int, sge, wr_id_start: int) -> None:
+    def prefill(self, count: int, sge: Optional[SGE], wr_id_start: int) -> None:
         """Bulk-post *count* interchangeable WRs without materialising them.
 
         Pool bring-up posts the full depth of identical slots (same backing
         SGE, sequential wr_ids) of which only the consumed prefix ever
         turns into completions; at 10k-connection depths building tens of
         thousands of :class:`RecvWR` up front dominated stack construction.
-        The observable end state is identical to posting
-        ``RecvWR(wr_id_start + i, sge)`` for each ``i`` in order: lazily
-        consumed slots produce exactly those WRs, FIFO ahead of anything
-        later posted through :meth:`post_recv`.
+        See :meth:`ReceiveQueue.prefill`: the end state is that of posting
+        ``RecvWR(wr_id_start + i, sge)`` for each ``i`` in order.
         """
         if count < 0:
             raise VerbsError("SRQ prefill count must be non-negative")
-        if self._lazy + len(self._wrs) + count > self.max_wr:
+        if len(self) + count > self.max_wr:
             raise VerbsError(
                 f"SRQ overflow: bulk post of {count} WRs exceeds {self.max_wr}"
             )
-        if self._lazy == 0:
-            self._lazy_next_id = wr_id_start
-        elif self._wrs or self._lazy_next_id + self._lazy != wr_id_start:
-            raise VerbsError("SRQ prefill must extend the lazy range contiguously")
-        self._lazy += count
-        self._lazy_sge = sge
+        super().prefill(count, sge, wr_id_start)
         self.posted_total += count
 
     def take(self) -> RecvWR:
         """Consume the head WR (transport side; pool must be non-empty)."""
-        if self._lazy:
-            wr = RecvWR(self._lazy_next_id, self._lazy_sge)
-            self._lazy_next_id += 1
-            self._lazy -= 1
-        else:
-            wr = self._wrs.popleft()
+        wr = super().take()
         self.consumed_total += 1
-        free = self._lazy + len(self._wrs)
+        free = len(self)
         if free < self.min_free:
             self.min_free = free
         return wr
 
-    def __len__(self) -> int:
-        return self._lazy + len(self._wrs)
-
     @property
     def depth(self) -> int:
         """WRs currently posted and unconsumed."""
-        return self._lazy + len(self._wrs)
+        return len(self)
 
     @property
     def free(self) -> int:
         """Headroom before :meth:`post_recv` overflows."""
-        return self.max_wr - self._lazy - len(self._wrs)
+        return self.max_wr - len(self)

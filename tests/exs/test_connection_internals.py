@@ -43,6 +43,44 @@ def test_recv_pool_is_recycled_not_drained():
         assert conn.qp.recv_queue_depth == opts.credits
 
 
+def _recv_wrs_built_at_bringup(monkeypatch, credits):
+    """(RecvWRs constructed, the connections) once a 2-host connection is
+    established, before any message moves."""
+    from repro.fabric import Fabric
+    from repro.verbs import RecvWR
+
+    built = []
+    init = RecvWR.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RecvWR, "__init__", counting_init)
+    fab = Fabric(ScenarioConfig(seed=23))
+    pair = fab.connect("client", "server",
+                       options=ExsSocketOptions(credits=credits))
+    fab.run()
+    assert pair.established.triggered
+    conns = [s.conn for s in (pair.a_socket, pair.b_socket)]
+    monkeypatch.setattr(RecvWR, "__init__", init)
+    return len(built), conns
+
+
+def test_bringup_builds_no_recv_per_credit(monkeypatch):
+    """Pre-posting the receive pool is one lazy chain: the RecvWRs built
+    during bring-up do not grow with ``credits``."""
+    small, small_conns = _recv_wrs_built_at_bringup(monkeypatch, 128)
+    large, large_conns = _recv_wrs_built_at_bringup(monkeypatch, 4096)
+    assert large == small
+    for credits, conns in ((128, small_conns), (4096, large_conns)):
+        for conn in conns:
+            assert conn.qp.recv_queue_depth == credits
+            assert conn.qp.recvs_posted == credits
+            # the pool took wr_ids 1..credits; the counter carries on after it
+            assert conn.next_wr_id() == credits + 1
+
+
 def test_credit_conservation_end_to_end():
     """consumed == messages that consumed a peer RECV; grants cover them."""
     opts = ExsSocketOptions(credits=16, ring_capacity=8 * 1024)

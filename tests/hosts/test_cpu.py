@@ -96,6 +96,47 @@ def test_record_busy_spin_accounting(sim):
     assert cpu.busy_ns_total == 200
 
 
+def test_overlapping_busy_spans_count_once(sim):
+    """Spinning engines sharing the core record overlapping spans; the
+    core is busy over their union, and the intervals stay time-ordered."""
+    cpu = Cpu(sim)
+
+    def proc():
+        yield sim.timeout(50)
+        yield from cpu.work(100)  # busy [50, 150]
+
+    run_procs(sim, proc())
+    cpu.record_busy(0, 120)     # one engine spun over the work
+    cpu.record_busy(100, 150)   # another, inside the union already
+    cpu.record_busy(200, 300)
+    cpu.record_busy(180, 250)   # reaches back before the last interval
+    assert cpu._intervals == [(0, 150), (180, 300)]
+    assert cpu.busy_ns_total == 270
+    assert cpu.busy_ns_between(0, 300) == 270
+    assert cpu.utilization_between(0, 300) == pytest.approx(0.9)
+
+
+def test_busy_poll_incast_utilisation_is_at_most_one():
+    """Every busy-polling connection engine on a host spins on the same
+    library core; summing their spans once reported 2.58 for ``s0``."""
+    from repro.apps.incast import IncastConfig, incast_topology, run_incast
+    from repro.config import ScenarioConfig
+    from repro.exs import ExsSocketOptions
+    from repro.fabric import Fabric
+
+    cfg = IncastConfig(senders=2, connections_per_sender=4,
+                       bytes_per_sender=64 * 1024, message_bytes=16 * 1024,
+                       options=ExsSocketOptions(busy_poll=True))
+    sc = ScenarioConfig(seed=1, topology=incast_topology(cfg))
+    fab = Fabric.from_scenario(sc)
+    result = run_incast(cfg, sc, testbed=fab)
+    for host in fab.all_hosts:
+        util = host.cpu.utilization_between(0, result.end_ns)
+        assert 0.0 < util <= 1.0, (host.name, util)
+        spans = host.cpu._intervals
+        assert all(a[1] < b[0] for a, b in zip(spans, spans[1:])), host.name
+
+
 def test_host_has_independent_cores(sim):
     from helpers import run_procs
 

@@ -207,6 +207,22 @@ def test_validation_raises_what_it_always_raised():
     _raises(RingError, lambda: RingSegment(-1, 4), "bad ring segment (-1, 4)")
 
 
+def test_each_constructor_has_its_own_source_name():
+    """Profilers key functions by ``(filename, line, name)``: every record's
+    ``__init__`` carries a filename naming its class, so no two records
+    share a row, and it is not a ``.py`` path, so a per-layer fold still
+    charges the constructor to its caller."""
+    names = set()
+    for cls in FROZEN:
+        filename = cls.__init__.__code__.co_filename
+        assert filename == f"<record {cls.__module__}.{cls.__qualname__}>", filename
+        assert not filename.endswith(".py"), filename
+        names.add(filename)
+    assert len(names) == len(FROZEN)
+    assert WorkCompletion.__init__.__code__.co_filename == (
+        "<record repro.verbs.cq.WorkCompletion>")
+
+
 def test_deepcopy_and_pickle_round_trip():
     for cls, (values, _signature) in RECORDS.items():
         rec = cls(*values)
