@@ -110,7 +110,8 @@ perf:
 figures:
 	python -m repro.bench
 
+# stops at the first failing script (a bare loop reports only the last one)
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f; done
+	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 all: test bench figures

@@ -36,7 +36,7 @@ def test_iwarp_emulation_overhead(benchmark, quality):
             outstanding_sends=4,
             outstanding_recvs=8,
             mode=ProtocolMode.DIRECT_ONLY,
-            options=ExsSocketOptions(native_write_with_imm=native),
+            options=ExsSocketOptions(native_write_with_imm=native, transport="wwi"),
         )
         return run_blast(cfg, ScenarioConfig(seed=1), max_events=100_000_000)
 

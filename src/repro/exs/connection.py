@@ -1,11 +1,12 @@
 """The EXS connection: resources, progress engine, and control plane.
 
 One :class:`ExsConnection` backs one connected EXS socket.  It owns the
-verbs resources (QP, CQ, completion channel, pre-posted receive pool), the
-two protocol halves (:class:`~repro.exs.stream_sender.StreamSenderHalf`,
-:class:`~repro.exs.stream_receiver.StreamReceiverHalf` — or their
-SOCK_SEQPACKET counterparts), the credit manager, and the **progress
-engine** standing in for the EXS library thread that services this socket.
+verbs resources (QP, CQ, completion channel), the credit manager, the
+control queue, graceful close, and the **progress engine** standing in for
+the EXS library thread that services this socket.  Its data plane is the
+half pair registered for the socket's type and transport, driven only
+through the contract of :mod:`repro.exs.transport`; the pair owns its
+receive pool, hello fields, gauges and dispatch tables.
 
 The engine models the event-notification discipline the paper's
 experiments use: drain the CQ and all derived work while awake; arm the CQ
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, NoReturn, Optional
 
 from ..core import ProtocolStats
-from ..core.invariants import require
 from ..hosts.host import Host
 from ..hosts.memory import Chunk, CopyMeter
 from ..simnet import Simulator
@@ -36,40 +36,18 @@ from ..verbs import (
     QPStateError,
     QueuePair,
     RdmaDevice,
-    RecvWR,
     SendWR,
     WCOpcode,
     WorkCompletion,
 )
-from .control import (
-    CTRL_WIRE_BYTES,
-    AdvertMsg,
-    ControlMsg,
-    CreditMsg,
-    CtsMsg,
-    DataNotifyMsg,
-    EagerDataMsg,
-    FinMsg,
-    IMM_DIRECT,
-    IMM_INDIRECT,
-    IMM_RENDEZVOUS,
-    RingAckMsg,
-    RtsMsg,
-    decode_imm,
-)
+from .control import CTRL_WIRE_BYTES, POST_TRACE, ControlMsg, CreditMsg, FinMsg, decode_imm
 from .credits import CreditError, CreditManager
 from .engine import SLEEP, Engine
 from .eventqueue import ExsEvent, ExsEventType
-from .flags import ExsSocketOptions, SocketType, TRANSPORT_EAGER_RENDEZVOUS, TRANSPORT_WWI
-from .rendezvous import RdvReceiverHalf, RdvSenderHalf
-from .seqpacket import SeqPacketReceiverHalf, SeqPacketSenderHalf
-from .stream_receiver import StreamReceiverHalf
-from .stream_sender import StreamSenderHalf
+from .flags import ExsSocketOptions, SocketType
+from .transport import ReceiverHalf, SenderHalf, resolve_pair
 
 __all__ = ["ExsConnection"]
-
-#: size of each pre-posted receive buffer (large enough for any control msg)
-RECV_BUF_BYTES = 256
 
 
 class ExsConnection:
@@ -99,16 +77,18 @@ class ExsConnection:
         self.costs = host.cpu.costs
 
         self.socket_type = socket_type
-        # a socket that names a transport keeps it; the rest take the run's
-        self.transport = (
-            (options.transport or socket.stack.transport)
-            if socket_type is SocketType.SOCK_STREAM else TRANSPORT_WWI
-        )
-        # Shared receive pool (ExsStack(srq_depth=...)): control-plane
-        # transports draw receives from the stack-wide SRQ instead of
-        # posting per-QP buffers.  Eager transport keeps per-QP receives —
-        # its payloads land in per-connection bounce slots.
-        if srq is not None and self.transport != TRANSPORT_EAGER_RENDEZVOUS:
+        # a stream socket that names a transport keeps it; the rest take the run's
+        self.transport, self._tx_cls, rx_cls = resolve_pair(
+            socket_type, options.transport or socket.stack.transport)
+        if not options.native_write_with_imm and not self._tx_cls.emulates_write_with_imm:
+            raise ValueError(f"native_write_with_imm=False has no effect with transport="
+                             f"{self.transport!r}: its data is always a WRITE WITH IMM")
+        if shard is not None and options.busy_poll:
+            raise ValueError(f"busy_poll=True has no effect with cq_shards="
+                             f"{len(socket.stack.shards)}: the shard poller sleeps on its channel")
+        # Shared receive pool (ExsStack(srq_depth=...)): a pair whose receives
+        # are interchangeable draws them from the stack-wide SRQ.
+        if srq is not None and rx_cls.shares_srq:
             self.srq_pool = srq
             srq.attached += 1
         else:
@@ -147,54 +127,14 @@ class ExsConnection:
         #: meter, so "copied exactly once" is directly assertable.
         self.copy_meter = CopyMeter()
 
-        if self.transport == TRANSPORT_EAGER_RENDEZVOUS:
-            # Eager payloads are DMA-placed into per-RECV bounce slots, so
-            # every slot must fit the largest eager message; the slot copy
-            # is the eager path's first metered copy.
-            self._slot_bytes = max(RECV_BUF_BYTES, options.eager_threshold)
-            self.recv_pool_buf = host.alloc(
-                options.credits * self._slot_bytes,
-                real=options.real_data,
-                label=f"exs{self.conn_id}:eager",
-            )
-            self.recv_pool_buf.meter = self.copy_meter
-            self._free_slots = list(range(options.credits - 1, -1, -1))
-        else:
-            # Control messages carry their payload as a python object, so a
-            # single shared synthetic buffer backs the whole pool.
-            self._slot_bytes = None
-            self.recv_pool_buf = host.alloc(
-                RECV_BUF_BYTES, real=False, label=f"exs{self.conn_id}:ctrl"
-            )
-            self._free_slots = None
-        self._recv_pool_buf = self.recv_pool_buf
-        self._recv_pool_mr = mr = device.register(self.recv_pool_buf)
-        # every control SEND and control-pool repost names the same range
+        self._wr_ids = itertools.count(1)
+        self.rx: ReceiverHalf = rx_cls(self)
+        #: built by :meth:`on_peer_hello`, from the peer's hello
+        self.tx: SenderHalf
+        self.peer_hello: Optional[dict] = None
+        # every control SEND names the first bytes of the receive pool
+        mr = self.rx.pool_mr
         self._ctrl_sge = SGE(mr.addr, CTRL_WIRE_BYTES, mr.lkey)
-        self._recv_sge = SGE(mr.addr, RECV_BUF_BYTES, mr.lkey)
-
-        if socket_type is SocketType.SOCK_STREAM:
-            if self.transport == TRANSPORT_EAGER_RENDEZVOUS:
-                # no intermediate ring: staging happens in the bounce slots
-                self.ring_buffer = None
-                self.ring_mr = None
-                self.tx = RdvSenderHalf(self)
-                self.rx = RdvReceiverHalf(self)
-            else:
-                # intermediate ring for data we RECEIVE
-                self.ring_buffer = host.alloc(
-                    options.ring_capacity, real=options.real_data,
-                    label=f"exs{self.conn_id}:ring"
-                )
-                self.ring_buffer.meter = self.copy_meter
-                self.ring_mr = device.register(self.ring_buffer)
-                self.tx = StreamSenderHalf(self)
-                self.rx = StreamReceiverHalf(self, self.ring_buffer, self.ring_mr)
-        else:
-            self.ring_buffer = None
-            self.ring_mr = None
-            self.tx = SeqPacketSenderHalf(self)
-            self.rx = SeqPacketReceiverHalf(self)
 
         self._ctrl_queue: Deque[ControlMsg] = deque()
         self._credit_update_threshold = options.effective_credit_update_threshold()
@@ -203,7 +143,6 @@ class ExsConnection:
         self._last_tx_phase = 0
         self._last_rx_phase = 0
         self._last_discarded = 0
-        self._wr_ids = itertools.count(1)
         #: the peer endpoint's conn_id, learnt from its hello (0 = unknown)
         self.peer_conn_id = 0
         # on a sharded stack, kicks wake the shard poller instead of a
@@ -214,6 +153,10 @@ class ExsConnection:
         self.close_event_posted = False
         self._close_eq = None
         self._close_context = None
+        #: the FIN this side queued, once its sends drained; its SEND
+        #: completion (the peer has it) lets close complete
+        self._fin: Optional[FinMsg] = None
+        self._fin_acked = False
         #: True once the transport/protocol failed under this connection;
         #: every pending and future operation completes with an ERROR event.
         self.broken = False
@@ -225,9 +168,7 @@ class ExsConnection:
     def hello(self) -> dict:
         """Private data advertised to the peer during connection setup."""
         return {
-            "ring_addr": self.ring_mr.addr if self.ring_mr else 0,
-            "ring_rkey": self.ring_mr.rkey if self.ring_mr else 0,
-            "ring_capacity": self.ring_buffer.nbytes if self.ring_buffer else 0,
+            **self.rx.hello(),
             "credits": self.options.credits,
             "mode": self.options.mode.value,
             "socket_type": self.socket_type.value,
@@ -240,80 +181,29 @@ class ExsConnection:
     def post_initial_recvs(self) -> None:
         """Pre-post the receive pool (paper §II-B: *n* RECVs at startup).
 
-        On an SRQ-pooled stack the shared pool was pre-filled once at stack
-        construction, so there is nothing to post per connection — the
-        credits advertised to the peer still gate its sends, but pool
-        exhaustion across connections is now possible and resolves through
-        RNR NAK + retry.
-
-        The control pool is one run of identical RECVs, posted as one lazy
-        chain: it takes the next ``credits`` wr_ids from the connection's
-        counter, as posting them one by one would.  Eager bounce slots
-        each have their own SGE and context, so they are posted one by one.
+        A shared SRQ pool was pre-filled once, at stack construction; the
+        credits advertised to the peer still gate its sends, and pool
+        exhaustion across connections resolves through RNR NAK + retry.
         """
-        if self.srq_pool is not None:
-            return
-        credits = self.options.credits
-        if self._slot_bytes is not None:
-            for _ in range(credits):
-                self._post_recv_wr()
-            return
-        first = self.next_wr_id()
-        self._wr_ids = itertools.count(first + credits)
-        self.qp.prefill_recv(credits, self._recv_sge, wr_id_start=first)
-
-    def _post_recv_wr(self) -> None:
-        if self._slot_bytes is None:
-            self.qp.post_recv(RecvWR(wr_id=self.next_wr_id(), sge=self._recv_sge))
-            return
-        slot = self._free_slots.pop()
-        self.qp.post_recv(
-            RecvWR(
-                wr_id=self.next_wr_id(),
-                sge=SGE(
-                    self._recv_pool_mr.addr + self.eager_slot_offset(slot),
-                    self._slot_bytes,
-                    self._recv_pool_mr.lkey,
-                ),
-                context=slot,
-            )
-        )
-
-    def eager_slot_offset(self, slot: int) -> int:
-        """Byte offset of bounce slot *slot* within the receive pool."""
-        return slot * self._slot_bytes
-
-    def recycle_eager_slot(self, slot: int) -> None:
-        """An eager payload was copied out: repost its slot, return the credit."""
-        self._free_slots.append(slot)
-        self._recycle_recv(None)
+        if self.srq_pool is None:
+            self.rx.post_initial_recvs()
 
     def on_peer_hello(self, peer: dict) -> None:
         """Complete setup from the peer's hello and start the engine."""
-        if peer.get("mode") != self.options.mode.value:
-            raise ValueError(
-                f"protocol mode mismatch: local {self.options.mode.value!r}, "
-                f"peer {peer.get('mode')!r}"
-            )
-        if peer.get("socket_type") != self.socket_type.value:
-            raise ValueError(
-                f"socket type mismatch: local {self.socket_type.value!r}, "
-                f"peer {peer.get('socket_type')!r}"
-            )
-        if peer.get("transport", "wwi") != self.transport:
-            raise ValueError(
-                f"transport mismatch: local {self.transport!r}, "
-                f"peer {peer.get('transport')!r}"
-            )
-        self.credits = CreditManager(
-            initial_remote=int(peer["credits"]),
-            control_reserve=self.options.control_credit_reserve,
-        )
-        self.tx.configure_peer(
-            ring_addr=int(peer["ring_addr"]),
-            ring_rkey=int(peer["ring_rkey"]),
-            ring_capacity=int(peer["ring_capacity"]),
-        )
+        for what, key, local in (("protocol mode", "mode", self.options.mode.value),
+                                 ("socket type", "socket_type", self.socket_type.value),
+                                 ("transport", "transport", self.transport)):
+            if peer.get(key) != local:
+                raise ValueError(f"{what} mismatch: local {local!r}, peer {peer.get(key)!r}")
+        self.credits = CreditManager(initial_remote=int(peer["credits"]),
+                                     control_reserve=self.options.control_credit_reserve)
+        self.peer_hello = peer
+        self.tx = self._tx_cls(self)
+        rx = self.rx
+        self._on_control = {CreditMsg: self._on_credit, FinMsg: self._on_fin,
+                            **self.tx.control, **rx.control}
+        self._on_payload = rx.payload
+        self._on_imm = rx.imm
         self.peer_conn_id = int(peer.get("conn_id", 0))
         if self.tracer is not None:
             self.trace("conn_open", peer=self.peer_conn_id)
@@ -335,6 +225,12 @@ class ExsConnection:
     def next_wr_id(self) -> int:
         return next(self._wr_ids)
 
+    def reserve_wr_ids(self, n: int) -> int:
+        """Take the next *n* wr_ids in one step; returns the first."""
+        first = next(self._wr_ids)
+        self._wr_ids = itertools.count(first + n)
+        return first
+
     def kick(self) -> None:
         """Wake the engine (user posted work / external state change)."""
         if self._shard is not None:
@@ -343,6 +239,11 @@ class ExsConnection:
 
     def queue_control(self, msg: ControlMsg) -> None:
         self._ctrl_queue.append(msg)
+
+    def unhandled(self, what: Any) -> NoReturn:
+        """A message or immediate outside this connection's pair tables."""
+        raise RuntimeError(f"{what!r} is not handled by the {self.socket_type.name} "
+                           f"{self.transport!r} transport")
 
     def trace(self, kind: str, **fields) -> None:
         """Emit a protocol trace event (no-op unless a tracer is attached).
@@ -359,7 +260,7 @@ class ExsConnection:
 
     def _note_progress(self) -> None:
         """Record phase transitions and ADVERT drops for tracing/diagnostics."""
-        tx_algo = getattr(self.tx, "algo", None)
+        tx_algo = self.tx.algo
         if tx_algo is not None:
             if tx_algo.phase != self._last_tx_phase:
                 self._last_tx_phase = tx_algo.phase
@@ -369,7 +270,7 @@ class ExsConnection:
             if d != self._last_discarded:
                 self.trace("advert_drop", count=d - self._last_discarded)
                 self._last_discarded = d
-        rx_algo = getattr(self.rx, "algo", None)
+        rx_algo = self.rx.algo
         if rx_algo is not None and rx_algo.phase != self._last_rx_phase:
             self._last_rx_phase = rx_algo.phase
             self.rx_stats.note_phase(self.sim.now, rx_algo.phase)
@@ -380,48 +281,19 @@ class ExsConnection:
     # ------------------------------------------------------------------
     def user_send(self, buffer, mr, offset: int, nbytes: int, eq, context) -> None:
         if self.broken:
-            self._post_error(eq, context)
+            self.post_error(eq, context)
             return
         if self.options.sender_copy and self.socket_type is SocketType.SOCK_STREAM:
-            # SDP-BCopy / rsockets semantics: copy into a pre-registered
-            # library staging buffer on the application core, complete the
-            # user send immediately afterwards, and transmit from the copy.
-            self.sim.process(
-                self._staged_send(buffer, offset, nbytes, eq, context),
-                name=f"exs{self.conn_id}-stage",
-            )
+            self.sim.process(self.tx.submit_staged(buffer, offset, nbytes, eq, context),
+                             name=f"exs{self.conn_id}-stage")
             return
         buffer.meter = self.copy_meter
         self.tx.submit(buffer, mr, offset, nbytes, eq, context)
         self.kick()
 
-    def _staged_send(self, buffer, offset: int, nbytes: int, eq, context):
-        yield from self.host.app_cpu.work(
-            self.costs.copy_ns(nbytes, self.host.copy_bandwidth_bps)
-        )
-        if self.broken:
-            # The connection died while the staging copy ran.
-            self._post_error(eq, context)
-            return
-        staging = self.host.alloc(nbytes, real=self.options.real_data and buffer.is_real,
-                                  label=f"exs{self.conn_id}:stage")
-        staging.meter = self.copy_meter
-        if staging.is_real:
-            # One metered copy straight from a view of the user buffer into
-            # staging (the deliberate sender-copy of SDP-BCopy semantics).
-            staging.write(0, buffer.view(offset, nbytes))
-        staging_mr = self.device.register(staging)
-        usend = self.tx.submit(staging, staging_mr, 0, nbytes, eq, context)
-        usend.notify_completion = False
-        # TCP-style semantics: the user's buffer is free as soon as the
-        # copy is done; completion is delivered now.
-        eq.post(ExsEvent(kind=ExsEventType.SEND, socket=self.socket,
-                         nbytes=nbytes, context=context))
-        self.kick()
-
     def user_recv(self, urecv) -> None:
         if self.broken:
-            self._post_error(urecv.eq, urecv.context)
+            self.post_error(urecv.eq, urecv.context)
             return
         urecv.buffer.meter = self.copy_meter
         advert = self.rx.submit(urecv)
@@ -432,7 +304,7 @@ class ExsConnection:
     def user_close(self, eq, context) -> None:
         """Graceful close: FIN after all pending sends drain."""
         if self.broken:
-            self._post_error(eq, context)
+            self.post_error(eq, context)
             return
         self.closing = True
         self._close_eq = eq
@@ -442,15 +314,9 @@ class ExsConnection:
     # ------------------------------------------------------------------
     # failure propagation
     # ------------------------------------------------------------------
-    def _post_error(self, eq, context) -> None:
-        eq.post(
-            ExsEvent(
-                kind=ExsEventType.ERROR,
-                socket=self.socket,
-                context=context,
-                error=self.error or "connection broken",
-            )
-        )
+    def post_error(self, eq, context) -> None:
+        eq.post(ExsEvent(kind=ExsEventType.ERROR, socket=self.socket, context=context,
+                         error=self.error or "connection broken"))
 
     def fail_connection(self, reason: str) -> None:
         """Transport or protocol failure: break the socket, error all ops.
@@ -468,20 +334,15 @@ class ExsConnection:
             self.sim.trace("exs", f"conn{self.conn_id} failed: {reason}")
         rec = self.sim._recorder
         if rec is not None:
-            rec.failure(
-                "conn_error",
-                self.sim.now,
-                conn=self.conn_id,
-                host=self.host.name,
-                error=reason,
-            )
+            rec.failure("conn_error", self.sim.now, conn=self.conn_id,
+                        host=self.host.name, error=reason)
         for eq, context in self.tx.fail_pending():
-            self._post_error(eq, context)
+            self.post_error(eq, context)
         for eq, context in self.rx.fail_pending():
-            self._post_error(eq, context)
+            self.post_error(eq, context)
         if self.closing and not self.close_event_posted and self._close_eq is not None:
             self.close_event_posted = True
-            self._post_error(self._close_eq, self._close_context)
+            self.post_error(self._close_eq, self._close_context)
         self.kick()  # wake the engine so it can exit
 
     # ------------------------------------------------------------------
@@ -549,11 +410,8 @@ class ExsConnection:
         if self.closing:
             progressed = self._pump_close() or progressed
         credits = self.credits
-        if self._ctrl_queue or (
-            credits is not None
-            and credits.local_repost_cum - credits.granted_cum
-            >= self._credit_update_threshold
-        ):
+        if self._ctrl_queue or (credits is not None and credits.local_repost_cum
+                                - credits.granted_cum >= self._credit_update_threshold):
             ctrl = yield from self._pump_control()
             progressed = ctrl or progressed
         if rx.eof_seq is not None:
@@ -569,109 +427,74 @@ class ExsConnection:
         if not wc.ok:
             self.fail_connection(f"transport error: {wc.status.value}")
             return
-        if wc.opcode is WCOpcode.RECV_RDMA_WITH_IMM:
+        opcode = wc.opcode
+        if opcode is WCOpcode.RECV_RDMA_WITH_IMM:
             yield from self._handle_data_arrival(wc)
-        elif wc.opcode is WCOpcode.RECV:
+        elif opcode is WCOpcode.RECV:
             yield from self._handle_control_arrival(wc)
-        elif wc.opcode is WCOpcode.RDMA_WRITE:
-            # one of our WWIs was acknowledged by the transport
+        elif opcode is WCOpcode.RDMA_WRITE or opcode is WCOpcode.SEND:
+            # one of our WRITEs / SENDs was acknowledged by the transport
             yield self.costs.completion_ns
-            kind, usend, chunk = wc.context
-            require(kind == "data", "wc dispatch", "unexpected send-completion context")
-            if chunk.pin is not None:
-                # The EXS-level ack frees the send window: from here the
-                # user may reuse the buffer range, so the in-flight view is
-                # dead (nothing re-delivers it — the transport ack implies
-                # the responder consumed this seq, and any later duplicate
-                # is discarded by the sequence check without touching data).
-                chunk.pin.release()
-            self.tx.on_data_acked(usend, chunk.nbytes)
-        elif wc.opcode is WCOpcode.SEND:
-            # control (or eager-data) message send completion
-            yield self.costs.completion_ns
-            if isinstance(wc.context, tuple) and wc.context:
-                if wc.context[0] == "fin":
-                    self.tx.fin_acked = True
-                elif wc.context[0] == "eager":
-                    # the peer's bounce slot holds the bytes now: the user
-                    # may reuse the send buffer, so drop the in-flight view
-                    _kind, usend, chunk = wc.context
-                    if chunk.pin is not None:
-                        chunk.pin.release()
-                    self.tx.on_data_acked(usend, chunk.nbytes)
+            context = wc.context
+            if context[0] == "data":
+                _kind, usend, chunk = context
+                if chunk.pin is not None:
+                    # The EXS-level ack frees the send window: from here the
+                    # user may reuse the buffer range, so the in-flight view
+                    # is dead (nothing re-delivers it — the transport ack
+                    # implies the responder consumed this seq, and any later
+                    # duplicate is discarded by the sequence check without
+                    # touching data).
+                    chunk.pin.release()
+                self.tx.on_data_acked(usend, chunk.nbytes)
+            elif context[0] == "fin":
+                self._fin_acked = True
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unexpected completion opcode {wc.opcode}")
 
     def _handle_data_arrival(self, wc: WorkCompletion):
+        kind, imm_id = decode_imm(wc.imm_data)
+        handler = self._on_imm.get(kind)
+        if handler is None:
+            self.unhandled(f"immediate {wc.imm_data:#x}")
         yield self.costs.completion_ns
-        self._recycle_recv(wc)
-        kind, advert_id = decode_imm(wc.imm_data)
+        self.recycle_recv(wc.context)
         chunk: Chunk = wc.meta["chunk"]
-        remote_addr: int = wc.meta["remote_addr"]
-        if kind == IMM_DIRECT:
-            self.rx.on_direct_arrival(advert_id, wc.byte_len, chunk.stream_offset, remote_addr)
-        elif kind == IMM_INDIRECT:
-            self.rx.on_indirect_arrival(wc.byte_len, chunk.stream_offset, remote_addr)
-        elif kind == IMM_RENDEZVOUS:
-            self.rx.on_rendezvous_arrival(wc.byte_len, chunk.stream_offset)
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"bad immediate {wc.imm_data:#x}")
+        handler(imm_id, wc.byte_len, chunk.stream_offset, wc.meta["remote_addr"])
 
     def _handle_control_arrival(self, wc: WorkCompletion):
-        chunk: Chunk = wc.meta["chunk"]
-        msg = chunk.obj
-        # Dispatching a data arrival does the same work as a WWI receive
-        # completion; other control messages are lighter.
-        data_arrival = isinstance(msg, (DataNotifyMsg, EagerDataMsg))
-        cost = self.costs.completion_ns if data_arrival else self.costs.control_ns
-        yield cost
-        if isinstance(msg, EagerDataMsg):
-            # The payload occupies the bounce slot until it is copied into
-            # user memory; the slot (and its credit) recycles only then —
-            # that deferral is the eager path's flow control.
-            if self.credits is not None and hasattr(msg, "credit_cum"):
-                self.credits.on_peer_grant(msg.credit_cum)
-            self.rx.on_eager_arrival(msg, wc.context)
+        msg = wc.meta["chunk"].obj
+        handler = self._on_control.get(type(msg))
+        if handler is not None:
+            yield self.costs.control_ns
+            self.recycle_recv(wc.context)
+            self.credits.on_peer_grant(msg.credit_cum)
+            handler(msg)
             return
-        self._recycle_recv(wc)
-        if self.credits is not None and hasattr(msg, "credit_cum"):
-            self.credits.on_peer_grant(msg.credit_cum)
-        if isinstance(msg, AdvertMsg):
-            self.trace("advert_rx", seq=msg.advert.seq, phase=msg.advert.phase)
-            self.tx.on_advert(msg.advert)
-        elif isinstance(msg, DataNotifyMsg):
-            # iWARP emulation: this SEND notifies of an RDMA WRITE that the
-            # transport already placed (same QP, in order).
-            kind, advert_id = decode_imm(msg.imm_data)
-            if kind == IMM_DIRECT:
-                self.rx.on_direct_arrival(advert_id, msg.nbytes, msg.stream_offset, msg.remote_addr)
-            elif kind == IMM_INDIRECT:
-                self.rx.on_indirect_arrival(msg.nbytes, msg.stream_offset, msg.remote_addr)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"bad notify immediate {msg.imm_data:#x}")
-        elif isinstance(msg, RingAckMsg):
-            self.tx.on_ring_ack(msg.copied_cum)
-        elif isinstance(msg, CreditMsg):
-            self.credits.on_peer_grant(msg.credit_cum)
-        elif isinstance(msg, FinMsg):
-            self.rx.on_fin(msg.final_seq)
-        elif isinstance(msg, RtsMsg):
-            self.rx.on_rts(msg)
-        elif isinstance(msg, CtsMsg):
-            self.tx.on_cts(msg)
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown control message {msg!r}")
+        handler = self._on_payload.get(type(msg))
+        if handler is None:
+            self.unhandled(msg)
+        # Dispatching a payload SEND does the same work as a WWI receive
+        # completion; control messages are lighter.
+        yield self.costs.completion_ns
+        self.credits.on_peer_grant(msg.credit_cum)
+        handler(msg, wc.context)
 
-    def _recycle_recv(self, wc: Optional[WorkCompletion] = None) -> None:
-        """Repost the consumed RECV and account the credit to grant back."""
-        if wc is not None and self._slot_bytes is not None and wc.context is not None:
-            self._free_slots.append(wc.context)
+    def recycle_recv(self, slot: Any) -> None:
+        """Repost a consumed RECV (*slot*: its context) and account the
+        credit to grant back."""
         if self.srq_pool is not None:
             self.srq_pool.repost()
         else:
-            self._post_recv_wr()
-        if self.credits is not None:
-            self.credits.on_local_repost()
+            self.rx.repost_recv(slot)
+        self.credits.on_local_repost()
+
+    def _on_credit(self, msg: CreditMsg) -> None:
+        """A standalone grant: its ``credit_cum``, applied on arrival like
+        every control message's, is all it carries."""
+
+    def _on_fin(self, msg: FinMsg) -> None:
+        self.rx.on_fin(msg.final_seq)
 
     # -- control-plane transmit -------------------------------------------
     def _pump_control(self):
@@ -682,12 +505,8 @@ class ExsConnection:
             self._post_control(msg)
             progressed = True
         # explicit credit return when there is no other outbound traffic
-        if (
-            not self._ctrl_queue
-            and self.credits is not None
-            and self.credits.ungranted() >= self._credit_update_threshold
-            and self.credits.can_send_control()
-        ):
+        if (not self._ctrl_queue and self.credits.ungranted() >= self._credit_update_threshold
+                and self.credits.can_send_control()):
             yield self.costs.send_control_ns
             self._post_control(CreditMsg(credit_cum=0))
             progressed = True
@@ -695,53 +514,32 @@ class ExsConnection:
 
     def _post_control(self, msg: ControlMsg) -> None:
         if self.tracer is not None:
-            if isinstance(msg, AdvertMsg):
-                self.trace("advert_tx", seq=msg.advert.seq, phase=msg.advert.phase,
-                           nbytes=msg.advert.length)
-            elif isinstance(msg, RingAckMsg):
-                self.trace("ring_ack", copied=msg.copied_cum)
-            elif isinstance(msg, FinMsg):
-                self.trace("fin", seq=msg.final_seq)
+            traced = POST_TRACE.get(type(msg))
+            if traced is not None:
+                kind, fields = traced(msg)
+                self.trace(kind, **fields)
+        kind = "fin" if msg is self._fin else "ctrl"
         # Stamp the credit grant: ``credit_cum`` is every control message's
         # last field, so one constructor call passes the others through.
         cls = type(msg)
         msg = cls(*map(msg.__getattribute__, cls.__match_args__[:-1]),
                   self.credits.grant_now())
-        context = ("ctrl", msg)
-        if isinstance(msg, FinMsg):
-            context = ("fin", msg)
         self.credits.consume(1)
-        self.qp.post_send(
-            SendWR(
-                opcode=Opcode.SEND,
-                wr_id=self.next_wr_id(),
-                sge=self._ctrl_sge,
-                payload=Chunk(0, CTRL_WIRE_BYTES, None, obj=msg),
-                context=context,
-            )
-        )
+        self.qp.post_send(SendWR(opcode=Opcode.SEND, wr_id=self.next_wr_id(), sge=self._ctrl_sge,
+                                 payload=Chunk(0, CTRL_WIRE_BYTES, None, obj=msg),
+                                 context=(kind, msg)))
 
     # -- close handling -----------------------------------------------------
     def _pump_close(self) -> bool:
         """One step of a graceful close (the engine calls it while ``closing``)."""
-        tx = self.tx
-        if tx.fin_sent:
-            if (
-                tx.fin_acked
-                and not self.close_event_posted
-                and self._close_eq is not None
-            ):
+        if self._fin is not None:
+            if self._fin_acked and not self.close_event_posted and self._close_eq is not None:
                 self.close_event_posted = True
-                self._close_eq.post(
-                    ExsEvent(
-                        kind=ExsEventType.CLOSE,
-                        socket=self.socket,
-                        context=self._close_context,
-                    )
-                )
+                self._close_eq.post(ExsEvent(kind=ExsEventType.CLOSE, socket=self.socket,
+                                             context=self._close_context))
             return False
-        if not tx.drained:
+        if not self.tx.drained:
             return False
-        self.queue_control(FinMsg(final_seq=tx.final_seq))
-        tx.fin_sent = True
+        self._fin = FinMsg(final_seq=self.tx.final_seq)
+        self.queue_control(self._fin)
         return True

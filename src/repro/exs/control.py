@@ -20,6 +20,7 @@ from ..records import record
 
 __all__ = [
     "CTRL_WIRE_BYTES",
+    "RECV_BUF_BYTES",
     "AdvertMsg",
     "DataNotifyMsg",
     "RingAckMsg",
@@ -29,6 +30,7 @@ __all__ = [
     "RtsMsg",
     "CtsMsg",
     "ControlMsg",
+    "POST_TRACE",
     "IMM_DIRECT",
     "IMM_INDIRECT",
     "IMM_RENDEZVOUS",
@@ -40,6 +42,8 @@ __all__ = [
 
 #: payload size charged on the wire for any control message
 CTRL_WIRE_BYTES = 48
+#: size of each pre-posted control receive buffer (fits any control message)
+RECV_BUF_BYTES = 256
 
 # --- immediate-data encoding (32 bits, as on real hardware) ---------------
 IMM_DIRECT = 0x1
@@ -159,3 +163,12 @@ ControlMsg = Union[
     AdvertMsg, RingAckMsg, CreditMsg, FinMsg, DataNotifyMsg,
     EagerDataMsg, RtsMsg, CtsMsg,
 ]
+
+#: the protocol trace event a connection emits when it posts a control
+#: message, by message type: ``msg -> (kind, fields)``
+POST_TRACE = {
+    AdvertMsg: lambda m: ("advert_tx", {"seq": m.advert.seq, "phase": m.advert.phase,
+                                        "nbytes": m.advert.length}),
+    RingAckMsg: lambda m: ("ring_ack", {"copied": m.copied_cum}),
+    FinMsg: lambda m: ("fin", {"seq": m.final_seq}),
+}

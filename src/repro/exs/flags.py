@@ -91,13 +91,14 @@ class ExsSocketOptions:
     real_data: bool = True
     #: use native RDMA WRITE WITH IMM (True, InfiniBand/RoCE/new iWARP).
     #: False emulates older iWARP hardware per paper §II-B: every data
-    #: transfer becomes an RDMA WRITE followed by a small notification SEND.
+    #: transfer becomes an RDMA WRITE followed by a small notification SEND
+    #: (WWI only: ``"eager_rendezvous"`` rejects it with ``ValueError``).
     native_write_with_imm: bool = True
     #: busy-poll the completion queue instead of sleeping on the completion
     #: channel (paper §IV-B used event notification because "most messages
     #: in this study are large enough that there is little advantage to
     #: busy polling"); polling removes the OS wake-up latency at the cost
-    #: of a spinning core.
+    #: of a spinning core.  A CQ-sharded stack rejects it (``ValueError``).
     busy_poll: bool = False
     #: SDP-BCopy / rsockets-style send-side staging: exs_send completes as
     #: soon as the data has been copied into a pre-registered library

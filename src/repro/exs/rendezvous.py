@@ -11,11 +11,12 @@ buffer, and the data travels as a single zero-copy RDMA WRITE WITH IMM
 (one placement copy per byte, like the direct path, at the price of one
 round trip of handshake latency).
 
-Both halves are duck-typed to the Stream*Half interfaces so the connection
-engine drives them unchanged.  The stream is transmitted *strictly in
-order* — a rendezvous send stalls everything behind it until its CTS
-arrives — which is exactly the head-of-line cost the crossover benchmarks
-measure against the WWI protocol.
+The two halves are the ``(SOCK_STREAM, "eager_rendezvous")`` pair of
+:mod:`repro.exs.transport`, on the bookkeeping every pair shares; the
+receiver owns the bounce-slot receive pool.  The stream is transmitted
+*strictly in order* — a rendezvous send stalls everything behind it until
+its CTS arrives — which is exactly the head-of-line cost the crossover
+benchmarks measure against the WWI protocol.
 
 Flow control is the connection's credit loop: every eager SEND consumes
 one credit, and its bounce slot (hence the credit) is returned only after
@@ -25,17 +26,22 @@ without any ring accounting.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from ..core.invariants import require
-from ..hosts.memory import Chunk
-from ..verbs import SGE, Opcode, SendWR
-from .control import CtsMsg, EagerDataMsg, RtsMsg, encode_rendezvous_imm
-from .eventqueue import ExsEvent, ExsEventType
-from .stream_sender import UserSend
+from ..verbs import SGE, Opcode, RecvWR, SendWR
+from .control import (
+    IMM_RENDEZVOUS,
+    RECV_BUF_BYTES,
+    CtsMsg,
+    EagerDataMsg,
+    RtsMsg,
+    encode_rendezvous_imm,
+)
+from .stream_receiver import ReceiverBase
+from .stream_sender import SenderBase, UserSend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .connection import ExsConnection
@@ -44,64 +50,26 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RdvSenderHalf", "RdvReceiverHalf"]
 
 
-class RdvSenderHalf:
+class RdvSenderHalf(SenderBase):
     """Outbound direction of one eager/rendezvous stream socket."""
 
+    #: rendezvous data is always a WRITE WITH IMM into the CTS-granted
+    #: region; there is no WRITE + notify variant
+    emulates_write_with_imm = False
+
     def __init__(self, conn: "ExsConnection") -> None:
-        self.conn = conn
-        #: user sends with unplanned bytes remaining (FIFO)
-        self.pending: Deque[UserSend] = deque()
-        #: every submitted-but-not-fully-acked send, by id (insertion order)
-        self._incomplete: "dict[int, UserSend]" = {}
-        self._send_ids = itertools.count(1)
+        super().__init__(conn)
         #: stream position after all bytes handed to the transport
         self.seq = 0
         #: CTS grants received and not yet consumed (FIFO, apply to head)
         self.grants: Deque[CtsMsg] = deque()
         #: send_ids whose RTS has been queued
         self._rts_sent: set = set()
-        self.fin_sent = False
-        self.fin_acked = False
-        #: measurement hooks (throughput equation (1) start point)
-        self.first_post_ns: Optional[int] = None
-        self.last_ack_ns: Optional[int] = None
-        self.bytes_acked_total = 0
-
-    # ------------------------------------------------------------------
-    def configure_peer(self, ring_addr: int, ring_rkey: int, ring_capacity: int) -> None:
-        """No peer ring state: rendezvous targets are granted per-CTS."""
-
-    # ------------------------------------------------------------------
-    # user-facing
-    # ------------------------------------------------------------------
-    def submit(self, buffer, mr, offset: int, nbytes: int, eq, context) -> UserSend:
-        if self.fin_sent:
-            raise RuntimeError("exs_send after close")
-        usend = UserSend(
-            send_id=next(self._send_ids),
-            buffer=buffer,
-            mr=mr,
-            offset=offset,
-            nbytes=nbytes,
-            eq=eq,
-            context=context,
-            posted_at_ns=self.conn.sim.now,
-        )
-        self.pending.append(usend)
-        self._incomplete[usend.send_id] = usend
-        if self.conn.tracer is not None:
-            self.conn.trace("send", send_id=usend.send_id, nbytes=nbytes)
-        return usend
+        self.control = {CtsMsg: self.on_cts}
 
     # ------------------------------------------------------------------
     # engine-facing
     # ------------------------------------------------------------------
-    def on_advert(self, advert) -> None:  # pragma: no cover - defensive
-        raise RuntimeError("ADVERT received on an eager/rendezvous connection")
-
-    def on_ring_ack(self, copied_cum: int) -> None:  # pragma: no cover - defensive
-        raise RuntimeError("ring ACK received on an eager/rendezvous connection")
-
     def on_cts(self, msg: CtsMsg) -> None:
         """A rendezvous grant arrived; the next pump issues the WRITE."""
         self.grants.append(msg)
@@ -146,19 +114,6 @@ class RdvSenderHalf:
             progressed = True
         return progressed
 
-    def _note_blocked(self) -> None:
-        self.conn.tx_stats.sender_blocked += 1
-        rec = self.conn.sim._recorder
-        if rec is not None:
-            rec.note_credit_block(self.conn.conn_id, self.conn.sim.now)
-
-    def _note_posting(self) -> None:
-        if self.first_post_ns is None:
-            self.first_post_ns = self.conn.sim.now
-        rec = self.conn.sim._recorder
-        if rec is not None:
-            rec.note_credit_unblock(self.conn.conn_id, self.conn.sim.now)
-
     def _post_eager(self, usend: UserSend):
         """Send the whole message as one SEND into a peer bounce slot."""
         conn = self.conn
@@ -179,7 +134,7 @@ class RdvSenderHalf:
             wr_id=conn.next_wr_id(),
             sge=SGE(usend.mr.addr + usend.offset + usend.planned, nbytes, usend.mr.lkey),
             payload=chunk,
-            context=("eager", usend, chunk),
+            context=("data", usend, chunk),
         ))
         usend.planned += nbytes
         self.seq += nbytes
@@ -194,68 +149,29 @@ class RdvSenderHalf:
         yield conn.costs.post_wr_ns
         conn.tx_stats.direct_transfers += 1  # rendezvous = 1 placement copy, like direct
         conn.tx_stats.direct_bytes += nbytes
-        chunk = self._slice(usend, self.seq, nbytes)
-        conn.credits.consume(1)  # the WWI consumes a RECV at the peer
-        conn.qp.post_send(SendWR(
-            opcode=Opcode.RDMA_WRITE_WITH_IMM,
-            wr_id=conn.next_wr_id(),
-            sge=SGE(usend.mr.addr + usend.offset + usend.planned, nbytes, usend.mr.lkey),
+        self._post_data(
+            usend,
+            self._slice(usend, self.seq, nbytes),
+            local_addr=usend.mr.addr + usend.offset + usend.planned,
             remote_addr=grant.addr,
             rkey=grant.rkey,
-            imm_data=encode_rendezvous_imm(),
-            payload=chunk,
-            context=("data", usend, chunk),
-        ))
+            imm=encode_rendezvous_imm(),
+        )
         usend.planned += nbytes
         self.seq += nbytes
 
-    def _slice(self, usend: UserSend, stream_seq: int, nbytes: int) -> Chunk:
-        """Zero-copy pinned slice of the user buffer (see StreamSenderHalf)."""
-        off = usend.offset + usend.planned
-        view = usend.buffer.view(off, nbytes)
-        pin = usend.buffer.pin_range(off, nbytes) if view is not None else None
-        return Chunk(stream_seq, nbytes, view, pin=pin)
-
     # ------------------------------------------------------------------
-    def on_data_acked(self, usend: UserSend, nbytes: int) -> None:
-        """Transport acked *nbytes* of *usend* (per SEND/WWI completion)."""
-        usend.acked += nbytes
-        self.bytes_acked_total += nbytes
-        self.last_ack_ns = self.conn.sim.now
-        if usend.acked == usend.nbytes:
-            self._incomplete.pop(usend.send_id, None)
-            if self.conn.tracer is not None:
-                self.conn.trace("send_done", send_id=usend.send_id, nbytes=usend.nbytes)
-            if usend.notify_completion:
-                usend.eq.post(
-                    ExsEvent(
-                        kind=ExsEventType.SEND,
-                        socket=self.conn.socket,
-                        nbytes=usend.nbytes,
-                        context=usend.context,
-                    )
-                )
-
     def fail_pending(self):
-        """Connection died: drain every incomplete send for ERROR delivery."""
-        out = []
-        for usend in self._incomplete.values():
-            if usend.notify_completion:
-                out.append((usend.eq, usend.context))
-        self._incomplete.clear()
-        self.pending.clear()
         self.grants.clear()
-        return out
+        return super().fail_pending()
 
     @property
     def final_seq(self) -> int:
         """Stream position after everything submitted so far (for FIN)."""
         return self.seq
 
-    @property
-    def drained(self) -> bool:
-        """All submitted bytes planned and acknowledged."""
-        return not self.pending and self.bytes_acked_total == self.seq
+    def gauges(self) -> Dict[str, float]:
+        return {"tx.cts_grants_queued": len(self.grants)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +213,18 @@ class _RdvCopyPlan:
     nbytes: int
 
 
-class RdvReceiverHalf:
-    """Inbound direction of one eager/rendezvous stream socket."""
+class RdvReceiverHalf(ReceiverBase):
+    """Inbound direction of one eager/rendezvous stream socket.
 
-    #: engine guard: this transport never advertises
-    adverts_due = False
+    Owns the bounce-slot receive pool: eager payloads are DMA-placed into
+    per-RECV slots, so these receives are not interchangeable and never
+    come from a shared SRQ.
+    """
+
+    shares_srq = False
 
     def __init__(self, conn: "ExsConnection") -> None:
-        self.conn = conn
-        #: engine guard: False only when :meth:`next_copy` has nothing
-        self.copy_ready = False
+        super().__init__(conn)
         self.entries: Deque[_RdvEntry] = deque()
         self.staged: Deque[_StagedEager] = deque()
         #: bytes requested by the peer's RTS and not yet granted by a CTS
@@ -315,24 +233,44 @@ class RdvReceiverHalf:
         self.seq = 0
         #: next expected stream offset of a data arrival (order check)
         self._arrival_seq = 0
-        #: end-of-stream sequence number from the peer's FIN, if received
-        self.eof_seq: Optional[int] = None
-        #: measurement hooks (throughput equation (1) end point)
-        self.first_arrival_ns: Optional[int] = None
-        self.last_delivery_ns: Optional[int] = None
-        self.bytes_delivered_total = 0
+        self.control = {RtsMsg: self.on_rts}
+        self.payload = {EagerDataMsg: self.on_eager_arrival}
+        self.imm = {IMM_RENDEZVOUS: self.on_rendezvous_arrival}
 
     # ------------------------------------------------------------------
-    # user-facing
+    # bounce-slot receive pool
     # ------------------------------------------------------------------
-    def submit(self, urecv: "UserRecv"):
+    def _register_pool(self):
+        conn = self.conn
+        credits = conn.options.credits
+        # Every slot must fit the largest eager message; the slot copy is
+        # the eager path's first metered copy.
+        self._slot_bytes = max(RECV_BUF_BYTES, conn.options.eager_threshold)
+        self.pool_buf = conn.host.alloc(credits * self._slot_bytes, real=conn.options.real_data,
+                                        label=f"exs{conn.conn_id}:eager")
+        self.pool_buf.meter = conn.copy_meter
+        #: slots neither posted nor holding a staged payload
+        self._free_slots = list(range(credits - 1, -1, -1))
+        return conn.device.register(self.pool_buf)
+
+    def post_initial_recvs(self) -> None:
+        """Post one receive per slot: each has its own SGE and context."""
+        for _ in range(self.conn.options.credits):
+            self._post_slot()
+
+    def repost_recv(self, slot: int) -> None:
+        self._free_slots.append(slot)
+        self._post_slot()
+
+    def _post_slot(self) -> None:
+        conn = self.conn
+        mr = self.pool_mr
+        slot = self._free_slots.pop()
+        conn.qp.post_recv(RecvWR(wr_id=conn.next_wr_id(), context=slot, sge=SGE(
+            mr.addr + slot * self._slot_bytes, self._slot_bytes, mr.lkey)))
+
+    def _enqueue(self, urecv: "UserRecv"):
         """Queue an ``exs_recv``; never advertises (returns None)."""
-        if self._stream_finished():
-            urecv.eq.post(
-                ExsEvent(kind=ExsEventType.RECV, socket=self.conn.socket, nbytes=0,
-                         eof=True, context=urecv.context)
-            )
-            return None
         self.entries.append(_RdvEntry(urecv=urecv))
         self.copy_ready = bool(self.staged)
         self._pump_grants()
@@ -342,9 +280,12 @@ class RdvReceiverHalf:
     # engine-facing: arrivals
     # ------------------------------------------------------------------
     def on_eager_arrival(self, msg: EagerDataMsg, slot: int) -> None:
-        """An eager SEND was DMA-placed into bounce slot *slot*."""
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = self.conn.sim.now
+        """An eager SEND was DMA-placed into bounce slot *slot*.
+
+        The payload occupies the slot until it is copied into user memory;
+        the slot (and its credit) recycles only then — that deferral is
+        the eager path's flow control.
+        """
         require(msg.stream_offset == self._arrival_seq,
                 "eager", "out-of-stream-order eager arrival")
         self._arrival_seq += msg.nbytes
@@ -353,10 +294,9 @@ class RdvReceiverHalf:
         )
         self.copy_ready = True
 
-    def on_rendezvous_arrival(self, nbytes: int, stream_offset: int) -> None:
+    def on_rendezvous_arrival(self, _imm_id: int, nbytes: int, stream_offset: int,
+                              _remote_addr: int) -> None:
         """A granted rendezvous WRITE landed in user memory (zero copy)."""
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = self.conn.sim.now
         require(stream_offset == self._arrival_seq,
                 "rendezvous", "out-of-stream-order rendezvous arrival")
         self._arrival_seq += nbytes
@@ -414,16 +354,17 @@ class RdvReceiverHalf:
         conn.rx_stats.copied_bytes += plan.nbytes
         staged, entry = plan.staged, plan.entry
         urecv = entry.urecv
-        slot_off = conn.eager_slot_offset(staged.slot) + staged.consumed
-        views = conn.recv_pool_buf.gather([(slot_off, plan.nbytes)])
+        slot_off = staged.slot * self._slot_bytes + staged.consumed
+        views = self.pool_buf.gather([(slot_off, plan.nbytes)])
         if views is not None:
             urecv.buffer.scatter_write(urecv.offset + entry.filled, views)
         staged.consumed += plan.nbytes
         entry.filled += plan.nbytes
         self.seq += plan.nbytes
         if staged.remaining == 0:
+            # copied out: repost the slot, return the credit
             self.staged.popleft()
-            conn.recycle_eager_slot(staged.slot)
+            conn.recycle_recv(staged.slot)
         self._pump_grants()
         self._try_deliver()
 
@@ -465,60 +406,35 @@ class RdvReceiverHalf:
             else:
                 return
             self.entries.popleft()
-            self._deliver(head, eof=False)
+            self._deliver(head.urecv, head.filled)
 
-    def pump_eof(self) -> bool:
-        """Deliver EOF completions once the stream is fully consumed."""
-        if not self._stream_finished():
-            return False
-        progressed = False
-        while self.entries:
-            head = self.entries.popleft()
-            require(head.granted == 0, "FIN", "EOF with grants outstanding")
-            self._deliver(head, eof=True)
-            progressed = True
-        return progressed
+    def _deliver(self, urecv: "UserRecv", nbytes: int, eof: bool = False) -> None:
+        if eof:
+            # this plane's throughput end point is its last completion, EOF
+            # included (WWI's is its last data); both are pinned results
+            self.last_delivery_ns = self.conn.sim.now
+        super()._deliver(urecv, nbytes, eof)
 
-    def on_fin(self, final_seq: int) -> None:
-        """Record the peer's FIN; idempotent (see StreamReceiverHalf)."""
-        require(self.eof_seq is None or self.eof_seq == final_seq,
-                "FIN", "conflicting FINs")
-        if self.eof_seq is not None:
-            return
-        self.eof_seq = final_seq
-
-    def fail_pending(self):
-        """Connection died: drain every pending recv for ERROR delivery."""
-        out = []
+    def _drain_pending(self):
         while self.entries:
             entry = self.entries.popleft()
-            out.append((entry.urecv.eq, entry.urecv.context))
-        return out
+            yield entry.urecv, entry.filled
 
     def _stream_finished(self) -> bool:
-        return (
+        finished = (
             self.eof_seq is not None
             and self.seq == self.eof_seq
             and not self.staged
             and self.rts_remaining == 0
         )
+        if finished:
+            require(all(entry.granted == 0 for entry in self.entries),
+                    "FIN", "EOF with grants outstanding")
+        return finished
 
-    # ------------------------------------------------------------------
-    def _deliver(self, entry: _RdvEntry, *, eof: bool) -> None:
-        urecv = entry.urecv
-        self.last_delivery_ns = self.conn.sim.now
-        self.bytes_delivered_total += entry.filled
-        if self.conn.tracer is not None:
-            if eof:
-                self.conn.trace("deliver", nbytes=entry.filled, eof=True)
-            else:
-                self.conn.trace("deliver", nbytes=entry.filled)
-        urecv.eq.post(
-            ExsEvent(
-                kind=ExsEventType.RECV,
-                socket=self.conn.socket,
-                nbytes=entry.filled,
-                eof=eof,
-                context=urecv.context,
-            )
-        )
+    def gauges(self) -> Dict[str, float]:
+        return {
+            "rx.eager_slots_free": len(self._free_slots),
+            "rx.eager_staged": len(self.staged),
+            "rx.rts_remaining": self.rts_remaining,
+        }

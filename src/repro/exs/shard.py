@@ -34,6 +34,7 @@ import itertools
 from typing import TYPE_CHECKING, Dict
 
 from ..verbs import QPStateError, RecvWR, SGE
+from .control import RECV_BUF_BYTES
 from .credits import CreditError
 from .engine import SLEEP, Engine
 
@@ -58,8 +59,6 @@ class SrqPool:
     """
 
     def __init__(self, stack: "ExsStack", depth: int) -> None:
-        from .connection import RECV_BUF_BYTES
-
         if depth <= 0:
             raise ValueError("SRQ pool depth must be positive")
         self.stack = stack

@@ -235,9 +235,12 @@ class ExsSocket:
         """``exs_send()``: asynchronous send of *nbytes* from *buffer*.
 
         Completion (a ``SEND`` event on *eq*) means the library and
-        transport are done with the memory — the user may reuse it.
+        transport are done with the memory — the user may reuse it.  Once
+        ``exs_close`` was issued, sending raises :class:`ExsError`.
         """
         self._require_connected()
+        if self.conn.closing:
+            raise ExsError("exs_send after close")
         if nbytes <= 0:
             raise ExsError("exs_send of <= 0 bytes")
         buffer.check_range(offset, nbytes)

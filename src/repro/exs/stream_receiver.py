@@ -1,6 +1,7 @@
-"""Receiver half of a stream (SOCK_STREAM) connection.
+"""Receiver halves: what every transport's receiver shares
+(:class:`ReceiverBase`), and the stream receiver of the paper's WWI protocol.
 
-Executes the decisions of
+:class:`StreamReceiverHalf` executes the decisions of
 :class:`repro.core.receiver_algo.ReceiverAlgorithm`: advertising user
 receive buffers, accounting direct arrivals (zero-copy — the HCA already
 placed the bytes), copying indirect arrivals out of the intermediate ring
@@ -11,22 +12,28 @@ CPU-usage story), acknowledging freed ring space, and delivering
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core import CopyPlan, ProtocolMode, ReceiverAlgorithm, ReceiverRing, RingSegment
 from ..core.invariants import require
 from ..hosts.memory import Buffer
-from .control import AdvertMsg, RingAckMsg
+from ..verbs import SGE, RecvWR
+from .control import (
+    IMM_DIRECT,
+    IMM_INDIRECT,
+    RECV_BUF_BYTES,
+    AdvertMsg,
+    DataNotifyMsg,
+    RingAckMsg,
+    decode_imm,
+)
 from .eventqueue import ExsEvent, ExsEventType
-from .flags import MsgFlags
 
 if TYPE_CHECKING:  # pragma: no cover
     from .connection import ExsConnection
 
-__all__ = ["UserRecv", "StreamReceiverHalf"]
+__all__ = ["UserRecv", "ReceiverBase", "StreamReceiverHalf"]
 
 
 @dataclass
@@ -43,44 +50,208 @@ class UserRecv:
     posted_at_ns: int = 0
 
 
-class StreamReceiverHalf:
-    """Inbound direction of one EXS stream socket."""
+class ReceiverBase:
+    """What every receiver half shares: the control receive pool, end of
+    stream (the peer's FIN, EOF at submit, EOF delivery), failure draining
+    and ``exs_recv()`` delivery.
 
-    def __init__(self, conn: "ExsConnection", ring_buffer: Buffer, ring_mr: Any) -> None:
+    Subclasses queue receives (``_enqueue(urecv)``, returning the ADVERT
+    to send, if any), take every pending one in order
+    (``_drain_pending()``, yielding ``(urecv, bytes filled)``), say when
+    the stream is over (``_stream_finished()``), and fill the tables the
+    connection dispatches arrivals by: :attr:`control` (``handler(msg)``;
+    the receive is reposted first), :attr:`payload` (SENDs that carry or
+    announce payload, ``handler(msg, slot)``; the handler reposts the
+    receive when done with it) and :attr:`imm` (WRITE WITH IMM arrivals by
+    immediate type, ``handler(imm_id, nbytes, stream_offset, remote_addr)``).
+    """
+
+    #: control receives are interchangeable, so a stack-wide SRQ may
+    #: back them instead of this pool
+    shares_srq = True
+    #: the pure protocol core, if the transport has one (phase tracing)
+    algo = None
+    #: engine guards (plain attributes, tested every progress round):
+    #: False only when :meth:`next_copy` / :meth:`flush_adverts` would
+    #: certainly come back empty
+    copy_ready = False
+    adverts_due = False
+
+    def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
-        self.ring_buffer = ring_buffer
-        self.ring_mr = ring_mr
-        self.algo = ReceiverAlgorithm(
-            ReceiverRing(ring_buffer.nbytes),
-            mode=conn.options.mode,
-            stats=conn.rx_stats,
-        )
-        #: engine guards (plain attributes, tested every progress round):
-        #: False only when :meth:`next_copy` / :meth:`flush_adverts` would
-        #: certainly come back empty
-        self.copy_ready = False
-        self.adverts_due = False
-        #: cumulative copied-out count included in the last ring ACK
-        self._last_acked_copied = 0
+        self.control: Dict[type, Any] = {}
+        self.payload: Dict[type, Any] = {}
+        self.imm: Dict[int, Any] = {}
         #: end-of-stream sequence number from the peer's FIN, if received
         self.eof_seq: Optional[int] = None
-        #: measurement hooks (throughput equation (1) end point)
-        self.first_arrival_ns: Optional[int] = None
+        #: throughput equation (1) end point: the last completion
         self.last_delivery_ns: Optional[int] = None
-        self.bytes_delivered_total = 0
+        #: registration of the receive pool (control SENDs name it too)
+        self.pool_mr = self._register_pool()
+
+    # ------------------------------------------------------------------
+    # receive pool
+    # ------------------------------------------------------------------
+    def _register_pool(self):
+        """Allocate and register the receive pool; returns its region.
+        Control messages carry their payload as a python object, so one
+        synthetic buffer backs the whole pool."""
+        conn = self.conn
+        buf = conn.host.alloc(RECV_BUF_BYTES, real=False, label=f"exs{conn.conn_id}:ctrl")
+        mr = conn.device.register(buf)
+        self._recv_sge = SGE(mr.addr, RECV_BUF_BYTES, mr.lkey)
+        return mr
+
+    def post_initial_recvs(self) -> None:
+        """Pre-post the pool (paper §II-B: *n* RECVs at startup).
+
+        One run of identical RECVs, posted as one lazy chain: it takes the
+        next ``credits`` wr_ids from the connection's counter, as posting
+        them one by one would.
+        """
+        conn = self.conn
+        credits = conn.options.credits
+        conn.qp.prefill_recv(credits, self._recv_sge, wr_id_start=conn.reserve_wr_ids(credits))
+
+    def repost_recv(self, slot: Any) -> None:
+        """Post one receive back into the pool (*slot*: the consumed one's context)."""
+        conn = self.conn
+        conn.qp.post_recv(RecvWR(wr_id=conn.next_wr_id(), sge=self._recv_sge))
+
+    def hello(self) -> Dict[str, int]:
+        """This half's fields of the connection's hello."""
+        return {}
 
     # ------------------------------------------------------------------
     # user-facing
     # ------------------------------------------------------------------
     def submit(self, urecv: UserRecv) -> Optional[AdvertMsg]:
-        """Queue an ``exs_recv``; returns the ADVERT to enqueue, if any."""
-        if self._stream_finished():
-            # End of stream already fully delivered: immediate EOF.
+        """Queue an ``exs_recv``; returns the ADVERT to enqueue, if any.
+
+        Once the stream is fully delivered it completes at once, empty,
+        with EOF.
+        """
+        if self.eof_seq is not None and self._stream_finished():
             urecv.eq.post(
                 ExsEvent(kind=ExsEventType.RECV, socket=self.conn.socket, nbytes=0,
                          eof=True, context=urecv.context)
             )
             return None
+        return self._enqueue(urecv)
+
+    # ------------------------------------------------------------------
+    # engine-facing
+    # ------------------------------------------------------------------
+    def on_notify(self, msg: DataNotifyMsg, slot: Any) -> None:
+        """iWARP emulation: this SEND notifies of an RDMA WRITE that the
+        transport already placed (same QP, in order)."""
+        conn = self.conn
+        conn.recycle_recv(slot)
+        kind, imm_id = decode_imm(msg.imm_data)
+        handler = self.imm.get(kind)
+        if handler is None:
+            conn.unhandled(f"notify immediate {msg.imm_data:#x}")
+        handler(imm_id, msg.nbytes, msg.stream_offset, msg.remote_addr)
+
+    # A receiver with no staging area to copy out of, and no ADVERTs held
+    # back for a gate, keeps both engine guards False: these never run.
+    def next_copy(self) -> Optional[Any]:
+        return None
+
+    def execute_copy(self, plan: Any):
+        raise TypeError(f"{type(self).__name__} has no staging area to copy out of")
+
+    def flush_adverts(self) -> List[AdvertMsg]:
+        return []
+
+    def on_fin(self, final_seq: int) -> None:
+        """Record the peer's FIN; idempotent.
+
+        A FIN retransmitted by the reliability layer (or replayed by the
+        dup fault) after the stream finished must be a no-op — re-recording
+        it could double-fire EOF delivery through :meth:`pump_eof`.
+        """
+        require(self.eof_seq is None or self.eof_seq == final_seq, "FIN", "conflicting FINs")
+        if self.eof_seq is not None:
+            return
+        self.eof_seq = final_seq
+
+    def pump_eof(self) -> bool:
+        """Deliver EOF completions once the stream is fully consumed.
+
+        Partial WAITALL receives complete short at end of stream.
+        """
+        if not self._stream_finished():
+            return False
+        progressed = False
+        for urecv, filled in self._drain_pending():
+            self._deliver(urecv, filled, eof=True)
+            progressed = True
+        return progressed
+
+    def fail_pending(self) -> List[Tuple[Any, Any]]:
+        """Connection died: drain every pending recv for ERROR delivery."""
+        return [(urecv.eq, urecv.context) for urecv, _filled in self._drain_pending()]
+
+    def _deliver(self, urecv: UserRecv, nbytes: int, eof: bool = False) -> None:
+        """Complete one ``exs_recv`` with *nbytes*."""
+        if not eof:
+            self.last_delivery_ns = self.conn.sim.now
+        if self.conn.tracer is not None:
+            # deliveries are in stream order (RC), so spans can recover the
+            # exact delivered range from the cumulative nbytes
+            if eof:
+                self.conn.trace("deliver", nbytes=nbytes, eof=True)
+            else:
+                self.conn.trace("deliver", nbytes=nbytes)
+        urecv.eq.post(
+            ExsEvent(
+                kind=ExsEventType.RECV,
+                socket=self.conn.socket,
+                nbytes=nbytes,
+                eof=eof,
+                context=urecv.context,
+            )
+        )
+
+    def gauges(self) -> Dict[str, float]:
+        """Sample-time telemetry of this half, by metric suffix."""
+        return {}
+
+
+class StreamReceiverHalf(ReceiverBase):
+    """Inbound direction of one EXS stream socket (WWI transport).
+
+    Owns the intermediate ring the peer's indirect transfers land in.
+    """
+
+    def __init__(self, conn: "ExsConnection") -> None:
+        super().__init__(conn)
+        #: intermediate ring for data we RECEIVE
+        self.ring_buffer = ring_buffer = conn.host.alloc(
+            conn.options.ring_capacity, real=conn.options.real_data,
+            label=f"exs{conn.conn_id}:ring"
+        )
+        ring_buffer.meter = conn.copy_meter
+        self.ring_mr = conn.device.register(ring_buffer)
+        self.algo = ReceiverAlgorithm(
+            ReceiverRing(ring_buffer.nbytes),
+            mode=conn.options.mode,
+            stats=conn.rx_stats,
+        )
+        #: cumulative copied-out count included in the last ring ACK
+        self._last_acked_copied = 0
+        self.payload = {DataNotifyMsg: self.on_notify}
+        self.imm = {IMM_DIRECT: self.on_direct_arrival, IMM_INDIRECT: self.on_indirect_arrival}
+
+    def hello(self) -> Dict[str, int]:
+        return {
+            "ring_addr": self.ring_mr.addr,
+            "ring_rkey": self.ring_mr.rkey,
+            "ring_capacity": self.ring_buffer.nbytes,
+        }
+
+    def _enqueue(self, urecv: UserRecv) -> Optional[AdvertMsg]:
         entry, advert = self.algo.post_recv(
             urecv.nbytes,
             waitall=urecv.waitall,
@@ -100,20 +271,17 @@ class StreamReceiverHalf:
     # ------------------------------------------------------------------
     def on_direct_arrival(self, advert_id: int, nbytes: int, stream_offset: int, remote_addr: int) -> None:
         """A direct WWI landed in advertised user memory (zero copy)."""
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = self.conn.sim.now
         head = self.algo.head_entry
         require(head is not None and head.advert is not None,
                 "Theorem 1", "direct arrival with no advertised head entry")
         buffer_offset = remote_addr - head.advert.remote_addr
         done = self.algo.on_direct_arrival(stream_offset, nbytes, advert_id, buffer_offset)
         for entry in done:
-            self._deliver(entry)
+            self._deliver(entry.context, entry.filled)
 
-    def on_indirect_arrival(self, nbytes: int, stream_offset: int, remote_addr: int) -> None:
-        """An indirect WWI landed in the intermediate ring."""
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = self.conn.sim.now
+    def on_indirect_arrival(self, _imm_id: int, nbytes: int, stream_offset: int, remote_addr: int) -> None:
+        """An indirect WWI landed in the intermediate ring (its immediate
+        names no ADVERT)."""
         seg = RingSegment(remote_addr - self.ring_mr.addr, nbytes)
         self.algo.on_indirect_arrival(stream_offset, seg)
         self.copy_ready = True
@@ -146,7 +314,7 @@ class StreamReceiverHalf:
         if views is not None:
             urecv.buffer.scatter_write(urecv.offset + plan.dest_offset, views)
         for entry in self.algo.on_copied(plan):
-            self._deliver(entry)
+            self._deliver(entry.context, entry.filled)
         self._maybe_queue_ring_ack()
 
     def _maybe_queue_ring_ack(self) -> None:
@@ -171,52 +339,12 @@ class StreamReceiverHalf:
         self.adverts_due = self.algo.unadvertised_recvs > 0
         return [AdvertMsg(advert=advert) for _entry, advert in pairs]
 
-    def on_fin(self, final_seq: int) -> None:
-        """Record the peer's FIN; idempotent.
-
-        A FIN retransmitted by the reliability layer (or replayed by the
-        dup fault) after the stream finished must be a no-op — re-recording
-        it could double-fire EOF delivery through :meth:`pump_eof`.
-        """
-        require(self.eof_seq is None or self.eof_seq == final_seq, "FIN", "conflicting FINs")
-        if self.eof_seq is not None:
-            return
-        self.eof_seq = final_seq
-
-    def pump_eof(self) -> bool:
-        """Deliver EOF completions once the stream is fully consumed."""
-        if not self._stream_finished():
-            return False
-        progressed = False
-        while self.algo.queue:
-            entry = self.algo.queue[0]
-            # Partial WAITALL receives complete short at end of stream.
-            self.algo.queue.popleft()
+    def _drain_pending(self):
+        queue = self.algo.queue
+        while queue:
+            entry = queue.popleft()
             entry.completed = True
-            self.bytes_delivered_total += entry.filled
-            if self.conn.tracer is not None:
-                self.conn.trace("deliver", nbytes=entry.filled, eof=True)
-            urecv: UserRecv = entry.context
-            urecv.eq.post(
-                ExsEvent(
-                    kind=ExsEventType.RECV,
-                    socket=self.conn.socket,
-                    nbytes=entry.filled,
-                    eof=True,
-                    context=urecv.context,
-                )
-            )
-            progressed = True
-        return progressed
-
-    def fail_pending(self):
-        """Connection died: drain every pending recv for ERROR delivery."""
-        out = []
-        while self.algo.queue:
-            entry = self.algo.queue.popleft()
-            urecv: UserRecv = entry.context
-            out.append((urecv.eq, urecv.context))
-        return out
+            yield entry.context, entry.filled
 
     def _stream_finished(self) -> bool:
         return (
@@ -225,20 +353,5 @@ class StreamReceiverHalf:
             and self.algo.ring.is_empty
         )
 
-    # ------------------------------------------------------------------
-    def _deliver(self, entry) -> None:
-        urecv: UserRecv = entry.context
-        self.last_delivery_ns = self.conn.sim.now
-        self.bytes_delivered_total += entry.filled
-        if self.conn.tracer is not None:
-            # deliveries are in stream order (RC), so spans can recover the
-            # exact delivered range from the cumulative nbytes
-            self.conn.trace("deliver", nbytes=entry.filled)
-        urecv.eq.post(
-            ExsEvent(
-                kind=ExsEventType.RECV,
-                socket=self.conn.socket,
-                nbytes=entry.filled,
-                context=urecv.context,
-            )
-        )
+    def gauges(self) -> Dict[str, float]:
+        return {"rx.ring_stored": self.algo.ring.stored}

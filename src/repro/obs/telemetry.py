@@ -258,33 +258,17 @@ class Telemetry:
             out[f"{p}.tx.direct_bytes"] = tx.direct_bytes
             out[f"{p}.tx.indirect_bytes"] = tx.indirect_bytes
             out[f"{p}.tx.mode_switches"] = tx.mode_switches
-            out[f"{p}.tx.pending_sends"] = len(getattr(conn.tx, "pending", ()))
+            out[f"{p}.tx.pending_sends"] = len(conn.tx.pending)
             out[f"{p}.rx.copies"] = rx.copies
-            tx_algo = getattr(conn.tx, "algo", None)
-            if tx_algo is not None:
-                out[f"{p}.tx.ring_free"] = tx_algo.ring.free
-            rx_algo = getattr(conn.rx, "algo", None)
-            if rx_algo is not None and hasattr(rx_algo, "ring"):
-                out[f"{p}.rx.ring_stored"] = rx_algo.ring.stored
-            # eager/rendezvous transport: bounce-slot occupancy + handshakes
-            free_slots = getattr(conn, "_free_slots", None)
-            if free_slots is not None:
-                out[f"{p}.rx.eager_slots_free"] = len(free_slots)
-            staged = getattr(conn.rx, "staged", None)
-            if staged is not None:
-                out[f"{p}.rx.eager_staged"] = len(staged)
-                out[f"{p}.rx.rts_remaining"] = conn.rx.rts_remaining
-                out[f"{p}.tx.cts_grants_queued"] = len(conn.tx.grants)
+            # transport-specific gauges (ring, bounce slots, handshakes)
+            for half in (conn.tx, conn.rx):
+                for name, value in half.gauges().items():
+                    out[f"{p}.{name}"] = value
             if conn.credits is not None:
                 out[f"{p}.credits.available"] = conn.credits.available
-            meter = getattr(conn, "copy_meter", None)
-            if meter is not None:
-                out[f"{p}.copy.payload_copies"] = meter.payload_copies
-                out[f"{p}.copy.payload_bytes_copied"] = meter.payload_bytes_copied
-                out[f"{p}.copy.views_forwarded"] = meter.views_forwarded
-                out[f"{p}.copy.view_bytes_forwarded"] = meter.view_bytes_forwarded
-                out[f"{p}.copy.pins_outstanding"] = meter.pins_outstanding
-                out[f"{p}.copy.pin_violations"] = meter.pin_violations
+            for field in ("payload_copies", "payload_bytes_copied", "views_forwarded",
+                          "view_bytes_forwarded", "pins_outstanding", "pin_violations"):
+                out[f"{p}.copy.{field}"] = getattr(conn.copy_meter, field)
         return out
 
     def _collect_kernel(self) -> Dict[str, float]:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from helpers import run_procs
-from repro.exs import BlockingSocket, ExsEventType, ExsSocketOptions
+from repro.exs import BlockingSocket, ExsError, ExsEventType, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
 from repro.config import ScenarioConfig
 
@@ -171,3 +171,63 @@ def test_fin_is_idempotent_but_conflicts_are_fatal():
     assert rx.eof_seq == fin_seq
     with pytest.raises(SafetyViolation):
         rx.on_fin(fin_seq + 1)  # conflicting FIN: impossible state
+
+
+@pytest.mark.parametrize("socket_type", [SocketType.SOCK_STREAM, SocketType.SOCK_SEQPACKET])
+def test_close_completes_after_the_send_it_flushes(socket_type):
+    """A 1 MiB send then exs_close on one event queue: SEND completes
+    first, on both socket types (SEQPACKET once posted CLOSE long before)."""
+    tb = Testbed(ScenarioConfig(seed=1))
+    nbytes = 1 << 20
+    out = {}
+
+    def server():
+        stack = tb.server
+        conn = yield from BlockingSocket.accept_one(stack, 5150, socket_type)
+        buf = stack.alloc(nbytes)
+        mr = yield from stack.mregister(buf)
+        eq = stack.qcreate()
+        conn.sock.recv(buf, mr, nbytes, eq)
+        ev = yield eq.dequeue()
+        out["recv"] = (ev.kind, ev.nbytes, tb.now)
+
+    def client():
+        stack = tb.client
+        conn = yield from BlockingSocket.connect(stack, 5150, socket_type)
+        buf = stack.alloc(nbytes)
+        mr = yield from stack.mregister(buf)
+        eq = stack.qcreate()
+        conn.sock.send(buf, mr, nbytes, eq)
+        conn.sock.close(eq)
+        out["client"] = []
+        for _ in range(2):
+            ev = yield eq.dequeue()
+            out["client"].append((ev.kind, tb.now))
+
+    run_procs(tb.sim, server(), client(), max_events=20_000_000)
+    (first, send_ns), (second, close_ns) = out["client"]
+    assert (first, second) == (ExsEventType.SEND, ExsEventType.CLOSE)
+    assert send_ns <= close_ns
+    assert out["recv"][:2] == (ExsEventType.RECV, nbytes)
+
+
+def test_seqpacket_send_after_close_rejected():
+    """The SEQPACKET sender used to accept the send and spend an ADVERT the
+    receiver had already completed with EOF, killing the peer's engine."""
+    tb = Testbed(ScenarioConfig(seed=1))
+    out = {}
+
+    def server():
+        conn = yield from BlockingSocket.accept_one(tb.server, 5151, SocketType.SOCK_SEQPACKET)
+        out["first"] = yield from conn.recv_bytes(64)
+        out["second"] = yield from conn.recv_bytes(64)
+
+    def client():
+        conn = yield from BlockingSocket.connect(tb.client, 5151, SocketType.SOCK_SEQPACKET)
+        yield from conn.send_bytes(b"x" * 10)
+        yield from conn.close()
+        with pytest.raises(ExsError, match="exs_send after close"):
+            yield from conn.send_bytes(b"too late")
+
+    run_procs(tb.sim, server(), client(), max_events=20_000_000)
+    assert out == {"first": b"x" * 10, "second": b""}

@@ -52,6 +52,6 @@ def test_control_messages_carry_credit_grants():
 
 def test_ctrl_wire_bytes_is_small():
     # control messages must be far below the pre-posted recv buffer size
-    from repro.exs.connection import RECV_BUF_BYTES
+    from repro.exs.control import RECV_BUF_BYTES
 
     assert CTRL_WIRE_BYTES <= RECV_BUF_BYTES

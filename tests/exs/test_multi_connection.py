@@ -70,7 +70,8 @@ def test_opposite_direction_connections():
 def test_connections_with_different_options_coexist():
     tb = Testbed(ScenarioConfig(seed=8))
     opts1 = ExsSocketOptions(ring_capacity=64 * 1024)
-    opts2 = ExsSocketOptions(ring_capacity=1 << 20, native_write_with_imm=False)
+    opts2 = ExsSocketOptions(ring_capacity=1 << 20, native_write_with_imm=False,
+                             transport="wwi")
     payload = os.urandom(80_000)
     got = {}
 

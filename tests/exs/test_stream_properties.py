@@ -69,7 +69,8 @@ def test_stream_integrity_for_any_chunking(send_sizes, recv_size, ring_capacity,
 )
 def test_stream_integrity_with_iwarp_emulation(send_sizes, seed):
     tb = Testbed(ScenarioConfig(seed=seed))
-    options = ExsSocketOptions(ring_capacity=4096, native_write_with_imm=False)
+    options = ExsSocketOptions(ring_capacity=4096, native_write_with_imm=False,
+                               transport="wwi")
     total = sum(send_sizes)
     payload = bytes((i * 29 + 3) % 256 for i in range(total))
     out = {}

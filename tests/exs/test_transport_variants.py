@@ -39,7 +39,7 @@ def stream_roundtrip(options, *, payload_bytes=150_000, seed=2, socket_type=Sock
 
 
 def test_iwarp_emulation_stream_integrity():
-    out = stream_roundtrip(ExsSocketOptions(native_write_with_imm=False))
+    out = stream_roundtrip(ExsSocketOptions(native_write_with_imm=False, transport="wwi"))
     assert out["tx"].total_transfers > 0
 
 
@@ -47,13 +47,13 @@ def test_iwarp_emulation_doubles_wire_messages():
     """Every data transfer becomes WRITE + SEND: roughly twice the QP
     messages of the native path for the same data."""
     native = stream_roundtrip(ExsSocketOptions(native_write_with_imm=True))
-    emulated = stream_roundtrip(ExsSocketOptions(native_write_with_imm=False))
+    emulated = stream_roundtrip(ExsSocketOptions(native_write_with_imm=False, transport="wwi"))
     assert emulated["messages_sent"] >= 2 * native["tx"].total_transfers
 
 
 def test_iwarp_emulation_seqpacket():
     tb = Testbed(ScenarioConfig(seed=4))
-    options = ExsSocketOptions(native_write_with_imm=False)
+    options = ExsSocketOptions(native_write_with_imm=False, transport="wwi")
     messages = [b"alpha", b"beta" * 100, b"g"]
     out = {}
 
@@ -85,7 +85,7 @@ def test_iwarp_emulation_blast_direct_mode():
         outstanding_recvs=8,
         mode=ProtocolMode.DIRECT_ONLY,
         real_data=True,
-        options=ExsSocketOptions(native_write_with_imm=False),
+        options=ExsSocketOptions(native_write_with_imm=False, transport="wwi"),
     )
     r = run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
     assert r.total_bytes == 30 * (1 << 16)
@@ -119,3 +119,23 @@ def test_busy_poll_burns_receiver_cpu_even_when_direct():
     # both moved everything; polling is at least as fast
     assert polled.total_bytes == event.total_bytes
     assert polled.throughput_bps >= event.throughput_bps * 0.98
+
+
+def _connect(scenario, options):
+    tb = Testbed(scenario)
+    return tb.client.socket(options=options).connect(4700, tb.client.qcreate())
+
+
+def test_busy_poll_on_a_sharded_stack_is_rejected():
+    """The CQ-shard poller sleeps on its completion channel: busy_poll
+    would silently change nothing."""
+    with pytest.raises(ValueError, match=r"busy_poll=True .*cq_shards=2"):
+        _connect(ScenarioConfig(seed=1, cq_shards=2), ExsSocketOptions(busy_poll=True))
+
+
+def test_iwarp_emulation_on_eager_rendezvous_is_rejected():
+    """Rendezvous data is always a WRITE WITH IMM: the emulation switch
+    would silently change nothing."""
+    with pytest.raises(ValueError, match=r"native_write_with_imm=False .*'eager_rendezvous'"):
+        _connect(ScenarioConfig(seed=1),
+                 ExsSocketOptions(native_write_with_imm=False, transport="eager_rendezvous"))
