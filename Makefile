@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke fabric-smoke perf-smoke perf all
+.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke smoke-digest fabric-smoke perf-smoke perf all
 
 install:
 	pip install -e . || python setup.py develop
@@ -49,7 +49,8 @@ bench-paper:
 # JSONL artifact behind for inspection / CI upload.
 # Multi-host fabric gate: a 16-sender incast through one switched sink
 # port, audited for stream-integrity violations, on the shared
-# (SRQ + CQ-shard) and per-connection resource paths.
+# (SRQ + stack CQ shards) and per-connection (a private CQ-shard poller
+# each) resource paths.
 fabric-smoke:
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
 		--message-bytes 16384 --audit
@@ -82,11 +83,24 @@ check-smoke:
 		--json counterexample-explore-waitall.json
 	python -m repro.check fuzz --seeds 50 --json counterexample-fuzz.json
 
+# Bit-identity digest: run the telemetry smoke, the causal-trace smoke and
+# a 50-seed fuzz into a temporary directory and print one "sha256  name"
+# line per artifact (telemetry JSONL, Perfetto JSON, fuzz stdout), with no
+# paths, so two checkouts compare with one diff of this target's output.
+smoke-digest:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	python -m repro.obs smoke --out "$$d/telemetry-smoke.jsonl" > "$$d/log" 2>&1 && \
+	python -m repro.obs trace --smoke --out "$$d/trace-smoke.json" >> "$$d/log" 2>&1 && \
+	python -m repro.check fuzz --seeds 50 > "$$d/fuzz-stdout.txt" 2>> "$$d/log" || \
+	{ cat "$$d/log" "$$d/fuzz-stdout.txt"; exit 1; } && \
+	cd "$$d" && sha256sum telemetry-smoke.jsonl trace-smoke.json fuzz-stdout.txt
+
 # End-to-end + per-layer host-time benchmark (perf/README.md; the gate
 # every perf PR is judged by, declared in BENCHMARK.json).  The smoke
 # target runs the harness's own tests and four short untraced workloads
 # (echo_small; blast_stream, the workload perf claims are made on;
-# incast_fanin, the only one that runs the CQ-shard pollers; and
+# incast_fanin, the only one whose CQ-shard pollers serve many
+# connections; and
 # blast_lossy, the only one with retransmit timers and NAKs) — run.py
 # exits non-zero on any correctness failure (fingerprint drift
 # between repetitions, truncation, accelerator status change) — and

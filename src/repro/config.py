@@ -127,9 +127,9 @@ class ScenarioConfig:
     #: historical per-QP receive queues
     srq_depth: Optional[int] = None
     #: >0 shards completion handling: connections share ``cq_shards``
-    #: completion queues per host and one poller process drains each shard,
-    #: so devices poll O(shards), not O(connections); 0 keeps the
-    #: historical per-connection engine loop (bit-identical)
+    #: completion queues per host and one poller drains each shard, so
+    #: devices poll O(shards), not O(connections); 0 gives every
+    #: connection a private poller around its own completion queue
     cq_shards: int = 0
     #: event-kernel selection: ``None`` (the ``REPRO_KERNEL`` environment
     #: variable, defaulting to the timing wheel), ``"wheel"`` or ``"heap"``

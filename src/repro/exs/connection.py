@@ -1,21 +1,20 @@
-"""The EXS connection: resources, progress engine, and control plane.
+"""The EXS connection: resources, completion handlers, and control plane.
 
-One :class:`ExsConnection` backs one connected EXS socket.  It owns the
-verbs resources (QP, CQ, completion channel), the credit manager, the
-control queue, graceful close, and the **progress engine** standing in for
-the EXS library thread that services this socket.  Its data plane is the
-half pair registered for the socket's type and transport, driven only
-through the contract of :mod:`repro.exs.transport`; the pair owns its
-receive pool, hello fields, gauges and dispatch tables.
+One :class:`ExsConnection` backs one connected EXS socket.  It owns its
+QP, the credit manager, the control queue and graceful close.  Its data
+plane is the half pair registered for the socket's type and transport,
+driven only through the contract of :mod:`repro.exs.transport`; the pair
+owns its receive pool, hello fields, gauges and dispatch tables.
 
-The engine models the event-notification discipline the paper's
-experiments use: drain the CQ and all derived work while awake; arm the CQ
-and block on the completion channel (paying the OS wake-up latency) only
-when nothing is runnable.  It is no simulation process: its loop is a
-generator that yields the library-core nanoseconds each step charges, or
-:data:`~repro.exs.engine.SLEEP`, and :class:`~repro.exs.engine.Engine`
-drives it from calendar callbacks (on a sharded stack the shard's poller
-drives this connection's handlers instead).
+Every connection is served by a :class:`~repro.exs.shard.CqShard`
+poller, the EXS library thread: a stack shard shared with other
+connections, or, on a stack without shards, one of its own built around
+this connection's completion channel.  The poller calls this
+connection's completion handlers and :meth:`ExsConnection._progress_round`
+and models the event-notification discipline the paper's experiments
+use: drain the CQ and all derived work while awake; arm the CQ and block
+on the completion channel (paying the OS wake-up latency) only when
+nothing is runnable.
 """
 
 from __future__ import annotations
@@ -33,25 +32,25 @@ from ..verbs import (
     CompletionChannel,
     CompletionQueue,
     Opcode,
-    QPStateError,
     QueuePair,
     RdmaDevice,
     SendWR,
     WCOpcode,
     WorkCompletion,
+    fixed_wakeup,
 )
 from .control import CTRL_WIRE_BYTES, POST_TRACE, ControlMsg, CreditMsg, FinMsg, decode_imm
-from .credits import CreditError, CreditManager
-from .engine import SLEEP, Engine
+from .credits import CreditManager
 from .eventqueue import ExsEvent, ExsEventType
 from .flags import ExsSocketOptions, SocketType
+from .shard import CqShard
 from .transport import ReceiverHalf, SenderHalf, resolve_pair
 
 __all__ = ["ExsConnection"]
 
 
 class ExsConnection:
-    """Engine and state for one connected EXS socket."""
+    """State and completion handlers of one connected EXS socket."""
 
     _ids = itertools.count(1)
 
@@ -86,6 +85,9 @@ class ExsConnection:
         if shard is not None and options.busy_poll:
             raise ValueError(f"busy_poll=True has no effect with cq_shards="
                              f"{len(socket.stack.shards)}: the shard poller sleeps on its channel")
+        if options.sender_copy and socket_type is not SocketType.SOCK_STREAM:
+            raise ValueError(f"sender_copy=True has no effect with socket_type="
+                             f"{socket_type.name}: staging is a byte-stream option")
         # Shared receive pool (ExsStack(srq_depth=...)): a pair whose receives
         # are interchangeable draws them from the stack-wide SRQ.
         if srq is not None and rx_cls.shares_srq:
@@ -93,25 +95,19 @@ class ExsConnection:
             srq.attached += 1
         else:
             self.srq_pool = None
-        #: the CQ shard servicing this connection (ExsStack(cq_shards=...));
-        #: None = the connection runs its own engine process
+        if shard is None:
+            # No stack shard: a poller of this connection's own.  Busy
+            # polling spins on the CQ; a constant tiny delay stands in for
+            # the poll-loop iteration time, and the poller accounts the
+            # spin itself as library-core burn.
+            wakeup = fixed_wakeup(100) if options.busy_poll else getattr(
+                host, "wakeup_sampler", None)
+            shard = CqShard(socket.stack, self.conn_id,
+                            device.create_channel(wakeup=wakeup, seed=channel_seed))
+        #: the CQ shard whose poller services this connection
         self._shard = shard
-        if shard is not None:
-            self.channel: CompletionChannel = shard.channel
-            self.cq: CompletionQueue = shard.cq
-        else:
-            if options.busy_poll:
-                # Busy polling: the progress thread spins on the CQ; a
-                # constant tiny delay stands in for the poll-loop iteration
-                # time, and the spin time itself is accounted as CPU burn in
-                # the engine loop.
-                from ..verbs.comp_channel import fixed_wakeup
-
-                wakeup = fixed_wakeup(100)
-            else:
-                wakeup = getattr(host, "wakeup_sampler", None)
-            self.channel = device.create_channel(wakeup=wakeup, seed=channel_seed)
-            self.cq = device.create_cq(self.channel)
+        self.channel: CompletionChannel = shard.channel
+        self.cq: CompletionQueue = shard.cq
         self.qp: QueuePair = device.create_qp(
             self.cq, self.cq,
             srq=self.srq_pool.srq if self.srq_pool is not None else None,
@@ -137,7 +133,8 @@ class ExsConnection:
         self._ctrl_sge = SGE(mr.addr, CTRL_WIRE_BYTES, mr.lkey)
 
         self._ctrl_queue: Deque[ControlMsg] = deque()
-        self._credit_update_threshold = options.effective_credit_update_threshold()
+        #: reposts owed to the peer that warrant a standalone credit update
+        self._credit_update_threshold = max(1, options.credits // 2)
         #: optional ProtocolTracer (see repro.trace); set on the host
         self.tracer = getattr(host, "tracer", None)
         self._last_tx_phase = 0
@@ -145,9 +142,7 @@ class ExsConnection:
         self._last_discarded = 0
         #: the peer endpoint's conn_id, learnt from its hello (0 = unknown)
         self.peer_conn_id = 0
-        # on a sharded stack, kicks wake the shard poller instead of a
-        # per-connection engine
-        self._engine = shard.engine if shard is not None else Engine(sim, host.cpu, self.channel)
+        self._engine = shard.engine
         self.established = False
         self.closing = False
         self.close_event_posted = False
@@ -189,14 +184,13 @@ class ExsConnection:
             self.rx.post_initial_recvs()
 
     def on_peer_hello(self, peer: dict) -> None:
-        """Complete setup from the peer's hello and start the engine."""
+        """Complete setup from the peer's hello and join the shard's poller."""
         for what, key, local in (("protocol mode", "mode", self.options.mode.value),
                                  ("socket type", "socket_type", self.socket_type.value),
                                  ("transport", "transport", self.transport)):
             if peer.get(key) != local:
                 raise ValueError(f"{what} mismatch: local {local!r}, peer {peer.get(key)!r}")
-        self.credits = CreditManager(initial_remote=int(peer["credits"]),
-                                     control_reserve=self.options.control_credit_reserve)
+        self.credits = CreditManager(initial_remote=int(peer["credits"]))
         self.peer_hello = peer
         self.tx = self._tx_cls(self)
         rx = self.rx
@@ -211,13 +205,7 @@ class ExsConnection:
         if telemetry is not None:
             telemetry.register_connection(self)
         self.established = True
-        if self._shard is not None:
-            # sharded stack: the shard's poller services this connection
-            self._shard.register(self)
-            return
-        # An engine death is an implementation bug: it raises, naming the
-        # connection, instead of letting the simulation quietly deadlock.
-        self._engine.start(self._engine_loop(), f"EXS engine for connection {self.conn_id}")
+        self._shard.register(self)
 
     # ------------------------------------------------------------------
     # small helpers
@@ -232,13 +220,14 @@ class ExsConnection:
         return first
 
     def kick(self) -> None:
-        """Wake the engine (user posted work / external state change)."""
-        if self._shard is not None:
-            self._shard.mark(self)
+        """Wake the poller (user posted work / external state change)."""
+        self._shard.mark(self)
         self._engine.kick()
 
     def queue_control(self, msg: ControlMsg) -> None:
+        """Queue *msg* for the next progress round (which sends it)."""
         self._ctrl_queue.append(msg)
+        self._shard.mark(self)
 
     def unhandled(self, what: Any) -> NoReturn:
         """A message or immediate outside this connection's pair tables."""
@@ -283,7 +272,7 @@ class ExsConnection:
         if self.broken:
             self.post_error(eq, context)
             return
-        if self.options.sender_copy and self.socket_type is SocketType.SOCK_STREAM:
+        if self.options.sender_copy:
             self.sim.process(self.tx.submit_staged(buffer, offset, nbytes, eq, context),
                              name=f"exs{self.conn_id}-stage")
             return
@@ -343,49 +332,19 @@ class ExsConnection:
         if self.closing and not self.close_event_posted and self._close_eq is not None:
             self.close_event_posted = True
             self.post_error(self._close_eq, self._close_context)
-        self.kick()  # wake the engine so it can exit
+        self.kick()  # wake the poller so it can let go of this connection
 
     # ------------------------------------------------------------------
-    # the progress engine
+    # the progress round (run by the poller)
     # ------------------------------------------------------------------
-    def _engine_loop(self):
-        while not self.broken:
-            progressed = True
-            try:
-                while progressed and not self.broken:
-                    progressed = False
-                    wcs = self.cq.poll()
-                    for wc in wcs:
-                        yield from self._handle_wc(wc)
-                    if wcs:
-                        progressed = True
-                    if self.broken:
-                        break
-                    progressed = (yield from self._progress_round()) or progressed
-            except (CreditError, QPStateError) as exc:
-                # The QP died under us (timer-driven teardown between engine
-                # steps) or credit accounting collapsed with it: survivable.
-                self.fail_connection(f"{type(exc).__name__}: {exc}")
-            if self.broken:
-                return
-            # idle: arm and sleep (or spin, under busy_poll)
-            self.cq.req_notify()
-            if len(self.cq):
-                continue
-            idle_start = self.sim.now
-            yield SLEEP
-            if self.options.busy_poll:
-                # the poll loop burned the library core the whole time
-                self.host.cpu.record_busy(idle_start, self.sim.now)
-
     def _progress_round(self):
-        """Everything one engine pass does after draining the CQ: copies,
-        advert flushing, the tx pump, close/control pumping, and EOF
-        delivery.  Returns True if anything moved.
+        """Everything one poller pass does for this connection after
+        draining the CQ: copies, advert flushing, the tx pump, close/control
+        pumping, and EOF delivery.  Returns True if anything moved.
 
-        Factored out of :meth:`_engine_loop` (which preserves its exact
-        operation order) so a :class:`~repro.exs.shard.CqShard` poller can
-        run progress rounds for many connections around one shared CQ.
+        The :class:`~repro.exs.shard.CqShard` poller runs it only for a
+        connection marked since its last round (a routed completion, a
+        kick, queued control work, or movement in that round).
         """
         progressed = False
         rx = self.rx
@@ -422,8 +381,7 @@ class ExsConnection:
 
     # -- completion dispatch ---------------------------------------------
     def _handle_wc(self, wc: WorkCompletion):
-        if self.broken:
-            return
+        # the poller dispatches no completion to a broken connection
         if not wc.ok:
             self.fail_connection(f"transport error: {wc.status.value}")
             return

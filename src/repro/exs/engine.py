@@ -1,7 +1,8 @@
-"""The library-thread driver shared by the EXS progress engines.
+"""The library-thread driver of the EXS completion poller.
 
-An EXS library thread — a connection's progress engine, or a CQ shard's
-poller — drains its CQ and runs protocol work while awake, each step
+An EXS library thread — a :class:`~repro.exs.shard.CqShard` poller,
+serving a stack shard's connections or one connection of its own —
+drains its CQ and runs protocol work while awake, each step
 charging the host's library core, and sleeps on its completion channel
 *or* a kick from the application side, whichever comes first.
 

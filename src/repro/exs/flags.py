@@ -54,9 +54,12 @@ class ExsSocketOptions:
     """Tunables of one EXS socket (library-internal knobs in the real EXS).
 
     The defaults mirror the configuration used for the paper's experiments
-    as far as it is documented; undocumented constants (intermediate buffer
-    size, credit count, ACK cadence) are stated here explicitly and
-    exercised by the ablation benchmarks.
+    as far as it is documented; the undocumented intermediate buffer size
+    and credit count are stated here explicitly.  Constants no experiment
+    varies live with their code: the ring-ACK cadence
+    (:mod:`repro.exs.stream_receiver`), the standalone credit-update
+    threshold (:mod:`repro.exs.connection`) and the control-credit reserve
+    (:class:`~repro.exs.credits.CreditManager`).
     """
 
     #: stream protocol variant (dynamic, or one of the two baselines)
@@ -76,16 +79,6 @@ class ExsSocketOptions:
     ring_capacity: int = 16 * 1024 * 1024
     #: receive WRs posted at startup == send credits granted to the peer
     credits: int = 128
-    #: send a buffer ACK whenever this fraction of the ring has been copied
-    #: out since the last ACK (1/4 of the capacity by default) ...
-    ack_divisor: int = 4
-    #: ... and always when the ring drains empty.
-    ack_on_empty: bool = True
-    #: credits reserved for control messages (avoids control/data deadlock)
-    control_credit_reserve: int = 2
-    #: send an explicit credit update after this many recv reposts with no
-    #: other outbound control traffic
-    credit_update_threshold: Optional[int] = None  # default: credits // 2
     #: allocate real byte-carrying buffers (False = synthetic length-only
     #: payloads for large benchmark runs; protocol checking stays on)
     real_data: bool = True
@@ -112,6 +105,3 @@ class ExsSocketOptions:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.eager_threshold <= 0:
             raise ValueError("eager_threshold must be positive")
-
-    def effective_credit_update_threshold(self) -> int:
-        return self.credit_update_threshold or max(1, self.credits // 2)

@@ -1,11 +1,10 @@
 """Shared per-host EXS resources: the SRQ receive pool and CQ shards.
 
-Historically every EXS connection owned a private stack of verbs
-resources: ``credits`` pre-posted receive buffers, one completion queue,
-one completion channel, and one progress engine.  That is faithful
-to the two-host experiments of the paper but scales per-connection: a host
-terminating N connections posts O(N·credits) receive buffers and runs N
-engines each polling its own CQ.
+Every EXS connection's completions are drained by a :class:`CqShard`
+poller.  By default each connection builds a private one around its own
+completion channel and CQ — faithful to the two-host experiments of the
+paper, but per-connection in cost: a host terminating N connections posts
+O(N·credits) receive buffers and runs N pollers each polling its own CQ.
 
 Two opt-in resources change that to O(1) / O(shards) per host:
 
@@ -17,21 +16,17 @@ Two opt-in resources change that to O(1) / O(shards) per host:
   NAK exactly as an individual empty receive queue would (IBTA semantics:
   RNR is evaluated against the SRQ for SRQ-attached QPs), and the sender's
   reliability layer retries after the RNR backoff.
-* :class:`CqShard` — one completion channel + CQ + poller shared by many
-  connections.  Completions are routed to their connection by
-  ``wc.qp_num`` in arrival order, then every registered connection gets a
-  progress round.  A host polls O(shards) CQs regardless of connection
-  count.
-
-Neither is active by default: ``ExsStack(srq_depth=None, cq_shards=0)``
-keeps the historical per-connection resources, bit-identical to previous
-builds.
+* Stack shards (``ExsStack(cq_shards=K)``) — K :class:`CqShard` pollers,
+  each one completion channel + CQ shared by many connections.
+  Completions are routed to their connection by ``wc.qp_num`` in arrival
+  order, then every marked connection gets a progress round.  A host
+  polls O(shards) CQs regardless of connection count.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..verbs import QPStateError, RecvWR, SGE
 from .control import RECV_BUF_BYTES
@@ -39,6 +34,7 @@ from .credits import CreditError
 from .engine import SLEEP, Engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..verbs import CompletionChannel
     from .connection import ExsConnection
     from .socket import ExsStack
 
@@ -105,46 +101,54 @@ class SrqPool:
 
 
 class CqShard:
-    """One completion vector: a shared channel + CQ and its poller.
+    """One completion vector: a channel + CQ and the poller that drains it.
 
-    Connections on a sharded stack are assigned round-robin to shards; the
-    shard's poller replaces their per-connection engines.  It is a
-    library thread like theirs: a generator loop driven by an
+    The poller is EXS's one completion loop, serving either the
+    connections a sharded stack assigns it round-robin or, built around a
+    connection's own *channel*, that one connection.  It is a library
+    thread: a generator loop driven by an
     :class:`~repro.exs.engine.Engine` (charges through the host's library
-    core, sleeps on the shared channel or a kick from any of its
-    connections), not a simulation process.
-    Each wake-up drains the shared CQ, dispatching completions to their
-    owning connection **in arrival order** (routed by ``wc.qp_num``), then
-    runs one progress round per registered connection until nothing moves,
-    then re-arms and sleeps — the same drain-while-awake discipline as the
-    per-connection engine.
+    core, sleeps on the channel or a kick from any of its connections),
+    not a simulation process.
+    Each wake-up drains the CQ, dispatching completions to their owning
+    connection **in arrival order** (routed by ``wc.qp_num``), then runs
+    one progress round per marked connection until nothing moves, then
+    re-arms and sleeps: the paper's drain-while-awake discipline.
 
     A failing connection (credit collapse, QP teardown) breaks only
     itself: the exception is translated into that connection's
-    ``fail_connection`` and the shard keeps servicing its siblings.  Any
-    other exception kills the poller and raises from the run, naming host
-    and shard, chained to it.
+    ``fail_connection`` and a stack shard keeps servicing its siblings,
+    while a private poller returns, so later flush completions cannot
+    wake it.  Any other exception kills the poller and raises from the
+    run, naming the connection or the host and shard, chained to it.
     """
 
-    def __init__(self, stack: "ExsStack", index: int) -> None:
+    def __init__(self, stack: "ExsStack", index: int,
+                 channel: Optional["CompletionChannel"] = None) -> None:
         self.sim = stack.sim
         self.host = stack.host
         self.index = index
-        self.channel = stack.device.create_channel(
-            wakeup=getattr(stack.host, "wakeup_sampler", None),
-            seed=stack.next_seed(),
-        )
-        self.cq = stack.device.create_cq(self.channel)
+        #: built around a connection's own channel: polls for that one
+        #: connection only, from its registration until it breaks
+        self.private = channel is not None
+        if channel is None:
+            channel = stack.device.create_channel(
+                wakeup=getattr(stack.host, "wakeup_sampler", None),
+                seed=stack.next_seed(),
+            )
+        self.channel = channel
+        self.cq = stack.device.create_cq(channel)
         #: the poller; connections on this shard kick it
         self.engine = Engine(stack.sim, stack.host.cpu, self.channel)
         self.conns: Dict[int, "ExsConnection"] = {}
         # Progress rounds only run for connections with a reason to move:
-        # a routed completion, an application kick, or movement in their
-        # previous round.  A quiescent connection's round is a no-op that
-        # yields nothing (every pump early-returns without charging), so
-        # skipping it leaves the event stream bit-identical while cutting
-        # the former every-round full scan of ``conns`` — the O(N) cost
-        # that dominated sink shards at 10k connections.
+        # a routed completion, an application kick, queued control work,
+        # or movement in their previous round.  A quiescent connection's
+        # round is a no-op that yields nothing (every pump early-returns
+        # without charging), so skipping it leaves the event stream
+        # bit-identical while cutting the former every-round full scan of
+        # ``conns`` — the O(N) cost that dominated sink shards at 10k
+        # connections.
         self._dirty: Dict[int, None] = {}
         self._order: Dict[int, int] = {}
         self._reg_seq = itertools.count()
@@ -156,18 +160,24 @@ class CqShard:
         self.wcs_dispatched = 0
         self.rounds = 0
         # a poller death would hang every connection on the shard: it
-        # raises, naming host and shard
-        self.engine.start(
-            self._engine_loop(), f"CQ shard {index} poller on host {stack.host.name}"
-        )
+        # raises, naming host and shard (a private poller, its connection)
+        if not self.private:
+            self.engine.start(
+                self._engine_loop(), f"CQ shard {index} poller on host {stack.host.name}"
+            )
 
     def register(self, conn: "ExsConnection") -> None:
-        """Start servicing *conn* (called from ``on_peer_hello``)."""
+        """Start servicing *conn* (called from ``on_peer_hello``); a
+        private shard's poller starts here."""
         qpn = conn.qp.qpn
         self.conns[qpn] = conn
         self._order[qpn] = next(self._reg_seq)
         self._dirty[qpn] = None
-        self.engine.kick()
+        if self.private:
+            self.engine.start(self._engine_loop(conn),
+                              f"EXS engine for connection {conn.conn_id}")
+        else:
+            self.engine.kick()
 
     def mark(self, conn: "ExsConnection") -> None:
         """Queue *conn* for a progress round on the next engine pass."""
@@ -177,20 +187,25 @@ class CqShard:
             # that a sweep is due instead of scanning every engine lap
             self._has_broken = True
 
-    def _engine_loop(self):
+    def _engine_loop(self, solo: Optional["ExsConnection"] = None):
+        """The poller; *solo* is a private shard's one connection."""
         dirty = self._dirty
         order = self._order
+        conns = self.conns
+        cq = self.cq
+        # busy polling spins on the CQ: the sleep is library-core time too
+        spin = solo is not None and solo.options.busy_poll
         while True:
-            progressed = True
-            while progressed:
+            while True:
                 progressed = False
-                wcs = self.cq.poll()
+                wcs = cq.poll()
                 for wc in wcs:
-                    conn = self.conns.get(wc.qp_num)
+                    qpn = wc.qp_num
+                    conn = conns.get(qpn)
                     if conn is None or conn.broken:
                         continue
                     self.wcs_dispatched += 1
-                    dirty[wc.qp_num] = None
+                    dirty[qpn] = None
                     try:
                         yield from conn._handle_wc(wc)
                     except (CreditError, QPStateError) as exc:
@@ -198,14 +213,14 @@ class CqShard:
                 if wcs:
                     progressed = True
                 if dirty:
-                    # registration order, exactly as the full scan iterated
-                    if len(dirty) > 1:
-                        batch = sorted(dirty, key=order.__getitem__)
-                    else:
-                        batch = list(dirty)
-                    dirty.clear()
+                    # marks made during these rounds go to a fresh set
+                    batch = dirty
+                    dirty = self._dirty = {}
+                    if len(batch) > 1:
+                        # registration order, exactly as the full scan iterated
+                        batch = sorted(batch, key=order.__getitem__)
                     for qpn in batch:
-                        conn = self.conns.get(qpn)
+                        conn = conns.get(qpn)
                         if conn is None or conn.broken:
                             continue
                         try:
@@ -217,19 +232,24 @@ class CqShard:
                             dirty[qpn] = None
                             progressed = True
                 self.rounds += 1
-                if not dirty and not len(self.cq):
-                    # Nothing routed and nothing marked: the next pass would
-                    # poll an empty CQ and touch no connection, so skip the
-                    # no-op lap and go straight to re-arm.
+                if not progressed or not dirty and not len(cq):
+                    # Nothing moved, or nothing routed and nothing marked:
+                    # the next pass would poll an empty CQ and touch no
+                    # connection, so skip the no-op lap and go to re-arm.
                     break
+            if solo is not None and solo.broken:
+                return
             # drop dead connections so the service list stays tight
             if self._has_broken:
                 self._has_broken = False
-                for qpn in [q for q, c in self.conns.items() if c.broken]:
-                    del self.conns[qpn]
+                for qpn in [q for q, c in conns.items() if c.broken]:
+                    del conns[qpn]
                     self._order.pop(qpn, None)
                     dirty.pop(qpn, None)
-            self.cq.req_notify()
-            if len(self.cq):
+            cq.req_notify()
+            if len(cq):
                 continue
+            idle_start = self.sim.now
             yield SLEEP
+            if spin:
+                self.host.cpu.record_busy(idle_start, self.sim.now)

@@ -20,6 +20,7 @@ from ..verbs import ConnectionManager, MemoryRegion, RdmaDevice
 from .connection import ExsConnection
 from .eventqueue import ExsEvent, ExsEventQueue, ExsEventType
 from .flags import TRANSPORT_WWI, ExsSocketOptions, MsgFlags, SocketType
+from .shard import CqShard, SrqPool
 from .stream_receiver import UserRecv
 
 __all__ = ["ExsStack", "ExsSocket", "ExsError"]
@@ -36,10 +37,10 @@ class ExsStack:
     draw receives from one shared pool of that many buffers (a
     :class:`~repro.exs.shard.SrqPool`) instead of posting ``credits``
     buffers per connection; *cq_shards* (>0) makes connections share that
-    many completion queues, each drained by one poller process
-    (:class:`~repro.exs.shard.CqShard`), instead of one CQ + engine per
-    connection.  Both default off, which keeps the historical
-    per-connection resources and event sequences bit-identical.
+    many completion queues, each drained by one
+    :class:`~repro.exs.shard.CqShard` poller.  Both default off: each
+    connection then posts its own receives and is served by a private
+    ``CqShard`` around its own completion channel and CQ.
     *transport* is the data plane of every stream socket whose own options
     leave it unset (the run's ``ScenarioConfig.transport``).
     """
@@ -59,7 +60,6 @@ class ExsStack:
         #: exposes it explicitly instead of hiding it per-transfer.
         self.mregister_base_ns = 10_000
         self.mregister_ns_per_page = 50
-        from .shard import CqShard, SrqPool  # circular at module load time
 
         #: shared receive pool, or None for per-connection receive queues
         self.srq_pool = SrqPool(self, srq_depth) if srq_depth else None

@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["UserRecv", "ReceiverBase", "StreamReceiverHalf"]
 
+#: a ring ACK goes out once 1/ACK_DIVISOR of the ring has been copied out
+#: since the last one, and always when the ring drains empty
+ACK_DIVISOR = 4
+
 
 @dataclass
 class UserRecv:
@@ -318,13 +322,12 @@ class StreamReceiverHalf(ReceiverBase):
         self._maybe_queue_ring_ack()
 
     def _maybe_queue_ring_ack(self) -> None:
-        opts = self.conn.options
         copied = self.algo.ring.copied_total
         owed = copied - self._last_acked_copied
         if owed <= 0:
             return
-        threshold = max(1, self.algo.ring.capacity // opts.ack_divisor)
-        if owed >= threshold or (opts.ack_on_empty and self.algo.ring.is_empty):
+        threshold = max(1, self.algo.ring.capacity // ACK_DIVISOR)
+        if owed >= threshold or self.algo.ring.is_empty:
             self._last_acked_copied = copied
             self.conn.queue_control(RingAckMsg(copied_cum=copied))
             self.conn.rx_stats.ring_acks_sent += 1

@@ -1,8 +1,8 @@
 """The transport contract of an EXS connection, and the registered pairs.
 
-An :class:`~repro.exs.connection.ExsConnection` owns the verbs resources,
-the credit loop, the control queue, close and the progress engine; its data
-plane is one *half pair*, a :class:`SenderHalf` and a :class:`ReceiverHalf`.
+An :class:`~repro.exs.connection.ExsConnection` owns its QP, the credit
+loop, the control queue, close and the progress round its CQ-shard poller
+runs; its data plane is one *half pair*, a :class:`SenderHalf` and a :class:`ReceiverHalf`.
 The two Protocols declare everything the connection relies on, and nothing
 else: a transport is a pair that satisfies them, registered in
 :data:`PAIRS` under the ``(socket type, transport)`` it serves.

@@ -79,17 +79,14 @@ class ReliabilityConfig:
     rnr_timeout_ns: int = 200_000
     #: multiplicative backoff applied per consecutive timeout
     backoff: float = 2.0
-    #: ceiling on the backed-off timeout
+    #: ceiling on the backed-off timeout, enforced *during* the backoff
+    #: computation so a large attempt count can never overflow
     max_timeout_ns: int = 50_000_000
     #: reliability discipline: :data:`MODE_GO_BACK_N` (cumulative ACK, whole
     #: window resent on loss) or :data:`MODE_SELECTIVE_REPEAT` (SACK bitmap
     #: piggybacked on ACKs, out-of-order buffering, per-frame retransmit
     #: deadlines).
     mode: str = MODE_GO_BACK_N
-    #: hard cap on the backed-off RTO; ``None`` falls back to
-    #: ``max_timeout_ns``.  The cap is enforced *during* the backoff
-    #: computation, so a large attempt count can never overflow.
-    max_rto_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.retry_timeout_ns <= 0 or self.rnr_timeout_ns <= 0:
@@ -100,8 +97,8 @@ class ReliabilityConfig:
             raise ValueError("backoff must be >= 1.0")
         if self.mode not in (MODE_GO_BACK_N, MODE_SELECTIVE_REPEAT):
             raise ValueError(f"unknown reliability mode {self.mode!r}")
-        if self.max_rto_ns is not None and self.max_rto_ns <= 0:
-            raise ValueError("max_rto_ns must be positive")
+        if self.max_timeout_ns <= 0:
+            raise ValueError("max_timeout_ns must be positive")
 
     @classmethod
     def for_path(cls, one_way_ns: int, **kw: object) -> "ReliabilityConfig":
@@ -237,14 +234,14 @@ class ReliabilityEngine:
             self._arm(qp, st, self._current_rto(st))
 
     def _current_rto(self, st: _QpRel) -> int:
-        """Backed-off RTO, clamped to ``max_rto_ns``/``max_timeout_ns``.
+        """Backed-off RTO, clamped to ``max_timeout_ns``.
 
         The backoff is applied stepwise and stops as soon as it crosses the
         cap: evaluating ``backoff ** attempts`` first would overflow to an
         effectively unbounded timer after a long link-down window.
         """
         cfg = self.config
-        cap = cfg.max_rto_ns if cfg.max_rto_ns is not None else cfg.max_timeout_ns
+        cap = cfg.max_timeout_ns
         rto = float(cfg.retry_timeout_ns)
         if cfg.backoff > 1.0:
             for _ in range(st.attempts):

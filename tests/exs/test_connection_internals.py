@@ -6,7 +6,7 @@ import pytest
 
 from helpers import idle_wakeups, run_procs
 from repro.core import ProtocolMode
-from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
+from repro.exs import BlockingSocket, CreditMsg, ExsSocketOptions, SocketType
 from repro.testbed import Testbed
 from repro.config import ScenarioConfig
 
@@ -119,27 +119,14 @@ def test_hello_carries_ring_and_credits():
     assert out["peer"]["credits"] == 48
 
 
-def test_seqpacket_ignores_sender_copy():
+def test_seqpacket_rejects_sender_copy():
     """sender_copy is a stream-semantics option; SOCK_SEQPACKET keeps its
-    one-message-one-transfer behaviour."""
+    one-message-one-transfer behaviour, so the combination is rejected at
+    connection setup instead of being silently ignored."""
     tb = Testbed(ScenarioConfig(seed=23))
-    opts = ExsSocketOptions(sender_copy=True)
-    out = {}
-
-    def server():
-        conn = yield from BlockingSocket.accept_one(
-            tb.server, 5202, SocketType.SOCK_SEQPACKET, opts
-        )
-        out["msg"] = yield from conn.recv_bytes(256)
-
-    def client():
-        conn = yield from BlockingSocket.connect(
-            tb.client, 5202, SocketType.SOCK_SEQPACKET, opts
-        )
-        yield from conn.send_bytes(b"seqpacket-msg")
-
-    run_procs(tb.sim, server(), client(), max_events=10_000_000)
-    assert out["msg"] == b"seqpacket-msg"
+    sock = tb.client.socket(SocketType.SOCK_SEQPACKET, ExsSocketOptions(sender_copy=True))
+    with pytest.raises(ValueError, match=r"sender_copy=True .*SOCK_SEQPACKET"):
+        sock.connect(5202, tb.client.qcreate())
 
 
 def test_stats_are_per_direction():
@@ -167,3 +154,43 @@ def test_engine_sleep_leaves_nothing_behind_per_wakeup():
     sim = conn.sim
     sim.run()  # quiesce: the engine is asleep on channel-or-kick
     assert idle_wakeups(conn._engine, sim) == (80, {(True, True, False, 0, True, 0)})
+
+
+@pytest.mark.parametrize("cq_shards", [0, 1])
+def test_queued_control_goes_out_on_the_next_wake(cq_shards):
+    """Control work queued with no kick is sent on the next wake-up of the
+    connection's poller, a private one or a stack shard's, however it was
+    woken; a private poller finishes once its connection fails."""
+    tb = Testbed(ScenarioConfig(seed=21, cq_shards=cq_shards))
+    out = {}
+
+    def server():
+        conn = yield from BlockingSocket.accept_one(tb.server, 5210)
+        out["got"] = yield from conn.recv_bytes(4096, waitall=True)
+
+    def client():
+        conn = yield from BlockingSocket.connect(tb.client, 5210)
+        out["conn"] = conn.sock.conn
+        yield from conn.send_bytes(b"q" * 4096)
+
+    run_procs(tb.sim, server(), client())
+    sim, conn = tb.sim, out["conn"]
+    sim.run()  # quiesce: the poller is asleep on channel-or-kick
+    consumed = conn.credits.consumed_total
+    conn.queue_control(CreditMsg(credit_cum=0))
+    conn.channel.notify()  # a bare wake: no completion, no kick
+    sim.run()
+    assert not conn._ctrl_queue
+    assert conn.credits.consumed_total == consumed + 1
+
+    if cq_shards:
+        return
+    engine = conn._engine
+    conn.fail_connection("injected")
+    sim.run()
+    assert (engine._sleep, engine._kick_armed, engine._kick_latched) == (None, False, False)
+    arms = []
+    conn.cq.req_notify = lambda: arms.append(sim.now)
+    conn.channel.notify()
+    sim.run()
+    assert not arms  # the poller returned: nothing re-arms its CQ

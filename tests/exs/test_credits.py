@@ -139,8 +139,7 @@ def test_credit_starvation_recovers_via_explicit_update():
     """With a minimal pool and one-way traffic, the receiver must push
     explicit credit updates to keep the sender moving."""
     tb = Testbed(ScenarioConfig(seed=5))
-    options = ExsSocketOptions(credits=6, ring_capacity=16 * 1024,
-                               control_credit_reserve=2)
+    options = ExsSocketOptions(credits=6, ring_capacity=16 * 1024)
     out = {}
 
     def server():

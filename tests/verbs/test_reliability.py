@@ -282,7 +282,7 @@ def test_selective_repeat_mode_rejects_unknown():
 def test_rto_backoff_clamped_at_max_rto(sim):
     """A huge attempt count must hit the cap, not overflow ``backoff**n``."""
     cfg = ReliabilityConfig(retry_timeout_ns=1_000, backoff=2.0,
-                            max_rto_ns=500_000)
+                            max_timeout_ns=500_000)
     pair = RelPair(sim, config=cfg)
     eng = pair.da.reliability
     st = eng._st(pair.qa)
@@ -304,7 +304,7 @@ def test_rto_cap_defaults_to_max_timeout(sim):
 
 def test_rto_cap_must_be_positive():
     with pytest.raises(ValueError):
-        ReliabilityConfig(max_rto_ns=0)
+        ReliabilityConfig(max_timeout_ns=0)
 
 
 # ---------------------------------------------------------------------------
