@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke chaos-smoke check-smoke smoke-digest fabric-smoke perf-smoke perf all
+.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke check-smoke smoke-digest fabric-smoke perf-smoke perf all
 
 install:
 	pip install -e . || python setup.py develop
@@ -69,19 +69,25 @@ obs-smoke:
 trace-smoke:
 	python -m repro.obs trace --smoke --out trace-smoke.json
 
-# Fault-injection gate: stream transfers over a lossy wire must stay
-# byte-exact (or fail loudly), with a reduced sweep for CI turnaround.
-chaos-smoke:
-	REPRO_CHAOS_QUALITY=smoke pytest tests/chaos -q $(PYTEST_FLAGS)
-
-# Correctness gate (< 60 s): exhaust the default small scope in the model
-# checker, then fuzz 50 schedule seeds through the full stack.  Violations
-# leave a shrunk, replayable counterexample JSON behind for CI upload.
+# Correctness gate: exhaust the default small scope in the model checker,
+# then fuzz 50 schedule seeds through the full stack on the default
+# scenario (WWI, no reliability layer) and on each (transport, reliability
+# mode) pair.  Every pair runs even after one fails; violations leave a
+# shrunk, replayable counterexample JSON behind for CI upload.
 check-smoke:
 	python -m repro.check explore --json counterexample-explore.json
 	python -m repro.check explore --sends 3,2 --recvs 4w,1 \
 		--json counterexample-explore-waitall.json
 	python -m repro.check fuzz --seeds 50 --json counterexample-fuzz.json
+	status=0; \
+	for transport in wwi eager_rendezvous; do \
+		for mode in gobackn selective_repeat; do \
+			python -m repro.check fuzz --seeds 50 --transport $$transport \
+				--reliability-mode $$mode \
+				--json counterexample-fuzz-$$transport-$$mode.json || status=1; \
+		done; \
+	done; \
+	exit $$status
 
 # Bit-identity digest: run the telemetry smoke, the causal-trace smoke and
 # a 50-seed fuzz into a temporary directory and print one "sha256  name"

@@ -7,7 +7,9 @@ Subcommands::
                                   [--state-limit N] [--no-shrink]
                                   [--json counterexample.json]
     python -m repro.check fuzz    [--seeds 50] [--first-seed 0]
-                                  [--messages N] [--json counterexample.json]
+                                  [--messages N] [--transport wwi]
+                                  [--reliability-mode gobackn]
+                                  [--json counterexample.json]
     python -m repro.check audit   TRACE.csv [--spans]
     python -m repro.check replay  COUNTEREXAMPLE.json
 
@@ -75,9 +77,9 @@ def _cmd_explore(args) -> int:
 def _cmd_fuzz(args) -> int:
     from ..config import ScenarioConfig
 
-    # The flags pin what the REPRO_* variables would otherwise default;
-    # run_fuzz resolves the rest, so the counterexample JSON names its
-    # variant and replays bit for bit wherever it is taken.
+    # The flags pick the variant; run_fuzz resolves the rest, so the
+    # counterexample JSON names its variant and replays bit for bit
+    # wherever it is taken.
     case = FuzzCase(messages=args.messages)
     base = ScenarioConfig(transport=args.transport)
     if args.reliability_mode:
@@ -150,12 +152,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--seeds", type=int, default=50, help="number of schedule seeds")
     p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--messages", type=int, default=48, help="messages per run")
-    p.add_argument("--transport", choices=("wwi", "eager_rendezvous"), default=None,
-                   help="force the EXS transport (default: $REPRO_TRANSPORT)")
+    p.add_argument("--transport", choices=("wwi", "eager_rendezvous"), default="wwi",
+                   help="the EXS transport (default: wwi)")
     p.add_argument("--reliability-mode", choices=("gobackn", "selective_repeat"),
                    default=None,
                    help="run with RC reliability in this mode "
-                        "(default: $REPRO_RELIABILITY_MODE)")
+                        "(default: no reliability layer on the clean wire)")
     p.add_argument("--verbose", action="store_true", help="print per-seed outcomes")
     p.add_argument("--json", help="write the first failing counterexample here")
     p.set_defaults(fn=_cmd_fuzz)

@@ -155,7 +155,7 @@ def run_fuzz(
     fixed so any divergence is attributable to the schedule permutation.
     Scenarios are resolved before they run, so a counterexample names the
     transport / reliability / kernel variant it ran and replays without
-    the ``REPRO_*`` environment that selected it.
+    the ``REPRO_KERNEL`` environment that selected its calendar.
     """
     case = case or FuzzCase()
     base = base or ScenarioConfig()

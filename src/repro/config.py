@@ -13,18 +13,21 @@ apps take nothing else:
 * **faults** — optional :class:`~repro.simnet.faults.FaultProfile`, or a
   per-edge ``{edge_name: FaultProfile}`` mapping on a topology
 * **reliability** — optional :class:`~repro.verbs.reliability.ReliabilityConfig`
-* **transport** / **kernel** — the EXS data plane and the event kernel
+* **transport** — the EXS data plane (``"wwi"`` or ``"eager_rendezvous"``)
+* **kernel** — the event kernel
 * **schedule** — optional same-instant tie-break policy spec
   (``("fifo", 0)`` or ``("random", seed)``; see :mod:`repro.simnet.schedule`)
 * **telemetry** / **telemetry_dir** — :mod:`repro.obs` session and artifact
   placement
 * **max_events** — runaway-simulation guard
 
-The environment enters in exactly one place: :meth:`ScenarioConfig.resolved`
-folds ``REPRO_KERNEL`` / ``REPRO_TRANSPORT`` / ``REPRO_RELIABILITY_MODE``
-into the fields they default, ``Fabric`` calls it first and keeps the
-result as ``fabric.scenario`` — so the scenario a run reports replays that
-run bit for bit with the variables unset.
+The scenario alone picks a run's variant (data plane, reliability
+discipline).  The environment enters in exactly one place:
+:meth:`ScenarioConfig.resolved` folds ``REPRO_KERNEL`` (the no-compiler
+platform, which never changes a simulated result) into ``kernel``;
+``Fabric`` calls it first and keeps the result as ``fabric.scenario`` — so
+the scenario a run reports replays that run bit for bit with the variable
+unset.
 
 Because a scenario serializes, every :mod:`repro.check` counterexample is a
 scenario: the fuzzer writes the exact resolved ``ScenarioConfig`` that
@@ -34,7 +37,6 @@ produced a violation, and ``python -m repro.check replay`` re-runs it.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -44,11 +46,7 @@ from .simnet.fabric import Topology
 from .simnet.faults import FaultProfile, ImpairmentModel
 from .simnet.kernel import env_kernel
 from .simnet.schedule import SchedulePolicy, policy_from_spec
-from .verbs.reliability import (
-    MODE_GO_BACK_N,
-    MODE_SELECTIVE_REPEAT,
-    ReliabilityConfig,
-)
+from .verbs.reliability import MODE_GO_BACK_N, ReliabilityConfig
 
 __all__ = ["ScenarioConfig", "KERNELS"]
 
@@ -63,13 +61,6 @@ def _fault_dict(fault: Union[FaultProfile, ImpairmentModel]) -> dict:
             "serializable scenarios describe faults as FaultProfiles"
         )
     return dataclasses.asdict(fault)
-
-
-def _checked(var: str, value: Optional[str], allowed: Tuple[str, ...]) -> Optional[str]:
-    """An environment default: ``None`` when unset, loud when unknown."""
-    if value and value not in allowed:
-        raise ValueError(f"unknown {var} {value!r} (expected one of {', '.join(allowed)})")
-    return value or None
 
 
 @dataclass(frozen=True)
@@ -96,13 +87,13 @@ class ScenarioConfig:
     #: do not JSON-serialize.
     faults: Optional[Union[FaultProfile, ImpairmentModel,
                            Dict[str, Union[FaultProfile, ImpairmentModel]]]] = None
-    #: RC reliability layer; ``None`` = off, unless the wire is lossy or
-    #: ``REPRO_RELIABILITY_MODE`` is set (see :meth:`resolved`)
+    #: RC reliability layer; ``None`` = off, unless the wire is lossy
+    #: (see :meth:`resolved`)
     reliability: Optional[ReliabilityConfig] = None
-    #: EXS data-plane transport of the run's stream sockets: ``"wwi"``,
-    #: ``"eager_rendezvous"``, or ``None`` (``REPRO_TRANSPORT``, else
-    #: ``"wwi"``).  A socket whose own options name a transport keeps it.
-    transport: Optional[str] = None
+    #: EXS data-plane transport of the run's stream sockets: ``"wwi"`` or
+    #: ``"eager_rendezvous"``.  A socket whose own options name a transport
+    #: keeps it.
+    transport: str = TRANSPORT_WWI
     #: same-instant schedule policy spec: ``None`` (kernel FIFO),
     #: ``("fifo", 0)``, or ``("random", seed)``
     schedule: Optional[Tuple[str, int]] = None
@@ -141,7 +132,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown profile {self.profile!r} (known: {', '.join(sorted(PROFILES))})"
             )
-        if self.transport not in (None, *TRANSPORTS):
+        if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
         if isinstance(self.faults, dict):
             if self.topology is None:
@@ -182,47 +173,33 @@ class ScenarioConfig:
 
     def resolved(self) -> "ScenarioConfig":
         """This scenario with every default the environment or the wire
-        decides filled in: the one place ``REPRO_KERNEL``,
-        ``REPRO_TRANSPORT`` and ``REPRO_RELIABILITY_MODE`` are consulted.
+        decides filled in: the one place ``REPRO_KERNEL`` is consulted.
 
         * ``kernel`` — the scenario's, else ``REPRO_KERNEL``, else
           ``"wheel"``; a *defaulted* wheel under a schedule policy becomes
           ``"heap"``, the calendar policies run on (an explicit ``"wheel"``
           is kept, and refused by the simulator).
-        * ``transport`` — the scenario's, else ``REPRO_TRANSPORT``, else
-          ``"wwi"``.
         * ``reliability`` — a lossy wire without a config gets one scaled
           to the worst host-to-host path (an impaired wire without
-          retransmission loses data by design);
-          ``REPRO_RELIABILITY_MODE`` derives the same config when there is
-          none and pins its ``mode`` — how the CI variant matrix forces a
-          discipline across an unmodified suite.
+          retransmission loses data by design); an explicit config is kept
+          as it is.
 
-        Pure apart from those reads, and idempotent: the result resolves to
+        Pure apart from that read, and idempotent: the result resolves to
         itself under any environment, which is what makes
         ``fabric.scenario`` an environment-free replay recipe.
         """
-        env = os.environ.get
         kernel = self.kernel
         if kernel is None:
-            kernel = _checked("REPRO_KERNEL", env_kernel(), KERNELS) or "wheel"
+            kernel = env_kernel() or "wheel"
+            if kernel not in KERNELS:
+                raise ValueError(f"unknown REPRO_KERNEL {kernel!r} "
+                                 f"(expected one of {', '.join(KERNELS)})")
             if kernel == "wheel" and self.schedule is not None:
                 kernel = "heap"
-        transport = self.transport or _checked(
-            "REPRO_TRANSPORT", env("REPRO_TRANSPORT", "").strip(), TRANSPORTS
-        ) or TRANSPORT_WWI
-        mode = _checked(
-            "REPRO_RELIABILITY_MODE", env("REPRO_RELIABILITY_MODE", "").strip(),
-            (MODE_GO_BACK_N, MODE_SELECTIVE_REPEAT),
-        )
         reliability = self.reliability
-        if reliability is None and (mode or self.faults):
+        if reliability is None and self.faults:
             reliability = self.path_reliability()
-        if mode and reliability.mode != mode:
-            reliability = dataclasses.replace(reliability, mode=mode)
-        return dataclasses.replace(
-            self, kernel=kernel, transport=transport, reliability=reliability
-        )
+        return dataclasses.replace(self, kernel=kernel, reliability=reliability)
 
     def path_reliability(self, mode: str = MODE_GO_BACK_N) -> ReliabilityConfig:
         """A reliability config with timers scaled to this scenario's
@@ -307,7 +284,7 @@ class ScenarioConfig:
             topology=Topology.from_dict(topology) if topology else None,
             faults=faults,
             reliability=ReliabilityConfig(**reliability) if reliability else None,
-            transport=data.get("transport"),
+            transport=data.get("transport", TRANSPORT_WWI),
             schedule=tuple(schedule) if schedule else None,
             telemetry=bool(data.get("telemetry", False)),
             telemetry_dir=data.get("telemetry_dir"),

@@ -69,8 +69,7 @@ class ExsSocketOptions:
     #: (``"eager_rendezvous"``) used by the transport bake-off.  ``None``
     #: (the default) takes the run's transport from the socket's
     #: :class:`~repro.exs.socket.ExsStack` — ``ScenarioConfig.transport``,
-    #: which defaults to ``REPRO_TRANSPORT``, else ``"wwi"``; that is how
-    #: the CI variant matrix forces a transport across an unmodified suite.
+    #: which defaults to ``"wwi"``.
     transport: Optional[str] = None
     #: eager/rendezvous only: largest message sent eagerly (copied through
     #: the receiver's bounce slots); larger messages use RTS/CTS

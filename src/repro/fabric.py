@@ -124,8 +124,8 @@ class Fabric:
             if scenario.topology is not None:
                 raise ValueError("topology given both directly and in the scenario")
             scenario = scenario.with_(topology=topology)
-        #: the run as executed: *scenario* with its kernel / transport /
-        #: reliability defaults resolved (``REPRO_*`` variables included).
+        #: the run as executed: *scenario* with its kernel and reliability
+        #: defaults resolved (``REPRO_KERNEL`` included).
         #: Nothing below consults anything else, so rebuilding from this
         #: value replays the run anywhere (flight dumps embed it).
         self.scenario = scenario = scenario.resolved()

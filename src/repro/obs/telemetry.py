@@ -73,59 +73,50 @@ class Telemetry:
     @classmethod
     def attach(
         cls,
-        testbed,
+        fabric,
         *,
         sample_interval_ns: int = 100_000,
         span_capacity: int = 1_000_000,
         max_samples: int = 100_000,
     ) -> "Telemetry":
-        """Create a session and wire it through a testbed or fabric.
+        """Create a session and wire it through a :class:`~repro.fabric.Fabric`
+        (or :class:`~repro.testbed.Testbed`).
 
-        On the classic two-host wire (:class:`~repro.testbed.Testbed`, or
-        any direct topology) the gauge names are the historical flat ones
-        (``link.dir0.*``, ``faults.*``); on a multi-host
-        :class:`~repro.fabric.Fabric` every edge gets its own prefix
-        (``link.<edge>.*``, ``faults.<edge>.*``) and every switch port is
-        observed as ``fabric.port.<switch>.<port>.*``.  Hosts with an SRQ
-        pool additionally get ``srq.<host>.*`` occupancy gauges.
+        On the classic two-host wire (a ``Testbed``, or any direct
+        topology) the gauge names are the historical flat ones
+        (``link.dir0.*``, ``faults.*``); on a multi-host fabric every edge
+        gets its own prefix (``link.<edge>.*``, ``faults.<edge>.*``) and
+        every switch port is observed as ``fabric.port.<switch>.<port>.*``.
+        Hosts with an SRQ pool additionally get ``srq.<host>.*`` occupancy
+        gauges.
         """
         tel = cls(
-            testbed.sim,
+            fabric.sim,
             sample_interval_ns=sample_interval_ns,
             span_capacity=span_capacity,
             max_samples=max_samples,
         )
-        tel.meta.setdefault("seed", getattr(testbed, "seed", None))
-        profile = getattr(testbed, "profile", None)
-        if profile is not None:
-            tel.meta.setdefault("profile", getattr(profile, "name", str(profile)))
-        hosts = getattr(testbed, "all_hosts", None)
-        if hosts is None:  # pre-fabric testbed shapes
-            hosts = [testbed.host("client"), testbed.host("server")]
+        tel.meta.setdefault("seed", fabric.seed)
+        tel.meta.setdefault("profile", fabric.profile.name)
+        hosts = fabric.all_hosts
         for host in hosts:
             tel.observe_host(host)
-        topology = getattr(testbed, "topology", None)
-        if topology is not None and not topology.direct:
-            for name, link in testbed.links.items():
+        if not fabric.topology.direct:
+            for name, link in fabric.links.items():
                 tel.observe_link(link, prefix=f"link.{name}")
-            for name, impairment in testbed.impairments.items():
+            for name, impairment in fabric.impairments.items():
                 tel.observe_impairment(impairment, prefix=f"faults.{name}")
-            for switch in testbed.switches.values():
+            for switch in fabric.switches.values():
                 tel.observe_switch(switch)
         else:
-            tel.observe_link(testbed.link)
-            impairment = getattr(testbed, "impairment", None)
-            if impairment is not None:
-                tel.observe_impairment(impairment)
-        device_of = getattr(testbed, "device", None)
-        stack_of = getattr(testbed, "stack", None)
+            tel.observe_link(fabric.link)
+            if fabric.impairment is not None:
+                tel.observe_impairment(fabric.impairment)
         for host in hosts:
-            device = device_of(host.name) if device_of is not None else None
-            engine = getattr(device, "reliability", None)
+            engine = fabric.device(host.name).reliability
             if engine is not None:
                 tel.observe_reliability(host.name, engine)
-            stack = stack_of(host.name) if stack_of is not None else None
-            pool = getattr(stack, "srq_pool", None)
+            pool = fabric.stack(host.name).srq_pool
             if pool is not None:
                 tel.observe_srq(host.name, pool)
         tel.sampler.start()

@@ -7,7 +7,7 @@ it) and provides:
 * :class:`~repro.simnet.events.Event`, :class:`~repro.simnet.events.Timeout`
   — synchronisation primitives.
 * :class:`~repro.simnet.process.Process` — generator-based processes.
-* :class:`~repro.simnet.resources.Resource` / :class:`~repro.simnet.resources.Store`.
+* :class:`~repro.simnet.resources.Store` — a FIFO mailbox with blocking ``get``.
 * :class:`~repro.simnet.link.Link` — serialized full-duplex link model.
 * :class:`~repro.simnet.fabric.Topology` / :class:`~repro.simnet.fabric.Switch`
   — switched multi-host fabrics (store-and-forward, output-queued).
@@ -33,8 +33,8 @@ from .faults import (
 )
 from .kernel import SimulationError, Simulator
 from .link import Link, LinkDirection, LinkStats
-from .process import Interrupt, Process
-from .resources import Resource, Store
+from .process import Process
+from .resources import Store
 from .schedule import FifoPolicy, RandomTiebreakPolicy, SchedulePolicy, policy_from_spec
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "FifoPolicy",
     "HEAVY_LOSS",
     "ImpairmentModel",
-    "Interrupt",
     "LIGHT_LOSS",
     "Link",
     "LinkDirection",
@@ -60,7 +59,6 @@ __all__ = [
     "NicPort",
     "Process",
     "RandomTiebreakPolicy",
-    "Resource",
     "SchedulePolicy",
     "SimulationError",
     "Simulator",

@@ -24,35 +24,18 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .events import Event, _PENDING
+from .events import Event
 from .kernel import SimulationError, Simulator
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process"]
 
 
 def _finish_process(proc: "Process", exc: BaseException) -> None:
-    """Terminate *proc* according to how its generator ended (cold path).
-
-    ``StopIteration`` is a normal return, an escaped :class:`Interrupt` is
-    treated as normal termination with no value (the idiomatic way to stop
-    a server loop), anything else fails the process event.  A process that
-    already terminated (e.g. resumed once more by a stale timeout after an
-    interrupt) absorbs the outcome silently.
-    """
-    if proc._value is not _PENDING:
-        return
+    """Terminate *proc* according to how its generator ended (cold path):
+    ``StopIteration`` is a normal return, anything else fails the process
+    event."""
     if isinstance(exc, StopIteration):
         proc.succeed(exc.value)
-    elif isinstance(exc, Interrupt):
-        proc.succeed(None)
     else:
         proc.fail(exc)
 
@@ -83,18 +66,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        The process stops waiting on its current target (the target event is
-        left intact and may still fire later for other waiters).
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        wake = Event(self.sim)
-        wake.add_callback(lambda _e: self._throw(Interrupt(cause)))
-        wake.succeed()
-
     # ------------------------------------------------------------------
     def __call__(self, event: Event) -> None:
         """Drive the generator one step with *event*'s outcome."""
@@ -109,8 +80,6 @@ class Process(Event):
         self._wait_on(nxt)
 
     def _throw(self, exc: BaseException) -> None:
-        if self._value is not _PENDING:
-            return  # terminated in the meantime; interrupt is moot
         try:
             nxt = self.throw(exc)
         except BaseException as err:

@@ -1,88 +1,16 @@
-"""Shared-resource primitives: FIFO resources and stores.
-
-:class:`Resource` models a server with fixed capacity (e.g. a CPU core or a
-DMA engine): processes request a slot, hold it while working, and release
-it.  Requests are granted strictly FIFO so contention is deterministic.
-
-:class:`Store` is an unbounded FIFO of items with blocking ``get``; it is a
-convenient mailbox between producer/consumer processes.
-"""
+"""The store: an unbounded FIFO of items with blocking ``get``, the
+mailbox between producer and consumer processes (a listener's incoming
+connection requests in the CM, ``ExsEventQueue``)."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Any, Deque, List
 
 from .events import Event
-from .kernel import SimulationError, Simulator
+from .kernel import Simulator
 
-__all__ = ["Resource", "Store"]
-
-
-class Resource:
-    """A counted resource with FIFO queuing.
-
-    Usage from a process::
-
-        req = resource.request()
-        yield req
-        try:
-            yield sim.timeout(work_ns)
-        finally:
-            resource.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiting: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    def request(self) -> Event:
-        """Return an event that fires when a slot is granted."""
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiting.append(ev)
-        return ev
-
-    def release(self, request: Event) -> None:
-        """Release a previously granted slot."""
-        if not request.triggered:
-            # The request was still queued: cancel it.
-            try:
-                self._waiting.remove(request)
-            except ValueError:  # pragma: no cover - defensive
-                raise SimulationError("release() of unknown pending request")
-            return
-        if self._in_use <= 0:  # pragma: no cover - defensive
-            raise SimulationError("release() with no slots in use")
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.succeed()  # slot transfers; _in_use unchanged
-        else:
-            self._in_use -= 1
-
-    def acquire(self, hold_ns: int) -> Generator[Event, Any, None]:
-        """Convenience sub-process: acquire, hold for *hold_ns*, release."""
-        req = self.request()
-        yield req
-        try:
-            yield self.sim.timeout(hold_ns)
-        finally:
-            self.release(req)
+__all__ = ["Store"]
 
 
 class Store:

@@ -15,8 +15,9 @@ one sanctioned way to do that:
 * :func:`processes_from_env` — honour ``REPRO_SWEEP_PROCESSES`` so the
   benchmark suite and figure runners can be parallelized without code
   changes.
-* ``python -m repro.sweep`` — regenerate paper artifacts (same names as
-  ``python -m repro.bench``) with the per-run grid fanned out over cores.
+
+``python -m repro.bench <artifact> -j N`` fans a paper artifact's grid out
+over N worker processes through :func:`run_sweep`.
 
 Determinism contract: for the same ``configs``/``seeds``, the returned list
 is identical whether ``processes`` is 1 or N (the regression test in
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 import traceback
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -153,67 +153,3 @@ def run_sweep(
                 raise SweepError(index, configs[index], seeds[index], cause_repr, cause_tb)
             out[index] = value
     return out
-
-
-# ---------------------------------------------------------------------------
-# CLI: parallel figure regeneration
-# ---------------------------------------------------------------------------
-def main(argv=None) -> int:
-    """``python -m repro.sweep`` — paper artifacts, grid fanned out over cores."""
-    import argparse
-    import time
-
-    from .bench.experiment import PAPER, QUICK, SMOKE
-    from .bench import figures
-
-    qualities = {"smoke": SMOKE, "quick": QUICK, "paper": PAPER}
-    runners = {
-        "fig9a": lambda q, p: figures.fig9a(q, processes=p).text("throughput"),
-        "fig9b": lambda q, p: figures.fig9b(q, processes=p).text("throughput"),
-        "fig10a": lambda q, p: figures.fig10a(q, processes=p).text("cpu"),
-        "fig10b": lambda q, p: figures.fig10b(q, processes=p).text("cpu"),
-        "fig11a": lambda q, p: figures.fig11(q, processes=p).text("throughput"),
-        "fig11b": lambda q, p: figures.fig11(q, processes=p).text("ratio"),
-        "fig12a": lambda q, p: figures.fig12(q, processes=p).text("throughput"),
-        "fig12b": lambda q, p: figures.fig12(q, processes=p).text("ratio"),
-        "fig13": lambda q, p: figures.fig13(q, processes=p).text("throughput_mbps"),
-        "table3": lambda q, p: figures.table3(q, processes=p)[1],
-    }
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sweep",
-        description="Regenerate paper artifacts with the simulation grid "
-                    "spread across worker processes (results are identical "
-                    "to the serial python -m repro.bench).",
-    )
-    parser.add_argument("artifacts", nargs="*", metavar="ARTIFACT",
-                        help=f"which to run (default: all): {', '.join(runners)}")
-    parser.add_argument("--quality", choices=sorted(qualities), default="quick",
-                        help="run length / repetition count (default: quick)")
-    parser.add_argument("--processes", "-j", type=int, default=0,
-                        help="worker processes (default: one per CPU; 1 = serial)")
-    parser.add_argument("--list", action="store_true", help="list artifacts and exit")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in runners:
-            print(name)
-        return 0
-
-    selected = args.artifacts or list(runners)
-    unknown = [a for a in selected if a not in runners]
-    if unknown:
-        parser.error(f"unknown artifact(s): {', '.join(unknown)}")
-
-    quality = qualities[args.quality]
-    processes = args.processes if args.processes > 0 else (os.cpu_count() or 1)
-    for name in selected:
-        t0 = time.time()
-        print(runners[name](quality, processes))
-        print(f"[{name} done in {time.time() - t0:.1f}s at quality={quality.name} "
-              f"with {processes} processes]\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

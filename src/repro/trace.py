@@ -62,16 +62,14 @@ class ProtocolTracer:
 
     # ------------------------------------------------------------------
     @classmethod
-    def attach(cls, testbed, capacity: int = 1_000_000) -> "ProtocolTracer":
-        """Create a tracer and attach it to every host of a testbed/fabric.
+    def attach(cls, fabric, capacity: int = 1_000_000) -> "ProtocolTracer":
+        """Create a tracer and attach it to every host of a
+        :class:`~repro.fabric.Fabric` (or :class:`~repro.testbed.Testbed`).
 
         Connections created afterwards emit events into it.
         """
         tracer = cls(capacity)
-        hosts = getattr(testbed, "all_hosts", None)
-        if hosts is None:  # pre-fabric testbed shapes
-            hosts = [testbed.host("client"), testbed.host("server")]
-        for host in hosts:
+        for host in fabric.all_hosts:
             host.tracer = tracer
         return tracer
 

@@ -61,3 +61,18 @@ def test_cli_runs_one_artifact(capsys, monkeypatch):
     assert bench_main(["table3", "--quality", "smoke"]) == 0
     out = capsys.readouterr().out
     assert "Table III" in out and "done in" in out
+
+
+def test_cli_processes_do_not_change_the_table(capsys, monkeypatch):
+    """``-j 2`` spreads the grid over worker processes and prints the same
+    table as the serial run (only the timing footer may differ)."""
+    import repro.bench.__main__ as cli
+
+    monkeypatch.setitem(cli.QUALITIES, "smoke", MICRO)
+    outputs = []
+    for processes in ("1", "2"):
+        assert bench_main(["table3", "--quality", "smoke", "-j", processes]) == 0
+        out = capsys.readouterr().out
+        outputs.append([line for line in out.splitlines() if "done in" not in line])
+    assert "Table III" in "\n".join(outputs[0])
+    assert outputs[0] == outputs[1]

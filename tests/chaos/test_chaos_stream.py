@@ -7,10 +7,10 @@ so any ordering or accounting violation raises ``SafetyViolation`` and
 fails the test — byte-exact payload equality plus a clean run *is* the
 invariant check.
 
-Set ``REPRO_CHAOS_QUALITY=smoke`` for a reduced sweep (CI smoke target).
+Every test runs on each (transport, reliability mode) pair (the ``variant``
+fixture) unless it pins one.
 """
 
-import os
 import random
 
 import pytest
@@ -22,10 +22,9 @@ from repro.simnet import DUP_AND_CORRUPT, FaultProfile, ImpairmentModel
 from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
 
-SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
-SEEDS = (1,) if SMOKE else (1, 2, 3)
-DROP_RATES = (0.02,) if SMOKE else (0.01, 0.05)
-PAYLOAD_BYTES = 60_000 if SMOKE else 120_000
+SEEDS = (1, 2, 3)
+DROP_RATES = (0.01, 0.05)
+PAYLOAD_BYTES = 120_000
 
 REL_FIELDS = (
     "retransmits", "timeouts", "naks_sent", "naks_received",
@@ -81,14 +80,15 @@ def run_transfer(tb, payload, *, chunk=10_000, recv=8192, port=4321):
 # acceptance: faults disabled == faults absent, bit for bit
 # ---------------------------------------------------------------------------
 
-def test_zero_impairment_is_bit_identical_to_baseline():
+def test_zero_impairment_is_bit_identical_to_baseline(variant):
     """An all-zero fault profile (reliability machinery armed but idle) must
-    reproduce the unimpaired simulation exactly: same bytes, same end times."""
+    reproduce the unimpaired simulation without a reliability layer
+    exactly: same bytes, same end times."""
     payload = payload_for(5)
-    baseline = Testbed(ScenarioConfig(seed=5))
+    baseline = Testbed(ScenarioConfig(seed=5, transport=variant.transport))
     ref = run_transfer(baseline, payload)
 
-    tb = Testbed(ScenarioConfig(seed=5, faults=ImpairmentModel(FaultProfile(), seed=999)))
+    tb = Testbed(variant.scenario(seed=5, faults=ImpairmentModel(FaultProfile(), seed=999)))
     out = run_transfer(tb, payload)
 
     assert ref["data"] == payload
@@ -106,8 +106,8 @@ def test_zero_impairment_is_bit_identical_to_baseline():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("drop", DROP_RATES)
-def test_drop_sweep_delivers_every_byte_in_order(drop, seed):
-    tb = Testbed(ScenarioConfig(seed=seed, faults=FaultProfile(drop_prob=drop)))
+def test_drop_sweep_delivers_every_byte_in_order(variant, drop, seed):
+    tb = Testbed(variant.scenario(seed=seed, faults=FaultProfile(drop_prob=drop)))
     payload = payload_for(seed)
     out = run_transfer(tb, payload)
     assert out["data"] == payload
@@ -117,12 +117,12 @@ def test_drop_sweep_delivers_every_byte_in_order(drop, seed):
     assert rel_totals(tb)["qp_fatal"] == 0
 
 
-def test_heavy_drop_actually_exercises_recovery():
+def test_heavy_drop_actually_exercises_recovery(variant):
     """Guard against a vacuously green sweep: at 20% drop over many small
     chunks the impairment model must fire and recovery must engage.  (The
     seed is pinned to a run where retries suffice; some seeds legitimately
     exhaust retry_cnt at this loss rate and surface an error instead.)"""
-    tb = Testbed(ScenarioConfig(seed=2, faults=FaultProfile(drop_prob=0.2)))
+    tb = Testbed(variant.scenario(seed=2, faults=FaultProfile(drop_prob=0.2)))
     out = run_transfer(tb, payload_for(2), chunk=4_000)
     assert out["data"] == payload_for(2)
     assert tb.impairment.dropped_total > 0
@@ -131,10 +131,10 @@ def test_heavy_drop_actually_exercises_recovery():
     assert totals["recoveries"] > 0
 
 
-def test_rechunking_under_loss_preserves_stream_order():
+def test_rechunking_under_loss_preserves_stream_order(variant):
     """Stream semantics survive loss: odd recv sizes re-chunk the stream
     while the transport is dropping and recovering frames underneath."""
-    tb = Testbed(ScenarioConfig(seed=2, faults=FaultProfile(drop_prob=0.03)))
+    tb = Testbed(variant.scenario(seed=2, faults=FaultProfile(drop_prob=0.03)))
     payload = payload_for(2)
     out = run_transfer(tb, payload, chunk=7_777, recv=1_013)
     assert out["data"] == payload
@@ -144,9 +144,9 @@ def test_rechunking_under_loss_preserves_stream_order():
 # determinism: one seed, one simulation
 # ---------------------------------------------------------------------------
 
-def test_chaos_runs_are_bit_identical_per_seed():
+def test_chaos_runs_are_bit_identical_per_seed(variant):
     def run_once():
-        tb = Testbed(ScenarioConfig(
+        tb = Testbed(variant.scenario(
             seed=4, faults=FaultProfile(drop_prob=0.05, duplicate_prob=0.02)))
         out = run_transfer(tb, payload_for(4))
         return out, rel_totals(tb), fault_totals(tb)
@@ -159,8 +159,8 @@ def test_chaos_runs_are_bit_identical_per_seed():
 # duplication + corruption: integrity, not just delivery
 # ---------------------------------------------------------------------------
 
-def test_duplication_and_corruption_do_not_corrupt_the_stream():
-    tb = Testbed(ScenarioConfig(seed=3, faults=DUP_AND_CORRUPT))
+def test_duplication_and_corruption_do_not_corrupt_the_stream(variant):
+    tb = Testbed(variant.scenario(seed=3, faults=DUP_AND_CORRUPT))
     payload = payload_for(3)
     out = run_transfer(tb, payload)
     assert out["data"] == payload
@@ -173,10 +173,10 @@ def test_duplication_and_corruption_do_not_corrupt_the_stream():
 # link flap: scheduled outage mid-transfer
 # ---------------------------------------------------------------------------
 
-def test_link_flap_mid_transfer_recovers():
+def test_link_flap_mid_transfer_recovers(variant):
     faults = ImpairmentModel(FaultProfile(), seed=7,
                              down_windows=((30_000, 900_000),))
-    tb = Testbed(ScenarioConfig(seed=2, faults=faults))
+    tb = Testbed(variant.scenario(seed=2, faults=faults))
     payload = payload_for(6)
     out = run_transfer(tb, payload)
     assert out["data"] == payload
@@ -191,11 +191,11 @@ def test_link_flap_mid_transfer_recovers():
 # retry exhaustion: fail loudly, never hang
 # ---------------------------------------------------------------------------
 
-def test_total_loss_surfaces_error_on_both_sides_without_hanging():
+def test_total_loss_surfaces_error_on_both_sides_without_hanging(variant):
     """drop_prob=1.0 kills every data frame.  Retries must exhaust, both
     QPs must reach ERROR, and both blocked applications must observe an
     ExsError — the simulation terminates instead of deadlocking."""
-    tb = Testbed(ScenarioConfig(
+    tb = Testbed(variant.scenario(
         seed=3,
         faults=FaultProfile(drop_prob=1.0),
         reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=3),
@@ -227,12 +227,12 @@ def test_total_loss_surfaces_error_on_both_sides_without_hanging():
     assert dead, "no QP reached ERROR state"
 
 
-def test_total_loss_run_is_deterministic():
+def test_total_loss_run_is_deterministic(variant):
     """The failure path itself is reproducible: same seed, same error
     surfacing time and counters."""
 
     def run_once():
-        tb = Testbed(ScenarioConfig(
+        tb = Testbed(variant.scenario(
             seed=9,
             faults=FaultProfile(drop_prob=1.0),
             reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=2),
@@ -264,7 +264,7 @@ def test_total_loss_run_is_deterministic():
 # selective repeat: a lost final cumulative ACK must not hang the sender
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("messages", [143] if SMOKE else [143, 2000])
+@pytest.mark.parametrize("messages", [143, 2000])
 def test_selective_repeat_lost_final_ack_terminates(messages):
     """Recorded reproducer (found by perf/'s ``blast_lossy``: roce-lan,
     HEAVY_LOSS, 256 KiB messages, 4 outstanding sends, selective repeat,

@@ -4,7 +4,8 @@ A total-loss run exhausts ``retry_cnt`` and moves the QP to ERROR; the
 bounded flight ring must auto-dump a replayable JSON artifact whose tail
 reconstructs — via parent links — the causal chain from the last
 retransmit timer to the QP ERROR transition (the ISSUE acceptance
-criterion), without ever paying full-capture memory.
+criterion), without ever paying full-capture memory — on each (transport,
+reliability mode) pair.
 """
 
 import json
@@ -21,8 +22,8 @@ from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
 
 
-def _run_retry_exhaustion(tmp_path, flight=128):
-    scenario = ScenarioConfig(
+def _run_retry_exhaustion(variant, tmp_path, flight=128):
+    scenario = variant.scenario(
         seed=3,
         faults=FaultProfile(drop_prob=1.0),
         reliability=ReliabilityConfig(retry_timeout_ns=100_000, retry_cnt=3),
@@ -50,8 +51,8 @@ def _run_retry_exhaustion(tmp_path, flight=128):
     return tb, scenario
 
 
-def test_qp_error_auto_dumps_flight_artifact(tmp_path):
-    tb, scenario = _run_retry_exhaustion(tmp_path)
+def test_qp_error_auto_dumps_flight_artifact(variant, tmp_path):
+    tb, scenario = _run_retry_exhaustion(variant, tmp_path)
     rec = tb.causal
     assert rec is not None
     reasons = [d["reason"] for d in rec.dumps]
@@ -64,15 +65,15 @@ def test_qp_error_auto_dumps_flight_artifact(tmp_path):
         loaded = json.load(fh)
     assert loaded["schema"] == FLIGHT_SCHEMA
     assert loaded["reason"] == "qp_error"
-    # ... as resolved, so the dump replays without the REPRO_* environment
+    # ... as resolved, so the dump replays without the REPRO_KERNEL environment
     assert ScenarioConfig.from_dict(loaded["scenario"]) == scenario.resolved() == tb.scenario
     assert loaded["context"]["status"] == "retry_exceeded"
 
 
-def test_dump_tail_reconstructs_retransmit_chain(tmp_path):
+def test_dump_tail_reconstructs_retransmit_chain(variant, tmp_path):
     """The acceptance criterion: failure ← rto_timer ← rto_timer ← ... —
     the dump's tail explains *why* the QP died, by parent links alone."""
-    tb, _ = _run_retry_exhaustion(tmp_path)
+    tb, _ = _run_retry_exhaustion(variant, tmp_path)
     dump = next(d for d in tb.causal.dumps if d["reason"] == "qp_error")
     chain = flight_chain(dump)
     assert chain[0]["category"] == "failure"
@@ -89,8 +90,8 @@ def test_dump_tail_reconstructs_retransmit_chain(tmp_path):
     assert all(b > a for a, b in zip(waits, waits[1:]))
 
 
-def test_ring_stays_bounded_during_failure_run(tmp_path):
-    tb, _ = _run_retry_exhaustion(tmp_path, flight=64)
+def test_ring_stays_bounded_during_failure_run(variant, tmp_path):
+    tb, _ = _run_retry_exhaustion(variant, tmp_path, flight=64)
     rec = tb.causal
     # retained nodes: the 64-deep ring plus still-pending placements only
     assert len(rec.fired_nodes()) <= 64
@@ -99,9 +100,9 @@ def test_ring_stays_bounded_during_failure_run(tmp_path):
         assert len(dump["events"]) <= 64
 
 
-def test_failure_run_is_deterministic(tmp_path):
-    a, _ = _run_retry_exhaustion(tmp_path / "a")
-    b, _ = _run_retry_exhaustion(tmp_path / "b")
+def test_failure_run_is_deterministic(variant, tmp_path):
+    a, _ = _run_retry_exhaustion(variant, tmp_path / "a")
+    b, _ = _run_retry_exhaustion(variant, tmp_path / "b")
 
     # Device/QP numbers come from a process-global counter and the artifact
     # paths from tmp dirs, so compare the causal skeleton: same failures at

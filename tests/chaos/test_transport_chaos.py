@@ -12,26 +12,26 @@ view-pinning debug assertions and checks exact per-byte copy accounting:
 two copies per eager byte (slot placement + copy-out), one per rendezvous
 byte (placement into the granted buffer).
 
-Set ``REPRO_CHAOS_QUALITY=smoke`` for a reduced sweep (CI smoke target).
+The transport is pinned, so every test runs under each reliability mode.
 """
 
-import os
 import random
 
 import pytest
 
-from helpers import run_procs
+from helpers import VARIANTS, run_procs
 from repro.exs import TRANSPORT_EAGER_RENDEZVOUS, BlockingSocket, ExsSocketOptions
 from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
 from repro.testbed import Testbed
-from repro.config import ScenarioConfig
 
-SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
-SEEDS = (1,) if SMOKE else (1, 2, 3)
+SEEDS = (1, 2, 3)
 
 CHAOS = FaultProfile(drop_prob=0.03, duplicate_prob=0.03)
 RDV = ExsSocketOptions(transport=TRANSPORT_EAGER_RENDEZVOUS)
+
+pytestmark = pytest.mark.parametrize(
+    "variant", [v for v in VARIANTS if v.transport == TRANSPORT_EAGER_RENDEZVOUS], ids=str)
 
 
 @pytest.fixture(autouse=True)
@@ -83,28 +83,27 @@ def assert_accounting(out, pieces):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("waitall", (False, True))
-def test_eager_chaos_stream_is_bit_identical(seed, waitall):
+def test_eager_chaos_stream_is_bit_identical(variant, seed, waitall):
     """Eager-only traffic under drops + duplicates: retransmitted SENDs
     replay bounce-slot placements, yet delivery order, copy counts, and
     pins all stay exact."""
-    tb = Testbed(ScenarioConfig(seed=seed, faults=CHAOS))
+    tb = Testbed(variant.scenario(seed=seed, faults=CHAOS))
     rng = random.Random(seed * 7919 + 1)
-    n = 6 if SMOKE else 12
-    pieces = [rng.randbytes(rng.randrange(64, RDV.eager_threshold)) for _ in range(n)]
+    pieces = [rng.randbytes(rng.randrange(64, RDV.eager_threshold)) for _ in range(12)]
     out = run_transfer(tb, pieces, waitall=waitall)
     assert_accounting(out, pieces)
     assert tb.impairment.dropped_total + tb.impairment.duplicated_total > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mixed_transport_chaos_preserves_accounting(seed):
+def test_mixed_transport_chaos_preserves_accounting(variant, seed):
     """Interleaved eager and rendezvous messages under chaos: the RTS/CTS
     handshake and the data plane recover independently, and each byte is
     still copied exactly its class's count."""
-    tb = Testbed(ScenarioConfig(seed=seed + 100, faults=CHAOS))
+    tb = Testbed(variant.scenario(seed=seed + 100, faults=CHAOS))
     rng = random.Random(seed * 104729 + 3)
     pieces = []
-    for _ in range(4 if SMOKE else 8):
+    for _ in range(8):
         pieces.append(rng.randbytes(rng.randrange(64, 8_000)))
         pieces.append(rng.randbytes(rng.randrange(20_000, 80_000)))
     out = run_transfer(tb, pieces, recv=16_384)
@@ -114,11 +113,11 @@ def test_mixed_transport_chaos_preserves_accounting(seed):
         assert tb.client_device.reliability.stats.retransmits > 0
 
 
-def test_mixed_transport_chaos_is_deterministic():
+def test_mixed_transport_chaos_is_deterministic(variant):
     """Same seed → same bytes and same copy accounting under chaos."""
 
     def run_once():
-        tb = Testbed(ScenarioConfig(seed=9, faults=CHAOS))
+        tb = Testbed(variant.scenario(seed=9, faults=CHAOS))
         rng = random.Random(424243)
         pieces = [rng.randbytes(n) for n in (500, 30_000, 7_000, 55_000, 1_200)]
         out = run_transfer(tb, pieces, recv=10_000)

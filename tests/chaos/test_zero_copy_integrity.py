@@ -16,15 +16,16 @@ bit-identical to what the application sent, and the per-connection
 placement copy per payload byte on the direct path, exactly two on the
 forced-indirect path (ring placement + ring→user copy-out).
 
-Set ``REPRO_CHAOS_QUALITY=smoke`` for a reduced sweep (CI smoke target).
+These assertions describe the WWI plane's copy discipline, so the
+transport is pinned: the chaos tests run under each reliability mode, and
+the clean-wire copy-accounting tests also run without a reliability layer.
 """
 
-import os
 import random
 
 import pytest
 
-from helpers import run_procs
+from helpers import VARIANTS, run_procs
 from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import TRANSPORT_WWI, BlockingSocket, ExsEventType, ExsSocketOptions
@@ -32,11 +33,18 @@ from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
 from repro.testbed import Testbed
 
-SMOKE = os.environ.get("REPRO_CHAOS_QUALITY", "").lower() == "smoke"
-SEEDS = (1,) if SMOKE else (1, 2, 3)
-PAYLOAD_BYTES = 48_000 if SMOKE else 96_000
+SEEDS = (1, 2, 3)
+PAYLOAD_BYTES = 96_000
 
 CHAOS = FaultProfile(drop_prob=0.03, duplicate_prob=0.03)
+
+WWI_VARIANTS = [v for v in VARIANTS if v.transport == TRANSPORT_WWI]
+
+wwi_variants = pytest.mark.parametrize("variant", WWI_VARIANTS, ids=str)
+
+#: the WWI modes plus no reliability layer at all (``None``)
+wwi_variants_or_none = pytest.mark.parametrize(
+    "variant", [None, *WWI_VARIANTS], ids=lambda v: str(v) if v else "unreliable")
 
 
 @pytest.fixture(autouse=True)
@@ -51,23 +59,19 @@ def payload_for(seed, nbytes=PAYLOAD_BYTES):
     return random.Random(seed * 6211 + 5).randbytes(nbytes)
 
 
-def make_testbed(seed, faults=None, mode=None):
-    scenario = ScenarioConfig(seed=seed, faults=faults)
-    tb = Testbed.from_scenario(scenario)
-    # These assertions describe the WWI plane's copy discipline (direct=1,
-    # indirect=2 copies/byte); pin the transport so a REPRO_TRANSPORT
-    # matrix run doesn't redirect them onto the eager/rendezvous plane.
-    options = ExsSocketOptions(
-        mode=mode if mode is not None else ProtocolMode.DYNAMIC,
-        transport=TRANSPORT_WWI,
-    )
-    return tb, options
+def make_testbed(seed, *, variant=None, faults=None, mode=ProtocolMode.DYNAMIC):
+    """A WWI testbed on *variant* (else without a reliability layer unless
+    the wire is lossy), and socket options in protocol *mode*."""
+    if variant is None:
+        scenario = ScenarioConfig(seed=seed, transport=TRANSPORT_WWI, faults=faults)
+    else:
+        scenario = variant.scenario(seed=seed, faults=faults)
+    return Testbed.from_scenario(scenario), ExsSocketOptions(mode=mode)
 
 
-def run_transfer(tb, payload, *, options=None, chunk=8_000, recv=8_192, port=4321):
+def run_transfer(tb, payload, *, options=ExsSocketOptions(), chunk=8_000, recv=8_192,
+                 port=4321):
     """Stream *payload* client→server; returns bytes + both connections."""
-    if options is None:
-        options = ExsSocketOptions(transport=TRANSPORT_WWI)
     out = {}
 
     def server():
@@ -104,13 +108,14 @@ def assert_plane_clean(*conns):
 # chaos: retransmission replays pinned views, duplication re-delivers them
 # ---------------------------------------------------------------------------
 
+@wwi_variants
 @pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_stream_is_bit_identical_with_pins_armed(seed):
+def test_chaos_stream_is_bit_identical_with_pins_armed(variant, seed):
     """Drops + duplicates with real bytes: the retransmission path replays
     the original view-carrying messages and the wire re-delivers some of
     them twice, yet the delivered stream is bit-identical and no in-flight
     source range is ever overwritten (pin assertions would raise)."""
-    tb, _ = make_testbed(seed, faults=CHAOS)
+    tb, _ = make_testbed(seed, variant=variant, faults=CHAOS)
     payload = payload_for(seed)
     out = run_transfer(tb, payload, chunk=6_000)
     assert out["data"] == payload
@@ -122,7 +127,8 @@ def test_chaos_stream_is_bit_identical_with_pins_armed(seed):
         assert rel.retransmits > 0
 
 
-def test_sender_buffer_reuse_under_duplication_never_corrupts():
+@wwi_variants
+def test_sender_buffer_reuse_under_duplication_never_corrupts(variant):
     """The hard aliasing case: one send buffer, refilled with different
     bytes for every message the moment the previous SEND completes, while
     the wire duplicates and drops frames carrying views of that buffer.
@@ -132,15 +138,15 @@ def test_sender_buffer_reuse_under_duplication_never_corrupts():
     dereferencing the payload, or the assembled stream would contain bytes
     from the wrong message.  The refill itself proves every pin on the
     buffer was released by completion time (a live pin would raise)."""
-    tb, wwi_options = make_testbed(7, faults=FaultProfile(drop_prob=0.02, duplicate_prob=0.10))
+    tb, options = make_testbed(
+        7, variant=variant, faults=FaultProfile(drop_prob=0.02, duplicate_prob=0.10))
     msg_bytes = 8_192
-    n_msgs = 6 if SMOKE else 12
     rng = random.Random(40427)
-    pieces = [rng.randbytes(msg_bytes) for _ in range(n_msgs)]
+    pieces = [rng.randbytes(msg_bytes) for _ in range(12)]
     out = {}
 
     def server():
-        conn = yield from BlockingSocket.accept_one(tb.server, 4321, options=wwi_options)
+        conn = yield from BlockingSocket.accept_one(tb.server, 4321, options=options)
         chunks = []
         while True:
             data = yield from conn.recv_bytes(msg_bytes)
@@ -151,7 +157,7 @@ def test_sender_buffer_reuse_under_duplication_never_corrupts():
         out["rx_conn"] = conn.sock.conn
 
     def client():
-        conn = yield from BlockingSocket.connect(tb.client, 4321, options=wwi_options)
+        conn = yield from BlockingSocket.connect(tb.client, 4321, options=options)
         buf = conn.stack.alloc(msg_bytes, label="zc:reuse")
         mr = yield from conn.stack.mregister(buf)
         for piece in pieces:
@@ -170,11 +176,12 @@ def test_sender_buffer_reuse_under_duplication_never_corrupts():
     assert rel.duplicates_dropped > 0  # stale views arrived and were discarded
 
 
-def test_chaos_run_with_meters_is_deterministic():
+@wwi_variants
+def test_chaos_run_with_meters_is_deterministic(variant):
     """Same seed → same bytes *and* same copy accounting, pins included."""
 
     def run_once():
-        tb, _ = make_testbed(4, faults=CHAOS)
+        tb, _ = make_testbed(4, variant=variant, faults=CHAOS)
         out = run_transfer(tb, payload_for(4))
         return (out["data"],
                 out["tx_conn"].copy_meter.snapshot(),
@@ -187,11 +194,12 @@ def test_chaos_run_with_meters_is_deterministic():
 # copy accounting: "exactly once" on the direct path, exactly twice indirect
 # ---------------------------------------------------------------------------
 
-def test_direct_path_copies_each_payload_byte_exactly_once():
+@wwi_variants_or_none
+def test_direct_path_copies_each_payload_byte_exactly_once(variant):
     """Forced-direct transfer: every payload byte is copied exactly once
     end to end (final placement into the advertised user buffer), and the
     sender performs zero payload copies — only view forwards."""
-    tb, options = make_testbed(11, mode=ProtocolMode.DIRECT_ONLY)
+    tb, options = make_testbed(11, variant=variant, mode=ProtocolMode.DIRECT_ONLY)
     payload = payload_for(11)
     out = run_transfer(tb, payload, options=options, chunk=8_192, recv=8_192)
     assert out["data"] == payload
@@ -204,10 +212,11 @@ def test_direct_path_copies_each_payload_byte_exactly_once():
     assert_plane_clean(out["tx_conn"], out["rx_conn"])
 
 
-def test_indirect_path_copies_each_payload_byte_exactly_twice():
+@wwi_variants_or_none
+def test_indirect_path_copies_each_payload_byte_exactly_twice(variant):
     """Forced-indirect transfer: ring placement + ring→user copy-out, so
     the receiver's meter records exactly two copies per payload byte."""
-    tb, options = make_testbed(12, mode=ProtocolMode.INDIRECT_ONLY)
+    tb, options = make_testbed(12, variant=variant, mode=ProtocolMode.INDIRECT_ONLY)
     payload = payload_for(12)
     out = run_transfer(tb, payload, options=options, chunk=8_192, recv=8_192)
     assert out["data"] == payload
@@ -218,12 +227,14 @@ def test_indirect_path_copies_each_payload_byte_exactly_twice():
     assert_plane_clean(out["tx_conn"], out["rx_conn"])
 
 
-def test_direct_accounting_survives_chaos():
+@wwi_variants
+def test_direct_accounting_survives_chaos(variant):
     """The exactly-once invariant is per *delivered* byte, not per wire
     frame: retransmitted and duplicated frames must not inflate the
     placement count on the forced-direct path."""
     tb, options = make_testbed(
         13,
+        variant=variant,
         faults=FaultProfile(drop_prob=0.08, duplicate_prob=0.08),
         mode=ProtocolMode.DIRECT_ONLY,
     )

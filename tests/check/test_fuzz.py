@@ -53,12 +53,23 @@ def test_each_transport_variant_is_bit_deterministic():
     """The fuzz fingerprint covers copy/transfer accounting, so this pins
     bit-determinism of every data plane, not just byte totals."""
     case = FuzzCase(messages=10)
-    for transport in (None, "wwi", "eager_rendezvous"):
+    for transport in ("wwi", "eager_rendezvous"):
         scenario = ScenarioConfig(schedule=("random", 13), transport=transport)
         a = run_case(case, scenario)
         b = run_case(case, scenario)
         assert a.ok and b.ok, f"transport={transport}"
         assert a.fingerprint == b.fingerprint, f"transport={transport}"
+
+
+def test_run_fuzz_holds_on_each_variant(variant):
+    """Five schedule seeds on each (transport, reliability mode) pair, as
+    ``make check-smoke`` fuzzes them; the counterexample scenario would
+    name the variant it ran."""
+    report = run_fuzz(range(5), CASE, variant.scenario())
+    assert report.ok, report.describe()
+    for outcome in report.outcomes:
+        assert outcome.scenario.transport == variant.transport
+        assert outcome.scenario.reliability.mode == variant.mode
 
 
 def test_selective_repeat_base_is_bit_deterministic():

@@ -10,7 +10,6 @@ semantics (ordering, WAITALL, EOF) and the per-byte copy accounting that
 the crossover benchmarks rely on.
 """
 
-import os
 import random
 
 import pytest
@@ -135,21 +134,6 @@ def test_transport_mismatch_is_rejected_at_handshake():
 
     with pytest.raises(ExsError, match="transport mismatch"):
         run_procs(tb.sim, server(), client(), max_events=50_000_000)
-
-
-def test_env_variable_selects_transport(monkeypatch):
-    """``REPRO_TRANSPORT`` resolves only when no explicit choice was made —
-    this is the hook the CI variant matrix uses."""
-    monkeypatch.setenv("REPRO_TRANSPORT", TRANSPORT_EAGER_RENDEZVOUS)
-    assert ScenarioConfig().resolved().transport == TRANSPORT_EAGER_RENDEZVOUS
-    assert Testbed(ScenarioConfig()).client.transport == TRANSPORT_EAGER_RENDEZVOUS
-    explicit = ScenarioConfig(transport=TRANSPORT_WWI)
-    assert explicit.resolved().transport == TRANSPORT_WWI
-    monkeypatch.setenv("REPRO_TRANSPORT", "carrier-pigeon")
-    with pytest.raises(ValueError, match="unknown REPRO_TRANSPORT"):
-        ScenarioConfig().resolved()
-    monkeypatch.delenv("REPRO_TRANSPORT")
-    assert ScenarioConfig().resolved().transport == TRANSPORT_WWI
 
 
 def test_scenario_config_forces_transport_through_blast():

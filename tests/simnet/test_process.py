@@ -1,9 +1,9 @@
-"""Process semantics: chaining, returns, exceptions, interrupts."""
+"""Process semantics: chaining, returns, exceptions."""
 
 import pytest
 
 from helpers import run_procs
-from repro.simnet import Event, Interrupt, Process
+from repro.simnet import Event, Process
 from repro.simnet.kernel import SimulationError
 
 
@@ -87,52 +87,6 @@ def test_yield_non_event_fails_process(sim):
     assert p.ok is False
     with pytest.raises(SimulationError, match="must yield Events"):
         p.result()
-
-
-def test_interrupt_wakes_process(sim):
-    def sleeper():
-        try:
-            yield sim.timeout(1000)
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, sim.now)
-        return "slept through"
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(10)
-        p.interrupt("reason")
-
-    run_procs(sim, interrupter())
-    assert p.result() == ("interrupted", "reason", 10)
-
-
-def test_interrupt_escaping_generator_is_clean_termination(sim):
-    never = Event(sim)
-
-    def server():
-        while True:
-            yield never  # Interrupt escapes here
-
-    p = sim.process(server())
-
-    def stopper():
-        yield sim.timeout(5)
-        p.interrupt()
-
-    run_procs(sim, stopper())
-    assert p.triggered and p.ok
-    assert p.result() is None
-
-
-def test_interrupt_terminated_process_rejected(sim):
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_is_alive(sim):

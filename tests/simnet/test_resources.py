@@ -1,69 +1,7 @@
-"""Resource and Store semantics."""
-
-import pytest
+"""Store semantics."""
 
 from helpers import run_procs
-from repro.simnet import Resource, Store
-from repro.simnet.kernel import SimulationError
-
-
-def test_resource_grants_up_to_capacity(sim):
-    res = Resource(sim, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    sim.run()
-    assert r1.triggered and r2.triggered
-    assert not r3.triggered
-    assert res.in_use == 2 and res.queue_length == 1
-
-
-def test_resource_fifo_order(sim):
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(tag, hold):
-        req = res.request()
-        yield req
-        order.append((tag, sim.now))
-        yield sim.timeout(hold)
-        res.release(req)
-
-    run_procs(sim, worker("a", 10), worker("b", 10), worker("c", 10))
-    assert order == [("a", 0), ("b", 10), ("c", 20)]
-
-
-def test_release_pending_request_cancels(sim):
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    res.release(r2)  # cancel queued request
-    sim.run()
-    assert res.queue_length == 0
-    res.release(r1)
-    assert res.in_use == 0
-
-
-def test_release_without_use_rejected(sim):
-    res = Resource(sim, capacity=1)
-    r = res.request()
-    res.release(r)
-    with pytest.raises(SimulationError):
-        res.release(r)
-
-
-def test_capacity_validation(sim):
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-def test_acquire_helper_accounts_hold_time(sim):
-    res = Resource(sim, capacity=1)
-
-    def worker():
-        yield from res.acquire(25)
-        return sim.now
-
-    assert run_procs(sim, worker()) == [25]
-    assert res.in_use == 0
+from repro.simnet import Store
 
 
 def test_store_fifo(sim):

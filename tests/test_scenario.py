@@ -146,17 +146,9 @@ def test_scenario_telemetry_dir_writes_without_env(tmp_path):
 # ---------------------------------------------------------------------------
 # one environment read: resolved() and environment-free replay
 # ---------------------------------------------------------------------------
-RUN_SHAPING = {
-    "REPRO_KERNEL": ("heap", "kernel"),
-    "REPRO_TRANSPORT": ("eager_rendezvous", "transport"),
-    "REPRO_RELIABILITY_MODE": ("selective_repeat", "reliability"),
-}
-
-
 @pytest.fixture
 def clean_env(monkeypatch):
-    for var in RUN_SHAPING:
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     return monkeypatch
 
 
@@ -175,25 +167,48 @@ def test_resolved_fills_defaults_without_an_environment(clean_env):
                           reliability=explicit).resolved().reliability is explicit
 
 
-def test_resolved_reads_each_variable_and_explicit_fields_win(clean_env):
+def test_resolved_reads_repro_kernel_and_the_explicit_field_wins(clean_env):
     clean_env.setenv("REPRO_KERNEL", "wheel")
     assert ScenarioConfig(schedule=("fifo", 0)).resolved().kernel == "heap"
     clean_env.setenv("REPRO_KERNEL", "heap")
-    clean_env.setenv("REPRO_TRANSPORT", "eager_rendezvous")
-    clean_env.setenv("REPRO_RELIABILITY_MODE", "selective_repeat")
-    got = ScenarioConfig().resolved()
-    assert (got.kernel, got.transport) == ("heap", "eager_rendezvous")
-    assert got.reliability == ScenarioConfig().path_reliability("selective_repeat")
-    pinned = ScenarioConfig(kernel="wheel", transport="wwi",
-                            reliability=ReliabilityConfig(retry_cnt=2)).resolved()
-    assert (pinned.kernel, pinned.transport) == ("wheel", "wwi")
-    # the CI matrix variable pins the mode of an existing config too
-    assert pinned.reliability == ReliabilityConfig(retry_cnt=2, mode="selective_repeat")
-    for var in RUN_SHAPING:
-        clean_env.setenv(var, "bogus")
-        with pytest.raises(ValueError, match=f"unknown {var} 'bogus'"):
-            ScenarioConfig().resolved()
-        clean_env.delenv(var)
+    assert ScenarioConfig().resolved().kernel == "heap"
+    assert ScenarioConfig(kernel="wheel").resolved().kernel == "wheel"
+    clean_env.setenv("REPRO_KERNEL", "bogus")
+    with pytest.raises(ValueError, match="unknown REPRO_KERNEL 'bogus'"):
+        ScenarioConfig().resolved()
+
+
+def test_resolved_consults_no_other_environment_variable(monkeypatch):
+    """The scenario alone picks the variant: resolving reads REPRO_KERNEL
+    and nothing else from the environment."""
+    import os
+
+    read = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(os, "environ", Recording(os.environ))
+    ScenarioConfig(faults=FaultProfile(drop_prob=0.01)).resolved()
+    assert read == ["REPRO_KERNEL"]
+
+
+@pytest.mark.parametrize("mode", ["gobackn", "selective_repeat"])
+def test_resolved_keeps_an_explicit_reliability_config(mode):
+    """An explicit reliability config comes back as given, whatever the
+    environment holds: a test that asks for a discipline runs it."""
+    explicit = ReliabilityConfig(retry_cnt=2, mode=mode)
+    for faults in (None, FaultProfile(drop_prob=0.01)):
+        got = ScenarioConfig(faults=faults, reliability=explicit,
+                             transport="eager_rendezvous").resolved()
+        assert got.reliability is explicit
+        assert got.transport == "eager_rendezvous"
 
 
 def test_env_kernel_selection_via_fabric(clean_env):
@@ -224,15 +239,13 @@ def test_removed_kernels_fail_loudly(clean_env):
         assert ScenarioConfig.from_dict(ScenarioConfig(kernel=kernel).to_dict()).kernel == kernel
 
 
-@pytest.mark.parametrize("var", sorted(RUN_SHAPING))
-def test_fabric_scenario_replays_without_the_environment(clean_env, var):
+def test_fabric_scenario_replays_without_the_environment(clean_env):
     """The scenario a fabric reports rebuilds the same run anywhere."""
     import dataclasses
 
     from repro.apps.incast import IncastConfig, incast_topology, run_incast
     from repro.fabric import Fabric
 
-    value, field = RUN_SHAPING[var]
     config = IncastConfig(senders=3, bytes_per_sender=48 * 1024, message_bytes=16 * 1024)
     scenario = ScenarioConfig(seed=3, topology=incast_topology(config))
 
@@ -242,23 +255,20 @@ def test_fabric_scenario_replays_without_the_environment(clean_env, var):
         return dataclasses.astuple(result), fabric.now, fabric.kernel
 
     baseline = Fabric.from_scenario(scenario)
-    clean_env.setenv(var, value)
+    clean_env.setenv("REPRO_KERNEL", "heap")
     first = Fabric.from_scenario(scenario)
     recorded = first.scenario
-    assert getattr(recorded, field) != getattr(baseline.scenario, field)
+    assert recorded.kernel == "heap" != baseline.scenario.kernel
     assert recorded == scenario.resolved() == recorded.resolved()
     assert ScenarioConfig.from_dict(json.loads(json.dumps(recorded.to_dict()))) == recorded
     under_env = fingerprint(first)
 
-    clean_env.delenv(var)
+    clean_env.delenv("REPRO_KERNEL")
     assert recorded.resolved() == recorded
     replay = Fabric.from_scenario(recorded)
     assert replay.scenario == recorded
     assert fingerprint(replay) == under_env
-    if var == "REPRO_KERNEL":
-        assert under_env[-1] == "heap"
-    else:  # the variable shaped the simulated result, not just the record
-        assert fingerprint(baseline) != under_env
+    assert under_env[-1] == "heap"
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +313,16 @@ def _apps():
 
 @pytest.mark.parametrize("app", ["blast", "echo", "file_transfer", "incast"])
 @pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
-def test_scenario_transport_reaches_every_app(clean_env, connections, app, transport):
+def test_scenario_transport_reaches_every_app(connections, app, transport):
     run, config, expected = _apps()[app]
-    # the environment asks for the other plane: the scenario wins
-    other = {"wwi": "eager_rendezvous", "eager_rendezvous": "wwi"}[transport]
-    clean_env.setenv("REPRO_TRANSPORT", other)
     run(config, ScenarioConfig(seed=2, transport=transport))
     assert len(connections) == expected
     assert {c.transport for c in connections} == {transport}
 
 
-def test_socket_options_transport_beats_the_scenario(clean_env, connections):
-    """Precedence: a socket that names its transport keeps it; the rest of
-    the run follows scenario > REPRO_TRANSPORT > wwi."""
+def test_socket_options_transport_beats_the_scenario(connections):
+    """Precedence: a socket that names its transport keeps it over the
+    scenario's."""
     import dataclasses
 
     from repro.exs import ExsSocketOptions
@@ -323,7 +330,3 @@ def test_socket_options_transport_beats_the_scenario(clean_env, connections):
     config = dataclasses.replace(CFG, options=ExsSocketOptions(transport="wwi"))
     run_blast(config, ScenarioConfig(seed=2, transport="eager_rendezvous"))
     assert {c.transport for c in connections} == {"wwi"}
-    del connections[:]
-    clean_env.setenv("REPRO_TRANSPORT", "eager_rendezvous")
-    run_blast(CFG, ScenarioConfig(seed=2))
-    assert {c.transport for c in connections} == {"eager_rendezvous"}

@@ -166,12 +166,12 @@ def _run_star(seed, transport, policy, rel_mode, shards, schedule=None, kernel="
         switch=SwitchConfig(policy=policy, port_queue_bytes=16 * KIB),
     )
     sharing = {"srq_depth": 256, "cq_shards": 2} if shards else {}
-    scenario = _scenario(seed, None, None, rel_mode, hops=2, topology=topology,
+    scenario = _scenario(seed, transport, None, rel_mode, hops=2, topology=topology,
                          kernel=None if schedule else kernel, schedule=schedule,
                          **sharing)
     fabric = Fabric.from_scenario(scenario)
     _ran(fabric, "heap" if schedule else kernel)
-    options = ExsSocketOptions(real_data=False, transport=transport)
+    options = ExsSocketOptions(real_data=False)
     latencies, finish, handles = [], {}, []
 
     def sender(handle):
