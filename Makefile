@@ -93,6 +93,9 @@ check-smoke:
 # a 50-seed fuzz into a temporary directory and print one "sha256  name"
 # line per artifact (telemetry JSONL, Perfetto JSON, fuzz stdout), with no
 # paths, so two checkouts compare with one diff of this target's output.
+# The expected digests are committed in tests/golden/smoke_digest.txt
+# (the telemetry one per calendar), which tier-1's
+# tests/test_smoke_digest.py regenerates and compares.
 smoke-digest:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	python -m repro.obs smoke --out "$$d/telemetry-smoke.jsonl" > "$$d/log" 2>&1 && \

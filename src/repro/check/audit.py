@@ -21,7 +21,10 @@ under fault injection) can be audited without re-simulating it:
   most once** and its sequence number must equal that direction's
   transferred byte total; no data may be delivered after an EOF was
   signalled; when the ``conn_open`` peer mapping is present, the peer
-  direction must have delivered exactly that many bytes.
+  direction must have delivered exactly that many bytes.  A
+  ``SOCK_SEQPACKET`` connection (``conn_open`` names the socket type)
+  traces no transfers and its FIN counts messages: there the FIN must
+  equal the direction's ``send`` events and the peer's deliveries.
 
 The eager/rendezvous transport's ``eager``/``rendezvous`` transfer events
 are audited for stream contiguity exactly like ``direct``/``indirect``
@@ -66,9 +69,9 @@ class AuditReport:
     events: int
     connections: int
     violations: List[AuditViolation] = field(default_factory=list)
-    #: per-direction transferred byte totals, keyed by (conn, host)
+    #: per-direction transferred and delivered byte totals (message
+    #: counts on a SOCK_SEQPACKET connection), keyed by (conn, host)
     transferred: Dict[Tuple[int, str], int] = field(default_factory=dict)
-    #: per-direction delivered byte totals, keyed by (conn, host)
     delivered: Dict[Tuple[int, str], int] = field(default_factory=dict)
 
     @property
@@ -88,6 +91,8 @@ class AuditReport:
 
 def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
     """Re-verify the protocol invariants over a recorded event stream."""
+    from ..obs.spans import message_endpoints
+
     events = sorted(events, key=lambda e: e.time_ns)
     by_dir: Dict[Tuple[int, str], List[TraceEvent]] = defaultdict(list)
     peers: Dict[Tuple[int, str], int] = {}
@@ -95,12 +100,15 @@ def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
         by_dir[(e.conn, e.host)].append(e)
         if e.kind == "conn_open":
             peers[(e.conn, e.host)] = e.get("peer")
+    units = {key: "messages" for key in message_endpoints(events)}
 
     report = AuditReport(events=len(events), connections=len(by_dir))
     v = report.violations
     fins: Dict[Tuple[int, str], int] = {}
 
     for (conn, host), evs in sorted(by_dir.items()):
+        unit = units.get((conn, host), "bytes")
+        messages = unit == "messages"
         expected_seq = 0
         phases: Dict[str, int] = {}
         last_ack = -1
@@ -151,12 +159,16 @@ def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
                         e,
                     )
                 copy_edge = max(copy_edge, seq + nbytes)
+            elif e.kind == "send" and messages:
+                expected_seq += 1  # the message plane's sequence
             elif e.kind == "deliver":
                 nbytes = e.get("nbytes", 0)
+                if messages:
+                    nbytes = 0 if e.get("eof") else 1
                 if eof_seen and nbytes > 0:
                     flag(
                         "EOF finality",
-                        f"{nbytes} bytes delivered after EOF was signalled",
+                        f"{nbytes} {unit} delivered after EOF was signalled",
                         e,
                     )
                 delivered += nbytes
@@ -179,7 +191,7 @@ def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
                 v.append(
                     AuditViolation(
                         "conservation",
-                        f"FIN says {fin_seq} bytes but {expected_seq} were transferred",
+                        f"FIN says {fin_seq} {unit} but {expected_seq} were transferred",
                         conn=conn,
                         host=host,
                     )
@@ -196,7 +208,8 @@ def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
                 report.violations.append(
                     AuditViolation(
                         "conservation",
-                        f"sender {conn}@{host} finished at {fin_seq} bytes but "
+                        f"sender {conn}@{host} finished at {fin_seq} "
+                        f"{units.get((conn, host), 'bytes')} but "
                         f"peer {rconn}@{rhost} delivered {got}",
                         conn=rconn,
                         host=rhost,
@@ -217,10 +230,11 @@ def audit_spans(events: Iterable[TraceEvent]) -> List[AuditViolation]:
     accounting; incomplete spans are flagged only when the stream finished
     (a FIN was recorded for the span's connection pair).
     """
-    from ..obs.spans import build_spans
+    from ..obs.spans import build_spans, message_endpoints
 
     events = list(events)
     spans = build_spans(events)
+    message_dirs = message_endpoints(events)
     finished_hosts = {(e.conn, e.host) for e in events if e.kind == "fin"}
     out: List[AuditViolation] = []
     by_conn: Dict[Tuple[int, str], int] = defaultdict(int)
@@ -252,7 +266,10 @@ def audit_spans(events: Iterable[TraceEvent]) -> List[AuditViolation]:
                 )
             )
         by_conn[(s.conn, s.host)] = s.seq_end
-        if s.complete and s.direct_bytes + s.indirect_bytes != s.nbytes:
+        moved = s.direct_bytes + s.indirect_bytes
+        # a message moves whole, or cut to fit the receive buffer
+        if s.complete and (moved > s.nbytes if (s.conn, s.host) in message_dirs
+                           else moved != s.nbytes):
             out.append(
                 AuditViolation(
                     "span byte accounting",

@@ -3,9 +3,13 @@
 The paper proves four lemmas and a safety theorem (§IV-A).  Rather than
 trusting the proof, the implementation *checks the claims at runtime* on
 every run — including the large benchmark runs, where the checks are cheap
-integer comparisons.  A violation raises :class:`SafetyViolation`, which in
-this codebase is treated like an assertion failure: it means the algorithm
-implementation (not the caller) is wrong.
+integer comparisons: a check whose message is formatted from protocol
+state raises ``violation(claim, f"...")`` from an ``if`` on its failing
+condition, so a passing check formats nothing (:func:`require` takes a
+fixed message).  A
+violation raises :class:`SafetyViolation`, which in this codebase is
+treated like an assertion failure: it means the algorithm implementation
+(not the caller) is wrong.
 
 Checked claims:
 
@@ -23,17 +27,23 @@ Checked claims:
 
 from __future__ import annotations
 
-__all__ = ["SafetyViolation", "require"]
+__all__ = ["SafetyViolation", "require", "violation"]
 
 
 class SafetyViolation(AssertionError):
     """A proven-impossible protocol state was reached (implementation bug)."""
 
 
+def violation(claim: str, detail: str = "") -> SafetyViolation:
+    """The :class:`SafetyViolation` for a failed *claim*, to ``raise``."""
+    message = f"safety violation [{claim}]"
+    if detail:
+        message += f": {detail}"
+    return SafetyViolation(message)
+
+
 def require(condition: bool, claim: str, detail: str = "") -> None:
-    """Raise :class:`SafetyViolation` with context unless *condition* holds."""
+    """Raise :class:`SafetyViolation` with context unless *condition*
+    holds (a fixed *detail*; a formatted one goes through :func:`violation`)."""
     if not condition:
-        message = f"safety violation [{claim}]"
-        if detail:
-            message += f": {detail}"
-        raise SafetyViolation(message)
+        raise violation(claim, detail)

@@ -22,7 +22,7 @@ from typing import Any, Deque, List, Optional
 
 from ..records import record
 from .advert import Advert
-from .invariants import require
+from .invariants import require, violation
 from .modes import ProtocolMode
 from .phase import INITIAL_PHASE, is_direct, is_indirect, next_phase, to_direct
 from .ring import ReceiverRing, RingSegment
@@ -182,11 +182,8 @@ class ReceiverAlgorithm:
                 advert = self._advertise(entry, addr, rkey)
                 self.unadvertised_recvs -= 1
                 out.append((entry, advert))
-        require(
-            not out or self.unadvertised_recvs == 0,
-            "k_b accounting",
-            f"k_b={self.unadvertised_recvs} after full flush",
-        )
+        if out and self.unadvertised_recvs != 0:
+            raise violation("k_b accounting", f"k_b={self.unadvertised_recvs} after full flush")
         return out
 
     # ------------------------------------------------------------------
@@ -209,28 +206,29 @@ class ReceiverAlgorithm:
         )
         require(len(self.queue) > 0, "Theorem 1", "direct transfer with empty receive queue")
         entry = self.queue[0]
-        require(
-            entry.advert is not None and entry.advert.advert_id == advert_id,
-            "Theorem 1 (head match)",
-            f"transfer matched advert {advert_id} but head entry has "
-            f"{entry.advert.advert_id if entry.advert else None}",
-        )
-        require(
-            seq == self.seq,
-            "Theorem 1 (no loss/reorder)",
-            f"direct transfer seq {seq} != receiver stream position {self.seq}",
-        )
-        require(
-            buffer_offset + entry.advert.base_offset == entry.filled,
-            "Theorem 1 (placement)",
-            f"transfer placed at advert offset {buffer_offset} (+base "
-            f"{entry.advert.base_offset}), entry filled {entry.filled}",
-        )
-        require(
-            nbytes <= entry.remaining,
-            "Theorem 1 (bounds)",
-            f"transfer of {nbytes}B overflows entry with {entry.remaining}B remaining",
-        )
+        advert = entry.advert
+        if advert is None or advert.advert_id != advert_id:
+            raise violation(
+                "Theorem 1 (head match)",
+                f"transfer matched advert {advert_id} but head entry has "
+                f"{advert.advert_id if advert else None}",
+            )
+        if seq != self.seq:
+            raise violation(
+                "Theorem 1 (no loss/reorder)",
+                f"direct transfer seq {seq} != receiver stream position {self.seq}",
+            )
+        if buffer_offset + advert.base_offset != entry.filled:
+            raise violation(
+                "Theorem 1 (placement)",
+                f"transfer placed at advert offset {buffer_offset} (+base "
+                f"{advert.base_offset}), entry filled {entry.filled}",
+            )
+        if nbytes > entry.length - entry.filled:
+            raise violation(
+                "Theorem 1 (bounds)",
+                f"transfer of {nbytes}B overflows entry with {entry.remaining}B remaining",
+            )
         # Fig. 4 line 2: S_r += l_w
         self.seq += nbytes
         # Fig. 4 lines 3-5: correct the estimate (the ADVERT pre-counted 1).
@@ -317,7 +315,8 @@ class ReceiverAlgorithm:
             require(self.unadvertised_recvs >= 0, "k_b accounting", "k_b went negative")
 
     def _set_phase(self, phase: int) -> None:
-        require(phase >= self.phase, "phase monotonicity", f"{self.phase} -> {phase}")
+        if phase < self.phase:
+            raise violation("phase monotonicity", f"{self.phase} -> {phase}")
         if is_direct(phase) != is_direct(self.phase):
             self.stats.mode_switches += 1
         self.phase = phase

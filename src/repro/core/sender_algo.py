@@ -26,7 +26,7 @@ from typing import Deque, List, Optional, Union
 
 from ..records import record
 from .advert import Advert
-from .invariants import require
+from .invariants import violation
 from .modes import ProtocolMode
 from .phase import INITIAL_PHASE, is_direct, is_indirect, next_phase
 from .ring import RingSegment, SenderRingView
@@ -132,11 +132,11 @@ class SenderAlgorithm:
                 self._set_phase(advert.phase)
             else:
                 # Lemma 4: mid-direct-phase ADVERTs carry exactly our phase.
-                require(
-                    advert.phase == self.phase,
-                    "Lemma 4",
-                    f"sender phase {self.phase} direct but ADVERT phase {advert.phase}",
-                )
+                if advert.phase != self.phase:
+                    raise violation(
+                        "Lemma 4",
+                        f"sender phase {self.phase} direct but ADVERT phase {advert.phase}",
+                    )
             advert_remaining = advert.length - self._head_filled
             nbytes = min(remaining, advert_remaining)
             plan = DirectPlan(
@@ -178,7 +178,8 @@ class SenderAlgorithm:
 
     # ------------------------------------------------------------------
     def _set_phase(self, phase: int) -> None:
-        require(phase >= self.phase, "phase monotonicity", f"{self.phase} -> {phase}")
+        if phase < self.phase:
+            raise violation("phase monotonicity", f"{self.phase} -> {phase}")
         if is_direct(phase) != is_direct(self.phase):
             self.stats.mode_switches += 1
         self.phase = phase

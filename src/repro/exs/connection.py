@@ -36,6 +36,7 @@ from ..verbs import (
     RdmaDevice,
     SendWR,
     WCOpcode,
+    WCStatus,
     WorkCompletion,
     fixed_wakeup,
 )
@@ -200,7 +201,8 @@ class ExsConnection:
         self._on_imm = rx.imm
         self.peer_conn_id = int(peer.get("conn_id", 0))
         if self.tracer is not None:
-            self.trace("conn_open", peer=self.peer_conn_id)
+            self.trace("conn_open", peer=self.peer_conn_id,
+                       socket_type=self.socket_type.value)
         telemetry = getattr(self.host, "telemetry", None)
         if telemetry is not None:
             telemetry.register_connection(self)
@@ -381,34 +383,38 @@ class ExsConnection:
 
     # -- completion dispatch ---------------------------------------------
     def _handle_wc(self, wc: WorkCompletion):
+        """The handler generator the poller runs for *wc* (an empty
+        iterable for a failed completion, which breaks the connection)."""
         # the poller dispatches no completion to a broken connection
-        if not wc.ok:
+        if wc.status is not WCStatus.SUCCESS:
             self.fail_connection(f"transport error: {wc.status.value}")
-            return
+            return ()
         opcode = wc.opcode
         if opcode is WCOpcode.RECV_RDMA_WITH_IMM:
-            yield from self._handle_data_arrival(wc)
-        elif opcode is WCOpcode.RECV:
-            yield from self._handle_control_arrival(wc)
-        elif opcode is WCOpcode.RDMA_WRITE or opcode is WCOpcode.SEND:
-            # one of our WRITEs / SENDs was acknowledged by the transport
-            yield self.costs.completion_ns
-            context = wc.context
-            if context[0] == "data":
-                _kind, usend, chunk = context
-                if chunk.pin is not None:
-                    # The EXS-level ack frees the send window: from here the
-                    # user may reuse the buffer range, so the in-flight view
-                    # is dead (nothing re-delivers it — the transport ack
-                    # implies the responder consumed this seq, and any later
-                    # duplicate is discarded by the sequence check without
-                    # touching data).
-                    chunk.pin.release()
-                self.tx.on_data_acked(usend, chunk.nbytes)
-            elif context[0] == "fin":
-                self._fin_acked = True
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unexpected completion opcode {wc.opcode}")
+            return self._handle_data_arrival(wc)
+        if opcode is WCOpcode.RECV:
+            return self._handle_control_arrival(wc)
+        if opcode is WCOpcode.RDMA_WRITE or opcode is WCOpcode.SEND:
+            return self._handle_send_done(wc)
+        raise RuntimeError(f"unexpected completion opcode {wc.opcode}")
+
+    def _handle_send_done(self, wc: WorkCompletion):
+        """One of our WRITEs / SENDs was acknowledged by the transport."""
+        yield self.costs.completion_ns
+        context = wc.context
+        if context[0] == "data":
+            _kind, usend, chunk = context
+            if chunk.pin is not None:
+                # The EXS-level ack frees the send window: from here the
+                # user may reuse the buffer range, so the in-flight view
+                # is dead (nothing re-delivers it — the transport ack
+                # implies the responder consumed this seq, and any later
+                # duplicate is discarded by the sequence check without
+                # touching data).
+                chunk.pin.release()
+            self.tx.on_data_acked(usend, chunk.nbytes)
+        elif context[0] == "fin":
+            self._fin_acked = True
 
     def _handle_data_arrival(self, wc: WorkCompletion):
         kind, imm_id = decode_imm(wc.imm_data)

@@ -249,7 +249,7 @@ class CqShard:
             cq.req_notify()
             if len(cq):
                 continue
-            idle_start = self.sim.now
+            idle_start = self.sim._now
             yield SLEEP
             if spin:
                 self.host.cpu.record_busy(idle_start, self.sim.now)

@@ -208,15 +208,10 @@ class ReceiverBase:
                 self.conn.trace("deliver", nbytes=nbytes, eof=True)
             else:
                 self.conn.trace("deliver", nbytes=nbytes)
-        urecv.eq.post(
-            ExsEvent(
-                kind=ExsEventType.RECV,
-                socket=self.conn.socket,
-                nbytes=nbytes,
-                eof=eof,
-                context=urecv.context,
-            )
-        )
+        # positional, in field order: kind, socket, nbytes, eof, truncated,
+        # context
+        urecv.eq.post(ExsEvent(ExsEventType.RECV, self.conn.socket, nbytes, eof, False,
+                               urecv.context))
 
     def gauges(self) -> Dict[str, float]:
         """Sample-time telemetry of this half, by metric suffix."""

@@ -154,7 +154,7 @@ class SenderBase:
         ``memoryview`` pinned until the transport ack (RC semantics: the
         user may not reuse the memory before the send completes, so
         retransmission and fault duplication always re-deliver the original
-        bytes), released in :meth:`ExsConnection._handle_wc`."""
+        bytes), released in :meth:`ExsConnection._handle_send_done`."""
         off = usend.offset + (usend.planned if local_offset is None else local_offset)
         view = usend.buffer.view(off, nbytes)
         pin = usend.buffer.pin_range(off, nbytes) if view is not None else None
@@ -199,15 +199,10 @@ class SenderBase:
             if self.conn.tracer is not None:
                 self.conn.trace("send_done", send_id=usend.send_id, nbytes=usend.nbytes)
             if usend.notify_completion:
-                usend.eq.post(
-                    ExsEvent(
-                        kind=ExsEventType.SEND,
-                        socket=self.conn.socket,
-                        nbytes=usend.nbytes,
-                        truncated=usend.truncated,
-                        context=usend.context,
-                    )
-                )
+                # positional, in field order: kind, socket, nbytes, eof,
+                # truncated, context
+                usend.eq.post(ExsEvent(ExsEventType.SEND, self.conn.socket, usend.nbytes,
+                                       False, usend.truncated, usend.context))
 
     def fail_pending(self):
         """Connection died: drain every incomplete send for ERROR delivery.

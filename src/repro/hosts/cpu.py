@@ -67,8 +67,7 @@ class Cpu:
         #: work() coalesces intervals that touch
         self._intervals: List[Tuple[int, int]] = []
         self._busy_ns_total = 0
-        # the run() charge holding the core: its start and continuation
-        self._start = 0
+        # the continuation of the run() charge holding the core
         self._then: Optional[Callable[[Any], None]] = None
         self._then_arg: Any = None
 
@@ -99,7 +98,7 @@ class Cpu:
             if duration_ns:
                 yield sim.timeout(duration_ns)
         finally:
-            self._release(start)
+            self._cpu_done(start)
 
     def run(self, duration_ns: int, fn: Callable[[Any], None], arg: Any = None) -> bool:
         """Callback form of :meth:`work` (same queue, accounting and
@@ -115,33 +114,25 @@ class Cpu:
         if not duration_ns:
             return False
         self._busy = True
-        self._hold(duration_ns, fn, arg)
+        self._then = fn
+        self._then_arg = arg
+        self.sim.call_in(duration_ns, self._cpu_done, self.sim._now)
         return True
 
-    def _hold(self, duration_ns: int, fn: Callable[[Any], None], arg: Any) -> None:
-        """Occupy the claimed core for a :meth:`run` request (one holds it
-        at a time, so its continuation waits on the Cpu itself)."""
-        if duration_ns:
-            self._start = self.sim._now
-            self._then = fn
-            self._then_arg = arg
-            self.sim.call_in(duration_ns, self._cpu_done)
-        else:
-            self._release(self.sim._now)
-            fn(arg)
-
     def _cpu_turn(self, request: Tuple[int, Callable[[Any], None], Any]) -> None:
-        self._hold(*request)
+        """A contended core's turn comes to a queued :meth:`run` request."""
+        duration_ns, self._then, self._then_arg = request
+        if duration_ns:
+            self.sim.call_in(duration_ns, self._cpu_done, self.sim._now)
+        else:
+            self._cpu_done(self.sim._now)
 
-    def _cpu_done(self, _arg: Any) -> None:
+    def _cpu_done(self, start: int) -> None:
+        """The work item that held the core since *start* is done: account
+        it, hand the core to the next queued item (still busy) or free it,
+        then resume a :meth:`run` charge's continuation, if one held it."""
         fn = self._then
-        arg = self._then_arg
-        self._release(self._start)
-        fn(arg)
-
-    def _release(self, start: int) -> None:
-        """Account the work item that held the core since *start*, then
-        hand the core to the next queued item (still busy) or free it."""
+        self._then = None
         end = self.sim._now
         if end > start:
             intervals = self._intervals
@@ -165,6 +156,8 @@ class Cpu:
                 nxt.succeed()
         else:
             self._busy = False
+        if fn is not None:
+            fn(self._then_arg)
 
     def record_busy(self, start: int, end: int) -> None:
         """Account busy time that did not go through :meth:`work` (e.g. a
@@ -203,16 +196,22 @@ class Cpu:
         return self._busy_ns_total
 
     def busy_ns_between(self, start: int, end: int) -> int:
-        """Busy nanoseconds overlapping the window ``[start, end]``."""
+        """Busy nanoseconds overlapping the window ``[start, end]``: the
+        disjoint, ordered intervals' total less the busy time outside the
+        window, found by bisection (a run-long window walks few intervals)."""
         if end <= start:
             return 0
-        total = 0
-        for s, e in self._intervals:
-            lo = max(s, start)
-            hi = min(e, end)
-            if hi > lo:
-                total += hi - lo
-        return total
+        intervals = self._intervals
+        i = bisect_left(intervals, (start,))
+        j = bisect_left(intervals, (end,), i)
+        outside = 0
+        for s, e in intervals[:i]:
+            outside += min(e, start) - s
+        if j:
+            outside += max(intervals[j - 1][1] - end, 0)
+        for s, e in intervals[j:]:
+            outside += e - s
+        return self._busy_ns_total - outside
 
     def utilization_between(self, start: int, end: int) -> float:
         """Fraction of ``[start, end]`` the core was busy (0.0–1.0)."""

@@ -35,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .spans import MessageSpan, build_spans
+from .spans import MessageSpan, build_spans, message_endpoints
 
 __all__ = [
     "SEGMENTS",
@@ -147,6 +147,7 @@ def _deliver_causes(events: List, spans: List[MessageSpan]) -> Dict[Tuple[int, s
         if e.kind == "conn_open":
             peers[(e.conn, e.host)] = e.get("peer", 0)
 
+    messages = message_endpoints(events)
     spans_by_dir: Dict[Tuple[int, str], List[MessageSpan]] = {}
     for s in spans:
         spans_by_dir.setdefault((s.conn, s.host), []).append(s)
@@ -167,6 +168,8 @@ def _deliver_causes(events: List, spans: List[MessageSpan]) -> Dict[Tuple[int, s
             if e.kind != "deliver":
                 continue
             nbytes = e.get("nbytes", 0)
+            if (conn, host) in messages:
+                nbytes = 0 if e.get("eof") else 1  # a message plane counts messages
             cause = e.get("cause", -1)
             if nbytes > 0:
                 i = max(0, bisect_right(starts, delivered_cum) - 1)

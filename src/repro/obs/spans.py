@@ -27,16 +27,20 @@ positions):
 
 The peer connection for each direction comes from the ``conn_open`` event
 each endpoint emits during the EXS handshake (which carries the peer's
-connection id).
+connection id, and its socket type).
+
+A ``SOCK_SEQPACKET`` connection traces no transfers and counts messages:
+message *i* spans ``[i, i + 1)``, its ``send_done`` gives the bytes that
+moved and the peer's *i*-th ``deliver`` delivers it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["MessageSpan", "build_spans"]
+__all__ = ["MessageSpan", "build_spans", "message_endpoints"]
 
 
 @dataclass
@@ -77,10 +81,10 @@ class MessageSpan:
 
     @property
     def complete(self) -> bool:
-        """Every stage observed: submitted, posted, acked, and delivered."""
+        """Submitted, acked, and delivered.  On a byte stream the ack
+        follows a traced first post; a message plane traces no posts."""
         return (
             self.submit_ns is not None
-            and self.first_post_ns is not None
             and self.acked_ns is not None
             and self.delivered_ns is not None
         )
@@ -146,15 +150,23 @@ class MessageSpan:
 # ---------------------------------------------------------------------------
 # stitching
 # ---------------------------------------------------------------------------
+def message_endpoints(events: Iterable) -> Set[Tuple[int, str]]:
+    """The ``(conn, host)`` endpoints whose ``conn_open`` names a
+    ``SOCK_SEQPACKET`` socket: a message plane, whose sequence counts
+    messages rather than bytes."""
+    return {(e.conn, e.host) for e in events
+            if e.kind == "conn_open" and e.get("socket_type") == "seqpacket"}
+
+
 def build_spans(events: Iterable) -> List[MessageSpan]:
     """Stitch tracer events into one :class:`MessageSpan` per message.
 
     *events* is any iterable of :class:`~repro.trace.TraceEvent`-shaped
     records in time order (a live tracer's ``events`` list).  Connections
-    without ``send`` events (e.g. SOCK_SEQPACKET, or the pure-receiver
-    side) produce no spans.
+    without ``send`` events (the pure-receiver side) produce no spans.
     """
     events = list(events)
+    messages = message_endpoints(events)
     # (conn, host) -> peer conn id, from the handshake's conn_open events
     peers: Dict[Tuple[int, str], int] = {}
     by_endpoint: Dict[Tuple[int, str], List] = {}
@@ -166,7 +178,8 @@ def build_spans(events: Iterable) -> List[MessageSpan]:
 
     spans: List[MessageSpan] = []
     for (conn, host), local in by_endpoint.items():
-        direction = _stitch_direction(conn, host, local, peers, by_endpoint)
+        direction = _stitch_direction(conn, host, local, peers, by_endpoint,
+                                      (conn, host) in messages)
         spans.extend(direction)
     spans.sort(key=lambda s: (s.host, s.conn, s.send_id))
     return spans
@@ -178,24 +191,27 @@ def _stitch_direction(
     local: List,
     peers: Dict[Tuple[int, str], int],
     by_endpoint: Dict[Tuple[int, str], List],
+    messages: bool,
 ) -> List[MessageSpan]:
     sends = [e for e in local if e.kind == "send"]
     if not sends:
         return []
 
-    # 1. one span per send, stream ranges by cumulative submit order
+    # 1. one span per send, stream ranges by cumulative submit order (a
+    #    message plane's sequence counts messages)
     spans: List[MessageSpan] = []
     by_send_id: Dict[int, MessageSpan] = {}
     cum = 0
     for e in sends:
         nbytes = e.get("nbytes", 0)
+        size = 1 if messages else nbytes
         span = MessageSpan(
             conn=conn, host=host,
             send_id=e.get("send_id", len(spans) + 1),
-            nbytes=nbytes, seq_start=cum, seq_end=cum + nbytes,
+            nbytes=nbytes, seq_start=cum, seq_end=cum + size,
             submit_ns=e.time_ns,
         )
-        cum += nbytes
+        cum += size
         spans.append(span)
         by_send_id[span.send_id] = span
     starts = [s.seq_start for s in spans]
@@ -238,6 +254,9 @@ def _stitch_direction(
             span = by_send_id.get(e.get("send_id"))
             if span is not None:
                 span.acked_ns = e.time_ns
+                if messages:
+                    span.transfers = 1
+                    span.direct_bytes = e.get("nbytes", 0)
 
     # 3. deliveries and copies from the peer endpoint (the receiver of
     #    this direction); peer events live on the other host
@@ -252,6 +271,8 @@ def _stitch_direction(
     for e in remote:
         if e.kind == "deliver":
             nbytes = e.get("nbytes", 0)
+            if messages:
+                nbytes = 0 if e.get("eof") else 1
             for span in spans_overlapping(delivered_cum, nbytes):
                 if span.delivered_ns is None or e.time_ns > span.delivered_ns:
                     span.delivered_ns = e.time_ns
@@ -267,10 +288,10 @@ def _stitch_direction(
                 hi = min(seq + nbytes, span.seq_end)
                 span.copied_bytes += max(0, hi - lo)
 
-    # Zero-byte messages (legal exs_send) deliver nothing; mark them
-    # delivered at the ack so `complete` has a consistent meaning.
+    # Zero-byte stream messages (legal exs_send) deliver nothing; mark
+    # them delivered at the ack so `complete` has a consistent meaning.
     for span in spans:
-        if span.nbytes == 0:
+        if span.nbytes == 0 and not messages:
             if span.first_post_ns is None:
                 span.first_post_ns = span.submit_ns
             if span.delivered_ns is None:

@@ -32,10 +32,16 @@ WakeupSampler = Callable[[random.Random], float]
 
 
 def uniform_wakeup(lo_ns: int, hi_ns: int) -> WakeupSampler:
-    """Wake-up latency uniform in ``[lo_ns, hi_ns]``."""
+    """Wake-up latency uniform in ``[lo_ns, hi_ns]``.
+
+    ``random.Random.uniform``'s own formula with its operands folded once:
+    the same floats, one Python frame fewer per draw.
+    """
+    lo = float(lo_ns)
+    span = float(hi_ns) - lo
 
     def sample(rng: random.Random) -> float:
-        return rng.uniform(float(lo_ns), float(hi_ns))
+        return lo + span * rng.random()
 
     return sample
 

@@ -235,7 +235,8 @@ class RdmaDevice:
             raise VerbsError("device not attached to a link")
         seq = qp.next_seq()
         payload = wr.payload
-        if payload is None and wr.opcode is not Opcode.RDMA_READ:
+        is_read = wr.opcode is Opcode.RDMA_READ
+        if payload is None and not is_read:
             # DMA-fetch the payload from local registered memory.  Like a
             # real HCA the engine reads the memory in place — the wire
             # carries a zero-copy view, valid under the RC contract that
@@ -243,22 +244,16 @@ class RdmaDevice:
             mr = self.pd.lookup_lkey(wr.sge.lkey)
             mr.require(wr.sge.addr, wr.sge.length, Access.LOCAL_READ)
             payload = Chunk(0, wr.sge.length, mr.view(wr.sge.addr, wr.sge.length))
-        msg = DataMessage(
-            src_qpn=qp.qpn,
-            dst_qpn=qp.remote_qpn,
-            opcode=wr.opcode,
-            seq=seq,
-            payload=None if wr.opcode is Opcode.RDMA_READ else payload,
-            remote_addr=wr.remote_addr,
-            rkey=wr.rkey,
-            imm_data=wr.imm_data,
-            read_len=wr.sge.length if wr.opcode is Opcode.RDMA_READ else 0,
-            wr_id=wr.wr_id,
-        )
+        # positional, in field order: src_qpn, dst_qpn, opcode, seq,
+        # payload, remote_addr, rkey, imm_data, read_len, is_read_response,
+        # wr_id
+        msg = DataMessage(qp.qpn, qp.remote_qpn, wr.opcode, seq,
+                          None if is_read else payload, wr.remote_addr, wr.rkey,
+                          wr.imm_data, wr.sge.length if is_read else 0, False, wr.wr_id)
         qp.inflight[seq] = wr
         qp.messages_sent += 1
         self.data_messages_sent += 1
-        wire = HEADER_BYTES if wr.opcode is Opcode.RDMA_READ else msg.wire_bytes()
+        wire = HEADER_BYTES if is_read else msg.wire_bytes()
         # The large-message penalty (HCA/LLC caching effect) slows the data
         # stream itself, so it occupies the wire rather than the WQE pipeline.
         extra_tx = self._large_msg_penalty_ns(msg.payload_bytes)
@@ -403,30 +398,24 @@ class RdmaDevice:
         )
 
     def _place_send(self, qp: QueuePair, msg: DataMessage) -> None:
+        nbytes = msg.payload_bytes
         if not qp.has_recv():
-            raise self._receiver_not_ready(qp, f"SEND of {msg.payload_bytes}B")
+            raise self._receiver_not_ready(qp, f"SEND of {nbytes}B")
         wr = qp.take_recv()
-        if msg.payload_bytes > wr.length:
+        if nbytes > wr.length:
             raise BadWorkRequest(
-                f"SEND of {msg.payload_bytes}B overflows RECV of {wr.length}B"
+                f"SEND of {nbytes}B overflows RECV of {wr.length}B"
             )
         if wr.sge is not None and msg.payload is not None:
             mr = self.pd.lookup_lkey(wr.sge.lkey)
-            mr.require(wr.sge.addr, msg.payload_bytes, Access.LOCAL_WRITE)
+            mr.require(wr.sge.addr, nbytes, Access.LOCAL_WRITE)
             off = mr.offset_of(wr.sge.addr)
             mr.buffer.write_chunk(off, msg.payload)
-        qp.recv_cq.push(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=WCOpcode.RECV,
-                status=WCStatus.SUCCESS,
-                byte_len=msg.payload_bytes,
-                imm_data=0,
-                qp_num=qp.qpn,
-                context=wr.context,
-                meta={"chunk": msg.payload, "remote_addr": 0},
-            )
-        )
+        # positional, in field order: wr_id, opcode, status, byte_len,
+        # imm_data, qp_num, wc_flags_with_imm, context, meta
+        qp.recv_cq.push(WorkCompletion(
+            wr.wr_id, WCOpcode.RECV, WCStatus.SUCCESS, nbytes, 0, qp.qpn,
+            False, wr.context, {"chunk": msg.payload, "remote_addr": 0}))
 
     def _place_write(self, msg: DataMessage) -> None:
         mr = self.pd.lookup_rkey(msg.rkey)
@@ -441,19 +430,10 @@ class RdmaDevice:
         if not qp.has_recv():
             raise self._receiver_not_ready(qp, "WRITE_WITH_IMM")
         wr = qp.take_recv()
-        qp.recv_cq.push(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=WCOpcode.RECV_RDMA_WITH_IMM,
-                status=WCStatus.SUCCESS,
-                byte_len=msg.payload_bytes,
-                imm_data=msg.imm_data,
-                qp_num=qp.qpn,
-                wc_flags_with_imm=with_imm,
-                context=wr.context,
-                meta={"chunk": msg.payload, "remote_addr": msg.remote_addr},
-            )
-        )
+        qp.recv_cq.push(WorkCompletion(
+            wr.wr_id, WCOpcode.RECV_RDMA_WITH_IMM, WCStatus.SUCCESS, msg.payload_bytes,
+            msg.imm_data, qp.qpn, with_imm, wr.context,
+            {"chunk": msg.payload, "remote_addr": msg.remote_addr}))
 
     def _serve_read(self, msg: DataMessage) -> None:
         mr = self.pd.lookup_rkey(msg.rkey)
@@ -494,16 +474,9 @@ class RdmaDevice:
             mr.require(wr.sge.addr, msg.payload.nbytes, Access.LOCAL_WRITE)
             off = mr.offset_of(wr.sge.addr)
             mr.buffer.write_chunk(off, msg.payload)
-        qp.send_cq.push(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=WCOpcode.RDMA_READ,
-                status=WCStatus.SUCCESS,
-                byte_len=msg.payload.nbytes if msg.payload else 0,
-                qp_num=qp.qpn,
-                context=wr.context,
-            )
-        )
+        qp.send_cq.push(WorkCompletion(
+            wr.wr_id, WCOpcode.RDMA_READ, WCStatus.SUCCESS,
+            msg.payload.nbytes if msg.payload else 0, 0, qp.qpn, False, wr.context))
 
     # ------------------------------------------------------------------
     # acknowledgements
@@ -539,7 +512,7 @@ class RdmaDevice:
             return
         sack = (self.reliability.sack_bitmap(qp)
                 if self.reliability is not None else 0)
-        ack = AckMessage(dst_qpn=qp.remote_qpn, msn=msn, kind=kind, sack=sack)
+        ack = AckMessage(qp.remote_qpn, msn, kind, sack)
         if self.peer is not None:
             # point-to-point: identical to the classic model (jitter draw
             # from this link's emulator included)
@@ -555,12 +528,6 @@ class RdmaDevice:
                 prop_ns=delay - self.config.ack_turnaround_ns,
             )
         self.acks_sent += 1
-
-    _ACK_WC_OPCODE = {
-        Opcode.SEND: WCOpcode.SEND,
-        Opcode.RDMA_WRITE: WCOpcode.RDMA_WRITE,
-        Opcode.RDMA_WRITE_WITH_IMM: WCOpcode.RDMA_WRITE,
-    }
 
     def _on_ack(self, ack: AckMessage) -> None:
         qp = self._qps.get(ack.dst_qpn)
@@ -579,16 +546,17 @@ class RdmaDevice:
             else:
                 done = rel.on_ack(qp, ack.msn, ack.sack)
         for wr in done:
-            qp.send_cq.push(
-                WorkCompletion(
-                    wr_id=wr.wr_id,
-                    opcode=self._ACK_WC_OPCODE[wr.opcode],
-                    status=WCStatus.SUCCESS,
-                    byte_len=wr.length,
-                    qp_num=qp.qpn,
-                    context=wr.context,
-                )
-            )
+            # ``is`` tests: an Enum-keyed lookup hashes through Python
+            opcode = wr.opcode
+            if opcode is Opcode.SEND:
+                wc_opcode = WCOpcode.SEND
+            elif opcode is not Opcode.RDMA_READ:
+                wc_opcode = WCOpcode.RDMA_WRITE
+            else:
+                raise VerbsError(f"transport ACK completed READ WR {wr.wr_id}; "
+                                 "a READ completes on its response")
+            qp.send_cq.push(WorkCompletion(wr.wr_id, wc_opcode, WCStatus.SUCCESS, wr.length,
+                                           0, qp.qpn, False, wr.context))
 
     # ------------------------------------------------------------------
     # fatal-error teardown (reliability layer)

@@ -10,6 +10,7 @@ from repro.apps.blast import BlastConfig, run_blast
 from repro.apps.workloads import FixedSizes
 from repro.check import audit_csv, audit_events, audit_spans
 from repro.config import ScenarioConfig
+from repro.obs import build_spans
 from repro.simnet import FaultProfile
 from repro.testbed import Testbed
 from repro.trace import ProtocolTracer, TraceEvent, events_from_csv
@@ -137,3 +138,56 @@ def test_eager_rendezvous_run_audits_ok(msg_bytes):
     report = audit_events(tracer.events)
     assert report.ok, report.describe()
     assert not audit_spans(tracer.events)
+
+
+def _seqpacket_rpc_events():
+    """A traced SOCK_SEQPACKET RPC exchange (examples/seqpacket_rpc.py's):
+    three requests, the last reply cut to fit its receive buffer."""
+    from repro.exs import BlockingSocket, SocketType
+
+    tb = Testbed.from_scenario(ScenarioConfig(seed=9))
+    tracer = ProtocolTracer.attach(tb)
+    replies = []
+
+    def server():
+        conn = yield from BlockingSocket.accept_one(tb.server, 4100, SocketType.SOCK_SEQPACKET)
+        while (msg := (yield from conn.recv_bytes(128))) != b"":
+            yield from conn.send_bytes(b"200 " + msg.upper() * 4)
+
+    def client():
+        conn = yield from BlockingSocket.connect(tb.client, 4100, SocketType.SOCK_SEQPACKET)
+        with conn:
+            for limit in (128, 128, 16):
+                yield from conn.send_bytes(b"GET /item")
+                replies.append((yield from conn.recv_bytes(limit)))
+
+    tb.sim.process(server(), name="server")
+    tb.sim.process(client(), name="client")
+    tb.run()
+    assert [len(r) for r in replies] == [40, 40, 16]
+    return tracer.events
+
+
+def test_seqpacket_run_audits_by_messages():
+    """The message plane traces no transfers and its FIN counts messages:
+    conservation and span completeness count messages there."""
+    events = _seqpacket_rpc_events()
+    assert {e.get("socket_type") for e in events if e.kind == "conn_open"} == {"seqpacket"}
+    report = audit_events(events)
+    assert report.ok, report.describe()
+    assert sorted(report.transferred.values()) == [3, 3]
+    assert sorted(report.delivered.values()) == [3, 3]
+    assert not audit_spans(events)
+    spans = build_spans(events)
+    assert len(spans) == 6 and all(s.complete for s in spans)
+    assert [(s.nbytes, s.direct_bytes) for s in spans if s.host == "server"] == [
+        (40, 40), (40, 40), (40, 16)]
+
+
+def test_seqpacket_lost_delivery_breaks_conservation():
+    events = _seqpacket_rpc_events()
+    lost = next(e for e in events if e.kind == "deliver")
+    doctored = [e for e in events if e is not lost]
+    claims = [v.claim for v in audit_events(doctored).violations]
+    assert claims == ["conservation"]
+    assert [v.claim for v in audit_spans(doctored)] == ["span completeness"]

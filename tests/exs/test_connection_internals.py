@@ -194,3 +194,18 @@ def test_queued_control_goes_out_on_the_next_wake(cq_shards):
     conn.channel.notify()
     sim.run()
     assert not arms  # the poller returned: nothing re-arms its CQ
+
+
+def test_completion_dispatch_rejects_an_unexpected_opcode():
+    """A successful completion EXS never posts for raises at dispatch; a
+    failed one breaks the connection and runs no handler."""
+    from repro.verbs import WCOpcode, WCStatus, WorkCompletion
+
+    conn = run_exchange(ExsSocketOptions(), nbytes=1_000)["client_conn"]
+    read = WorkCompletion(1, WCOpcode.RDMA_READ, WCStatus.SUCCESS, 0, 0, conn.qp.qpn)
+    with pytest.raises(RuntimeError, match="unexpected completion opcode WCOpcode.RDMA_READ"):
+        conn._handle_wc(read)
+    assert not conn.broken
+    flushed = WorkCompletion(2, WCOpcode.SEND, WCStatus.WR_FLUSH_ERR, 0, 0, conn.qp.qpn)
+    assert list(conn._handle_wc(flushed)) == []
+    assert conn.broken and conn.error == "transport error: flushed"

@@ -1,9 +1,12 @@
 """CPU model: serialization, busy accounting, utilization windows."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_procs
 from repro.hosts import Cpu, CpuCostModel, Host
+from repro.simnet import Simulator
 
 
 def test_work_advances_time_and_accounts(sim):
@@ -197,3 +200,87 @@ def test_run_and_work_share_one_fifo_queue(sim):
     assert done == [("a", 100), ("r", 150), ("b", 180), ("r0", 180)]
     assert cpu.busy_ns_total == 180
     assert cpu.busy_ns_between(0, 180) == 180 and cpu.queue_length == 0
+
+
+# -- pinned accounting: values captured before run() placed its own entry ----
+def test_back_to_back_run_charges_keep_one_interval(sim):
+    """A continuation that charges again at once extends the open busy
+    interval; a charge after idle time opens a new one."""
+    cpu = Cpu(sim)
+    done = []
+
+    def again(tag):
+        done.append((tag, sim.now))
+        if tag == "a":
+            cpu.run(50, again, "b")
+        elif tag == "b":
+            cpu.run(25, again, "c")
+
+    cpu.run(100, again, "a")
+    sim.call_in(400, lambda _: cpu.run(60, again, "d"))
+    sim.run()
+    assert done == [("a", 100), ("b", 150), ("c", 175), ("d", 460)]
+    assert cpu._intervals == [(0, 175), (400, 460)]
+    assert cpu.busy_ns_total == 235
+    assert sim.events_executed == 5
+
+
+def test_work_queued_behind_a_run_charge(sim):
+    """A work() process that finds the core held by a run() charge takes
+    its turn when the charge ends; a run() queued behind that work waits
+    for it in turn."""
+    cpu = Cpu(sim)
+    done = []
+
+    def proc(tag, ns):
+        yield sim.timeout(10)
+        yield from cpu.work(ns)
+        done.append((tag, sim.now))
+
+    cpu.run(100, lambda tag: done.append((tag, sim.now)), "r1")
+    sim.process(proc("w", 40))
+    sim.call_in(20, lambda _: cpu.run(30, lambda tag: done.append((tag, sim.now)), "r2"))
+    sim.run()
+    assert done == [("r1", 100), ("w", 140), ("r2", 170)]
+    assert cpu._intervals == [(0, 170)]
+    assert cpu.busy_ns_total == 170
+    assert cpu.busy_ns_between(50, 150) == 100
+    assert sim.events_executed == 9
+
+
+def test_busy_poll_span_overlapping_a_run_charge(sim):
+    """A busy-poll span recorded while a run() charge holds the core
+    reaches past the charge's start: the charge merges into the union."""
+    cpu = Cpu(sim)
+    done = []
+
+    def spin(_arg):
+        cpu.record_busy(50, 250)
+
+    cpu.run(100, lambda tag: done.append((tag, sim.now)), "r1")
+    sim.call_in(60, spin)
+    sim.call_in(200, lambda _: cpu.run(100, lambda tag: done.append((tag, sim.now)), "r2"))
+    sim.run()
+    assert done == [("r1", 100), ("r2", 300)]
+    assert cpu._intervals == [(0, 300)]
+    assert cpu.busy_ns_total == 300
+    assert cpu.busy_ns_between(0, 300) == 300
+    assert sim.events_executed == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spans=st.lists(st.tuples(st.integers(0, 2_000), st.integers(0, 300)), max_size=40),
+    window=st.tuples(st.integers(-100, 2_400), st.integers(-100, 2_400)),
+)
+def test_busy_ns_between_matches_the_interval_walk(spans, window):
+    """The bisect answer equals the walk over every interval, for any
+    disjoint interval set (built as a union of busy spans) and window."""
+    cpu = Cpu(Simulator())
+    for start, length in spans:
+        cpu.record_busy(start, start + length)
+    intervals = cpu._intervals
+    assert cpu.busy_ns_total == sum(e - s for s, e in intervals)
+    start, end = window
+    walked = sum(max(0, min(e, end) - max(s, start)) for s, e in intervals)
+    assert cpu.busy_ns_between(start, end) == (walked if end > start else 0)

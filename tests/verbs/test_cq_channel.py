@@ -124,6 +124,20 @@ def test_uniform_wakeup_within_bounds(sim):
     assert len(set(round(d, 3) for d in draws)) > 1
 
 
+@pytest.mark.parametrize("lo, hi", [(2_000, 16_000), (0, 1), (3, 3), (7_500, 7_500)])
+@pytest.mark.parametrize("seed", [0, 1, 9, 12345])
+def test_uniform_wakeup_draws_random_uniform_bit_for_bit(lo, hi, seed):
+    """The folded sampler returns ``random.Random.uniform``'s floats, so
+    every channel wake-up lands on the same nanosecond."""
+    import random
+
+    sampler = uniform_wakeup(lo, hi)
+    mine, ref = random.Random(seed), random.Random(seed)
+    draws = [sampler(mine) for _ in range(10_000)]
+    assert all(type(d) is float for d in draws)
+    assert [d.hex() for d in draws] == [ref.uniform(lo, hi).hex() for _ in range(10_000)]
+
+
 def test_cq_overflow_detected():
     cq = CompletionQueue(capacity=2)
     cq.push(wc())
