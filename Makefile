@@ -48,9 +48,9 @@ bench-paper:
 # fail on export-schema drift or incomplete span coverage, and leave the
 # JSONL artifact behind for inspection / CI upload.
 # Multi-host fabric gate: a 16-sender incast through one switched sink
-# port, audited for stream-integrity violations, on the shared
-# (SRQ + stack CQ shards) and per-connection (a private CQ-shard poller
-# each) resource paths.
+# port, audited for stream-integrity and message-span violations, on the
+# shared (SRQ + stack CQ shards) and per-connection (a private CQ-shard
+# poller each) resource paths, and through a tail-dropping switch.
 fabric-smoke:
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
 		--message-bytes 16384 --audit

@@ -18,23 +18,11 @@ import pytest
 sys.path.insert(0, "tests")  # reuse test helpers when run standalone
 
 from repro.bench.experiment import QUICK, quality_from_env
-from repro.sweep import processes_from_env
 
 
 @pytest.fixture(scope="session")
 def quality():
     return quality_from_env(default=QUICK)
-
-
-@pytest.fixture(scope="session")
-def processes():
-    """Sweep worker processes (``REPRO_SWEEP_PROCESSES``; default serial).
-
-    Simulated results are bit-identical for any value — parallelism only
-    changes wall-clock time.  Benchmarked *durations* are of course only
-    comparable across runs using the same setting.
-    """
-    return processes_from_env(default=1)
 
 
 def run_once(benchmark, fn):

@@ -15,8 +15,8 @@ from conftest import run_once
 from repro.bench.figures import fig12
 
 
-def test_fig12a_throughput(benchmark, quality, processes):
-    fd = run_once(benchmark, lambda: fig12(quality, processes=processes))
+def test_fig12a_throughput(benchmark, quality):
+    fd = run_once(benchmark, lambda: fig12(quality))
     print("\n" + fd.text("throughput"))
     print("\n" + fd.text("ratio"))
 
@@ -32,8 +32,8 @@ def test_fig12a_throughput(benchmark, quality, processes):
     assert all(t > 0.85 * max(thr) for t in tail)
 
 
-def test_fig12b_direct_ratio_u_shape(benchmark, quality, processes):
-    fd = run_once(benchmark, lambda: fig12(quality, processes=processes))
+def test_fig12b_direct_ratio_u_shape(benchmark, quality):
+    fd = run_once(benchmark, lambda: fig12(quality))
 
     ratios = [a.direct_ratio.mean for a in fd.series["dynamic"]]
     labels = fd.xs

@@ -12,8 +12,8 @@ from repro.apps.workloads import MIB
 from repro.bench.figures import fig13
 
 
-def test_fig13(benchmark, quality, processes):
-    fd = run_once(benchmark, lambda: fig13(quality, processes=processes))
+def test_fig13(benchmark, quality):
+    fd = run_once(benchmark, lambda: fig13(quality))
     print("\n" + fd.text("throughput_mbps"))
 
     direct = fd.metric("direct", lambda a: a.throughput_bps.mean)

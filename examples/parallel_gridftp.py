@@ -10,14 +10,16 @@ full — exactly why bulk-transfer tools parallelise.
 
 The sweep itself runs through :func:`repro.sweep.run_sweep`, so the four
 independent simulations are spread across CPU cores (results are identical
-to running them serially — set ``REPRO_SWEEP_PROCESSES=1`` to check).
+to running them serially — pass ``-j 1`` to check).
 
-Run:  python examples/parallel_gridftp.py
+Run:  python examples/parallel_gridftp.py [-j N]   (default: one worker per CPU)
 """
+
+import argparse
 
 from repro import ExsSocketOptions, ROCE_10G_WAN
 from repro.apps import MIB, FileTransferConfig, run_file_transfer
-from repro.sweep import processes_from_env, run_sweep
+from repro.sweep import run_sweep
 from repro.config import ScenarioConfig
 
 FILE = 256 * MIB
@@ -30,6 +32,10 @@ def transfer(cfg: FileTransferConfig, seed: int):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-j", "--processes", type=int, default=0,
+                        help="sweep worker processes (default 0: one per CPU)")
+    args = parser.parse_args()
     print(f"moving a {FILE // MIB} MiB file over 10 GbE + 48 ms RTT "
           f"(1 MiB chunks, 8 outstanding per stream)\n")
     configs = [
@@ -44,7 +50,7 @@ def main() -> None:
     ]
     results = run_sweep(
         configs, transfer,
-        processes=processes_from_env(default=0),  # default: one per CPU
+        processes=args.processes,
         seeds=[2] * len(configs),
     )
     print(f"{'streams':>8s} {'throughput':>14s} {'elapsed':>10s} {'per-stream':>12s}")

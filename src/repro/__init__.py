@@ -54,7 +54,7 @@ from .exs import (
 from .fabric import Fabric, FabricConnection
 from .simnet import SwitchConfig, Topology
 from .testbed import Testbed
-from .trace import ProtocolTracer, render_timeline
+from .trace import EventIndex, ProtocolTracer, render_timeline
 
 __version__ = "1.0.0"
 
@@ -62,6 +62,7 @@ __all__ = [
     "BlastConfig",
     "BlastResult",
     "BlockingSocket",
+    "EventIndex",
     "ExponentialSizes",
     "ExsEventType",
     "ExsSocketOptions",

@@ -96,7 +96,8 @@ class IncastResult:
     sink_port_peak_queue_bytes: int
     #: SRQ pool low-water mark at the sink (None when not pooled)
     srq_min_free: Optional[int]
-    #: trace-audit violations (0 when auditing was off or clean)
+    #: trace-audit and span-audit violations (0 when auditing was off or
+    #: clean)
     audit_violations: int = 0
 
     def to_dict(self) -> dict:
@@ -171,8 +172,9 @@ def run_incast(
     topology must be unset (the incast shape is derived from *config*).
     *testbed* is a :class:`~repro.fabric.Fabric` the caller already built
     on :func:`incast_topology`.  With *audit* the run records a protocol
-    trace and re-verifies the stream invariants over it
-    (:func:`repro.check.audit.audit_events`).
+    trace and re-verifies the stream invariants and the message spans over
+    it (:func:`repro.check.audit.audit_events` and
+    :func:`~repro.check.audit.audit_spans`).
     """
     fabric = testbed
     if fabric is None:
@@ -225,10 +227,10 @@ def run_incast(
 
     violations = 0
     if tracer is not None:
-        from ..check.audit import audit_events
+        from ..check.audit import audit_events, audit_spans
 
-        report = audit_events(tracer.events)
-        violations = len(report.violations)
+        violations = (len(audit_events(tracer.events).violations)
+                      + len(audit_spans(tracer.events)))
 
     total = config.bytes_per_sender * len(handles)
     end_ns = max(finish.values())

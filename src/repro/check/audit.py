@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, List, Optional, Tuple
 
 from ..core.phase import is_direct
-from ..trace import TraceEvent, events_from_csv
+from ..trace import EventIndex, TraceEvent, events_from_csv
 
 __all__ = ["AuditViolation", "AuditReport", "audit_events", "audit_csv", "audit_spans"]
 
@@ -91,24 +91,14 @@ class AuditReport:
 
 def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
     """Re-verify the protocol invariants over a recorded event stream."""
-    from ..obs.spans import message_endpoints
-
-    events = sorted(events, key=lambda e: e.time_ns)
-    by_dir: Dict[Tuple[int, str], List[TraceEvent]] = defaultdict(list)
-    peers: Dict[Tuple[int, str], int] = {}
-    for e in events:
-        by_dir[(e.conn, e.host)].append(e)
-        if e.kind == "conn_open":
-            peers[(e.conn, e.host)] = e.get("peer")
-    units = {key: "messages" for key in message_endpoints(events)}
-
-    report = AuditReport(events=len(events), connections=len(by_dir))
+    index = EventIndex(sorted(events, key=lambda e: e.time_ns))
+    endpoints = index.endpoints
+    report = AuditReport(events=len(index.events), connections=len(endpoints))
     v = report.violations
     fins: Dict[Tuple[int, str], int] = {}
 
-    for (conn, host), evs in sorted(by_dir.items()):
-        unit = units.get((conn, host), "bytes")
-        messages = unit == "messages"
+    for (conn, host), ep in sorted(endpoints.items()):
+        unit, messages = ep.unit, ep.messages
         expected_seq = 0
         phases: Dict[str, int] = {}
         last_ack = -1
@@ -120,7 +110,7 @@ def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
         def flag(claim: str, detail: str, e: TraceEvent) -> None:
             v.append(AuditViolation(claim, detail, e.time_ns, conn, host))
 
-        for e in evs:
+        for e in ep.events:
             if e.kind in ("direct", "indirect", "eager", "rendezvous"):
                 seq, nbytes, phase = e.get("seq"), e.get("nbytes"), e.get("phase")
                 if seq != expected_seq:
@@ -200,21 +190,21 @@ def audit_events(events: Iterable[TraceEvent]) -> AuditReport:
     # cross-direction conservation: every byte a finished sender claimed
     # must have been delivered by the peer direction it was sent to
     for (conn, host), fin_seq in sorted(fins.items()):
-        peer = peers.get((conn, host))
-        if peer is None:
+        ep = endpoints[conn, host]
+        if ep.peer is None:
             continue
-        for (rconn, rhost), got in sorted(report.delivered.items()):
-            if rconn == peer and rhost != host and got != fin_seq:
-                report.violations.append(
-                    AuditViolation(
-                        "conservation",
-                        f"sender {conn}@{host} finished at {fin_seq} "
-                        f"{units.get((conn, host), 'bytes')} but "
-                        f"peer {rconn}@{rhost} delivered {got}",
-                        conn=rconn,
-                        host=rhost,
-                    )
+        rconn, rhost = ep.peer
+        got = report.delivered[ep.peer]
+        if got != fin_seq:
+            report.violations.append(
+                AuditViolation(
+                    "conservation",
+                    f"sender {conn}@{host} finished at {fin_seq} "
+                    f"{ep.unit} but peer {rconn}@{rhost} delivered {got}",
+                    conn=rconn,
+                    host=rhost,
                 )
+            )
     return report
 
 
@@ -224,18 +214,19 @@ def audit_csv(fh: IO[str]) -> AuditReport:
 
 
 def audit_spans(events: Iterable[TraceEvent]) -> List[AuditViolation]:
-    """Lift :mod:`repro.obs` message spans from *events* and re-check them.
+    """Lift :mod:`repro.obs` message spans from *events* (or their
+    :class:`~repro.trace.EventIndex`) and re-check them.
 
     Only structural claims are asserted — stage ordering and byte
     accounting; incomplete spans are flagged only when the stream finished
     (a FIN was recorded for the span's connection pair).
     """
-    from ..obs.spans import build_spans, message_endpoints
+    from ..obs.spans import build_spans
 
-    events = list(events)
-    spans = build_spans(events)
-    message_dirs = message_endpoints(events)
-    finished_hosts = {(e.conn, e.host) for e in events if e.kind == "fin"}
+    index = EventIndex.of(events)
+    spans = build_spans(index)
+    endpoints = index.endpoints
+    finished_hosts = {(e.conn, e.host) for e in index.events if e.kind == "fin"}
     out: List[AuditViolation] = []
     by_conn: Dict[Tuple[int, str], int] = defaultdict(int)
     for s in spans:
@@ -268,7 +259,7 @@ def audit_spans(events: Iterable[TraceEvent]) -> List[AuditViolation]:
         by_conn[(s.conn, s.host)] = s.seq_end
         moved = s.direct_bytes + s.indirect_bytes
         # a message moves whole, or cut to fit the receive buffer
-        if s.complete and (moved > s.nbytes if (s.conn, s.host) in message_dirs
+        if s.complete and (moved > s.nbytes if endpoints[s.conn, s.host].messages
                            else moved != s.nbytes):
             out.append(
                 AuditViolation(

@@ -101,8 +101,7 @@ class ExsConnection:
             # polling spins on the CQ; a constant tiny delay stands in for
             # the poll-loop iteration time, and the poller accounts the
             # spin itself as library-core burn.
-            wakeup = fixed_wakeup(100) if options.busy_poll else getattr(
-                host, "wakeup_sampler", None)
+            wakeup = fixed_wakeup(100) if options.busy_poll else host.wakeup_sampler
             shard = CqShard(socket.stack, self.conn_id,
                             device.create_channel(wakeup=wakeup, seed=channel_seed))
         #: the CQ shard whose poller services this connection
@@ -137,7 +136,7 @@ class ExsConnection:
         #: reposts owed to the peer that warrant a standalone credit update
         self._credit_update_threshold = max(1, options.credits // 2)
         #: optional ProtocolTracer (see repro.trace); set on the host
-        self.tracer = getattr(host, "tracer", None)
+        self.tracer = host.tracer
         self._last_tx_phase = 0
         self._last_rx_phase = 0
         self._last_discarded = 0
@@ -203,7 +202,7 @@ class ExsConnection:
         if self.tracer is not None:
             self.trace("conn_open", peer=self.peer_conn_id,
                        socket_type=self.socket_type.value)
-        telemetry = getattr(self.host, "telemetry", None)
+        telemetry = self.host.telemetry
         if telemetry is not None:
             telemetry.register_connection(self)
         self.established = True
@@ -321,8 +320,6 @@ class ExsConnection:
         self.broken = True
         self.error = reason
         self.trace("conn_error", reason=reason)
-        if self.sim.tracing:
-            self.sim.trace("exs", f"conn{self.conn_id} failed: {reason}")
         rec = self.sim._recorder
         if rec is not None:
             rec.failure("conn_error", self.sim.now, conn=self.conn_id,

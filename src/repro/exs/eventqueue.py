@@ -112,8 +112,6 @@ class ExsEventQueue:
         """
         if len(self._store) >= self.depth:
             self.dropped += 1
-            if self.sim.tracing:
-                self.sim.trace("exs", f"event queue overflow, dropped {event.kind.value}")
             if not self._overflow_reported:
                 # The reserved slot goes one past depth so the error itself
                 # cannot be lost to the same overflow it reports.

@@ -133,7 +133,7 @@ class CqShard:
         self.private = channel is not None
         if channel is None:
             channel = stack.device.create_channel(
-                wakeup=getattr(stack.host, "wakeup_sampler", None),
+                wakeup=stack.host.wakeup_sampler,
                 seed=stack.next_seed(),
             )
         self.channel = channel

@@ -86,7 +86,7 @@ class ExsStack:
         return ExsEventQueue(
             self.sim,
             depth,
-            wakeup=getattr(self.host, "wakeup_sampler", None),
+            wakeup=self.host.wakeup_sampler,
             seed=self.next_seed(),
         )
 

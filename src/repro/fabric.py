@@ -112,12 +112,11 @@ class Fabric:
         *,
         topology: Optional[Topology] = None,
         jitter: Optional[Callable] = None,
-        trace: Optional[Callable[[int, str, str], None]] = None,
     ) -> None:
         """*scenario* describes the run (default: ``ScenarioConfig()``);
         *topology* is shorthand for ``scenario.with_(topology=...)``.
-        ``jitter``/``trace`` are callables — not serializable, so not
-        scenario fields — and compose on top.
+        ``jitter`` is a callable — not serializable, so not a scenario
+        field — and composes on top.
         """
         scenario = scenario or ScenarioConfig()
         if topology is not None:
@@ -135,9 +134,7 @@ class Fabric:
         schedule_policy = scenario.schedule_policy()
         capture = bool(scenario.causal_capture or scenario.flight_recorder)
 
-        self.sim = Simulator(
-            trace=trace, schedule_policy=schedule_policy, calendar=scenario.kernel,
-        )
+        self.sim = Simulator(schedule_policy=schedule_policy, calendar=scenario.kernel)
         #: the calendar that runs this fabric: ``"wheel"`` or ``"heap"`` —
         #: the resolved scenario's kernel, except that the heap runs when
         #: the wheel's C accelerator could not be built or loaded
@@ -261,11 +258,10 @@ class Fabric:
         scenario: ScenarioConfig,
         *,
         jitter: Optional[Callable] = None,
-        trace: Optional[Callable[[int, str, str], None]] = None,
     ):
         """Build the fabric (or, on :class:`~repro.testbed.Testbed`, the
         testbed) *scenario* describes — the constructor, spelled as a verb."""
-        return cls(scenario, jitter=jitter, trace=trace)
+        return cls(scenario, jitter=jitter)
 
     def _resolve_faults(self, faults) -> Dict[int, ImpairmentModel]:
         """Normalize the faults spec into per-edge-index impairment models."""

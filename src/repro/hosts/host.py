@@ -62,6 +62,14 @@ class Host:
         self.memory = MemoryArena()
         #: set by RdmaDevice when attached
         self.device = None  # type: ignore[assignment]
+        #: the protocol event sink (:class:`~repro.trace.ProtocolTracer`),
+        #: set by ``ProtocolTracer.attach`` or telemetry
+        self.tracer = None
+        #: the :class:`~repro.obs.telemetry.Telemetry` observing this host
+        self.telemetry = None
+        #: completion-channel wake-up latency sampler, set by the fabric
+        #: (``None``: wake-ups are immediate)
+        self.wakeup_sampler = None
 
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int, *, real: bool = True, label: str = "") -> Buffer:

@@ -26,16 +26,16 @@ The bridge from spans to DAG nodes is the ``cause`` field that
 event under capture: the id of the calendar entry executing when the event
 was emitted.  For a ``deliver`` event that is the entry whose dispatch
 performed the delivery, and its ``fire_ns`` *is* the span's
-``delivered_ns``.
+``delivered_ns``; span stitching stamps it on the span as
+:attr:`~repro.obs.spans.MessageSpan.cause`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .spans import MessageSpan, build_spans, message_endpoints
+from .spans import MessageSpan, build_spans
 
 __all__ = [
     "SEGMENTS",
@@ -126,62 +126,6 @@ class CriticalPathReport:
         if self.unattributed:
             lines.append(f"  ({self.unattributed} spans without a recorded deliver cause)")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# span -> deliver-cause bridge
-# ---------------------------------------------------------------------------
-def _deliver_causes(events: List, spans: List[MessageSpan]) -> Dict[Tuple[int, str, int], int]:
-    """Map each span to the causal node id of its *final* deliver event.
-
-    Mirrors the cumulative-delivery walk in
-    :func:`repro.obs.spans._stitch_direction`: deliveries on the peer
-    endpoint are cumulative in stream order, and the last deliver event
-    overlapping a span's byte range is the one whose time became the
-    span's ``delivered_ns``.
-    """
-    peers: Dict[Tuple[int, str], int] = {}
-    by_endpoint: Dict[Tuple[int, str], List] = {}
-    for e in events:
-        by_endpoint.setdefault((e.conn, e.host), []).append(e)
-        if e.kind == "conn_open":
-            peers[(e.conn, e.host)] = e.get("peer", 0)
-
-    messages = message_endpoints(events)
-    spans_by_dir: Dict[Tuple[int, str], List[MessageSpan]] = {}
-    for s in spans:
-        spans_by_dir.setdefault((s.conn, s.host), []).append(s)
-
-    causes: Dict[Tuple[int, str, int], int] = {}
-    for (conn, host), dir_spans in spans_by_dir.items():
-        dir_spans = sorted(dir_spans, key=lambda s: s.seq_start)
-        starts = [s.seq_start for s in dir_spans]
-        peer_conn = peers.get((conn, host))
-        remote: List = []
-        if peer_conn:
-            for (c, h), evs in by_endpoint.items():
-                if c == peer_conn and h != host:
-                    remote = evs
-                    break
-        delivered_cum = 0
-        for e in remote:
-            if e.kind != "deliver":
-                continue
-            nbytes = e.get("nbytes", 0)
-            if (conn, host) in messages:
-                nbytes = 0 if e.get("eof") else 1  # a message plane counts messages
-            cause = e.get("cause", -1)
-            if nbytes > 0:
-                i = max(0, bisect_right(starts, delivered_cum) - 1)
-                while i < len(dir_spans) and dir_spans[i].seq_start < delivered_cum + nbytes:
-                    span = dir_spans[i]
-                    if span.seq_end > delivered_cum:
-                        # events arrive in time order: the last overlapping
-                        # deliver wins, matching the delivered_ns stitching
-                        causes[(span.conn, span.host, span.send_id)] = cause
-                    i += 1
-            delivered_cum += nbytes
-    return causes
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +245,10 @@ def critical_paths(
     (full-capture mode — ``capacity=None`` — for exact chains; ring mode
     yields truncated chains whose unknown prefix degrades to queueing).
     *events* is the tracer's event list; *spans* may be passed if already
-    stitched.
+    stitched from it (each span carries its deliver ``cause``).
     """
-    events = list(events)
     if spans is None:
         spans = build_spans(events)
-    causes = _deliver_causes(events, spans)
 
     windows_by_conn: Dict[int, List[Tuple[int, int]]] = {}
     for conn, start, end in recorder.credit_windows:
@@ -318,13 +260,12 @@ def critical_paths(
     for span in spans:
         if not span.complete or span.e2e_ns is None or span.nbytes == 0:
             continue
-        cause = causes.get((span.conn, span.host, span.send_id), -1)
-        if cause < 0:
+        if span.cause < 0:
             report.unattributed += 1
             continue
         windows = windows_by_conn.get(span.conn, [])
         intervals, depth = _attribute(
-            recorder, cause, span.submit_ns, span.delivered_ns, windows)
+            recorder, span.cause, span.submit_ns, span.delivered_ns, windows)
         path = MessagePath(span=span, intervals=intervals, depth=depth)
         for s, e, seg in intervals:
             path.segments[seg] = path.segments.get(seg, 0) + (e - s)

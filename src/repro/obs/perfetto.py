@@ -5,7 +5,7 @@ Converts a :class:`~repro.trace.ProtocolTracer` event stream plus stitched
 JSON format that https://ui.perfetto.dev and ``chrome://tracing`` load
 directly:
 
-* one *process* track per host (``client`` / ``server`` / ``link``),
+* one *process* track per host (``client`` / ``server``),
   one *thread* track per connection (``ph:"M"`` metadata events);
 * one complete event (``ph:"X"``) per message span on the sender's track,
   from submit to final delivery;
@@ -13,8 +13,9 @@ directly:
   ``conn:send_id``, from the sender's first WWI post to the receiver's
   final delivery — the cross-track "message travels the wire" arrows;
 * instant events (``ph:"i"``) for protocol phase changes and every
-  reliability/fault event (retransmits, NAKs, RNR, drops, outages, QP and
-  connection errors).
+  reliability event (retransmits, NAKs, RNR, QP and connection errors).
+  Dropped frames and link outages are not traced: the impairment model
+  counts them (the ``faults.*`` telemetry gauges).
 
 Timestamps are microseconds (the format's unit) with nanosecond fractions
 preserved.  :func:`validate_chrome_trace` is the strict checker the CI
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from typing import IO, Dict, Iterable, List, Optional, Tuple
 
-from ..trace import RELIABILITY_KINDS
+from ..trace import RELIABILITY_KINDS, EventIndex
 from .spans import MessageSpan, build_spans
 
 __all__ = ["build_chrome_trace", "validate_chrome_trace", "write_chrome_trace"]
@@ -45,43 +46,26 @@ def build_chrome_trace(
     events: Iterable,
     spans: Optional[List[MessageSpan]] = None,
 ) -> dict:
-    """Build a Chrome trace-event document from tracer *events*.
+    """Build a Chrome trace-event document from tracer *events* (or their
+    :class:`~repro.trace.EventIndex`).
 
     Returns ``{"traceEvents": [...], "displayTimeUnit": "ms"}``; feed it to
     :func:`write_chrome_trace` or ``json.dump`` and open in Perfetto.
     """
-    events = list(events)
+    index = EventIndex.of(events)
     if spans is None:
-        spans = build_spans(events)
-
-    # (conn, host) -> peer conn id, for flow-arrow endpoints
-    peers: Dict[Tuple[int, str], int] = {}
-    hosts: List[str] = []
-    tracks: Dict[Tuple[str, int], None] = {}
-    for e in events:
-        if e.host not in hosts:
-            hosts.append(e.host)
-        tracks.setdefault((e.host, e.conn), None)
-        if e.kind == "conn_open":
-            peers[(e.conn, e.host)] = e.get("peer", 0)
-    pid_of = {host: i + 1 for i, host in enumerate(sorted(hosts))}
-
-    def conn_host(conn: int, not_host: str) -> Optional[str]:
-        """The host owning connection *conn* other than *not_host*."""
-        for (h, c) in tracks:
-            if c == conn and h != not_host:
-                return h
-        return None
+        spans = build_spans(index)
+    endpoints = index.endpoints
+    pid_of = {host: i + 1 for i, host in enumerate(sorted({h for _, h in endpoints}))}
 
     out: List[dict] = []
     # ---- metadata: process per host, thread per connection ----------------
     for host, pid in sorted(pid_of.items(), key=lambda kv: kv[1]):
         out.append({"name": "process_name", "ph": "M", "pid": pid,
                     "args": {"name": host}})
-    for host, conn in sorted(tracks):
+    for host, conn in sorted((h, c) for c, h in endpoints):
         out.append({"name": "thread_name", "ph": "M", "pid": pid_of[host],
-                    "tid": max(conn, 0),
-                    "args": {"name": f"conn {conn}" if conn >= 0 else "events"}})
+                    "tid": conn, "args": {"name": f"conn {conn}"}})
 
     body: List[dict] = []
     # ---- message spans as complete events on the sender's track -----------
@@ -95,7 +79,7 @@ def build_chrome_trace(
             "ts": _us(span.submit_ns),
             "dur": _us(span.e2e_ns),
             "pid": pid_of[span.host],
-            "tid": max(span.conn, 0),
+            "tid": span.conn,
             "args": {
                 "nbytes": span.nbytes,
                 "direct_bytes": span.direct_bytes,
@@ -106,24 +90,23 @@ def build_chrome_trace(
             },
         })
         # flow arrow: first post at the sender -> final delivery at the peer
-        peer_conn = peers.get((span.conn, span.host))
-        rx_host = conn_host(peer_conn, span.host) if peer_conn else None
-        if rx_host is None or span.first_post_ns is None:
+        peer = endpoints[span.conn, span.host].peer
+        if peer is None or span.first_post_ns is None:
             continue
         flow_id = f"{span.conn}:{span.send_id}"
         body.append({
             "name": "msg", "cat": "flow", "ph": "s", "id": flow_id,
             "ts": _us(span.first_post_ns),
-            "pid": pid_of[span.host], "tid": max(span.conn, 0),
+            "pid": pid_of[span.host], "tid": span.conn,
         })
         body.append({
             "name": "msg", "cat": "flow", "ph": "f", "bp": "e", "id": flow_id,
             "ts": _us(span.delivered_ns),
-            "pid": pid_of[rx_host], "tid": max(peer_conn, 0),
+            "pid": pid_of[peer[1]], "tid": peer[0],
         })
 
     # ---- instants: phase changes, faults, reliability events --------------
-    for e in events:
+    for e in index.events:
         if e.kind not in _INSTANT_KINDS:
             continue
         body.append({
@@ -133,7 +116,7 @@ def build_chrome_trace(
             "s": "t",
             "ts": _us(e.time_ns),
             "pid": pid_of[e.host],
-            "tid": max(e.conn, 0),
+            "tid": e.conn,
             "args": dict(e.fields),
         })
 

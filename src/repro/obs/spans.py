@@ -22,12 +22,13 @@ positions):
   one span.
 * ``send_done`` (full RC acknowledgement) maps by ``send_id``.
 * ``deliver`` events on the **peer** connection are cumulative in stream
-  order (RC delivery is ordered), giving exact delivered ranges.
+  order (RC delivery is ordered), giving exact delivered ranges; the last
+  one overlapping a span stamps its ``cause`` (the causal node whose
+  dispatch performed the delivery, under capture) on the span.
 * ``copy`` events carry the receiver stream position of the copied range.
 
-The peer connection for each direction comes from the ``conn_open`` event
-each endpoint emits during the EXS handshake (which carries the peer's
-connection id, and its socket type).
+The peer connection and unit of each direction come from the stream's
+:class:`~repro.trace.EventIndex`.
 
 A ``SOCK_SEQPACKET`` connection traces no transfers and counts messages:
 message *i* spans ``[i, i + 1)``, its ``send_done`` gives the bytes that
@@ -38,9 +39,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
-__all__ = ["MessageSpan", "build_spans", "message_endpoints"]
+from ..trace import Endpoint, EventIndex
+
+__all__ = ["MessageSpan", "build_spans"]
 
 
 @dataclass
@@ -66,6 +69,9 @@ class MessageSpan:
     #: receive-side copy activity overlapping this message
     copies: int = 0
     copied_bytes: int = 0
+    #: ``cause`` of the last peer ``deliver`` event overlapping this
+    #: message (-1: none recorded); not serialized
+    cause: int = field(default=-1, init=False, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -150,49 +156,24 @@ class MessageSpan:
 # ---------------------------------------------------------------------------
 # stitching
 # ---------------------------------------------------------------------------
-def message_endpoints(events: Iterable) -> Set[Tuple[int, str]]:
-    """The ``(conn, host)`` endpoints whose ``conn_open`` names a
-    ``SOCK_SEQPACKET`` socket: a message plane, whose sequence counts
-    messages rather than bytes."""
-    return {(e.conn, e.host) for e in events
-            if e.kind == "conn_open" and e.get("socket_type") == "seqpacket"}
-
-
 def build_spans(events: Iterable) -> List[MessageSpan]:
     """Stitch tracer events into one :class:`MessageSpan` per message.
 
     *events* is any iterable of :class:`~repro.trace.TraceEvent`-shaped
-    records in time order (a live tracer's ``events`` list).  Connections
-    without ``send`` events (the pure-receiver side) produce no spans.
+    records in time order (a live tracer's ``events`` list), or their
+    :class:`~repro.trace.EventIndex`.  Connections without ``send`` events
+    (the pure-receiver side) produce no spans.
     """
-    events = list(events)
-    messages = message_endpoints(events)
-    # (conn, host) -> peer conn id, from the handshake's conn_open events
-    peers: Dict[Tuple[int, str], int] = {}
-    by_endpoint: Dict[Tuple[int, str], List] = {}
-    for e in events:
-        key = (e.conn, e.host)
-        by_endpoint.setdefault(key, []).append(e)
-        if e.kind == "conn_open":
-            peers[key] = e.get("peer", 0)
-
+    index = EventIndex.of(events)
     spans: List[MessageSpan] = []
-    for (conn, host), local in by_endpoint.items():
-        direction = _stitch_direction(conn, host, local, peers, by_endpoint,
-                                      (conn, host) in messages)
-        spans.extend(direction)
+    for ep in index.endpoints.values():
+        spans.extend(_stitch_direction(ep, index))
     spans.sort(key=lambda s: (s.host, s.conn, s.send_id))
     return spans
 
 
-def _stitch_direction(
-    conn: int,
-    host: str,
-    local: List,
-    peers: Dict[Tuple[int, str], int],
-    by_endpoint: Dict[Tuple[int, str], List],
-    messages: bool,
-) -> List[MessageSpan]:
+def _stitch_direction(ep: Endpoint, index: EventIndex) -> List[MessageSpan]:
+    conn, host, local, messages = ep.conn, ep.host, ep.events, ep.messages
     sends = [e for e in local if e.kind == "send"]
     if not sends:
         return []
@@ -260,22 +241,20 @@ def _stitch_direction(
 
     # 3. deliveries and copies from the peer endpoint (the receiver of
     #    this direction); peer events live on the other host
-    peer_conn = peers.get((conn, host))
-    remote: List = []
-    if peer_conn:
-        for (c, h), evs in by_endpoint.items():
-            if c == peer_conn and h != host:
-                remote = evs
-                break
+    remote = index.endpoints[ep.peer].events if ep.peer is not None else ()
     delivered_cum = 0
     for e in remote:
         if e.kind == "deliver":
             nbytes = e.get("nbytes", 0)
             if messages:
                 nbytes = 0 if e.get("eof") else 1
+            cause = e.get("cause", -1)
             for span in spans_overlapping(delivered_cum, nbytes):
                 if span.delivered_ns is None or e.time_ns > span.delivered_ns:
                     span.delivered_ns = e.time_ns
+                # events arrive in time order: the last overlapping
+                # deliver's cause wins, also at an equal time
+                span.cause = cause
             delivered_cum += nbytes
         elif e.kind == "copy":
             seq = e.get("seq")

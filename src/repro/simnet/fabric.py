@@ -94,7 +94,7 @@ class NicPort:
     """The device-facing side of a host's access link on a fabric.
 
     Looks like a :class:`~repro.simnet.link.LinkDirection` to the device
-    (``transmit``/``busy_until``/``tracer``) but wraps every payload in a
+    (``transmit``/``busy_until``) but wraps every payload in a
     :class:`FabricFrame` addressed by the *resolve* callable (payload →
     destination host name), provided by the assembling fabric.
     """
@@ -112,14 +112,6 @@ class NicPort:
     @property
     def busy_until(self) -> int:
         return self.direction.busy_until
-
-    @property
-    def tracer(self):
-        return self.direction.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.direction.tracer = value
 
 
 def host_delivery(handler: Callable[[Any], None]) -> Callable[[Any], None]:
@@ -211,10 +203,6 @@ class SwitchPort:
             if cfg.policy == "drop":
                 self.drops += 1
                 self.dropped_bytes += frame.wire_bytes
-                sim = self.switch.sim
-                if sim.tracing:
-                    sim.trace("fabric", f"{self.switch.name}:{self.neighbor} "
-                                        f"drop {frame.wire_bytes}B (queue full)")
                 return
             self.backpressured += 1
             self.pending.append(frame)
@@ -297,8 +285,6 @@ class Switch:
             # FCS failure: a real switch validates the frame check sequence
             # before forwarding and discards on mismatch.
             self.corrupt_dropped += 1
-            if self.sim.tracing:
-                self.sim.trace("fabric", f"{self.name} discarded corrupt frame")
             return
         if not isinstance(frame, FabricFrame):  # pragma: no cover - defensive
             raise SimulationError(

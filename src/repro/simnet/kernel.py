@@ -48,7 +48,7 @@ experiment):
   lifetime, and callers skip the descriptor protocol): on the wheel all six
   are C builtins, on the heap the ``_*_heap`` methods below and
   :func:`~repro.simnet._core.drain_heap`.  The per-event path has no
-  tracing, policy or capture checks.
+  policy or capture checks.
 * :meth:`Simulator.call_in` places a slotted
   :class:`~repro.simnet._core.CallbackEntry` that invokes ``fn(arg)``
   directly, bypassing the full Event protocol — used by the hot delivery
@@ -60,8 +60,6 @@ experiment):
   to the pool only when the kernel can prove (via the CPython reference
   count) that nothing else holds it, so the reuse is invisible to user
   code that keeps a reference.
-* The :attr:`Simulator.tracing` flag lets hot call sites skip building
-  trace strings entirely when no trace hook is installed.
 """
 
 from __future__ import annotations
@@ -101,11 +99,6 @@ class Simulator:
 
     Parameters
     ----------
-    trace:
-        Optional callable ``trace(time_ns, category, message)`` invoked for
-        every traced kernel action.  ``None`` disables tracing (the default;
-        tracing is for debugging, not for measurement).  Call sites on hot
-        paths should consult :attr:`tracing` before formatting messages.
     schedule_policy:
         Optional :class:`~repro.simnet.schedule.SchedulePolicy` re-keying
         same-timestamp ties.  ``None`` (the default) keeps the plain FIFO
@@ -134,8 +127,6 @@ class Simulator:
         "_seq",
         "_policy",
         "_tiebreak",
-        "_trace",
-        "tracing",
         "events_executed",
         "_event_cls",
         "_timeout_cls",
@@ -190,7 +181,6 @@ class Simulator:
 
     def __init__(
         self,
-        trace: Optional[Callable[[int, str, str], None]] = None,
         *,
         schedule_policy=None,
         calendar: Optional[str] = None,
@@ -199,10 +189,6 @@ class Simulator:
         self._seq: int = 0
         self._policy = schedule_policy
         self._tiebreak = schedule_policy.tiebreak if schedule_policy is not None else None
-        self._trace = trace
-        #: True when a trace hook is installed; guards f-string construction
-        #: at call sites (the guarded-trace discipline).
-        self.tracing: bool = trace is not None
         #: number of events executed so far (useful for runaway detection).
         #: The wheel syncs this at batch boundaries and run() exit, not per
         #: event — see :meth:`calendar_stats`.
@@ -478,8 +464,3 @@ class Simulator:
     def process(self, generator: Iterator[Any], name: str = "") -> "Process":
         """Spawn *generator* as a simulation process starting now."""
         return self._process_cls(self, generator, name=name)
-
-    def trace(self, category: str, message: str) -> None:
-        """Emit a trace record if tracing is enabled."""
-        if self._trace is not None:
-            self._trace(self._now, category, message)

@@ -57,16 +57,13 @@ class LinkDirection:
     dataclass instance.
     """
 
-    __slots__ = ("link", "index", "handler", "tracer", "_busy_until",
+    __slots__ = ("link", "index", "handler", "_busy_until",
                  "_last_arrival", "_messages", "_wire_bytes", "_busy_ns")
 
     def __init__(self, link: "Link", index: int) -> None:
         self.link = link
         self.index = index
         self.handler: Optional[Handler] = None
-        #: optional ProtocolTracer-style sink for impairment outcomes
-        #: (``emit(time_ns, conn, host, kind, **fields)``); set by telemetry
-        self.tracer = None
         self._busy_until = 0
         self._last_arrival = 0
         self._messages = 0
@@ -121,7 +118,8 @@ class LinkDirection:
 
         # The transmitter is occupied and the arrival time is computed
         # regardless of fate — a lost frame still burns wire time; only the
-        # delivery changes.
+        # delivery changes.  DROP / DOWN deliver nothing (the impairment
+        # model counts them).
         ncalls = 0
         if fate is Fate.DELIVER:
             # Deliver via a lightweight calendar entry (no Event, no closure).
@@ -134,15 +132,6 @@ class LinkDirection:
         elif fate is Fate.CORRUPT:
             sim.call_in(arrival - now, handler, Corrupted(payload))
             ncalls = 1
-        else:
-            # DROP / DOWN: nothing is delivered; record the loss for chaos
-            # summaries when a tracer is attached.
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, -1, f"link{self.index}",
-                    "link_down" if fate is Fate.DOWN else "frame_drop",
-                    wire_bytes=wire_bytes,
-                )
         if ncalls and sim._recorder is not None:
             # The transmit site is the only place that knows the timing
             # decomposition of a delivery edge; stash it on the causal node
@@ -155,11 +144,6 @@ class LinkDirection:
                 prop_ns=arrival - end_tx,
                 wire_bytes=wire_bytes,
             )
-        if sim.tracing:
-            if fate is Fate.DELIVER:
-                sim.trace("link", f"dir{self.index} tx {wire_bytes}B arrive@{arrival}")
-            else:
-                sim.trace("link", f"dir{self.index} tx {wire_bytes}B fate={fate.value}")
         return arrival
 
     @property

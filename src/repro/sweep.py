@@ -12,9 +12,6 @@ one sanctioned way to do that:
   config order regardless of completion order) and **failure propagation**
   (the first worker exception aborts the sweep and re-raises in the parent,
   carrying the failing config's index and traceback).
-* :func:`processes_from_env` — honour ``REPRO_SWEEP_PROCESSES`` so the
-  benchmark suite and figure runners can be parallelized without code
-  changes.
 
 ``python -m repro.bench <artifact> -j N`` fans a paper artifact's grid out
 over N worker processes through :func:`run_sweep`.
@@ -34,7 +31,7 @@ import os
 import traceback
 from typing import Any, Callable, List, Optional, Sequence
 
-__all__ = ["SweepError", "run_sweep", "processes_from_env", "default_seeds"]
+__all__ = ["SweepError", "run_sweep", "default_seeds"]
 
 
 class SweepError(RuntimeError):
@@ -53,24 +50,6 @@ class SweepError(RuntimeError):
 def default_seeds(count: int) -> List[int]:
     """The default per-config seed assignment: 1, 2, 3, ... (deterministic)."""
     return list(range(1, count + 1))
-
-
-def processes_from_env(default: int = 1) -> int:
-    """Worker count selected by ``REPRO_SWEEP_PROCESSES``.
-
-    ``0`` or ``auto`` means one worker per CPU; unset/invalid means
-    *default* (serial unless the caller opts in).
-    """
-    raw = os.environ.get("REPRO_SWEEP_PROCESSES", "").strip().lower()
-    if not raw:
-        return default
-    if raw == "auto":
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return (os.cpu_count() or 1) if n <= 0 else n
 
 
 def _invoke(payload):

@@ -39,7 +39,6 @@ class Testbed(Fabric):
         scenario: Optional[ScenarioConfig] = None,
         *,
         jitter: Optional[Callable] = None,
-        trace: Optional[Callable[[int, str, str], None]] = None,
     ) -> None:
         """*scenario* describes the run (default: ``ScenarioConfig()``):
         profile, seed, faults, reliability, schedule policy, kernel.  A
@@ -54,7 +53,7 @@ class Testbed(Fabric):
                 "Testbed is the two-host wire; build multi-host "
                 "topologies with repro.fabric.Fabric"
             )
-        super().__init__(scenario, jitter=jitter, trace=trace)
+        super().__init__(scenario, jitter=jitter)
 
     # -- two-host accessors --------------------------------------------
     # client/server are conveniences over the Fabric spelling

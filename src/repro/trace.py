@@ -16,6 +16,12 @@ Usage::
 
 Tracing is off unless attached; the emission points cost one attribute
 check when disabled.
+
+The tracer is the one protocol event sink below the applications: EXS
+connections and the reliability layer reach it through ``host.tracer``.
+Offline readers (the auditor, span stitching, critical paths, the
+Perfetto export) read a recorded stream back through one
+:class:`EventIndex`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "ProtocolTracer", "events_from_csv",
+__all__ = ["TraceEvent", "ProtocolTracer", "EventIndex", "events_from_csv",
            "render_timeline", "summarize"]
 
 
@@ -112,6 +118,68 @@ class ProtocolTracer:
         return len(self.events)
 
 
+class Endpoint:
+    """One ``(conn, host)`` endpoint of a recorded event stream."""
+
+    __slots__ = ("conn", "host", "events", "peer", "messages")
+
+    def __init__(self, conn: int, host: str) -> None:
+        self.conn = conn
+        self.host = host
+        #: this endpoint's events, in stream order
+        self.events: List[TraceEvent] = []
+        #: the key of the other end of the connection, from ``conn_open``
+        self.peer: Optional[Tuple[int, str]] = None
+        #: True on a ``SOCK_SEQPACKET`` socket: a message plane, whose
+        #: sequence counts messages rather than bytes
+        self.messages = False
+
+    @property
+    def unit(self) -> str:
+        return "messages" if self.messages else "bytes"
+
+
+class EventIndex:
+    """A recorded event stream indexed by ``(conn, host)`` endpoint.
+
+    Built in one pass over *events* (any iterable of
+    :class:`TraceEvent`-shaped records); the one reader of the
+    ``conn_open`` schema.  Each endpoint knows its events, its peer's key
+    and its unit.  Conn ids are process-unique, so the peer of an endpoint
+    whose ``conn_open`` names conn *p* is the first-seen endpoint of conn
+    *p* on another host.
+    """
+
+    def __init__(self, events: Iterable[TraceEvent]) -> None:
+        self.events: List[TraceEvent] = list(events)
+        #: endpoint key -> :class:`Endpoint`, in first-seen order
+        self.endpoints: Dict[Tuple[int, str], Endpoint] = {}
+        hosts_of: Dict[int, List[str]] = {}
+        peer_conn: Dict[Tuple[int, str], int] = {}
+        for e in self.events:
+            key = (e.conn, e.host)
+            ep = self.endpoints.get(key)
+            if ep is None:
+                ep = self.endpoints[key] = Endpoint(e.conn, e.host)
+                hosts_of.setdefault(e.conn, []).append(e.host)
+            ep.events.append(e)
+            if e.kind == "conn_open":
+                peer_conn[key] = e.get("peer", 0)
+                if e.get("socket_type") == "seqpacket":
+                    ep.messages = True
+        for (conn, host), peer in peer_conn.items():
+            if peer:
+                for h in hosts_of.get(peer, ()):
+                    if h != host:
+                        self.endpoints[conn, host].peer = (peer, h)
+                        break
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> "EventIndex":
+        """*events* itself when already an index, else its index."""
+        return events if isinstance(events, cls) else cls(events)
+
+
 def events_from_csv(fh: IO[str]) -> List[TraceEvent]:
     """Parse a :meth:`ProtocolTracer.to_csv` export back into events.
 
@@ -162,18 +230,17 @@ def render_timeline(tracer: ProtocolTracer, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-#: event kinds emitted by the reliability/fault layer (PR 3 onwards); they
-#: get their own section in :func:`summarize` so chaos runs read at a glance
-RELIABILITY_KINDS = (
-    "retransmit", "nak", "rnr", "frame_drop", "link_down",
-    "qp_error", "conn_error",
-)
+#: event kinds emitted by the reliability layer and on connection failure;
+#: they get their own section in :func:`summarize` so chaos runs read at a
+#: glance
+RELIABILITY_KINDS = ("retransmit", "nak", "rnr", "qp_error", "conn_error")
 
 
 def summarize(tracer: ProtocolTracer) -> str:
     """Per-connection event counts, byte totals, direct ratio — and, when
     the run was lossy, a reliability section (retransmits, NAKs, RNR
-    pauses, dropped/outage frames, QP and connection errors)."""
+    pauses, QP and connection errors).  Dropped frames and link outages
+    are counted by the impairment model, not traced."""
     counts: Dict[Tuple[int, str], Dict[str, int]] = defaultdict(lambda: defaultdict(int))
     tx_bytes: Dict[Tuple[int, str], Dict[str, int]] = defaultdict(
         lambda: {"direct": 0, "indirect": 0})

@@ -288,8 +288,6 @@ class RdmaDevice:
         """
         if self.reliability is not None:
             self.reliability.stats.corrupt_discarded += 1
-        if self.sim.tracing:
-            self.sim.trace("rel", f"hca{self.device_id} discarded corrupt frame")
 
     def _on_data(self, msg: DataMessage, from_buffer: bool = False) -> None:
         if msg.is_read_response:
@@ -507,8 +505,6 @@ class RdmaDevice:
         impairment = self.link.impairment
         if impairment is not None and impairment.ack_lost(self.endpoint, self.sim.now):
             self.acks_lost += 1
-            if self.sim.tracing:
-                self.sim.trace("rel", f"hca{self.device_id} {kind} msn={msn} lost")
             return
         sack = (self.reliability.sack_bitmap(qp)
                 if self.reliability is not None else 0)
@@ -572,9 +568,7 @@ class RdmaDevice:
         if qp.state is QPState.ERROR:
             return
         qp.to_error()
-        if self.sim.tracing:
-            self.sim.trace("rel", f"qp{qp.qpn} fatal {status.value}")
-        tracer = getattr(self.host, "tracer", None)
+        tracer = self.host.tracer
         if tracer is not None:
             tracer.emit(self.sim.now, qp.qpn, self.host.name, "qp_error",
                         status=status.value, pending=len(pending))
@@ -601,8 +595,6 @@ class RdmaDevice:
         if qp is None or qp.state is QPState.ERROR:
             return
         qp.to_error()
-        if self.sim.tracing:
-            self.sim.trace("rel", f"qp{qp.qpn} peer terminated ({msg.reason})")
         pending = (self.reliability.peer_terminated(qp)
                    if self.reliability is not None else list(qp.inflight.values()))
         qp.flush(WCStatus.WR_FLUSH_ERR, pending)

@@ -214,7 +214,7 @@ class ReliabilityEngine:
         These are the retransmit/NAK/RNR kinds that make chaos-run
         summaries meaningful (:func:`repro.trace.summarize`).
         """
-        tracer = getattr(self.device.host, "tracer", None)
+        tracer = self.device.host.tracer
         if tracer is not None:
             tracer.emit(self.device.sim.now, qp.qpn, self.device.host.name,
                         kind, **fields)
@@ -281,9 +281,6 @@ class ReliabilityEngine:
             return
         if st.recovering_since is None:
             st.recovering_since = sim.now
-        if sim.tracing:
-            sim.trace("rel", f"qp{qp.qpn} timeout#{st.attempts} "
-                             f"retransmit {len(st.unacked)} msgs")
         self._retransmit_window(qp, st, cause="timeout", attempt=st.attempts)
         st.last_progress_ns = sim.now
         self._arm(qp, st, self._current_rto(st))
@@ -320,9 +317,6 @@ class ReliabilityEngine:
             return
         if st.recovering_since is None:
             st.recovering_since = sim.now
-        if sim.tracing:
-            sim.trace("rel", f"qp{qp.qpn} sr-timeout#{st.attempts} "
-                             f"retransmit {len(overdue)} msgs")
         self._resend(qp, overdue, cause="timeout", attempt=st.attempts)
         st.last_progress_ns = sim.now
         self._arm(qp, st, self._current_rto(st))
@@ -471,11 +465,6 @@ class ReliabilityEngine:
         if st.recovering_since is None:
             st.recovering_since = self.device.sim.now
         if st.unacked:
-            if self.device.sim.tracing:
-                self.device.sim.trace(
-                    "rel", f"qp{qp.qpn} nak msn={msn} "
-                           f"{'holes' if self.selective else 'go-back'}-"
-                           f"{len(st.unacked)}")
             if self.selective:
                 self._retransmit_holes(qp, st, cause="nak", msn=msn)
             else:

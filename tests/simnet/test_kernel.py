@@ -137,10 +137,3 @@ def test_events_executed_counter(sim):
 
 def test_peek_empty_calendar(sim):
     assert sim.peek() is None
-
-
-def test_trace_hook_invoked():
-    records = []
-    sim = Simulator(trace=lambda t, cat, msg: records.append((t, cat, msg)))
-    sim.trace("unit", "hello")
-    assert records == [(0, "unit", "hello")]

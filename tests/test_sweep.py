@@ -6,7 +6,6 @@ simulated results — timings, byte counts, and mode-switch counts.
 """
 
 import dataclasses
-import os
 
 import pytest
 
@@ -15,7 +14,7 @@ from repro.apps.workloads import FixedSizes, KIB
 from repro.bench.experiment import SMOKE, run_grid, run_repeated
 from repro.bench.profiles import FDR_INFINIBAND
 from repro.core import ProtocolMode
-from repro.sweep import SweepError, default_seeds, processes_from_env, run_sweep
+from repro.sweep import SweepError, default_seeds, run_sweep
 from repro.config import ScenarioConfig
 
 
@@ -87,17 +86,6 @@ def test_failure_propagates_with_context(processes):
 
 def test_empty_sweep():
     assert run_sweep([], _double) == []
-
-
-def test_processes_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SWEEP_PROCESSES", raising=False)
-    assert processes_from_env(default=1) == 1
-    monkeypatch.setenv("REPRO_SWEEP_PROCESSES", "3")
-    assert processes_from_env() == 3
-    monkeypatch.setenv("REPRO_SWEEP_PROCESSES", "auto")
-    assert processes_from_env() == (os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_SWEEP_PROCESSES", "nonsense")
-    assert processes_from_env(default=2) == 2
 
 
 # ---------------------------------------------------------------------------
