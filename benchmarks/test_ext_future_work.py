@@ -103,10 +103,9 @@ def test_ext_latency_study(benchmark, quality):
             out["start"] = tb.now
             yield from conn.send_bytes(b"x" * size)
 
-        s = tb.sim.process(server())
-        c = tb.sim.process(client())
+        tb.sim.process(server())
+        tb.sim.process(client())
         tb.run(max_events=20_000_000)
-        assert s.triggered and c.triggered
         return out["done"] - out["start"]
 
     def run():

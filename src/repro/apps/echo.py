@@ -138,11 +138,7 @@ def run_echo(
     already built from it) and return its latency distribution."""
     tb = testbed or Testbed.from_scenario(scenario or ScenarioConfig())
     out: dict = {}
-    ps = tb.sim.process(_server_proc(tb, config), name="echo-server")
-    pc = tb.sim.process(_client_proc(tb, config, out), name="echo-client")
+    tb.sim.process(_server_proc(tb, config), name="echo-server")
+    tb.sim.process(_client_proc(tb, config, out), name="echo-client")
     tb.run(max_events=max_events)
-    if not (ps.triggered and pc.triggered):
-        raise RuntimeError("echo deadlocked")
-    ps.result()
-    pc.result()
     return EchoResult(config=config, rtts_ns=out["rtts"])

@@ -194,29 +194,15 @@ def run_incast(
     tracer = ProtocolTracer.attach(fabric) if audit else None
 
     options = config.options or ExsSocketOptions()
+    # every receiver records its finish time, or the run raises
     finish: Dict[int, int] = {}
-    handles = []
-    for name in config.sender_names:
-        for _ in range(config.connections_per_sender):
-            handle = fabric.connect(name, config.sink, options=options)
-            index = len(handles)
-            handles.append(handle)
-            fabric.sim.process(
-                _sender_proc(handle, config), name=f"incast-snd-{index}"
-            )
-            fabric.sim.process(
-                _receiver_proc(handle, config, finish, index),
-                name=f"incast-rcv-{index}",
-            )
+    sources = [name for name in config.sender_names for _ in range(config.connections_per_sender)]
+    for index, name in enumerate(sources):
+        handle = fabric.connect(name, config.sink, options=options)
+        fabric.sim.process(_sender_proc(handle, config), name=f"incast-snd-{index}")
+        fabric.sim.process(_receiver_proc(handle, config, finish, index),
+                           name=f"incast-rcv-{index}")
     fabric.run(max_events=max_events)
-
-    missing = [i for i in range(len(handles)) if i not in finish]
-    if missing:
-        raise RuntimeError(
-            f"incast did not complete: connections {missing[:8]} "
-            f"({len(missing)} of {len(handles)}) never finished "
-            f"(policy={config.policy!r}; dropped frames without reliability?)"
-        )
 
     switch = fabric.switches[next(iter(fabric.topology.switches))]
     forwarded = sum(p.forwarded_bytes for p in switch.ports.values())
@@ -232,16 +218,16 @@ def run_incast(
         violations = (len(audit_events(tracer.events).violations)
                       + len(audit_spans(tracer.events)))
 
-    total = config.bytes_per_sender * len(handles)
+    total = config.bytes_per_sender * len(sources)
     end_ns = max(finish.values())
     sink_pool = fabric.stack(config.sink).srq_pool
     return IncastResult(
         senders=config.senders,
-        connections=len(handles),
+        connections=len(sources),
         total_bytes=total,
         end_ns=end_ns,
         throughput_gbps=(total * 8 / end_ns) if end_ns else 0.0,
-        finish_ns=tuple(finish[i] for i in range(len(handles))),
+        finish_ns=tuple(finish[i] for i in range(len(sources))),
         switch_forwarded_bytes=forwarded,
         switch_dropped_bytes=dropped,
         switch_drops=drops,

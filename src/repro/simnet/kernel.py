@@ -132,6 +132,7 @@ class Simulator:
         "_timeout_cls",
         "_process_cls",
         "_proc_finish",
+        "_live",  # live processes, in spawn order (see process.py)
         "_timeout_pool",
         "_stash",
         "_cbe_pool",
@@ -202,6 +203,7 @@ class Simulator:
         self._timeout_cls = Timeout
         self._process_cls = Process
         self._proc_finish = _finish_process
+        self._live: dict = {}
         # freelists
         self._timeout_pool: list = []
         self._stash = None  # single-slot fast tier in front of _timeout_pool
@@ -349,6 +351,10 @@ class Simulator:
         max_events:
             Optional hard cap on the number of events executed, as a guard
             against accidental infinite simulations.
+
+        A run that fails says so: a process failing with nothing waiting on
+        it, or a drain (``until`` ``None`` or an untriggered event) leaving
+        processes blocked, raises :class:`SimulationError` naming them.
         """
         stop = INF
         target: Optional["Event"] = None
@@ -372,9 +378,17 @@ class Simulator:
 
         if target is not None:
             if not target.triggered:
-                raise SimulationError("simulation ended before 'until' event triggered (deadlock?)")
+                raise SimulationError("'until' event never triggered, " + self._blocked())
             return target.result()
+        if until is None and self._live:
+            raise SimulationError(self._blocked())
         return None
+
+    def _blocked(self) -> str:
+        """The drained calendar's census: each live process and where it waits."""
+        where = "".join(f"; {p.name!r} in {p.suspended_at()}" for p in self._live)
+        return (f"deadlock: calendar drained at t={self._now} ns with "
+                f"{len(self._live)} process(es) blocked{where}")
 
     def _stop_on_target(self, _event: "Event") -> None:
         raise StopSimulation()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+from ._core import _PROCESSED
 from .events import Event
 from .kernel import SimulationError, Simulator
 
@@ -34,6 +35,7 @@ def _finish_process(proc: "Process", exc: BaseException) -> None:
     """Terminate *proc* according to how its generator ended (cold path):
     ``StopIteration`` is a normal return, anything else fails the process
     event."""
+    del proc.sim._live[proc]
     if isinstance(exc, StopIteration):
         proc.succeed(exc.value)
     else:
@@ -56,6 +58,7 @@ class Process(Event):
         self.send = generator.send
         self.throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
+        sim._live[self] = None
         # Bootstrap: start the generator at the current instant via the calendar
         # so that process start order is deterministic.
         start = Event(sim)
@@ -66,7 +69,26 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
+    def suspended_at(self) -> str:
+        """Where the generator is suspended: its innermost ``yield``,
+        followed through ``yield from``."""
+        gen, frame = self.generator, None
+        while gen is not None:
+            frame = getattr(gen, "gi_frame", None) or frame
+            gen = getattr(gen, "gi_yieldfrom", None)
+        if frame is None:  # not a Python generator
+            return "?"
+        return f"{frame.f_code.co_name} ({frame.f_code.co_filename}:{frame.f_lineno})"
+
     # ------------------------------------------------------------------
+    def _run(self) -> None:
+        """Dispatch the completion; a failure nobody waits on ends the run."""
+        if self._cb1 is None and not self._ok:
+            self._cb1 = _PROCESSED
+            raise SimulationError(f"process {self.name!r} failed at t={self.sim._now} ns "
+                                  f"with nothing waiting on it: {self._value!r}") from self._value
+        Event._run(self)
+
     def __call__(self, event: Event) -> None:
         """Drive the generator one step with *event*'s outcome."""
         try:

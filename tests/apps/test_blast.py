@@ -5,7 +5,9 @@ import pytest
 from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
 from repro.bench.profiles import ROCE_10G_LAN
 from repro.core import ProtocolMode
-from repro.config import ScenarioConfig
+from repro.config import KERNELS, ScenarioConfig
+from repro.exs import ExsError
+from repro.simnet import SimulationError
 
 
 def test_blast_moves_every_byte_with_real_data():
@@ -66,3 +68,23 @@ def test_blast_single_message():
                       recv_buffer_bytes=4096)
     r = run_blast(cfg, ScenarioConfig(seed=1), max_events=10_000_000)
     assert r.total_bytes == 4096
+
+
+class _ZeroSecond(FixedSizes):
+    """Fixed sizes, except that the second message is empty."""
+
+    def __iter__(self):
+        yield self.nbytes
+        yield 0
+        yield from super().__iter__()
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_failing_blast_client_surfaces_its_exception(calendar):
+    """A client that raises ends the run with its own exception, not a
+    deadlock report about the server it left waiting."""
+    cfg = BlastConfig(total_messages=4, sizes=_ZeroSecond(4096), recv_buffer_bytes=4096)
+    with pytest.raises(SimulationError, match=r"process 'blast-client' failed") as info:
+        run_blast(cfg, ScenarioConfig(seed=1, kernel=calendar), max_events=10_000_000)
+    assert isinstance(info.value.__cause__, ExsError)
+    assert "exs_send of <= 0 bytes" in str(info.value.__cause__)

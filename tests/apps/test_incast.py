@@ -9,7 +9,7 @@ from repro.apps.incast import main as incast_main
 from repro.config import KERNELS, ScenarioConfig
 from repro.exs import ExsSocketOptions
 from repro.fabric import Fabric
-from repro.simnet import FaultProfile
+from repro.simnet import FaultProfile, SimulationError
 from repro.verbs import ReliabilityConfig
 
 
@@ -196,3 +196,29 @@ def test_heap_matches_wheel_bit_identical(transport, rel_mode, policy, seed, fau
     live = wheel_stats["accelerator"] == "live"
     assert (wheel_stats["backend"], heap_stats["backend"]) == ("wheel" if live else "heap", "heap")
     assert wheel == heap
+
+
+class _SenderBroke(Exception):
+    pass
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_failing_incast_sender_surfaces_its_exception(calendar, monkeypatch):
+    """A sender that raises ends the run with its own exception, not a
+    report that the incast did not complete."""
+    import repro.apps.incast as incast
+
+    real = incast._sender_proc
+    spawned = []
+
+    def sender(handle, config):
+        spawned.append(handle)
+        if len(spawned) == 2:
+            yield handle.established
+            raise _SenderBroke("sender 1 gave up")
+        yield from real(handle, config)
+
+    monkeypatch.setattr(incast, "_sender_proc", sender)
+    with pytest.raises(SimulationError, match=r"process 'incast-snd-1' failed") as info:
+        run_incast(_small(), ScenarioConfig(seed=1, kernel=calendar))
+    assert isinstance(info.value.__cause__, _SenderBroke)

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from helpers import run_procs
-from repro.config import ScenarioConfig
+from repro.config import KERNELS, ScenarioConfig
 from repro.core import SafetyViolation
 from repro.exs import (
     TRANSPORT_EAGER_RENDEZVOUS,
@@ -23,6 +23,7 @@ from repro.exs import (
     BlockingSocket,
     ExsSocketOptions,
 )
+from repro.simnet import SimulationError
 from repro.testbed import Testbed
 
 RDV = ExsSocketOptions(transport=TRANSPORT_EAGER_RENDEZVOUS)
@@ -118,12 +119,14 @@ def test_waitall_spans_eager_and_rendezvous_boundaries():
     assert len(out["data"]) == 40_000
 
 
-def test_transport_mismatch_is_rejected_at_handshake():
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_transport_mismatch_is_rejected_at_handshake(calendar):
     """The hello message carries the transport; mixing planes on one
-    connection is a configuration error, not silent corruption."""
+    connection is a configuration error, not silent corruption: the run
+    ends on it."""
     from repro.exs import ExsError
 
-    tb = Testbed(ScenarioConfig(seed=25))
+    tb = Testbed(ScenarioConfig(seed=25, kernel=calendar))
     wwi = ExsSocketOptions(transport=TRANSPORT_WWI)
 
     def server():
@@ -132,8 +135,10 @@ def test_transport_mismatch_is_rejected_at_handshake():
     def client():
         yield from BlockingSocket.connect(tb.client, 4601, options=RDV)
 
-    with pytest.raises(ExsError, match="transport mismatch"):
+    with pytest.raises(SimulationError, match="process 'test-proc-0' failed at t=") as info:
         run_procs(tb.sim, server(), client(), max_events=50_000_000)
+    assert isinstance(info.value.__cause__, ExsError)
+    assert "transport mismatch" in str(info.value.__cause__)
 
 
 def test_scenario_config_forces_transport_through_blast():

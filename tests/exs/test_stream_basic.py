@@ -5,8 +5,10 @@ import os
 import pytest
 
 from helpers import run_procs
+from repro.config import KERNELS, ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import BlockingSocket, ExsError, ExsSocketOptions, MsgFlags, SocketType
+from repro.simnet import SimulationError
 from repro.testbed import Testbed
 
 
@@ -227,3 +229,26 @@ def test_mode_mismatch_detected(testbed):
     results = run_procs(testbed.sim, server(), client(), max_events=10_000_000)
     assert results[0] is not None and "mode mismatch" in results[0]
     assert results[1] is not None  # rejected
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_failing_client_ends_the_run(calendar):
+    """A zero-byte send raises ExsError in the client while the server
+    blocks in recv_bytes: the run ends on the client's exception instead
+    of returning at quiescence with the server stranded."""
+    tb = Testbed.from_scenario(ScenarioConfig(seed=1, kernel=calendar))
+
+    def server():
+        conn = yield from BlockingSocket.accept_one(tb.server, 4003)
+        yield from conn.recv_bytes(10)
+
+    def client():
+        conn = yield from BlockingSocket.connect(tb.client, 4003)
+        yield from conn.send_bytes(b"")
+
+    tb.sim.process(server(), name="zero-server")
+    tb.sim.process(client(), name="zero-client")
+    with pytest.raises(SimulationError, match=r"process 'zero-client' failed at t=") as info:
+        tb.run()
+    assert isinstance(info.value.__cause__, ExsError)
+    assert "exs_send of <= 0 bytes" in str(info.value.__cause__)

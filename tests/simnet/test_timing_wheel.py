@@ -695,12 +695,18 @@ def test_register_regime_gates_match_heap(kind):
             seen = [(list(log),) + _observed(sim)]
             if calendar == "wheel":
                 assert sim.calendar_stats()["batches"] == 0  # never left the register
-            # (the raise took the chain's only resume with it: nothing left)
             for _ in range(0 if kind == "raise" else 5):
                 sim.step()
                 seen.append((list(log),) + _observed(sim))
-        sim.run()
-        seen.append((log,) + _observed(sim))
+        if kind == "raise":
+            # (the raise took the chain's only resume with it: the drain
+            # strands the process, and says where)
+            with pytest.raises(SimulationError, match=r"deadlock: .* 'chain' in chain") as info:
+                sim.run()
+            seen.append((log, str(info.value)) + _observed(sim))
+        else:
+            sim.run()
+            seen.append((log,) + _observed(sim))
         phases.append(seen)
     assert phases[0] == phases[1]
     _log, now, peek, _pending, count = phases[0][0]
@@ -815,9 +821,12 @@ def test_accel_binds_compiled_paths():
 
 
 @accel
-def test_accel_spin_exception_and_count(sim):
-    """An exception escaping a process mid-chain propagates out of run()
-    with the interrupted event already counted (count-before-dispatch)."""
+@pytest.mark.parametrize("calendar", BACKENDS)
+def test_accel_spin_exception_and_count(calendar):
+    """A process failing mid-chain, with nothing waiting on it, ends run()
+    with a SimulationError chained to its exception, the event that
+    raised already counted (count-before-dispatch)."""
+    sim = Simulator(calendar=calendar)
     before = []
 
     def chain():
@@ -827,13 +836,18 @@ def test_accel_spin_exception_and_count(sim):
         raise RuntimeError("boom")
 
     p = sim.process(chain())
-    sim.run()  # the failure is captured by the process event, not raised
+    with pytest.raises(SimulationError, match=r"process 'chain' failed at t=50 ns") as info:
+        sim.run()
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert str(info.value.__cause__) == "boom"
     assert before == [0, 1, 2, 3, 4]
     assert p.ok is False
     with pytest.raises(RuntimeError, match="boom"):
         p.result()
-    # bootstrap + 5 timeouts + the final resume that raised = 7
+    # bootstrap + 5 timeouts (the fifth's resume raised) + the process's
+    # completion, whose dispatch raised = 7
     assert sim.events_executed == 7
+    assert sim.peek() is None
 
 
 @accel
