@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke check-smoke smoke-digest fabric-smoke perf-smoke perf all
+.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke check-smoke fabric-smoke perf-smoke perf all
 
 install:
 	pip install -e . || python setup.py develop
@@ -88,21 +88,6 @@ check-smoke:
 		done; \
 	done; \
 	exit $$status
-
-# Bit-identity digest: run the telemetry smoke, the causal-trace smoke and
-# a 50-seed fuzz into a temporary directory and print one "sha256  name"
-# line per artifact (telemetry JSONL, Perfetto JSON, fuzz stdout), with no
-# paths, so two checkouts compare with one diff of this target's output.
-# The expected digests are committed in tests/golden/smoke_digest.txt
-# (the telemetry one per calendar), which tier-1's
-# tests/test_smoke_digest.py regenerates and compares.
-smoke-digest:
-	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	python -m repro.obs smoke --out "$$d/telemetry-smoke.jsonl" > "$$d/log" 2>&1 && \
-	python -m repro.obs trace --smoke --out "$$d/trace-smoke.json" >> "$$d/log" 2>&1 && \
-	python -m repro.check fuzz --seeds 50 > "$$d/fuzz-stdout.txt" 2>> "$$d/log" || \
-	{ cat "$$d/log" "$$d/fuzz-stdout.txt"; exit 1; } && \
-	cd "$$d" && sha256sum telemetry-smoke.jsonl trace-smoke.json fuzz-stdout.txt
 
 # End-to-end + per-layer host-time benchmark (perf/README.md; the gate
 # every perf PR is judged by, declared in BENCHMARK.json).  The smoke

@@ -62,8 +62,7 @@ class Telemetry:
         self._spans: Optional[List[MessageSpan]] = None
         self._finished = False
         self.registry.add_collector(self._collect_connections)
-        if hasattr(sim, "calendar_stats"):
-            self.registry.add_collector(self._collect_kernel)
+        self.registry.add_collector(self._collect_kernel)
         self.conns_opened = self.registry.counter(
             "conns.opened", "EXS connections registered with telemetry")
 
@@ -296,15 +295,14 @@ class Telemetry:
         if self._finished:
             return self.spans()
         self._finished = True
-        if hasattr(self.sim, "calendar_stats"):
-            # the non-numeric half of the kernel's self-description (the
-            # counters travel as kernel.* gauges)
-            stats = self.sim.calendar_stats()
-            self.meta.setdefault("kernel", stats["backend"])
-            self.meta.setdefault("accelerator", stats["accelerator"])
-            if stats.get("accelerator_reason"):
-                # only an unavailable accelerator has one (a fact of the run)
-                self.meta.setdefault("accelerator_reason", stats["accelerator_reason"])
+        # the non-numeric half of the kernel's self-description (the
+        # counters travel as kernel.* gauges)
+        stats = self.sim.calendar_stats()
+        self.meta.setdefault("kernel", stats["backend"])
+        self.meta.setdefault("accelerator", stats["accelerator"])
+        if stats.get("accelerator_reason"):
+            # only an unavailable accelerator has one (a fact of the run)
+            self.meta.setdefault("accelerator_reason", stats["accelerator_reason"])
         self.sampler.finish()
         spans = self.spans()
         for stage in SPAN_STAGE_HISTOGRAMS:
