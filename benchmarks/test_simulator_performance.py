@@ -200,9 +200,10 @@ def _scale_incast(connections_per_sender: int, srq_depth, cq_shards,
     """16-sender switched fan-in at scale, synthetic payloads.
 
     Synthetic mode (like the calendar benchmarks, unlike the real-bytes
-    blasts) so the timing measures the harness — engine scheduling, CQ
-    polling, switch queueing — not host page-fault cost for hundreds of
-    16 MiB rings.
+    blasts): rings and user send/receive buffers are all length-only, so
+    the timing measures the harness — engine scheduling, CQ polling,
+    switch queueing — not host page-fault cost for hundreds of 16 MiB
+    rings or the copies into the receive buffers.
     """
     from repro.apps.incast import IncastConfig, run_incast
     from repro.exs import ExsSocketOptions

@@ -54,7 +54,9 @@ class IncastConfig:
     policy: str = "backpressure"
     #: bounded depth of each switch output queue
     port_queue_bytes: int = 256 * 1024
-    #: socket options for every connection (None = defaults)
+    #: socket options for every connection (None = defaults); the user
+    #: send and receive buffers follow its ``real_data``, so a synthetic
+    #: run materialises, pins and copies no payload bytes
     options: Optional[ExsSocketOptions] = None
 
     def __post_init__(self) -> None:
@@ -131,7 +133,8 @@ def _sender_proc(handle, config: IncastConfig):
     yield handle.established
     stack = handle.fabric.stack(handle.a)
     sock, eq = handle.a_socket, handle.a_eq
-    buf = stack.alloc(config.message_bytes, label=f"incast:{handle.a}:snd")
+    buf = stack.alloc(config.message_bytes, real=sock.options.real_data,
+                      label=f"incast:{handle.a}:snd")
     mr = yield from stack.mregister(buf)
     remaining = config.bytes_per_sender
     while remaining > 0:
@@ -146,7 +149,8 @@ def _receiver_proc(handle, config: IncastConfig, finish: Dict[int, int], index: 
     yield handle.established
     stack = handle.fabric.stack(handle.b)
     sock, eq = handle.b_socket, handle.b_eq
-    buf = stack.alloc(config.message_bytes, label=f"incast:{handle.a}:rcv")
+    buf = stack.alloc(config.message_bytes, real=sock.options.real_data,
+                      label=f"incast:{handle.a}:rcv")
     mr = yield from stack.mregister(buf)
     remaining = config.bytes_per_sender
     while remaining > 0:

@@ -15,7 +15,6 @@ Paper-variable correspondence (Table I): ``self.phase`` = P_r,
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, List, Optional
@@ -88,8 +87,9 @@ class ReceiverAlgorithm:
         #: the paper's k_b — pending exs_recv()s with no ADVERT
         self.unadvertised_recvs: int = 0
         self.queue: Deque[RecvEntry] = deque()
-        self._advert_ids = itertools.count(1)
-        self._recv_ids = itertools.count(1)
+        #: ids of the next ADVERT and the next receive
+        self._next_advert_id = 1
+        self._next_recv_id = 1
 
     # ------------------------------------------------------------------
     # Fig. 3 — user posts an exs_recv()
@@ -108,7 +108,9 @@ class ReceiverAlgorithm:
         """
         if length <= 0:
             raise ValueError("exs_recv length must be positive")
-        entry = RecvEntry(next(self._recv_ids), length, waitall, context)
+        recv_id = self._next_recv_id
+        self._next_recv_id = recv_id + 1
+        entry = RecvEntry(recv_id, length, waitall, context)
         self.queue.append(entry)
         advert = self._maybe_advertise(entry, advert_remote_addr, advert_rkey)
         return entry, advert
@@ -143,8 +145,10 @@ class ReceiverAlgorithm:
                 "re-advertising while indirect data or prior adverts outstanding",
             )
             self.advert_seq_estimate = self.seq
+        advert_id = self._next_advert_id
+        self._next_advert_id = advert_id + 1
         advert = Advert(
-            advert_id=next(self._advert_ids),
+            advert_id=advert_id,
             seq=self.advert_seq_estimate,  # line 9: S_A <- S'_r
             # a partially-filled WAITALL receive re-advertises only its
             # remaining window, placed past the bytes already delivered

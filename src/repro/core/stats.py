@@ -8,8 +8,8 @@ mode-switch count reported in the paper's Table III.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Tuple
+from dataclasses import dataclass
+from typing import Deque, Tuple, Union
 
 __all__ = ["ProtocolStats", "PHASE_TRACE_CAP"]
 
@@ -43,17 +43,21 @@ class ProtocolStats:
 
     #: (time_ns, new_phase) phase transitions, for diagnostics/plots.
     #: Capped at PHASE_TRACE_CAP entries (oldest dropped first); append via
-    #: :meth:`note_phase` so drops are counted.
-    phase_trace: Deque[Tuple[int, int]] = field(default_factory=deque)
+    #: :meth:`note_phase` so drops are counted.  Only traced runs record
+    #: them, so it is an empty tuple until the first one.
+    phase_trace: Union[Deque[Tuple[int, int]], Tuple[()]] = ()
     #: transitions evicted from :attr:`phase_trace` at the cap
     phase_trace_dropped: int = 0
 
     def note_phase(self, time_ns: int, phase: int) -> None:
         """Record a phase transition, evicting the oldest at the cap."""
-        if len(self.phase_trace) >= PHASE_TRACE_CAP:
-            self.phase_trace.popleft()
+        trace = self.phase_trace
+        if type(trace) is tuple:
+            trace = self.phase_trace = deque()
+        elif len(trace) >= PHASE_TRACE_CAP:
+            trace.popleft()
             self.phase_trace_dropped += 1
-        self.phase_trace.append((time_ns, phase))
+        trace.append((time_ns, phase))
 
     @property
     def total_transfers(self) -> int:

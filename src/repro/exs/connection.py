@@ -53,6 +53,20 @@ __all__ = ["ExsConnection"]
 class ExsConnection:
     """State and completion handlers of one connected EXS socket."""
 
+    # Declared: a connection has more fields than CPython keeps in a
+    # compact shared-key instance dict, so a plain instance would carry a
+    # full dict of its own.
+    __slots__ = (
+        "sim", "host", "device", "socket", "options", "conn_id", "costs", "socket_type",
+        "transport", "_tx_cls", "_on_control", "_on_payload", "_on_imm", "srq_pool",
+        "_shard", "channel", "cq", "qp", "credits", "tx_stats", "rx_stats", "copy_meter",
+        "_next_wr_id", "rx", "tx", "peer_hello", "_ctrl_sge", "_ctrl_queue",
+        "_credit_update_threshold", "tracer", "_last_tx_phase", "_last_rx_phase",
+        "_last_discarded", "peer_conn_id", "_engine", "established", "closing",
+        "close_event_posted", "_close_eq", "_close_context", "_fin", "_fin_acked",
+        "broken", "error",
+    )
+
     _ids = itertools.count(1)
 
     def __init__(
@@ -78,7 +92,8 @@ class ExsConnection:
 
         self.socket_type = socket_type
         # a stream socket that names a transport keeps it; the rest take the run's
-        self.transport, self._tx_cls, rx_cls = resolve_pair(
+        (self.transport, self._tx_cls, rx_cls,
+         (self._on_control, self._on_payload, self._on_imm)) = resolve_pair(
             socket_type, options.transport or socket.stack.transport)
         if not options.native_write_with_imm and not self._tx_cls.emulates_write_with_imm:
             raise ValueError(f"native_write_with_imm=False has no effect with transport="
@@ -123,7 +138,8 @@ class ExsConnection:
         #: meter, so "copied exactly once" is directly assertable.
         self.copy_meter = CopyMeter()
 
-        self._wr_ids = itertools.count(1)
+        #: the wr_id of the next posted work request
+        self._next_wr_id = 1
         self.rx: ReceiverHalf = rx_cls(self)
         #: built by :meth:`on_peer_hello`, from the peer's hello
         self.tx: SenderHalf
@@ -193,11 +209,6 @@ class ExsConnection:
         self.credits = CreditManager(initial_remote=int(peer["credits"]))
         self.peer_hello = peer
         self.tx = self._tx_cls(self)
-        rx = self.rx
-        self._on_control = {CreditMsg: self._on_credit, FinMsg: self._on_fin,
-                            **self.tx.control, **rx.control}
-        self._on_payload = rx.payload
-        self._on_imm = rx.imm
         self.peer_conn_id = int(peer.get("conn_id", 0))
         if self.tracer is not None:
             self.trace("conn_open", peer=self.peer_conn_id,
@@ -212,12 +223,14 @@ class ExsConnection:
     # small helpers
     # ------------------------------------------------------------------
     def next_wr_id(self) -> int:
-        return next(self._wr_ids)
+        wr_id = self._next_wr_id
+        self._next_wr_id = wr_id + 1
+        return wr_id
 
     def reserve_wr_ids(self, n: int) -> int:
         """Take the next *n* wr_ids in one step; returns the first."""
-        first = next(self._wr_ids)
-        self._wr_ids = itertools.count(first + n)
+        first = self._next_wr_id
+        self._next_wr_id = first + n
         return first
 
     def kick(self) -> None:
@@ -421,16 +434,17 @@ class ExsConnection:
         yield self.costs.completion_ns
         self.recycle_recv(wc.context)
         chunk: Chunk = wc.meta["chunk"]
-        handler(imm_id, wc.byte_len, chunk.stream_offset, wc.meta["remote_addr"])
+        handler(self.rx, imm_id, wc.byte_len, chunk.stream_offset, wc.meta["remote_addr"])
 
     def _handle_control_arrival(self, wc: WorkCompletion):
         msg = wc.meta["chunk"].obj
-        handler = self._on_control.get(type(msg))
-        if handler is not None:
+        entry = self._on_control.get(type(msg))
+        if entry is not None:
             yield self.costs.control_ns
             self.recycle_recv(wc.context)
             self.credits.on_peer_grant(msg.credit_cum)
-            handler(msg)
+            handler, on_tx = entry
+            handler(self.tx if on_tx else self.rx, msg)
             return
         handler = self._on_payload.get(type(msg))
         if handler is None:
@@ -439,7 +453,7 @@ class ExsConnection:
         # completion; control messages are lighter.
         yield self.costs.completion_ns
         self.credits.on_peer_grant(msg.credit_cum)
-        handler(msg, wc.context)
+        handler(self.rx, msg, wc.context)
 
     def recycle_recv(self, slot: Any) -> None:
         """Repost a consumed RECV (*slot*: its context) and account the
@@ -449,13 +463,6 @@ class ExsConnection:
         else:
             self.rx.repost_recv(slot)
         self.credits.on_local_repost()
-
-    def _on_credit(self, msg: CreditMsg) -> None:
-        """A standalone grant: its ``credit_cum``, applied on arrival like
-        every control message's, is all it carries."""
-
-    def _on_fin(self, msg: FinMsg) -> None:
-        self.rx.on_fin(msg.final_seq)
 
     # -- control-plane transmit -------------------------------------------
     def _pump_control(self):

@@ -96,7 +96,9 @@ class ExsEventQueue:
         self._store = Store(sim)
         self.delivered = 0
         self.wakeup = wakeup
-        self._rng = random.Random(seed)
+        #: ``random.Random(seed)``, built on the first wake-up draw
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self.slept_wakeups = 0
         #: completions discarded because the application stopped dequeueing
         self.dropped = 0
@@ -131,7 +133,10 @@ class ExsEventQueue:
         if self.wakeup is not None and store.waiting:
             # the application is asleep in dequeue(): it gets the event
             # one OS wake-up later
-            store.put(event, delay=int(round(self.wakeup(self._rng))))
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._seed)
+            store.put(event, delay=int(round(self.wakeup(rng))))
         else:
             store.put(event)
 

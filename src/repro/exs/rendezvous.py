@@ -65,7 +65,6 @@ class RdvSenderHalf(SenderBase):
         self.grants: Deque[CtsMsg] = deque()
         #: send_ids whose RTS has been queued
         self._rts_sent: set = set()
-        self.control = {CtsMsg: self.on_cts}
 
     # ------------------------------------------------------------------
     # engine-facing
@@ -173,6 +172,8 @@ class RdvSenderHalf(SenderBase):
     def gauges(self) -> Dict[str, float]:
         return {"tx.cts_grants_queued": len(self.grants)}
 
+    control = {CtsMsg: on_cts}
+
 
 # ---------------------------------------------------------------------------
 @dataclass
@@ -233,9 +234,6 @@ class RdvReceiverHalf(ReceiverBase):
         self.seq = 0
         #: next expected stream offset of a data arrival (order check)
         self._arrival_seq = 0
-        self.control = {RtsMsg: self.on_rts}
-        self.payload = {EagerDataMsg: self.on_eager_arrival}
-        self.imm = {IMM_RENDEZVOUS: self.on_rendezvous_arrival}
 
     # ------------------------------------------------------------------
     # bounce-slot receive pool
@@ -438,3 +436,7 @@ class RdvReceiverHalf(ReceiverBase):
             "rx.eager_staged": len(self.staged),
             "rx.rts_remaining": self.rts_remaining,
         }
+
+    control = {**ReceiverBase.control, RtsMsg: on_rts}
+    payload = {EagerDataMsg: on_eager_arrival}
+    imm = {IMM_RENDEZVOUS: on_rendezvous_arrival}

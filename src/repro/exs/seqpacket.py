@@ -17,7 +17,6 @@ when porting stream applications.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional, Tuple
 
@@ -40,7 +39,6 @@ class SeqPacketSenderHalf(SenderBase):
         super().__init__(conn)
         self.adverts: Deque[Advert] = deque()
         self.messages_sent = 0
-        self.control = {AdvertMsg: self.on_advert}
 
     def on_advert(self, msg: AdvertMsg) -> None:
         conn = self.conn
@@ -85,6 +83,8 @@ class SeqPacketSenderHalf(SenderBase):
         """For SOCK_SEQPACKET the FIN carries the message count."""
         return self.messages_sent
 
+    control = {AdvertMsg: on_advert}
+
 
 class SeqPacketReceiverHalf(ReceiverBase):
     """Inbound direction: advert every receive, complete on arrival.
@@ -98,13 +98,14 @@ class SeqPacketReceiverHalf(ReceiverBase):
         super().__init__(conn)
         #: (advert_id, UserRecv) per advertised receive, in order
         self.queue: Deque[Tuple[int, Any]] = deque()
-        self._advert_ids = itertools.count(1)
-        self.payload = {DataNotifyMsg: self.on_notify}
-        self.imm = {IMM_DIRECT: self.on_direct_arrival}
+        #: the id of the next ADVERT
+        self._next_advert_id = 1
 
     def _enqueue(self, urecv) -> Optional[AdvertMsg]:
+        advert_id = self._next_advert_id
+        self._next_advert_id = advert_id + 1
         advert = Advert(
-            advert_id=next(self._advert_ids),
+            advert_id=advert_id,
             seq=0,
             length=urecv.nbytes,
             phase=0,
@@ -130,3 +131,6 @@ class SeqPacketReceiverHalf(ReceiverBase):
     def _stream_finished(self) -> bool:
         # the FIN follows every message on the same QP
         return self.eof_seq is not None
+
+    payload = {DataNotifyMsg: ReceiverBase.on_notify}
+    imm = {IMM_DIRECT: on_direct_arrival}

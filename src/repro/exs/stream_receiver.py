@@ -24,7 +24,9 @@ from .control import (
     IMM_INDIRECT,
     RECV_BUF_BYTES,
     AdvertMsg,
+    CreditMsg,
     DataNotifyMsg,
+    FinMsg,
     RingAckMsg,
     decode_imm,
 )
@@ -62,12 +64,14 @@ class ReceiverBase:
     Subclasses queue receives (``_enqueue(urecv)``, returning the ADVERT
     to send, if any), take every pending one in order
     (``_drain_pending()``, yielding ``(urecv, bytes filled)``), say when
-    the stream is over (``_stream_finished()``), and fill the tables the
-    connection dispatches arrivals by: :attr:`control` (``handler(msg)``;
-    the receive is reposted first), :attr:`payload` (SENDs that carry or
-    announce payload, ``handler(msg, slot)``; the handler reposts the
+    the stream is over (``_stream_finished()``), and declare the class
+    tables the connection dispatches arrivals by, plain functions called
+    with the half first: :attr:`control` (``handler(half, msg)``; the
+    receive is reposted first), :attr:`payload` (SENDs that carry or
+    announce payload, ``handler(half, msg, slot)``; the handler reposts the
     receive when done with it) and :attr:`imm` (WRITE WITH IMM arrivals by
-    immediate type, ``handler(imm_id, nbytes, stream_offset, remote_addr)``).
+    immediate type, ``handler(half, imm_id, nbytes, stream_offset,
+    remote_addr)``).
     """
 
     #: control receives are interchangeable, so a stack-wide SRQ may
@@ -83,9 +87,6 @@ class ReceiverBase:
 
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
-        self.control: Dict[type, Any] = {}
-        self.payload: Dict[type, Any] = {}
-        self.imm: Dict[int, Any] = {}
         #: end-of-stream sequence number from the peer's FIN, if received
         self.eof_seq: Optional[int] = None
         #: throughput equation (1) end point: the last completion
@@ -155,7 +156,7 @@ class ReceiverBase:
         handler = self.imm.get(kind)
         if handler is None:
             conn.unhandled(f"notify immediate {msg.imm_data:#x}")
-        handler(imm_id, msg.nbytes, msg.stream_offset, msg.remote_addr)
+        handler(self, imm_id, msg.nbytes, msg.stream_offset, msg.remote_addr)
 
     # A receiver with no staging area to copy out of, and no ADVERTs held
     # back for a gate, keeps both engine guards False: these never run.
@@ -179,6 +180,13 @@ class ReceiverBase:
         if self.eof_seq is not None:
             return
         self.eof_seq = final_seq
+
+    def on_fin_msg(self, msg: FinMsg) -> None:
+        self.on_fin(msg.final_seq)
+
+    def on_credit(self, msg: CreditMsg) -> None:
+        """A standalone grant: its ``credit_cum``, applied on arrival like
+        every control message's, is all it carries."""
 
     def pump_eof(self) -> bool:
         """Deliver EOF completions once the stream is fully consumed.
@@ -217,6 +225,11 @@ class ReceiverBase:
         """Sample-time telemetry of this half, by metric suffix."""
         return {}
 
+    # dispatch tables: what every receiver takes; subclasses extend them
+    control: Dict[type, Any] = {CreditMsg: on_credit, FinMsg: on_fin_msg}
+    payload: Dict[type, Any] = {}
+    imm: Dict[int, Any] = {}
+
 
 class StreamReceiverHalf(ReceiverBase):
     """Inbound direction of one EXS stream socket (WWI transport).
@@ -240,8 +253,6 @@ class StreamReceiverHalf(ReceiverBase):
         )
         #: cumulative copied-out count included in the last ring ACK
         self._last_acked_copied = 0
-        self.payload = {DataNotifyMsg: self.on_notify}
-        self.imm = {IMM_DIRECT: self.on_direct_arrival, IMM_INDIRECT: self.on_indirect_arrival}
 
     def hello(self) -> Dict[str, int]:
         return {
@@ -353,3 +364,6 @@ class StreamReceiverHalf(ReceiverBase):
 
     def gauges(self) -> Dict[str, float]:
         return {"rx.ring_stored": self.algo.ring.stored}
+
+    payload = {DataNotifyMsg: ReceiverBase.on_notify}
+    imm = {IMM_DIRECT: on_direct_arrival, IMM_INDIRECT: on_indirect_arrival}

@@ -10,7 +10,6 @@ send credits.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Deque, Dict, Optional
@@ -64,8 +63,8 @@ class SenderBase:
 
     Subclasses add :meth:`pump` (engine-body generator: hand pending sends
     to the transport; returns True if anything moved), ``final_seq`` (what
-    the FIN carries) and :attr:`control`, their table of the control
-    messages the peer's receiver sends them.
+    the FIN carries) and :attr:`control`, their class table of the control
+    messages the peer's receiver sends them (``handler(half, msg)``).
     """
 
     #: the pure protocol core, if the transport has one (phase tracing)
@@ -82,7 +81,8 @@ class SenderBase:
         #: `pending` drops a send once fully *planned*; this map keeps it
         #: until fully *acked* so connection failure can error it out.
         self._incomplete: "dict[int, UserSend]" = {}
-        self._send_ids = itertools.count(1)
+        #: the id of the next submitted send
+        self._next_send_id = 1
         #: throughput equation (1) start point: the first transfer posted
         self.first_post_ns: Optional[int] = None
 
@@ -91,7 +91,9 @@ class SenderBase:
     # ------------------------------------------------------------------
     def submit(self, buffer: Buffer, mr: Any, offset: int, nbytes: int, eq: Any, context: Any) -> UserSend:
         """Queue an ``exs_send`` of the user's (registered) buffer."""
-        usend = UserSend(next(self._send_ids), buffer, mr, offset, nbytes, eq, context,
+        send_id = self._next_send_id
+        self._next_send_id = send_id + 1
+        usend = UserSend(send_id, buffer, mr, offset, nbytes, eq, context,
                          posted_at_ns=self.conn.sim.now)
         self.pending.append(usend)
         self._incomplete[usend.send_id] = usend
@@ -228,6 +230,9 @@ class SenderBase:
         """Sample-time telemetry of this half, by metric suffix."""
         return {}
 
+    # dispatch table (see the class docstring); subclasses fill it
+    control: Dict[type, Any] = {}
+
 
 class StreamSenderHalf(SenderBase):
     """Outbound direction of one EXS stream socket (WWI transport).
@@ -247,7 +252,6 @@ class StreamSenderHalf(SenderBase):
             mode=conn.options.mode,
             stats=conn.tx_stats,
         )
-        self.control = {AdvertMsg: self.on_advert, RingAckMsg: self.on_ring_ack}
 
     # ------------------------------------------------------------------
     # engine-facing
@@ -334,3 +338,5 @@ class StreamSenderHalf(SenderBase):
 
     def gauges(self) -> Dict[str, float]:
         return {"tx.ring_free": self.algo.ring.free}
+
+    control = {AdvertMsg: on_advert, RingAckMsg: on_ring_ack}

@@ -11,16 +11,19 @@ Each pair owns what only it uses: its receive pool (and whether a shared
 SRQ may stand in for it), its hello fields, its telemetry gauges and its
 dispatch tables — ``{message type: handler}`` for control messages and for
 SENDs that carry or announce payload, ``{immediate type: handler}`` for
-WRITE WITH IMM arrivals.  A message outside the tables is one protocol
-error naming the message and the transport.  The shared bookkeeping lives
-in :class:`~repro.exs.stream_sender.SenderBase` and
+WRITE WITH IMM arrivals.  The tables are class attributes of plain
+functions, called with the half first, so :data:`TABLES` holds one set per
+pair that all of its connections share.  A message outside the tables is
+one protocol error naming the message and the transport.  The shared
+bookkeeping lives in :class:`~repro.exs.stream_sender.SenderBase` and
 :class:`~repro.exs.stream_receiver.ReceiverBase`, whose docstrings give
 each member's meaning.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (Any, Callable, ClassVar, Deque, Dict, Generator, List, Optional, Protocol,
+                    Tuple, runtime_checkable)
 
 from .flags import TRANSPORT_EAGER_RENDEZVOUS, TRANSPORT_WWI, SocketType
 from .rendezvous import RdvReceiverHalf, RdvSenderHalf
@@ -28,7 +31,7 @@ from .seqpacket import SeqPacketReceiverHalf, SeqPacketSenderHalf
 from .stream_receiver import StreamReceiverHalf
 from .stream_sender import StreamSenderHalf
 
-__all__ = ["SenderHalf", "ReceiverHalf", "PAIRS", "resolve_pair"]
+__all__ = ["SenderHalf", "ReceiverHalf", "PAIRS", "TABLES", "resolve_pair"]
 
 #: an engine-body generator: yields library-core ns, returns its result
 Body = Generator[int, None, Any]
@@ -41,7 +44,7 @@ class SenderHalf(Protocol):
     """Outbound direction; built once the peer's hello is known."""
 
     pending: Deque[Any]  # the engine pumps only while non-empty
-    control: Dict[type, Callable[[Any], None]]
+    control: ClassVar[Dict[type, Callable[[Any, Any], None]]]
     algo: Any  # pure protocol core (phase tracing), or None
     emulates_write_with_imm: bool
     first_post_ns: Optional[int]  # throughput start point
@@ -63,9 +66,9 @@ class ReceiverHalf(Protocol):
 
     shares_srq: bool
     pool_mr: Any
-    control: Dict[type, Callable[[Any], None]]
-    payload: Dict[type, Callable[[Any, Any], None]]
-    imm: Dict[int, Callable[[int, int, int, int], None]]
+    control: ClassVar[Dict[type, Callable[[Any, Any], None]]]
+    payload: ClassVar[Dict[type, Callable[[Any, Any, Any], None]]]
+    imm: ClassVar[Dict[int, Callable[[Any, int, int, int, int], None]]]
     copy_ready: bool  # engine guard of next_copy
     adverts_due: bool  # engine guard of flush_adverts
     eof_seq: Optional[int]
@@ -93,10 +96,28 @@ PAIRS = {
 }
 
 
-def resolve_pair(socket_type: SocketType, transport: str) -> Tuple[str, type, type]:
-    """``(transport, sender class, receiver class)`` of a new connection:
-    *transport* for a stream socket; the message protocol of SOCK_SEQPACKET
-    (paper §II-C) runs on WWI alone."""
+#: one pair's dispatch tables: control ``{message type: (handler, True if
+#: the sender half takes it)}``, and the receiver half's payload and imm
+Tables = Tuple[Dict[type, Tuple[Callable[..., None], bool]], Dict[type, Callable[..., None]],
+               Dict[int, Callable[..., None]]]
+
+
+def _tables(tx_cls: type, rx_cls: type) -> Tables:
+    control = {msg: (handler, True) for msg, handler in tx_cls.control.items()}
+    control.update((msg, (handler, False)) for msg, handler in rx_cls.control.items())
+    return control, rx_cls.payload, rx_cls.imm
+
+
+#: the dispatch tables of each pair, shared by all of its connections
+TABLES: Dict[Tuple[SocketType, str], Tables] = {
+    key: _tables(*pair) for key, pair in PAIRS.items()}
+
+
+def resolve_pair(socket_type: SocketType, transport: str) -> Tuple[str, type, type, Tables]:
+    """``(transport, sender class, receiver class, dispatch tables)`` of a
+    new connection: *transport* for a stream socket; the message protocol
+    of SOCK_SEQPACKET (paper §II-C) runs on WWI alone."""
     if socket_type is not SocketType.SOCK_STREAM:
         transport = TRANSPORT_WWI
-    return (transport, *PAIRS[(socket_type, transport)])
+    key = (socket_type, transport)
+    return (transport, *PAIRS[key], TABLES[key])

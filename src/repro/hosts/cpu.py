@@ -14,10 +14,11 @@ of a work interval with the window is accounted for).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from ..simnet import Event, Simulator
 
@@ -63,9 +64,11 @@ class Cpu:
         #: work items queued behind the running one: a work() turn event
         #: or a run() request tuple
         self._waiting: Deque[Any] = deque()
-        #: busy intervals [(start, end)], time-ordered and disjoint;
-        #: work() coalesces intervals that touch
-        self._intervals: List[Tuple[int, int]] = []
+        #: busy intervals ``[start, end)`` as two columns, time-ordered and
+        #: disjoint (:attr:`intervals` pairs them up); work() coalesces
+        #: intervals that touch
+        self._starts = array("q")
+        self._ends = array("q")
         self._busy_ns_total = 0
         # the continuation of the run() charge holding the core
         self._then: Optional[Callable[[Any], None]] = None
@@ -135,18 +138,19 @@ class Cpu:
         self._then = None
         end = self.sim._now
         if end > start:
-            intervals = self._intervals
-            if intervals and intervals[-1][1] > start:
+            ends = self._ends
+            if ends and ends[-1] > start:
                 # a busy-poll span recorded meanwhile reaches past *start*
                 self._merge(start, end)
             else:
                 self._busy_ns_total += end - start
-                if intervals and intervals[-1][1] == start:
+                if ends and ends[-1] == start:
                     # back-to-back work extends the open interval: a busy
                     # core keeps one entry per burst, not one per work item
-                    intervals[-1] = (intervals[-1][0], end)
+                    ends[-1] = end
                 else:
-                    intervals.append((start, end))
+                    self._starts.append(start)
+                    ends.append(end)
         waiting = self._waiting
         if waiting:
             nxt = waiting.popleft()
@@ -173,19 +177,20 @@ class Cpu:
     def _merge(self, start: int, end: int) -> None:
         """Add ``[start, end)`` to the busy intervals as a union, keeping
         them time-ordered and disjoint."""
-        intervals = self._intervals
-        i = bisect_left(intervals, (start, start))
-        if i and intervals[i - 1][1] >= start:
+        starts, ends = self._starts, self._ends
+        i = bisect_left(starts, start)
+        if i and ends[i - 1] >= start:
             i -= 1
         j = i
         lo, hi, covered = start, end, 0
-        while j < len(intervals) and intervals[j][0] <= end:
-            s, e = intervals[j]
+        while j < len(starts) and starts[j] <= end:
+            s, e = starts[j], ends[j]
             covered += e - s
             lo = min(lo, s)
             hi = max(hi, e)
             j += 1
-        intervals[i:j] = [(lo, hi)]
+        starts[i:j] = array("q", (lo,))
+        ends[i:j] = array("q", (hi,))
         self._busy_ns_total += hi - lo - covered
 
     # ------------------------------------------------------------------
@@ -195,22 +200,27 @@ class Cpu:
     def busy_ns_total(self) -> int:
         return self._busy_ns_total
 
+    @property
+    def intervals(self) -> Tuple[Tuple[int, int], ...]:
+        """The busy intervals as ``((start, end), ...)``, time-ordered and
+        disjoint."""
+        return tuple(zip(self._starts, self._ends))
+
     def busy_ns_between(self, start: int, end: int) -> int:
         """Busy nanoseconds overlapping the window ``[start, end]``: the
         disjoint, ordered intervals' total less the busy time outside the
         window, found by bisection (a run-long window walks few intervals)."""
         if end <= start:
             return 0
-        intervals = self._intervals
-        i = bisect_left(intervals, (start,))
-        j = bisect_left(intervals, (end,), i)
+        starts, ends = self._starts, self._ends
+        i = bisect_left(starts, start)
+        j = bisect_left(starts, end, i)
         outside = 0
-        for s, e in intervals[:i]:
+        for s, e in zip(starts[:i], ends[:i]):
             outside += min(e, start) - s
         if j:
-            outside += max(intervals[j - 1][1] - end, 0)
-        for s, e in intervals[j:]:
-            outside += e - s
+            outside += max(ends[j - 1] - end, 0)
+        outside += sum(ends[j:]) - sum(starts[j:])
         return self._busy_ns_total - outside
 
     def utilization_between(self, start: int, end: int) -> float:

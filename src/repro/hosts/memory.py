@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Buffer",
@@ -317,7 +317,8 @@ class Buffer:
         self.meter: Optional[CopyMeter] = None
         self._real = real
         self._data: Optional[bytearray] = None
-        self._pins: List[ViewPin] = []
+        #: in-flight views: a list built on the first pin
+        self._pins: Union[List[ViewPin], Tuple[()]] = ()
 
     @property
     def is_real(self) -> bool:
@@ -349,7 +350,10 @@ class Buffer:
             return None
         self.check_range(offset, nbytes)
         pin = ViewPin(self, offset, nbytes)
-        self._pins.append(pin)
+        pins = self._pins
+        if type(pins) is tuple:
+            pins = self._pins = []
+        pins.append(pin)
         meter = self.meter
         if meter is not None:
             meter.pins_total += 1

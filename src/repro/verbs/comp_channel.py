@@ -66,7 +66,9 @@ class CompletionChannel:
     ) -> None:
         self.sim = sim
         self.wakeup = wakeup or fixed_wakeup(0)
-        self._rng = random.Random(seed)
+        #: ``random.Random(seed)``, built on the first wake-up draw
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         #: the registered sleeper's callback and its argument
         self._fn: Optional[Callable[[Any], None]] = None
         self._token: Any = None
@@ -108,7 +110,10 @@ class CompletionChannel:
         if fn is not None:
             self._fn = None
             self.slept_wakeups += 1
-            delay = int(round(self.wakeup(self._rng)))
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._seed)
+            delay = int(round(self.wakeup(rng)))
             self.sim.call_in(delay, fn, self._token)
         else:
             self._latched += 1

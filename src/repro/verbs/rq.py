@@ -17,7 +17,7 @@ each of its ``RecvWR(wr_id, sge)`` is built when it is consumed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple, Union
 
 from .errors import VerbsError
 from .wr import SGE, RecvWR
@@ -36,8 +36,9 @@ class ReceiveQueue:
     __slots__ = ("_wrs", "_run", "_run_next_id", "_run_sge")
 
     def __init__(self) -> None:
-        #: WRs posted one by one, behind the lazy run
-        self._wrs: Deque[RecvWR] = deque()
+        #: WRs posted one by one, behind the lazy run: a deque built on the
+        #: first (an SRQ-attached or prefilled queue may never post one)
+        self._wrs: Union[Deque[RecvWR], Tuple[()]] = ()
         # the lazy run at the head: WRs left, the next one's wr_id, their SGE
         self._run = 0
         self._run_next_id = 0
@@ -45,7 +46,10 @@ class ReceiveQueue:
 
     def append(self, wr: RecvWR) -> None:
         """Post one receive WR at the tail."""
-        self._wrs.append(wr)
+        wrs = self._wrs
+        if type(wrs) is tuple:
+            wrs = self._wrs = deque()
+        wrs.append(wr)
 
     def prefill(self, count: int, sge: Optional[SGE], wr_id_start: int) -> None:
         """Post ``RecvWR(wr_id_start + i, sge)`` for ``i < count`` in O(1).

@@ -150,11 +150,11 @@ def scenario_contended_core() -> dict:
     p.at(0, stream)
     p.at(600, lambda: p.sim.process(client()))
     cpu = p.tb.host("client").cpu
-    n_intervals = len(cpu._intervals)
+    n_intervals = len(cpu.intervals)
     busy0 = cpu.busy_ns_total
     log = p.run()
     assert out["got"] == b"c" * 64
-    intervals = [[s - p.t0, e - p.t0] for s, e in cpu._intervals[n_intervals:]]
+    intervals = [[s - p.t0, e - p.t0] for s, e in cpu.intervals[n_intervals:]]
     blob = json.dumps(log["fired"]).encode()
     return {"fired_sha256": hashlib.sha256(blob).hexdigest(), "fired": len(log["fired"]),
             "arms": log["arms"], "busy_ns": cpu.busy_ns_total - busy0,

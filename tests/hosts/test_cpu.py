@@ -113,7 +113,7 @@ def test_overlapping_busy_spans_count_once(sim):
     cpu.record_busy(100, 150)   # another, inside the union already
     cpu.record_busy(200, 300)
     cpu.record_busy(180, 250)   # reaches back before the last interval
-    assert cpu._intervals == [(0, 150), (180, 300)]
+    assert cpu.intervals == ((0, 150), (180, 300))
     assert cpu.busy_ns_total == 270
     assert cpu.busy_ns_between(0, 300) == 270
     assert cpu.utilization_between(0, 300) == pytest.approx(0.9)
@@ -136,7 +136,7 @@ def test_busy_poll_incast_utilisation_is_at_most_one():
     for host in fab.all_hosts:
         util = host.cpu.utilization_between(0, result.end_ns)
         assert 0.0 < util <= 1.0, (host.name, util)
-        spans = host.cpu._intervals
+        spans = host.cpu.intervals
         assert all(a[1] < b[0] for a, b in zip(spans, spans[1:])), host.name
 
 
@@ -220,7 +220,7 @@ def test_back_to_back_run_charges_keep_one_interval(sim):
     sim.call_in(400, lambda _: cpu.run(60, again, "d"))
     sim.run()
     assert done == [("a", 100), ("b", 150), ("c", 175), ("d", 460)]
-    assert cpu._intervals == [(0, 175), (400, 460)]
+    assert cpu.intervals == ((0, 175), (400, 460))
     assert cpu.busy_ns_total == 235
     assert sim.events_executed == 5
 
@@ -242,7 +242,7 @@ def test_work_queued_behind_a_run_charge(sim):
     sim.call_in(20, lambda _: cpu.run(30, lambda tag: done.append((tag, sim.now)), "r2"))
     sim.run()
     assert done == [("r1", 100), ("w", 140), ("r2", 170)]
-    assert cpu._intervals == [(0, 170)]
+    assert cpu.intervals == ((0, 170),)
     assert cpu.busy_ns_total == 170
     assert cpu.busy_ns_between(50, 150) == 100
     assert sim.events_executed == 9
@@ -262,7 +262,7 @@ def test_busy_poll_span_overlapping_a_run_charge(sim):
     sim.call_in(200, lambda _: cpu.run(100, lambda tag: done.append((tag, sim.now)), "r2"))
     sim.run()
     assert done == [("r1", 100), ("r2", 300)]
-    assert cpu._intervals == [(0, 300)]
+    assert cpu.intervals == ((0, 300),)
     assert cpu.busy_ns_total == 300
     assert cpu.busy_ns_between(0, 300) == 300
     assert sim.events_executed == 4
@@ -279,7 +279,7 @@ def test_busy_ns_between_matches_the_interval_walk(spans, window):
     cpu = Cpu(Simulator())
     for start, length in spans:
         cpu.record_busy(start, start + length)
-    intervals = cpu._intervals
+    intervals = cpu.intervals
     assert cpu.busy_ns_total == sum(e - s for s, e in intervals)
     start, end = window
     walked = sum(max(0, min(e, end) - max(s, start)) for s, e in intervals)
