@@ -111,6 +111,8 @@ perf-smoke:
 		--out perf-smoke-incast.json
 	python3 perf/run.py --workload blast_lossy --seconds 4 --trace 0 \
 		--out perf-smoke-lossy.json
+	python3 perf/run.py --workload blast_stream --seconds 4 --trace 1 \
+		--out perf-smoke-traced.json
 
 perf:
 	python3 perf/run.py --out perf-result.json

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from ..core.invariants import require
 from ..verbs import SGE, Opcode, RecvWR, SendWR
@@ -169,8 +169,10 @@ class RdvSenderHalf(SenderBase):
         """Stream position after everything submitted so far (for FIN)."""
         return self.seq
 
-    def gauges(self) -> Dict[str, float]:
-        return {"tx.cts_grants_queued": len(self.grants)}
+    gauge_names = ("tx.cts_grants_queued",)
+
+    def gauges(self) -> Tuple[float, ...]:
+        return (len(self.grants),)
 
     control = {CtsMsg: on_cts}
 
@@ -430,12 +432,10 @@ class RdvReceiverHalf(ReceiverBase):
                     "FIN", "EOF with grants outstanding")
         return finished
 
-    def gauges(self) -> Dict[str, float]:
-        return {
-            "rx.eager_slots_free": len(self._free_slots),
-            "rx.eager_staged": len(self.staged),
-            "rx.rts_remaining": self.rts_remaining,
-        }
+    gauge_names = ("rx.eager_slots_free", "rx.eager_staged", "rx.rts_remaining")
+
+    def gauges(self) -> Tuple[float, ...]:
+        return (len(self._free_slots), len(self.staged), self.rts_remaining)
 
     control = {**ReceiverBase.control, RtsMsg: on_rts}
     payload = {EagerDataMsg: on_eager_arrival}

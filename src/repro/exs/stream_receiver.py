@@ -221,9 +221,12 @@ class ReceiverBase:
         urecv.eq.post(ExsEvent(ExsEventType.RECV, self.conn.socket, nbytes, eof, False,
                                urecv.context))
 
-    def gauges(self) -> Dict[str, float]:
-        """Sample-time telemetry of this half, by metric suffix."""
-        return {}
+    #: the metric suffixes of :meth:`gauges`, declared once per class
+    gauge_names: Tuple[str, ...] = ()
+
+    def gauges(self) -> Tuple[float, ...]:
+        """Sample-time telemetry of this half, one value per ``gauge_names``."""
+        return ()
 
     # dispatch tables: what every receiver takes; subclasses extend them
     control: Dict[type, Any] = {CreditMsg: on_credit, FinMsg: on_fin_msg}
@@ -362,8 +365,10 @@ class StreamReceiverHalf(ReceiverBase):
             and self.algo.ring.is_empty
         )
 
-    def gauges(self) -> Dict[str, float]:
-        return {"rx.ring_stored": self.algo.ring.stored}
+    gauge_names = ("rx.ring_stored",)
+
+    def gauges(self) -> Tuple[float, ...]:
+        return (self.algo.ring.stored,)
 
     payload = {DataNotifyMsg: ReceiverBase.on_notify}
     imm = {IMM_DIRECT: on_direct_arrival, IMM_INDIRECT: on_indirect_arrival}

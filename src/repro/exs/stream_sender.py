@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
 
 from ..core import DirectPlan, IndirectPlan, SenderAlgorithm, SenderRingView
 from ..hosts.memory import Buffer, Chunk
@@ -226,9 +226,12 @@ class SenderBase:
         """All submitted sends handed to the transport and acknowledged."""
         return not self.pending and not self._incomplete
 
-    def gauges(self) -> Dict[str, float]:
-        """Sample-time telemetry of this half, by metric suffix."""
-        return {}
+    #: the metric suffixes of :meth:`gauges`, declared once per class
+    gauge_names: Tuple[str, ...] = ()
+
+    def gauges(self) -> Tuple[float, ...]:
+        """Sample-time telemetry of this half, one value per ``gauge_names``."""
+        return ()
 
     # dispatch table (see the class docstring); subclasses fill it
     control: Dict[type, Any] = {}
@@ -336,7 +339,9 @@ class StreamSenderHalf(SenderBase):
         """Stream position after everything submitted so far (for FIN)."""
         return self.algo.seq
 
-    def gauges(self) -> Dict[str, float]:
-        return {"tx.ring_free": self.algo.ring.free}
+    gauge_names = ("tx.ring_free",)
+
+    def gauges(self) -> Tuple[float, ...]:
+        return (self.algo.ring.free,)
 
     control = {AdvertMsg: on_advert, RingAckMsg: on_ring_ack}

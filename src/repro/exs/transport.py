@@ -57,7 +57,8 @@ class SenderHalf(Protocol):
     def drained(self) -> bool: ...
     @property
     def final_seq(self) -> int: ...
-    def gauges(self) -> Dict[str, float]: ...
+    gauge_names: ClassVar[Tuple[str, ...]]
+    def gauges(self) -> Tuple[float, ...]: ...
 
 
 @runtime_checkable
@@ -85,7 +86,8 @@ class ReceiverHalf(Protocol):
     def on_fin(self, final_seq: int) -> None: ...
     def pump_eof(self) -> bool: ...
     def fail_pending(self) -> Failed: ...
-    def gauges(self) -> Dict[str, float]: ...
+    gauge_names: ClassVar[Tuple[str, ...]]
+    def gauges(self) -> Tuple[float, ...]: ...
 
 
 #: the half pair serving each (socket type, transport)

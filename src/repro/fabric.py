@@ -419,8 +419,8 @@ class Fabric:
         """Attach a :class:`repro.obs.Telemetry` session to this fabric.
 
         Keyword arguments are forwarded to
-        :meth:`repro.obs.Telemetry.attach` (``sample_interval_ns``,
-        ``span_capacity``, ``max_samples``).  Returns the session.
+        :meth:`repro.obs.Telemetry.attach` (``sample_interval_ns``).
+        Returns the session.
         """
         from .obs import Telemetry
 
@@ -429,6 +429,9 @@ class Fabric:
 
     def run(self, until=None, *, max_events: Optional[int] = None):
         """Run the simulation (see :meth:`repro.simnet.Simulator.run`)."""
+        if self.telemetry is not None:
+            # the sampler stops when a run drains the calendar; resume it
+            self.telemetry.sampler.start()
         try:
             return self.sim.run(until, max_events=max_events)
         finally:

@@ -3,8 +3,8 @@
 The observability layer every perf/robustness change measures itself
 against (see docs/OBSERVABILITY.md):
 
-* :mod:`repro.obs.registry` — named counters / pull gauges / log2 histograms
-* :mod:`repro.obs.sampler` — simulator-clock time-series sampling
+* :mod:`repro.obs.registry` — sampled sources / log2 histograms
+* :mod:`repro.obs.sampler` — simulator-clock sampling into columns
 * :mod:`repro.obs.spans` — per-message span stitching over the tracer
 * :mod:`repro.obs.telemetry` — the session facade (``Telemetry.attach``)
 * :mod:`repro.obs.export` — JSONL / CSV / Prometheus-text artifacts
@@ -29,7 +29,7 @@ from .export import (
     write_prometheus,
 )
 from .perfetto import build_chrome_trace, validate_chrome_trace, write_chrome_trace
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Histogram, MetricsRegistry
 from .report import render_report
 from .sampler import Sampler, TimeSeries
 from .spans import MessageSpan, build_spans
@@ -37,9 +37,7 @@ from .telemetry import Telemetry
 
 __all__ = [
     "CopyMeter",
-    "Counter",
     "CriticalPathReport",
-    "Gauge",
     "Histogram",
     "MessagePath",
     "MessageSpan",

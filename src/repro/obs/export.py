@@ -82,7 +82,7 @@ def _normalize(source) -> RunArtifact:
         meta=dict(source.meta),
         end_ns=source.sim.now,
         truncated=source.sampler.truncated,
-        series=dict(source.sampler.series),
+        series=source.sampler.series,
         hists=hists,
         snapshot=source.registry.snapshot(),
         spans=source.spans(),
@@ -113,7 +113,7 @@ def write_jsonl(fh: IO[str], source) -> int:
     for name in sorted(art.series):
         ts = art.series[name]
         emit({"type": "series", "name": name,
-              "points": [[t, v] for t, v in ts.points]})
+              "points": list(map(list, zip(ts.times(), ts.values())))})
     for h in art.hists:
         emit({"type": "hist", **h})
     emit({"type": "snapshot", "values": art.snapshot})
@@ -150,7 +150,8 @@ def load_jsonl(fh: IO[str]) -> RunArtifact:
             art.truncated = bool(rec.get("truncated", False))
         elif kind == "series":
             art.series[rec["name"]] = TimeSeries(
-                rec["name"], [(int(t), v) for t, v in rec["points"]])
+                rec["name"], [int(t) for t, _v in rec["points"]],
+                [v for _t, v in rec["points"]])
         elif kind == "hist":
             art.hists.append({k: rec[k] for k in ("name", "count", "sum", "buckets")})
         elif kind == "snapshot":
@@ -194,7 +195,8 @@ def write_csv(fh: IO[str], source) -> int:
     writer.writerow(["name", "t_ns", "value"])
     rows = 0
     for name in sorted(art.series):
-        for t, v in art.series[name].points:
+        ts = art.series[name]
+        for t, v in zip(ts.times(), ts.values()):
             writer.writerow([name, t, v])
             rows += 1
     return rows

@@ -1,64 +1,39 @@
-"""Metrics registry: named counters, gauges, and log-bucketed histograms.
+"""Metrics registry: sampled sources and log-bucketed histograms.
 
 One registry per telemetry session unifies the instrumentation that used to
 be scattered over :class:`~repro.core.stats.ProtocolStats`,
 :class:`~repro.simnet.link.LinkStats`, and the per-host CPU busy-interval
-lists.  Three metric kinds:
+lists.  Two metric kinds:
 
-* :class:`Counter` — a monotonically increasing integer, incremented by the
-  instrumented code (``counter.inc()`` is one attribute add).
-* :class:`Gauge` — *pull*-style: wraps a zero-argument callable that reads
-  the current value straight out of existing simulation state.  Registering
-  a gauge adds **zero** cost to the hot path — the value is only computed
-  when the :class:`~repro.obs.sampler.Sampler` (or an exporter) asks.
+* a **source** — a fixed tuple of metric names and one zero-argument reader
+  that returns their current values as a tuple of the same length, read
+  straight out of existing simulation state.  Names and reader are resolved
+  once, at registration, so a read is one call and no name is built; a
+  value of ``None`` means "no point at this read" (``kernel.next_time`` on a
+  drained calendar).  Registering a source adds **zero** cost to the hot
+  path: it is only read when the :class:`~repro.obs.sampler.Sampler` (or an
+  exporter) asks.  Objects created *after* attachment (EXS connections
+  appear mid-simulation) register their own source when they appear.
 * :class:`Histogram` — power-of-two ("log2") bucketed distribution for
   latency-style values; observing costs one ``bit_length`` and one list
   index.
 
 The disabled-path discipline matches the tracer's: components hold a
 telemetry reference that is ``None`` by default and guard emission with a
-single attribute check (see ``ExsConnection.trace``).  Collectors let the
-sampler pick up metrics for objects created *after* attachment (EXS
-connections appear mid-simulation): a collector is a callable returning a
-``{name: value}`` mapping evaluated at snapshot time.
+single attribute check (see ``ExsConnection.trace``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Histogram", "MetricsRegistry"]
 
 #: enough log2 buckets for values up to 2**63 ns (~292 years)
 _HIST_BUCKETS = 64
 
-
-class Counter:
-    """A named monotonically increasing value."""
-
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-class Gauge:
-    """A named value read on demand from a zero-argument callable."""
-
-    __slots__ = ("name", "help", "fn")
-
-    def __init__(self, name: str, fn: Callable[[], float], help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.fn = fn
-
-    def read(self) -> float:
-        return self.fn()
+#: a zero-argument reader returning one value (or ``None``) per source name
+Reader = Callable[[], Sequence[Optional[float]]]
 
 
 class Histogram:
@@ -70,11 +45,10 @@ class Histogram:
     with O(1) observation cost.
     """
 
-    __slots__ = ("name", "help", "counts", "count", "sum")
+    __slots__ = ("name", "counts", "count", "sum")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.counts: List[int] = [0] * _HIST_BUCKETS
         self.count = 0
         self.sum = 0
@@ -112,62 +86,50 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name-keyed home for counters, gauges, histograms, and collectors."""
+    """Home for sources and histograms; every metric name is registered once."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
+        #: ``(names, reader)`` per source, in registration order (the
+        #: sampler keeps one column block per entry)
+        self.sources: List[Tuple[Tuple[str, ...], Reader]] = []
+        self._names: set = set()
         self._histograms: Dict[str, Histogram] = {}
-        self._collectors: List[Callable[[], Dict[str, float]]] = []
 
     # ------------------------------------------------------------------
-    # registration (idempotent by name)
+    # registration
     # ------------------------------------------------------------------
-    def counter(self, name: str, help: str = "") -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            self._check_unique(name)
-            c = self._counters[name] = Counter(name, help)
-        return c
+    def source(self, names: Iterable[str], reader: Reader) -> None:
+        """Register *reader*, which returns one value per name in *names*."""
+        names = tuple(names)
+        for i, name in enumerate(names):
+            if name in self._names or name in self._histograms or name in names[:i]:
+                raise ValueError(f"metric {name!r} already registered")
+        self._names.update(names)
+        self.sources.append((names, reader))
 
-    def gauge(self, name: str, fn: Callable[[], float], help: str = "") -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            self._check_unique(name)
-            g = self._gauges[name] = Gauge(name, fn, help)
-        return g
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called *name*, created on first use."""
         h = self._histograms.get(name)
         if h is None:
-            self._check_unique(name)
-            h = self._histograms[name] = Histogram(name, help)
+            if name in self._names:
+                raise ValueError(f"metric {name!r} already registered")
+            h = self._histograms[name] = Histogram(name)
         return h
-
-    def add_collector(self, fn: Callable[[], Dict[str, float]]) -> None:
-        """Register a callable producing ``{name: value}`` at snapshot time."""
-        self._collectors.append(fn)
-
-    def _check_unique(self, name: str) -> None:
-        if name in self._counters or name in self._gauges or name in self._histograms:
-            raise ValueError(f"metric {name!r} already registered with a different kind")
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
-        """Current scalar value of every counter, gauge, and collector entry.
+        """Current value of every source name (``None`` values left out).
 
         Histograms are excluded (they are not scalars); exporters read them
         through :meth:`histograms`.
         """
         out: Dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.read()
-        for fn in self._collectors:
-            out.update(fn())
+        for names, reader in self.sources:
+            for name, value in zip(names, reader()):
+                if value is not None:
+                    out[name] = value
         return out
 
     def histograms(self) -> Iterable[Histogram]:
@@ -177,4 +139,4 @@ class MetricsRegistry:
         return self._histograms.get(name)
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._names) + len(self._histograms)

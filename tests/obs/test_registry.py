@@ -1,52 +1,62 @@
-"""Metrics registry: counters, gauges, histograms, collectors."""
+"""Metrics registry: sources and histograms."""
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
 
 
-def test_counter_increments():
+def test_source_reads_live_state():
+    state = {"depth": 1, "sends": 5}
     reg = MetricsRegistry()
-    c = reg.counter("sends", "sends submitted")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    assert reg.snapshot()["sends"] == 5
-
-
-def test_counter_registration_is_idempotent():
-    reg = MetricsRegistry()
-    a = reg.counter("x")
-    b = reg.counter("x")
-    assert a is b
-    assert len(reg) == 1
-
-
-def test_gauge_reads_live_state():
-    state = {"v": 1}
-    reg = MetricsRegistry()
-    reg.gauge("depth", lambda: state["v"])
-    assert reg.snapshot()["depth"] == 1
-    state["v"] = 42
+    reg.source(("depth", "sends"), lambda: (state["depth"], state["sends"]))
+    assert reg.snapshot() == {"depth": 1, "sends": 5}
+    state["depth"] = 42
     assert reg.snapshot()["depth"] == 42
 
 
-def test_name_collision_across_kinds_rejected():
+def test_source_registered_later_joins_the_snapshot():
     reg = MetricsRegistry()
-    reg.counter("m")
-    with pytest.raises(ValueError):
-        reg.gauge("m", lambda: 0)
-    with pytest.raises(ValueError):
-        reg.histogram("m")
-
-
-def test_collector_merged_into_snapshot():
-    reg = MetricsRegistry()
-    conns = []
-    reg.add_collector(lambda: {f"conn{i}.depth": d for i, d in enumerate(conns)})
+    reg.source(("a",), lambda: (1,))
     assert "conn0.depth" not in reg.snapshot()
-    conns.append(7)  # object appears mid-run
-    assert reg.snapshot()["conn0.depth"] == 7
+    reg.source(("conn0.depth",), lambda: (7,))  # object appears mid-run
+    assert reg.snapshot() == {"a": 1, "conn0.depth": 7}
+    assert len(reg) == 2
+
+
+def test_none_value_is_left_out_of_the_snapshot():
+    reg = MetricsRegistry()
+    reg.source(("next_time", "pending"), lambda: (None, 0))
+    assert reg.snapshot() == {"pending": 0}
+
+
+def test_snapshot_calls_each_reader_once():
+    calls = []
+    reg = MetricsRegistry()
+    reg.source(("x", "y", "z"), lambda: calls.append(1) or (1, 2, 3))
+    reg.snapshot()
+    assert calls == [1]
+
+
+def test_name_collision_rejected():
+    reg = MetricsRegistry()
+    reg.source(("m", "n"), lambda: (0, 0))
+    with pytest.raises(ValueError, match="'n'"):
+        reg.source(("n",), lambda: (0,))
+    with pytest.raises(ValueError, match="'k'"):
+        reg.source(("k", "k"), lambda: (0, 0))
+    with pytest.raises(ValueError, match="'m'"):
+        reg.histogram("m")
+    reg.histogram("h")
+    with pytest.raises(ValueError, match="'h'"):
+        reg.source(("h",), lambda: (0,))
+    # a rejected source registers none of its names
+    reg.source(("k",), lambda: (0,))
+
+
+def test_histogram_registration_is_idempotent():
+    reg = MetricsRegistry()
+    assert reg.histogram("x") is reg.histogram("x")
+    assert len(reg) == 1
 
 
 def test_histogram_log2_bucketing():

@@ -9,6 +9,8 @@ what moved: ``PYTHONPATH=src python tests/test_ledger.py --capture``."""
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import os
 import shutil
@@ -27,6 +29,7 @@ from repro import (BlastConfig, ExponentialSizes, ExsSocketOptions, Fabric, Fixe
                    ScenarioConfig, Testbed, run_blast)
 from repro.apps import EchoConfig, run_echo
 from repro.exs import ExsEventType, MsgFlags
+from repro.exs.connection import ExsConnection
 from repro.exs.engine import Engine
 from repro.simnet import HEAVY_LOSS, LIGHT_LOSS, Simulator, SwitchConfig, Topology, _accel
 from repro.verbs import ReliabilityConfig
@@ -97,7 +100,7 @@ def _scenario(seed, transport, faults, rel_mode, *, profile="fdr", hops=1, **kw)
 
 
 # -- the pinned runs, each (observable half, fabric) on the calendar REPRO_KERNEL picks
-def _blast(seed, transport, faults, rel_mode):
+def _blast(seed, transport, faults, rel_mode, *, observe=False):
     lossy = faults is not None
     scenario = _scenario(seed, transport, faults, rel_mode,
                          profile="roce-lan" if lossy else "fdr")
@@ -105,6 +108,8 @@ def _blast(seed, transport, faults, rel_mode):
                          outstanding_recvs=8,
                          sizes=FixedSizes(64 * KIB) if lossy else ExponentialSizes(seed=seed))
     tb = Testbed.from_scenario(scenario)
+    if observe:
+        tb.attach_telemetry(sample_interval_ns=OBSERVE_INTERVAL_NS)
     r = run_blast(config, scenario=scenario, testbed=tb, max_events=5_000_000)
     return {"total_bytes": r.total_bytes, "start_ns": r.start_ns, "end_ns": r.end_ns,
             "send_latencies_ns": _samples(r.send_latencies_ns),
@@ -120,17 +125,20 @@ def _echo(seed, transport):
     return {"rtts_ns": _samples(r.rtts_ns), "fabric": _fabric_counters(tb)}, tb
 
 
-def _star(seed, transport, policy, rel_mode, shards, schedule=None):
+def _star(seed, transport, policy, rel_mode, shards, schedule=None, *, senders=4,
+          messages=4, faults=None, observe=False):
     """Incast-shaped run driven on the Fabric itself, so that every connection's
     protocol counters are in reach.  A *schedule* policy runs on the heap."""
-    senders, per_sender, messages, nbytes = 4, 2, 4, 4 * KIB
+    per_sender, nbytes = 2, 4 * KIB
     names = tuple(f"s{i}" for i in range(senders))
     topology = Topology.star(
         names + ("sink",), switch=SwitchConfig(policy=policy, port_queue_bytes=16 * KIB))
     sharing = {"srq_depth": 256, "cq_shards": 2} if shards else {}
-    scenario = _scenario(seed, transport, None, rel_mode, hops=2, topology=topology,
+    scenario = _scenario(seed, transport, faults, rel_mode, hops=2, topology=topology,
                          schedule=schedule, **sharing)
     fabric = Fabric.from_scenario(scenario)
+    if observe:
+        fabric.attach_telemetry(sample_interval_ns=OBSERVE_INTERVAL_NS)
     latencies, finish, handles = [], {}, []
 
     def sender(handle):
@@ -186,6 +194,29 @@ def _pinned():
 
 
 PINNED = dict(_pinned())
+#: the sample interval of the observed runs: tens of samples per run
+OBSERVE_INTERVAL_NS = 10_000
+
+
+def _observed(run, *args, **kwargs) -> dict:
+    """The telemetry export of an observed pinned run, split like ``smoke/telemetry``.
+    Connection ids, which name the per-connection series, count from 1."""
+    with mock.patch.object(ExsConnection, "_ids", itertools.count(1)):
+        _record, fabric = run(*args, observe=True, **kwargs)
+    out = io.StringIO()
+    fabric.telemetry.export(out)
+    return _telemetry(out.getvalue())
+
+
+#: observed runs that sample what the two-host quickstart never has: switch
+#: ports, an SRQ pool, reliability engines, an impaired edge, rendezvous gauges
+OBSERVED = {
+    "observed/star/wwi/selective_repeat/light-edge/shards/s1": lambda: _observed(
+        _star, 1, "wwi", "drop", "selective_repeat", True, senders=3, messages=32,
+        faults={"s0-switch0": LIGHT_LOSS}),
+    "observed/p2p/eager_rendezvous/gobackn/s1": lambda: _observed(
+        _blast, 1, "eager_rendezvous", HEAVY_LOSS, "gobackn"),
+}
 #: the row the schedule-policy replays run
 STAR = "incast/star/wwi/gobackn/shards/s1"
 
@@ -276,6 +307,7 @@ def compute(calendar: str, prelude: str = "") -> dict:
             record, fabric = run()
             assert fabric.kernel == calendar, (name, fabric.kernel)
             rows[name] = _row(record, fabric)
+        rows.update((name, run()) for name, run in OBSERVED.items())
         rows.update(_perf_rows())
         rows.update((name, future.result()) for name, future in smoke.items())
     return rows
