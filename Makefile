@@ -55,7 +55,8 @@ fabric-smoke:
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
 		--message-bytes 16384 --audit
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
-		--message-bytes 16384 --srq-depth 512 --cq-shards 4 --audit
+		--message-bytes 16384 --srq-depth 512 --cq-shards 4 \
+		--connections-per-sender 4 --audit
 	python -m repro.apps.incast --senders 16 --bytes 65536 \
 		--message-bytes 16384 --policy drop --port-queue-bytes 16384 --audit
 

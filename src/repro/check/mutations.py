@@ -62,7 +62,7 @@ class _StaleMatchSender(SenderAlgorithm):
             )
             self.seq += nbytes
             if plan.advert_done:
-                self.adverts.popleft()
+                self.adverts.pop(0)
                 self._head_filled = 0
             else:
                 self._head_filled += nbytes

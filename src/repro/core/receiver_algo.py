@@ -15,9 +15,8 @@ Paper-variable correspondence (Table I): ``self.phase`` = P_r,
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional
+from typing import Any, List, Optional
 
 from ..records import record
 from .advert import Advert
@@ -86,7 +85,7 @@ class ReceiverAlgorithm:
         self.prior_phase_adverts: int = 0
         #: the paper's k_b — pending exs_recv()s with no ADVERT
         self.unadvertised_recvs: int = 0
-        self.queue: Deque[RecvEntry] = deque()
+        self.queue: List[RecvEntry] = []
         #: ids of the next ADVERT and the next receive
         self._next_advert_id = 1
         self._next_recv_id = 1
@@ -305,7 +304,7 @@ class ReceiverAlgorithm:
     # ------------------------------------------------------------------
     def _complete_head(self, entry: RecvEntry) -> None:
         require(self.queue and self.queue[0] is entry, "completion order", "non-head completion")
-        self.queue.popleft()
+        self.queue.pop(0)
         entry.completed = True
         if entry.advert is not None:
             # While the phase is indirect, every outstanding advert-bearing

@@ -21,8 +21,7 @@ an ADVERT's fields carry P_A and S_A.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..records import record
 from .advert import Advert
@@ -87,7 +86,7 @@ class SenderAlgorithm:
         #: the paper's S_s
         self.seq: int = 0
         #: the paper's q_A
-        self.adverts: Deque[Advert] = deque()
+        self.adverts: List[Advert] = []
         #: bytes already sent into the head (WAITALL) advert
         self._head_filled: int = 0
 
@@ -122,7 +121,7 @@ class SenderAlgorithm:
                 # the Fig. 8 hazard fix).
                 if self.phase < advert.phase:
                     self._set_phase(next_phase(advert.phase))
-                self.adverts.popleft()
+                self.adverts.pop(0)
                 self._head_filled = 0
                 self.stats.adverts_discarded += 1
                 continue
@@ -149,7 +148,7 @@ class SenderAlgorithm:
             )
             self.seq += nbytes  # line 12: S_s <- S_s + l_w
             if plan.advert_done:
-                self.adverts.popleft()
+                self.adverts.pop(0)
                 self._head_filled = 0
             else:
                 # MSG_WAITALL: the ADVERT stays at the head of the queue

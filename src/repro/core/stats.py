@@ -7,9 +7,8 @@ mode-switch count reported in the paper's Table III.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple, Union
+from typing import List, Tuple, Union
 
 __all__ = ["ProtocolStats", "PHASE_TRACE_CAP"]
 
@@ -45,7 +44,7 @@ class ProtocolStats:
     #: Capped at PHASE_TRACE_CAP entries (oldest dropped first); append via
     #: :meth:`note_phase` so drops are counted.  Only traced runs record
     #: them, so it is an empty tuple until the first one.
-    phase_trace: Union[Deque[Tuple[int, int]], Tuple[()]] = ()
+    phase_trace: Union[List[Tuple[int, int]], Tuple[()]] = ()
     #: transitions evicted from :attr:`phase_trace` at the cap
     phase_trace_dropped: int = 0
 
@@ -53,9 +52,9 @@ class ProtocolStats:
         """Record a phase transition, evicting the oldest at the cap."""
         trace = self.phase_trace
         if type(trace) is tuple:
-            trace = self.phase_trace = deque()
+            trace = self.phase_trace = []
         elif len(trace) >= PHASE_TRACE_CAP:
-            trace.popleft()
+            del trace[0]
             self.phase_trace_dropped += 1
         trace.append((time_ns, phase))
 

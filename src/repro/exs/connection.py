@@ -19,9 +19,7 @@ nothing is runnable.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from typing import Any, Deque, NoReturn, Optional
+from typing import Any, List, NoReturn, Optional
 
 from ..core import ProtocolStats
 from ..hosts.host import Host
@@ -67,8 +65,6 @@ class ExsConnection:
         "broken", "error",
     )
 
-    _ids = itertools.count(1)
-
     def __init__(
         self,
         sim: Simulator,
@@ -87,7 +83,7 @@ class ExsConnection:
         self.device = device
         self.socket = socket
         self.options = options
-        self.conn_id = next(ExsConnection._ids)
+        self.conn_id = next(socket.stack.conn_ids)
         self.costs = host.cpu.costs
 
         self.socket_type = socket_type
@@ -148,7 +144,7 @@ class ExsConnection:
         mr = self.rx.pool_mr
         self._ctrl_sge = SGE(mr.addr, CTRL_WIRE_BYTES, mr.lkey)
 
-        self._ctrl_queue: Deque[ControlMsg] = deque()
+        self._ctrl_queue: List[ControlMsg] = []
         #: reposts owed to the peer that warrant a standalone credit update
         self._credit_update_threshold = max(1, options.credits // 2)
         #: optional ProtocolTracer (see repro.trace); set on the host
@@ -468,7 +464,7 @@ class ExsConnection:
     def _pump_control(self):
         progressed = False
         while self._ctrl_queue and self.credits.can_send_control():
-            msg = self._ctrl_queue.popleft()
+            msg = self._ctrl_queue.pop(0)
             yield self.costs.send_control_ns
             self._post_control(msg)
             progressed = True

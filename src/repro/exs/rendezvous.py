@@ -26,9 +26,8 @@ without any ring accounting.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..core.invariants import require
 from ..verbs import SGE, Opcode, RecvWR, SendWR
@@ -62,7 +61,7 @@ class RdvSenderHalf(SenderBase):
         #: stream position after all bytes handed to the transport
         self.seq = 0
         #: CTS grants received and not yet consumed (FIFO, apply to head)
-        self.grants: Deque[CtsMsg] = deque()
+        self.grants: List[CtsMsg] = []
         #: send_ids whose RTS has been queued
         self._rts_sent: set = set()
 
@@ -85,7 +84,7 @@ class RdvSenderHalf(SenderBase):
             head = self.pending[0]
             if head.unplanned == 0:
                 # Fully handed to the transport; completion happens on ack.
-                self.pending.popleft()
+                self.pending.pop(0)
                 continue
             if head.nbytes <= conn.options.eager_threshold:
                 if not conn.credits.can_send_data(1):
@@ -106,7 +105,7 @@ class RdvSenderHalf(SenderBase):
             if not conn.credits.can_send_data(1):
                 self._note_blocked()
                 break
-            grant = self.grants.popleft()
+            grant = self.grants.pop(0)
             require(grant.nbytes <= head.unplanned,
                     "rendezvous", "CTS grants more than the outstanding RTS")
             yield from self._post_rendezvous(head, grant)
@@ -228,8 +227,8 @@ class RdvReceiverHalf(ReceiverBase):
 
     def __init__(self, conn: "ExsConnection") -> None:
         super().__init__(conn)
-        self.entries: Deque[_RdvEntry] = deque()
-        self.staged: Deque[_StagedEager] = deque()
+        self.entries: List[_RdvEntry] = []
+        self.staged: List[_StagedEager] = []
         #: bytes requested by the peer's RTS and not yet granted by a CTS
         self.rts_remaining = 0
         #: stream position after all bytes placed into user memory
@@ -363,7 +362,7 @@ class RdvReceiverHalf(ReceiverBase):
         self.seq += plan.nbytes
         if staged.remaining == 0:
             # copied out: repost the slot, return the credit
-            self.staged.popleft()
+            self.staged.pop(0)
             conn.recycle_recv(staged.slot)
         self._pump_grants()
         self._try_deliver()
@@ -405,7 +404,7 @@ class RdvReceiverHalf(ReceiverBase):
                 pass  # short delivery: nothing more is immediately coming
             else:
                 return
-            self.entries.popleft()
+            self.entries.pop(0)
             self._deliver(head.urecv, head.filled)
 
     def _deliver(self, urecv: "UserRecv", nbytes: int, eof: bool = False) -> None:
@@ -417,7 +416,7 @@ class RdvReceiverHalf(ReceiverBase):
 
     def _drain_pending(self):
         while self.entries:
-            entry = self.entries.popleft()
+            entry = self.entries.pop(0)
             yield entry.urecv, entry.filled
 
     def _stream_finished(self) -> bool:

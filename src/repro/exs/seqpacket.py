@@ -17,8 +17,7 @@ when porting stream applications.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from ..core.advert import Advert
 from ..core.invariants import require
@@ -37,7 +36,7 @@ class SeqPacketSenderHalf(SenderBase):
 
     def __init__(self, conn: "ExsConnection") -> None:
         super().__init__(conn)
-        self.adverts: Deque[Advert] = deque()
+        self.adverts: List[Advert] = []
         self.messages_sent = 0
 
     def on_advert(self, msg: AdvertMsg) -> None:
@@ -53,8 +52,8 @@ class SeqPacketSenderHalf(SenderBase):
         while self.pending and self.adverts:
             if not conn.credits.can_send_data(1):
                 break
-            usend = self.pending.popleft()
-            advert = self.adverts.popleft()
+            usend = self.pending.pop(0)
+            advert = self.adverts.pop(0)
             if usend.nbytes > advert.length:
                 # only what fits moves; the rest of the message is lost
                 usend.nbytes = advert.length
@@ -97,7 +96,7 @@ class SeqPacketReceiverHalf(ReceiverBase):
     def __init__(self, conn: "ExsConnection") -> None:
         super().__init__(conn)
         #: (advert_id, UserRecv) per advertised receive, in order
-        self.queue: Deque[Tuple[int, Any]] = deque()
+        self.queue: List[Tuple[int, Any]] = []
         #: the id of the next ADVERT
         self._next_advert_id = 1
 
@@ -119,14 +118,14 @@ class SeqPacketReceiverHalf(ReceiverBase):
 
     def on_direct_arrival(self, advert_id: int, nbytes: int, stream_offset: int, remote_addr: int) -> None:
         require(len(self.queue) > 0, "seqpacket order", "message arrived with no pending recv")
-        head_id, urecv = self.queue.popleft()
+        head_id, urecv = self.queue.pop(0)
         require(head_id == advert_id, "seqpacket order",
                 f"message for advert {advert_id} but head is {head_id}")
         self._deliver(urecv, nbytes)
 
     def _drain_pending(self):
         while self.queue:
-            yield self.queue.popleft()[1], 0
+            yield self.queue.pop(0)[1], 0
 
     def _stream_finished(self) -> bool:
         # the FIN follows every message on the same QP

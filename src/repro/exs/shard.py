@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..verbs import QPStateError, RecvWR, SGE
+from ..verbs import QPStateError, SGE
 from .control import RECV_BUF_BYTES
 from .credits import CreditError
 from .engine import SLEEP, Engine
@@ -72,15 +72,13 @@ class SrqPool:
         self._sge = SGE(self.mr.addr, self._recv_bytes, self.mr.lkey)
         #: connections drawing from this pool (for telemetry)
         self.attached = 0
-        # Reserve wr_ids 1..depth for the lazy prefill range; reposts
-        # continue the sequence from depth+1, exactly as an eager prefill
-        # drawing from the same counter would have numbered them.
-        self._wr_ids = itertools.count(depth + 1)
+        # wr_ids 1..depth are the lazy prefill run; each repost extends it
+        # with the next wr_id, so the pool never builds a WR it holds
         self.srq.prefill(depth, self._sge, wr_id_start=1)
 
     def repost(self) -> None:
         """Post one receive buffer back into the shared pool."""
-        self.srq.post_recv(RecvWR(wr_id=next(self._wr_ids), sge=self._sge))
+        self.srq.extend_run()
 
     # -- telemetry-facing views ----------------------------------------
     @property

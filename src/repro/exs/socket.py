@@ -11,7 +11,7 @@ functions and a blocking convenience facade).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterator, Optional
 
 from ..hosts.host import Host
 from ..hosts.memory import Buffer
@@ -53,6 +53,10 @@ class ExsStack:
         self.host = host
         self.device = device
         self.transport = transport
+        #: numbers the connections made on this stack, from 1; a
+        #: :class:`~repro.fabric.Fabric` gives all its stacks one counter,
+        #: so a run's connection ids do not depend on what ran before it
+        self.conn_ids: Iterator[int] = itertools.count(1)
         self.cm = cm or ConnectionManager(device)
         self._seed = itertools.count(seed * 10_000 + 1)
         #: cost (ns) to pin+register memory, charged by :meth:`mregister`;
@@ -118,6 +122,9 @@ class ExsStack:
 class ExsSocket:
     """One EXS socket (unconnected, listening, or connected)."""
 
+    #: accepts on this listening socket that still await a request
+    _accepts_waiting = 0
+
     def __init__(self, stack: ExsStack, socket_type: SocketType, options: ExsSocketOptions) -> None:
         self.stack = stack
         self.socket_type = socket_type
@@ -146,12 +153,14 @@ class ExsSocket:
         """
         if self._listener is None:
             raise ExsError("accept on a non-listening socket")
+        self._accepts_waiting += 1
         self.stack.sim.process(
             self._accept_proc(eq, context, options or self.options), name="exs-accept"
         )
 
     def _accept_proc(self, eq: ExsEventQueue, context: Any, options: ExsSocketOptions):
         request = yield self._listener.get_request()
+        self._accepts_waiting -= 1
         new_sock = ExsSocket(self.stack, self.socket_type, options)
         conn = ExsConnection(
             self.stack.sim,
@@ -269,9 +278,27 @@ class ExsSocket:
         )
         self.conn.user_recv(urecv)
 
-    def close(self, eq: ExsEventQueue, context: Any = None) -> None:
-        """``exs_close()``: flush pending sends, send FIN, then post CLOSE."""
+    def close(self, eq: Optional[ExsEventQueue] = None, context: Any = None) -> None:
+        """``exs_close()``.
+
+        A connected socket flushes its pending sends, sends FIN, then posts
+        CLOSE on *eq*.  A listening socket stops listening at once: its port
+        is free to bind again, requests not yet accepted are refused, and
+        CLOSE is posted on *eq* if one is given.  It may not close while an
+        :meth:`accept` still waits for a request.
+        """
+        listener = self._listener
+        if listener is not None:
+            if self._accepts_waiting:
+                raise ExsError("exs_close of a listening socket with an accept pending")
+            listener.close()
+            self._listener = None
+            if eq is not None:
+                eq.post(ExsEvent(kind=ExsEventType.CLOSE, socket=self, context=context))
+            return
         self._require_connected()
+        if eq is None:
+            raise ExsError("exs_close of a connected socket needs an event queue")
         self.conn.user_close(eq, context)
 
     # ------------------------------------------------------------------

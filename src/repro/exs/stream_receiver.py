@@ -354,7 +354,7 @@ class StreamReceiverHalf(ReceiverBase):
     def _drain_pending(self):
         queue = self.algo.queue
         while queue:
-            entry = queue.popleft()
+            entry = queue.pop(0)
             entry.completed = True
             yield entry.context, entry.filled
 

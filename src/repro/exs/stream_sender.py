@@ -10,9 +10,8 @@ send credits.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core import DirectPlan, IndirectPlan, SenderAlgorithm, SenderRingView
 from ..hosts.memory import Buffer, Chunk
@@ -76,7 +75,7 @@ class SenderBase:
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
         #: user sends with unplanned bytes remaining (FIFO)
-        self.pending: Deque[UserSend] = deque()
+        self.pending: List[UserSend] = []
         #: every submitted-but-not-fully-acked send, by id (insertion order).
         #: `pending` drops a send once fully *planned*; this map keeps it
         #: until fully *acked* so connection failure can error it out.
@@ -279,7 +278,7 @@ class StreamSenderHalf(SenderBase):
             head = self.pending[0]
             if head.unplanned == 0:
                 # Fully handed to the transport; completion happens on ack.
-                self.pending.popleft()
+                self.pending.pop(0)
                 continue
             # An indirect transfer can split in two at the ring wrap point;
             # require two credits so the pair can never half-issue.

@@ -22,7 +22,7 @@ each member's meaning.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, ClassVar, Deque, Dict, Generator, List, Optional, Protocol,
+from typing import (Any, Callable, ClassVar, Dict, Generator, List, Optional, Protocol,
                     Tuple, runtime_checkable)
 
 from .flags import TRANSPORT_EAGER_RENDEZVOUS, TRANSPORT_WWI, SocketType
@@ -43,7 +43,7 @@ Failed = List[Tuple[Any, Any]]
 class SenderHalf(Protocol):
     """Outbound direction; built once the peer's hello is known."""
 
-    pending: Deque[Any]  # the engine pumps only while non-empty
+    pending: List[Any]  # the engine pumps only while non-empty
     control: ClassVar[Dict[type, Callable[[Any, Any], None]]]
     algo: Any  # pure protocol core (phase tracing), or None
     emulates_write_with_imm: bool

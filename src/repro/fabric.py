@@ -235,14 +235,16 @@ class Fabric:
             switch.build_routes(topo.next_hops(name))
 
         self._stacks: Dict[str, ExsStack] = {}
+        conn_ids = itertools.count(1)  # connections are numbered per fabric
         for i, name in enumerate(topo.hosts):
             device = self._devices[name]
-            self._stacks[name] = ExsStack(
+            stack = self._stacks[name] = ExsStack(
                 self.sim, self._hosts[name], device,
                 ConnectionManager(device), seed=seed * 2 + 1 + i,
                 srq_depth=scenario.srq_depth, cq_shards=scenario.cq_shards,
                 transport=scenario.transport,
             )
+            stack.conn_ids = conn_ids
 
         #: set by :meth:`attach_telemetry`
         self.telemetry = None
@@ -388,7 +390,10 @@ class Fabric:
         Spawns the listener/connector handshake processes; the returned
         :class:`FabricConnection` populates once the simulation runs the
         handshake (``yield pair.wait()`` inside a process, or just call
-        :meth:`run` and read ``pair.a_socket``/``pair.b_socket``).
+        :meth:`run` and read ``pair.a_socket``/``pair.b_socket``).  The
+        listening socket on *b* closes once its one accept completes, so
+        no listener outlives the handshake and *port* can be connected
+        again.
         """
         options = options or ExsSocketOptions()
         if a == b:
@@ -404,15 +409,17 @@ class Fabric:
         listener.accept(handle.b_eq, context=handle, options=options)
         sock = stack_a.socket(options=options)
         sock.connect(port, handle.a_eq, context=handle, to=b)
-        self.sim.process(self._watch_side(handle, "b", handle.b_eq),
+        self.sim.process(self._watch_side(handle, "b", handle.b_eq, listener),
                          name=f"fabric-accept-{b}:{port}")
         self.sim.process(self._watch_side(handle, "a", handle.a_eq),
                          name=f"fabric-connect-{a}:{port}")
         return handle
 
     @staticmethod
-    def _watch_side(handle: FabricConnection, side: str, eq):
+    def _watch_side(handle: FabricConnection, side: str, eq, listener=None):
         event = yield eq.dequeue()
+        if listener is not None:
+            listener.close()  # its one accept is done: the port is free again
         handle._side_done(side, event)
 
     def attach_telemetry(self, **kwargs):

@@ -95,7 +95,10 @@ class CmListener:
         return len(self._incoming)
 
     def close(self) -> None:
+        """Stop listening: free the port and refuse the requests still queued."""
         self.cm._listeners.pop(self.port, None)
+        while self._incoming:
+            self._incoming.try_get().reject("connection refused")
 
 
 class ConnectionRejected(VerbsError):

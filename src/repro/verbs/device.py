@@ -201,7 +201,7 @@ class RdmaDevice:
             self._in_service.discard(qp.qpn)
             if not qp.sq or qp.state is not QPState.READY:
                 continue
-            wr = qp.sq.popleft()
+            wr = qp.sq.pop(0)
             if overhead:
                 self.sim.call_in(overhead, self._tx_wire, (qp, wr))
                 return

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .cq import CompletionQueue, WorkCompletion
 from .enums import Opcode, QPState, WCOpcode, WCStatus
@@ -46,7 +45,8 @@ class QueuePair:
         self.state = QPState.RESET
         self.remote_qpn: Optional[int] = None
 
-        self.sq: Deque[SendWR] = deque()
+        #: the send queue: a list, as there is one per connection and it is short
+        self.sq: List[SendWR] = []
         self.rq = ReceiveQueue()
         # where an arriving message takes its receive: the shared pool when
         # SRQ-attached (``rq`` then stays empty), else ``rq``
@@ -109,7 +109,7 @@ class QueuePair:
             flushed += 1
         self.inflight.clear()
         while self.sq:
-            wr = self.sq.popleft()
+            wr = self.sq.pop(0)
             self.send_cq.push(
                 WorkCompletion(
                     wr_id=wr.wr_id,

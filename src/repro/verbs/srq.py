@@ -82,6 +82,27 @@ class SharedReceiveQueue(ReceiveQueue):
         super().prefill(count, sge, wr_id_start)
         self.posted_total += count
 
+    def extend_run(self) -> None:
+        """Post the lazy run's next WR in O(1), building no :class:`RecvWR`.
+
+        The end state, overflow error included, is that of
+        ``post_recv(RecvWR(next_wr_id, sge))`` with the last
+        :meth:`prefill`'s SGE and the wr_id after the last one it booked,
+        whether or not the run has drained meanwhile.  A pool whose slots
+        all share one SGE reposts this way, so however deep, it holds no
+        WR objects.
+        """
+        if len(self) >= self.max_wr:
+            raise VerbsError(
+                f"SRQ overflow: {self.max_wr} WRs already posted"
+            )
+        if self._wrs:
+            raise VerbsError("prefill behind receives posted one by one would jump the queue")
+        if self._run_sge is None:
+            raise VerbsError("no prefilled run to extend")
+        self._run += 1
+        self.posted_total += 1
+
     def take(self) -> RecvWR:
         """Consume the head WR (transport side; pool must be non-empty)."""
         wr = super().take()

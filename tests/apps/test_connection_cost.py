@@ -4,13 +4,15 @@ the state every connection of a transport pair shares is built once.
 Synthetic mode (``real_data=False``) is what the scale benchmarks run, so
 each workload's user buffers, rings and bounce slots must stay length-only:
 no memoryview forwarded, no range pinned, no byte copied.  The footprint
-guard holds the Python objects a connection leaves behind after bring-up
-under a bound per interpreter, counted as the garbage collector tracks
-them (the collector's cost grows with that count).
+guards hold what a connection leaves behind after bring-up under a bound
+per interpreter: its Python objects, counted as the garbage collector
+tracks them (the collector's cost grows with that count), and its bytes,
+counted by ``tracemalloc``.
 """
 
 import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -85,10 +87,16 @@ def test_real_incast_still_moves_bytes():
 
 
 #: GC-tracked objects one connection may leave after a synthetic incast
-#: bring-up: with shared dispatch tables, int id counters, lazy RNGs, pin
-#: lists and receive queues it measured 98 (3.10) and 75 (3.11 to 3.13);
-#: building them per connection measured 146 and 119
-TRACKED_PER_CONNECTION = 120 if sys.version_info < (3, 11) else 95
+#: bring-up: with no listener left behind it measured 88.9 (3.10) and 68.1
+#: (3.11 to 3.13); keeping one listener per connection measured 98 and 75.2
+TRACKED_PER_CONNECTION = 93 if sys.version_info < (3, 11) else 72
+
+#: bytes one connection may hold after the same bring-up: with list FIFOs,
+#: pool reposts on the SRQ's lazy run and no listener left behind it
+#: measured 16.8 KiB (3.10) and 14.8 to 15.1 KiB (3.11 to 3.13); with a
+#: deque per FIFO, a RecvWR per repost and a listener per connection, 23.7
+#: to 24.2 KiB
+BYTES_PER_CONNECTION = (18 if sys.version_info < (3, 11) else 16) * 1024
 
 
 def _bringup(connections_per_sender):
@@ -111,6 +119,33 @@ def test_tracked_objects_per_connection_stay_bounded():
     per_connection = (len(gc.get_objects()) - before) / connections
     assert fabric.sim.now > 0  # counted while the fabric is still held
     assert per_connection < TRACKED_PER_CONNECTION, per_connection
+
+
+def test_bytes_per_connection_stay_bounded():
+    _bringup(1)  # first-use caches and imports are not per-connection
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fabric, connections = _bringup(16)
+        gc.collect()
+        per_connection = tracemalloc.get_traced_memory()[0] / connections
+    finally:
+        tracemalloc.stop()
+    assert fabric.sim.now > 0  # counted while the fabric is still held
+    assert per_connection < BYTES_PER_CONNECTION, per_connection
+
+
+def test_bringup_leaves_no_listener_and_no_receive_wr_behind():
+    fabric, connections = _bringup(16)
+    pool = fabric.stack("sink").srq_pool
+    assert pool.attached == connections
+    for name in fabric.host_names:
+        assert fabric.stack(name).cm._listeners == {}, name
+    # every posted receive of the pool is on its lazy run: the one-by-one
+    # WR queue was never built, and the run is all there is
+    srq = pool.srq
+    assert srq._wrs == ()
+    assert srq.consumed_total > 0 and len(srq) == srq._run > 0
 
 
 def test_connections_of_one_pair_share_their_dispatch_tables():

@@ -231,3 +231,35 @@ def test_seqpacket_send_after_close_rejected():
 
     run_procs(tb.sim, server(), client(), max_events=20_000_000)
     assert out == {"first": b"x" * 10, "second": b""}
+
+
+def test_closing_a_listener_frees_its_port_and_refuses_its_backlog():
+    tb = Testbed(ScenarioConfig(seed=13))
+    server, client = tb.server, tb.client
+    out = {}
+
+    def serve():
+        lsock = server.socket()
+        lsock.bind_listen(5200)
+        eq = server.qcreate()
+        lsock.accept(eq)
+        with pytest.raises(ExsError, match="accept pending"):
+            lsock.close(eq)
+        (yield eq.dequeue()).expect(ExsEventType.ACCEPT)
+        yield tb.sim.timeout(200_000)  # the second request waits in the backlog
+        out["backlog"] = lsock._listener.backlog
+        lsock.close(eq, context="bye")
+        out["closed"] = (yield eq.dequeue()).expect(ExsEventType.CLOSE).context
+        server.socket().bind_listen(5200)  # the port is free again
+
+    def connect(delay):
+        yield tb.sim.timeout(delay)
+        eq = client.qcreate()
+        client.socket().connect(5200, eq)
+        ev = yield eq.dequeue()
+        return ev.kind, ev.error
+
+    _, accepted, refused = run_procs(tb.sim, serve(), connect(10), connect(100_000))
+    assert out == {"backlog": 1, "closed": "bye"}
+    assert accepted == (ExsEventType.CONNECT, None)
+    assert refused == (ExsEventType.ERROR, "connection refused")

@@ -1,5 +1,7 @@
 """Telemetry observes, never perturbs: results are bit-identical either way."""
 
+import io
+
 from repro.apps import BlastConfig, ExponentialSizes, run_blast
 from repro.bench.experiment import SMOKE, run_grid
 from repro.obs import load_jsonl
@@ -67,3 +69,26 @@ def test_env_var_emits_artifacts_from_sweep_workers(tmp_path):
             art = load_jsonl(fh)
         assert art.meta["scenario"] == "blast"
         assert art.spans and all(s.complete for s in art.spans)
+
+
+def _observed_blast_names():
+    """Per-connection series names and span conn ids of one observed blast export."""
+    tb = Testbed(ScenarioConfig(seed=4))
+    telemetry = tb.attach_telemetry()
+    run_blast(BlastConfig(total_messages=20, sizes=ExponentialSizes(seed=4)), testbed=tb)
+    out = io.StringIO()
+    telemetry.export(out)
+    out.seek(0)
+    artifact = load_jsonl(out)
+    return (sorted(name for name in artifact.series if name.startswith("conn")),
+            sorted({span.conn for span in artifact.spans}))
+
+
+def test_connection_ids_count_per_fabric():
+    """Connection ids name the per-connection series: the same run exports
+    the same names however many runs came before it in the process."""
+    first = _observed_blast_names()
+    names, conns = first
+    assert conns == [1]  # spans are rooted at the sender, the first connection
+    assert {name.split(".")[0] for name in names} == {"conn1", "conn2", "conns"}
+    assert _observed_blast_names() == first

@@ -27,7 +27,6 @@ import time
 from repro.check import audit_events, audit_spans
 from repro.config import ScenarioConfig
 from repro.exs import BlockingSocket, ExsSocketOptions, SocketType
-from repro.exs.connection import ExsConnection
 from repro.obs import build_spans, validate_chrome_trace
 from repro.obs.perfetto import build_chrome_trace
 from repro.simnet import HEAVY_LOSS
@@ -78,9 +77,8 @@ def _sha(obj) -> str:
 
 
 def test_readers_reproduce_the_recorded_outputs(monkeypatch):
-    # conn ids, QP numbers and keys are process-wide counters: start them
-    # where a fresh process does, as when the digests were recorded
-    monkeypatch.setattr(ExsConnection, "_ids", itertools.count(1))
+    # QP numbers and keys are process-wide counters: start them where a
+    # fresh process does, as when the digests were recorded
     monkeypatch.setattr(RdmaDevice, "_ids", itertools.count(1))
     monkeypatch.setattr(ProtectionDomain, "_keys", itertools.count(0x1000))
     events = _mixed_run()

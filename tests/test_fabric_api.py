@@ -115,6 +115,18 @@ def test_connect_establishes_across_a_switch():
     assert pair.b_socket.stack is fab.stack("c")
 
 
+def test_an_explicit_port_connects_again_once_its_pair_is_established():
+    fab = Fabric(ScenarioConfig(seed=2, topology=STAR))
+    first = fab.connect("a", "c", port=4000)
+    fab.run()
+    assert first.established.triggered
+    assert fab.stack("c").cm._listeners == {}  # the listener closed after its accept
+    second = fab.connect("b", "c", port=4000)
+    fab.run()
+    assert second.established.triggered and second.error is None
+    assert second.b_socket.stack is fab.stack("c")
+
+
 def test_connect_auto_ports_are_distinct():
     fab = Fabric(topology=Topology.star(["a", "b", "c"]))
     p1 = fab.connect("a", "b")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import os
 import shutil
@@ -29,7 +28,6 @@ from repro import (BlastConfig, ExponentialSizes, ExsSocketOptions, Fabric, Fixe
                    ScenarioConfig, Testbed, run_blast)
 from repro.apps import EchoConfig, run_echo
 from repro.exs import ExsEventType, MsgFlags
-from repro.exs.connection import ExsConnection
 from repro.exs.engine import Engine
 from repro.simnet import HEAVY_LOSS, LIGHT_LOSS, Simulator, SwitchConfig, Topology, _accel
 from repro.verbs import ReliabilityConfig
@@ -199,10 +197,8 @@ OBSERVE_INTERVAL_NS = 10_000
 
 
 def _observed(run, *args, **kwargs) -> dict:
-    """The telemetry export of an observed pinned run, split like ``smoke/telemetry``.
-    Connection ids, which name the per-connection series, count from 1."""
-    with mock.patch.object(ExsConnection, "_ids", itertools.count(1)):
-        _record, fabric = run(*args, observe=True, **kwargs)
+    """The telemetry export of an observed pinned run, split like ``smoke/telemetry``."""
+    _record, fabric = run(*args, observe=True, **kwargs)
     out = io.StringIO()
     fabric.telemetry.export(out)
     return _telemetry(out.getvalue())

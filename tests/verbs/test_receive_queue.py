@@ -248,3 +248,58 @@ def test_srq_keeps_its_overflow_checks_and_counters():
     assert [srq.take().wr_id for _ in range(2)] == [1, 2]
     assert (srq.consumed_total, srq.depth, srq.min_free) == (2, 2, 2)
     assert not hasattr(srq, "__dict__")  # the pool's fields are all declared
+
+
+# ----------------------------------------------------------------------
+# differential: pool reposts extend the lazy run
+# ----------------------------------------------------------------------
+def _error(fn, *args):
+    """The message of the VerbsError a call raised, or None."""
+    try:
+        fn(*args)
+    except VerbsError as exc:
+        return str(exc)
+    return None
+
+
+def _pool_state(srq):
+    return (len(srq), srq.posted_total, srq.consumed_total, srq.min_free)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_extend_run_matches_posting_the_next_wr(seed):
+    """An ``SrqPool`` reposts with ``extend_run``: the same as posting
+    ``RecvWR(next_wr_id, sge)``, through a drain to empty and a refill."""
+    rng = random.Random(2000 + seed)
+    depth = rng.choice((1, 4, 8))
+    device = _device()
+    lazy, ref = device.create_srq(depth), device.create_srq(depth)
+    for srq in (lazy, ref):
+        srq.prefill(depth, SGES[0], wr_id_start=1)
+    next_id = depth + 1
+    # drain the pool, refill it, overflow it once, then mix at random
+    ops = ["take"] * depth + ["repost"] * (depth + 1)
+    ops += rng.choices(("take", "repost"), (1, 1), k=rng.randrange(20, 60))
+    for op in ops:
+        if op == "take":
+            if len(ref):
+                assert _wr_view(lazy.take()) == _wr_view(ref.take())
+        else:
+            want = _error(ref.post_recv, RecvWR(next_id, SGES[0]))
+            assert _error(lazy.extend_run) == want, op
+            if want is None:
+                next_id += 1
+        assert _pool_state(lazy) == _pool_state(ref), op
+    assert _error(lazy.extend_run) == _error(ref.post_recv, RecvWR(next_id, SGES[0]))
+    assert [_wr_view(lazy.take()) for _ in range(len(lazy))] == [
+        _wr_view(ref.take()) for _ in range(len(ref))]
+    assert lazy._wrs == ()  # no WR was ever built to be held
+
+
+def test_extend_run_refuses_what_would_reorder_the_queue():
+    srq = _device().create_srq(4)
+    assert _error(srq.extend_run) == "no prefilled run to extend"
+    srq.prefill(1, SGES[0], wr_id_start=1)
+    srq.post_recv(RecvWR(7, SGES[1]))
+    assert "jump the queue" in _error(srq.extend_run)
+    assert srq.posted_total == 2
