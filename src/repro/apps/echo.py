@@ -84,6 +84,7 @@ def _server_proc(tb: Testbed, cfg: EchoConfig):
     mr = yield from stack.mregister(buf)
     lsock.accept(eq)
     ev = (yield eq.dequeue()).expect(ExsEventType.ACCEPT)
+    lsock.close()
     sock = ev.socket
     total = cfg.iterations + cfg.warmup
     for _ in range(total):
@@ -100,7 +101,10 @@ def _client_proc(tb: Testbed, cfg: EchoConfig, out: dict):
     opts = cfg.socket_options()
     sock = stack.socket(SocketType.SOCK_STREAM, opts)
     eq = stack.qcreate()
-    buf = stack.alloc(cfg.message_bytes, real=cfg.real_data, label="echo:cli")
+    # send from the first half, receive the reply into the second: the send
+    # pins its range until its completion, which may follow the reply
+    n = cfg.message_bytes
+    buf = stack.alloc(2 * n, real=cfg.real_data, label="echo:cli")
     mr = yield from stack.mregister(buf)
     sock.connect(cfg.port, eq)
     (yield eq.dequeue()).expect(ExsEventType.CONNECT)
@@ -108,16 +112,16 @@ def _client_proc(tb: Testbed, cfg: EchoConfig, out: dict):
     total = cfg.iterations + cfg.warmup
     for i in range(total):
         t0 = tb.now
-        sock.send(buf, mr, cfg.message_bytes, eq)
+        sock.send(buf, mr, n, eq)
         # wait for both the send completion and the echoed reply
         pending = {"send": False, "recv": False}
-        sock.recv(buf, mr, cfg.message_bytes, eq, flags=MsgFlags.MSG_WAITALL)
+        sock.recv(buf, mr, n, eq, offset=n, flags=MsgFlags.MSG_WAITALL)
         while not (pending["send"] and pending["recv"]):
             ev = yield eq.dequeue()
             if ev.kind is ExsEventType.SEND:
                 pending["send"] = True
             elif ev.kind is ExsEventType.RECV:
-                if ev.nbytes != cfg.message_bytes:
+                if ev.nbytes != n:
                     raise RuntimeError(f"echo client: short reply {ev.nbytes}")
                 pending["recv"] = True
             else:

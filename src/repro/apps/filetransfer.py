@@ -151,6 +151,7 @@ def _receiver_stream(tb: Testbed, cfg: FileTransferConfig, stream: int,
     mr = out["file_mr"]
     lsock.accept(eq)
     ev = (yield eq.dequeue()).expect(ExsEventType.ACCEPT)
+    lsock.close()
     sock = ev.socket
 
     # MSG_WAITALL receives: each takes exactly its chunk, so the posted

@@ -167,6 +167,7 @@ class BlockingSocket:
         listener.accept(eq)
         ev: ExsEvent = yield eq.dequeue()
         ev.expect(ExsEventType.ACCEPT)
+        listener.close()  # its one accept is done: the port is free again
         return cls(ev.socket, eq)
 
     # -- data ---------------------------------------------------------------

@@ -200,8 +200,10 @@ class Fabric:
             device_config = replace(device_config, reliability=reliability)
 
         self._devices: Dict[str, RdmaDevice] = {}
-        for name in topo.hosts:
-            self._devices[name] = RdmaDevice(self.sim, self._hosts[name], device_config)
+        keys = itertools.count(0x1000)  # devices, QPNs and keys are numbered per fabric
+        for i, name in enumerate(topo.hosts, 1):
+            self._devices[name] = RdmaDevice(self.sim, self._hosts[name], device_config,
+                                             device_id=i, keys=keys)
 
         #: QPN → owning device, for fabric-wide routing
         self._qpn_home: Dict[int, RdmaDevice] = {}

@@ -9,8 +9,6 @@ from .memory import (
     MemoryArena,
     MemoryError_,
     ViewPin,
-    pin_debug_enabled,
-    set_pin_debug,
 )
 
 __all__ = [
@@ -23,6 +21,4 @@ __all__ = [
     "MemoryArena",
     "MemoryError_",
     "ViewPin",
-    "pin_debug_enabled",
-    "set_pin_debug",
 ]

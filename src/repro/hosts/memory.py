@@ -34,11 +34,10 @@ the transport acknowledges the carrying work request (RC semantics: only the
 completion tells the application it may reuse the memory).  Retransmission
 and fault-injected duplication may re-deliver a frame carrying the view, but
 the receiver's sequence check discards such frames *without* dereferencing
-the payload, so a released view is never read.  The rule is enforced by a
-debug assertion mode (:func:`set_pin_debug`, or the ``REPRO_ZC_DEBUG``
-environment variable): every in-flight slice takes a :class:`ViewPin` on its
-source range, writes into a pinned range raise, and placing a chunk whose
-pin was already released raises.
+the payload, so a released view is never read.  The rule is always
+enforced: every in-flight slice takes a :class:`ViewPin` on its source
+range, writes into a pinned range raise, and placing a chunk whose pin was
+already released raises.
 
 A buffer can be the source of a write into *itself* (loopback-style reuse).
 Plain ``bytearray`` slice assignment from an overlapping ``memoryview`` of
@@ -62,7 +61,6 @@ connection that only ever takes the direct path) cost no zero-fill time.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -72,28 +70,11 @@ __all__ = [
     "MemoryArena",
     "MemoryError_",
     "ViewPin",
-    "pin_debug_enabled",
-    "set_pin_debug",
 ]
 
 
 class MemoryError_(RuntimeError):
     """Out-of-bounds access or misuse of a simulated buffer."""
-
-
-#: module-global debug switch for pin enforcement (see module docstring)
-_PIN_DEBUG = os.environ.get("REPRO_ZC_DEBUG", "") not in ("", "0")
-
-
-def set_pin_debug(enabled: bool) -> None:
-    """Enable/disable the view-pinning debug assertions (module-global)."""
-    global _PIN_DEBUG
-    _PIN_DEBUG = bool(enabled)
-
-
-def pin_debug_enabled() -> bool:
-    """True when view-pinning assertions are active."""
-    return _PIN_DEBUG
 
 
 class CopyMeter:
@@ -150,9 +131,8 @@ class ViewPin:
 
     Created when a view of sender memory is handed to the transport
     (:meth:`Buffer.pin_range`), released when the transport acknowledgement
-    frees the send window.  Idempotent release; in debug mode
-    (:func:`set_pin_debug`) writes into pinned ranges and placement of
-    released views raise :class:`MemoryError_`.
+    frees the send window.  Idempotent release; writes into pinned ranges
+    and placement of released views raise :class:`MemoryError_`.
     """
 
     __slots__ = ("buffer", "offset", "nbytes", "released")
@@ -391,7 +371,7 @@ class Buffer:
         if not self._real:
             return
         data = self.data
-        if _PIN_DEBUG and self._pins:
+        if self._pins:
             self._assert_unpinned(offset, nbytes)
         if type(payload) is memoryview and payload.obj is data:
             payload = bytes(payload)
@@ -410,19 +390,18 @@ class Buffer:
         payload = chunk.data
         if not self._real or payload is None:
             return
-        if _PIN_DEBUG:
-            pin = chunk.pin
-            if pin is not None and pin.released:
-                meter = self.meter
-                if meter is not None:
-                    meter.pin_violations += 1
-                raise MemoryError_(
-                    f"placing chunk at stream offset {chunk.stream_offset} whose "
-                    f"source pin {pin!r} was already released — the sender may "
-                    "have reused the memory"
-                )
-            if self._pins:
-                self._assert_unpinned(offset, chunk.nbytes)
+        pin = chunk.pin
+        if pin is not None and pin.released:
+            meter = self.meter
+            if meter is not None:
+                meter.pin_violations += 1
+            raise MemoryError_(
+                f"placing chunk at stream offset {chunk.stream_offset} whose "
+                f"source pin {pin!r} was already released — the sender may "
+                "have reused the memory"
+            )
+        if self._pins:
+            self._assert_unpinned(offset, chunk.nbytes)
         data = self.data
         if type(payload) is memoryview and payload.obj is data:
             payload = bytes(payload)

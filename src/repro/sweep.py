@@ -20,8 +20,7 @@ Determinism contract: for the same ``configs``/``seeds``, the returned list
 is identical whether ``processes`` is 1 or N (the regression test in
 ``tests/test_sweep.py`` enforces this).  Workers must therefore be pure
 functions of ``(config, seed)`` — in particular they must not read mutable
-process-global state, which all of :mod:`repro.apps.blast` already
-satisfies.
+process-global state, which no app in :mod:`repro.apps` does.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Iterator, Optional, Set
 
 from ..hosts.host import Host
 from ..hosts.memory import Chunk
@@ -68,22 +68,25 @@ class DeviceConfig:
 
 
 class RdmaDevice:
-    """A software HCA bound to a host and one link endpoint."""
+    """A software HCA bound to a host and one link endpoint.
 
-    _ids = itertools.count(1)
+    Its builder numbers it: *device_id* is its place in its fabric's
+    creation order and *keys* the memory-key counter the fabric shares.
+    """
 
-    def __init__(self, sim: Simulator, host: Host, config: Optional[DeviceConfig] = None) -> None:
+    def __init__(self, sim: Simulator, host: Host, config: Optional[DeviceConfig] = None, *,
+                 device_id: int, keys: Iterator[int]) -> None:
         self.sim = sim
         self.host = host
         self.config = config or DeviceConfig()
-        self.device_id = next(RdmaDevice._ids)
+        self.device_id = device_id
         host.device = self
 
-        self.pd = ProtectionDomain(self)
+        self.pd = ProtectionDomain(self, keys)
         self._qps: Dict[int, QueuePair] = {}
-        # QPNs are globally unique (the device counter is process-wide), so
-        # a fabric can route any message by destination QPN alone; the wide
-        # stride keeps them unique even for thousand-QP devices.
+        # QPNs are unique within a fabric (its devices have distinct ids), so
+        # it can route any message by destination QPN alone; the wide stride
+        # keeps them unique even for thousand-QP devices.
         self._next_qpn = itertools.count(self.device_id * 1_000_000 + 1)
 
         self.link: Optional[Link] = None
@@ -611,9 +614,10 @@ class RdmaDevice:
 def connect_devices(sim: Simulator, host_a: Host, host_b: Host, link: Link,
                     config_a: Optional[DeviceConfig] = None,
                     config_b: Optional[DeviceConfig] = None) -> tuple[RdmaDevice, RdmaDevice]:
-    """Create two devices on *link* endpoints 0/1 and cross-wire them."""
-    dev_a = RdmaDevice(sim, host_a, config_a)
-    dev_b = RdmaDevice(sim, host_b, config_b)
+    """Create devices 1 and 2 on *link* endpoints 0/1 and cross-wire them."""
+    keys = itertools.count(0x1000)
+    dev_a = RdmaDevice(sim, host_a, config_a, device_id=1, keys=keys)
+    dev_b = RdmaDevice(sim, host_b, config_b, device_id=2, keys=keys)
     dev_a.attach_link(link, 0)
     dev_b.attach_link(link, 1)
     dev_a.peer = dev_b

@@ -10,8 +10,7 @@ registered region, so the EXS layer cannot cheat.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from ..hosts.memory import Buffer
 from .enums import Access
@@ -72,12 +71,12 @@ class MemoryRegion:
 
 
 class ProtectionDomain:
-    """Registry of memory regions belonging to one device context."""
+    """Registry of memory regions belonging to one device context; lkeys
+    and rkeys come from *keys*, the counter its fabric shares."""
 
-    _keys = itertools.count(0x1000)
-
-    def __init__(self, device: "object") -> None:
+    def __init__(self, device: "object", keys: Iterator[int]) -> None:
         self.device = device
+        self._keys = keys
         self._by_lkey: Dict[int, MemoryRegion] = {}
         self._by_rkey: Dict[int, MemoryRegion] = {}
 

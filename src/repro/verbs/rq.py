@@ -16,8 +16,7 @@ each of its ``RecvWR(wr_id, sge)`` is built when it is consumed.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import VerbsError
 from .wr import SGE, RecvWR
@@ -36,9 +35,9 @@ class ReceiveQueue:
     __slots__ = ("_wrs", "_run", "_run_next_id", "_run_sge")
 
     def __init__(self) -> None:
-        #: WRs posted one by one, behind the lazy run: a deque built on the
+        #: WRs posted one by one, behind the lazy run: a list built on the
         #: first (an SRQ-attached or prefilled queue may never post one)
-        self._wrs: Union[Deque[RecvWR], Tuple[()]] = ()
+        self._wrs: Union[List[RecvWR], Tuple[()]] = ()
         # the lazy run at the head: WRs left, the next one's wr_id, their SGE
         self._run = 0
         self._run_next_id = 0
@@ -48,7 +47,7 @@ class ReceiveQueue:
         """Post one receive WR at the tail."""
         wrs = self._wrs
         if type(wrs) is tuple:
-            wrs = self._wrs = deque()
+            wrs = self._wrs = []
         wrs.append(wr)
 
     def prefill(self, count: int, sge: Optional[SGE], wr_id_start: int) -> None:
@@ -80,7 +79,7 @@ class ReceiveQueue:
             wr_id = self._run_next_id
             self._run_next_id = wr_id + 1
             return RecvWR(wr_id, self._run_sge)
-        return self._wrs.popleft()
+        return self._wrs.pop(0)
 
     def __len__(self) -> int:
         return self._run + len(self._wrs)

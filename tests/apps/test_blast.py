@@ -8,6 +8,7 @@ from repro.core import ProtocolMode
 from repro.config import KERNELS, ScenarioConfig
 from repro.exs import ExsError
 from repro.simnet import SimulationError
+from repro.testbed import Testbed
 
 
 def test_blast_moves_every_byte_with_real_data():
@@ -61,6 +62,32 @@ def test_blast_waitall_mode():
                       recv_buffer_bytes=1 << 16, waitall=True, real_data=True)
     r = run_blast(cfg, ScenarioConfig(seed=1), max_events=50_000_000)
     assert r.total_bytes == 10 * (1 << 16)
+
+
+@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
+def test_waitall_blast_counts_the_bytes_its_eof_completes(transport):
+    """5 x 300,000 B end inside the second 1 MiB WAITALL receive, which the
+    end of stream completes with its bytes."""
+    cfg = BlastConfig(total_messages=5, sizes=FixedSizes(300_000),
+                      recv_buffer_bytes=1 << 20, waitall=True, real_data=True)
+    r = run_blast(cfg, ScenarioConfig(seed=1, transport=transport), max_events=50_000_000)
+    assert r.total_bytes == 1_500_000
+
+
+def test_identical_runs_number_devices_qps_and_keys_alike():
+    """Devices, QPNs and memory keys are numbered per fabric, so a run
+    names nothing after what ran before it in the process."""
+    def numbering():
+        tb = Testbed.from_scenario(ScenarioConfig(seed=1))
+        run_blast(BlastConfig(total_messages=8, sizes=FixedSizes(4096),
+                              recv_buffer_bytes=4096), testbed=tb)
+        return [(d.device_id, sorted(d._qps), sorted(d.pd._by_lkey), sorted(d.pd._by_rkey))
+                for d in map(tb.device, tb.host_names)]
+
+    first = numbering()
+    assert first == numbering()
+    assert [(device_id, qpns) for device_id, qpns, _, _ in first] == [
+        (1, [1_000_001]), (2, [2_000_001])]
 
 
 def test_blast_single_message():

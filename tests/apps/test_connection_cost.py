@@ -78,6 +78,14 @@ def test_synthetic_run_carries_no_payload_bytes(name):
             conn.host.name, meter.snapshot())
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_finished_run_holds_no_listener(name):
+    fabric, run = WORKLOADS[name]()
+    run()
+    for host in fabric.host_names:
+        assert fabric.stack(host).cm._listeners == {}, host
+
+
 def test_real_incast_still_moves_bytes():
     """The same incast with default options forwards views and copies."""
     conns = _connections(*_incast(ExsSocketOptions()))

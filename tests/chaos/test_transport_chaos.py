@@ -21,7 +21,6 @@ import pytest
 
 from helpers import VARIANTS, run_procs
 from repro.exs import TRANSPORT_EAGER_RENDEZVOUS, BlockingSocket, ExsSocketOptions
-from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
 from repro.testbed import Testbed
 
@@ -32,13 +31,6 @@ RDV = ExsSocketOptions(transport=TRANSPORT_EAGER_RENDEZVOUS)
 
 pytestmark = pytest.mark.parametrize(
     "variant", [v for v in VARIANTS if v.transport == TRANSPORT_EAGER_RENDEZVOUS], ids=str)
-
-
-@pytest.fixture(autouse=True)
-def pin_debug():
-    set_pin_debug(True)
-    yield
-    set_pin_debug(False)
 
 
 def run_transfer(tb, pieces, *, recv=8_192, waitall=False, port=4700):

@@ -7,10 +7,10 @@ the wire can produce: drops force retransmissions that *replay the original
 view-carrying message*, duplication delivers the same view twice, and the
 application reuses its send buffer the moment the completion arrives.
 
-Every test here runs real bytes with the view-pinning debug assertions
-enabled (:func:`repro.hosts.memory.set_pin_debug`), so any write into an
-in-flight source range or placement of a released view raises inside the
-engine and fails the test.  On top of that the delivered stream must be
+Every test here runs real bytes, whose view-pinning assertions always run
+(:class:`repro.hosts.memory.ViewPin`), so any write into an in-flight
+source range or placement of a released view raises inside the engine and
+fails the test.  On top of that the delivered stream must be
 bit-identical to what the application sent, and the per-connection
 :class:`~repro.obs.CopyMeter` must account for every byte: exactly one
 placement copy per payload byte on the direct path, exactly two on the
@@ -29,7 +29,6 @@ from helpers import VARIANTS, run_procs
 from repro.config import ScenarioConfig
 from repro.core import ProtocolMode
 from repro.exs import TRANSPORT_WWI, BlockingSocket, ExsEventType, ExsSocketOptions
-from repro.hosts.memory import set_pin_debug
 from repro.simnet import FaultProfile
 from repro.testbed import Testbed
 
@@ -45,14 +44,6 @@ wwi_variants = pytest.mark.parametrize("variant", WWI_VARIANTS, ids=str)
 #: the WWI modes plus no reliability layer at all (``None``)
 wwi_variants_or_none = pytest.mark.parametrize(
     "variant", [None, *WWI_VARIANTS], ids=lambda v: str(v) if v else "unreliable")
-
-
-@pytest.fixture(autouse=True)
-def pin_debug():
-    """Every test in this module runs with pin assertions armed."""
-    set_pin_debug(True)
-    yield
-    set_pin_debug(False)
 
 
 def payload_for(seed, nbytes=PAYLOAD_BYTES):

@@ -44,6 +44,10 @@ def test_failing_outcome_becomes_replayable_counterexample():
     assert ce.fuzz_case["messages"] == CASE.messages
 
 
+def test_a_waitall_case_delivers_its_last_partial_buffer():
+    assert run_case(FuzzCase(waitall=True), ScenarioConfig(seed=1)).error is None
+
+
 def test_fuzz_case_round_trips():
     case = FuzzCase(messages=7, waitall=True, mode="indirect")
     assert FuzzCase.from_dict(case.to_dict()) == case

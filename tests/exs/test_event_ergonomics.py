@@ -58,6 +58,8 @@ def test_with_block_closes_and_server_sees_eof(tb):
     run_procs(tb.sim, server(), client())
     assert out["data"] == b"payload"
     assert out["eof"], "with-block exit must close the stream (server EOF)"
+    # accept_one closed its listening socket once its accept completed
+    assert tb.server.cm._listeners == {} and tb.client.cm._listeners == {}
 
 
 def test_close_is_idempotent_after_with(tb):

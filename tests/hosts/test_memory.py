@@ -8,17 +8,7 @@ from repro.hosts.memory import (
     CopyMeter,
     MemoryArena,
     MemoryError_,
-    pin_debug_enabled,
-    set_pin_debug,
 )
-
-
-@pytest.fixture
-def pin_debug():
-    """Enable the view-pinning debug assertions for one test."""
-    set_pin_debug(True)
-    yield
-    set_pin_debug(False)
 
 
 @pytest.fixture
@@ -241,7 +231,7 @@ def test_write_from_other_buffer_view_is_plain_copy(arena):
 
 
 # ---------------------------------------------------------------------------
-# view pinning (the aliasing rule) and its debug assertions
+# view pinning (the aliasing rule) and its assertions
 # ---------------------------------------------------------------------------
 
 def test_pin_release_is_idempotent_and_metered(arena):
@@ -259,7 +249,7 @@ def test_pin_on_synthetic_buffer_is_none(arena):
     assert arena.alloc(8, real=False).pin_range(0, 4) is None
 
 
-def test_debug_mode_rejects_write_into_pinned_range(arena, pin_debug):
+def test_debug_mode_rejects_write_into_pinned_range(arena):
     buf = arena.alloc(8)
     pin = buf.pin_range(2, 4)
     with pytest.raises(MemoryError_, match="in-flight view"):
@@ -269,7 +259,7 @@ def test_debug_mode_rejects_write_into_pinned_range(arena, pin_debug):
     buf.write(3, b"xx")  # released: reuse allowed
 
 
-def test_debug_mode_rejects_placing_released_view(arena, pin_debug):
+def test_debug_mode_rejects_placing_released_view(arena):
     src, dst = arena.alloc(4), arena.alloc(4)
     src.fill(b"abcd")
     pin = src.pin_range(0, 4)
@@ -277,13 +267,6 @@ def test_debug_mode_rejects_placing_released_view(arena, pin_debug):
     pin.release()
     with pytest.raises(MemoryError_, match="already released"):
         dst.write_chunk(0, chunk)
-
-
-def test_pin_checks_inactive_outside_debug_mode(arena):
-    assert not pin_debug_enabled()
-    buf = arena.alloc(8)
-    buf.pin_range(0, 8)
-    buf.write(0, b"allowed!")  # no assertion outside debug mode
 
 
 # ---------------------------------------------------------------------------
