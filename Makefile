@@ -93,10 +93,9 @@ check-smoke:
 # End-to-end + per-layer host-time benchmark (perf/README.md; the gate
 # every perf PR is judged by, declared in BENCHMARK.json).  The smoke
 # target runs the harness's own tests and four short untraced workloads
-# (echo_small; blast_stream, the workload perf claims are made on;
-# incast_fanin, the only one whose CQ-shard pollers serve many
-# connections; and
-# blast_lossy, the only one with retransmit timers and NAKs) — run.py
+# (echo_small; blast_stream; incast_fanin, the only one whose CQ-shard
+# pollers serve many connections; and blast_lossy, the only one with
+# retransmit timers and NAKs) — run.py
 # exits non-zero on any correctness failure (fingerprint drift
 # between repetitions, truncation, accelerator status change) — and
 # leaves its result document behind for CI upload.  `make perf` is the

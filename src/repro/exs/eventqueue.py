@@ -11,11 +11,11 @@ In the simulation, ``exs_qdequeue`` returns a kernel event to ``yield`` on.
 from __future__ import annotations
 
 import enum
-import random
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..records import record
 from ..simnet import Event, Simulator, Store
+from ..verbs.comp_channel import WakeupSampler, WakeupStream
 
 __all__ = ["ExsEventType", "ExsEvent", "ExsEventQueue"]
 
@@ -88,7 +88,7 @@ class ExsEventQueue:
         self,
         sim: Simulator,
         depth: int = 4096,
-        wakeup: Optional[Callable[[random.Random], float]] = None,
+        wakeup: Optional[WakeupSampler] = None,
         seed: int = 0,
     ) -> None:
         self.sim = sim
@@ -96,9 +96,7 @@ class ExsEventQueue:
         self._store = Store(sim)
         self.delivered = 0
         self.wakeup = wakeup
-        #: ``random.Random(seed)``, built on the first wake-up draw
-        self._seed = seed
-        self._rng: Optional[random.Random] = None
+        self._wakes = WakeupStream(seed)
         self.slept_wakeups = 0
         #: completions discarded because the application stopped dequeueing
         self.dropped = 0
@@ -133,10 +131,8 @@ class ExsEventQueue:
         if self.wakeup is not None and store.waiting:
             # the application is asleep in dequeue(): it gets the event
             # one OS wake-up later
-            rng = self._rng
-            if rng is None:
-                rng = self._rng = random.Random(self._seed)
-            store.put(event, delay=int(round(self.wakeup(rng))))
+            wakes = self._wakes
+            store.put(event, delay=int(round(self.wakeup(wakes.rng or wakes))))
         else:
             store.put(event)
 

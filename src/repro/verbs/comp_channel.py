@@ -22,13 +22,59 @@ progress thread.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional
+from array import array
+from typing import Any, Callable, Optional, Sequence
 
 from ..simnet import SimulationError, Simulator
 
-__all__ = ["CompletionChannel", "uniform_wakeup", "fixed_wakeup"]
+__all__ = ["CompletionChannel", "WakeupStream", "uniform_wakeup", "fixed_wakeup"]
 
+#: a sampler draws from its argument's ``random()`` and from nothing else
 WakeupSampler = Callable[[random.Random], float]
+
+_PREFIX = 8   # draws a stream fills on its first draw
+_REFILL = 40  # draws it holds once that prefix is outrun; past them it keeps the generator
+
+
+class WakeupStream:
+    """The floats ``random.Random(seed).random()`` yields, drawn ahead.
+
+    Most wake-up streams make a few dozen draws per run, and a generator
+    holds 2.5 KiB of state.  So the stream builds one only to fill a short
+    ``array('d')`` (first :data:`_PREFIX` draws, then :data:`_REFILL`) and
+    drops it; a stream that outruns both keeps the generator as
+    :attr:`rng`, and its holder hands that to the sampler directly
+    (``stream.rng or stream``), one Python call fewer per draw.  Only
+    ``random()`` is offered, so a sampler calling any other method fails on
+    its first draw.
+    """
+
+    __slots__ = ("seed", "rng", "_drawn", "_next")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        #: the generator, kept once the stream has outrun its drawn-ahead floats
+        self.rng: Optional[random.Random] = None
+        self._drawn: Sequence[float] = ()  # nothing drawn ahead yet
+        self._next = 0
+
+    def random(self) -> float:
+        i = self._next
+        if i < len(self._drawn):
+            self._next = i + 1
+            return self._drawn[i]
+        rng = self.rng
+        if rng is None:
+            rng = random.Random(self.seed)
+            draw = rng.random
+            if i < _REFILL:
+                self._drawn = array("d", [draw() for _ in range(_REFILL if i else _PREFIX)])
+                return self.random()
+            for _ in range(i):
+                draw()
+            self.rng = rng
+            self._drawn = ()
+        return rng.random()
 
 
 def uniform_wakeup(lo_ns: int, hi_ns: int) -> WakeupSampler:
@@ -66,9 +112,7 @@ class CompletionChannel:
     ) -> None:
         self.sim = sim
         self.wakeup = wakeup or fixed_wakeup(0)
-        #: ``random.Random(seed)``, built on the first wake-up draw
-        self._seed = seed
-        self._rng: Optional[random.Random] = None
+        self._wakes = WakeupStream(seed)
         #: the registered sleeper's callback and its argument
         self._fn: Optional[Callable[[Any], None]] = None
         self._token: Any = None
@@ -110,10 +154,8 @@ class CompletionChannel:
         if fn is not None:
             self._fn = None
             self.slept_wakeups += 1
-            rng = self._rng
-            if rng is None:
-                rng = self._rng = random.Random(self._seed)
-            delay = int(round(self.wakeup(rng)))
+            wakes = self._wakes
+            delay = int(round(self.wakeup(wakes.rng or wakes)))
             self.sim.call_in(delay, fn, self._token)
         else:
             self._latched += 1

@@ -6,9 +6,10 @@ from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
 from repro.bench.profiles import ROCE_10G_LAN
 from repro.core import ProtocolMode
 from repro.config import KERNELS, ScenarioConfig
-from repro.exs import ExsError
+from repro.exs import ExsError, ExsSocketOptions
 from repro.simnet import SimulationError
 from repro.testbed import Testbed
+from repro.trace import ProtocolTracer
 
 
 def test_blast_moves_every_byte_with_real_data():
@@ -72,6 +73,39 @@ def test_waitall_blast_counts_the_bytes_its_eof_completes(transport):
                       recv_buffer_bytes=1 << 20, waitall=True, real_data=True)
     r = run_blast(cfg, ScenarioConfig(seed=1, transport=transport), max_events=50_000_000)
     assert r.total_bytes == 1_500_000
+
+
+@pytest.mark.parametrize("credits", [4, 128])
+def test_eager_blast_waits_for_send_credits(credits):
+    """600 x 512 B, all below ``eager_threshold``: every eager SEND takes a
+    bounce slot at the peer, so with 16 sends outstanding the sender must
+    stop at zero credits, not post into a slot the receiver has not freed
+    (that fails the send with a ``CreditError``)."""
+    options = ExsSocketOptions(credits=credits)
+    assert 512 <= options.eager_threshold
+    cfg = BlastConfig(total_messages=600, sizes=FixedSizes(512), outstanding_sends=16,
+                      recv_buffer_bytes=512, options=options, real_data=True)
+    r = run_blast(cfg, ScenarioConfig(seed=1, transport="eager_rendezvous"))
+    assert r.total_bytes == 600 * 512
+    assert (r.tx_stats.indirect_transfers, r.tx_stats.direct_transfers) == (600, 0)
+
+
+@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
+def test_waitall_receives_complete_full_until_eof(transport):
+    """600 x 512 B into 4096 B WAITALL receives: each RECV completes with a
+    full buffer (75 of them); only the end of stream completes one short,
+    and here it has no bytes left to carry (docs/PROTOCOL.md, *Completion
+    contract*)."""
+    tb = Testbed.from_scenario(ScenarioConfig(seed=1, transport=transport))
+    tracer = ProtocolTracer.attach(tb)
+    cfg = BlastConfig(total_messages=600, sizes=FixedSizes(512), recv_buffer_bytes=4096,
+                      waitall=True, real_data=True)
+    r = run_blast(cfg, testbed=tb)
+    delivered = [(e.get("nbytes"), bool(e.get("eof"))) for e in tracer.events
+                 if e.kind == "deliver"]
+    assert [n for n, eof in delivered if not eof] == [4096] * 75
+    assert {n for n, eof in delivered if eof} == {0}
+    assert r.total_bytes == 600 * 512
 
 
 def test_identical_runs_number_devices_qps_and_keys_alike():

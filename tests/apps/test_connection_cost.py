@@ -7,7 +7,8 @@ no memoryview forwarded, no range pinned, no byte copied.  The footprint
 guards hold what a connection leaves behind after bring-up under a bound
 per interpreter: its Python objects, counted as the garbage collector
 tracks them (the collector's cost grows with that count), and its bytes,
-counted by ``tracemalloc``.
+counted by ``tracemalloc`` both after a collection and before one (the
+cyclic garbage a finished run leaves until the next full collection).
 """
 
 import gc
@@ -95,16 +96,24 @@ def test_real_incast_still_moves_bytes():
 
 
 #: GC-tracked objects one connection may leave after a synthetic incast
-#: bring-up: with no listener left behind it measured 88.9 (3.10) and 68.1
-#: (3.11 to 3.13); keeping one listener per connection measured 98 and 75.2
+#: bring-up: with no listener left behind and a wake-up stream per event
+#: queue and channel it measured 89.4 (3.10) and 68.6 (3.11 to 3.13);
+#: keeping one listener per connection measured 98 and 75.2
 TRACKED_PER_CONNECTION = 93 if sys.version_info < (3, 11) else 72
 
 #: bytes one connection may hold after the same bring-up: with list FIFOs,
-#: pool reposts on the SRQ's lazy run and no listener left behind it
-#: measured 16.8 KiB (3.10) and 14.8 to 15.1 KiB (3.11 to 3.13); with a
-#: deque per FIFO, a RecvWR per repost and a listener per connection, 23.7
-#: to 24.2 KiB
+#: pool reposts on the SRQ's lazy run, no listener left behind and
+#: drawn-ahead wake-up streams it measured 15.5 KiB (3.10) and 13.4 to
+#: 13.7 KiB (3.11 to 3.13); with a deque per FIFO, a RecvWR per repost and
+#: a listener per connection, 23.7 to 24.2 KiB
 BYTES_PER_CONNECTION = (18 if sys.version_info < (3, 11) else 16) * 1024
+
+#: bytes one connection's bring-up leaves before any collection, its
+#: cyclic garbage included: what ``perf/``'s peak RSS sees, since finished
+#: fabrics wait for a full collection.  With drawn-ahead wake-up streams it
+#: measured 17.9 KiB (3.10) and 15.1 to 15.5 KiB (3.11 to 3.13); with a
+#: ``random.Random`` per event queue and channel, 23.9 and 21.8 to 22.1 KiB
+UNCOLLECTED_BYTES_PER_CONNECTION = (20 if sys.version_info < (3, 11) else 18) * 1024
 
 
 def _bringup(connections_per_sender):
@@ -141,6 +150,21 @@ def test_bytes_per_connection_stay_bounded():
         tracemalloc.stop()
     assert fabric.sim.now > 0  # counted while the fabric is still held
     assert per_connection < BYTES_PER_CONNECTION, per_connection
+
+
+def test_bytes_before_collection_per_connection_stay_bounded():
+    _bringup(1)  # first-use caches and imports are not per-connection
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fabric, connections = _bringup(16)
+        per_connection = tracemalloc.get_traced_memory()[0] / connections
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert fabric.sim.now > 0
+    assert per_connection < UNCOLLECTED_BYTES_PER_CONNECTION, per_connection
 
 
 def test_bringup_leaves_no_listener_and_no_receive_wr_behind():
