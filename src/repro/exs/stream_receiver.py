@@ -134,13 +134,11 @@ class ReceiverBase:
         """Queue an ``exs_recv``; returns the ADVERT to enqueue, if any.
 
         Once the stream is fully delivered it completes at once, empty,
-        with EOF.
+        with EOF (the base delivery: it moves no plane's throughput end
+        point).
         """
         if self.eof_seq is not None and self._stream_finished():
-            urecv.eq.post(
-                ExsEvent(kind=ExsEventType.RECV, socket=self.conn.socket, nbytes=0,
-                         eof=True, context=urecv.context)
-            )
+            ReceiverBase._deliver(self, urecv, 0, eof=True)
             return None
         return self._enqueue(urecv)
 
@@ -211,11 +209,14 @@ class ReceiverBase:
             self.last_delivery_ns = self.conn.sim.now
         if self.conn.tracer is not None:
             # deliveries are in stream order (RC), so spans can recover the
-            # exact delivered range from the cumulative nbytes
+            # exact delivered range from the cumulative nbytes; the receive's
+            # size and WAITALL flag let a trace check the completion contract
             if eof:
-                self.conn.trace("deliver", nbytes=nbytes, eof=True)
+                self.conn.trace("deliver", nbytes=nbytes, recv_len=urecv.nbytes,
+                                waitall=urecv.waitall, eof=True)
             else:
-                self.conn.trace("deliver", nbytes=nbytes)
+                self.conn.trace("deliver", nbytes=nbytes, recv_len=urecv.nbytes,
+                                waitall=urecv.waitall)
         # positional, in field order: kind, socket, nbytes, eof, truncated,
         # context
         urecv.eq.post(ExsEvent(ExsEventType.RECV, self.conn.socket, nbytes, eof, False,

@@ -3,7 +3,7 @@
 A software model of the OFA verbs API surface UNH EXS is built on:
 protection domains, memory regions with lkeys/rkeys, RC queue pairs,
 completion queues with event channels, and the SEND / RDMA WRITE /
-RDMA WRITE WITH IMM / RDMA READ transfer operations, with faithful
+RDMA WRITE WITH IMM transfer operations, with faithful
 semantics (pre-posted RECV requirement, in-order reliable delivery,
 ACK-driven send completions) and an explicit timing model.
 """
@@ -12,7 +12,7 @@ from .cm import CmListener, ConnectionManager, ConnectionRequest
 from .comp_channel import CompletionChannel, fixed_wakeup, uniform_wakeup
 from .cq import CompletionQueue, WorkCompletion
 from .device import DeviceConfig, RdmaDevice, connect_devices
-from .enums import Access, Opcode, QPState, SendFlags, WCOpcode, WCStatus
+from .enums import Access, Opcode, QPState, WCOpcode, WCStatus
 from .errors import (
     BadWorkRequest,
     QPStateError,
@@ -58,7 +58,6 @@ __all__ = [
     "SGE",
     "SharedReceiveQueue",
     "TermMessage",
-    "SendFlags",
     "SendWR",
     "VerbsError",
     "WCOpcode",

@@ -38,7 +38,7 @@ from .mr import ProtectionDomain
 from .qp import QueuePair
 from .reliability import ACCEPT, DUPLICATE, ReliabilityConfig, ReliabilityEngine
 from .srq import SharedReceiveQueue
-from .wire import AckMessage, CmMessage, DataMessage, HEADER_BYTES, TermMessage
+from .wire import AckMessage, CmMessage, DataMessage, TermMessage
 
 __all__ = ["DeviceConfig", "RdmaDevice", "connect_devices"]
 
@@ -238,8 +238,7 @@ class RdmaDevice:
             raise VerbsError("device not attached to a link")
         seq = qp.next_seq()
         payload = wr.payload
-        is_read = wr.opcode is Opcode.RDMA_READ
-        if payload is None and not is_read:
+        if payload is None:
             # DMA-fetch the payload from local registered memory.  Like a
             # real HCA the engine reads the memory in place — the wire
             # carries a zero-copy view, valid under the RC contract that
@@ -248,15 +247,13 @@ class RdmaDevice:
             mr.require(wr.sge.addr, wr.sge.length, Access.LOCAL_READ)
             payload = Chunk(0, wr.sge.length, mr.view(wr.sge.addr, wr.sge.length))
         # positional, in field order: src_qpn, dst_qpn, opcode, seq,
-        # payload, remote_addr, rkey, imm_data, read_len, is_read_response,
-        # wr_id
-        msg = DataMessage(qp.qpn, qp.remote_qpn, wr.opcode, seq,
-                          None if is_read else payload, wr.remote_addr, wr.rkey,
-                          wr.imm_data, wr.sge.length if is_read else 0, False, wr.wr_id)
+        # payload, remote_addr, rkey, imm_data, wr_id
+        msg = DataMessage(qp.qpn, qp.remote_qpn, wr.opcode, seq, payload,
+                          wr.remote_addr, wr.rkey, wr.imm_data, wr.wr_id)
         qp.inflight[seq] = wr
         qp.messages_sent += 1
         self.data_messages_sent += 1
-        wire = HEADER_BYTES if is_read else msg.wire_bytes()
+        wire = msg.wire_bytes()
         # The large-message penalty (HCA/LLC caching effect) slows the data
         # stream itself, so it occupies the wire rather than the WQE pipeline.
         extra_tx = self._large_msg_penalty_ns(msg.payload_bytes)
@@ -293,9 +290,6 @@ class RdmaDevice:
             self.reliability.stats.corrupt_discarded += 1
 
     def _on_data(self, msg: DataMessage, from_buffer: bool = False) -> None:
-        if msg.is_read_response:
-            self._complete_read(msg)
-            return
         qp = self._qps.get(msg.dst_qpn)
         if qp is None:
             raise VerbsError(f"message for unknown QP {msg.dst_qpn}")
@@ -307,15 +301,10 @@ class RdmaDevice:
             if verdict is not ACCEPT:
                 if verdict is DUPLICATE:
                     rel.stats.duplicates_dropped += 1
-                    if msg.opcode is Opcode.RDMA_READ:
-                        # Re-serve: the retransmitted response re-completes
-                        # the requester's still-waiting READ.
-                        self._serve_read(msg)
-                    else:
-                        # Re-ACK so a sender whose ACK was lost advances.
-                        self._send_ack_message(qp)
+                    # Re-ACK so a sender whose ACK was lost advances.
+                    self._send_ack_message(qp)
                 else:  # FUTURE: sequence gap
-                    if rel.selective and msg.opcode is not Opcode.RDMA_READ:
+                    if rel.selective:
                         # Selective repeat: hold the frame for in-order
                         # release; the NAK advertises it in the SACK bitmap.
                         rel.buffer_future(qp, msg)
@@ -336,17 +325,6 @@ class RdmaDevice:
         elif msg.opcode is Opcode.RDMA_WRITE_WITH_IMM:
             self._place_write(msg)
             self._consume_recv(qp, msg, with_imm=True)
-        elif msg.opcode is Opcode.RDMA_READ:
-            if rel is not None:
-                # The response doubles as the ACK, but the seq must still
-                # count as consumed for the responder's sequence check.
-                prev = self._consumed_msn.get(qp.qpn, -1)
-                if msg.seq > prev:
-                    self._consumed_msn[qp.qpn] = msg.seq
-            self._serve_read(msg)
-            if rel is not None and rel.selective and not from_buffer:
-                self._drain_ooo(qp, rel)
-            return  # READ response acts as the ack
         else:  # pragma: no cover - defensive
             raise VerbsError(f"unexpected opcode {msg.opcode}")
 
@@ -436,49 +414,6 @@ class RdmaDevice:
             msg.imm_data, qp.qpn, with_imm, wr.context,
             {"chunk": msg.payload, "remote_addr": msg.remote_addr}))
 
-    def _serve_read(self, msg: DataMessage) -> None:
-        mr = self.pd.lookup_rkey(msg.rkey)
-        if mr is None:
-            raise RemoteAccessError(f"RDMA READ with unknown rkey {msg.rkey}")
-        mr.require(msg.remote_addr, msg.read_len, Access.REMOTE_READ)
-        # Served in place, like the DMA fetch: the response carries a view
-        # of responder memory that is only materialised at the requester's
-        # placement (a concurrent local write racing a remote READ is just
-        # as undefined here as on real hardware).
-        resp = DataMessage(
-            src_qpn=msg.dst_qpn,
-            dst_qpn=msg.src_qpn,
-            opcode=Opcode.RDMA_READ,
-            seq=msg.seq,
-            payload=Chunk(0, msg.read_len, mr.view(msg.remote_addr, msg.read_len)),
-            is_read_response=True,
-            wr_id=msg.wr_id,
-        )
-        self.tx.transmit(resp, resp.wire_bytes())
-
-    def _complete_read(self, msg: DataMessage) -> None:
-        qp = self._qps.get(msg.dst_qpn)
-        if qp is None:
-            raise VerbsError(f"READ response for unknown QP {msg.dst_qpn}")
-        if self.reliability is not None:
-            if qp.state is QPState.ERROR:
-                return
-            wr = self.reliability.on_read_response(qp, msg.seq)
-            if wr is None:
-                return  # duplicate response (request was retransmitted)
-        else:
-            wr = qp.inflight.pop(msg.seq, None)
-            if wr is None:
-                raise VerbsError("READ response with no matching in-flight WR")
-        if wr.sge is not None and msg.payload is not None:
-            mr = self.pd.lookup_lkey(wr.sge.lkey)
-            mr.require(wr.sge.addr, msg.payload.nbytes, Access.LOCAL_WRITE)
-            off = mr.offset_of(wr.sge.addr)
-            mr.buffer.write_chunk(off, msg.payload)
-        qp.send_cq.push(WorkCompletion(
-            wr.wr_id, WCOpcode.RDMA_READ, WCStatus.SUCCESS,
-            msg.payload.nbytes if msg.payload else 0, 0, qp.qpn, False, wr.context))
-
     # ------------------------------------------------------------------
     # acknowledgements
     # ------------------------------------------------------------------
@@ -545,15 +480,8 @@ class RdmaDevice:
             else:
                 done = rel.on_ack(qp, ack.msn, ack.sack)
         for wr in done:
-            # ``is`` tests: an Enum-keyed lookup hashes through Python
-            opcode = wr.opcode
-            if opcode is Opcode.SEND:
-                wc_opcode = WCOpcode.SEND
-            elif opcode is not Opcode.RDMA_READ:
-                wc_opcode = WCOpcode.RDMA_WRITE
-            else:
-                raise VerbsError(f"transport ACK completed READ WR {wr.wr_id}; "
-                                 "a READ completes on its response")
+            # an ``is`` test: an Enum-keyed lookup hashes through Python
+            wc_opcode = WCOpcode.SEND if wr.opcode is Opcode.SEND else WCOpcode.RDMA_WRITE
             qp.send_cq.push(WorkCompletion(wr.wr_id, wc_opcode, WCStatus.SUCCESS, wr.length,
                                            0, qp.qpn, False, wr.context))
 

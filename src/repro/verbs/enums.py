@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Opcode", "WCOpcode", "WCStatus", "QPState", "Access", "SendFlags"]
+__all__ = ["Opcode", "WCOpcode", "WCStatus", "QPState", "Access"]
 
 
 class Opcode(enum.Enum):
@@ -13,7 +13,6 @@ class Opcode(enum.Enum):
     SEND = "send"
     RDMA_WRITE = "rdma_write"
     RDMA_WRITE_WITH_IMM = "rdma_write_with_imm"
-    RDMA_READ = "rdma_read"
 
 
 class WCOpcode(enum.Enum):
@@ -21,7 +20,6 @@ class WCOpcode(enum.Enum):
 
     SEND = "send"
     RDMA_WRITE = "rdma_write"
-    RDMA_READ = "rdma_read"
     RECV = "recv"
     #: receive completion consumed by an RDMA WRITE WITH IMM
     RECV_RDMA_WITH_IMM = "recv_rdma_with_imm"
@@ -31,8 +29,6 @@ class WCStatus(enum.Enum):
     """Completion status (subset of ``ibv_wc_status``)."""
 
     SUCCESS = "success"
-    LOC_LEN_ERR = "local_length_error"
-    REM_ACCESS_ERR = "remote_access_error"
     RETRY_EXC_ERR = "retry_exceeded"
     RNR_RETRY_EXC_ERR = "rnr_retry_exceeded"
     WR_FLUSH_ERR = "flushed"
@@ -62,12 +58,3 @@ class Access(enum.Flag):
     def remote(cls) -> "Access":
         return cls.local() | cls.REMOTE_READ | cls.REMOTE_WRITE
 
-
-class SendFlags(enum.Flag):
-    """Per-WR flags (subset of ``ibv_send_flags``)."""
-
-    NONE = 0
-    SIGNALED = enum.auto()
-    #: payload is copied into the WQE at post time (small messages);
-    #: the sender may reuse its buffer immediately.
-    INLINE = enum.auto()

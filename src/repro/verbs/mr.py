@@ -3,7 +3,7 @@
 RDMA requires user memory to be *registered* before the HCA may touch it.
 Registration yields a local key (``lkey``) used in scatter/gather entries
 and a remote key (``rkey``) that, together with a virtual address, lets the
-peer target the region with RDMA READ/WRITE.  The simulation enforces the
+peer target the region with RDMA WRITE.  The simulation enforces the
 same discipline: every transfer is bounds- and access-checked against a
 registered region, so the EXS layer cannot cheat.
 """

@@ -8,7 +8,7 @@ from .cq import CompletionQueue, WorkCompletion
 from .enums import Opcode, QPState, WCOpcode, WCStatus
 from .errors import BadWorkRequest, QPStateError
 from .rq import ReceiveQueue
-from .wr import INLINE_BIT, SGE, RecvWR, SendWR
+from .wr import SGE, RecvWR, SendWR
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import RdmaDevice
@@ -32,14 +32,12 @@ class QueuePair:
         qpn: int,
         send_cq: CompletionQueue,
         recv_cq: CompletionQueue,
-        max_inline: int = 256,
         srq: Optional["SharedReceiveQueue"] = None,
     ) -> None:
         self.device = device
         self.qpn = qpn
         self.send_cq = send_cq
         self.recv_cq = recv_cq
-        self.max_inline = max_inline
         #: when set, receives come from the shared pool, not :attr:`rq`
         self.srq = srq
         self.state = QPState.RESET
@@ -54,7 +52,6 @@ class QueuePair:
         #: sends transmitted but not yet acked, keyed by message seq
         self.inflight: Dict[int, SendWR] = {}
         self._next_seq = 0
-        self._last_acked = -1
 
         # statistics
         self.sends_posted = 0
@@ -77,7 +74,6 @@ class QueuePair:
         Opcode.SEND: WCOpcode.SEND,
         Opcode.RDMA_WRITE: WCOpcode.RDMA_WRITE,
         Opcode.RDMA_WRITE_WITH_IMM: WCOpcode.RDMA_WRITE,
-        Opcode.RDMA_READ: WCOpcode.RDMA_READ,
     }
 
     def flush(self, first_status: WCStatus, pending: Optional[list] = None) -> int:
@@ -144,10 +140,6 @@ class QueuePair:
         if self.state is not QPState.READY:
             raise QPStateError(f"post_send on QP {self.qpn} in state {self.state}")
         wr.validate()
-        if wr.flags._value_ & INLINE_BIT and wr.length > self.max_inline:
-            raise BadWorkRequest(
-                f"inline send of {wr.length}B exceeds max_inline={self.max_inline}"
-            )
         # at post time, so an oversize WR fails its poster, not the pipeline
         if wr.sge.length > self.device.config.max_msg_bytes:
             raise BadWorkRequest(f"message of {wr.sge.length}B exceeds max_msg_bytes")
@@ -204,8 +196,6 @@ class QueuePair:
             if seq > msn:
                 break
             done.append(inflight.pop(seq))
-        if msn > self._last_acked:
-            self._last_acked = msn
         return done
 
     @property

@@ -12,12 +12,16 @@ queues with error completions.
 device, per QP:
 
 * **Requester side** — every transmitted message is held in an
-  insertion-ordered unacked window.  A retransmission timer (exponential
-  backoff, capped) re-sends the whole window go-back-N style when the
-  responder stays silent; ``retry_cnt`` consecutive timeouts move the QP
-  to ERROR with a ``RETRY_EXC_ERR`` completion.  NAKs trigger an immediate
-  go-back-N; RNR NAKs pause for ``rnr_timeout_ns`` then re-send, with a
-  separate ``rnr_retry`` budget.
+  insertion-ordered unacked window, and one retransmit path serves both
+  modes, which differ only in the frames it picks.  A retransmission
+  timer (exponential backoff, capped) re-sends the overdue frames when the
+  responder stays silent — the whole window under go-back-N, each
+  un-SACKed frame past its own deadline under selective repeat;
+  ``retry_cnt`` consecutive timeouts move the QP to ERROR with a
+  ``RETRY_EXC_ERR`` completion.  NAKs re-send at once (the whole window,
+  or only the known holes); RNR NAKs pause for ``rnr_timeout_ns`` then
+  re-send the window head and every un-SACKed frame, with a separate
+  ``rnr_retry`` budget.
 * **Responder side** — arrivals are sequence-checked against the expected
   next message: duplicates are dropped (and re-ACKed so the sender can
   advance), future messages raise a (rate-limited) NAK, and SEND/WWI
@@ -40,10 +44,10 @@ what entitles the requester to replay identical bytes go-back-N style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .enums import Opcode, WCStatus
+from .enums import WCStatus
 from .wire import DataMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -145,8 +149,7 @@ class ReliabilityStats:
 class _SentMessage:
     """One transmitted-but-unacked message, replayable verbatim."""
 
-    __slots__ = ("seq", "wr", "msg", "wire_bytes", "extra_tx_ns", "request_acked",
-                 "sacked", "last_tx_ns")
+    __slots__ = ("seq", "wr", "msg", "wire_bytes", "extra_tx_ns", "sacked", "last_tx_ns")
 
     def __init__(self, seq: int, wr: "SendWR", msg: DataMessage,
                  wire_bytes: int, extra_tx_ns: int, now: int) -> None:
@@ -155,9 +158,6 @@ class _SentMessage:
         self.msg = msg
         self.wire_bytes = wire_bytes
         self.extra_tx_ns = extra_tx_ns
-        #: READ only: the cumulative ACK covered the request, but the
-        #: response (which is the real completion) is still outstanding.
-        self.request_acked = False
         #: selective repeat: the responder reported this frame received
         #: out of order — it must not be retransmitted, but completes only
         #: when the cumulative ack covers it (completions stay in order).
@@ -256,6 +256,19 @@ class ReliabilityEngine:
         self.device.sim.call_in(delay, self._on_timer, (qp, st.timer_gen))
 
     def _on_timer(self, arg: Tuple["QueuePair", int]) -> None:
+        """Retransmit what is overdue, or look again when something will be.
+
+        The two modes differ only in which frames are overdue.  Go-back-N
+        keeps one deadline for the whole window, pushed out by every ACK
+        that makes progress (ACK arrivals never touch the calendar).
+        Selective repeat gives each frame its own deadline from its last
+        transmission and skips SACKed frames; a window whose frames are
+        *all* SACKed waits only for the cumulative ACK that releases them,
+        and if that ACK was lost nothing more will arrive, so the oldest
+        frame stands in as a probe (its duplicate arrival makes the
+        responder repeat the cumulative ACK) and ``retry_cnt`` bounds the
+        wait.
+        """
         qp, gen = arg
         st = self._st(qp)
         if st.fatal or gen != st.timer_gen:
@@ -263,52 +276,18 @@ class ReliabilityEngine:
         st.timer_armed = False
         if not st.unacked:
             return  # everything acked since arming; go quiet
+        now = self.device.sim.now
+        rto = self._current_rto(st)
         if self.selective:
-            self._on_timer_sr(qp, st)
-            return
-        sim = self.device.sim
-        rto = self._current_rto(st)
-        elapsed = sim.now - st.last_progress_ns
-        if elapsed < rto:
-            # Progress happened since arming: push the deadline out instead
-            # of retransmitting (ACK arrivals never touch the calendar).
-            self._arm(qp, st, rto - elapsed)
-            return
-        st.attempts += 1
-        self.stats.timeouts += 1
-        if st.attempts > self.config.retry_cnt:
-            self.fatal(qp, WCStatus.RETRY_EXC_ERR)
-            return
-        if st.recovering_since is None:
-            st.recovering_since = sim.now
-        self._retransmit_window(qp, st, cause="timeout", attempt=st.attempts)
-        st.last_progress_ns = sim.now
-        self._arm(qp, st, self._current_rto(st))
-
-    def _on_timer_sr(self, qp: "QueuePair", st: _QpRel) -> None:
-        """Selective repeat: retransmit only frames past their own deadline.
-
-        One calendar timer per QP still covers the whole window; each frame
-        carries its own last-transmission time, so a firing that finds no
-        overdue un-SACKed frame simply re-arms at the earliest deadline.
-
-        A window whose frames are *all* SACKed is waiting only for the
-        cumulative ACK that releases them — and if that ACK was lost,
-        nothing is left to retransmit and nothing more will arrive.  The
-        oldest frame then stands in as a probe: past its deadline it is
-        resent like any overdue frame (its duplicate arrival makes the
-        responder repeat the cumulative ACK), and the attempt counts, so
-        ``retry_cnt`` bounds the wait.
-        """
-        sim = self.device.sim
-        rto = self._current_rto(st)
-        waiting = [sm for sm in st.unacked.values() if not sm.sacked]
-        if not waiting:
-            waiting = [next(iter(st.unacked.values()))]
-        overdue = [sm for sm in waiting if sim.now - sm.last_tx_ns >= rto]
+            waiting = ([sm for sm in st.unacked.values() if not sm.sacked]
+                       or [next(iter(st.unacked.values()))])
+            overdue = [sm for sm in waiting if now - sm.last_tx_ns >= rto]
+            deadline = min(sm.last_tx_ns for sm in waiting) + rto
+        else:
+            deadline = st.last_progress_ns + rto
+            overdue = list(st.unacked.values()) if now >= deadline else []
         if not overdue:
-            next_deadline = min(sm.last_tx_ns + rto for sm in waiting)
-            self._arm(qp, st, max(next_deadline - sim.now, 1))
+            self._arm(qp, st, max(deadline - now, 1))
             return
         st.attempts += 1
         self.stats.timeouts += 1
@@ -316,9 +295,9 @@ class ReliabilityEngine:
             self.fatal(qp, WCStatus.RETRY_EXC_ERR)
             return
         if st.recovering_since is None:
-            st.recovering_since = sim.now
+            st.recovering_since = now
         self._resend(qp, overdue, cause="timeout", attempt=st.attempts)
-        st.last_progress_ns = sim.now
+        st.last_progress_ns = now
         self._arm(qp, st, self._current_rto(st))
 
     def _resend(self, qp: "QueuePair", frames: List[_SentMessage],
@@ -332,32 +311,27 @@ class ReliabilityEngine:
         if frames:
             self._emit("retransmit", qp, count=len(frames), **why)
 
-    def _retransmit_window(self, qp: "QueuePair", st: _QpRel,
-                           **why: object) -> None:
-        self._resend(qp, list(st.unacked.values()), **why)
-
-    def _retransmit_holes(self, qp: "QueuePair", st: _QpRel,
-                          **why: object) -> None:
-        """Selective repeat NAK response: resend only the known holes.
+    def _holes(self, st: _QpRel) -> List[_SentMessage]:
+        """Selective repeat's NAK response: the known holes.
 
         A hole is an un-SACKed frame at or below the highest SACKed seq.
         With no SACK information yet, only the window head (the frame the
-        NAK names as missing) is resent — everything later may still be in
+        NAK names as missing) is a hole — everything later may still be in
         flight.
         """
         max_sacked = max(
             (seq for seq, sm in st.unacked.items() if sm.sacked), default=None)
-        targets: List[_SentMessage] = []
+        holes: List[_SentMessage] = []
         for seq, sm in st.unacked.items():
             if sm.sacked:
                 continue
             if max_sacked is None:
-                targets.append(sm)
+                holes.append(sm)
                 break
             if seq > max_sacked:
                 break
-            targets.append(sm)
-        self._resend(qp, targets, **why)
+            holes.append(sm)
+        return holes
 
     def _progress(self, st: _QpRel) -> None:
         sim = self.device.sim
@@ -374,22 +348,13 @@ class ReliabilityEngine:
 
     def _complete_through(self, qp: "QueuePair", st: _QpRel,
                           msn: int) -> List["SendWR"]:
-        """Complete the window prefix covered by a cumulative *msn*.
-
-        READ requests covered by *msn* are marked acked but stay in the
-        window until their response arrives — the response is the real
-        completion (and its loss must still be recoverable by timeout).
-        Returns the completed WRs in order.
-        """
+        """Complete the window prefix covered by a cumulative *msn*;
+        returns the completed WRs in order."""
         done: List["SendWR"] = []
         for seq in list(st.unacked):
             if seq > msn:
                 break
-            sm = st.unacked[seq]
-            if sm.msg.opcode is Opcode.RDMA_READ and not sm.msg.is_read_response:
-                sm.request_acked = True
-                continue
-            del st.unacked[seq]
+            sm = st.unacked.pop(seq)
             qp.inflight.pop(seq, None)
             done.append(sm.wr)
         return done
@@ -427,79 +392,66 @@ class ReliabilityEngine:
         self._progress(st)
         return done
 
-    def on_read_response(self, qp: "QueuePair", seq: int) -> Optional["SendWR"]:
-        """READ response arrival; returns the WR, or ``None`` for a duplicate."""
-        st = self._st(qp)
-        sm = st.unacked.pop(seq, None)
-        if sm is None:
-            self.stats.duplicates_dropped += 1
-            return None
-        qp.inflight.pop(seq, None)
-        self._progress(st)
-        return sm.wr
+    def _on_negative(self, qp: "QueuePair", st: _QpRel, msn: int,
+                     sack: int) -> Optional[List["SendWR"]]:
+        """What a NAK and an RNR NAK share: apply the SACK bits, complete
+        the cumulative prefix, and start a recovery episode.
 
-    def on_nak(self, qp: "QueuePair", msn: int, sack: int = 0) -> List["SendWR"]:
-        """Sequence-gap NAK: ack the prefix, then retransmit the gap.
-
-        Go-back-N resends the whole window from ``msn+1``; selective repeat
-        resends only the known holes (un-SACKed frames below the highest
-        SACKed seq).  A NAK whose *msn* regressed below the already-acked
+        Returns the completed WRs, or ``None`` when there is nothing to
+        recover: a frame whose *msn* regressed below the already-acked
         point is stale (replayed by the dup fault or overtaken by a newer
-        ACK) and is ignored outright — retransmitting from it would only
-        extend the timer and delay recovery.
+        ACK) and is ignored outright, and a dead QP recovers nothing.
         """
-        st = self._st(qp)
-        self.stats.naks_received += 1
         if sack:
             self._apply_sack(st, msn, sack)
         if msn < st.highest_acked:
             self.stats.stale_acks_ignored += 1
-            return []
+            return None
         done: List["SendWR"] = []
         if msn > st.highest_acked:
             done = self._complete_through(qp, st, msn)
             st.highest_acked = msn
             self._progress(st)
         if st.fatal:
-            return done
+            return None
         if st.recovering_since is None:
             st.recovering_since = self.device.sim.now
+        return done
+
+    def on_nak(self, qp: "QueuePair", msn: int, sack: int = 0) -> List["SendWR"]:
+        """Sequence-gap NAK: ack the prefix, then retransmit the gap at once.
+
+        Go-back-N resends the whole window from ``msn+1``; selective repeat
+        resends only the known holes (:meth:`_holes`).
+        """
+        st = self._st(qp)
+        self.stats.naks_received += 1
+        done = self._on_negative(qp, st, msn, sack)
+        if done is None:
+            return []
         if st.unacked:
-            if self.selective:
-                self._retransmit_holes(qp, st, cause="nak", msn=msn)
-            else:
-                self._retransmit_window(qp, st, cause="nak", msn=msn)
+            frames = self._holes(st) if self.selective else list(st.unacked.values())
+            self._resend(qp, frames, cause="nak", msn=msn)
             st.last_progress_ns = self.device.sim.now
             if not st.timer_armed:
                 self._arm(qp, st, self._current_rto(st))
         return done
 
     def on_rnr(self, qp: "QueuePair", msn: int, sack: int = 0) -> List["SendWR"]:
-        """RNR NAK: ack the prefix, pause, then re-send the window.
+        """RNR NAK: ack the prefix, pause, then re-send (:meth:`_on_rnr_timer`).
 
-        Stale RNR frames (msn below the acked point) are ignored without
-        consuming the ``rnr_retry`` budget or superseding the live timer.
+        Stale RNR frames are ignored without consuming the ``rnr_retry``
+        budget or superseding the live timer.
         """
         st = self._st(qp)
         self.stats.rnr_naks_received += 1
-        if sack:
-            self._apply_sack(st, msn, sack)
-        if msn < st.highest_acked:
-            self.stats.stale_acks_ignored += 1
+        done = self._on_negative(qp, st, msn, sack)
+        if done is None:
             return []
-        done: List["SendWR"] = []
-        if msn > st.highest_acked:
-            done = self._complete_through(qp, st, msn)
-            st.highest_acked = msn
-            self._progress(st)
-        if st.fatal:
-            return done
         st.rnr_attempts += 1
         if st.rnr_attempts > self.config.rnr_retry:
             self.fatal(qp, WCStatus.RNR_RETRY_EXC_ERR)
             return done
-        if st.recovering_since is None:
-            st.recovering_since = self.device.sim.now
         # Supersede the retransmission timer with the RNR pause.
         st.timer_gen += 1
         st.timer_armed = True
@@ -508,6 +460,14 @@ class ReliabilityEngine:
         return done
 
     def _on_rnr_timer(self, arg: Tuple["QueuePair", int]) -> None:
+        """The RNR pause is over: resend the window head and every
+        un-SACKed frame.
+
+        The head must go out even if SACKed: the responder buffered it
+        before hitting RNR, and only its in-order re-arrival re-triggers
+        delivery once receives are posted.  Go-back-N never SACKs, so it
+        resends its whole window.
+        """
         qp, gen = arg
         st = self._st(qp)
         if st.fatal or gen != st.timer_gen:
@@ -515,15 +475,9 @@ class ReliabilityEngine:
         st.timer_armed = False
         if not st.unacked:
             return
-        if self.selective:
-            # The window head must go out even if SACKed: the responder
-            # buffered it before hitting RNR, and only its in-order
-            # re-arrival re-triggers delivery once receives are posted.
-            frames = [sm for i, sm in enumerate(st.unacked.values())
-                      if i == 0 or not sm.sacked]
-            self._resend(qp, frames, cause="rnr")
-        else:
-            self._retransmit_window(qp, st, cause="rnr")
+        frames = [sm for i, sm in enumerate(st.unacked.values())
+                  if i == 0 or not sm.sacked]
+        self._resend(qp, frames, cause="rnr")
         st.last_progress_ns = self.device.sim.now
         self._arm(qp, st, self._current_rto(st))
 

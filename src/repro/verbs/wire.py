@@ -4,9 +4,9 @@ These are *model* records, not byte-accurate packets: the link layer charges
 ``wire_bytes`` of serialization time for each, and the receiving device
 interprets the fields.  Three kinds exist:
 
-* :class:`DataMessage` — one RC message (SEND / RDMA WRITE / WWI / READ
-  request / READ response).  Messages on a QP carry a per-QP sequence
-  number (``seq``) used by cumulative acknowledgements.
+* :class:`DataMessage` — one RC message (SEND / RDMA WRITE / WWI).
+  Messages on a QP carry a per-QP sequence number (``seq``) used by
+  cumulative acknowledgements.
 * :class:`AckMessage` — transport-level cumulative ACK (or NAK / RNR NAK).
   Real IB ACKs are tiny link-layer packets that coalesce; the model
   delivers them out of band (no serialization cost) after the link's
@@ -61,10 +61,6 @@ class DataMessage:
     remote_addr: int = 0
     rkey: int = 0
     imm_data: int = 0
-    #: for READ: number of bytes requested
-    read_len: int = 0
-    #: True when this is the response half of an RDMA_READ
-    is_read_response: bool = False
     #: wr bookkeeping at the requester
     wr_id: int = 0
 

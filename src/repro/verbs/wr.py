@@ -7,14 +7,10 @@ from typing import Any, Optional
 
 from ..hosts.memory import Chunk
 from ..records import record
-from .enums import Opcode, SendFlags
+from .enums import Opcode
 from .errors import BadWorkRequest
 
 __all__ = ["SGE", "SendWR", "RecvWR"]
-
-#: ``SendFlags.INLINE`` as an integer bit — the per-WR checks test
-#: ``flags._value_ & INLINE_BIT`` instead of paying for ``enum.Flag.__contains__``
-INLINE_BIT = SendFlags.INLINE._value_
 
 
 @record
@@ -49,20 +45,16 @@ class SendWR:
     remote_addr: int = 0
     rkey: int = 0
     imm_data: int = 0
-    flags: SendFlags = SendFlags.SIGNALED
     payload: Optional[Chunk] = None
     context: Any = None
 
     def validate(self) -> None:
-        if self.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM, Opcode.RDMA_READ):
-            if self.rkey == 0:
-                raise BadWorkRequest(f"{self.opcode.value} requires an rkey")
+        if self.opcode is not Opcode.SEND and self.rkey == 0:
+            raise BadWorkRequest(f"{self.opcode.value} requires an rkey")
         if self.sge is None:
             raise BadWorkRequest("send WR requires an SGE")
         if self.payload is not None and self.payload.nbytes != self.sge.length:
             raise BadWorkRequest("payload length does not match SGE length")
-        if self.flags._value_ & INLINE_BIT and self.opcode is Opcode.RDMA_READ:
-            raise BadWorkRequest("RDMA_READ cannot be inline")
 
     @property
     def length(self) -> int:

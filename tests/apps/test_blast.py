@@ -6,7 +6,7 @@ from repro.apps import BlastConfig, ExponentialSizes, FixedSizes, run_blast
 from repro.bench.profiles import ROCE_10G_LAN
 from repro.core import ProtocolMode
 from repro.config import KERNELS, ScenarioConfig
-from repro.exs import ExsError, ExsSocketOptions
+from repro.exs import ExsError, ExsEventQueue, ExsEventType, ExsSocketOptions
 from repro.simnet import SimulationError
 from repro.testbed import Testbed
 from repro.trace import ProtocolTracer
@@ -90,22 +90,59 @@ def test_eager_blast_waits_for_send_credits(credits):
     assert (r.tx_stats.indirect_transfers, r.tx_stats.direct_transfers) == (600, 0)
 
 
-@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
-def test_waitall_receives_complete_full_until_eof(transport):
-    """600 x 512 B into 4096 B WAITALL receives: each RECV completes with a
-    full buffer (75 of them); only the end of stream completes one short,
-    and here it has no bytes left to carry (docs/PROTOCOL.md, *Completion
-    contract*)."""
+def _traced_waitall_blast(transport, monkeypatch):
+    """600 x 512 B into 4096 B WAITALL receives, traced; returns the
+    ``deliver`` events and every RECV completion the application got."""
+    completions = []
+    post = ExsEventQueue.post
+
+    def recording_post(eq, event):
+        if event.kind is ExsEventType.RECV:
+            completions.append(event)
+        post(eq, event)
+
+    monkeypatch.setattr(ExsEventQueue, "post", recording_post)
     tb = Testbed.from_scenario(ScenarioConfig(seed=1, transport=transport))
     tracer = ProtocolTracer.attach(tb)
     cfg = BlastConfig(total_messages=600, sizes=FixedSizes(512), recv_buffer_bytes=4096,
                       waitall=True, real_data=True)
     r = run_blast(cfg, testbed=tb)
-    delivered = [(e.get("nbytes"), bool(e.get("eof"))) for e in tracer.events
-                 if e.kind == "deliver"]
-    assert [n for n, eof in delivered if not eof] == [4096] * 75
-    assert {n for n, eof in delivered if eof} == {0}
     assert r.total_bytes == 600 * 512
+    return [e for e in tracer.events if e.kind == "deliver"], completions
+
+
+@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
+def test_waitall_receives_complete_full_until_eof(transport, monkeypatch):
+    """Each RECV completes with a full buffer (75 of them); only the end of
+    stream completes one short, and here it has no bytes left to carry
+    (docs/PROTOCOL.md, *Completion contract*)."""
+    delivered, _ = _traced_waitall_blast(transport, monkeypatch)
+    assert [e.get("nbytes") for e in delivered if not e.get("eof")] == [4096] * 75
+    assert {e.get("nbytes") for e in delivered if e.get("eof")} == {0}
+
+
+@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
+def test_every_eof_completion_is_traced(transport, monkeypatch):
+    """A receive posted after the stream is fully delivered completes at
+    once with EOF, and the trace records that ``deliver`` too."""
+    delivered, completions = _traced_waitall_blast(transport, monkeypatch)
+    eof_completions = [ev for ev in completions if ev.eof]
+    assert len(eof_completions) == 4
+    assert len([e for e in delivered if e.get("eof")]) == len(eof_completions)
+
+
+@pytest.mark.parametrize("transport", ["wwi", "eager_rendezvous"])
+def test_trace_alone_shows_no_short_waitall_completion(transport, monkeypatch):
+    """Each ``deliver`` names its receive's size and WAITALL flag, so the
+    completion contract is checkable from the trace: a WAITALL receive
+    completes short only at end of stream."""
+    delivered, _ = _traced_waitall_blast(transport, monkeypatch)
+    assert all(e.get("recv_len") is not None and e.get("waitall") is not None
+               for e in delivered)
+    short = [e for e in delivered
+             if e.get("waitall") and not e.get("eof") and e.get("nbytes") < e.get("recv_len")]
+    assert short == []
+    assert any(e.get("waitall") for e in delivered)
 
 
 def test_identical_runs_number_devices_qps_and_keys_alike():

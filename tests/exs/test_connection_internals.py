@@ -202,9 +202,9 @@ def test_completion_dispatch_rejects_an_unexpected_opcode():
     from repro.verbs import WCOpcode, WCStatus, WorkCompletion
 
     conn = run_exchange(ExsSocketOptions(), nbytes=1_000)["client_conn"]
-    read = WorkCompletion(1, WCOpcode.RDMA_READ, WCStatus.SUCCESS, 0, 0, conn.qp.qpn)
-    with pytest.raises(RuntimeError, match="unexpected completion opcode WCOpcode.RDMA_READ"):
-        conn._handle_wc(read)
+    foreign = WorkCompletion(1, "atomic_fetch_add", WCStatus.SUCCESS, 0, 0, conn.qp.qpn)
+    with pytest.raises(RuntimeError, match="unexpected completion opcode atomic_fetch_add"):
+        conn._handle_wc(foreign)
     assert not conn.broken
     flushed = WorkCompletion(2, WCOpcode.SEND, WCStatus.WR_FLUSH_ERR, 0, 0, conn.qp.qpn)
     assert list(conn._handle_wc(flushed)) == []

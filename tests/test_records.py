@@ -91,14 +91,12 @@ MUTABLE = {
         (Opcode.RDMA_WRITE, 5, SGE(0x2000, 48, 4097), 0x1000, 7, 0),
         "(opcode: 'Opcode', wr_id: 'int' = 0, sge: 'Optional[SGE]' = None, "
         "remote_addr: 'int' = 0, rkey: 'int' = 0, imm_data: 'int' = 0, "
-        "flags: 'SendFlags' = <SendFlags.SIGNALED: 1>, payload: 'Optional[Chunk]' = None, "
-        "context: 'Any' = None) -> None"),
+        "payload: 'Optional[Chunk]' = None, context: 'Any' = None) -> None"),
     DataMessage: (
-        (1000001, 2000001, Opcode.SEND, 17, None, 0x1000, 7, 3, 0, False, 5),
+        (1000001, 2000001, Opcode.SEND, 17, None, 0x1000, 7, 3, 5),
         "(src_qpn: 'int', dst_qpn: 'int', opcode: 'Opcode', seq: 'int', "
         "payload: 'Optional[Chunk]' = None, remote_addr: 'int' = 0, rkey: 'int' = 0, "
-        "imm_data: 'int' = 0, read_len: 'int' = 0, is_read_response: 'bool' = False, "
-        "wr_id: 'int' = 0) -> None"),
+        "imm_data: 'int' = 0, wr_id: 'int' = 0) -> None"),
     AckMessage: (
         (2000001, 17, "nak", 0b101),
         "(dst_qpn: 'int', msn: 'int', kind: 'str' = 'ack', sack: 'int' = 0) -> None"),

@@ -5,6 +5,8 @@ directly through a device pair, below the EXS stack, so each recovery path
 can be exercised in isolation (the chaos suite covers the full stack).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.hosts import Host
@@ -268,6 +270,39 @@ def test_selective_repeat_fully_sacked_window_probes_and_is_bounded(sim):
     assert stats.timeouts == SR_CONFIG.retry_cnt + 1
     assert stats.retransmits == SR_CONFIG.retry_cnt  # the oldest frame only
     assert stats.qp_fatal == 1
+
+
+class _WireSpy:
+    """Stands in for a device's transmit port, recording each frame's seq."""
+
+    def __init__(self, port):
+        self.port, self.seqs = port, []
+
+    def transmit(self, msg, wire_bytes, extra_tx_ns=0):
+        self.seqs.append(msg.seq)
+        return self.port.transmit(msg, wire_bytes, extra_tx_ns=extra_tx_ns)
+
+
+@pytest.mark.parametrize("mode, sack, resent", [
+    # the head goes out although SACKed, then every un-SACKed frame
+    ("selective_repeat", 0b00101, [0, 1, 3, 4]),
+    ("selective_repeat", 0b00110, [0, 3, 4]),
+    # go-back-N never SACKs: its whole window
+    ("gobackn", 0, [0, 1, 2, 3, 4]),
+])
+def test_rnr_pause_resends_the_head_and_every_unsacked_frame(sim, mode, sack, resent):
+    """The RNR NAK for a five-frame window carries *sack*; once the pause
+    is over exactly the *resent* frames go back on the wire."""
+    cfg = dataclasses.replace(SR_CONFIG, mode=mode)
+    imp = ImpairmentModel(FaultProfile(), seed=3, down_windows=((0, 10**15),))
+    pair = RelPair(sim, impairment=imp, config=cfg)
+    _blast(pair, 5)
+    sim.run(until=10_000)  # all on the (dead) wire, first RTO not yet due
+    spy = pair.da.tx = _WireSpy(pair.da.tx)
+    assert pair.da.reliability.on_rnr(pair.qa, -1, sack) == []
+    sim.run(until=10_000 + cfg.rnr_timeout_ns)
+    assert spy.seqs == resent
+    assert pair.da.reliability.stats.retransmits == len(resent)
 
 
 def test_selective_repeat_mode_rejects_unknown():

@@ -12,7 +12,6 @@ from repro.verbs import (
     Opcode,
     ReceiverNotReady,
     RecvWR,
-    SendFlags,
     SendWR,
     WCOpcode,
     WCStatus,
@@ -98,18 +97,6 @@ def test_write_with_imm_consumes_recv_and_delivers_imm(sim, pair):
     assert wc.wc_flags_with_imm
 
 
-def test_rdma_read_round_trip(sim, pair):
-    pair.buf_b.write(200, b"remote-bytes")
-    pair.qa.post_send(SendWR(opcode=Opcode.RDMA_READ, wr_id=5,
-                             sge=SGE(pair.mr_a.addr + 50, 12, pair.mr_a.lkey),
-                             remote_addr=pair.mr_b.addr + 200, rkey=pair.mr_b.rkey))
-    sim.run()
-    wcs = pair.cq_a.poll()
-    assert len(wcs) == 1 and wcs[0].opcode is WCOpcode.RDMA_READ
-    assert pair.buf_a.read(50, 12) == b"remote-bytes"
-    assert len(pair.cq_b) == 0
-
-
 def test_in_order_delivery_and_cumulative_ack(sim, pair):
     for i in range(10):
         pair.qb.post_recv(RecvWR(wr_id=100 + i, sge=SGE(pair.mr_b.addr, 4096, pair.mr_b.lkey)))
@@ -162,31 +149,6 @@ def test_wr_validation():
         SendWR(opcode=Opcode.SEND).validate()  # no sge
     with pytest.raises(BadWorkRequest):
         SendWR(opcode=Opcode.SEND, sge=SGE(0, 4, 1), payload=Chunk(0, 8)).validate()
-
-
-def test_inline_limit_enforced(sim, pair):
-    wr = SendWR(opcode=Opcode.SEND, wr_id=1,
-                sge=SGE(pair.mr_a.addr, 1024, pair.mr_a.lkey),
-                flags=SendFlags.SIGNALED | SendFlags.INLINE)
-    with pytest.raises(BadWorkRequest, match="inline"):
-        pair.qa.post_send(wr)
-    # the limit binds inline sends only, and only beyond max_inline
-    pair.qa.post_send(SendWR(opcode=Opcode.SEND, wr_id=2,
-                             sge=SGE(pair.mr_a.addr, 1024, pair.mr_a.lkey)))
-    pair.qa.post_send(SendWR(opcode=Opcode.SEND, wr_id=3,
-                             sge=SGE(pair.mr_a.addr, pair.qa.max_inline, pair.mr_a.lkey),
-                             flags=SendFlags.INLINE))
-
-
-def test_inline_rdma_read_rejected():
-    read = dict(opcode=Opcode.RDMA_READ, sge=SGE(0, 8, 1), remote_addr=64, rkey=7)
-    with pytest.raises(BadWorkRequest, match="RDMA_READ cannot be inline"):
-        SendWR(flags=SendFlags.SIGNALED | SendFlags.INLINE, **read).validate()
-    with pytest.raises(BadWorkRequest, match="RDMA_READ cannot be inline"):
-        SendWR(flags=SendFlags.INLINE, **read).validate()
-    SendWR(flags=SendFlags.SIGNALED, **read).validate()
-    SendWR(opcode=Opcode.RDMA_WRITE, sge=SGE(0, 8, 1), remote_addr=64, rkey=7,
-           flags=SendFlags.INLINE).validate()
 
 
 def test_post_on_unconnected_qp_rejected(sim, pair):
