@@ -113,6 +113,8 @@ perf-smoke:
 		--out perf-smoke-lossy.json
 	python3 perf/run.py --workload blast_stream --seconds 4 --trace 1 \
 		--out perf-smoke-traced.json
+	python3 perf/run.py --workload incast_fanin --seconds 4 --trace 1 \
+		--out perf-smoke-incast-traced.json
 
 perf:
 	python3 perf/run.py --out perf-result.json

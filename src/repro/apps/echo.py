@@ -139,8 +139,15 @@ def run_echo(
     max_events: Optional[int] = 100_000_000,
 ) -> EchoResult:
     """Run one ping-pong session under *scenario* (or on a *testbed*
-    already built from it) and return its latency distribution."""
-    tb = testbed or Testbed.from_scenario(scenario or ScenarioConfig())
+    already built from it) and return its latency distribution.  A
+    testbed the run builds itself is closed before it returns."""
+    if testbed is not None:
+        return _echo(config, testbed, max_events)
+    with Testbed.from_scenario(scenario or ScenarioConfig()) as tb:
+        return _echo(config, tb, max_events)
+
+
+def _echo(config: EchoConfig, tb: Testbed, max_events: Optional[int]) -> EchoResult:
     out: dict = {}
     tb.sim.process(_server_proc(tb, config), name="echo-server")
     tb.sim.process(_client_proc(tb, config, out), name="echo-client")

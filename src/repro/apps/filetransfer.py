@@ -189,10 +189,18 @@ def run_file_transfer(
     max_events: Optional[int] = 500_000_000,
 ) -> FileTransferResult:
     """Run one parallel file transfer under *scenario* (or on a *testbed*
-    already built from it) and return its measurements."""
+    already built from it) and return its measurements.  A testbed the
+    run builds itself is closed before it returns."""
     if config.streams < 1 or config.file_bytes < config.streams:
         raise ValueError("need at least one stream and one byte per stream")
-    tb = testbed or Testbed.from_scenario(scenario or ScenarioConfig())
+    if testbed is not None:
+        return _transfer(config, testbed, max_events)
+    with Testbed.from_scenario(scenario or ScenarioConfig()) as tb:
+        return _transfer(config, tb, max_events)
+
+
+def _transfer(config: FileTransferConfig, tb: Testbed,
+              max_events: Optional[int]) -> FileTransferResult:
     out: dict = {}
 
     # one destination "file" shared by all streams, registered once

@@ -178,23 +178,29 @@ def run_incast(
     on :func:`incast_topology`.  With *audit* the run records a protocol
     trace and re-verifies the stream invariants and the message spans over
     it (:func:`repro.check.audit.audit_events` and
-    :func:`~repro.check.audit.audit_spans`).
+    :func:`~repro.check.audit.audit_spans`).  A fabric the run builds
+    itself is closed before it returns (:meth:`~repro.fabric.Fabric.close`).
     """
-    fabric = testbed
-    if fabric is None:
-        scenario = scenario or ScenarioConfig()
-        if scenario.topology is not None:
-            raise ValueError("run_incast derives its topology from IncastConfig")
-        if config.policy == "drop" and scenario.reliability is None:
-            # tail-dropping switch: data loss is expected, so the run needs
-            # the RC recovery machinery (as a lossy wire would)
-            from ..verbs import ReliabilityConfig
+    if testbed is not None:
+        return _incast(config, testbed, max_events, audit)
+    scenario = scenario or ScenarioConfig()
+    if scenario.topology is not None:
+        raise ValueError("run_incast derives its topology from IncastConfig")
+    if config.policy == "drop" and scenario.reliability is None:
+        # tail-dropping switch: data loss is expected, so the run needs
+        # the RC recovery machinery (as a lossy wire would)
+        from ..verbs import ReliabilityConfig
 
-            profile = scenario.resolve_profile()
-            scenario = scenario.with_(reliability=ReliabilityConfig.for_path(
-                2 * (profile.propagation_delay_ns + profile.emulator_delay_ns)
-            ))
-        fabric = Fabric.from_scenario(scenario.with_(topology=incast_topology(config)))
+        profile = scenario.resolve_profile()
+        scenario = scenario.with_(reliability=ReliabilityConfig.for_path(
+            2 * (profile.propagation_delay_ns + profile.emulator_delay_ns)
+        ))
+    with Fabric.from_scenario(scenario.with_(topology=incast_topology(config))) as fabric:
+        return _incast(config, fabric, max_events, audit)
+
+
+def _incast(config: IncastConfig, fabric: Fabric, max_events: Optional[int],
+            audit: bool) -> IncastResult:
     tracer = ProtocolTracer.attach(fabric) if audit else None
 
     options = config.options or ExsSocketOptions()

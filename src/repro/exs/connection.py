@@ -168,6 +168,7 @@ class ExsConnection:
         #: every pending and future operation completes with an ERROR event.
         self.broken = False
         self.error: Optional[str] = None
+        socket.stack.connections[self.conn_id] = self
 
     # ------------------------------------------------------------------
     # setup / handshake
@@ -214,6 +215,20 @@ class ExsConnection:
             telemetry.register_connection(self)
         self.established = True
         self._shard.register(self)
+
+    def release(self) -> None:
+        """Cut this connection out of its finished run (see
+        :meth:`~repro.exs.socket.ExsStack.close`): stop a private poller,
+        drop the reference to the socket and the two halves' references to
+        this connection.  The socket still reaches it, so its statistics
+        stay readable."""
+        if self._shard.private:
+            self._shard.close()
+        self.socket = None
+        self.rx.conn = None
+        tx = getattr(self, "tx", None)  # built at the handshake
+        if tx is not None:
+            tx.conn = None
 
     # ------------------------------------------------------------------
     # small helpers

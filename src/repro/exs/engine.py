@@ -67,6 +67,13 @@ class Engine:
         self.what = what
         self.sim.call_in(0, self._engine_start)
 
+    def close(self) -> None:
+        """End the thread for good: drop its body (the poller generator)
+        and the callbacks bound to it, and stop pointing at the channel
+        whose waiter slot may still hold one of them."""
+        self._next = self._step = self._on_channel = self._on_kick = None
+        self.channel = None
+
     def kick(self) -> None:
         """Wake the thread, or make sure it re-checks before it sleeps."""
         if self._kick_armed:

@@ -57,7 +57,6 @@ class SrqPool:
     def __init__(self, stack: "ExsStack", depth: int) -> None:
         if depth <= 0:
             raise ValueError("SRQ pool depth must be positive")
-        self.stack = stack
         self.depth = depth
         self.srq = stack.device.create_srq(depth)
         self.buf = stack.host.alloc(
@@ -176,6 +175,12 @@ class CqShard:
                               f"EXS engine for connection {conn.conn_id}")
         else:
             self.engine.kick()
+
+    def close(self) -> None:
+        """Stop the poller and forget its connections; ``rounds`` and
+        ``wcs_dispatched`` stay readable."""
+        self.conns.clear()
+        self.engine.close()
 
     def mark(self, conn: "ExsConnection") -> None:
         """Queue *conn* for a progress round on the next engine pass."""

@@ -11,7 +11,7 @@ functions and a blocking convenience facade).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Iterator, Optional
+from typing import Any, Dict, Generator, Iterator, Optional
 
 from ..hosts.host import Host
 from ..hosts.memory import Buffer
@@ -57,6 +57,8 @@ class ExsStack:
         #: :class:`~repro.fabric.Fabric` gives all its stacks one counter,
         #: so a run's connection ids do not depend on what ran before it
         self.conn_ids: Iterator[int] = itertools.count(1)
+        #: every connection made on this stack, by conn_id, until :meth:`close`
+        self.connections: Dict[int, ExsConnection] = {}
         self.cm = cm or ConnectionManager(device)
         self._seed = itertools.count(seed * 10_000 + 1)
         #: cost (ns) to pin+register memory, charged by :meth:`mregister`;
@@ -70,6 +72,17 @@ class ExsStack:
         #: CQ shards, empty for per-connection completion queues
         self.shards = [CqShard(self, i) for i in range(cq_shards)]
         self._next_shard = 0
+
+    def close(self) -> None:
+        """Release a finished run's connections, then stop the shard
+        pollers and the connection manager.  What the run counted (shard
+        ``rounds``, pool occupancy, each socket's statistics) stays readable."""
+        for conn in self.connections.values():
+            conn.release()
+        self.connections.clear()
+        for shard in self.shards:
+            shard.close()
+        self.cm.close()
 
     def take_shard(self):
         """Round-robin shard assignment for a new connection (or None)."""

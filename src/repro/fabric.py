@@ -60,8 +60,9 @@ class FabricConnection:
     """A connected EXS socket pair created by :meth:`Fabric.connect`.
 
     The handshake is asynchronous (it needs the simulation to run);
-    :attr:`established` is an event succeeding with the handle once both
-    endpoint sockets exist.  ``a_socket``/``b_socket`` are the connected
+    :attr:`established` is an event that succeeds once both endpoint
+    sockets exist (with no value: one naming this handle would make the
+    pair a reference cycle).  ``a_socket``/``b_socket`` are the connected
     :class:`~repro.exs.socket.ExsSocket` ends, ``a_eq``/``b_eq`` dedicated
     event queues usable for subsequent data-path completions.
     """
@@ -97,7 +98,7 @@ class FabricConnection:
             self.b_socket = event.socket
         self._pending_sides -= 1
         if self._pending_sides == 0 and not self.established.triggered:
-            self.established.succeed(self)
+            self.established.succeed()
 
 
 class Fabric:
@@ -252,6 +253,7 @@ class Fabric:
         self.telemetry = None
         self._auto_ports = itertools.count(61000)
         self._ack_path_cache: Dict[tuple, int] = {}
+        self.closed = False
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -397,6 +399,7 @@ class Fabric:
         no listener outlives the handshake and *port* can be connected
         again.
         """
+        self._require_open("connect")
         options = options or ExsSocketOptions()
         if a == b:
             raise ValueError("cannot connect a host to itself")
@@ -438,6 +441,7 @@ class Fabric:
 
     def run(self, until=None, *, max_events: Optional[int] = None):
         """Run the simulation (see :meth:`repro.simnet.Simulator.run`)."""
+        self._require_open("run")
         if self.telemetry is not None:
             # the sampler stops when a run drains the calendar; resume it
             self.telemetry.sampler.start()
@@ -451,6 +455,57 @@ class Fabric:
     @property
     def now(self) -> int:
         return self.sim.now
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Release what the run registered, as a verbs application tears
+        down, and cut every reference that points back up the layers, so
+        that reference counting frees the fabric once its last holder
+        drops it instead of leaving it to the cyclic collector.
+
+        Connections leave their stack's, shard's and CM's tables (private
+        pollers stop); QPs leave their device and memory regions their
+        protection domain; devices, links and switches drop their back
+        pointers, and the simulator its freelists (and, on a captured run,
+        its capture closures).  What the run counted
+        stays readable: links, switch ports, reliability and SRQ counters,
+        shard ``rounds``, host CPUs, each socket's statistics,
+        ``sim.calendar_stats()`` and the telemetry registry.  Running or
+        connecting afterwards raises; a second call does nothing.  The
+        entry points (``run_blast``, ``run_echo``, ``run_file_transfer``,
+        ``run_incast``) close the fabric they build, never a ``testbed=``.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        for stack in self._stacks.values():
+            stack.close()
+        for device in self._devices.values():
+            device.close()
+        for link in self.links.values():
+            link.close()
+        for switch in self.switches.values():
+            switch.close()
+        for host in self._hosts.values():
+            host.telemetry = None  # the session holds the host's connections
+        self._qpn_home.clear()
+        self.sim.drop_freelists()
+        if self.causal is not None:
+            from .simnet.causality import disable_capture
+
+            disable_capture(self.sim)
+
+    def __enter__(self) -> "Fabric":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _require_open(self, what: str) -> None:
+        if self.closed:
+            raise SimulationError(f"cannot {what}: the fabric is closed")
 
     # -- legacy two-host conveniences ----------------------------------
     @property

@@ -83,7 +83,8 @@ class Telemetry:
         self._conns: List[Any] = []
         self._spans: Optional[List[MessageSpan]] = None
         self._finished = False
-        self.registry.source(("conns.opened",), lambda: (len(self._conns),))
+        conns = self._conns  # the reader holds the list, not the session
+        self.registry.source(("conns.opened",), lambda: (len(conns),))
         self._observe_kernel()
 
     # ------------------------------------------------------------------

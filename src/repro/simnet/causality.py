@@ -154,6 +154,9 @@ class CausalRecorder:
         # credit-stall windows per connection (see repro.exs.stream_sender)
         self._blocked_since: dict[Any, int] = {}
         self.credit_windows: list[tuple] = []
+        # the simulator's own (schedule, call_in, timeout), which
+        # enable_capture wraps and disable_capture puts back
+        self._calendar: tuple = ()
 
     # -- kernel-facing hot path -----------------------------------------
     def on_schedule(self, category: str, sched_ns: int) -> int:
@@ -292,6 +295,7 @@ def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
     if sim.peek() is not None:
         raise SimulationError("enable_capture requires an empty calendar")
     sim._recorder = recorder
+    recorder._calendar = (sim.schedule, sim.call_in, sim.timeout)
 
     base_schedule = sim.schedule
     timeout_cls = sim._timeout_cls
@@ -325,3 +329,12 @@ def enable_capture(sim, recorder: CausalRecorder) -> CausalRecorder:
     sim.call_in = call_in
     sim.timeout = timeout
     return recorder
+
+
+def disable_capture(sim) -> None:
+    """Undo :func:`enable_capture` once the run is over: the simulator gets
+    its own calendar entry points back and lets go of the recorder, whose
+    capture closures would otherwise keep every node on the simulator's
+    reference cycle.  The recorder stays readable wherever it is held."""
+    sim.schedule, sim.call_in, sim.timeout = sim._recorder._calendar
+    sim._recorder = None

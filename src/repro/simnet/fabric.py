@@ -279,6 +279,12 @@ class Switch:
                 )
             self.routes[dst] = port
 
+    def close(self) -> None:
+        """Cut each port's pointer back to this switch (its link ends drop
+        their handlers in :meth:`Link.close`); port counters stay readable."""
+        for port in self.ports.values():
+            port.switch = None
+
     def _ingress(self, frame: Any) -> None:
         self.received += 1
         if isinstance(frame, Corrupted):

@@ -393,6 +393,17 @@ class Simulator:
     def _stop_on_target(self, _event: "Event") -> None:
         raise StopSimulation()
 
+    def drop_freelists(self) -> None:
+        """Empty the recycled Timeout and CallbackEntry pools.
+
+        A pooled Timeout points back at this simulator, so a finished run's
+        pools would keep it on a reference cycle; the allocation counters
+        keep their totals and a later placement simply allocates afresh.
+        """
+        self._timeout_pool.clear()
+        self._stash = None
+        self._cbe_pool.clear()
+
     # ------------------------------------------------------------------
     # calendar introspection (the supported surface; _-prefixed structure
     # fields are backend-specific internals)

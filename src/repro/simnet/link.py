@@ -217,6 +217,14 @@ class Link:
         self.directions[1 - endpoint].handler = handler
         return self.directions[endpoint]
 
+    def close(self) -> None:
+        """Detach both ends: each direction drops its arrival handler (a
+        bound method of the device or switch behind it) and its pointer
+        back to this link; the counters stay readable."""
+        for d in self.directions:
+            d.handler = None
+            d.link = None
+
     def transmission_ns(self, wire_bytes: int) -> int:
         """Serialization delay for a message of *wire_bytes* bytes."""
         ns = self._tx_ns_cache.get(wire_bytes)

@@ -118,6 +118,14 @@ class ConnectionManager:
         self._pending_rtu: Dict[int, ConnectionRequest] = {}
         device.cm_handler = self._on_cm
 
+    def close(self) -> None:
+        """Forget every listener and unanswered handshake and unhook from
+        the device (a finished run's teardown)."""
+        self._listeners.clear()
+        self._pending_rep.clear()
+        self._pending_rtu.clear()
+        self.device.cm_handler = None
+
     # -- passive side ---------------------------------------------------
     def listen(self, port: int) -> CmListener:
         if port in self._listeners:

@@ -82,7 +82,7 @@ class RdmaDevice:
         self.device_id = device_id
         host.device = self
 
-        self.pd = ProtectionDomain(self, keys)
+        self.pd = ProtectionDomain(keys)
         self._qps: Dict[int, QueuePair] = {}
         # QPNs are unique within a fabric (its devices have distinct ids), so
         # it can route any message by destination QPN alone; the wide stride
@@ -142,11 +142,23 @@ class RdmaDevice:
 
     def create_srq(self, max_wr: int) -> SharedReceiveQueue:
         """Create a shared receive queue; pass it to :meth:`create_qp`."""
-        return SharedReceiveQueue(self, max_wr)
+        return SharedReceiveQueue(max_wr)
 
     def register(self, buffer, access: Access = Access.remote()):
         """Register a buffer in this device's protection domain."""
         return self.pd.register(buffer, access)
+
+    def close(self) -> None:
+        """Tear down what a run registered, the way a verbs application
+        does: destroy the QPs, deregister every memory region, and detach
+        from the host, the wire and the fabric, so nothing below the device
+        points back at it.  Counters stay readable."""
+        self._qps.clear()
+        self.pd.close()
+        self.host.device = None
+        self.tx = self.peer = self.fabric = None
+        if self.reliability is not None:
+            self.reliability.device = None
 
     # ------------------------------------------------------------------
     # link attachment

@@ -22,8 +22,7 @@ __all__ = ["MemoryRegion", "ProtectionDomain"]
 class MemoryRegion:
     """A registered window over a :class:`~repro.hosts.memory.Buffer`."""
 
-    def __init__(self, pd: "ProtectionDomain", buffer: Buffer, access: Access, lkey: int, rkey: int) -> None:
-        self.pd = pd
+    def __init__(self, buffer: Buffer, access: Access, lkey: int, rkey: int) -> None:
         self.buffer = buffer
         self.access = access
         self.lkey = lkey
@@ -74,8 +73,7 @@ class ProtectionDomain:
     """Registry of memory regions belonging to one device context; lkeys
     and rkeys come from *keys*, the counter its fabric shares."""
 
-    def __init__(self, device: "object", keys: Iterator[int]) -> None:
-        self.device = device
+    def __init__(self, keys: Iterator[int]) -> None:
         self._keys = keys
         self._by_lkey: Dict[int, MemoryRegion] = {}
         self._by_rkey: Dict[int, MemoryRegion] = {}
@@ -84,7 +82,7 @@ class ProtectionDomain:
         """Register *buffer* and return the new region."""
         lkey = next(self._keys)
         rkey = next(self._keys)
-        mr = MemoryRegion(self, buffer, access, lkey, rkey)
+        mr = MemoryRegion(buffer, access, lkey, rkey)
         self._by_lkey[lkey] = mr
         self._by_rkey[rkey] = mr
         return mr
@@ -96,6 +94,14 @@ class ProtectionDomain:
         mr.valid = False
         del self._by_lkey[mr.lkey]
         del self._by_rkey[mr.rkey]
+
+    def close(self) -> None:
+        """Deregister every region still registered (a finished run's
+        teardown): each is invalidated and leaves both key tables."""
+        for mr in self._by_lkey.values():
+            mr.valid = False
+        self._by_lkey.clear()
+        self._by_rkey.clear()
 
     def lookup_lkey(self, lkey: int) -> MemoryRegion:
         mr = self._by_lkey.get(lkey)

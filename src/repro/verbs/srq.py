@@ -16,14 +16,11 @@ condition is evaluated against the SRQ when the QP is SRQ-attached).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import VerbsError
 from .rq import ReceiveQueue
 from .wr import SGE, RecvWR
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .device import RdmaDevice
 
 __all__ = ["SharedReceiveQueue"]
 
@@ -36,14 +33,13 @@ class SharedReceiveQueue(ReceiveQueue):
     capacity (``max_wr``) and occupancy accounting.
     """
 
-    __slots__ = ("device", "max_wr", "posted_total", "consumed_total",
+    __slots__ = ("max_wr", "posted_total", "consumed_total",
                  "empty_hits", "min_free")
 
-    def __init__(self, device: "RdmaDevice", max_wr: int) -> None:
+    def __init__(self, max_wr: int) -> None:
         if max_wr <= 0:
             raise VerbsError("SRQ max_wr must be positive")
         super().__init__()
-        self.device = device
         self.max_wr = max_wr
         # occupancy accounting (telemetry reads these as pull gauges)
         self.posted_total = 0

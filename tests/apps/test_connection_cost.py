@@ -8,7 +8,9 @@ guards hold what a connection leaves behind after bring-up under a bound
 per interpreter: its Python objects, counted as the garbage collector
 tracks them (the collector's cost grows with that count), and its bytes,
 counted by ``tracemalloc`` both after a collection and before one (the
-cyclic garbage a finished run leaves until the next full collection).
+cyclic garbage a fabric nobody closed leaves until the next full
+collection: these bring-ups pass their own fabric as ``testbed=``, which
+the entry point never closes).
 """
 
 import gc
@@ -109,10 +111,11 @@ TRACKED_PER_CONNECTION = 93 if sys.version_info < (3, 11) else 72
 BYTES_PER_CONNECTION = (18 if sys.version_info < (3, 11) else 16) * 1024
 
 #: bytes one connection's bring-up leaves before any collection, its
-#: cyclic garbage included: what ``perf/``'s peak RSS sees, since finished
-#: fabrics wait for a full collection.  With drawn-ahead wake-up streams it
-#: measured 17.9 KiB (3.10) and 15.1 to 15.5 KiB (3.11 to 3.13); with a
-#: ``random.Random`` per event queue and channel, 23.9 and 21.8 to 22.1 KiB
+#: cyclic garbage included: what a fabric nobody closed holds until a full
+#: collection (a closed one is freed as its last holder drops it).  With
+#: drawn-ahead wake-up streams it measured 17.9 KiB (3.10) and 15.1 to
+#: 15.5 KiB (3.11 to 3.13); with a ``random.Random`` per event queue and
+#: channel, 23.9 and 21.8 to 22.1 KiB
 UNCOLLECTED_BYTES_PER_CONNECTION = (20 if sys.version_info < (3, 11) else 18) * 1024
 
 
