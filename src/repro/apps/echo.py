@@ -13,7 +13,7 @@ operation can ever be pre-posted more than one message ahead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import ScenarioConfig

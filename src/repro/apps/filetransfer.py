@@ -17,7 +17,7 @@ module implements that pattern on the EXS API:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import ScenarioConfig

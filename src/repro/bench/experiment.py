@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..apps.blast import BlastConfig, BlastResult, run_blast
 from ..apps.metrics import MeanCI, mean_ci

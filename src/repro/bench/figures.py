@@ -9,7 +9,7 @@ claims (who wins, by what factor, where crossovers fall).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..apps.blast import BlastConfig
@@ -17,7 +17,7 @@ from ..config import ScenarioConfig
 from ..apps.workloads import KIB, MIB, ExponentialSizes, FixedSizes
 from ..core import ProtocolMode
 from ..exs import ExsSocketOptions
-from .experiment import AggregateResult, QUICK, RunQuality, run_grid, run_repeated
+from .experiment import AggregateResult, QUICK, RunQuality, run_grid
 from .profiles import FDR_INFINIBAND, ROCE_10G_WAN, HardwareProfile
 from .report import format_series_table, format_table
 

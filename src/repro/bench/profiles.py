@@ -22,7 +22,6 @@ choice; the ablation benchmarks vary the influential ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 from ..hosts.cpu import CpuCostModel
 from ..verbs.device import DeviceConfig

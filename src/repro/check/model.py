@@ -62,9 +62,8 @@ from typing import List, Optional, Tuple
 from ..core.invariants import SafetyViolation, require
 from ..core.modes import ProtocolMode
 from ..core.phase import is_direct
-from ..core.receiver_algo import ReceiverAlgorithm
 from ..core.ring import ReceiverRing, RingError, RingSegment, SenderRingView
-from ..core.sender_algo import DirectPlan, SenderAlgorithm
+from ..core.sender_algo import DirectPlan
 
 __all__ = ["ExploreScope", "World", "ACTIONS", "ModelViolation"]
 

@@ -22,7 +22,7 @@ from ..records import record
 from .advert import Advert
 from .invariants import require, violation
 from .modes import ProtocolMode
-from .phase import INITIAL_PHASE, is_direct, is_indirect, next_phase, to_direct
+from .phase import INITIAL_PHASE, is_direct, is_indirect, next_phase
 from .ring import ReceiverRing, RingSegment
 from .stats import ProtocolStats
 

@@ -28,7 +28,7 @@ from .advert import Advert
 from .invariants import violation
 from .modes import ProtocolMode
 from .phase import INITIAL_PHASE, is_direct, is_indirect, next_phase
-from .ring import RingSegment, SenderRingView
+from .ring import SenderRingView
 from .stats import ProtocolStats
 
 __all__ = ["DirectPlan", "IndirectPlan", "SenderAlgorithm", "TransferPlan"]

@@ -6,15 +6,9 @@ plane is the half pair registered for the socket's type and transport,
 driven only through the contract of :mod:`repro.exs.transport`; the pair
 owns its receive pool, hello fields, gauges and dispatch tables.
 
-Every connection is served by a :class:`~repro.exs.shard.CqShard`
-poller, the EXS library thread: a stack shard shared with other
-connections, or, on a stack without shards, one of its own built around
-this connection's completion channel.  The poller calls this
-connection's completion handlers and :meth:`ExsConnection._progress_round`
-and models the event-notification discipline the paper's experiments
-use: drain the CQ and all derived work while awake; arm the CQ and block
-on the completion channel (paying the OS wake-up latency) only when
-nothing is runnable.
+Its :class:`~repro.exs.shard.CqShard` poller, the EXS library thread,
+calls :meth:`ExsConnection._dispatch` per completion and
+:meth:`ExsConnection._progress_round` while the connection has work.
 """
 
 from __future__ import annotations
@@ -46,6 +40,11 @@ from .shard import CqShard
 from .transport import ReceiverHalf, SenderHalf, resolve_pair
 
 __all__ = ["ExsConnection"]
+
+# enum members read through their class cost a lookup each, per completion
+_SUCCESS = WCStatus.SUCCESS
+_WRITE_DONE, _SEND_DONE = WCOpcode.RDMA_WRITE, WCOpcode.SEND
+_WRITE_ARRIVED, _SEND_ARRIVED = WCOpcode.RECV_RDMA_WITH_IMM, WCOpcode.RECV
 
 
 class ExsConnection:
@@ -366,15 +365,12 @@ class ExsConnection:
         pumping, and EOF delivery.  Returns True if anything moved.
 
         The :class:`~repro.exs.shard.CqShard` poller runs it only for a
-        connection marked since its last round (a routed completion, a
-        kick, queued control work, or movement in that round).
+        connection marked since its last round and only when its work
+        predicate, the guards below or-ed, holds.  A skipped pump is one
+        whose first action would have been to return "nothing to do".
         """
         progressed = False
         rx = self.rx
-        # Each sub-pump sits behind a plain attribute test, so a quiescent
-        # round — the common case: the engine re-checks after every wake-up
-        # — makes no calls at all.  A skipped pump is one whose first
-        # action would have been to return "nothing to do".
         if rx.copy_ready:
             # one copy at a time so completions interleave realistically
             plan = rx.next_copy()
@@ -392,8 +388,8 @@ class ExsConnection:
         if self.closing:
             progressed = self._pump_close() or progressed
         credits = self.credits
-        if self._ctrl_queue or (credits is not None and credits.local_repost_cum
-                                - credits.granted_cum >= self._credit_update_threshold):
+        if self._ctrl_queue or (credits.local_repost_cum - credits.granted_cum
+                                >= self._credit_update_threshold):
             ctrl = yield from self._pump_control()
             progressed = ctrl or progressed
         if rx.eof_seq is not None:
@@ -403,25 +399,28 @@ class ExsConnection:
         return progressed
 
     # -- completion dispatch ---------------------------------------------
-    def _handle_wc(self, wc: WorkCompletion):
-        """The handler generator the poller runs for *wc* (an empty
-        iterable for a failed completion, which breaks the connection)."""
+    def _dispatch(self, wc: WorkCompletion):
+        """``(charge, handler)`` for *wc*: the poller charges the library
+        core *charge* ns (a payload SEND costs what a WWI receive completion
+        does; a control message less), then calls ``handler(self, wc)``.
+        A failed completion breaks the connection instead and returns None."""
         # the poller dispatches no completion to a broken connection
-        if wc.status is not WCStatus.SUCCESS:
+        if wc.status is not _SUCCESS:
             self.fail_connection(f"transport error: {wc.status.value}")
-            return ()
+            return None
         opcode = wc.opcode
-        if opcode is WCOpcode.RECV_RDMA_WITH_IMM:
-            return self._handle_data_arrival(wc)
-        if opcode is WCOpcode.RECV:
-            return self._handle_control_arrival(wc)
-        if opcode is WCOpcode.RDMA_WRITE or opcode is WCOpcode.SEND:
-            return self._handle_send_done(wc)
+        if opcode is _WRITE_DONE or opcode is _SEND_DONE:
+            return self.costs.completion_ns, ExsConnection._handle_send_done
+        if opcode is _WRITE_ARRIVED:
+            return self.costs.completion_ns, ExsConnection._handle_data_arrival
+        if opcode is _SEND_ARRIVED:
+            if type(wc.meta["chunk"].obj) in self._on_control:
+                return self.costs.control_ns, ExsConnection._handle_control_arrival
+            return self.costs.completion_ns, ExsConnection._handle_payload_arrival
         raise RuntimeError(f"unexpected completion opcode {wc.opcode}")
 
-    def _handle_send_done(self, wc: WorkCompletion):
+    def _handle_send_done(self, wc: WorkCompletion) -> None:
         """One of our WRITEs / SENDs was acknowledged by the transport."""
-        yield self.costs.completion_ns
         context = wc.context
         if context[0] == "data":
             _kind, usend, chunk = context
@@ -437,32 +436,27 @@ class ExsConnection:
         elif context[0] == "fin":
             self._fin_acked = True
 
-    def _handle_data_arrival(self, wc: WorkCompletion):
+    def _handle_data_arrival(self, wc: WorkCompletion) -> None:
         kind, imm_id = decode_imm(wc.imm_data)
         handler = self._on_imm.get(kind)
         if handler is None:
             self.unhandled(f"immediate {wc.imm_data:#x}")
-        yield self.costs.completion_ns
         self.recycle_recv(wc.context)
         chunk: Chunk = wc.meta["chunk"]
         handler(self.rx, imm_id, wc.byte_len, chunk.stream_offset, wc.meta["remote_addr"])
 
-    def _handle_control_arrival(self, wc: WorkCompletion):
+    def _handle_control_arrival(self, wc: WorkCompletion) -> None:
         msg = wc.meta["chunk"].obj
-        entry = self._on_control.get(type(msg))
-        if entry is not None:
-            yield self.costs.control_ns
-            self.recycle_recv(wc.context)
-            self.credits.on_peer_grant(msg.credit_cum)
-            handler, on_tx = entry
-            handler(self.tx if on_tx else self.rx, msg)
-            return
+        handler, on_tx = self._on_control[type(msg)]
+        self.recycle_recv(wc.context)
+        self.credits.on_peer_grant(msg.credit_cum)
+        handler(self.tx if on_tx else self.rx, msg)
+
+    def _handle_payload_arrival(self, wc: WorkCompletion) -> None:
+        msg = wc.meta["chunk"].obj
         handler = self._on_payload.get(type(msg))
         if handler is None:
             self.unhandled(msg)
-        # Dispatching a payload SEND does the same work as a WWI receive
-        # completion; control messages are lighter.
-        yield self.costs.completion_ns
         self.credits.on_peer_grant(msg.credit_cum)
         handler(self.rx, msg, wc.context)
 

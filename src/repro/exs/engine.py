@@ -8,9 +8,10 @@ charging the host's library core, and sleeps on its completion channel
 
 :class:`Engine` runs such a thread as calendar callbacks, with no
 simulation process.  Its loop is a generator (the *body*) that yields
-either an ``int`` — nanoseconds of library core to charge, handed to
-:meth:`~repro.hosts.cpu.Cpu.run`, which resumes the body — or
-:data:`SLEEP`.  The wake protocol, with its absorb rule, is described in
+either :data:`SLEEP` or an ``int``, nanoseconds of library core to
+charge before the body resumes: on a free core the charge's end goes
+straight onto the calendar, otherwise :meth:`~repro.hosts.cpu.Cpu.run`
+queues it.  The wake protocol, with its absorb rule, is described in
 docs/SIMULATION.md, "Event kernel"; every calendar entry it places stands
 for one the generator-process engine placed, at the same point and delay.
 """
@@ -106,14 +107,21 @@ class Engine:
     def _engine_step(self, _arg: Any = None) -> None:
         """Resume the body until it charges the core or sleeps."""
         nxt = self._next
-        run = self.cpu.run
+        cpu = self.cpu
         step = self._step
         try:
             while True:
                 ns = nxt()
                 if ns is SLEEP:
                     break
-                if run(ns, step, None):
+                if ns and not cpu._busy:
+                    # Cpu.run's free-core path, one call shorter
+                    cpu._busy = True
+                    cpu._then = step
+                    cpu._then_arg = None
+                    self.sim.call_in(ns, cpu._cpu_done, self.sim._now)
+                    return
+                if cpu.run(ns, step):
                     return
         except StopIteration:
             self.sim.call_in(0, _engine_exit)

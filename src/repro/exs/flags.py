@@ -10,7 +10,7 @@ to force the direct-only / indirect-only baseline protocols.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.modes import ProtocolMode

@@ -1,26 +1,13 @@
 """Shared per-host EXS resources: the SRQ receive pool and CQ shards.
 
 Every EXS connection's completions are drained by a :class:`CqShard`
-poller.  By default each connection builds a private one around its own
-completion channel and CQ — faithful to the two-host experiments of the
-paper, but per-connection in cost: a host terminating N connections posts
-O(N·credits) receive buffers and runs N pollers each polling its own CQ.
-
-Two opt-in resources change that to O(1) / O(shards) per host:
-
-* :class:`SrqPool` — one shared receive queue
-  (:class:`~repro.verbs.srq.SharedReceiveQueue`) backing the control-plane
-  receive pools of every connection on the stack.  The pool is pre-filled
-  to ``depth`` once; each consumed buffer is re-posted on recycle.  When
-  bursts across connections drain the pool, the arriving QP takes an RNR
-  NAK exactly as an individual empty receive queue would (IBTA semantics:
-  RNR is evaluated against the SRQ for SRQ-attached QPs), and the sender's
-  reliability layer retries after the RNR backoff.
-* Stack shards (``ExsStack(cq_shards=K)``) — K :class:`CqShard` pollers,
-  each one completion channel + CQ shared by many connections.
-  Completions are routed to their connection by ``wc.qp_num`` in arrival
-  order, then every marked connection gets a progress round.  A host
-  polls O(shards) CQs regardless of connection count.
+poller, by default a private one around the connection's own channel and
+CQ: faithful to the paper's two-host experiments, but a host terminating
+N connections then posts O(N·credits) receive buffers and runs N
+pollers.  Two opt-in resources make that O(1) and O(K) per host: one
+:class:`SrqPool` (``ExsStack(srq_depth=...)``) and K stack shards
+(``ExsStack(cq_shards=K)``), each a :class:`CqShard` shared by many
+connections.
 """
 
 from __future__ import annotations
@@ -48,7 +35,9 @@ class SrqPool:
     synthetic backing buffer (control messages carry their payload as a
     python object, so one 256-byte buffer backs every slot), and its
     memory registration.  Connections attach their QP to :attr:`srq` and
-    call :meth:`repost` instead of posting per-QP receives.
+    call :meth:`repost` instead of posting per-QP receives.  When bursts
+    drain the pool, the arriving QP takes an RNR NAK exactly as an empty
+    receive queue of its own would (IBTA evaluates RNR against the SRQ).
 
     Eager-transport connections are *not* pooled: their receives place
     payload bytes into per-connection bounce slots.
@@ -100,17 +89,15 @@ class SrqPool:
 class CqShard:
     """One completion vector: a channel + CQ and the poller that drains it.
 
-    The poller is EXS's one completion loop, serving either the
-    connections a sharded stack assigns it round-robin or, built around a
-    connection's own *channel*, that one connection.  It is a library
-    thread: a generator loop driven by an
-    :class:`~repro.exs.engine.Engine` (charges through the host's library
-    core, sleeps on the channel or a kick from any of its connections),
-    not a simulation process.
-    Each wake-up drains the CQ, dispatching completions to their owning
+    The poller is EXS's one completion loop, serving the connections a
+    sharded stack assigns it round-robin or, built around a connection's
+    own *channel*, that one connection: a library thread driven by an
+    :class:`~repro.exs.engine.Engine`, not a simulation process.  Each
+    wake-up drains the CQ, dispatching completions to their owning
     connection **in arrival order** (routed by ``wc.qp_num``), then runs
-    one progress round per marked connection until nothing moves, then
-    re-arms and sleeps: the paper's drain-while-awake discipline.
+    a progress round per marked connection with work until nothing
+    moves, then re-arms and sleeps: the paper's drain-while-awake
+    discipline.
 
     A failing connection (credit collapse, QP teardown) breaks only
     itself: the exception is translated into that connection's
@@ -138,20 +125,14 @@ class CqShard:
         #: the poller; connections on this shard kick it
         self.engine = Engine(stack.sim, stack.host.cpu, self.channel)
         self.conns: Dict[int, "ExsConnection"] = {}
-        # Progress rounds only run for connections with a reason to move:
-        # a routed completion, an application kick, queued control work,
-        # or movement in their previous round.  A quiescent connection's
-        # round is a no-op that yields nothing (every pump early-returns
-        # without charging), so skipping it leaves the event stream
-        # bit-identical while cutting the former every-round full scan of
-        # ``conns`` — the O(N) cost that dominated sink shards at 10k
-        # connections.
+        # connections with a reason to move (a routed completion, a kick,
+        # queued control work, movement in their last round): a lap visits
+        # these, not all of ``conns``
         self._dirty: Dict[int, None] = {}
         self._order: Dict[int, int] = {}
         self._reg_seq = itertools.count()
-        # set when a registered connection is seen broken; gates the
-        # dead-connection sweep so quiescent laps stay O(1) in the
-        # registered-connection count
+        # set when a registered connection breaks: gates the dead-connection
+        # sweep, so a quiescent lap stays O(1) in the connection count
         self._has_broken = False
         #: completions routed through this shard (for telemetry)
         self.wcs_dispatched = 0
@@ -196,25 +177,29 @@ class CqShard:
         order = self._order
         conns = self.conns
         cq = self.cq
+        queued = cq.entries
         # busy polling spins on the CQ: the sleep is library-core time too
         spin = solo is not None and solo.options.busy_poll
         while True:
             while True:
                 progressed = False
-                wcs = cq.poll()
-                for wc in wcs:
-                    qpn = wc.qp_num
-                    conn = conns.get(qpn)
-                    if conn is None or conn.broken:
-                        continue
-                    self.wcs_dispatched += 1
-                    dirty[qpn] = None
-                    try:
-                        yield from conn._handle_wc(wc)
-                    except (CreditError, QPStateError) as exc:
-                        conn.fail_connection(f"{type(exc).__name__}: {exc}")
-                if wcs:
+                if queued:
                     progressed = True
+                    for wc in cq.poll():
+                        qpn = wc.qp_num
+                        conn = conns.get(qpn)
+                        if conn is None or conn.broken:
+                            continue
+                        self.wcs_dispatched += 1
+                        dirty[qpn] = None
+                        try:
+                            dispatch = conn._dispatch(wc)
+                            if dispatch is not None:
+                                charge, handler = dispatch
+                                yield charge
+                                handler(conn, wc)
+                        except (CreditError, QPStateError) as exc:
+                            conn.fail_connection(f"{type(exc).__name__}: {exc}")
                 if dirty:
                     # marks made during these rounds go to a fresh set
                     batch = dirty
@@ -226,6 +211,16 @@ class CqShard:
                         conn = conns.get(qpn)
                         if conn is None or conn.broken:
                             continue
+                        # the work predicate: _progress_round's guards, or-ed;
+                        # a round none admits would return False, charging nothing
+                        rx = conn.rx
+                        credits = conn.credits
+                        if not (rx.copy_ready or rx.adverts_due or conn.tx.pending
+                                or conn.closing or conn._ctrl_queue
+                                or credits.local_repost_cum - credits.granted_cum
+                                >= conn._credit_update_threshold
+                                or rx.eof_seq is not None or conn.tracer is not None):
+                            continue
                         try:
                             moved = yield from conn._progress_round()
                         except (CreditError, QPStateError) as exc:
@@ -235,9 +230,9 @@ class CqShard:
                             dirty[qpn] = None
                             progressed = True
                 self.rounds += 1
-                if not progressed or not dirty and not len(cq):
+                if not progressed or not dirty and not queued:
                     # Nothing moved, or nothing routed and nothing marked:
-                    # the next pass would poll an empty CQ and touch no
+                    # the next pass would find an empty CQ and touch no
                     # connection, so skip the no-op lap and go to re-arm.
                     break
             if solo is not None and solo.broken:
@@ -250,7 +245,7 @@ class CqShard:
                     self._order.pop(qpn, None)
                     dirty.pop(qpn, None)
             cq.req_notify()
-            if len(cq):
+            if queued:
                 continue
             idle_start = self.sim._now
             yield SLEEP

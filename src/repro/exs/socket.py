@@ -25,6 +25,8 @@ from .stream_receiver import UserRecv
 
 __all__ = ["ExsStack", "ExsSocket", "ExsError"]
 
+_WAITALL = MsgFlags.MSG_WAITALL._value_  # recv tests integer bits, not Flag arithmetic
+
 
 class ExsError(RuntimeError):
     """Misuse of the EXS API (wrong socket state, bad arguments, ...)."""
@@ -284,7 +286,7 @@ class ExsSocket:
             mr=mr,
             offset=offset,
             nbytes=nbytes,
-            waitall=bool(flags & MsgFlags.MSG_WAITALL),
+            waitall=flags._value_ & _WAITALL != 0,
             eq=eq,
             context=context,
             posted_at_ns=self.stack.sim.now,

@@ -70,7 +70,8 @@ class Cpu:
         self._starts = array("q")
         self._ends = array("q")
         self._busy_ns_total = 0
-        # the continuation of the run() charge holding the core
+        # the continuation of the run() charge holding the core; an EXS
+        # engine charging a free core claims it by setting these itself
         self._then: Optional[Callable[[Any], None]] = None
         self._then_arg: Any = None
 

@@ -61,7 +61,7 @@ connection that only ever takes the direct path) cost no zero-fill time.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Buffer",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import IO, Any, Dict, Iterable, List, Optional, Tuple
+from typing import IO, Any, Dict, Iterable, List, Tuple
 
 from .sampler import TimeSeries
 from .spans import MessageSpan

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv as _csv
 import json as _json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "ProtocolTracer", "EventIndex", "events_from_csv",

@@ -18,8 +18,7 @@ ADVERTs that race the REP to the sender (see DESIGN.md §5).
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..simnet import Event, Simulator, Store
 from .device import RdmaDevice

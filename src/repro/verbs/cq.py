@@ -47,10 +47,13 @@ class CompletionQueue:
     ``req_notify`` arms a one-shot notification on the attached channel;
     pushing a CQE onto an armed CQ fires the channel (which models the OS
     wake-up latency, see :class:`~repro.verbs.comp_channel.CompletionChannel`).
+    A poller that asks "anything queued?" on every lap tests :attr:`entries`
+    for truth (no Python call) and polls only when it holds something.
     """
 
     def __init__(self, channel: "Optional[object]" = None, capacity: int = 1 << 16) -> None:
-        self._entries: Deque[WorkCompletion] = deque()
+        #: the queued completions, oldest first; read it, never change it
+        self.entries: Deque[WorkCompletion] = deque()
         self.channel = channel
         self.capacity = capacity
         self._armed = False
@@ -59,14 +62,14 @@ class CompletionQueue:
         self.overflowed = False
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def push(self, wc: WorkCompletion) -> None:
         """Add a completion (called by the transport engine)."""
-        if len(self._entries) >= self.capacity:  # pragma: no cover - defensive
+        if len(self.entries) >= self.capacity:  # pragma: no cover - defensive
             self.overflowed = True
             raise RuntimeError("completion queue overflow")
-        self._entries.append(wc)
+        self.entries.append(wc)
         self.total_pushed += 1
         if self._armed and self.channel is not None:
             self._armed = False
@@ -74,7 +77,7 @@ class CompletionQueue:
 
     def poll(self, max_entries: int = 0) -> List[WorkCompletion]:
         """Remove and return up to *max_entries* completions (0 = all)."""
-        entries = self._entries
+        entries = self.entries
         if not entries:
             return []
         if max_entries <= 0 or max_entries >= len(entries):

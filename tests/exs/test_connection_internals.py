@@ -204,8 +204,8 @@ def test_completion_dispatch_rejects_an_unexpected_opcode():
     conn = run_exchange(ExsSocketOptions(), nbytes=1_000)["client_conn"]
     foreign = WorkCompletion(1, "atomic_fetch_add", WCStatus.SUCCESS, 0, 0, conn.qp.qpn)
     with pytest.raises(RuntimeError, match="unexpected completion opcode atomic_fetch_add"):
-        conn._handle_wc(foreign)
+        conn._dispatch(foreign)
     assert not conn.broken
     flushed = WorkCompletion(2, WCOpcode.SEND, WCStatus.WR_FLUSH_ERR, 0, 0, conn.qp.qpn)
-    assert list(conn._handle_wc(flushed)) == []
+    assert conn._dispatch(flushed) is None
     assert conn.broken and conn.error == "transport error: flushed"

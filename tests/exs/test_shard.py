@@ -7,10 +7,12 @@ import pytest
 from helpers import idle_wakeups, run_procs
 from repro.apps.incast import IncastConfig, run_incast
 from repro.config import ScenarioConfig
-from repro.exs import BlockingSocket
+from repro.exs import BlockingSocket, ExsSocketOptions
 from repro.exs.connection import ExsConnection
+from repro.exs.credits import CreditError
 from repro.fabric import Fabric
 from repro.simnet import FaultProfile, Topology
+from repro.testbed import Testbed
 from repro.verbs import ReliabilityConfig
 
 
@@ -138,7 +140,7 @@ def test_engine_death_surfaces_from_run(monkeypatch, cq_shards, died):
     def fail_third(self, wc):
         if next(calls) == 3:
             raise KeyError("injected")
-        return (yield from handle(self, wc))
+        handle(self, wc)
 
     monkeypatch.setattr(ExsConnection, "_handle_data_arrival", fail_third)
     with pytest.raises(RuntimeError, match=died) as info:
@@ -155,3 +157,91 @@ def test_shard_sleep_leaves_nothing_behind_per_wakeup():
     fab.sim.run()
     shard = fab.stack("server").shards[0]
     assert idle_wakeups(shard.engine, fab.sim) == (80, {(True, True, False, 0, True, 0)})
+
+
+def test_credit_error_mid_batch_breaks_only_its_connection(monkeypatch):
+    """A handler raising CreditError breaks its own connection; the poller
+    goes on with the rest of the same CQ batch, in arrival order, for the
+    connections sharing its shard, and they finish their transfers."""
+    fab = Fabric(ScenarioConfig(seed=5, cq_shards=1))
+    cq = fab.stack("server").shards[0].cq
+    batches, dispatched, victim = [], [], {}
+    poll = cq.poll
+
+    def recording_poll():
+        batches.append(poll())
+        return batches[-1]
+
+    def inject(conn, wc):
+        raise CreditError("injected")
+
+    dispatch = ExsConnection._dispatch
+
+    def recording_dispatch(self, wc):
+        charge, handler = dispatch(self, wc)
+        if self.cq is cq:
+            batch = batches[-1]
+            if not victim and wc is batch[0] and len({w.qp_num for w in batch}) > 2:
+                victim.update(qpn=wc.qp_num, batch=batch)
+                handler = inject
+            dispatched.append(wc)
+        return charge, handler
+
+    cq.poll = recording_poll
+    monkeypatch.setattr(ExsConnection, "_dispatch", recording_dispatch)
+    out, errors = {}, {}
+
+    def server(port):
+        conn = yield from BlockingSocket.accept_one(fab.stack("server"), port)
+        try:
+            out[port] = yield from conn.recv_bytes(30_000, waitall=True)
+        except Exception as exc:
+            errors[port] = exc
+
+    def client(port):
+        conn = yield from BlockingSocket.connect(fab.stack("client"), port, to="server")
+        try:
+            yield from conn.send_bytes(bytes([port % 251]) * 30_000)
+        except Exception:
+            pass
+
+    ports = range(6400, 6404)
+    run_procs(fab.sim, *(server(p) for p in ports), *(client(p) for p in ports))
+
+    batch = victim["batch"]
+    rest = [wc for wc in batch if wc.qp_num != victim["qpn"]]
+    start = dispatched.index(batch[0]) + 1
+    assert rest and dispatched[start:start + len(rest)] == rest
+    broken = [c for c in fab.stack("server").connections.values() if c.broken]
+    assert [c.qp.qpn for c in broken] == [victim["qpn"]]
+    assert broken[0].error == "CreditError: injected"
+    assert len(errors) == 1 and len(out) == len(ports) - 1
+    assert all(data == bytes([port % 251]) * 30_000 for port, data in out.items())
+
+
+def test_a_receiver_with_nothing_to_send_still_returns_credits():
+    """Credits owed past the update threshold are, alone, work for a
+    progress round: a receiver that never posts another receive returns
+    them with standalone updates, or the sender stalls for good once its
+    credits run out (the run drains with both processes blocked)."""
+    tb = Testbed(ScenarioConfig(seed=1))
+    options = ExsSocketOptions(credits=8)
+    out = {}
+
+    def server():
+        conn = yield from BlockingSocket.accept_one(tb.server, 5400, options=options)
+        out["got"] = yield from conn.recv_bytes(64 * 1024, waitall=True)
+        out["server"] = conn.sock.conn
+
+    def client():
+        conn = yield from BlockingSocket.connect(tb.client, 5400, options=options)
+        yield tb.sim.timeout(200_000)  # the one ADVERT is in: every send goes direct
+        for _ in range(32):
+            yield from conn.send_bytes(b"c" * 2048)
+        out["client"] = conn.sock.conn
+
+    run_procs(tb.sim, server(), client())
+    assert out["got"] == b"c" * 64 * 1024
+    assert out["client"].tx_stats.direct_transfers == 32
+    # every data WRITE consumed a receive the server gave back by itself
+    assert out["server"].credits.granted_cum >= 32 - options.credits

@@ -29,6 +29,7 @@ from repro.exs.transport import PAIRS, ReceiverHalf, SenderHalf
 from repro.hosts.memory import Chunk
 from repro.obs.telemetry import Telemetry
 from repro.testbed import Testbed
+from repro.verbs import WCOpcode, WCStatus
 
 ONE_OF_EACH = [
     AdvertMsg(advert=Advert(advert_id=1, seq=0, length=8, phase=0, waitall=False,
@@ -134,21 +135,25 @@ def test_dispatch_tables_are_the_pairs(key):
 @pytest.mark.parametrize("key,msg", FOREIGN_MESSAGES,
                          ids=[f"{_id(k)}-{type(m).__name__}" for k, m in FOREIGN_MESSAGES])
 def test_message_outside_the_tables_is_one_named_error(key, msg):
-    wc = SimpleNamespace(meta={"chunk": Chunk(0, 48, None, obj=msg)}, context=None)
+    wc = SimpleNamespace(status=WCStatus.SUCCESS, opcode=WCOpcode.RECV, context=None,
+                         meta={"chunk": Chunk(0, 48, None, obj=msg)})
     for conn in finished(key)[1]:
+        _charge, handler = conn._dispatch(wc)
         with _named_error(key, type(msg).__name__):
-            next(conn._handle_control_arrival(wc))
+            handler(conn, wc)
 
 
 @pytest.mark.parametrize("key,imm_type", FOREIGN_IMMS,
                          ids=[f"{_id(k)}-{t:#x}" for k, t in FOREIGN_IMMS])
 def test_immediate_outside_the_table_is_one_named_error(key, imm_type):
     imm = imm_type << 28
-    wc = SimpleNamespace(imm_data=imm, context=None, byte_len=1,
+    wc = SimpleNamespace(status=WCStatus.SUCCESS, opcode=WCOpcode.RECV_RDMA_WITH_IMM,
+                         imm_data=imm, context=None, byte_len=1,
                          meta={"chunk": Chunk(0, 1, None), "remote_addr": 0})
     for conn in finished(key)[1]:
+        _charge, handler = conn._dispatch(wc)
         with _named_error(key, f"immediate {imm:#x}"):
-            next(conn._handle_data_arrival(wc))
+            handler(conn, wc)
 
 
 @pytest.mark.parametrize("key", KEYS, ids=_id)
