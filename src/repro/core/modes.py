@@ -33,7 +33,3 @@ class ProtocolMode(enum.Enum):
     @property
     def allows_indirect(self) -> bool:
         return self is not ProtocolMode.DIRECT_ONLY
-
-    @property
-    def allows_direct(self) -> bool:
-        return self is not ProtocolMode.INDIRECT_ONLY

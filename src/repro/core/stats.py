@@ -71,8 +71,3 @@ class ProtocolStats:
         """Ratio of direct transfers to total transfers (Table III / Figs. 11b, 12b)."""
         total = self.total_transfers
         return self.direct_transfers / total if total else 0.0
-
-    @property
-    def direct_byte_ratio(self) -> float:
-        total = self.total_bytes
-        return self.direct_bytes / total if total else 0.0

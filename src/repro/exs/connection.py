@@ -93,6 +93,9 @@ class ExsConnection:
         if not options.native_write_with_imm and not self._tx_cls.emulates_write_with_imm:
             raise ValueError(f"native_write_with_imm=False has no effect with transport="
                              f"{self.transport!r}: its data is always a WRITE WITH IMM")
+        if options.credits < self._tx_cls.min_credits:
+            raise ValueError(f"credits={options.credits} is below {self._tx_cls.min_credits}, the "
+                             f"fewest a {self._tx_cls.__name__} makes progress with")
         if shard is not None and options.busy_poll:
             raise ValueError(f"busy_poll=True has no effect with cq_shards="
                              f"{len(socket.stack.shards)}: the shard poller sleeps on its channel")

@@ -55,6 +55,8 @@ class RdvSenderHalf(SenderBase):
     #: rendezvous data is always a WRITE WITH IMM into the CTS-granted
     #: region; there is no WRITE + notify variant
     emulates_write_with_imm = False
+    #: an eager SEND or a granted WRITE takes one data credit: 2 + 1 + 1
+    min_credits = 4
 
     def __init__(self, conn: "ExsConnection") -> None:
         super().__init__(conn)

@@ -34,6 +34,9 @@ __all__ = ["SeqPacketSenderHalf", "SeqPacketReceiverHalf"]
 class SeqPacketSenderHalf(SenderBase):
     """Outbound direction: one WWI per message, gated on ADVERTs."""
 
+    #: a message is one WWI, one data credit: 2 + 1 + 1
+    min_credits = 4
+
     def __init__(self, conn: "ExsConnection") -> None:
         super().__init__(conn)
         self.adverts: List[Advert] = []

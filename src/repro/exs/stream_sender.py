@@ -71,6 +71,13 @@ class SenderBase:
     #: data transfers may run as RDMA WRITE + notify SEND when the
     #: hardware lacks WRITE WITH IMM (``native_write_with_imm=False``)
     emulates_write_with_imm = True
+    #: the fewest ``credits`` the half makes progress with (connection setup
+    #: refuses fewer): the control reserve (2), the credits one data post
+    #: takes, and the repost credits a receiver may hold back below its
+    #: explicit-update threshold (``credits // 2``, so one at 4 or 5).
+    #: Below 4 that threshold is 1, and the two ends trade credit updates
+    #: forever.  Each subclass declares its own value.
+    min_credits: int
 
     def __init__(self, conn: "ExsConnection") -> None:
         self.conn = conn
@@ -242,6 +249,10 @@ class StreamSenderHalf(SenderBase):
     Built once the peer's hello (its ring address, key and capacity) is
     known.
     """
+
+    #: a transfer may split in two at the ring wrap, so it waits for two
+    #: data credits: 2 + 2 + 1
+    min_credits = 5
 
     def __init__(self, conn: "ExsConnection") -> None:
         super().__init__(conn)

@@ -47,6 +47,7 @@ class SenderHalf(Protocol):
     control: ClassVar[Dict[type, Callable[[Any, Any], None]]]
     algo: Any  # pure protocol core (phase tracing), or None
     emulates_write_with_imm: bool
+    min_credits: int  # fewest ExsSocketOptions.credits it makes progress with
     first_post_ns: Optional[int]  # throughput start point
 
     def submit(self, buffer: Any, mr: Any, offset: int, nbytes: int, eq: Any, context: Any) -> Any: ...

@@ -259,9 +259,3 @@ class ImpairmentModel:
     @property
     def acks_dropped_total(self) -> int:
         return self._total("acks_dropped")
-
-    @property
-    def lost_total(self) -> int:
-        """Messages that never reached the far end, for any reason."""
-        return (self.dropped_total + self.corrupted_total
-                + self.down_dropped_total + self.acks_dropped_total)

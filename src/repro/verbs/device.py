@@ -38,9 +38,19 @@ from .mr import ProtectionDomain
 from .qp import QueuePair
 from .reliability import ACCEPT, DUPLICATE, ReliabilityConfig, ReliabilityEngine
 from .srq import SharedReceiveQueue
-from .wire import AckMessage, CmMessage, DataMessage, TermMessage
+from .wire import HEADER_BYTES, AckMessage, CmMessage, DataMessage, TermMessage
 
 __all__ = ["DeviceConfig", "RdmaDevice", "connect_devices"]
+
+# module constants: the frame path tests members with `is` and access bits
+# as integers, never through their enum class
+_SEND, _WRITE, _WRITE_IMM = Opcode.SEND, Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM
+_WC_SEND, _WC_WRITE = WCOpcode.SEND, WCOpcode.RDMA_WRITE
+_WC_RECV, _WC_RECV_IMM = WCOpcode.RECV, WCOpcode.RECV_RDMA_WITH_IMM
+_SUCCESS = WCStatus.SUCCESS
+_READY, _ERROR = QPState.READY, QPState.ERROR
+_LOCAL_READ, _LOCAL_WRITE, _REMOTE_WRITE = (
+    Access.LOCAL_READ._value_, Access.LOCAL_WRITE._value_, Access.REMOTE_WRITE._value_)
 
 
 @dataclass(frozen=True)
@@ -214,14 +224,15 @@ class RdmaDevice:
         while service:
             qp = service.popleft()
             self._in_service.discard(qp.qpn)
-            if not qp.sq or qp.state is not QPState.READY:
+            sq = qp.sq
+            if not sq or qp.state is not _READY:
                 continue
-            wr = qp.sq.pop(0)
+            wr = sq.pop(0)
             if overhead:
                 self.sim.call_in(overhead, self._tx_wire, (qp, wr))
                 return
             self._transmit_wr(qp, wr)
-            if qp.sq and qp.qpn not in self._in_service:
+            if sq and qp.qpn not in self._in_service:
                 self._in_service.add(qp.qpn)
                 service.append(qp)
         if self._tx_kicked:
@@ -239,25 +250,29 @@ class RdmaDevice:
             self._service.append(qp)
         self._tx_wake()
 
-    def _large_msg_penalty_ns(self, nbytes: int) -> int:
-        thr = self.config.large_msg_threshold
-        if thr is None or nbytes <= thr:
-            return 0
-        return int((nbytes - thr) * self.config.large_msg_extra_ns_per_byte)
-
     def _transmit_wr(self, qp: QueuePair, wr) -> None:
-        if self.tx is None:
+        tx = self.tx
+        if tx is None:
             raise VerbsError("device not attached to a link")
-        seq = qp.next_seq()
+        seq = qp._next_seq
+        qp._next_seq = seq + 1
         payload = wr.payload
         if payload is None:
             # DMA-fetch the payload from local registered memory.  Like a
             # real HCA the engine reads the memory in place — the wire
             # carries a zero-copy view, valid under the RC contract that
             # the application must not touch the buffer until completion.
-            mr = self.pd.lookup_lkey(wr.sge.lkey)
-            mr.require(wr.sge.addr, wr.sge.length, Access.LOCAL_READ)
-            payload = Chunk(0, wr.sge.length, mr.view(wr.sge.addr, wr.sge.length))
+            sge = wr.sge
+            addr, nbytes = sge.addr, sge.length
+            # lookup_lkey is called only to raise its error
+            mr = self.pd._by_lkey.get(sge.lkey) or self.pd.lookup_lkey(sge.lkey)
+            base = mr.addr
+            if not (mr.valid and base <= addr and addr + nbytes <= base + mr.length
+                    and mr.access._value_ & _LOCAL_READ):
+                mr.require(addr, nbytes, Access.LOCAL_READ)  # raises its error
+            payload = Chunk(0, nbytes, mr.buffer.view(addr - base, nbytes))
+        else:
+            nbytes = payload.nbytes
         # positional, in field order: src_qpn, dst_qpn, opcode, seq,
         # payload, remote_addr, rkey, imm_data, wr_id
         msg = DataMessage(qp.qpn, qp.remote_qpn, wr.opcode, seq, payload,
@@ -265,11 +280,14 @@ class RdmaDevice:
         qp.inflight[seq] = wr
         qp.messages_sent += 1
         self.data_messages_sent += 1
-        wire = msg.wire_bytes()
+        wire = HEADER_BYTES + nbytes
         # The large-message penalty (HCA/LLC caching effect) slows the data
         # stream itself, so it occupies the wire rather than the WQE pipeline.
-        extra_tx = self._large_msg_penalty_ns(msg.payload_bytes)
-        self.tx.transmit(msg, wire, extra_tx_ns=extra_tx)
+        config = self.config
+        thr = config.large_msg_threshold
+        extra_tx = (0 if thr is None or nbytes <= thr
+                    else int((nbytes - thr) * config.large_msg_extra_ns_per_byte))
+        tx.transmit(msg, wire, extra_tx)
         if self.reliability is not None:
             self.reliability.on_transmit(qp, wr, msg, wire, extra_tx)
 
@@ -302,12 +320,20 @@ class RdmaDevice:
             self.reliability.stats.corrupt_discarded += 1
 
     def _on_data(self, msg: DataMessage, from_buffer: bool = False) -> None:
+        """Execute an arriving message, then return the cumulative ACK.
+
+        One frame, one call: the placement (:meth:`_place_send`, or the
+        WRITE inline), the receive a WRITE_WITH_IMM consumes and the ACK
+        are all done here, each field read once.
+        """
         qp = self._qps.get(msg.dst_qpn)
         if qp is None:
             raise VerbsError(f"message for unknown QP {msg.dst_qpn}")
+        opcode = msg.opcode
+        rq = qp.recv_source
         rel = self.reliability
         if rel is not None:
-            if qp.state is QPState.ERROR:
+            if qp.state is _ERROR:
                 return  # arrivals on a dead QP are silently dropped
             verdict = rel.check_incoming(qp, msg)
             if verdict is not ACCEPT:
@@ -322,25 +348,43 @@ class RdmaDevice:
                         rel.buffer_future(qp, msg)
                     rel.send_nak(qp)
                 return
-            if (msg.opcode in (Opcode.SEND, Opcode.RDMA_WRITE_WITH_IMM)
-                    and not qp.has_recv()):
+            # ``not rq`` without ReceiveQueue.__len__'s Python call
+            if opcode is not _WRITE and not (rq._run or rq._wrs):
                 if qp.srq is not None:
                     qp.srq.empty_hits += 1
                 rel.send_rnr(qp)
                 return
         qp.messages_received += 1
 
-        if msg.opcode is Opcode.SEND:
-            self._place_send(qp, msg)
-        elif msg.opcode is Opcode.RDMA_WRITE:
-            self._place_write(msg)
-        elif msg.opcode is Opcode.RDMA_WRITE_WITH_IMM:
-            self._place_write(msg)
-            self._consume_recv(qp, msg, with_imm=True)
+        payload = msg.payload
+        nbytes = 0 if payload is None else payload.nbytes
+        if opcode is _SEND:
+            self._place_send(qp, rq, payload, nbytes)
+        elif opcode is _WRITE or opcode is _WRITE_IMM:
+            mr = self.pd._by_rkey.get(msg.rkey)
+            if mr is None:
+                raise RemoteAccessError(f"RDMA WRITE with unknown rkey {msg.rkey}")
+            addr, base = msg.remote_addr, mr.addr
+            if not (mr.valid and base <= addr and addr + nbytes <= base + mr.length
+                    and mr.access._value_ & _REMOTE_WRITE):
+                mr.require(addr, nbytes, Access.REMOTE_WRITE)  # raises its error
+            if payload is not None:
+                mr.buffer.write_chunk(addr - base, payload)
+            if opcode is _WRITE_IMM:
+                if not (rq._run or rq._wrs):
+                    raise self._receiver_not_ready(qp, "WRITE_WITH_IMM")
+                wr = rq.take()
+                qp.recv_cq.push(WorkCompletion(
+                    wr.wr_id, _WC_RECV_IMM, _SUCCESS, nbytes, msg.imm_data, qp.qpn,
+                    True, wr.context, {"chunk": payload, "remote_addr": addr}))
         else:  # pragma: no cover - defensive
-            raise VerbsError(f"unexpected opcode {msg.opcode}")
+            raise VerbsError(f"unexpected opcode {opcode}")
 
-        self._schedule_ack(qp, msg.seq)
+        # the cumulative ACK, out of band
+        consumed = self._consumed_msn
+        if msg.seq > consumed.get(qp.qpn, -1):
+            consumed[qp.qpn] = msg.seq
+        self._send_ack_message(qp)
         if rel is not None and rel.selective and not from_buffer:
             self._drain_ooo(qp, rel)
 
@@ -388,54 +432,35 @@ class RdmaDevice:
             "back the senders off until buffers are reposted"
         )
 
-    def _place_send(self, qp: QueuePair, msg: DataMessage) -> None:
-        nbytes = msg.payload_bytes
-        if not qp.has_recv():
+    def _place_send(self, qp: QueuePair, rq, payload: Optional[Chunk], nbytes: int) -> None:
+        """Consume the RECV at the head of *rq* and place a SEND into it."""
+        if not (rq._run or rq._wrs):
             raise self._receiver_not_ready(qp, f"SEND of {nbytes}B")
-        wr = qp.take_recv()
-        if nbytes > wr.length:
-            raise BadWorkRequest(
-                f"SEND of {nbytes}B overflows RECV of {wr.length}B"
-            )
-        if wr.sge is not None and msg.payload is not None:
-            mr = self.pd.lookup_lkey(wr.sge.lkey)
-            mr.require(wr.sge.addr, nbytes, Access.LOCAL_WRITE)
-            off = mr.offset_of(wr.sge.addr)
-            mr.buffer.write_chunk(off, msg.payload)
+        wr = rq.take()
+        sge = wr.sge
+        if sge is None:
+            if nbytes:
+                raise BadWorkRequest(f"SEND of {nbytes}B overflows RECV of 0B")
+        else:
+            if nbytes > sge.length:
+                raise BadWorkRequest(f"SEND of {nbytes}B overflows RECV of {sge.length}B")
+            if payload is not None:
+                addr = sge.addr
+                mr = self.pd._by_lkey.get(sge.lkey) or self.pd.lookup_lkey(sge.lkey)
+                base = mr.addr
+                if not (mr.valid and base <= addr and addr + nbytes <= base + mr.length
+                        and mr.access._value_ & _LOCAL_WRITE):
+                    mr.require(addr, nbytes, Access.LOCAL_WRITE)  # raises its error
+                mr.buffer.write_chunk(addr - base, payload)
         # positional, in field order: wr_id, opcode, status, byte_len,
         # imm_data, qp_num, wc_flags_with_imm, context, meta
         qp.recv_cq.push(WorkCompletion(
-            wr.wr_id, WCOpcode.RECV, WCStatus.SUCCESS, nbytes, 0, qp.qpn,
-            False, wr.context, {"chunk": msg.payload, "remote_addr": 0}))
-
-    def _place_write(self, msg: DataMessage) -> None:
-        mr = self.pd.lookup_rkey(msg.rkey)
-        if mr is None:
-            raise RemoteAccessError(f"RDMA WRITE with unknown rkey {msg.rkey}")
-        mr.require(msg.remote_addr, msg.payload_bytes, Access.REMOTE_WRITE)
-        if msg.payload is not None:
-            off = mr.offset_of(msg.remote_addr)
-            mr.buffer.write_chunk(off, msg.payload)
-
-    def _consume_recv(self, qp: QueuePair, msg: DataMessage, with_imm: bool) -> None:
-        if not qp.has_recv():
-            raise self._receiver_not_ready(qp, "WRITE_WITH_IMM")
-        wr = qp.take_recv()
-        qp.recv_cq.push(WorkCompletion(
-            wr.wr_id, WCOpcode.RECV_RDMA_WITH_IMM, WCStatus.SUCCESS, msg.payload_bytes,
-            msg.imm_data, qp.qpn, with_imm, wr.context,
-            {"chunk": msg.payload, "remote_addr": msg.remote_addr}))
+            wr.wr_id, _WC_RECV, _SUCCESS, nbytes, 0, qp.qpn,
+            False, wr.context, {"chunk": payload, "remote_addr": 0}))
 
     # ------------------------------------------------------------------
     # acknowledgements
     # ------------------------------------------------------------------
-    def _schedule_ack(self, qp: QueuePair, seq: int) -> None:
-        """Return a cumulative ACK to the peer, out of band."""
-        prev = self._consumed_msn.get(qp.qpn, -1)
-        if seq > prev:
-            self._consumed_msn[qp.qpn] = seq
-        self._send_ack_message(qp)
-
     def _send_ack_message(self, qp: QueuePair, kind: str = "ack") -> None:
         """Send an ACK/NAK/RNR carrying the cumulative consumed msn.
 
@@ -447,32 +472,29 @@ class RdmaDevice:
         switch queues, like the coalesced link-level packets they model).
         """
         peer = self.peer
+        link = self.link
         if peer is None and self.fabric is not None:
             peer = self.fabric.device_of_qpn(qp.remote_qpn)
-        if peer is None or self.link is None:
+        if peer is None or link is None:
             raise VerbsError("device has no peer for ACK delivery")
         msn = self._consumed_msn.get(qp.qpn, -1)
-        impairment = self.link.impairment
-        if impairment is not None and impairment.ack_lost(self.endpoint, self.sim.now):
+        impairment = link.impairment
+        sim = self.sim
+        if impairment is not None and impairment.ack_lost(self.endpoint, sim.now):
             self.acks_lost += 1
             return
-        sack = (self.reliability.sack_bitmap(qp)
-                if self.reliability is not None else 0)
-        ack = AckMessage(qp.remote_qpn, msn, kind, sack)
+        rel = self.reliability
+        ack = AckMessage(qp.remote_qpn, msn, kind, 0 if rel is None else rel.sack_bitmap(qp))
         if self.peer is not None:
             # point-to-point: identical to the classic model (jitter draw
             # from this link's emulator included)
-            prop = self.link.sample_propagation_ns(self.endpoint)
+            prop = link.sample_propagation_ns(self.endpoint)
         else:
             prop = self.fabric.ack_path_ns(self, peer)
-        delay = self.config.ack_turnaround_ns + prop
-        self.sim.call_in(delay, peer._on_ack, ack)
-        if self.sim._recorder is not None:
-            self.sim._recorder.annotate_last(
-                1,
-                turnaround_ns=self.config.ack_turnaround_ns,
-                prop_ns=delay - self.config.ack_turnaround_ns,
-            )
+        turnaround = self.config.ack_turnaround_ns
+        sim.call_in(turnaround + prop, peer._on_ack, ack)
+        if sim._recorder is not None:
+            sim._recorder.annotate_last(1, turnaround_ns=turnaround, prop_ns=prop)
         self.acks_sent += 1
 
     def _on_ack(self, ack: AckMessage) -> None:
@@ -481,9 +503,17 @@ class RdmaDevice:
             raise VerbsError(f"ACK for unknown QP {ack.dst_qpn}")
         rel = self.reliability
         if rel is None:
-            done = qp.ack_up_to(ack.msn)
+            # the in-flight WRs with seq <= msn: a prefix of ``inflight``,
+            # whose keys arrive in seq order
+            done = []
+            inflight, msn = qp.inflight, ack.msn
+            while inflight:
+                seq = next(iter(inflight))
+                if seq > msn:
+                    break
+                done.append(inflight.pop(seq))
         else:
-            if qp.state is QPState.ERROR:
+            if qp.state is _ERROR:
                 return
             if ack.kind == "nak":
                 done = rel.on_nak(qp, ack.msn, ack.sack)
@@ -491,11 +521,10 @@ class RdmaDevice:
                 done = rel.on_rnr(qp, ack.msn, ack.sack)
             else:
                 done = rel.on_ack(qp, ack.msn, ack.sack)
+        push = qp.send_cq.push
         for wr in done:
-            # an ``is`` test: an Enum-keyed lookup hashes through Python
-            wc_opcode = WCOpcode.SEND if wr.opcode is Opcode.SEND else WCOpcode.RDMA_WRITE
-            qp.send_cq.push(WorkCompletion(wr.wr_id, wc_opcode, WCStatus.SUCCESS, wr.length,
-                                           0, qp.qpn, False, wr.context))
+            push(WorkCompletion(wr.wr_id, _WC_SEND if wr.opcode is _SEND else _WC_WRITE,
+                                _SUCCESS, wr.sge.length, 0, qp.qpn, False, wr.context))
 
     # ------------------------------------------------------------------
     # fatal-error teardown (reliability layer)

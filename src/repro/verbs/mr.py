@@ -10,7 +10,7 @@ registered region, so the EXS layer cannot cheat.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from ..hosts.memory import Buffer
 from .enums import Access
@@ -36,21 +36,6 @@ class MemoryRegion:
     def contains(self, addr: int, nbytes: int) -> bool:
         return self.addr <= addr and addr + nbytes <= self.addr + self.length
 
-    def offset_of(self, addr: int) -> int:
-        """Translate a virtual address within the region to a buffer offset."""
-        if not (self.addr <= addr <= self.addr + self.length):
-            raise RemoteAccessError(f"address 0x{addr:x} outside region")
-        return addr - self.addr
-
-    def view(self, addr: int, nbytes: int) -> Optional[memoryview]:
-        """Zero-copy view of ``[addr, addr+nbytes)`` of the registered buffer.
-
-        The simulated HCA's DMA engine reads registered memory through
-        this (``None`` for synthetic buffers); bounds are checked via
-        :meth:`offset_of`, access rights by the caller's :meth:`require`.
-        """
-        return self.buffer.view(self.offset_of(addr), nbytes)
-
     def require(self, addr: int, nbytes: int, access: Access) -> None:
         """Raise unless [addr, addr+nbytes) is inside and *access* is allowed."""
         if not self.valid:
@@ -59,8 +44,8 @@ class MemoryRegion:
             raise RemoteAccessError(
                 f"range [0x{addr:x}, +{nbytes}) outside region [0x{self.addr:x}, +{self.length})"
             )
-        # integer bits, not enum.Flag arithmetic: this runs three times per
-        # message and a Flag `&` costs more than the rest of the check
+        # integer bits, not enum.Flag arithmetic (the device's frame path
+        # tests the same bits inline and calls this only to raise)
         need = access._value_
         if need & self.access._value_ != need:
             raise RemoteAccessError(f"region lacks access {access!r} (has {self.access!r})")
@@ -108,9 +93,6 @@ class ProtectionDomain:
         if mr is None:
             raise RemoteAccessError(f"unknown lkey {lkey}")
         return mr
-
-    def lookup_rkey(self, rkey: int) -> Optional[MemoryRegion]:
-        return self._by_rkey.get(rkey)
 
     @property
     def region_count(self) -> int:

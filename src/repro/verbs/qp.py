@@ -16,6 +16,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["QueuePair"]
 
+_SEND = Opcode.SEND
+_READY, _ERROR = QPState.READY, QPState.ERROR
+
 
 class QueuePair:
     """An RC queue pair bound 1:1 to a peer QP on the remote device.
@@ -46,11 +49,12 @@ class QueuePair:
         #: the send queue: a list, as there is one per connection and it is short
         self.sq: List[SendWR] = []
         self.rq = ReceiveQueue()
-        # where an arriving message takes its receive: the shared pool when
-        # SRQ-attached (``rq`` then stays empty), else ``rq``
-        self._recv_source: ReceiveQueue = srq if srq is not None else self.rq
+        #: where an arriving message takes its receive: the shared pool when
+        #: SRQ-attached (``rq`` then stays empty), else ``rq``
+        self.recv_source: ReceiveQueue = srq if srq is not None else self.rq
         #: sends transmitted but not yet acked, keyed by message seq
         self.inflight: Dict[int, SendWR] = {}
+        #: seq of the next transmitted message (the device's pipeline advances it)
         self._next_seq = 0
 
         # statistics
@@ -96,7 +100,7 @@ class QueuePair:
                     wr_id=wr.wr_id,
                     opcode=self._FLUSH_OPCODE[wr.opcode],
                     status=status,
-                    byte_len=wr.length,
+                    byte_len=wr.sge.length,
                     qp_num=self.qpn,
                     context=wr.context,
                 )
@@ -111,7 +115,7 @@ class QueuePair:
                     wr_id=wr.wr_id,
                     opcode=self._FLUSH_OPCODE[wr.opcode],
                     status=status,
-                    byte_len=wr.length,
+                    byte_len=wr.sge.length,
                     qp_num=self.qpn,
                     context=wr.context,
                 )
@@ -137,19 +141,23 @@ class QueuePair:
     # ------------------------------------------------------------------
     def post_send(self, wr: SendWR) -> None:
         """Queue a send work request (returns immediately)."""
-        if self.state is not QPState.READY:
+        if self.state is not _READY:
             raise QPStateError(f"post_send on QP {self.qpn} in state {self.state}")
-        wr.validate()
+        sge, payload = wr.sge, wr.payload
+        if (wr.opcode is not _SEND and wr.rkey == 0 or sge is None
+                or payload is not None and payload.nbytes != sge.length):
+            wr.validate()  # raises its error
         # at post time, so an oversize WR fails its poster, not the pipeline
-        if wr.sge.length > self.device.config.max_msg_bytes:
-            raise BadWorkRequest(f"message of {wr.sge.length}B exceeds max_msg_bytes")
+        if sge.length > self.device.config.max_msg_bytes:
+            raise BadWorkRequest(f"message of {sge.length}B exceeds max_msg_bytes")
         self.sq.append(wr)
         self.sends_posted += 1
         self.device.kick_send(self)
 
     def post_recv(self, wr: RecvWR) -> None:
         """Queue a receive work request (returns immediately)."""
-        self._check_recv_post()
+        if self.state is _ERROR or self.srq is not None:
+            self._check_recv_post()  # raises its error
         self.rq.append(wr)
         self.recvs_posted += 1
 
@@ -162,45 +170,12 @@ class QueuePair:
         self.recvs_posted += count
 
     def _check_recv_post(self) -> None:
-        if self.state is QPState.ERROR:
+        if self.state is _ERROR:
             raise QPStateError(f"post_recv on QP {self.qpn} in ERROR state")
         if self.srq is not None:
             raise BadWorkRequest(
                 f"QP {self.qpn} is SRQ-attached; post receives to the SRQ"
             )
-
-    # -- receive-source indirection (per-QP RQ or shared SRQ) ----------
-    def has_recv(self) -> bool:
-        """True when a receive WR is available for an arriving message."""
-        return len(self._recv_source) > 0
-
-    def take_recv(self) -> RecvWR:
-        """Consume the next receive WR (RQ head, or the SRQ pool's)."""
-        return self._recv_source.take()
-
-    # ------------------------------------------------------------------
-    # used by the transport engine
-    # ------------------------------------------------------------------
-    def next_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
-    def ack_up_to(self, msn: int) -> list[SendWR]:
-        """Cumulative ack: pop and return all in-flight WRs with seq <= msn
-        (a prefix of :attr:`inflight`, whose keys arrive in seq order)."""
-        done = []
-        inflight = self.inflight
-        while inflight:
-            seq = next(iter(inflight))
-            if seq > msn:
-                break
-            done.append(inflight.pop(seq))
-        return done
-
-    @property
-    def send_queue_depth(self) -> int:
-        return len(self.sq)
 
     @property
     def recv_queue_depth(self) -> int:

@@ -1,8 +1,8 @@
 """On-wire message records exchanged between simulated HCAs.
 
 These are *model* records, not byte-accurate packets: the link layer charges
-``wire_bytes`` of serialization time for each, and the receiving device
-interprets the fields.  Three kinds exist:
+serialization time for each (a data message costs :data:`HEADER_BYTES` plus
+its payload), and the receiving device interprets the fields.  Three kinds exist:
 
 * :class:`DataMessage` — one RC message (SEND / RDMA WRITE / WWI).
   Messages on a QP carry a per-QP sequence number (``seq``) used by
@@ -63,13 +63,6 @@ class DataMessage:
     imm_data: int = 0
     #: wr bookkeeping at the requester
     wr_id: int = 0
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.payload.nbytes if self.payload is not None else 0
-
-    def wire_bytes(self) -> int:
-        return HEADER_BYTES + self.payload_bytes
 
 
 @dataclass(slots=True)

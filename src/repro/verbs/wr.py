@@ -56,10 +56,6 @@ class SendWR:
         if self.payload is not None and self.payload.nbytes != self.sge.length:
             raise BadWorkRequest("payload length does not match SGE length")
 
-    @property
-    def length(self) -> int:
-        return self.sge.length if self.sge else 0
-
 
 @dataclass(slots=True)
 class RecvWR:
@@ -77,7 +73,3 @@ class RecvWR:
     wr_id: int = 0
     sge: Optional[SGE] = None
     context: Any = None
-
-    @property
-    def length(self) -> int:
-        return self.sge.length if self.sge else 0

@@ -5,7 +5,9 @@ import os
 import pytest
 
 from helpers import run_procs
-from repro.exs import BlockingSocket, CreditError, CreditManager, ExsSocketOptions
+from repro.apps import BlastConfig, FixedSizes, run_blast
+from repro.exs import BlockingSocket, CreditError, CreditManager, ExsSocketOptions, SocketType
+from repro.simnet import SimulationError
 from repro.testbed import Testbed
 from repro.config import ScenarioConfig
 
@@ -157,3 +159,65 @@ def test_credit_starvation_recovers_via_explicit_update():
 
     run_procs(tb.sim, server(), client(), max_events=100_000_000)
     assert out["got_len"] == 60_000
+
+
+# -- the fewest credits each sender half makes progress with ---------------
+def _blast(transport, credits):
+    """16 x 512 B with 4 sends outstanding: the run that hung (3 credits)
+    or deadlocked (4 on WWI) before connection setup refused them."""
+    cfg = BlastConfig(total_messages=16, sizes=FixedSizes(512), outstanding_sends=4,
+                      options=ExsSocketOptions(credits=credits))
+    return run_blast(cfg, ScenarioConfig(transport=transport), max_events=300_000)
+
+
+@pytest.mark.parametrize("transport, credits, minimum, half", [
+    ("wwi", 3, 5, "StreamSenderHalf"),
+    ("wwi", 4, 5, "StreamSenderHalf"),
+    ("eager_rendezvous", 3, 4, "RdvSenderHalf"),
+])
+def test_too_few_credits_are_refused_at_setup(transport, credits, minimum, half):
+    message = f"credits={credits} is below {minimum}, the fewest a {half} makes progress with"
+    tb = Testbed(ScenarioConfig(seed=1, transport=transport))
+    with pytest.raises(ValueError) as info:
+        tb.client.socket(options=ExsSocketOptions(credits=credits)).connect(
+            4700, tb.client.qcreate())
+    assert str(info.value) == message
+    with pytest.raises(SimulationError) as info:
+        _blast(transport, credits)
+    assert type(info.value.__cause__) is ValueError and str(info.value.__cause__) == message
+
+
+@pytest.mark.parametrize("transport, credits", [("wwi", 5), ("eager_rendezvous", 4)])
+def test_the_fewest_credits_complete(transport, credits):
+    result = _blast(transport, credits)
+    assert result.total_bytes == 16 * 512
+    assert result.tx_stats.sender_blocked > 0  # the credit gate was hit
+
+
+def test_seqpacket_refuses_three_credits_and_completes_with_four():
+    tb = Testbed(ScenarioConfig(seed=1))
+    with pytest.raises(ValueError, match=r"^credits=3 is below 4, the fewest a "
+                                         r"SeqPacketSenderHalf makes progress with$"):
+        tb.client.socket(SocketType.SOCK_SEQPACKET, ExsSocketOptions(credits=3)).connect(
+            4700, tb.client.qcreate())
+
+    tb = Testbed(ScenarioConfig(seed=1))
+    options = ExsSocketOptions(credits=4)
+    messages = [b"m%d" % i for i in range(24)]
+    out = {}
+
+    def server():
+        conn = yield from BlockingSocket.accept_one(tb.server, 4402, SocketType.SOCK_SEQPACKET,
+                                                    options)
+        out["got"] = got = []
+        for _ in messages:
+            got.append((yield from conn.recv_bytes(64)))
+
+    def client():
+        conn = yield from BlockingSocket.connect(tb.client, 4402, SocketType.SOCK_SEQPACKET,
+                                                 options)
+        for m in messages:
+            yield from conn.send_bytes(m)
+
+    run_procs(tb.sim, server(), client(), max_events=300_000)
+    assert out["got"] == messages

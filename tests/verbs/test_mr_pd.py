@@ -26,21 +26,16 @@ def test_register_assigns_distinct_keys(device):
 def test_lookup_by_keys(device):
     mr = device.register(device.host.alloc(64))
     assert device.pd.lookup_lkey(mr.lkey) is mr
-    assert device.pd.lookup_rkey(mr.rkey) is mr
-    assert device.pd.lookup_rkey(999999) is None
     with pytest.raises(RemoteAccessError):
         device.pd.lookup_lkey(999999)
 
 
-def test_contains_and_offset(device):
+def test_contains(device):
     buf = device.host.alloc(100)
     mr = device.register(buf)
     assert mr.contains(buf.addr, 100)
     assert mr.contains(buf.addr + 50, 50)
     assert not mr.contains(buf.addr + 50, 51)
-    assert mr.offset_of(buf.addr + 7) == 7
-    with pytest.raises(RemoteAccessError):
-        mr.offset_of(buf.addr - 1)
 
 
 def test_require_checks_bounds(device):

@@ -140,7 +140,7 @@ def test_prefill_that_would_reorder_the_queue_raises():
 # differential: QueuePair.rq
 # ----------------------------------------------------------------------
 def _qp_state(qp):
-    return (len(qp.rq), qp.recv_queue_depth, qp.recvs_posted, qp.has_recv())
+    return (len(qp.rq), qp.recv_queue_depth, qp.recvs_posted, bool(qp.recv_source))
 
 
 def _flushed_recvs(qp):
@@ -164,8 +164,8 @@ def test_qp_receive_queue_matches_one_by_one_posting(seed):
             _, wr_id, sge, context = op
             lazy_qp.post_recv(RecvWR(wr_id, sge, context))
             ref.post(RecvWR(wr_id, sge, context))
-        elif lazy_qp.has_recv():
-            assert _wr_view(lazy_qp.take_recv()) == _wr_view(ref_qp.take_recv())
+        elif lazy_qp.recv_source:
+            assert _wr_view(lazy_qp.recv_source.take()) == _wr_view(ref_qp.recv_source.take())
             ref.took()
         assert _qp_state(lazy_qp) == _qp_state(ref_qp), op
     if all(lazy for _wr, lazy in ref.queued):
@@ -217,12 +217,10 @@ def test_srq_matches_one_by_one_posting(seed):
             assert got == want, op
             if want[0] == "ok":
                 ref.queued.append((None, False))
-        elif lazy_qp.has_recv():
-            # alternate the device path (through the QP) and the pool's own
-            lazy_take = lazy_qp.take_recv if rng.random() < 0.5 else lazy.take
-            assert _wr_view(lazy_take()) == _wr_view(ref_qp.take_recv())
+        elif lazy_qp.recv_source:
+            assert _wr_view(lazy.take()) == _wr_view(ref_qp.recv_source.take())
             ref.took()
-        assert lazy_qp.has_recv() == ref_qp.has_recv()
+        assert bool(lazy_qp.recv_source) == bool(ref_qp.recv_source)
         assert _srq_state(lazy) == _srq_state(ref_srq), op
     # an SRQ-attached QP's error flush leaves the shared pool alone
     before = _srq_state(lazy)

@@ -407,3 +407,66 @@ def test_duplicate_ack_chaos_completes_and_ignores_stale_frames(sim, mode):
     assert imp.duplicated_total > 0
     assert pair.db.reliability.stats.duplicates_dropped > 0
     assert pair.da.reliability.stats.stale_acks_ignored > 0
+
+
+def test_rnr_blocked_release_is_purged_once_the_retransmit_lands(sim):
+    """Selective repeat: frame 1 overtakes lost frame 0 and is buffered;
+    when the refilled hole releases it, the receive queue is empty, so the
+    release raises an RNR NAK and the frame stays buffered.  The RNR
+    retransmit of frame 1 then arrives in order and is placed, and the
+    buffered copy the cumulative point overtook is dropped: no frame is
+    left buffered and no further NAK goes out."""
+    imp = ImpairmentModel(FaultProfile(), seed=1, down_windows=((0, 200),))
+    pair = RelPair(sim, impairment=imp, config=SR_CONFIG)
+    pair.post_recv(wr_id=100)
+    pair.post_send(64, wr_id=1)
+    pair.post_send(64, wr_id=2)
+    sim.call_in(10_000, lambda _arg: pair.post_recv(wr_id=101))
+    sim.run()
+
+    assert [(w.wr_id, w.status) for w in pair.cq_a.poll()] == [
+        (1, WCStatus.SUCCESS), (2, WCStatus.SUCCESS)]
+    assert [w.wr_id for w in pair.cq_b.poll()] == [100, 101]
+    rel_b = pair.db.reliability
+    assert (rel_b.stats.ooo_buffered, rel_b.stats.rnr_naks_sent, rel_b.stats.naks_sent) == (1, 1, 1)
+    assert rel_b.stats.ooo_released == 0  # placed by the retransmit, not released
+    assert not rel_b.has_buffered(pair.qb)
+    assert imp.down_dropped_total == 1  # frame 0, sent into the outage
+
+
+def test_peer_death_flushes_the_unsent_send_queue(sim):
+    """A QP that dies of exhausted retries errors out, emits a traced
+    ``qp_error`` and terminates its peer; the peer, whose send queue
+    still holds WRs the pipeline has not started, flushes its unacked
+    window and then that queue, all with WR_FLUSH_ERR."""
+    from repro.trace import ProtocolTracer
+
+    pair = RelPair(sim)
+    # a's pipeline is slow, and busy with a second QP's WR when the
+    # terminate arrives, so none of qa's queued WRs is in flight to the wire
+    pair.da.config = DeviceConfig(wr_overhead_ns=1_000, reliability=FAST_RETRY)
+    qc = pair.da.create_qp(pair.cq_a, pair.cq_a)
+    qc.connect(pair.qb.qpn)
+    pair.hb.tracer = tracer = ProtocolTracer()
+    for i in range(3):
+        pair.qb.post_recv(RecvWR(wr_id=100 + i, sge=SGE(pair.mr_b.addr, 64, pair.mr_b.lkey)))
+    pair.qb.post_send(SendWR(opcode=Opcode.SEND, wr_id=50,
+                             sge=SGE(pair.mr_b.addr, 8, pair.mr_b.lkey)))
+    for i in range(5):
+        pair.post_send(8, wr_id=1 + i)
+    qc.post_send(SendWR(opcode=Opcode.SEND, wr_id=60, sge=SGE(pair.mr_a.addr, 8, pair.mr_a.lkey)))
+    sim.run(until=1_010)  # qa's first WR is on the wire, qc's in the pipeline
+    assert len(pair.qa.sq) == 4 and len(pair.qa.inflight) == 1 and len(qc.sq) == 0
+    pair.db.reliability.fatal(pair.qb, WCStatus.RETRY_EXC_ERR)
+    sim.run()
+
+    assert pair.qa.state is QPState.ERROR and pair.qb.state is QPState.ERROR
+    assert [(w.wr_id, w.status) for w in pair.cq_a.poll() if w.qp_num == pair.qa.qpn] == [
+        (i, WCStatus.WR_FLUSH_ERR) for i in range(1, 6)]
+    assert [(w.wr_id, w.opcode, w.status) for w in pair.cq_b.poll()] == [
+        (50, WCOpcode.SEND, WCStatus.RETRY_EXC_ERR)] + [
+        (100 + i, WCOpcode.RECV, WCStatus.WR_FLUSH_ERR) for i in range(3)]
+    [event] = tracer.of_kind("qp_error")
+    assert (event.conn, event.host, event.get("status"), event.get("pending")) == (
+        pair.qb.qpn, "b", "retry_exceeded", 1)
+    assert pair.db.terms_sent == 1

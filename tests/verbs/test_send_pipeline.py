@@ -10,6 +10,7 @@ from repro.hosts import Host
 from repro.simnet import Link, Simulator
 from repro.verbs import (
     SGE,
+    AckMessage,
     BadWorkRequest,
     DeviceConfig,
     Opcode,
@@ -138,25 +139,30 @@ def _ack_up_to_sorted(inflight, msn):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_ack_up_to_matches_the_sorted_walk(seed):
-    """Random transmit / cumulative-ACK / out-of-order READ-completion
-    sequences: the prefix walk pops exactly what a sorted scan pops."""
+    """Random transmit / cumulative-ACK sequences over in-flight seqs with
+    holes: the ACK's prefix walk completes exactly what a sorted scan pops,
+    in seq order."""
     rng = random.Random(seed)
     sim = Simulator()
-    _dev, (qp, *_), *_rest = _three_qps(sim, DeviceConfig())
+    dev, (qp, *_), *_rest = _three_qps(sim, DeviceConfig())
     reference = {}
     msn = -1
     for _ in range(300):
         op = rng.random()
         if op < 0.5:
-            seq = qp.next_seq()
-            qp.inflight[seq] = reference[seq] = object()
+            seq = qp._next_seq
+            qp._next_seq += 1
+            qp.inflight[seq] = reference[seq] = SendWR(
+                opcode=Opcode.SEND, wr_id=seq, sge=SGE(0, 1, 1))
         elif op < 0.65 and qp.inflight:
-            # a READ response completes its WR out of order
+            # a hole in the keys
             seq = rng.choice(list(qp.inflight))
             assert qp.inflight.pop(seq) is reference.pop(seq)
         else:
             msn = max(msn, rng.randrange(-1, qp._next_seq + 1))
             if rng.random() < 0.2:
                 msn = rng.randrange(-1, msn + 1)  # stale ACK
-            assert qp.ack_up_to(msn) == _ack_up_to_sorted(reference, msn)
+            dev._on_ack(AckMessage(qp.qpn, msn))
+            assert ([wc.wr_id for wc in qp.send_cq.poll()]
+                    == [wr.wr_id for wr in _ack_up_to_sorted(reference, msn)])
         assert list(qp.inflight) == sorted(reference)

@@ -66,11 +66,12 @@ def test_qp_attached_to_srq_draws_from_the_pool():
     qp_a = device.create_qp(cq, cq, srq=srq)
     qp_b = device.create_qp(cq, cq, srq=srq)
     assert qp_a.srq is srq and qp_b.srq is srq
-    assert not qp_a.has_recv()
+    assert qp_a.recv_source is srq and qp_b.recv_source is srq
+    assert not qp_a.recv_source
     srq.post_recv(_wr(1))
-    assert qp_a.has_recv() and qp_b.has_recv()  # one buffer, visible to both
-    assert qp_b.take_recv().wr_id == 1
-    assert not qp_a.has_recv()
+    assert qp_a.recv_source and qp_b.recv_source  # one buffer, visible to both
+    assert qp_b.recv_source.take().wr_id == 1
+    assert not qp_a.recv_source
 
 
 # ----------------------------------------------------------------------
