@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke check-smoke fabric-smoke perf-smoke perf all
+.PHONY: install test accel-check bench bench-smoke bench-compare bench-paper figures examples obs-smoke trace-smoke check-smoke fabric-smoke perf-smoke perf calls all
 
 install:
 	pip install -e . || python setup.py develop
@@ -118,6 +118,14 @@ perf-smoke:
 
 perf:
 	python3 perf/run.py --out perf-result.json
+
+# Call budgets: Python calls into repro/verbs and repro/exs per message of
+# one fixed 200-message blast (cProfile counts, no timing, so they repeat
+# exactly); prints each beside the budget tier-1 holds it to
+# (tests/verbs/test_call_budget.py, tests/exs/test_call_budget.py).
+calls:
+	PYTHONPATH=src:tests python tests/verbs/test_call_budget.py
+	PYTHONPATH=src:tests python tests/exs/test_call_budget.py
 
 figures:
 	python -m repro.bench

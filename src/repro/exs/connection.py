@@ -57,7 +57,7 @@ class ExsConnection:
         "sim", "host", "device", "socket", "options", "conn_id", "costs", "socket_type",
         "transport", "_tx_cls", "_on_control", "_on_payload", "_on_imm", "srq_pool",
         "_shard", "channel", "cq", "qp", "credits", "tx_stats", "rx_stats", "copy_meter",
-        "_next_wr_id", "rx", "tx", "peer_hello", "_ctrl_sge", "_ctrl_queue",
+        "_wr_id", "rx", "tx", "peer_hello", "_ctrl_sge", "_ctrl_queue",
         "_credit_update_threshold", "tracer", "_last_tx_phase", "_last_rx_phase",
         "_last_discarded", "peer_conn_id", "_engine", "established", "closing",
         "close_event_posted", "_close_eq", "_close_context", "_fin", "_fin_acked",
@@ -136,8 +136,8 @@ class ExsConnection:
         #: meter, so "copied exactly once" is directly assertable.
         self.copy_meter = CopyMeter()
 
-        #: the wr_id of the next posted work request
-        self._next_wr_id = 1
+        #: the wr_id last taken: each posted work request takes the next
+        self._wr_id = 0
         self.rx: ReceiverHalf = rx_cls(self)
         #: built by :meth:`on_peer_hello`, from the peer's hello
         self.tx: SenderHalf
@@ -235,26 +235,19 @@ class ExsConnection:
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
-    def next_wr_id(self) -> int:
-        wr_id = self._next_wr_id
-        self._next_wr_id = wr_id + 1
-        return wr_id
-
-    def reserve_wr_ids(self, n: int) -> int:
-        """Take the next *n* wr_ids in one step; returns the first."""
-        first = self._next_wr_id
-        self._next_wr_id = first + n
-        return first
-
     def kick(self) -> None:
-        """Wake the poller (user posted work / external state change)."""
-        self._shard.mark(self)
+        """Mark this connection for a progress round and wake the poller."""
+        shard = self._shard
+        shard._dirty[self.qp.qpn] = None
+        if self.broken:
+            # fail_connection kicks: the next lap sweeps dead connections
+            shard._has_broken = True
         self._engine.kick()
 
     def queue_control(self, msg: ControlMsg) -> None:
         """Queue *msg* for the next progress round (which sends it)."""
         self._ctrl_queue.append(msg)
-        self._shard.mark(self)
+        self._shard._dirty[self.qp.qpn] = None
 
     def unhandled(self, what: Any) -> NoReturn:
         """A message or immediate outside this connection's pair tables."""
@@ -305,7 +298,9 @@ class ExsConnection:
             return
         buffer.meter = self.copy_meter
         self.tx.submit(buffer, mr, offset, nbytes, eq, context)
-        self.kick()
+        # kick(), for a whole connection
+        self._shard._dirty[self.qp.qpn] = None
+        self._engine.kick()
 
     def user_recv(self, urecv) -> None:
         if self.broken:
@@ -314,8 +309,10 @@ class ExsConnection:
         urecv.buffer.meter = self.copy_meter
         advert = self.rx.submit(urecv)
         if advert is not None:
-            self.queue_control(advert)
-        self.kick()
+            self._ctrl_queue.append(advert)
+        # queue_control() and kick(), for a whole connection
+        self._shard._dirty[self.qp.qpn] = None
+        self._engine.kick()
 
     def user_close(self, eq, context) -> None:
         """Graceful close: FIN after all pending sends drain."""
@@ -470,19 +467,21 @@ class ExsConnection:
             self.srq_pool.repost()
         else:
             self.rx.repost_recv(slot)
-        self.credits.on_local_repost()
+        self.credits.local_repost_cum += 1
 
     # -- control-plane transmit -------------------------------------------
     def _pump_control(self):
         progressed = False
-        while self._ctrl_queue and self.credits.can_send_control():
-            msg = self._ctrl_queue.pop(0)
+        queue = self._ctrl_queue
+        credits = self.credits
+        while queue and credits.available >= 1:
+            msg = queue.pop(0)
             yield self.costs.send_control_ns
             self._post_control(msg)
             progressed = True
         # explicit credit return when there is no other outbound traffic
-        if (not self._ctrl_queue and self.credits.ungranted() >= self._credit_update_threshold
-                and self.credits.can_send_control()):
+        if (not queue and credits.available >= 1 and credits.local_repost_cum
+                - credits.granted_cum >= self._credit_update_threshold):
             yield self.costs.send_control_ns
             self._post_control(CreditMsg(credit_cum=0))
             progressed = True
@@ -501,7 +500,8 @@ class ExsConnection:
         msg = cls(*map(msg.__getattribute__, cls.__match_args__[:-1]),
                   self.credits.grant_now())
         self.credits.consume(1)
-        self.qp.post_send(SendWR(opcode=Opcode.SEND, wr_id=self.next_wr_id(), sge=self._ctrl_sge,
+        self._wr_id += 1
+        self.qp.post_send(SendWR(opcode=Opcode.SEND, wr_id=self._wr_id, sge=self._ctrl_sge,
                                  payload=Chunk(0, CTRL_WIRE_BYTES, None, obj=msg),
                                  context=(kind, msg)))
 

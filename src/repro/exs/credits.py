@@ -36,6 +36,9 @@ class CreditManager:
         self.consumed_total = 0
         #: peer's cumulative repost counter, as last reported to us
         self.peer_repost_cum = 0
+        #: credits we may spend: ``initial_remote + peer_repost_cum -
+        #: consumed_total``, kept current by :meth:`consume` and grants
+        self.available = initial_remote
 
         #: RECVs we have reposted locally (cumulative), to be granted to peer
         self.local_repost_cum = 0
@@ -43,38 +46,26 @@ class CreditManager:
         self.granted_cum = 0
 
     # -- outbound (are we allowed to send?) ------------------------------
-    @property
-    def available(self) -> int:
-        return self.initial_remote + self.peer_repost_cum - self.consumed_total
-
     def can_send_data(self, n: int = 1) -> bool:
         """True if *n* data messages may be sent, keeping the control reserve."""
         return self.available - n >= self.control_reserve
-
-    def can_send_control(self) -> bool:
-        return self.available >= 1
 
     def consume(self, n: int = 1) -> None:
         if n > self.available:
             raise CreditError(f"consuming {n} credits with only {self.available} available")
         self.consumed_total += n
+        self.available -= n
 
     def on_peer_grant(self, repost_cum: int) -> bool:
         """Process a (possibly stale) cumulative grant; True if it helped."""
         if repost_cum <= self.peer_repost_cum:
             return False
+        self.available += repost_cum - self.peer_repost_cum
         self.peer_repost_cum = repost_cum
         return True
 
     # -- inbound (credits we owe the peer) --------------------------------
-    def on_local_repost(self, n: int = 1) -> None:
-        self.local_repost_cum += n
-
     def grant_now(self) -> int:
         """Value to piggyback on an outbound control message."""
         self.granted_cum = self.local_repost_cum
         return self.granted_cum
-
-    def ungranted(self) -> int:
-        """Reposts the peer has not yet been told about."""
-        return self.local_repost_cum - self.granted_cum

@@ -9,11 +9,13 @@ charging the host's library core, and sleeps on its completion channel
 :class:`Engine` runs such a thread as calendar callbacks, with no
 simulation process.  Its loop is a generator (the *body*) that yields
 either :data:`SLEEP` or an ``int``, nanoseconds of library core to
-charge before the body resumes: on a free core the charge's end goes
-straight onto the calendar, otherwise :meth:`~repro.hosts.cpu.Cpu.run`
-queues it.  The wake protocol, with its absorb rule, is described in
-docs/SIMULATION.md, "Event kernel"; every calendar entry it places stands
-for one the generator-process engine placed, at the same point and delay.
+charge before the body resumes: on a free core the charge ends at once
+if nothing is due before its end (``Simulator.advance``), else its end
+goes onto the calendar; :meth:`~repro.hosts.cpu.Cpu.run` queues it on a
+busy core.  The wake protocol and its absorb rule are in
+docs/SIMULATION.md, "Event kernel": every entry the engine places or
+advances through is one the generator-process engine placed, at the same
+point and delay.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ class Engine:
     """One library thread: a generator body driven from the calendar."""
 
     __slots__ = (
-        "sim", "cpu", "channel", "what", "_next", "_step", "_on_channel",
-        "_on_kick", "_sleep", "_naps", "_kick_armed", "_kick_latched",
-        "_kick_absorb",
+        "sim", "cpu", "channel", "what", "_next", "_step", "_advance",
+        "_on_channel", "_on_kick", "_sleep", "_naps", "_kick_armed",
+        "_kick_latched", "_kick_absorb",
     )
 
     def __init__(self, sim: "Simulator", cpu: "Cpu", channel: "CompletionChannel") -> None:
@@ -53,6 +55,7 @@ class Engine:
         self._next: Optional[Callable[[], Any]] = None
         # bound once: these go on the calendar at every charge and sleep
         self._step = self._engine_step
+        self._advance = sim.advance
         self._on_channel = self._engine_chan_wake
         self._on_kick = self._engine_kick_wake
         #: token of the current sleep; None while awake
@@ -108,20 +111,26 @@ class Engine:
         """Resume the body until it charges the core or sleeps."""
         nxt = self._next
         cpu = self.cpu
-        step = self._step
+        sim = self.sim
+        advance = self._advance
         try:
             while True:
                 ns = nxt()
                 if ns is SLEEP:
                     break
                 if ns and not cpu._busy:
-                    # Cpu.run's free-core path, one call shorter
+                    # Cpu.run's free-core path, one call shorter; a charge
+                    # that nothing can interrupt ends here and now
+                    start = sim._now
+                    if advance(ns):
+                        cpu._cpu_done(start)
+                        continue
                     cpu._busy = True
-                    cpu._then = step
+                    cpu._then = self._step
                     cpu._then_arg = None
-                    self.sim.call_in(ns, cpu._cpu_done, self.sim._now)
+                    sim.call_in(ns, cpu._cpu_done, start)
                     return
-                if cpu.run(ns, step):
+                if cpu.run(ns, self._step):
                     return
         except StopIteration:
             self.sim.call_in(0, _engine_exit)

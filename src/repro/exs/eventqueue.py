@@ -110,14 +110,15 @@ class ExsEventQueue:
         single reserved-slot ERROR event is surfaced so the application
         learns its mailbox overflowed the next time it does dequeue.
         """
-        if len(self._store) >= self.depth:
+        store = self._store
+        if len(store._items) >= self.depth:
             self.dropped += 1
             if not self._overflow_reported:
                 # The reserved slot goes one past depth so the error itself
                 # cannot be lost to the same overflow it reports.
                 self._overflow_reported = True
                 self.delivered += 1
-                self._store.put(
+                store.put(
                     ExsEvent(
                         kind=ExsEventType.ERROR,
                         socket=event.socket,
@@ -127,8 +128,7 @@ class ExsEventQueue:
                 )
             return
         self.delivered += 1
-        store = self._store
-        if self.wakeup is not None and store.waiting:
+        if self.wakeup is not None and store._getters:
             # the application is asleep in dequeue(): it gets the event
             # one OS wake-up later
             wakes = self._wakes
@@ -139,7 +139,7 @@ class ExsEventQueue:
     def dequeue(self) -> Event:
         """``exs_qdequeue()``: event firing with the next :class:`ExsEvent`."""
         ev = self._store.get()
-        if not ev.triggered and self.wakeup is not None:
+        if ev._ok is None and self.wakeup is not None:  # not triggered
             # The caller is about to sleep; post() charges the wake-up.
             self.slept_wakeups += 1
         return ev

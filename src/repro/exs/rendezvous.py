@@ -84,7 +84,7 @@ class RdvSenderHalf(SenderBase):
         progressed = False
         while self.pending:
             head = self.pending[0]
-            if head.unplanned == 0:
+            if head.nbytes == head.planned:
                 # Fully handed to the transport; completion happens on ack.
                 self.pending.pop(0)
                 continue
@@ -108,7 +108,7 @@ class RdvSenderHalf(SenderBase):
                 self._note_blocked()
                 break
             grant = self.grants.pop(0)
-            require(grant.nbytes <= head.unplanned,
+            require(grant.nbytes <= head.nbytes - head.planned,
                     "rendezvous", "CTS grants more than the outstanding RTS")
             yield from self._post_rendezvous(head, grant)
             progressed = True
@@ -118,7 +118,7 @@ class RdvSenderHalf(SenderBase):
         """Send the whole message as one SEND into a peer bounce slot."""
         conn = self.conn
         self._note_posting()
-        nbytes = usend.unplanned
+        nbytes = usend.nbytes - usend.planned
         if conn.tracer is not None:
             conn.trace("eager", nbytes=nbytes, seq=self.seq)
         yield conn.costs.post_wr_ns
@@ -129,9 +129,10 @@ class RdvSenderHalf(SenderBase):
         chunk.obj = EagerDataMsg(
             nbytes=nbytes, stream_offset=self.seq, credit_cum=conn.credits.grant_now()
         )
+        conn._wr_id += 1
         conn.qp.post_send(SendWR(
             opcode=Opcode.SEND,
-            wr_id=conn.next_wr_id(),
+            wr_id=conn._wr_id,
             sge=SGE(usend.mr.addr + usend.offset + usend.planned, nbytes, usend.mr.lkey),
             payload=chunk,
             context=("data", usend, chunk),
@@ -267,7 +268,8 @@ class RdvReceiverHalf(ReceiverBase):
         conn = self.conn
         mr = self.pool_mr
         slot = self._free_slots.pop()
-        conn.qp.post_recv(RecvWR(wr_id=conn.next_wr_id(), context=slot, sge=SGE(
+        conn._wr_id += 1
+        conn.qp.post_recv(RecvWR(wr_id=conn._wr_id, context=slot, sge=SGE(
             mr.addr + slot * self._slot_bytes, self._slot_bytes, mr.lkey)))
 
     def _enqueue(self, urecv: "UserRecv"):
@@ -413,7 +415,7 @@ class RdvReceiverHalf(ReceiverBase):
         if eof:
             # this plane's throughput end point is its last completion, EOF
             # included (WWI's is its last data); both are pinned results
-            self.last_delivery_ns = self.conn.sim.now
+            self.last_delivery_ns = self.conn.sim._now
         super()._deliver(urecv, nbytes, eof)
 
     def _drain_pending(self):

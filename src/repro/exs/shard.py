@@ -163,14 +163,6 @@ class CqShard:
         self.conns.clear()
         self.engine.close()
 
-    def mark(self, conn: "ExsConnection") -> None:
-        """Queue *conn* for a progress round on the next engine pass."""
-        self._dirty[conn.qp.qpn] = None
-        if conn.broken:
-            # fail_connection kicks the connection, landing here; remember
-            # that a sweep is due instead of scanning every engine lap
-            self._has_broken = True
-
     def _engine_loop(self, solo: Optional["ExsConnection"] = None):
         """The poller; *solo* is a private shard's one connection."""
         dirty = self._dirty

@@ -262,13 +262,15 @@ class ExsSocket:
         transport are done with the memory — the user may reuse it.  Once
         ``exs_close`` was issued, sending raises :class:`ExsError`.
         """
-        self._require_connected()
-        if self.conn.closing:
+        conn = self.conn
+        if conn is None or not conn.established:
+            self._require_connected()  # raises its error
+        if conn.closing:
             raise ExsError("exs_send after close")
         if nbytes <= 0:
             raise ExsError("exs_send of <= 0 bytes")
         buffer.check_range(offset, nbytes)
-        self.conn.user_send(buffer, mr, offset, nbytes, eq, context)
+        conn.user_send(buffer, mr, offset, nbytes, eq, context)
 
     def recv(self, buffer: Buffer, mr: MemoryRegion, nbytes: int, eq: ExsEventQueue,
              *, offset: int = 0, flags: MsgFlags = MsgFlags.NONE, context: Any = None) -> None:
@@ -277,7 +279,9 @@ class ExsSocket:
         With ``MSG_WAITALL`` the completion waits until the buffer is full
         (or end of stream); otherwise it fires on first available data.
         """
-        self._require_connected()
+        conn = self.conn
+        if conn is None or not conn.established:
+            self._require_connected()  # raises its error
         if nbytes <= 0:
             raise ExsError("exs_recv of <= 0 bytes")
         buffer.check_range(offset, nbytes)
@@ -289,9 +293,9 @@ class ExsSocket:
             waitall=flags._value_ & _WAITALL != 0,
             eq=eq,
             context=context,
-            posted_at_ns=self.stack.sim.now,
+            posted_at_ns=self.stack.sim._now,
         )
-        self.conn.user_recv(urecv)
+        conn.user_recv(urecv)
 
     def close(self, eq: Optional[ExsEventQueue] = None, context: Any = None) -> None:
         """``exs_close()``.

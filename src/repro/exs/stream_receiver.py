@@ -116,12 +116,14 @@ class ReceiverBase:
         """
         conn = self.conn
         credits = conn.options.credits
-        conn.qp.prefill_recv(credits, self._recv_sge, wr_id_start=conn.reserve_wr_ids(credits))
+        conn.qp.prefill_recv(credits, self._recv_sge, wr_id_start=conn._wr_id + 1)
+        conn._wr_id += credits
 
     def repost_recv(self, slot: Any) -> None:
         """Post one receive back into the pool (*slot*: the consumed one's context)."""
         conn = self.conn
-        conn.qp.post_recv(RecvWR(wr_id=conn.next_wr_id(), sge=self._recv_sge))
+        conn._wr_id += 1
+        conn.qp.post_recv(RecvWR(wr_id=conn._wr_id, sge=self._recv_sge))
 
     def hello(self) -> Dict[str, int]:
         """This half's fields of the connection's hello."""
@@ -206,7 +208,7 @@ class ReceiverBase:
     def _deliver(self, urecv: UserRecv, nbytes: int, eof: bool = False) -> None:
         """Complete one ``exs_recv`` with *nbytes*."""
         if not eof:
-            self.last_delivery_ns = self.conn.sim.now
+            self.last_delivery_ns = self.conn.sim._now
         if self.conn.tracer is not None:
             # deliveries are in stream order (RC), so spans can recover the
             # exact delivered range from the cumulative nbytes; the receive's

@@ -48,10 +48,6 @@ class UserSend:
     #: (``nbytes`` is then what moved); set by the sender, not a field
     truncated = False
 
-    @property
-    def unplanned(self) -> int:
-        return self.nbytes - self.planned
-
 
 class SenderBase:
     """What every sender half does with ``exs_send`` requests: FIFO
@@ -100,7 +96,7 @@ class SenderBase:
         send_id = self._next_send_id
         self._next_send_id = send_id + 1
         usend = UserSend(send_id, buffer, mr, offset, nbytes, eq, context,
-                         posted_at_ns=self.conn.sim.now)
+                         posted_at_ns=self.conn.sim._now)
         self.pending.append(usend)
         self._incomplete[usend.send_id] = usend
         if self.conn.tracer is not None:
@@ -179,9 +175,10 @@ class SenderBase:
         if native:
             conn.credits.consume(1)  # the WWI consumes a RECV at the peer
         # (emulated: a silent RDMA WRITE, no RECV consumed, no credit ...)
+        conn._wr_id += 1
         conn.qp.post_send(SendWR(
             opcode=Opcode.RDMA_WRITE_WITH_IMM if native else Opcode.RDMA_WRITE,
-            wr_id=conn.next_wr_id(),
+            wr_id=conn._wr_id,
             sge=SGE(local_addr, chunk.nbytes, usend.mr.lkey),
             remote_addr=remote_addr,
             rkey=rkey,
@@ -285,18 +282,21 @@ class StreamSenderHalf(SenderBase):
         returns True if any progress was made.
         """
         progressed = False
-        while self.pending:
-            head = self.pending[0]
-            if head.unplanned == 0:
+        pending = self.pending
+        credits = self.conn.credits
+        while pending:
+            head = pending[0]
+            unplanned = head.nbytes - head.planned
+            if unplanned == 0:
                 # Fully handed to the transport; completion happens on ack.
-                self.pending.pop(0)
+                pending.pop(0)
                 continue
             # An indirect transfer can split in two at the ring wrap point;
             # require two credits so the pair can never half-issue.
-            if not self.conn.credits.can_send_data(2):
+            if credits.available - 2 < credits.control_reserve:
                 self._note_blocked()
                 break
-            plan = self.algo.next_transfer(head.unplanned)
+            plan = self.algo.next_transfer(unplanned)
             if plan is None:
                 break
             yield from self._issue(head, plan)

@@ -161,15 +161,22 @@ def timeout(delay, value=None):
 
 def drain_heap(sim, stop, max_events):
     """Flat-heap drain (``inf`` = gate unset): FIFO as the wheel's
-    reference, ``(tiebreak, seq)`` order under a schedule policy."""
+    reference, ``(tiebreak, seq)`` order under a schedule policy.  The cap
+    counts ``events_executed``, which ``advance()`` bumps too; the gates
+    it reads are published in ``sim._gate`` while the drain runs (not
+    under a policy, where ``advance()`` always refuses)."""
     queue = sim._queue
     step = sim.step
-    n = 0
-    while queue:
-        if queue[0][0] > stop:
-            sim._now = stop
-            return
-        step()
-        n += 1
-        if n >= max_events:
-            raise SimulationError(f"exceeded max_events={max_events}")
+    cap = sim.events_executed + max_events
+    outer = sim._gate
+    sim._gate = (stop, cap) if sim._policy is None else None
+    try:
+        while queue:
+            if queue[0][0] > stop:
+                sim._now = stop
+                return
+            step()
+            if sim.events_executed >= cap:
+                raise SimulationError(f"exceeded max_events={max_events}")
+    finally:
+        sim._gate = outer

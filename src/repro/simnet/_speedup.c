@@ -18,9 +18,19 @@
  *                      (causality._CapturedEntry, Process completions, …).
  *   Simulator          schedule / call_in / timeout (register park and
  *                      spill, live-batch append, lazy seq, stash/pool
- *                      reuse), step / peek, and `_cdrain(stop,
+ *                      reuse), step / peek, advance, and `_cdrain(stop,
  *                      max_events)`, the whole run loop — bound per
  *                      instance by `bind_wheel`.
+ *
+ * `advance(delay)` is a callback's last act in place of placing an entry
+ * `delay` ns ahead: it moves the clock there and counts one event — the
+ * callback then does that entry's work inline — only when the entry would
+ * run next.  That takes a live `_cdrain` on this simulator (which publishes
+ * its gates, stop time and event cap, in the `_gate` slot as a capsule
+ * while it runs), no causality recorder, an exhausted live batch, and
+ * nothing else pending at or before that time.  The pending
+ * test is conservative where it is cheap to be: an occupied L1 bucket that
+ * starts by then refuses without being scanned.
  *
  * Odd placement calls (keyword spellings, non-int, bool or negative
  * delays) bind their arguments through small `_core` functions that hand
@@ -75,7 +85,7 @@ static struct {
     Py_ssize_t o_now, o_seq, o_stash, o_finish, o_cbe_pool, o_timeout_pool,
         o_to_cls, o_batch, o_batch_time, o_bi, o_events_exec, o_batches,
         o_batched, o_maxbatch, o_to_allocs, o_to_reuses, o_cbe_allocs,
-        o_cbe_reuses;
+        o_cbe_reuses, o_recorder, o_advanced, o_gate;
     /* Event slots (one offset for every subclass), Timeout.delay */
     Py_ssize_t o_ev_sim, o_ev_cb1, o_ev_cbs, o_ev_value, o_ev_ok, o_ev_seq,
         o_to_delay;
@@ -1185,6 +1195,64 @@ wheel_peek(PyObject *sim, PyObject *Py_UNUSED(ignored))
     return PyLong_FromLongLong(t);
 }
 
+/* Simulator.advance(delay) -> bool: see the header.  False leaves
+ * everything as it was, a bad delay included (the caller's placement then
+ * refuses it). */
+static PyObject *
+wheel_advance(PyObject *sim, PyObject *delay)
+{
+    PyObject *gate = SLOT(sim, S.o_gate);
+    if (gate == NULL || !PyCapsule_CheckExact(gate))
+        Py_RETURN_FALSE;
+    Gates *g = PyCapsule_GetPointer(gate, NULL);
+    long long when;
+    if (g == NULL)
+        return NULL;
+    if (g->n >= g->maxe || SLOT(sim, S.o_recorder) != Py_None ||
+        !when_after(sim, delay, &when) || when > g->stop)
+        Py_RETURN_FALSE;
+    if (SLOT(sim, WS.single) != Py_None) {
+        /* register occupied: the structures are empty, no batch is live */
+        long long w = obj_ll(SLOT(sim, WS.single_when));
+        if (LL_ERR(w))
+            return NULL;
+        if (w <= when)
+            Py_RETURN_FALSE;
+    }
+    else {
+        PyObject *b = SLOT(sim, S.o_batch);
+        if (b != Py_None) {
+            long long bi = obj_ll(SLOT(sim, S.o_bi));
+            if (LL_ERR(bi))
+                return NULL;
+            if (bi < PyList_GET_SIZE(b))
+                Py_RETURN_FALSE;
+        }
+        long long t = heap_head(SLOT(sim, WS.t0), 0);
+        long long th = heap_head(SLOT(sim, WS.hq), 1);
+        if (LL_ERR(t) || LL_ERR(th))
+            return NULL;
+        if (t <= when || th <= when)
+            Py_RETURN_FALSE;
+        PyObject *t1 = SLOT(sim, WS.t1);
+        if (PyList_GET_SIZE(t1)) {
+            long long bk = obj_ll(PyList_GET_ITEM(t1, 0));
+            if (LL_ERR(bk))
+                return NULL;
+            if ((bk << CS0_BITS) <= when)
+                Py_RETURN_FALSE;
+        }
+    }
+    PyObject *now = PyLong_FromLongLong(when);
+    if (now == NULL)
+        return NULL;
+    store_slot(sim, S.o_now, now);
+    g->n++;
+    if (bump_slot(sim, S.o_advanced, 1) < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
 /* Simulator._cdrain(stop, max_events) — the run loop, one loop for every
  * gate (`inf` = gate unset): the register regime, then batch assembly,
  * then the take-and-null batch loop with its live-append re-check.  Events
@@ -1204,6 +1272,13 @@ wheel_drain(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
     long long n0 = obj_ll(SLOT(sim, S.o_events_exec));
     if (LL_ERR(n0))
         return NULL;
+    /* publish the gates for advance(); a nested run() restores the outer */
+    PyObject *gate = PyCapsule_New(&g, NULL, NULL);
+    if (gate == NULL)
+        return NULL;
+    PyObject *outer = SLOT(sim, S.o_gate);
+    outer = outer == NULL ? Py_NewRef(Py_None) : Py_NewRef(outer);
+    store_slot(sim, S.o_gate, gate);
     PyObject *ls = NULL, *t_obj = NULL; /* the live batch, while one runs */
     Py_ssize_t i = 0;
     int rc = -1;
@@ -1295,6 +1370,7 @@ wheel_drain(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
             break;
     }
 out:
+    store_slot(sim, S.o_gate, outer);
     if (ls != NULL) {
         /* a live batch was interrupted — a raising callback, StopSimulation
          * or a tripped cap: its undispatched tail goes back, order preserved
@@ -1388,6 +1464,9 @@ configure(PyObject *Py_UNUSED(mod), PyObject *ns)
         {"Simulator", "_timeout_reuses", &S.o_to_reuses},
         {"Simulator", "_cbe_allocs", &S.o_cbe_allocs},
         {"Simulator", "_cbe_reuses", &S.o_cbe_reuses},
+        {"Simulator", "_recorder", &S.o_recorder},
+        {"Simulator", "_advanced", &S.o_advanced},
+        {"Simulator", "_gate", &S.o_gate},
         {"Event", "sim", &S.o_ev_sim},
         {"Event", "_cb1", &S.o_ev_cb1},
         {"Event", "_cbs", &S.o_ev_cbs},
@@ -1445,15 +1524,16 @@ static PyMethodDef wheel_methods[] = {
     {"timeout", FN(wheel_timeout), KW, "Simulator.timeout (C wheel)."},
     {"step", wheel_step, METH_NOARGS, "Simulator.step (C wheel)."},
     {"peek", wheel_peek, METH_NOARGS, "Simulator.peek (C wheel)."},
+    {"advance", wheel_advance, METH_O, "Simulator.advance (C wheel)."},
     {"_cdrain", FN(wheel_drain), METH_FASTCALL,
      "The C wheel's run loop: _cdrain(stop, max_events)."},
 };
 #define N_WHEEL_METHODS \
     ((Py_ssize_t)(sizeof(wheel_methods) / sizeof(*wheel_methods)))
 
-/* bind_wheel(sim) -> (schedule, call_in, timeout, step, peek, _cdrain),
- * bound to one Simulator (subclasses included) whose wheel slots exist —
- * a heap-backend simulator never initialises them. */
+/* bind_wheel(sim) -> (schedule, call_in, timeout, step, peek, advance,
+ * _cdrain), bound to one Simulator (subclasses included) whose wheel slots
+ * exist — a heap-backend simulator never initialises them. */
 static PyObject *
 bind_wheel(PyObject *Py_UNUSED(mod), PyObject *sim)
 {
@@ -1480,7 +1560,7 @@ static PyMethodDef module_methods[] = {
     {"configure", configure, METH_O,
      "Capture types, slot offsets and helpers from the Python kernel."},
     {"bind_wheel", bind_wheel, METH_O,
-     "Bind the wheel's six entry points to one simulator."},
+     "Bind the wheel's seven entry points to one simulator."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef speedup_module = {

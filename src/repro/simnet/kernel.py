@@ -43,12 +43,18 @@ tests/simnet/test_timing_wheel.py).
 Performance notes (this kernel is the host-side bottleneck of every
 experiment):
 
-* ``schedule``/``call_in``/``timeout``/``step``/``peek`` and the run loop
-  are bound per instance at construction (one backend branch for the whole
-  lifetime, and callers skip the descriptor protocol): on the wheel all six
-  are C builtins, on the heap the ``_*_heap`` methods below and
-  :func:`~repro.simnet._core.drain_heap`.  The per-event path has no
+* ``schedule``/``call_in``/``timeout``/``step``/``peek``/``advance`` and
+  the run loop are bound per instance at construction (one backend branch
+  for the whole lifetime, and callers skip the descriptor protocol): on
+  the wheel all seven are C builtins, on the heap the ``_*_heap`` methods
+  below and :func:`~repro.simnet._core.drain_heap`.  The per-event path has no
   policy or capture checks.
+* ``advance(delay)`` lets a callback skip its last placement: when the
+  entry it would place ``delay`` ns ahead is certainly the next to run
+  (inside ``run()``, no policy or capture, nothing due by then, within
+  the run's stop time and event cap), the clock moves there at once and
+  one event is counted, so the callback carries on in place of that
+  entry; otherwise it returns False and changes nothing.
 * :meth:`Simulator.call_in` places a slotted
   :class:`~repro.simnet._core.CallbackEntry` that invokes ``fn(arg)``
   directly, bypassing the full Event protocol — used by the hot delivery
@@ -114,8 +120,8 @@ class Simulator:
         ``schedule_policy`` raises :class:`SimulationError`.  The wheel is
         C: when the accelerator cannot load, the heap runs instead.
 
-    Note: ``schedule``, ``call_in``, ``timeout``, ``step`` and ``peek``
-    are instance attributes bound at construction to the selected
+    Note: ``schedule``, ``call_in``, ``timeout``, ``step``, ``peek`` and
+    ``advance`` are instance attributes bound at construction to the selected
     backend's implementation.
     """
 
@@ -147,6 +153,7 @@ class Simulator:
         "_timeout_reuses",
         "_cbe_allocs",
         "_cbe_reuses",
+        "_advanced",
         "_backend",
         "_queue",
         # per-instance backend method bindings
@@ -155,6 +162,11 @@ class Simulator:
         "timeout",
         "step",
         "peek",
+        "advance",
+        # the running drain's gates (stop time, event cap), what advance()
+        # reads: a tuple on the heap (None under a schedule policy), a
+        # capsule on the wheel; None outside run()
+        "_gate",
         # wheel structures
         "_reg_free",
         "_single",
@@ -220,6 +232,8 @@ class Simulator:
         self._timeout_reuses = 0
         self._cbe_allocs = 0
         self._cbe_reuses = 0
+        self._advanced = 0
+        self._gate = None
         self._cdrain = None
         self._accelerator = "off"
         self._recorder = None
@@ -253,6 +267,7 @@ class Simulator:
             self.timeout = self._timeout_heap
             self.step = self._step_heap
             self.peek = self._peek_heap
+            self.advance = self._advance_heap
             return
         # timing-wheel state (see the _core module docstring for the layout)
         self._reg_free = True
@@ -270,7 +285,7 @@ class Simulator:
         self._batch_time = -1
         self._bi = 0
         (self.schedule, self.call_in, self.timeout,
-         self.step, self.peek, self._cdrain) = accel.bind_wheel(self)
+         self.step, self.peek, self.advance, self._cdrain) = accel.bind_wheel(self)
         self._accelerator = "live"
 
     # ------------------------------------------------------------------
@@ -326,6 +341,23 @@ class Simulator:
     def _peek_heap(self) -> Optional[int]:
         """Return the firing time of the next event, or ``None`` if idle."""
         return self._queue[0][0] if self._queue else None
+
+    def _advance_heap(self, delay: int) -> bool:
+        """Dispatch, in place, the entry a callback would place *delay* ns
+        ahead as its last act: True (the clock moved and one more event
+        counts) only if that entry would run next — see docs/SIMULATION.md,
+        "Event kernel".  False changes nothing; the caller places it."""
+        gate = self._gate
+        if gate is None or self._recorder is not None or type(delay) is not int or delay < 0:
+            return False
+        when = self._now + delay
+        queue = self._queue
+        if when > gate[0] or queue and queue[0][0] <= when or self.events_executed >= gate[1]:
+            return False
+        self._now = when
+        self.events_executed += 1
+        self._advanced += 1
+        return True
 
     # ------------------------------------------------------------------
     # execution
@@ -427,7 +459,7 @@ class Simulator:
         ``next_time``, ``batches``, ``batched_events``, ``max_batch``,
         ``cascades``, ``l0_inserts``, ``l1_inserts``, ``overflow_inserts``,
         ``timeout_allocs``, ``timeout_reuses``, ``timeout_pool``,
-        ``cbe_allocs``, ``cbe_reuses``, ``accelerator``,
+        ``cbe_allocs``, ``cbe_reuses``, ``advanced``, ``accelerator``,
         ``accelerator_reason``.
 
         ``backend`` is the calendar that runs.  ``accelerator`` says how it
@@ -443,7 +475,8 @@ class Simulator:
         dispatched in the current batch.  Register (single-entry)
         dispatches are ``events_executed - batched_events``; the timeout
         freelist hit rate is ``timeout_reuses / (timeout_reuses +
-        timeout_allocs)``.
+        timeout_allocs)``.  ``advanced`` counts the entries ``advance()``
+        dispatched in place; ``events_executed`` includes them.
         """
         if self._backend == "heap":
             pending = len(self._queue)
@@ -472,6 +505,7 @@ class Simulator:
             "timeout_pool": len(self._timeout_pool) + (1 if self._stash is not None else 0),
             "cbe_allocs": self._cbe_allocs,
             "cbe_reuses": self._cbe_reuses,
+            "advanced": self._advanced,
             "accelerator": self._accelerator,
             "accelerator_reason": self._accelerator_reason(),
         }

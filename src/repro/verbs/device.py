@@ -112,6 +112,7 @@ class RdmaDevice:
         self._service: Deque[QueuePair] = deque()
         self._in_service: Set[int] = set()
         self._tx_parked = self._tx_kicked = False
+        self._advance = sim.advance
         sim.call_in(0, self._tx_wake)
 
         # connection management hook (set by repro.verbs.cm)
@@ -216,24 +217,27 @@ class RdmaDevice:
     # idle if kicked while busy) and per-WR overhead waits are a process
     # engine's start event, signal wake-ups and timeouts one for one, at the
     # same program points with the same delays, so the calendar sees
-    # exactly the schedule such an engine would produce.
+    # exactly the schedule such an engine would produce (an overhead wait
+    # that nothing can interrupt elapses in place: Simulator.advance).  A
+    # WR stays at the head of its send queue until it goes on the wire, so
+    # a QP that dies in its overhead window flushes it in posting order.
     def _tx_wake(self, _arg=None) -> None:
         """Start the next WR on the wire, or park until kicked."""
         service = self._service
+        in_service = self._in_service
         overhead = self.config.wr_overhead_ns
         while service:
             qp = service.popleft()
-            self._in_service.discard(qp.qpn)
+            in_service.discard(qp.qpn)
             sq = qp.sq
             if not sq or qp.state is not _READY:
                 continue
-            wr = sq.pop(0)
-            if overhead:
-                self.sim.call_in(overhead, self._tx_wire, (qp, wr))
+            if overhead and not self._advance(overhead):
+                self.sim.call_in(overhead, self._tx_wire, qp)
                 return
-            self._transmit_wr(qp, wr)
-            if sq and qp.qpn not in self._in_service:
-                self._in_service.add(qp.qpn)
+            self._transmit_wr(qp, sq.pop(0))
+            if sq and qp.qpn not in in_service:
+                in_service.add(qp.qpn)
                 service.append(qp)
         if self._tx_kicked:
             self._tx_kicked = False
@@ -241,13 +245,16 @@ class RdmaDevice:
         else:
             self._tx_parked = True
 
-    def _tx_wire(self, qp_wr) -> None:
-        """A WR's overhead elapsed: transmit it, then start the next one."""
-        qp, wr = qp_wr
-        self._transmit_wr(qp, wr)
-        if qp.sq and qp.qpn not in self._in_service:
-            self._in_service.add(qp.qpn)
-            self._service.append(qp)
+    def _tx_wire(self, qp: QueuePair) -> None:
+        """A WR's overhead elapsed: transmit the head of *qp*'s send queue
+        (unless the QP left READY meanwhile: an ERROR QP sends nothing, and
+        its flush completed the WR), then start the next one."""
+        sq = qp.sq
+        if qp.state is _READY:
+            self._transmit_wr(qp, sq.pop(0))
+            if sq and qp.qpn not in self._in_service:
+                self._in_service.add(qp.qpn)
+                self._service.append(qp)
         self._tx_wake()
 
     def _transmit_wr(self, qp: QueuePair, wr) -> None:

@@ -78,7 +78,7 @@ def test_bringup_builds_no_recv_per_credit(monkeypatch):
             assert conn.qp.recv_queue_depth == credits
             assert conn.qp.recvs_posted == credits
             # the pool took wr_ids 1..credits; the counter carries on after it
-            assert conn.next_wr_id() == credits + 1
+            assert conn._wr_id == credits
 
 
 def test_credit_conservation_end_to_end():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
+import os
+import pstats
 from dataclasses import dataclass
 
+from repro import BlastConfig, ExponentialSizes, ProtocolMode, run_blast
 from repro.config import ScenarioConfig
 from repro.exs.flags import TRANSPORTS
 from repro.simnet import Simulator
@@ -63,3 +67,36 @@ class Variant:
 #: every (transport, reliability mode) pair: the variant matrix
 VARIANTS = tuple(Variant(transport, mode) for transport in TRANSPORTS
                  for mode in (MODE_GO_BACK_N, MODE_SELECTIVE_REPEAT))
+
+
+#: messages of the call budgets' blast
+BUDGET_MESSAGES = 200
+
+
+def _budget_blast():
+    config = BlastConfig(total_messages=BUDGET_MESSAGES, sizes=ExponentialSizes(seed=1),
+                         outstanding_sends=4, outstanding_recvs=8, mode=ProtocolMode.DYNAMIC)
+    return run_blast(config, ScenarioConfig(profile="fdr", seed=1))
+
+
+def calls_per_message(layer: str) -> float:
+    """Calls into ``repro/<layer>/*.py`` functions per message of a fixed
+    blast, after one unprofiled warm-up run: the call budgets' measure.
+
+    Call counts, unlike host time, repeat exactly run to run, so a profile
+    of one fixed run is a budget that a change putting accessor calls back
+    on a per-message path exceeds at once: no timing, no repeated pairs.
+    ``perf/run.py --trace 1`` reports the same counts as
+    ``<layer>.calls_per_msg`` on its workloads.
+    """
+    _budget_blast()
+    profile = cProfile.Profile()
+    profile.enable()
+    result = _budget_blast()
+    profile.disable()
+    assert result.total_bytes > 0
+    where = os.sep + os.path.join("repro", layer) + os.sep
+    calls = sum(ncalls for (filename, _line, _name), (_cc, ncalls, *_rest)
+                in pstats.Stats(profile).stats.items()
+                if where in filename and filename.endswith(".py"))
+    return calls / BUDGET_MESSAGES

@@ -801,7 +801,7 @@ def test_keyword_spellings_place_like_positional_ones(calendar):
 
 @accel
 def test_accel_binds_compiled_paths():
-    """Placement, step(), peek() and the run loop are builtins on every
+    """Placement, step(), peek(), advance() and the run loop are builtins on every
     wheel Simulator, subclasses included; heap / policy instances keep the
     Python methods."""
 
@@ -809,11 +809,13 @@ def test_accel_binds_compiled_paths():
         __slots__ = ()
 
     for sim in (Simulator(calendar="wheel"), Sub(calendar="wheel")):
-        for bound in (sim.schedule, sim.call_in, sim.timeout, sim.step, sim.peek, sim._cdrain):
+        for bound in (sim.schedule, sim.call_in, sim.timeout, sim.step, sim.peek, sim.advance,
+                      sim._cdrain):
             assert type(bound).__name__ == "builtin_function_or_method"
     for heap in (Simulator(schedule_policy=FifoPolicy()), Simulator(calendar="heap")):
         assert heap._cdrain is None
-        for bound in (heap.schedule, heap.call_in, heap.timeout, heap.step, heap.peek):
+        for bound in (heap.schedule, heap.call_in, heap.timeout, heap.step, heap.peek,
+                      heap.advance):
             assert type(bound).__name__ == "method"
     # the C entry points refuse a simulator whose wheel slots do not exist
     with pytest.raises(TypeError, match="timing-wheel Simulator"):

@@ -455,8 +455,10 @@ def test_peer_death_flushes_the_unsent_send_queue(sim):
     for i in range(5):
         pair.post_send(8, wr_id=1 + i)
     qc.post_send(SendWR(opcode=Opcode.SEND, wr_id=60, sge=SGE(pair.mr_a.addr, 8, pair.mr_a.lkey)))
-    sim.run(until=1_010)  # qa's first WR is on the wire, qc's in the pipeline
-    assert len(pair.qa.sq) == 4 and len(pair.qa.inflight) == 1 and len(qc.sq) == 0
+    # qa's first WR is on the wire; qc's is in the pipeline, and stays at
+    # the head of its send queue until it goes on the wire
+    sim.run(until=1_010)
+    assert len(pair.qa.sq) == 4 and len(pair.qa.inflight) == 1 and len(qc.sq) == 1
     pair.db.reliability.fatal(pair.qb, WCStatus.RETRY_EXC_ERR)
     sim.run()
 
@@ -470,3 +472,22 @@ def test_peer_death_flushes_the_unsent_send_queue(sim):
     assert (event.conn, event.host, event.get("status"), event.get("pending")) == (
         pair.qb.qpn, "b", "retry_exceeded", 1)
     assert pair.db.terms_sent == 1
+
+
+def test_peer_death_flushes_the_wr_in_its_overhead_window(sim):
+    """A WR inside the send pipeline's ``wr_overhead_ns`` window when its QP
+    dies stays at the head of the send queue until it would go on the wire:
+    the flush completes it in posting order, between the unacked window and
+    the queued WRs, and nothing goes out on the ERROR QP afterwards."""
+    pair = RelPair(sim)
+    for i in range(5):
+        pair.post_send(8, wr_id=1 + i)
+    sim.run(until=160)  # WR 1 is on the wire
+    # the terminate reaches qa at 324 ns, inside WR 3's window (300-450 ns)
+    pair.db.reliability.fatal(pair.qb, WCStatus.RETRY_EXC_ERR)
+    sim.run()
+
+    assert pair.qa.state is QPState.ERROR
+    assert [(w.wr_id, w.status) for w in pair.cq_a.poll()] == [
+        (i, WCStatus.WR_FLUSH_ERR) for i in range(1, 6)]
+    assert pair.qa.inflight == {} and pair.qa.sq == []
